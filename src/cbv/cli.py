@@ -18,7 +18,7 @@ import numpy as np
 from . import __version__
 from .clearing import ClearingProblem, clear, net_boundary_flows
 from .control import ControlRuleSpec, build_control
-from .engine import SolverConfig, evaluate_for_observer
+from .engine import SolverConfig, evaluate_for_observer, scale_units
 from .errors import CbvError
 from .fisher import cross_priced_quad, fisher_indices
 from .network import Perimeter
@@ -48,21 +48,23 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _solver_config(args) -> SolverConfig:
+def _solver_config(args, observer) -> SolverConfig:
+    """The solver flags given, with eps/max-iters the observer declares where unset."""
+    tolerances = observer.tolerances
     return SolverConfig(
-        method=args.method,
-        eps=args.eps,
-        max_iters=args.max_iters,
+        method=args.method or "auto",
+        eps=tolerances.solver_eps if args.eps is None else args.eps,
+        max_iters=tolerances.max_iters if args.max_iters is None else args.max_iters,
         damping=args.damping,
         regularization=args.regularization,
     )
 
 
 def _add_solver_flags(parser):
-    parser.add_argument("--method", default="auto",
+    parser.add_argument("--method", default=None,
                         choices=["auto", "direct", "neumann", "iterative_krylov"])
-    parser.add_argument("--eps", type=float, default=1e-10)
-    parser.add_argument("--max-iters", dest="max_iters", type=int, default=10000)
+    parser.add_argument("--eps", type=float, default=None)
+    parser.add_argument("--max-iters", dest="max_iters", type=int, default=None)
     parser.add_argument("--damping", type=float, default=None)
     parser.add_argument("--regularization", type=float, default=None)
 
@@ -156,16 +158,19 @@ def _cmd_compute(args) -> int:
     pkg = load_package(args.package)
     observer = _load_observer(args, pkg)
     stats = pkg.cut_statistics()
-    result = evaluate_for_observer(stats, observer, _solver_config(args))
+    cfg = _solver_config(args, observer)
+    result = evaluate_for_observer(stats, observer, cfg)
+    # the cut summary and the band report priced amounts, like W
+    priced = scale_units(observer.pricing_scale, stats)
     band = None
     if band_requested:
         from .robustness import monte_carlo_band
 
         band = monte_carlo_band(
-            stats, _solver_config(args), noise=args.band_noise or 0.0,
+            priced, cfg, noise=args.band_noise or 0.0,
             draws=args.band_draws, seed=args.band_seed,
         )
-    doc = build_cut_summary(result, stats, observer)
+    doc = build_cut_summary(result, priced, observer)
     out = Path(args.output) if args.output else Path(args.package) / "cut_summary.json"
     out.write_bytes(doc.to_json_bytes())
     if args.format == "json":
@@ -197,7 +202,9 @@ def _cmd_compute(args) -> int:
 def _cmd_fisher(args) -> int:
     pkg_prev = load_package(args.prev)
     pkg_curr = load_package(args.curr)
-    cfg = _solver_config(args)
+    # evaluations run under both periods' observers; unset solver fields
+    # follow the current period's declared tolerances
+    cfg = _solver_config(args, pkg_curr.observer)
     quad = cross_priced_quad(
         pkg_prev.cut_statistics(), pkg_curr.cut_statistics(),
         pkg_prev.observer, pkg_curr.observer, cfg,
@@ -332,7 +339,7 @@ def _cmd_report(args) -> int:
     result = None
     if not args.no_compute:
         result = evaluate_for_observer(
-            pkg.cut_statistics(), pkg.observer, _solver_config(args)
+            pkg.cut_statistics(), pkg.observer, _solver_config(args, pkg.observer)
         )
     print(render_disclosure_sheet(pkg, result), end="")
     return EXIT_OK

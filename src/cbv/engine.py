@@ -9,14 +9,21 @@ The consolidated value of a perimeter P with complement O is
 and depends only on the internal bases and the edges crossing the cut.  Two
 informational regimes are supported:
 
-* Regime A: internal values v_P are observed, the internal block O_PP is
-  never read and evaluation is linear in the number of boundary edges.
+* Regime A: internal values v_P are observed and the internal block O_PP is
+  never read.
 * Regime B: v_P is estimated first by solving (I - O_PP) v_P = b_P + O_PO v_O,
   which is well posed when rho(O_PP) < 1, then the same cut formula applies.
 
 Boundary statistics may also be given directly as priced flow matrices (one
 amount per edge) instead of share blocks times values; post-clearing net flows
 and the macro case studies use that form.
+
+Cost.  `CutStatistics.from_network` copies each block out of the network
+once; statistics derived from others (`with_v_p`, `scale_units`, the probes of
+a Monte Carlo band) share the blocks they do not change.  Pricing the cut is
+a reduction over the two boundary blocks: with no rounding threshold, one pass
+of column sums per block and no n_P x n_O temporary; with a threshold, one
+priced amount per edge so that each can be tested against it.
 """
 
 from __future__ import annotations
@@ -39,19 +46,35 @@ DIRECT_SOLVER_MAX_SIZE = 2048
 POWER_ITERATIONS = 100
 
 
-def _vector(x, size, name) -> np.ndarray:
-    arr = np.array(x, dtype=float).reshape(-1)
-    if arr.shape != (size,):
-        raise DimensionError(f"{name} has length {arr.shape[0]}, expected {size}")
+def _frozen(x) -> np.ndarray:
+    """x as a read-only float array.
+
+    A read-only float array that owns its data (every array CutStatistics
+    stores) is shared, so derived statistics reuse their parent's blocks;
+    anything else is copied, so a caller who later writes to their array
+    cannot move W.
+    """
+    if (type(x) is np.ndarray and x.dtype == np.float64 and x.flags.owndata
+            and not x.flags.writeable):
+        return x
+    arr = np.array(x, dtype=float)
     arr.setflags(write=False)
     return arr
 
 
+def _vector(x, size, name) -> np.ndarray:
+    arr = _frozen(x)
+    if arr.ndim != 1:
+        arr = _frozen(arr.reshape(-1))
+    if arr.shape != (size,):
+        raise DimensionError(f"{name} has length {arr.shape[0]}, expected {size}")
+    return arr
+
+
 def _matrix(x, shape, name) -> np.ndarray:
-    arr = np.array(x, dtype=float)
+    arr = _frozen(x)
     if arr.shape != shape:
         raise DimensionError(f"{name} has shape {arr.shape}, expected {shape}")
-    arr.setflags(write=False)
     return arr
 
 
@@ -122,6 +145,8 @@ class CutStatistics:
         else:
             primitives = NodePrimitives(dict(b), dict(v or {}))
         blocks = partition(network, perimeter)
+        for block in (blocks.o_pp, blocks.o_po, blocks.o_op):
+            block.setflags(write=False)  # fresh copies: stored as they are, not copied again
         primitives.check_coverage(blocks.p_ids, blocks.o_ids)
         b, v = primitives.b, primitives.v
         b_p = np.array([float(b[n]) for n in blocks.p_ids])
@@ -300,18 +325,30 @@ class ValuationResult:
 
 
 def _priced_edges(share_block, values, amounts, tau):
-    """Edge totals with sub-threshold amounts dropped, in canonical order."""
+    """Edge totals with sub-threshold amounts dropped, in canonical order.
+
+    With no threshold nothing is dropped, and the total is a reduction over
+    the block: an amount block is summed, a share block contributes its column
+    sums times the values.
+    """
+    if amounts is None and share_block is None:
+        return 0.0, 0
+    if not tau > 0.0:
+        if amounts is not None:
+            return float(amounts.sum()), 0
+        col_sums = share_block.sum(axis=0)
+        if not np.isfinite(values).all():
+            # as on the per-edge path, a value counts only where its column
+            # holds a share: a non-finite value behind zeros stays out of W
+            held = share_block.any(axis=0)
+            col_sums, values = col_sums[held], values[held]
+        return float(col_sums @ values), 0
     if amounts is None:
-        if share_block is None:
-            return 0.0, 0
         amounts = share_block * values[np.newaxis, :]
         active = share_block != 0.0
     else:
         active = amounts != 0.0
-    if tau > 0.0:
-        keep = active & (np.abs(amounts) >= tau)
-    else:
-        keep = active
+    keep = active & (np.abs(amounts) >= tau)
     dropped = int(active.sum() - keep.sum())
     return float(amounts[keep].sum()), dropped
 
@@ -321,7 +358,7 @@ def evaluate_regime_a(
 ) -> ValuationResult:
     """Direct cut evaluation with observed internal values.
 
-    Cost is linear in the number of boundary edges; the internal block is
+    Cost is one reduction over each boundary block; the internal block is
     never read.  Edge amounts below the rounding threshold are dropped and
     counted in the log.
     """
@@ -403,7 +440,10 @@ def estimate_internal_values(
 
     system = np.eye(n) - m
     if method == "direct":
-        v_p = np.linalg.solve(system, rhs)
+        try:
+            v_p = np.linalg.solve(system, rhs)
+        except np.linalg.LinAlgError as exc:
+            raise StabilityError(f"I - O_PP is singular: {exc}") from exc
         log.iterations = 0
     elif method == "neumann":
         v_p = rhs.copy()

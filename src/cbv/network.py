@@ -10,6 +10,7 @@ serialized artifact derived from them are deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 
 import numpy as np
 
@@ -40,7 +41,9 @@ class OwnershipNetwork:
             )
         order = np.argsort(np.asarray(ids, dtype=object))
         self.nodes: tuple[NodeId, ...] = tuple(ids[k] for k in order)
-        self.shares: np.ndarray = shares[np.ix_(order, order)].copy()
+        self._index = {node: k for k, node in enumerate(self.nodes)}
+        # fancy indexing returns a fresh array, so the caller's matrix is not shared
+        self.shares: np.ndarray = shares[np.ix_(order, order)]
         self.shares.setflags(write=False)
 
     @classmethod
@@ -58,8 +61,8 @@ class OwnershipNetwork:
 
     def index_of(self, node: NodeId) -> int:
         try:
-            return self.nodes.index(node)
-        except ValueError:
+            return self._index[node]
+        except KeyError:
             raise MembershipError(f"unknown node id {node!r}") from None
 
     def __len__(self) -> int:
@@ -77,12 +80,6 @@ class Perimeter:
 
     def __init__(self, members):
         object.__setattr__(self, "members", frozenset(str(m) for m in members))
-
-    def complement(self, network: OwnershipNetwork) -> frozenset[NodeId]:
-        unknown = self.members - set(network.nodes)
-        if unknown:
-            raise MembershipError(f"perimeter ids not in network: {sorted(unknown)}")
-        return frozenset(network.nodes) - self.members
 
     def __contains__(self, node: NodeId) -> bool:
         return node in self.members
@@ -108,20 +105,26 @@ class BlockPartition:
 
 
 def partition(network: OwnershipNetwork, perimeter: Perimeter) -> BlockPartition:
-    """Split the share matrix into the P/O blocks for a perimeter."""
-    o_members = perimeter.complement(network)
-    p_ids = tuple(sorted(perimeter.members))
-    o_ids = tuple(sorted(o_members))
-    p_idx = [network.index_of(n) for n in p_ids]
-    o_idx = [network.index_of(n) for n in o_ids]
+    """Split the share matrix into the P/O blocks for a perimeter.
+
+    One membership mask over the canonical node order yields both index sets
+    and both id tuples, already in canonical order.
+    """
+    unknown = perimeter.members - network._index.keys()
+    if unknown:
+        raise MembershipError(f"perimeter ids not in network: {sorted(unknown)}")
+    in_p = np.zeros(len(network.nodes), dtype=bool)
+    in_p[np.fromiter((network._index[n] for n in perimeter.members), dtype=np.intp,
+                     count=len(perimeter.members))] = True
+    p_idx, o_idx = np.flatnonzero(in_p), np.flatnonzero(~in_p)
     shares = network.shares
     return BlockPartition(
-        p_ids=p_ids,
-        o_ids=o_ids,
-        o_pp=shares[np.ix_(p_idx, p_idx)].copy(),
-        o_po=shares[np.ix_(p_idx, o_idx)].copy(),
-        o_op=shares[np.ix_(o_idx, p_idx)].copy(),
-        o_oo=shares[np.ix_(o_idx, o_idx)].copy(),
+        p_ids=tuple(compress(network.nodes, in_p.tolist())),
+        o_ids=tuple(compress(network.nodes, (~in_p).tolist())),
+        o_pp=shares[np.ix_(p_idx, p_idx)],
+        o_po=shares[np.ix_(p_idx, o_idx)],
+        o_op=shares[np.ix_(o_idx, p_idx)],
+        o_oo=shares[np.ix_(o_idx, o_idx)],
     )
 
 

@@ -117,6 +117,23 @@ def random_regime_stats(rng, n_p: int, n_o: int, observed: bool = False):
     return stats
 
 
+def two_cycle_chain_stats(n: int = 300) -> cbv.CutStatistics:
+    """A fully owned 2-cycle plus a 0.999 chain, and one unlinked outside node.
+
+    The norm bounds on rho(O_PP) read exactly 1 and the 100-step power
+    estimate about 0.994, so the stability gate lets it through with a
+    warning, yet I - O_PP is singular.
+    """
+    o_pp = np.zeros((n, n))
+    o_pp[0, 1] = o_pp[1, 0] = 1.0
+    for k in range(2, n - 1):
+        o_pp[k, k + 1] = 0.999
+    return cbv.CutStatistics(
+        p_ids=tuple(f"p{k:03d}" for k in range(n)), o_ids=("x",), b_p=np.ones(n),
+        v_o=[1.0], o_po=np.zeros((n, 1)), o_op=np.zeros((1, n)), o_pp=o_pp,
+    )
+
+
 def gauge_rewiring_family(rng, n_draws: int = 10):
     """A Regime-B instance plus rewired internal blocks with identical
     boundary operators.

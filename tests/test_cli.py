@@ -6,7 +6,7 @@ import cbv
 from cbv.cli import EXIT_COMPUTE, EXIT_FINDINGS, EXIT_OK, EXIT_USAGE, main
 from cbv.report import write_matrix_csv
 
-from conftest import example_stats
+from conftest import example_stats, two_cycle_chain_stats
 
 
 def build_package(tmp_path, name="pkg", kappa=None, b_scale=1.0, regime="B"):
@@ -84,6 +84,44 @@ class TestComputeCommand:
         payload = json.loads(capsys.readouterr().out)
         base = cbv.evaluate_regime_b(example_stats(with_v_p=False)).w
         assert payload["consolidated_value"] == pytest.approx(2.0 * base, rel=1e-12)
+
+    def test_fx_scaled_cut_summary_and_band_are_priced(self, tmp_path, capsys):
+        pkg = build_package(tmp_path, kappa=1.07)
+        assert main(["compute", "--package", str(pkg), "--format", "json",
+                     "--band-noise", "0.01", "--band-draws", "20",
+                     "--band-seed", "7"]) == EXIT_OK
+        payload = json.loads(capsys.readouterr().out)
+        doc = cbv.CutSummaryDoc.from_json_bytes((pkg / "cut_summary.json").read_bytes())
+        edges_out, edges_in = doc.recomputed_totals()
+        assert edges_out == pytest.approx(payload["T_out"], rel=1e-9)
+        assert edges_in == pytest.approx(payload["T_in"], rel=1e-9)
+        assert doc.v_o["X"] == pytest.approx(1.07 * 60.0, rel=1e-12)
+        w, band = payload["consolidated_value"], payload["band"]
+        assert band["low"] <= w * (1 + 1e-9) and w * (1 - 1e-9) <= band["high"]
+        assert band["high"] - band["low"] < 0.05 * w
+
+    def test_declared_tolerances_are_used(self, tmp_path, capsys):
+        pkg = build_package(tmp_path)
+        observer = cbv.load_package(pkg).observer
+        pov_path = tmp_path / "pov.json"
+        pov_path.write_bytes(cbv.emit_pov(cbv.Observer(
+            perimeter_ref=observer.perimeter_ref, units=observer.units,
+            date=observer.date, regime="B", control_rule=observer.control_rule,
+            tolerances=cbv.Tolerances(max_iters=2),
+        )))
+        argv = ["compute", "--package", str(pkg), "--pov", str(pov_path),
+                "--method", "neumann"]
+        assert main(argv) == EXIT_COMPUTE
+        assert "ConvergenceError" in capsys.readouterr().err
+        # a flag given on the command line still wins over the declaration
+        assert main(argv + ["--max-iters", "10000"]) == EXIT_OK
+
+    def test_singular_internal_block_is_compute_error(self, tmp_path, capsys):
+        observer = cbv.Observer(perimeter_ref="P-CYCLE", regime="B",
+                                control_rule=cbv.ControlRuleSpec())
+        cbv.write_package(tmp_path / "cycle", two_cycle_chain_stats(), observer)
+        assert main(["compute", "--package", str(tmp_path / "cycle")]) == EXIT_COMPUTE
+        assert "StabilityError" in capsys.readouterr().err
 
     def test_missing_package_is_compute_error(self, tmp_path, capsys):
         assert main(["compute", "--package", str(tmp_path / "ghost")]) == EXIT_COMPUTE

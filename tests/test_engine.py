@@ -10,17 +10,25 @@ from cbv.errors import (
 )
 
 from conftest import (
+    B_P,
     EXAMPLE_BASE,
     EXAMPLE_T_IN_A,
     EXAMPLE_T_OUT,
     EXAMPLE_V_P_B,
     EXAMPLE_W_A,
     EXAMPLE_W_B,
+    O_IDS,
+    O_OP,
+    O_PO,
+    P_IDS,
+    V_O,
+    V_P_OBSERVED,
     example_stats,
     gauge_rewiring_family,
     random_regime_stats,
     random_share_matrix,
     renault_stats,
+    two_cycle_chain_stats,
 )
 
 TOL = 1e-12
@@ -73,6 +81,38 @@ class TestRegimeA:
         # edges priced below 2.0: B->X (1.8) and 0.02*80 (1.6)
         assert result.solver_log.dropped_edges == 2
         assert result.t_out == pytest.approx(3.0 + 3.2, abs=1e-12)
+
+    @pytest.mark.parametrize("tau", [0.0, 1e-8])
+    def test_non_finite_value_behind_empty_column_stays_out(self, stats_a, tau):
+        # Z (outside) and D (inside, base 0) share no edge with the cut, so
+        # their NaN values must not reach W on either pricing path
+        stats = cbv.CutStatistics(
+            p_ids=stats_a.p_ids + ("D",), o_ids=stats_a.o_ids + ("Z",),
+            b_p=[*stats_a.b_p, 0.0], v_o=[*stats_a.v_o, np.nan],
+            v_p=[*stats_a.v_p, np.nan],
+            o_po=np.pad(stats_a.o_po, ((0, 1), (0, 1))),
+            o_op=np.pad(stats_a.o_op, ((0, 1), (0, 1))),
+        )
+        result = cbv.evaluate_regime_a(stats, rounding_threshold=tau)
+        assert result.w == pytest.approx(
+            cbv.evaluate_regime_a(stats_a, rounding_threshold=tau).w, rel=TOL)
+        assert result.solver_log.dropped_edges == 0
+
+    def test_caller_arrays_are_copied(self):
+        arrays = {"b_p": B_P, "v_o": V_O, "v_p": V_P_OBSERVED, "o_po": O_PO, "o_op": O_OP}
+        arrays = {name: np.array(value) for name, value in arrays.items()}
+        stats = cbv.CutStatistics(p_ids=P_IDS, o_ids=O_IDS, **arrays)
+        derived = stats.with_v_p(arrays["v_p"])
+        for array in arrays.values():
+            array *= 2.0
+        assert cbv.evaluate_regime_a(stats).w == pytest.approx(EXAMPLE_W_A, abs=1e-12)
+        assert cbv.evaluate_regime_a(derived).w == pytest.approx(EXAMPLE_W_A, abs=1e-12)
+
+    def test_derived_statistics_share_unchanged_blocks(self, stats_b):
+        v_p, _ = cbv.estimate_internal_values(stats_b)
+        for derived in (stats_b.with_v_p(v_p), cbv.scale_units(2.0, stats_b)):
+            for name in ("o_po", "o_op", "o_pp"):
+                assert getattr(derived, name) is getattr(stats_b, name)
 
     def test_amount_form(self):
         stats = cbv.CutStatistics.from_amounts(
@@ -131,6 +171,10 @@ class TestEstimation:
         )
         with pytest.raises(StabilityError):
             cbv.estimate_internal_values(stats)
+
+    def test_singular_block_past_the_gate_is_stability_error(self):
+        with pytest.raises(StabilityError, match="singular"):
+            cbv.evaluate_regime_b(two_cycle_chain_stats())
 
     def test_damping_gates_unstable_block(self):
         stats = cbv.CutStatistics(

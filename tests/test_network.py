@@ -63,17 +63,28 @@ class TestPartition:
         with pytest.raises(MembershipError):
             cbv.partition(example_network(), cbv.Perimeter({"A", "nope"}))
 
-    def test_blocks_match_entry_classification(self, rng):
-        # brute-force oracle: classify every (i, j) by perimeter membership
-        n = 6
+    @given(st.data())
+    def test_blocks_match_entry_classification(self, data):
+        # brute-force oracle: classify every (i, j) by perimeter membership.
+        # Ids are not zero-padded, so canonical order puts n10 before n2; the
+        # perimeter ranges over every subset, empty and full included.
+        n = data.draw(st.integers(0, 13), label="n")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
         shares = rng.uniform(0, 0.3, size=(n, n)) * (rng.random((n, n)) < 0.5)
         ids = [f"n{k}" for k in range(n)]
-        net = cbv.OwnershipNetwork(ids, shares)
-        members = {"n1", "n4"}
+        order = rng.permutation(n)
+        net = cbv.OwnershipNetwork([ids[k] for k in order], shares[np.ix_(order, order)])
+        members = data.draw(st.sets(st.sampled_from(ids)) if ids else st.just(set()),
+                            label="members")
         blocks = cbv.partition(net, cbv.Perimeter(members))
+        assert blocks.p_ids == tuple(sorted(members))
+        assert blocks.o_ids == tuple(sorted(set(ids) - members))
+        assert blocks.o_pp.shape == (len(members),) * 2
+        assert blocks.o_oo.shape == (n - len(members),) * 2
         for i, owner in enumerate(net.nodes):
             for j, owned in enumerate(net.nodes):
                 value = net.shares[i, j]
+                assert value == shares[int(owner[1:]), int(owned[1:])]
                 if owner in members and owned in members:
                     block, r, c = blocks.o_pp, blocks.p_ids, blocks.p_ids
                 elif owner in members:

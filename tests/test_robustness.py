@@ -11,7 +11,7 @@ from cbv.robustness import (
     sample_perturbations,
 )
 
-from conftest import O_PO, example_stats, random_regime_stats
+from conftest import O_PO, example_stats, random_regime_stats, two_cycle_chain_stats
 
 NORMS = (1.0, 2.0, float("inf"))
 
@@ -21,6 +21,54 @@ def symmetric_stats(t: float) -> cbv.CutStatistics:
         p_ids=("p1", "p2"), o_ids=(), b_p=[100.0, 50.0],
         o_pp=[[0.0, t], [t, 0.0]],
     )
+
+
+def reference_band(stats, noise, draws, seed, metric="consolidated"):
+    """Per-probe reference loop for `monte_carlo_band`.
+
+    Each probe is a fresh CutStatistics holding full copies of every block,
+    passes the engine's stability gate through `estimate_internal_values`,
+    and prices the cut edge by edge: (min, max, evaluated, excluded).
+    """
+    rows, cols = np.nonzero(stats.o_pp)
+    entries = list(zip(rows.tolist(), cols.tolist()))
+
+    def shifted(offsets):
+        o_pp = stats.o_pp.copy()
+        for (i, j), off in zip(entries, offsets):
+            o_pp[i, j] += off
+        return o_pp
+
+    def edge_total(share_block, values):
+        amounts = share_block * values[np.newaxis, :]
+        return amounts[share_block != 0.0].sum()
+
+    probes = [shifted([0.0] * len(entries))]
+    if noise > 0.0 and entries:
+        probes.append(shifted([noise] * len(entries)))
+        probes.append(shifted([-noise] * len(entries)))
+    rng = np.random.default_rng(seed)
+    for _ in range(draws):
+        probes.append(shifted(rng.uniform(-noise, noise, size=len(entries))))
+
+    values, excluded = [], 0
+    for o_pp in probes:
+        probe = cbv.CutStatistics(
+            p_ids=stats.p_ids, o_ids=stats.o_ids, b_p=stats.b_p.copy(),
+            v_o=stats.v_o.copy(), o_po=stats.o_po.copy(), o_op=stats.o_op.copy(),
+            o_pp=o_pp,
+        )
+        try:
+            v_p, _ = cbv.estimate_internal_values(probe)
+        except cbv.StabilityError:
+            excluded += 1
+            continue
+        if metric == "internal_total":
+            values.append(float(v_p.sum()))
+        else:
+            values.append(probe.b_p.sum() + edge_total(probe.o_po, probe.v_o)
+                          - edge_total(probe.o_op, v_p))
+    return min(values), max(values), len(values), excluded
 
 
 class TestBoundaryBound:
@@ -173,3 +221,32 @@ class TestMonteCarloBand:
         # only one off-diagonal entry moves, so the span is tighter
         assert band.low > 714.2857
         assert band.high < 789.4737
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_matches_per_probe_reference(self, seed):
+        # seed 3 adds a near-unit internal loop, so some probes lose stability
+        rng = np.random.default_rng(seed)
+        stats = random_regime_stats(rng, n_p=12, n_o=9)
+        if seed == 3:
+            o_pp = stats.o_pp.copy()
+            o_pp[0, 1] = o_pp[1, 0] = 0.995
+            stats = cbv.CutStatistics(
+                p_ids=stats.p_ids, o_ids=stats.o_ids, b_p=stats.b_p, v_o=stats.v_o,
+                o_po=stats.o_po, o_op=stats.o_op, o_pp=o_pp,
+            )
+        for metric in ("consolidated", "internal_total"):
+            band = cbv.monte_carlo_band(stats, noise=0.03, draws=40, seed=seed,
+                                        metric=metric)
+            low, high, evaluated, excluded = reference_band(stats, 0.03, 40, seed, metric)
+            assert (band.evaluated, band.excluded) == (evaluated, excluded)
+            assert band.low == pytest.approx(low, rel=1e-12)
+            assert band.high == pytest.approx(high, rel=1e-12)
+        if seed == 3:
+            assert band.excluded > 0
+
+    def test_singular_probe_is_excluded(self):
+        # the nominal probe is singular yet passes the gate; the +0.5 corner
+        # fails the gate and the -0.5 corner is the one probe evaluated
+        band = cbv.monte_carlo_band(two_cycle_chain_stats(), noise=0.5, draws=0,
+                                    entries=[(0, 1)])
+        assert (band.evaluated, band.excluded) == (1, 2)
