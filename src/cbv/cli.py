@@ -48,13 +48,12 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _solver_config(args, observer) -> SolverConfig:
-    """The solver flags given, with eps/max-iters the observer declares where unset."""
-    tolerances = observer.tolerances
+def _solver_config(args) -> SolverConfig:
+    """The solver flags given; unset eps/max-iters follow each observer's declaration."""
     return SolverConfig(
         method=args.method or "auto",
-        eps=tolerances.solver_eps if args.eps is None else args.eps,
-        max_iters=tolerances.max_iters if args.max_iters is None else args.max_iters,
+        eps=args.eps,
+        max_iters=args.max_iters,
         damping=args.damping,
         regularization=args.regularization,
     )
@@ -158,7 +157,8 @@ def _cmd_compute(args) -> int:
     pkg = load_package(args.package)
     observer = _load_observer(args, pkg)
     stats = pkg.cut_statistics()
-    cfg = _solver_config(args, observer)
+    # resolved here too: the band solves outside evaluate_for_observer
+    cfg = _solver_config(args).resolved(observer.tolerances)
     result = evaluate_for_observer(stats, observer, cfg)
     # the cut summary and the band report priced amounts, like W
     priced = scale_units(observer.pricing_scale, stats)
@@ -202,12 +202,11 @@ def _cmd_compute(args) -> int:
 def _cmd_fisher(args) -> int:
     pkg_prev = load_package(args.prev)
     pkg_curr = load_package(args.curr)
-    # evaluations run under both periods' observers; unset solver fields
-    # follow the current period's declared tolerances
-    cfg = _solver_config(args, pkg_curr.observer)
+    # each cell fills unset solver fields from the tolerances of the
+    # observer it is priced under
     quad = cross_priced_quad(
         pkg_prev.cut_statistics(), pkg_curr.cut_statistics(),
-        pkg_prev.observer, pkg_curr.observer, cfg,
+        pkg_prev.observer, pkg_curr.observer, _solver_config(args),
     )
     indices = fisher_indices(quad)
     payload = {
@@ -339,7 +338,7 @@ def _cmd_report(args) -> int:
     result = None
     if not args.no_compute:
         result = evaluate_for_observer(
-            pkg.cut_statistics(), pkg.observer, _solver_config(args, pkg.observer)
+            pkg.cut_statistics(), pkg.observer, _solver_config(args)
         )
     print(render_disclosure_sheet(pkg, result), end="")
     return EXIT_OK

@@ -3,15 +3,19 @@
 Three rule families are supported:
 
 * Option A: threshold/majority indicator, optionally closed over ownership
-  chains up to a reachability depth.
+  chains up to a reachability depth.  Past the O(n^2) threshold test, each
+  chain step is one float product over the nodes that hold a majority edge:
+  O(|R| |C|^2) for R owners and C owned nodes, so a sparse control graph
+  costs what its edges cost, not O(n^3).
 * Option B: Herfindahl look-through (and the squared variant B'), which
-  dilutes control when ownership of a node is dispersed.
+  dilutes control when ownership of a node is dispersed.  O(n^2) array
+  expressions.
 * Option C: attenuated paths, crediting indirect chains with geometric decay
-  through S(I - alpha*S)^-1.
+  through S(I - alpha*S)^-1, taken as one dense O(n^3) solve.
 
 Share matrices follow the network convention: S[i, j] is the share of j owned
 by i.  Control weights are dimensionless and column j describes who controls
-node j.
+node j.  Non-finite shares or weights are refused with DomainError.
 """
 
 from __future__ import annotations
@@ -81,6 +85,8 @@ class ControlMatrix:
         n = len(self.ids)
         if omega.shape != (n, n):
             raise DimensionError(f"omega shape {omega.shape} does not match {n} ids")
+        if not np.isfinite(omega).all():
+            raise DomainError("control weights must be finite")
         if (omega < 0).any():
             raise DomainError("control weights must be nonnegative")
         if self.normalized:
@@ -96,16 +102,15 @@ class ControlMatrix:
 
 def _normalize_columns(omega: np.ndarray) -> np.ndarray:
     sums = omega.sum(axis=0)
-    out = omega.copy()
-    nz = sums > 0
-    out[:, nz] = out[:, nz] / sums[nz]
-    return out
+    return np.divide(omega, sums, out=omega.copy(), where=sums > 0)
 
 
 def _as_matrix(shares) -> np.ndarray:
     shares = np.asarray(shares, dtype=float)
     if shares.ndim != 2 or shares.shape[0] != shares.shape[1]:
         raise DimensionError("share matrix must be square")
+    if not np.isfinite(shares).all():
+        raise DomainError("share matrix holds a non-finite entry")
     return shares
 
 
@@ -120,21 +125,31 @@ def threshold_control(
 
     Ties at the threshold count as control.  With depth > 1, boolean
     reachability over majority edges marks ultimate control along chains.
+
+    Every power of the majority graph lives on R x C, the rows and columns
+    holding a majority edge, so each chain step is one product with its C x C
+    block.  The product runs in float so that it goes to BLAS; its entries
+    are sums of 0/1 terms, positive exactly when some path exists.
     """
     shares = _as_matrix(shares)
     if not 0.0 < tau <= 1.0:
         raise DomainError(f"tau={tau!r} outside (0, 1]")
+    n = shares.shape[0]
     direct = shares >= tau
-    reach = direct.copy()
-    power = direct.copy()
+    rows = np.flatnonzero(direct.any(axis=1))
+    cols = np.flatnonzero(direct.any(axis=0))
+    step = direct[np.ix_(cols, cols)].astype(np.float32)
+    power = direct[np.ix_(rows, cols)]
+    reach = power.copy()
     for _ in range(2, (depth or 1) + 1):
-        power = (power.astype(int) @ direct.astype(int)) > 0
+        power = (power.astype(np.float32) @ step) > 0
         reach |= power
-    np.fill_diagonal(reach, False)
-    omega = reach.astype(float)
+    omega = np.zeros((n, n))
+    omega[np.ix_(rows, cols)] = reach
+    np.fill_diagonal(omega, 0.0)
     if normalize:
         omega = _normalize_columns(omega)
-    ids = ids or tuple(f"n{k}" for k in range(shares.shape[0]))
+    ids = ids or tuple(f"n{k}" for k in range(n))
     return ControlMatrix(tuple(ids), omega, normalized=normalize)
 
 
@@ -153,21 +168,14 @@ def herfindahl_control(
     variant = OPTION_ALIASES.get(variant, variant)
     if variant not in ("B", "B_prime"):
         raise DomainError(f"unknown Herfindahl variant {variant!r}")
-    n = shares.shape[0]
-    omega = np.zeros_like(shares)
-    for j in range(n):
-        col = shares[:, j]
-        residual = max(0.0, 1.0 - col.sum())
-        h_j = float(col @ col + residual * residual)
-        if h_j == 0.0:
-            continue
-        if variant == "B":
-            omega[:, j] = col * h_j
-        else:
-            omega[:, j] = col * col / h_j
-    if variant == "B_prime":
-        omega = _normalize_columns(omega)
-    ids = ids or tuple(f"n{k}" for k in range(n))
+    squares = shares * shares
+    if variant == "B":
+        residual = np.maximum(0.0, 1.0 - shares.sum(axis=0))
+        omega = shares * (squares.sum(axis=0) + residual * residual)
+    else:
+        # s^2 / H_j normalized per column, where H_j cancels
+        omega = _normalize_columns(squares)
+    ids = ids or tuple(f"n{k}" for k in range(shares.shape[0]))
     return ControlMatrix(tuple(ids), omega, normalized=(variant == "B_prime"))
 
 
@@ -197,7 +205,11 @@ def attenuated_control(
             f"{gate.power_iteration_estimate!r})"
         )
     n = shares.shape[0]
-    omega = shares @ np.linalg.inv(np.eye(n) - alpha * shares)
+    # Omega (I - alpha S) = S, solved for Omega through the transpose
+    try:
+        omega = np.linalg.solve((np.eye(n) - alpha * shares).T, shares.T).T
+    except np.linalg.LinAlgError as exc:
+        raise StabilityError(f"I - alpha*S is singular: {exc}") from exc
     if normalize:
         omega = _normalize_columns(omega)
     ids = ids or tuple(f"n{k}" for k in range(n))

@@ -40,7 +40,7 @@ from .errors import (
     StabilityError,
 )
 from .network import NodeId, NodePrimitives, OwnershipNetwork, Perimeter, partition
-from .observer import Observer
+from .observer import Observer, Tolerances
 
 DIRECT_SOLVER_MAX_SIZE = 2048
 POWER_ITERATIONS = 100
@@ -277,25 +277,37 @@ def spectral_radius_bound(o_pp, power_iters: int = POWER_ITERATIONS) -> Spectral
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """How internal values are estimated in Regime B."""
+    """How internal values are estimated in Regime B.
+
+    `eps` and `max_iters` left unset take declared tolerances (`resolved`):
+    the observer's in `evaluate_for_observer`, the library defaults elsewhere.
+    """
 
     method: str = "auto"
-    eps: float = 1e-10
-    max_iters: int = 10000
+    eps: float | None = None
+    max_iters: int | None = None
     damping: float | None = None
     regularization: float | None = None
 
     def __post_init__(self):
         if self.method not in ("auto", "direct", "neumann", "iterative_krylov"):
             raise DomainError(f"unknown solver method {self.method!r}")
-        if self.eps <= 0:
+        if self.eps is not None and self.eps <= 0:
             raise DomainError("eps must be > 0")
-        if self.max_iters < 1:
+        if self.max_iters is not None and self.max_iters < 1:
             raise DomainError("max_iters must be >= 1")
         if self.damping is not None and not 0.0 < self.damping < 1.0:
             raise DomainError("damping must be in (0, 1)")
         if self.regularization is not None and self.regularization < 0:
             raise DomainError("regularization must be >= 0")
+
+    def resolved(self, tolerances: Tolerances = Tolerances()) -> SolverConfig:
+        """This config with unset eps/max_iters taken from `tolerances`."""
+        return replace(
+            self,
+            eps=tolerances.solver_eps if self.eps is None else self.eps,
+            max_iters=tolerances.max_iters if self.max_iters is None else self.max_iters,
+        )
 
 
 @dataclass
@@ -409,7 +421,7 @@ def estimate_internal_values(
     below 1 unless damping or regularization is configured; damping rescales
     the internal block and both adjustments are recorded in the log.
     """
-    cfg = cfg or SolverConfig()
+    cfg = (cfg or SolverConfig()).resolved()
     if stats.o_pp is None:
         raise RegimeError("regime B needs the internal block O_PP")
     if stats.o_po is None or stats.v_o is None:
@@ -510,9 +522,7 @@ def evaluate_for_observer(
     scale = observer.pricing_scale
     priced = scale_units(scale, stats) if scale != 1.0 else stats
     tau = observer.tolerances.rounding_threshold
-    cfg = cfg or SolverConfig(
-        eps=observer.tolerances.solver_eps, max_iters=observer.tolerances.max_iters
-    )
+    cfg = (cfg or SolverConfig()).resolved(observer.tolerances)
     if observer.regime == "A":
         if priced.v_p is None and priced.x_op is None and priced.o_op is not None:
             if priced.o_pp is None:

@@ -72,7 +72,8 @@ def cross_priced_quad(
 
     Both periods must share the informational regime and the clearing status;
     re-pricing applies each observer's units/FX scale and discount factor to
-    the period's boundary statistics.
+    the period's boundary statistics, and each cell takes the eps/max_iters
+    that `cfg` leaves unset from its own observer's declared tolerances.
     """
     if obs_prev.regime != obs_curr.regime:
         raise ProtocolError(

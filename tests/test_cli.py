@@ -9,7 +9,8 @@ from cbv.report import write_matrix_csv
 from conftest import example_stats, two_cycle_chain_stats
 
 
-def build_package(tmp_path, name="pkg", kappa=None, b_scale=1.0, regime="B"):
+def build_package(tmp_path, name="pkg", kappa=None, b_scale=1.0, regime="B",
+                  tolerances=None):
     stats = example_stats(with_v_p=(regime == "A"))
     if b_scale != 1.0:
         stats = cbv.CutStatistics(
@@ -22,9 +23,13 @@ def build_package(tmp_path, name="pkg", kappa=None, b_scale=1.0, regime="B"):
         date="2025-06-30", regime=regime,
         control_rule=cbv.ControlRuleSpec(option="A", tau=0.5),
         fx_ppp=cbv.FxPppSpec(scale=kappa) if kappa else None,
+        tolerances=tolerances or cbv.Tolerances(),
     )
     target = tmp_path / name
     cbv.write_package(target, stats, observer)
+    if tolerances:
+        # a package declares its tolerances in its PoV file
+        (target / "pov.json").write_bytes(cbv.emit_pov(observer))
     return target
 
 
@@ -169,6 +174,17 @@ class TestFisherCommand:
             payload["W"]["curr_curr_obs"] / payload["W"]["prev_prev_obs"], rel=1e-12
         )
 
+    def test_each_cell_uses_its_observers_tolerances(self, tmp_path, capsys):
+        # only the previous period declares a 2-iteration cap, which the
+        # Neumann solve cannot meet in the two cells priced under it
+        prev = build_package(tmp_path, "prev", tolerances=cbv.Tolerances(max_iters=2))
+        curr = build_package(tmp_path, "curr", b_scale=1.1)
+        argv = ["fisher", "--prev", str(prev), "--curr", str(curr), "--method", "neumann"]
+        assert main(argv) == EXIT_COMPUTE
+        assert "ConvergenceError" in capsys.readouterr().err
+        # a flag given on the command line still applies to all four cells
+        assert main(argv + ["--max-iters", "10000"]) == EXIT_OK
+
 
 class TestClearingCommand:
     def test_spec_file_run(self, tmp_path, capsys):
@@ -200,6 +216,15 @@ class TestControlCommand:
         out = capsys.readouterr().out.splitlines()
         assert out[0] == "id,a,b,c,x"
         assert out[1].startswith("a,") and out[1].endswith("1.0")
+
+    @pytest.mark.parametrize("option", ["A", "B", "C"])
+    def test_non_finite_share_is_compute_error(self, tmp_path, capsys, option):
+        shares_path = tmp_path / "shares.csv"
+        ids = ["a", "b"]
+        write_matrix_csv(shares_path, ids, ids, [[0.0, float("nan")], [0.0, 0.0]], "id")
+        assert main(["control", "--shares", str(shares_path),
+                     "--option", option]) == EXIT_COMPUTE
+        assert "DomainError" in capsys.readouterr().err
 
 
 class TestPwaCommand:

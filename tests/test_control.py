@@ -1,19 +1,77 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import cbv
 from cbv.control import herfindahl_index, truncated_attenuated_series
 from cbv.errors import DomainError, StabilityError
 
-from conftest import random_share_matrix
+from conftest import random_share_matrix, two_cycle_chain_stats
 
 IDS = ("a", "b", "c", "x")
+NON_FINITE = (np.nan, np.inf, -np.inf)
 
 
 def three_owner_shares() -> np.ndarray:
     shares = np.zeros((4, 4))
     shares[0, 3], shares[1, 3], shares[2, 3] = 0.6, 0.3, 0.1
     return shares
+
+
+def with_entry(shares: np.ndarray, value: float) -> np.ndarray:
+    out = shares.copy()
+    out[1, 3] = value
+    return out
+
+
+def reference_threshold(shares, tau, depth=None, normalize=False) -> np.ndarray:
+    """Option A as dense boolean powers of the whole n x n majority graph."""
+    direct = shares >= tau
+    reach = direct.copy()
+    power = direct.copy()
+    for _ in range(2, (depth or 1) + 1):
+        power = (power.astype(int) @ direct.astype(int)) > 0
+        reach |= power
+    np.fill_diagonal(reach, False)
+    omega = reach.astype(float)
+    if normalize:
+        sums = omega.sum(axis=0)
+        omega[:, sums > 0] /= sums[sums > 0]
+    return omega
+
+
+def reference_herfindahl(shares, variant) -> np.ndarray:
+    """Option B / B' one column at a time, H_j with its residual holder."""
+    omega = np.zeros_like(shares)
+    for j in range(shares.shape[1]):
+        col = shares[:, j]
+        h_j = herfindahl_index(col)
+        omega[:, j] = col * h_j if variant == "B" else col * col / h_j
+        if variant == "B_prime" and omega[:, j].sum() > 0:
+            omega[:, j] /= omega[:, j].sum()
+    return omega
+
+
+@st.composite
+def majority_graphs(draw):
+    """Square share matrices with ties, self-loops and cycles, plus a tau."""
+    n = draw(st.integers(1, 30))
+    density = draw(st.sampled_from([0.0, 0.05, 0.2, 0.5, 1.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    # two decimals make ties between entries, and with tau, common
+    shares = np.round(rng.uniform(0.01, 1.0, size=(n, n)), 2)
+    shares *= rng.random((n, n)) < density
+    entries = sorted(set(shares[shares > 0].tolist()))
+    if entries and draw(st.booleans()):
+        tau = draw(st.sampled_from(entries))
+    else:
+        tau = draw(st.floats(0.01, 1.0))
+    return shares, tau
 
 
 class TestOptionA:
@@ -43,6 +101,23 @@ class TestOptionA:
         shares[0, 2], shares[1, 2] = 0.5, 0.5
         control = cbv.threshold_control(shares, 0.5, normalize=True)
         np.testing.assert_allclose(control.omega[:, 2], [0.5, 0.5, 0.0])
+
+    @settings(max_examples=200, deadline=None)
+    @given(graph=majority_graphs(), depth=st.sampled_from([None, 1, 2, 3, 4, 5, 6]),
+           normalize=st.booleans())
+    def test_matches_dense_boolean_powers(self, graph, depth, normalize):
+        shares, tau = graph
+        control = cbv.threshold_control(shares, tau, depth=depth, normalize=normalize)
+        want = reference_threshold(shares, tau, depth, normalize)
+        if normalize:
+            np.testing.assert_allclose(control.omega, want, rtol=0, atol=1e-15)
+        else:
+            np.testing.assert_array_equal(control.omega, want)
+
+    @pytest.mark.parametrize("value", NON_FINITE)
+    def test_non_finite_share_refused(self, value):
+        with pytest.raises(DomainError):
+            cbv.threshold_control(with_entry(three_owner_shares(), value), 0.5)
 
     def test_rescaling_values_is_irrelevant(self):
         # control weights read shares only, so any monetary rescaling outside
@@ -79,6 +154,24 @@ class TestOptionB:
         # H includes the 0.6 residual holder: 0.16 + 0.36
         assert control.omega[0, 1] == pytest.approx(0.4 * 0.52, abs=1e-12)
 
+    @pytest.mark.parametrize("variant", ["B", "B_prime"])
+    def test_matches_column_loop(self, rng, variant):
+        for _ in range(10):
+            shares = random_share_matrix(rng, 12, density=0.4, col_cap=1.3)
+            shares[:, rng.random(12) < 0.3] = 0.0
+            shares[:, 0] = 0.0
+            control = cbv.herfindahl_control(shares, variant)
+            np.testing.assert_allclose(
+                control.omega, reference_herfindahl(shares, variant), rtol=0, atol=1e-12
+            )
+            np.testing.assert_array_equal(control.omega[:, 0], 0.0)
+
+    @pytest.mark.parametrize("variant", ["B", "B_prime"])
+    @pytest.mark.parametrize("value", NON_FINITE)
+    def test_non_finite_share_refused(self, variant, value):
+        with pytest.raises(DomainError):
+            cbv.herfindahl_control(with_entry(three_owner_shares(), value), variant)
+
 
 class TestOptionC:
     def test_no_cross_holdings_reduces_to_shares(self):
@@ -103,6 +196,28 @@ class TestOptionC:
         with pytest.raises(StabilityError):
             # alpha*S has rho exactly 1 after scaling shares up
             cbv.attenuated_control(shares * 2.0, 0.5)
+
+    def test_solves_the_attenuation_identity(self, rng):
+        alpha = 0.6
+        for _ in range(5):
+            shares = random_share_matrix(rng, 20)
+            omega = cbv.attenuated_control(shares, alpha).omega
+            np.testing.assert_allclose(
+                omega - alpha * omega @ shares, shares, rtol=0, atol=1e-14
+            )
+
+    def test_singular_system_past_the_gate_is_stability_error(self):
+        # alpha*S is the 2-cycle + 0.999 chain whose power estimate reads
+        # below 1 although I - alpha*S is singular
+        alpha = 0.5
+        shares = np.asarray(two_cycle_chain_stats().o_pp) / alpha
+        with pytest.raises(StabilityError):
+            cbv.attenuated_control(shares, alpha)
+
+    @pytest.mark.parametrize("value", NON_FINITE)
+    def test_non_finite_share_refused(self, value):
+        with pytest.raises(DomainError):
+            cbv.attenuated_control(with_entry(three_owner_shares(), value), 0.5)
 
     def test_truncated_series_within_geometric_tail(self, rng):
         alpha = 0.6
@@ -190,3 +305,17 @@ class TestSpecs:
         with pytest.raises(DomainError):
             cbv.ControlMatrix(("a", "b"), np.array([[0.0, 2.0], [0.0, 1.0]]),
                               normalized=True)
+
+    @pytest.mark.parametrize("value", NON_FINITE)
+    def test_non_finite_weights_refused(self, value):
+        with pytest.raises(DomainError):
+            cbv.ControlMatrix(("a", "b"), np.array([[0.0, value], [0.0, 0.0]]))
+
+
+def test_import_loads_no_scipy():
+    # every CLI call pays for what `import cbv` loads
+    src = Path(cbv.__file__).resolve().parents[1]
+    code = "import sys, cbv; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(src)}, check=True).stdout
+    assert out.strip() == "[]"

@@ -234,6 +234,28 @@ class TestEstimation:
             )
         assert err.value.residual is not None
 
+    @pytest.mark.parametrize("field", [
+        {"method": "lu"}, {"eps": 0.0}, {"max_iters": 0}, {"damping": 1.0},
+        {"regularization": -1e-3},
+    ])
+    def test_solver_config_domains(self, field):
+        with pytest.raises(DomainError):
+            cbv.SolverConfig(**field)
+
+    def test_unset_solver_fields_follow_the_observer(self, stats_b):
+        observer = cbv.Observer(perimeter_ref="P", regime="B",
+                                control_rule=cbv.ControlRuleSpec(),
+                                tolerances=cbv.Tolerances(max_iters=2))
+        cfg = cbv.SolverConfig(method="neumann")
+        assert cfg.resolved() == cbv.SolverConfig(method="neumann", eps=1e-10,
+                                                  max_iters=10000)
+        with pytest.raises(ConvergenceError):
+            cbv.evaluate_for_observer(stats_b, observer, cfg)
+        given = cbv.SolverConfig(method="neumann", max_iters=10000)
+        assert cbv.evaluate_for_observer(stats_b, observer, given).w == pytest.approx(
+            EXAMPLE_W_B, abs=1e-4
+        )
+
 
 class TestRegimeB:
     def test_worked_example(self, stats_b):
