@@ -26,6 +26,7 @@ from .payoffs import delta_max
 from .report import (
     build_cut_summary,
     load_package,
+    matrix_csv_lines,
     parse_pov,
     read_matrix_csv,
     render_disclosure_sheet,
@@ -315,11 +316,7 @@ def _cmd_control(args) -> int:
                          control.omega, "id")
         print(f"control matrix written to {args.output}")
     else:
-        buffer = []
-        buffer.append(",".join(["id", *control.ids]))
-        for k, node in enumerate(control.ids):
-            buffer.append(",".join([node, *(repr(float(v)) for v in control.omega[k])]))
-        print("\n".join(buffer))
+        sys.stdout.writelines(matrix_csv_lines(control.ids, control.ids, control.omega, "id"))
     return EXIT_OK
 
 

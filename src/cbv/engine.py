@@ -23,7 +23,8 @@ once; statistics derived from others (`with_v_p`, `scale_units`, the probes of
 a Monte Carlo band) share the blocks they do not change.  Pricing the cut is
 a reduction over the two boundary blocks: with no rounding threshold, one pass
 of column sums per block and no n_P x n_O temporary; with a threshold, one
-priced amount per edge so that each can be tested against it.
+priced amount per nonzero edge (`cut_edges`, which also lists the edges of a
+cut summary) so that each can be tested against it.
 """
 
 from __future__ import annotations
@@ -336,12 +337,34 @@ class ValuationResult:
     solver_log: SolverLog
 
 
+def cut_edges(share_block, values, amounts, tau):
+    """The priced edges of one side of the cut: (rows, cols, amounts, dropped).
+
+    An edge is a nonzero share, priced as share * value of its column, or a
+    nonzero entry of an amount block (used when given).  Edges with
+    |amount| < tau are dropped and counted; any other edge, a NaN-priced one
+    included, is kept.  Edges come in row-major order, and the cost follows
+    the nonzero entries, not the cells of the block.
+    """
+    if amounts is None and share_block is None:
+        empty = np.zeros(0, dtype=np.intp)
+        return empty, empty, np.zeros(0), 0
+    if amounts is None:
+        rows, cols = np.nonzero(share_block)
+        priced = share_block[rows, cols] * values[cols]
+    else:
+        rows, cols = np.nonzero(amounts)
+        priced = amounts[rows, cols]
+    keep = ~(np.abs(priced) < tau)
+    return rows[keep], cols[keep], priced[keep], int(keep.size - np.count_nonzero(keep))
+
+
 def _priced_edges(share_block, values, amounts, tau):
     """Edge totals with sub-threshold amounts dropped, in canonical order.
 
     With no threshold nothing is dropped, and the total is a reduction over
     the block: an amount block is summed, a share block contributes its column
-    sums times the values.
+    sums times the values.  With a threshold the total is over `cut_edges`.
     """
     if amounts is None and share_block is None:
         return 0.0, 0
@@ -355,14 +378,8 @@ def _priced_edges(share_block, values, amounts, tau):
             held = share_block.any(axis=0)
             col_sums, values = col_sums[held], values[held]
         return float(col_sums @ values), 0
-    if amounts is None:
-        amounts = share_block * values[np.newaxis, :]
-        active = share_block != 0.0
-    else:
-        active = amounts != 0.0
-    keep = active & (np.abs(amounts) >= tau)
-    dropped = int(active.sum() - keep.sum())
-    return float(amounts[keep].sum()), dropped
+    _, _, priced, dropped = cut_edges(share_block, values, amounts, tau)
+    return float(priced.sum()), dropped
 
 
 def evaluate_regime_a(

@@ -137,7 +137,7 @@ def validate_network(network: OwnershipNetwork) -> ValidationReport:
         report.add(
             "entry-range",
             "error",
-            f"share {shares[i, j]!r} outside [0, 1]",
+            f"share {float(shares[i, j])!r} outside [0, 1]",
             location=f"{network.nodes[i]}->{network.nodes[j]}",
         )
     col_sums = shares.sum(axis=0)
@@ -145,7 +145,7 @@ def validate_network(network: OwnershipNetwork) -> ValidationReport:
         report.add(
             "column-sum",
             "error",
-            f"ownership of {network.nodes[j]!r} sums to {col_sums[j]!r} > 1",
+            f"ownership of {network.nodes[j]!r} sums to {float(col_sums[j])!r} > 1",
             location=network.nodes[j],
         )
     return report

@@ -9,13 +9,24 @@ Two JSON documents accompany a valuation: the perimeter-of-validity (the full
 observer configuration) and the cut summary (edge lists, totals and the
 consolidated value).  Serialization is deterministic: fixed key order, UTF-8,
 shortest round-trip decimal rendering for numbers.
+
+Cost.  Writing a matrix renders only its held entries with `repr` (every
+other cell is the constant "0.0") and joins each row once.  Loading reads
+each file once, hashes those bytes and parses the same bytes with numpy's C
+parser, which gives what `float()` gives on every `repr`.  The cut summary
+lists its edges from the nonzero boundary entries (`engine.cut_edges`).  So
+each costs one pass over the text plus Python work per nonzero entry, not
+per cell.
 """
 
 from __future__ import annotations
 
 import csv
 import hashlib
+import io
 import json
+import re
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -26,10 +37,11 @@ from .control import ControlRuleSpec
 from .engine import (
     CutStatistics,
     ValuationResult,
+    cut_edges,
     hedge_vector,
     spectral_radius_bound,
 )
-from .errors import EmissionError, IntegrityError, PackageError
+from .errors import DimensionError, EmissionError, IntegrityError, PackageError
 from .network import COLUMN_SUM_SLACK
 from .observer import FxPppSpec, Observer, SdfSpec, Tolerances
 from .validation import ValidationReport
@@ -46,12 +58,24 @@ _KNOWN_MANIFEST_KEYS = (
 _ALWAYS_REQUIRED_FILES = ("nodes_P", "nodes_O", "b_P", "v_O", "O_PO", "O_OP")
 
 
-def sha256_of_file(path: Path) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as handle:
-        for chunk in iter(lambda: handle.read(65536), b""):
-            digest.update(chunk)
-    return f"sha256:{digest.hexdigest()}"
+def sha256_of_file(path) -> str:
+    """`sha256:<hex>` of the bytes `path.read_bytes()` gives.
+
+    `path` is a `Path`, or a `PackageFile` that `load_package` has read once,
+    so the bytes it verifies are the bytes it parses.
+    """
+    return f"sha256:{hashlib.sha256(path.read_bytes()).hexdigest()}"
+
+
+@dataclass(frozen=True)
+class PackageFile:
+    """A data file read into memory: its name and its bytes."""
+
+    name: str
+    data: bytes
+
+    def read_bytes(self) -> bytes:
+        return self.data
 
 
 def _json_bytes(payload: dict) -> bytes:
@@ -61,54 +85,110 @@ def _json_bytes(payload: dict) -> bytes:
 # ---------------------------------------------------------------------------
 # CSV helpers (leading id column, deterministic float rendering)
 # ---------------------------------------------------------------------------
+#
+# Readers take a `Path` or a `PackageFile`.  A vector file is a matrix file
+# with one value column: an id header row, then one row per id.
 
-def _render(value: float) -> str:
-    return repr(float(value))
-
-
-def write_vector_csv(path: Path, ids, values, column: str):
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["id", column])
-        for node, value in zip(ids, values):
-            writer.writerow([node, _render(value)])
+_NONBLANK = re.compile(r"\S")
+_QUOTABLE = re.compile('[,"\r\n]')
 
 
-def read_vector_csv(path: Path) -> dict[str, float]:
-    with open(path, newline="", encoding="utf-8") as handle:
-        rows = list(csv.reader(handle))
-    if not rows or len(rows[0]) != 2:
-        raise PackageError(f"{path.name}: expected a two-column id/value file")
-    out: dict[str, float] = {}
-    for row in rows[1:]:
-        if len(row) != 2:
-            raise PackageError(f"{path.name}: malformed row {row!r}")
-        out[row[0]] = float(row[1])
-    return out
+def _csv_cell(text: str) -> str:
+    """`text` as csv.writer renders it in a row of several cells."""
+    if isinstance(text, str) and _QUOTABLE.search(text) is None:
+        return text  # csv.writer quotes only cells holding one of these characters
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator="\n").writerow([text, ""])
+    return buffer.getvalue()[:-2]
+
+
+def _csv_line(cells) -> str:
+    # csv.writer quotes a row that is one empty cell, so that it is not blank
+    return (",".join(cells) or '""') + "\n"
+
+
+def matrix_csv_lines(row_ids, col_ids, matrix, id_header: str):
+    """The lines of a matrix's CSV file, byte for byte what csv.writer writes.
+
+    Only held entries (nonzero, -0.0 or NaN) are rendered with `repr`; every
+    other cell is the constant "0.0", which is `repr(0.0)`.
+    """
+    matrix = np.asarray(matrix, dtype=float)
+    if matrix.shape != (len(row_ids), len(col_ids)):
+        raise DimensionError(
+            f"matrix has shape {matrix.shape}, its ids give {(len(row_ids), len(col_ids))}"
+        )
+    yield _csv_line(map(_csv_cell, [id_header, *col_ids]))
+    zeros = ["0.0"] * len(col_ids)
+    for node, values in zip(row_ids, matrix):
+        cells = [_csv_cell(node), *zeros]
+        held = np.flatnonzero((values != 0.0) | np.signbit(values))
+        for j, value in zip(held.tolist(), values[held].tolist()):
+            cells[j + 1] = repr(value)
+        yield _csv_line(cells)
 
 
 def write_matrix_csv(path: Path, row_ids, col_ids, matrix, id_header: str):
-    matrix = np.asarray(matrix, dtype=float)
     with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow([id_header, *col_ids])
-        for k, node in enumerate(row_ids):
-            writer.writerow([node, *(_render(v) for v in matrix[k])])
+        handle.writelines(matrix_csv_lines(row_ids, col_ids, matrix, id_header))
 
 
-def read_matrix_csv(path: Path) -> tuple[list[str], list[str], np.ndarray]:
-    with open(path, newline="", encoding="utf-8") as handle:
-        rows = list(csv.reader(handle))
-    if not rows:
-        raise PackageError(f"{path.name}: empty matrix file")
-    col_ids = rows[0][1:]
-    row_ids = [row[0] for row in rows[1:]]
-    data = np.zeros((len(row_ids), len(col_ids)))
-    for i, row in enumerate(rows[1:]):
-        if len(row) != len(col_ids) + 1:
-            raise PackageError(f"{path.name}: row {row[0]!r} has wrong width")
-        data[i] = [float(v) for v in row[1:]]
-    return row_ids, col_ids, data
+def write_vector_csv(path: Path, ids, values, column: str):
+    write_matrix_csv(path, ids, [column], np.asarray(values, dtype=float).reshape(-1, 1), "id")
+
+
+def _text(path) -> str:
+    try:
+        return path.read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise PackageError(f"{path.name}: not UTF-8 text ({exc.reason})") from None
+
+
+def _check_unique(name: str, ids) -> None:
+    repeated = [node for node, count in Counter(ids).items() if count > 1]
+    if repeated:
+        raise PackageError(f"{name}: repeated ids {repeated}")
+
+
+def read_matrix_csv(path) -> tuple[list[str], list[str], np.ndarray]:
+    """(row ids, column ids, values) of a matrix file.
+
+    Rows of the wrong width, cells that are not numbers and repeated ids
+    are PackageErrors.
+    """
+    text = _text(path)
+    handle = io.StringIO(text)
+    header = next(csv.reader(handle), None)
+    if not header:
+        raise PackageError(f"{path.name}: no header row")
+    row_ids: list[str] = []
+
+    def row_id(cell: str) -> float:
+        row_ids.append(cell)  # numpy hands over the id column as it parses the rows
+        return 0.0
+
+    data = np.zeros((0, len(header)))
+    if _NONBLANK.search(text, handle.tell()):
+        try:
+            data = np.loadtxt(handle, delimiter=",", quotechar='"', comments=None,
+                              ndmin=2, converters={0: row_id})
+        except ValueError as exc:
+            raise PackageError(f"{path.name}: {str(exc).split(';')[0]}") from None
+    if data.shape[1] != len(header):
+        raise PackageError(
+            f"{path.name}: rows have {data.shape[1]} cells, the header has {len(header)}"
+        )
+    col_ids = header[1:]
+    _check_unique(path.name, row_ids)
+    _check_unique(path.name, col_ids)
+    return row_ids, col_ids, data[:, 1:]
+
+
+def read_vector_csv(path) -> dict[str, float]:
+    ids, columns, data = read_matrix_csv(path)
+    if len(columns) != 1:
+        raise PackageError(f"{path.name}: expected a two-column id/value file")
+    return dict(zip(ids, data[:, 0].tolist()))
 
 
 def write_nodes_csv(path: Path, ids, types=None, labels=None):
@@ -120,18 +200,19 @@ def write_nodes_csv(path: Path, ids, types=None, labels=None):
             writer.writerow([node, types.get(node, "entity"), labels.get(node, "")])
 
 
-def read_nodes_csv(path: Path) -> list[str]:
-    with open(path, newline="", encoding="utf-8") as handle:
-        rows = list(csv.reader(handle))
-    return [row[0] for row in rows[1:] if row]
+def read_nodes_csv(path) -> list[str]:
+    rows = list(csv.reader(io.StringIO(_text(path))))
+    ids = [row[0] for row in rows[1:] if row]
+    _check_unique(path.name, ids)
+    return ids
 
 
 def _reorder_matrix(row_ids, col_ids, data, want_rows, want_cols, name):
     if set(row_ids) != set(want_rows) or set(col_ids) != set(want_cols):
         raise PackageError(f"{name}: id headers do not match the node lists")
-    ri = [row_ids.index(r) for r in want_rows]
-    ci = [col_ids.index(c) for c in want_cols]
-    return data[np.ix_(ri, ci)]
+    row_at = {node: k for k, node in enumerate(row_ids)}
+    col_at = {node: k for k, node in enumerate(col_ids)}
+    return data[np.ix_([row_at[n] for n in want_rows], [col_at[n] for n in want_cols])]
 
 
 # ---------------------------------------------------------------------------
@@ -411,6 +492,7 @@ def load_package(directory) -> CutReportPackage:
 
     Every listed data file must exist, carry a manifest hash, and match it
     byte for byte; `O_PP.csv` is required when the declared regime is B.
+    Each file is read once: the bytes hashed are the bytes parsed.
     """
     directory = Path(directory)
     manifest_path = directory / MANIFEST_NAME
@@ -427,46 +509,49 @@ def load_package(directory) -> CutReportPackage:
             f"package lacks required data files for regime {manifest.regime}: {missing}"
         )
     hashes = manifest.hashes
+    loaded: dict[str, PackageFile] = {}
     for key, name in files.items():
         path = directory / str(name)
-        if not path.exists():
-            raise PackageError(f"listed data file missing on disk: {name}")
+        try:
+            loaded[key] = PackageFile(path.name, path.read_bytes())
+        except FileNotFoundError:
+            raise PackageError(f"listed data file missing on disk: {name}") from None
         recorded = hashes.get(key)
         if not recorded:
             raise PackageError(f"no hash entry for data file {key} ({name})")
-        actual = sha256_of_file(path)
+        actual = sha256_of_file(loaded[key])
         if actual != str(recorded):
             raise IntegrityError(
                 f"hash mismatch for {name}: manifest {recorded}, actual {actual}",
                 filename=str(name),
             )
 
-    p_ids = sorted(read_nodes_csv(directory / files["nodes_P"]))
-    o_ids = sorted(read_nodes_csv(directory / files["nodes_O"]))
-    b_map = read_vector_csv(directory / files["b_P"])
-    v_map = read_vector_csv(directory / files["v_O"])
+    p_ids = sorted(read_nodes_csv(loaded["nodes_P"]))
+    o_ids = sorted(read_nodes_csv(loaded["nodes_O"]))
+    b_map = read_vector_csv(loaded["b_P"])
+    v_map = read_vector_csv(loaded["v_O"])
     if set(b_map) != set(p_ids):
         raise PackageError("b_P.csv ids do not match nodes_P.csv")
     if set(v_map) != set(o_ids):
         raise PackageError("v_O.csv ids do not match nodes_O.csv")
-    rows, cols, data = read_matrix_csv(directory / files["O_PO"])
+    rows, cols, data = read_matrix_csv(loaded["O_PO"])
     o_po = _reorder_matrix(rows, cols, data, p_ids, o_ids, "O_PO.csv")
-    rows, cols, data = read_matrix_csv(directory / files["O_OP"])
+    rows, cols, data = read_matrix_csv(loaded["O_OP"])
     o_op = _reorder_matrix(rows, cols, data, o_ids, p_ids, "O_OP.csv")
     o_pp = None
     if "O_PP" in files:
-        rows, cols, data = read_matrix_csv(directory / files["O_PP"])
+        rows, cols, data = read_matrix_csv(loaded["O_PP"])
         o_pp = _reorder_matrix(rows, cols, data, p_ids, p_ids, "O_PP.csv")
     v_p = None
     if "v_P" in files:
-        v_p_map = read_vector_csv(directory / str(files["v_P"]))
+        v_p_map = read_vector_csv(loaded["v_P"])
         if set(v_p_map) != set(p_ids):
             raise PackageError("v_P.csv ids do not match nodes_P.csv")
         v_p = np.array([v_p_map[n] for n in p_ids])
 
     clearing_spec = None
     if "clearing_spec" in files:
-        clearing_spec = json.loads((directory / str(files["clearing_spec"])).read_text("utf-8"))
+        clearing_spec = json.loads(_text(loaded["clearing_spec"]))
     pov = None
     pov_path = directory / "pov.json"
     if pov_path.exists():
@@ -502,7 +587,6 @@ def load_package(directory) -> CutReportPackage:
 def validate_package(pkg: CutReportPackage) -> ValidationReport:
     """Run the automatic validation rules over a loaded package."""
     report = ValidationReport()
-    n_p, n_o = len(pkg.p_ids), len(pkg.o_ids)
 
     if pkg.manifest.version != MANIFEST_VERSION:
         report.add(
@@ -515,33 +599,40 @@ def validate_package(pkg: CutReportPackage) -> ValidationReport:
                    location=MANIFEST_NAME)
 
     # D1: dimensional consistency of every loaded object
-    shapes = (
-        ("b_P", pkg.b_p.shape, (n_p,)),
-        ("v_O", pkg.v_o.shape, (n_o,)),
-        ("O_PO", pkg.o_po.shape, (n_p, n_o)),
-        ("O_OP", pkg.o_op.shape, (n_o, n_p)),
+    loaded = (
+        ("b_P", pkg.b_p, (pkg.p_ids,)),
+        ("v_O", pkg.v_o, (pkg.o_ids,)),
+        ("O_PO", pkg.o_po, (pkg.p_ids, pkg.o_ids)),
+        ("O_OP", pkg.o_op, (pkg.o_ids, pkg.p_ids)),
+        ("O_PP", pkg.o_pp, (pkg.p_ids, pkg.p_ids)),
+        ("v_P", pkg.v_p, (pkg.p_ids,)),
     )
-    for name, got, want in shapes:
-        if got != want:
-            report.add("D1", "error", f"{name} has shape {got}, expected {want}")
-    if pkg.o_pp is not None and pkg.o_pp.shape != (n_p, n_p):
-        report.add("D1", "error", f"O_PP has shape {pkg.o_pp.shape}, expected {(n_p, n_p)}")
-    if pkg.v_p is not None and pkg.v_p.shape != (n_p,):
-        report.add("D1", "error", f"v_P has shape {pkg.v_p.shape}, expected {(n_p,)}")
+    shaped = []
+    for name, values, axes in loaded:
+        if values is None:
+            continue
+        want = tuple(len(ids) for ids in axes)
+        if values.shape != want:
+            report.add("D1", "error", f"{name} has shape {values.shape}, expected {want}")
+        else:
+            shaped.append((name, values, axes))
 
-    # D2: nonnegativity of the share blocks; negative bases need a note
-    for name, block in (("O_PO", pkg.o_po), ("O_OP", pkg.o_op)):
-        if (block < 0).any():
+    # D2: finite data, nonnegative share blocks; negative bases need a note
+    for name, values, axes in shaped:
+        for flat in np.flatnonzero(~np.isfinite(values)):
+            index = np.unravel_index(flat, values.shape)
+            report.add("D2", "error", f"{name} entry is not finite: {float(values[index])!r}",
+                       location="->".join(str(ids[k]) for ids, k in zip(axes, index)))
+    for name, block in (("O_PO", pkg.o_po), ("O_OP", pkg.o_op), ("O_PP", pkg.o_pp)):
+        if block is not None and (block < 0).any():
             report.add("D2", "error", f"{name} has negative entries")
-    if pkg.o_pp is not None and (pkg.o_pp < 0).any():
-        report.add("D2", "error", "O_PP has negative entries")
     if (pkg.b_p < 0).any() and not pkg.manifest.notes:
         report.add("D2", "warning", "negative bases present without a justifying note")
     col_sums = pkg.o_pp.sum(axis=0) + pkg.o_op.sum(axis=0) if pkg.o_pp is not None \
         else pkg.o_op.sum(axis=0)
     for j in np.nonzero(col_sums > 1.0 + COLUMN_SUM_SLACK)[0]:
         report.add("D2", "error",
-                   f"ownership of {pkg.p_ids[j]!r} sums to {col_sums[j]!r} > 1")
+                   f"ownership of {pkg.p_ids[j]!r} sums to {float(col_sums[j])!r} > 1")
 
     # D3: a single observer per period; PoV must agree with the manifest
     if pkg.pov:
@@ -683,32 +774,10 @@ class CutSummaryDoc:
         )
 
 
-def _share_edges(share_block, values, from_ids, to_ids, tau, edge_type):
-    edges = []
-    if share_block is None:
-        return edges
-    for i, from_id in enumerate(from_ids):
-        for j, to_id in enumerate(to_ids):
-            if share_block[i, j] == 0.0:
-                continue
-            amount = float(share_block[i, j] * values[j])
-            if tau > 0.0 and abs(amount) < tau:
-                continue
-            edges.append(Edge(from_id, to_id, edge_type, amount))
-    return edges
-
-
-def _amount_edges(amounts, from_ids, to_ids, tau, edge_type):
-    edges = []
-    if amounts is None:
-        return edges
-    for i, from_id in enumerate(from_ids):
-        for j, to_id in enumerate(to_ids):
-            amount = float(amounts[i, j])
-            if amount == 0.0 or (tau > 0.0 and abs(amount) < tau):
-                continue
-            edges.append(Edge(from_id, to_id, edge_type, amount))
-    return edges
+def _edges(share_block, values, amounts, from_ids, to_ids, tau, edge_type):
+    rows, cols, priced, _ = cut_edges(share_block, values, amounts, tau)
+    return [Edge(from_ids[i], to_ids[j], edge_type, amount)
+            for i, j, amount in zip(rows.tolist(), cols.tolist(), priced.tolist())]
 
 
 def build_cut_summary(
@@ -717,22 +786,20 @@ def build_cut_summary(
     observer: Observer,
     missing_data=(),
 ) -> CutSummaryDoc:
-    """Assemble the cut summary for a completed valuation."""
+    """Assemble the cut summary for a completed valuation.
+
+    The edges are those `cut_edges` keeps at the observer's rounding
+    threshold, so the summary costs what the nonzero boundary entries cost.
+    """
     tau = observer.tolerances.rounding_threshold
     flow_type = "debt" if stats.clearing_tag else "cashflow"
-    if stats.x_po is not None:
-        edges_po = _amount_edges(stats.x_po, stats.p_ids, stats.o_ids, tau, flow_type)
-    else:
-        edges_po = _share_edges(stats.o_po, stats.v_o, stats.p_ids, stats.o_ids, tau, "equity")
     v_p_used = result.v_p_used
-    if stats.x_op is not None:
-        edges_op = _amount_edges(stats.x_op, stats.o_ids, stats.p_ids, tau, flow_type)
-    else:
-        edges_op = _share_edges(stats.o_op, v_p_used, stats.o_ids, stats.p_ids, tau, "equity")
-    v_p = ({n: float(v_p_used[k]) for k, n in enumerate(stats.p_ids)}
-           if v_p_used is not None else {})
-    v_o = ({n: float(stats.v_o[k]) for k, n in enumerate(stats.o_ids)}
-           if stats.v_o is not None else {})
+    edges_po = _edges(stats.o_po, stats.v_o, stats.x_po, stats.p_ids, stats.o_ids, tau,
+                      "equity" if stats.x_po is None else flow_type)
+    edges_op = _edges(stats.o_op, v_p_used, stats.x_op, stats.o_ids, stats.p_ids, tau,
+                      "equity" if stats.x_op is None else flow_type)
+    v_p = dict(zip(stats.p_ids, v_p_used.tolist())) if v_p_used is not None else {}
+    v_o = dict(zip(stats.o_ids, stats.v_o.tolist())) if stats.v_o is not None else {}
     return CutSummaryDoc(
         perimeter=observer.perimeter_ref,
         date=observer.date,

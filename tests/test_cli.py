@@ -1,10 +1,11 @@
 import json
 
+import numpy as np
 import pytest
 
 import cbv
 from cbv.cli import EXIT_COMPUTE, EXIT_FINDINGS, EXIT_OK, EXIT_USAGE, main
-from cbv.report import write_matrix_csv
+from cbv.report import sha256_of_file, write_matrix_csv
 
 from conftest import example_stats, two_cycle_chain_stats
 
@@ -48,6 +49,19 @@ class TestValidateCommand:
         assert main(["validate", str(pkg)]) == EXIT_FINDINGS
         out = capsys.readouterr().out
         assert "hash" in out and "v_O.csv" in out
+
+    @pytest.mark.parametrize("name", ["O_PO.csv", "b_P.csv"])
+    def test_non_finite_entry_is_a_finding(self, tmp_path, capsys, name):
+        pkg = build_package(tmp_path)
+        target = pkg / name
+        lines = target.read_text(encoding="utf-8").splitlines()
+        lines[1] = ",".join([lines[1].split(",")[0], "nan", *lines[1].split(",")[2:]])
+        target.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        manifest = cbv.Manifest.from_yaml_bytes((pkg / "manifest.yaml").read_bytes())
+        manifest.data["hashes"][name[:-4]] = sha256_of_file(target)
+        (pkg / "manifest.yaml").write_bytes(manifest.to_yaml_bytes())
+        assert main(["validate", str(pkg)]) == EXIT_FINDINGS
+        assert "D2" in capsys.readouterr().out
 
     def test_json_format(self, tmp_path, capsys):
         pkg = build_package(tmp_path)
@@ -216,6 +230,25 @@ class TestControlCommand:
         out = capsys.readouterr().out.splitlines()
         assert out[0] == "id,a,b,c,x"
         assert out[1].startswith("a,") and out[1].endswith("1.0")
+
+    @pytest.mark.parametrize("ids", [["a", "b", "c", "x"], ["a,b", 'q"x', "c", "x"]])
+    def test_stdout_is_the_written_file(self, tmp_path, capsys, ids):
+        shares_path, out_path = tmp_path / "shares.csv", tmp_path / "omega.csv"
+        shares = np.zeros((4, 4))
+        shares[:3, 3] = 0.6, 0.3, 0.1
+        write_matrix_csv(shares_path, ids, ids, shares, "id")
+        args = ["control", "--shares", str(shares_path), "--option", "B"]
+        assert main([*args, "-o", str(out_path)]) == EXIT_OK
+        capsys.readouterr()
+        assert main(args) == EXIT_OK
+        stdout = capsys.readouterr().out
+        assert stdout == out_path.read_text(encoding="utf-8")
+        if ids[0] == "a":  # plain ids print as they always have
+            omega = cbv.herfindahl_control(shares, "B").omega
+            assert stdout == "\n".join(
+                [",".join(["id", *ids])]
+                + [",".join([node, *map(repr, omega[k].tolist())]) for k, node in enumerate(ids)]
+            ) + "\n"
 
     @pytest.mark.parametrize("option", ["A", "B", "C"])
     def test_non_finite_share_is_compute_error(self, tmp_path, capsys, option):

@@ -98,6 +98,25 @@ class TestRegimeA:
             cbv.evaluate_regime_a(stats_a, rounding_threshold=tau).w, rel=TOL)
         assert result.solver_log.dropped_edges == 0
 
+    @pytest.mark.parametrize("tau", [0.0, 1e-8])
+    def test_nan_priced_edge_stays_in_at_every_threshold(self, stats_a, tau):
+        # X holds a share of the cut, so its NaN value prices an edge: the
+        # edge is not "below threshold", it reaches W and the cut summary
+        v_o = np.array(stats_a.v_o)
+        v_o[0] = np.nan
+        stats = cbv.CutStatistics(p_ids=stats_a.p_ids, o_ids=stats_a.o_ids, b_p=stats_a.b_p,
+                                  v_o=v_o, v_p=stats_a.v_p, o_po=stats_a.o_po,
+                                  o_op=stats_a.o_op)
+        result = cbv.evaluate_regime_a(stats, rounding_threshold=tau)
+        assert np.isnan(result.w) and np.isnan(result.t_out)
+        assert result.solver_log.dropped_edges == 0
+        observer = cbv.Observer(perimeter_ref="P", regime="A", date="2025-01-01",
+                                control_rule="IFRS10-control@50",
+                                tolerances=cbv.Tolerances(rounding_threshold=tau))
+        doc = cbv.build_cut_summary(result, stats, observer)
+        assert [(e.from_id, e.to_id) for e in doc.edges_po if np.isnan(e.amount)] == [
+            ("A", "X"), ("B", "X")]
+
     def test_caller_arrays_are_copied(self):
         arrays = {"b_p": B_P, "v_o": V_O, "v_p": V_P_OBSERVED, "o_po": O_PO, "o_op": O_OP}
         arrays = {name: np.array(value) for name, value in arrays.items()}

@@ -131,6 +131,19 @@ class TestValidateNetwork:
         rules = {f.rule for f in cbv.validate_network(net).findings}
         assert "entry-range" in rules
 
+    def test_findings_print_plain_floats(self):
+        shares = np.array([
+            [0.0, 0.0, 0.7],
+            [0.0, 0.0, 0.7],
+            [1.5, 0.0, 0.0],
+        ])
+        report = cbv.validate_network(cbv.OwnershipNetwork(["a", "b", "c"], shares))
+        assert [f.message for f in report.findings] == [
+            "share 1.5 outside [0, 1]",
+            "ownership of 'a' sums to 1.5 > 1",
+            "ownership of 'c' sums to 1.4 > 1",
+        ]
+
     def test_subunit_columns_are_legal(self):
         shares = np.array([[0.0, 0.4], [0.3, 0.0]])
         net = cbv.OwnershipNetwork(["a", "b"], shares)
