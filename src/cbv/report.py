@@ -90,13 +90,10 @@ def _json_bytes(payload: dict) -> bytes:
 # with one value column: an id header row, then one row per id.
 
 _NONBLANK = re.compile(r"\S")
-_QUOTABLE = re.compile('[,"\r\n]')
 
 
 def _csv_cell(text: str) -> str:
     """`text` as csv.writer renders it in a row of several cells."""
-    if isinstance(text, str) and _QUOTABLE.search(text) is None:
-        return text  # csv.writer quotes only cells holding one of these characters
     buffer = io.StringIO()
     csv.writer(buffer, lineterminator="\n").writerow([text, ""])
     return buffer.getvalue()[:-2]
@@ -170,8 +167,9 @@ def read_matrix_csv(path) -> tuple[list[str], list[str], np.ndarray]:
     data = np.zeros((0, len(header)))
     if _NONBLANK.search(text, handle.tell()):
         try:
+            # encoding=None: numpy 1.x would otherwise hand the converter bytes
             data = np.loadtxt(handle, delimiter=",", quotechar='"', comments=None,
-                              ndmin=2, converters={0: row_id})
+                              ndmin=2, converters={0: row_id}, encoding=None)
         except ValueError as exc:
             raise PackageError(f"{path.name}: {str(exc).split(';')[0]}") from None
     if data.shape[1] != len(header):

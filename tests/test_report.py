@@ -562,6 +562,22 @@ class TestPackageFiles:
         pkg = cbv.load_package(package_dir)
         np.testing.assert_array_equal(pkg.o_po, example_stats().o_po)
 
+    def test_load_does_not_rely_on_the_numpy_2_text_encoding(self, package_dir, monkeypatch):
+        # numpy 1.x np.loadtxt defaults to encoding="bytes" and then hands
+        # converters bytes; ids must come out as str under either default
+        real = np.loadtxt
+
+        def loadtxt_numpy_1(*args, **kwargs):
+            kwargs.setdefault("encoding", "bytes")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np, "loadtxt", loadtxt_numpy_1)
+        pkg = cbv.load_package(package_dir)
+        stats = example_stats(with_v_p=False)
+        assert pkg.p_ids == stats.p_ids and pkg.o_ids == stats.o_ids
+        np.testing.assert_array_equal(pkg.o_po, stats.o_po)
+        assert not cbv.validate_package(pkg).has_errors
+
     @pytest.mark.parametrize("name, edit", [
         ("O_PO.csv", lambda text: text + "A,0.9,0.0\n"),
         ("O_PO.csv", lambda text: "\n".join(
