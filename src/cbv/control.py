@@ -196,14 +196,9 @@ def attenuated_control(
     shares = _as_matrix(shares)
     if not 0.0 < alpha < 1.0:
         raise DomainError(f"alpha={alpha!r} outside (0, 1)")
-    from .engine import spectral_radius_bound  # local import avoids a cycle
+    from .engine import _stability_gate  # local import avoids a cycle
 
-    gate = spectral_radius_bound(alpha * shares)
-    if min(gate.rho_upper, gate.power_iteration_estimate) >= 1.0:
-        raise StabilityError(
-            f"rho(alpha*S) >= 1 by every available bound (power estimate "
-            f"{gate.power_iteration_estimate!r})"
-        )
+    _stability_gate(alpha * shares)
     n = shares.shape[0]
     # Omega (I - alpha S) = S, solved for Omega through the transpose
     try:

@@ -411,20 +411,33 @@ def evaluate_regime_a(
     )
 
 
-def _stability_gate(bound: SpectralBound, cfg: SolverConfig, log: SolverLog):
+def _stability_gate(
+    matrix: np.ndarray, cfg: SolverConfig | None = None, log: SolverLog | None = None
+) -> None:
+    """Refuse a matrix whose spectral radius no available bound puts below 1.
+
+    Passes when the norm bounds are below 1.  When only the power estimate
+    is, passes with a warning in `log`, if there is one.  Otherwise raises
+    StabilityError, unless `cfg` configures damping or regularization: then
+    the warning goes to `log` and the caller proceeds on its adjustment.
+    """
+    bound = spectral_radius_bound(matrix)
+    if log is not None:
+        log.rho_bound = bound
     if bound.rho_upper < 1.0:
         return
     if bound.power_iteration_estimate < 1.0:
-        log.warnings.append(
-            f"norm bounds >= 1 (min {bound.rho_upper!r}); proceeding on power "
-            f"estimate {bound.power_iteration_estimate!r}"
-        )
+        if log is not None:
+            log.warnings.append(
+                f"norm bounds >= 1 (min {bound.rho_upper!r}); proceeding on power "
+                f"estimate {bound.power_iteration_estimate!r}"
+            )
         return
-    if cfg.damping is None and cfg.regularization is None:
+    if cfg is None or (cfg.damping is None and cfg.regularization is None):
         raise StabilityError(
-            f"rho(O_PP) >= 1 by every available bound "
-            f"(norms {bound.rho_upper!r}, power {bound.power_iteration_estimate!r}); "
-            "configure damping or regularization explicitly"
+            f"spectral radius >= 1 by every available bound "
+            f"(norms {bound.rho_upper!r}, power {bound.power_iteration_estimate!r})"
+            + ("; configure damping or regularization explicitly" if cfg else "")
         )
     log.warnings.append("stability bounds >= 1; relying on configured adjustment")
 
@@ -454,9 +467,7 @@ def estimate_internal_values(
     )
     if cfg.damping is not None:
         m = cfg.damping * m
-    bound = spectral_radius_bound(m)
-    log.rho_bound = bound
-    _stability_gate(bound, cfg, log)
+    _stability_gate(m, cfg, log)
 
     n = m.shape[0]
     if cfg.regularization:
@@ -566,9 +577,7 @@ def schur_operators(blocks) -> SchurOperators:
     them fixed cannot move the consolidated value.
     """
     m = np.eye(blocks.o_pp.shape[0]) - blocks.o_pp
-    gate = spectral_radius_bound(blocks.o_pp)
-    if min(gate.rho_upper, gate.power_iteration_estimate) >= 1.0:
-        raise StabilityError("I - O_PP is not safely invertible")
+    _stability_gate(blocks.o_pp)
     try:
         t_po = np.linalg.solve(m, blocks.o_po)
         u_op = np.linalg.solve(m.T, blocks.o_op.T).T

@@ -129,10 +129,10 @@ def partition(network: OwnershipNetwork, perimeter: Perimeter) -> BlockPartition
 
 
 def validate_network(network: OwnershipNetwork) -> ValidationReport:
-    """Report share entries outside [0, 1] and column sums above 1."""
+    """Report share entries outside [0, 1], NaN included, and column sums above 1."""
     report = ValidationReport()
     shares = network.shares
-    bad = np.argwhere((shares < 0.0) | (shares > 1.0))
+    bad = np.argwhere(~((shares >= 0.0) & (shares <= 1.0)))  # NaN included
     for i, j in bad:
         report.add(
             "entry-range",

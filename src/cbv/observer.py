@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import datetime as _dt
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .control import ControlRuleSpec
 from .errors import DomainError
@@ -143,21 +143,4 @@ class Observer:
         if not kappa > 0:
             raise DomainError(f"kappa={kappa!r} must be > 0")
         base = self.fx_ppp or FxPppSpec()
-        new_fx = FxPppSpec(
-            scale=base.scale * kappa,
-            fx_source=base.fx_source,
-            ppp_source=base.ppp_source,
-            deflator=base.deflator,
-        )
-        return Observer(
-            perimeter_ref=self.perimeter_ref,
-            basis=self.basis,
-            units=self.units,
-            date=self.date,
-            regime=self.regime,
-            control_rule=self.control_rule,
-            tolerances=self.tolerances,
-            fx_ppp=new_fx,
-            sdf=self.sdf,
-            perimeter_nodes=self.perimeter_nodes,
-        )
+        return replace(self, fx_ppp=replace(base, scale=base.scale * kappa))

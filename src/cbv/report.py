@@ -2,13 +2,19 @@
 
 A package directory holds `manifest.yaml` plus CSV data files (node lists,
 base and value vectors, share blocks), optionally `O_PP.csv`,
-`clearing.json` and `proof_stability.txt`.  The manifest names every data
-file and pins its SHA-256, so a package is tamper-evident byte by byte.
+`clearing.json`, `proof_stability.txt` and `pov.json`.  The manifest names
+every data file and pins its SHA-256, so a package is tamper-evident byte by
+byte.
 
 Two JSON documents accompany a valuation: the perimeter-of-validity (the full
 observer configuration) and the cut summary (edge lists, totals and the
 consolidated value).  Serialization is deterministic: fixed key order, UTF-8,
 shortest round-trip decimal rendering for numbers.
+
+A package's `pov.json`, read by `parse_pov` as `cbv compute --pov` reads
+its file, alone defines the observer; rule D3 reports where it disagrees
+with the manifest.  Without one the observer comes from the manifest, which
+records no tolerances, basis, discount weights or perimeter nodes.
 
 Cost.  Writing a matrix renders only its held entries with `repr` (every
 other cell is the constant "0.0") and joins each row once.  Loading reads
@@ -89,14 +95,24 @@ def _json_bytes(payload: dict) -> bytes:
 # Readers take a `Path` or a `PackageFile`.  A vector file is a matrix file
 # with one value column: an id header row, then one row per id.
 
-_NONBLANK = re.compile(r"\S")
+# a row whose only cell is blank is still a row: numpy parses it as one
+_ROW_TEXT = re.compile(r"[^\r\n]")
+
+
+def _csv_row(cells) -> str:
+    """`cells` as the line csv.writer renders, ending in a bare newline.
+
+    Rendering under a CRLF terminator makes csv.writer quote a carriage
+    return as well as a newline, so that the cell reads back.
+    """
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator="\r\n").writerow(cells)
+    return buffer.getvalue()[:-2] + "\n"
 
 
 def _csv_cell(text: str) -> str:
-    """`text` as csv.writer renders it in a row of several cells."""
-    buffer = io.StringIO()
-    csv.writer(buffer, lineterminator="\n").writerow([text, ""])
-    return buffer.getvalue()[:-2]
+    """`text` as `_csv_row` renders it in a row of several cells."""
+    return _csv_row([text, ""])[:-2]
 
 
 def _csv_line(cells) -> str:
@@ -105,7 +121,7 @@ def _csv_line(cells) -> str:
 
 
 def matrix_csv_lines(row_ids, col_ids, matrix, id_header: str):
-    """The lines of a matrix's CSV file, byte for byte what csv.writer writes.
+    """The lines of a matrix's CSV file, byte for byte what `_csv_row` writes.
 
     Only held entries (nonzero, -0.0 or NaN) are rendered with `repr`; every
     other cell is the constant "0.0", which is `repr(0.0)`.
@@ -155,7 +171,10 @@ def read_matrix_csv(path) -> tuple[list[str], list[str], np.ndarray]:
     """
     text = _text(path)
     handle = io.StringIO(text)
-    header = next(csv.reader(handle), None)
+    try:
+        header = next(csv.reader(handle), None)
+    except csv.Error as exc:
+        raise PackageError(f"{path.name}: {exc}") from None
     if not header:
         raise PackageError(f"{path.name}: no header row")
     row_ids: list[str] = []
@@ -165,7 +184,7 @@ def read_matrix_csv(path) -> tuple[list[str], list[str], np.ndarray]:
         return 0.0
 
     data = np.zeros((0, len(header)))
-    if _NONBLANK.search(text, handle.tell()):
+    if _ROW_TEXT.search(text, handle.tell()):
         try:
             # encoding=None: numpy 1.x would otherwise hand the converter bytes
             data = np.loadtxt(handle, delimiter=",", quotechar='"', comments=None,
@@ -192,14 +211,16 @@ def read_vector_csv(path) -> dict[str, float]:
 def write_nodes_csv(path: Path, ids, types=None, labels=None):
     types, labels = types or {}, labels or {}
     with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["id", "type", "label"])
+        handle.write("id,type,label\n")
         for node in ids:
-            writer.writerow([node, types.get(node, "entity"), labels.get(node, "")])
+            handle.write(_csv_row([node, types.get(node, "entity"), labels.get(node, "")]))
 
 
 def read_nodes_csv(path) -> list[str]:
-    rows = list(csv.reader(io.StringIO(_text(path))))
+    try:
+        rows = list(csv.reader(io.StringIO(_text(path))))
+    except csv.Error as exc:
+        raise PackageError(f"{path.name}: {exc}") from None
     ids = [row[0] for row in rows[1:] if row]
     _check_unique(path.name, ids)
     return ids
@@ -420,43 +441,13 @@ def write_package(
     return manifest
 
 
-def _build_observer(manifest: Manifest, pov: dict | None) -> Observer:
+def _build_observer(manifest: Manifest) -> Observer:
+    """The observer of a package without a pov.json, from its manifest."""
     obs_block = manifest.observer_block
     per_block = manifest.perimeter_block
     fx_block = obs_block.get("fx") or {}
     ppp_block = obs_block.get("ppp") or {}
     sdf_block = obs_block.get("sdf") or {}
-
-    units = str(obs_block.get("currency") or "EUR")
-    date = str(fx_block.get("date") or "1970-01-01")
-    regime = manifest.regime
-    basis = "fair_value"
-    tolerances = Tolerances()
-    control_rule: ControlRuleSpec | str | None = per_block.get("control_rule")
-    perimeter_ref = str(per_block.get("P_ref") or "P")
-
-    if pov:
-        pov_obs = pov.get("observer") or {}
-        basis = str(pov_obs.get("basis") or basis)
-        units = str(pov_obs.get("units") or units)
-        date = str(pov_obs.get("date") or date)
-        regime = str(pov_obs.get("information_regime") or regime)
-        rule_block = pov_obs.get("control_rule") or {}
-        if rule_block:
-            params = rule_block.get("params") or {}
-            control_rule = ControlRuleSpec(
-                option=str(rule_block.get("option", "A")),
-                tau=float(params.get("tau", 0.5)),
-                alpha=float(params.get("alpha", 0.6)),
-                normalize=bool(params.get("normalize", False)),
-                reachability_depth=params.get("reachability_depth"),
-            )
-        tol_block = pov.get("tolerances") or {}
-        tolerances = Tolerances(
-            rounding_threshold=float(tol_block.get("rounding_threshold", 1e-8)),
-            solver_eps=float(tol_block.get("solver_eps", 1e-10)),
-            max_iters=int(tol_block.get("max_iters", 10000)),
-        )
 
     fx_ppp = None
     if fx_block or ppp_block.get("used"):
@@ -473,13 +464,11 @@ def _build_observer(manifest: Manifest, pov: dict | None) -> Observer:
             curve_source=sdf_block.get("spec"),
         )
     return Observer(
-        perimeter_ref=perimeter_ref,
-        basis=basis,
-        units=units,
-        date=date,
-        regime=regime,
-        control_rule=control_rule,
-        tolerances=tolerances,
+        perimeter_ref=str(per_block.get("P_ref") or "P"),
+        units=str(obs_block.get("currency") or "EUR"),
+        date=str(fx_block.get("date") or "1970-01-01"),
+        regime=manifest.regime,
+        control_rule=per_block.get("control_rule"),
         fx_ppp=fx_ppp,
         sdf=sdf,
     )
@@ -550,16 +539,16 @@ def load_package(directory) -> CutReportPackage:
     clearing_spec = None
     if "clearing_spec" in files:
         clearing_spec = json.loads(_text(loaded["clearing_spec"]))
-    pov = None
     pov_path = directory / "pov.json"
     if pov_path.exists():
-        pov = json.loads(pov_path.read_text("utf-8"))
+        observer, pov = parse_pov(pov_path.read_bytes())
+    else:
+        observer, pov = _build_observer(manifest), None
     stability = None
     stab_path = directory / STABILITY_NAME
     if stab_path.exists():
         stability = stab_path.read_text("utf-8")
 
-    observer = _build_observer(manifest, pov)
     return CutReportPackage(
         directory=directory,
         manifest=manifest,
@@ -632,15 +621,18 @@ def validate_package(pkg: CutReportPackage) -> ValidationReport:
         report.add("D2", "error",
                    f"ownership of {pkg.p_ids[j]!r} sums to {float(col_sums[j])!r} > 1")
 
-    # D3: a single observer per period; PoV must agree with the manifest
-    if pkg.pov:
-        pov_obs = pkg.pov.get("observer") or {}
+    # D3: a single observer per period; the PoV defining it must agree with the manifest
+    if pkg.pov is not None:
+        observer, declared = pkg.observer, pkg.manifest.observer_block
         pairs = (
-            ("units", pov_obs.get("units"), pkg.manifest.observer_block.get("currency")),
-            ("regime", pov_obs.get("information_regime"), pkg.manifest.regime),
+            ("units", observer.units, declared.get("currency")),
+            ("regime", observer.regime, pkg.manifest.regime),
+            ("P_ref", observer.perimeter_ref, pkg.manifest.perimeter_block.get("P_ref")),
+            ("fx scale", observer.fx_ppp.scale if observer.fx_ppp else 1.0,
+             (declared.get("fx") or {}).get("scale")),
         )
         for name, pov_value, man_value in pairs:
-            if pov_value is not None and man_value is not None and pov_value != man_value:
+            if man_value is not None and pov_value != man_value:
                 report.add("D3", "error",
                            f"pov {name} {pov_value!r} disagrees with manifest {man_value!r}")
 
@@ -899,7 +891,11 @@ def emit_pov(observer: Observer, **kwargs) -> bytes:
 
 
 def parse_pov(blob: bytes) -> tuple[Observer, dict]:
-    """Rebuild an Observer from a PoV document; returns (observer, raw dict)."""
+    """Rebuild an Observer from a PoV document; returns (observer, raw dict).
+
+    The one reader of a PoV: a package's `pov.json` and `cbv compute --pov`
+    both come through here.  Absent tolerances take the `Tolerances` defaults.
+    """
     data = json.loads(blob.decode("utf-8"))
     obs = data.get("observer") or {}
     rule_block = obs.get("control_rule") or {}
@@ -912,7 +908,7 @@ def parse_pov(blob: bytes) -> tuple[Observer, dict]:
         reachability_depth=params.get("reachability_depth"),
         label=rule_block.get("label"),
     )
-    tol = data.get("tolerances") or {}
+    tol, default = data.get("tolerances") or {}, Tolerances()
     fx_block = obs.get("fx_ppp")
     sdf_block = obs.get("sdf")
     nodes = [str(n) for n in (obs.get("P") or [])]
@@ -927,9 +923,9 @@ def parse_pov(blob: bytes) -> tuple[Observer, dict]:
         regime=str(obs.get("information_regime", "A")),
         control_rule=rule,
         tolerances=Tolerances(
-            rounding_threshold=float(tol.get("rounding_threshold", 1e-8)),
-            solver_eps=float(tol.get("solver_eps", 1e-10)),
-            max_iters=int(tol.get("max_iters", 10000)),
+            rounding_threshold=float(tol.get("rounding_threshold", default.rounding_threshold)),
+            solver_eps=float(tol.get("solver_eps", default.solver_eps)),
+            max_iters=int(tol.get("max_iters", default.max_iters)),
         ),
         fx_ppp=(FxPppSpec(
             scale=float(fx_block.get("scale", 1.0)),

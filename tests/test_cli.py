@@ -135,6 +135,36 @@ class TestComputeCommand:
         # a flag given on the command line still wins over the declaration
         assert main(argv + ["--max-iters", "10000"]) == EXIT_OK
 
+    def test_package_pov_and_pov_flag_build_one_observer(self, tmp_path, capsys):
+        # a pov.json declaring every part of the observer: the package and
+        # --pov both read it with parse_pov, so they run the same valuation
+        stats = example_stats(with_v_p=False)
+        observer = cbv.Observer(
+            perimeter_ref="P-DEMO", basis="historical_cost", units="EUR",
+            date="2025-06-30", regime="B",
+            control_rule=cbv.ControlRuleSpec(option="A", tau=0.5, label="IFRS10-control@50"),
+            tolerances=cbv.Tolerances(rounding_threshold=1e-6, solver_eps=1e-12,
+                                      max_iters=500),
+            fx_ppp=cbv.FxPppSpec(scale=1.07, fx_source="ECB"),
+            sdf=cbv.SdfSpec(discount_weights={"base": 0.95}),
+            perimeter_nodes=stats.p_ids,
+        )
+        pkg = tmp_path / "pkg"
+        cbv.write_package(pkg, stats, observer)
+        (pkg / "pov.json").write_bytes(cbv.emit_pov(observer))
+        parsed, _ = cbv.parse_pov((pkg / "pov.json").read_bytes())
+        assert cbv.load_package(pkg).observer == parsed == observer
+
+        expected = cbv.evaluate_for_observer(stats, observer).w
+        runs = []
+        for extra in ([], ["--pov", str(pkg / "pov.json")]):
+            argv = ["compute", "--package", str(pkg), "--format", "json", *extra]
+            assert main(argv) == EXIT_OK
+            payload = json.loads(capsys.readouterr().out)
+            runs.append((payload["consolidated_value"], (pkg / "cut_summary.json").read_bytes()))
+        assert runs[0] == runs[1]
+        assert runs[0][0] == expected
+
     def test_singular_internal_block_is_compute_error(self, tmp_path, capsys):
         observer = cbv.Observer(perimeter_ref="P-CYCLE", regime="B",
                                 control_rule=cbv.ControlRuleSpec())

@@ -131,6 +131,11 @@ class TestValidateNetwork:
         rules = {f.rule for f in cbv.validate_network(net).findings}
         assert "entry-range" in rules
 
+    def test_nan_share_is_entry_range_error(self):
+        net = cbv.OwnershipNetwork(["a", "b"], np.array([[0.0, np.nan], [0.2, 0.0]]))
+        flagged = [(f.rule, f.severity, f.location) for f in cbv.validate_network(net).findings]
+        assert flagged == [("entry-range", "error", "a->b")]
+
     def test_findings_print_plain_floats(self):
         shares = np.array([
             [0.0, 0.0, 0.7],

@@ -1,5 +1,7 @@
 import csv
+import io
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -29,21 +31,25 @@ from conftest import example_stats, renault_stats
 # were vectorized, one Python step per cell.
 # ---------------------------------------------------------------------------
 
+def reference_write_rows(path, rows):
+    # csv.writer under a "\r\n" terminator quotes a carriage return as well
+    # as a newline, so that the cell reads back; each row then ends in "\n"
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        for row in rows:
+            buffer = io.StringIO()
+            csv.writer(buffer, lineterminator="\r\n").writerow(row)
+            handle.write(buffer.getvalue()[:-2] + "\n")
+
+
 def reference_write_matrix_csv(path, row_ids, col_ids, matrix, id_header):
     matrix = np.asarray(matrix, dtype=float)
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow([id_header, *col_ids])
-        for k, node in enumerate(row_ids):
-            writer.writerow([node, *(repr(float(v)) for v in matrix[k])])
+    reference_write_rows(path, [[id_header, *col_ids], *(
+        [node, *(repr(float(v)) for v in matrix[k])] for k, node in enumerate(row_ids))])
 
 
 def reference_write_vector_csv(path, ids, values, column):
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["id", column])
-        for node, value in zip(ids, values):
-            writer.writerow([node, repr(float(value))])
+    reference_write_rows(path, [["id", column], *(
+        [node, repr(float(value))] for node, value in zip(ids, values))])
 
 
 def reference_read_matrix_csv(path):
@@ -105,9 +111,6 @@ node_ids = st.one_of(
     st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\x00"),
             max_size=5),
 )
-# csv.writer leaves a carriage return unquoted under a "\n" line terminator,
-# so an id holding one is written but cannot be read back, as before
-loadable_ids = node_ids.filter(lambda node: "\r" not in node)
 cells = st.one_of(st.just(0.0), st.sampled_from(SPECIAL_VALUES), st.floats(width=64))
 
 
@@ -253,6 +256,21 @@ class TestValidatePackage:
         (package_dir / "pov.json").write_text(json.dumps(pov))
         report = cbv.validate_directory(package_dir)
         assert any(f.rule == "D3" for f in report.findings)
+
+    @pytest.mark.parametrize("edit", [
+        {"perimeter_ref": "P-OTHER"},
+        {"fx_ppp": cbv.FxPppSpec(scale=1.07)},
+    ])
+    def test_pov_that_overrides_the_manifest_is_d3(self, package_dir, edit):
+        # the manifest declares P_ref "P-DEMO" and no FX scale (1.0)
+        pov = cbv.emit_pov(replace(demo_observer(), **edit))
+        (package_dir / "pov.json").write_bytes(pov)
+        findings = cbv.validate_directory(package_dir).findings
+        assert [f.rule for f in findings if f.severity == "error"] == ["D3"]
+
+    def test_pov_that_agrees_with_the_manifest_is_clean(self, package_dir):
+        (package_dir / "pov.json").write_bytes(cbv.emit_pov(demo_observer()))
+        assert cbv.validate_directory(package_dir).ok
 
     def test_unexpected_clearing_file_is_d5(self, package_dir):
         (package_dir / "clearing.json").write_text("{}")
@@ -459,7 +477,7 @@ class TestCsvFiles:
         assert (scratch / "new.csv").read_bytes() == (scratch / "old.csv").read_bytes()
 
     @settings(max_examples=200, deadline=None)
-    @given(matrix=matrices(st.lists(loadable_ids, max_size=5, unique=True)))
+    @given(matrix=matrices(st.lists(node_ids, max_size=5, unique=True)))
     def test_read_of_write_is_bit_exact(self, scratch, matrix):
         row_ids, col_ids, values = matrix
         path = scratch / "m.csv"
@@ -475,6 +493,10 @@ class TestCsvFiles:
         got = read_vector_csv(scratch / "v.csv")
         assert list(got) == ["a,b", 'q"x', "c", ""]
         assert same_bits(list(got.values()), values)
+
+    def test_blank_id_of_a_zero_column_row_reads_back(self, scratch):
+        write_matrix_csv(scratch / "z.csv", [" "], [], np.zeros((1, 0)), "id")
+        assert read_matrix_csv(scratch / "z.csv")[0] == [" "]
 
     @pytest.mark.parametrize("text", [
         "id,x,y\na,0.1,0.2\nb,0.3\n",   # a short row
@@ -503,7 +525,7 @@ class TestCsvFiles:
 
 @st.composite
 def packages(draw):
-    ids = draw(st.lists(loadable_ids, max_size=7, unique=True))
+    ids = draw(st.lists(node_ids, max_size=7, unique=True))
     split = draw(st.integers(0, len(ids)))
     p_ids, o_ids = tuple(ids[:split]), tuple(ids[split:])
     n_p, n_o = len(p_ids), len(o_ids)
@@ -595,6 +617,23 @@ class TestPackageFiles:
         manifest.data["hashes"][key] = sha256_of_file(target)
         (package_dir / "manifest.yaml").write_bytes(manifest.to_yaml_bytes())
         with pytest.raises(PackageError, match="repeated"):
+            cbv.load_package(package_dir)
+        report = cbv.validate_directory(package_dir)
+        assert report.has_errors and report.findings[0].rule == "schema"
+
+    @pytest.mark.parametrize("name, edit", [
+        ("nodes_P.csv", lambda text: text + "Z\rZ,entity,\n"),
+        ("O_PO.csv", lambda text: text.replace("X", "X\rX", 1)),
+    ])
+    def test_unquoted_carriage_return_is_package_error(self, package_dir, name, edit):
+        # as a package written before carriage returns were quoted
+        target = package_dir / name
+        target.write_bytes(edit(target.read_text(encoding="utf-8")).encode("utf-8"))
+        manifest = Manifest.from_yaml_bytes((package_dir / "manifest.yaml").read_bytes())
+        key = next(k for k, v in manifest.data["data_files"].items() if v == name)
+        manifest.data["hashes"][key] = sha256_of_file(target)
+        (package_dir / "manifest.yaml").write_bytes(manifest.to_yaml_bytes())
+        with pytest.raises(PackageError, match=name):
             cbv.load_package(package_dir)
         report = cbv.validate_directory(package_dir)
         assert report.has_errors and report.findings[0].rule == "schema"
