@@ -185,13 +185,15 @@ def net_boundary_flows(
     if outcome.node_ids != problem.node_ids:
         raise DimensionError("outcome and problem refer to different node sets")
     members = {str(m) for m in perimeter.members}
-    unknown = members - set(problem.node_ids)
+    # each id's first position, as tuple.index finds it
+    index = {n: k for k, n in reversed(list(enumerate(problem.node_ids)))}
+    unknown = members - index.keys()
     if unknown:
         raise DimensionError(f"perimeter ids not cleared here: {sorted(unknown)}")
     p_ids = tuple(sorted(members))
-    o_ids = tuple(sorted(set(problem.node_ids) - members))
-    p_idx = [problem.node_ids.index(n) for n in p_ids]
-    o_idx = [problem.node_ids.index(n) for n in o_ids]
+    o_ids = tuple(sorted(index.keys() - members))
+    p_idx = [index[n] for n in p_ids]
+    o_idx = [index[n] for n in o_ids]
     x_po = np.zeros((len(p_ids), len(o_ids)))
     x_op = np.zeros((len(o_ids), len(p_ids)))
     for k, mat in enumerate(problem.liabilities):

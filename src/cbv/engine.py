@@ -25,6 +25,12 @@ a reduction over the two boundary blocks: with no rounding threshold, one pass
 of column sums per block and no n_P x n_O temporary; with a threshold, one
 priced amount per nonzero edge (`cut_edges`, which also lists the edges of a
 cut summary) so that each can be tested against it.
+
+The stability gate of regime B is one pass of row and column sums when a
+norm of O_PP certifies rho < 1, and otherwise at most POWER_ITERATIONS
+Collatz-Wielandt passes, one matvec each, stopping at the first certified
+bound below 1.  The Neumann solver does one matvec per iteration: the update
+it computes anyway is the residual of the previous iterate.
 """
 
 from __future__ import annotations
@@ -231,28 +237,71 @@ def scale_units(kappa: float, stats: CutStatistics) -> CutStatistics:
 
 @dataclass(frozen=True)
 class SpectralBound:
-    """Cheap upper bounds on rho(O_PP) plus a power-iteration estimate."""
+    """Certified upper bounds on rho(O_PP).
+
+    `rho_upper` is the least of the two norms and the Collatz-Wielandt bounds
+    of the `passes` passes run; each is an upper bound on rho(|O_PP|), hence
+    on rho(O_PP).
+    """
 
     rho_upper: float
     norm_1: float
     norm_inf: float
     gershgorin_ok: bool
-    power_iteration_estimate: float
+    passes: int
 
 
-def spectral_radius_bound(o_pp, power_iters: int = POWER_ITERATIONS) -> SpectralBound:
-    """Norm and Gershgorin bounds, and a fixed-iteration power estimate on |O_PP|."""
+def spectral_radius_bound(o_pp) -> SpectralBound:
+    """Norm bounds on rho(O_PP), tightened by Collatz-Wielandt passes on |O_PP|.
+
+    For any positive v, rho(|A|) <= max_i (|A| v)_i / v_i (Meyer, Matrix
+    Analysis and Applied Linear Algebra, 8.3): a weighted row-sum norm, which
+    v = 1 makes the infinity norm.  When neither norm is below 1, the passes
+    iterate v <- v + |A| v, power iteration on I + |A|: the shift keeps v
+    positive on reducible blocks and makes periodic ones such as a 2-cycle
+    converge.  They stop at the first bound below 1, or after
+    POWER_ITERATIONS passes.
+    """
     m = np.asarray(o_pp, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DimensionError("o_pp must be square")
     if m.size == 0:
-        return SpectralBound(0.0, 0.0, 0.0, True, 0.0)
-    a = np.abs(m)
+        return SpectralBound(0.0, 0.0, 0.0, True, 0)
+    a = np.abs(m) if m.min() < 0.0 else m
+    row_sums = a.sum(axis=1)
     norm_1 = float(a.sum(axis=0).max())
-    norm_inf = float(a.sum(axis=1).max())
-    # each disk is centered at a_ii with radius sum_{j != i} |a_ij|, so the
-    # bound on |lambda| from row i is the full absolute row sum
-    gershgorin_ok = bool(a.sum(axis=1).max() < 1.0)
+    norm_inf = float(row_sums.max())
+    rho, passes = min(norm_1, norm_inf), 0
+    v = 1.0 + row_sums  # the pass from v = 1 gave norm_inf
+    while 1.0 <= rho < np.inf and passes < POWER_ITERATIONS:
+        w = a @ v
+        passes += 1
+        rho = min(rho, float((w / v).max()))
+        v += w
+        v /= v.max()
+    # each Gershgorin disk is centered at a_ii with radius sum_{j != i} |a_ij|,
+    # so the bound on |lambda| from row i is the full absolute row sum
+    return SpectralBound(
+        rho_upper=rho,
+        norm_1=norm_1,
+        norm_inf=norm_inf,
+        gershgorin_ok=norm_inf < 1.0,
+        passes=passes,
+    )
+
+
+def power_iteration_estimate(o_pp, power_iters: int = POWER_ITERATIONS) -> float:
+    """Fixed-iteration power estimate of rho(|O_PP|), for disclosure only.
+
+    An estimate, not a bound: it can read below 1 on an unstable block, so
+    the stability gate never relies on it.
+    """
+    m = np.asarray(o_pp, dtype=float)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise DimensionError("o_pp must be square")
+    if m.size == 0:
+        return 0.0
+    a = np.abs(m)
     vec = np.ones(m.shape[0]) / m.shape[0]
     estimate = 0.0
     for _ in range(power_iters):
@@ -267,13 +316,7 @@ def spectral_radius_bound(o_pp, power_iters: int = POWER_ITERATIONS) -> Spectral
             estimate = new_estimate
             break
         estimate = new_estimate
-    return SpectralBound(
-        rho_upper=min(norm_1, norm_inf),
-        norm_1=norm_1,
-        norm_inf=norm_inf,
-        gershgorin_ok=gershgorin_ok,
-        power_iteration_estimate=estimate,
-    )
+    return estimate
 
 
 @dataclass(frozen=True)
@@ -414,10 +457,9 @@ def evaluate_regime_a(
 def _stability_gate(
     matrix: np.ndarray, cfg: SolverConfig | None = None, log: SolverLog | None = None
 ) -> None:
-    """Refuse a matrix whose spectral radius no available bound puts below 1.
+    """Refuse a matrix whose spectral radius no certified bound puts below 1.
 
-    Passes when the norm bounds are below 1.  When only the power estimate
-    is, passes with a warning in `log`, if there is one.  Otherwise raises
+    Passes when `spectral_radius_bound` certifies rho < 1.  Otherwise raises
     StabilityError, unless `cfg` configures damping or regularization: then
     the warning goes to `log` and the caller proceeds on its adjustment.
     """
@@ -426,17 +468,10 @@ def _stability_gate(
         log.rho_bound = bound
     if bound.rho_upper < 1.0:
         return
-    if bound.power_iteration_estimate < 1.0:
-        if log is not None:
-            log.warnings.append(
-                f"norm bounds >= 1 (min {bound.rho_upper!r}); proceeding on power "
-                f"estimate {bound.power_iteration_estimate!r}"
-            )
-        return
     if cfg is None or (cfg.damping is None and cfg.regularization is None):
         raise StabilityError(
-            f"spectral radius >= 1 by every available bound "
-            f"(norms {bound.rho_upper!r}, power {bound.power_iteration_estimate!r})"
+            f"no certified bound puts the spectral radius below 1 (least bound "
+            f"{bound.rho_upper!r} after {bound.passes} Collatz-Wielandt passes)"
             + ("; configure damping or regularization explicitly" if cfg else "")
         )
     log.warnings.append("stability bounds >= 1; relying on configured adjustment")
@@ -447,8 +482,8 @@ def estimate_internal_values(
 ) -> tuple[np.ndarray, SolverLog]:
     """Solve (I - O_PP) v_P = b_P + O_PO v_O for the internal values.
 
-    The stability gate requires some verifiable bound on rho(O_PP) to sit
-    below 1 unless damping or regularization is configured; damping rescales
+    The stability gate requires a certified bound on rho(O_PP) to sit below 1
+    unless damping or regularization is configured; damping rescales
     the internal block and both adjustments are recorded in the log.
     """
     cfg = (cfg or SolverConfig()).resolved()
@@ -478,18 +513,13 @@ def estimate_internal_values(
         method = "direct" if n <= DIRECT_SOLVER_MAX_SIZE else "neumann"
         log.method = method
 
-    system = np.eye(n) - m
-    if method == "direct":
-        try:
-            v_p = np.linalg.solve(system, rhs)
-        except np.linalg.LinAlgError as exc:
-            raise StabilityError(f"I - O_PP is singular: {exc}") from exc
-        log.iterations = 0
-    elif method == "neumann":
-        v_p = rhs.copy()
+    if method == "neumann":
+        nxt = rhs + m @ rhs
         for iteration in range(1, cfg.max_iters + 1):
-            v_p = rhs + m @ v_p
-            residual = float(np.abs(system @ v_p - rhs).max()) if n else 0.0
+            v_p = nxt
+            nxt = rhs + m @ v_p
+            # the residual of v_p, v_p - (rhs + O_PP v_p), is the next update
+            residual = float(np.abs(v_p - nxt).max()) if n else 0.0
             log.iterations = iteration
             if residual < cfg.eps:
                 break
@@ -500,6 +530,16 @@ def estimate_internal_values(
                 last_iterate=v_p,
                 residual=residual,
             )
+        log.residual = residual
+        return v_p, log
+
+    system = np.eye(n) - m
+    if method == "direct":
+        try:
+            v_p = np.linalg.solve(system, rhs)
+        except np.linalg.LinAlgError as exc:
+            raise StabilityError(f"I - O_PP is singular: {exc}") from exc
+        log.iterations = 0
     else:
         from scipy.sparse.linalg import gmres
 

@@ -5,11 +5,17 @@ by node i (dimensionless, in [0, 1]).  Column sums may stay below 1: the
 residual belongs to dispersed holders that are not modelled as nodes.  Node
 ordering is canonical (lexicographic by id) so that block matrices and any
 serialized artifact derived from them are deterministic.
+
+Cost.  `partition` copies the three blocks that touch the perimeter; the
+O/O block, which valuation never reads, is sliced on demand, the first time
+`BlockPartition.o_oo` is read (by `schur_operators` or `assemble`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import compress
 
 import numpy as np
@@ -87,14 +93,23 @@ class Perimeter:
 
 @dataclass(frozen=True)
 class BlockPartition:
-    """The four share blocks induced by a perimeter, with their id maps."""
+    """The four share blocks induced by a perimeter, with their id maps.
+
+    The O/O block is given either as an array or as a function that slices
+    it; it is taken the first time `o_oo` is read.
+    """
 
     p_ids: tuple[NodeId, ...]
     o_ids: tuple[NodeId, ...]
     o_pp: np.ndarray
     o_po: np.ndarray
     o_op: np.ndarray
-    o_oo: np.ndarray
+    o_oo_source: np.ndarray | Callable[[], np.ndarray] = field(repr=False)
+
+    @cached_property
+    def o_oo(self) -> np.ndarray:
+        source = self.o_oo_source
+        return source() if callable(source) else source
 
     def assemble(self) -> tuple[tuple[NodeId, ...], np.ndarray]:
         """Reassemble the original matrix (in canonical node order)."""
@@ -108,7 +123,8 @@ def partition(network: OwnershipNetwork, perimeter: Perimeter) -> BlockPartition
     """Split the share matrix into the P/O blocks for a perimeter.
 
     One membership mask over the canonical node order yields both index sets
-    and both id tuples, already in canonical order.
+    and both id tuples, already in canonical order.  O_PP, O_PO and O_OP are
+    sliced here; O_OO, which valuation never reads, is sliced on first read.
     """
     unknown = perimeter.members - network._index.keys()
     if unknown:
@@ -124,7 +140,7 @@ def partition(network: OwnershipNetwork, perimeter: Perimeter) -> BlockPartition
         o_pp=shares[np.ix_(p_idx, p_idx)],
         o_po=shares[np.ix_(p_idx, o_idx)],
         o_op=shares[np.ix_(o_idx, p_idx)],
-        o_oo=shares[np.ix_(o_idx, o_idx)],
+        o_oo_source=lambda: shares[np.ix_(o_idx, o_idx)],
     )
 
 

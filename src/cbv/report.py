@@ -45,9 +45,16 @@ from .engine import (
     ValuationResult,
     cut_edges,
     hedge_vector,
+    power_iteration_estimate,
     spectral_radius_bound,
 )
-from .errors import DimensionError, EmissionError, IntegrityError, PackageError
+from .errors import (
+    DimensionError,
+    DomainError,
+    EmissionError,
+    IntegrityError,
+    PackageError,
+)
 from .network import COLUMN_SUM_SLACK
 from .observer import FxPppSpec, Observer, SdfSpec, Tolerances
 from .validation import ValidationReport
@@ -407,7 +414,7 @@ def write_package(
             f"norm_1 bound: {bound.norm_1!r}\n"
             f"norm_inf bound: {bound.norm_inf!r}\n"
             f"rho upper bound: {bound.rho_upper!r}\n"
-            f"power iteration estimate: {bound.power_iteration_estimate!r}\n"
+            f"power iteration estimate: {power_iteration_estimate(stats.o_pp)!r}\n"
         )
         (directory / STABILITY_NAME).write_text(evidence, encoding="utf-8")
     if clearing_spec is not None:
@@ -895,8 +902,22 @@ def parse_pov(blob: bytes) -> tuple[Observer, dict]:
 
     The one reader of a PoV: a package's `pov.json` and `cbv compute --pov`
     both come through here.  Absent tolerances take the `Tolerances` defaults.
+    Bytes that are not a JSON object, and fields that fail the observer's
+    checks, are PackageErrors.
     """
-    data = json.loads(blob.decode("utf-8"))
+    try:
+        data = json.loads(blob.decode("utf-8"))
+    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+        raise PackageError(f"PoV is not a JSON document: {exc}") from None
+    if not isinstance(data, dict):
+        raise PackageError("PoV must be a JSON object")
+    try:
+        return _observer_from_pov(data), data
+    except (DomainError, TypeError, ValueError, AttributeError) as exc:
+        raise PackageError(f"PoV field fails the observer's checks: {exc}") from None
+
+
+def _observer_from_pov(data: dict) -> Observer:
     obs = data.get("observer") or {}
     rule_block = obs.get("control_rule") or {}
     params = rule_block.get("params") or {}
@@ -915,7 +936,7 @@ def parse_pov(blob: bytes) -> tuple[Observer, dict]:
     ref = str(obs.get("P_ref") or (nodes[0] if len(nodes) == 1 else "P"))
     if nodes == [ref]:
         nodes = []
-    observer = Observer(
+    return Observer(
         perimeter_ref=ref,
         basis=str(obs.get("basis", "fair_value")),
         units=str(obs.get("units", "EUR")),
@@ -942,7 +963,6 @@ def parse_pov(blob: bytes) -> tuple[Observer, dict]:
         ) if sdf_block else None),
         perimeter_nodes=tuple(nodes) or None,
     )
-    return observer, data
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from .engine import (
     SolverConfig,
     estimate_internal_values,
     evaluate_regime_b,
-    spectral_radius_bound,
+    power_iteration_estimate,
 )
 from .errors import DomainError, StabilityError
 
@@ -196,7 +196,6 @@ def condition_diagnostics(o_pp, regularization: float | None = None) -> Conditio
     """kappa_2(I - O_PP), exact via SVD for small blocks."""
     o_pp = np.asarray(o_pp, dtype=float)
     n = o_pp.shape[0] if o_pp.ndim == 2 else 0
-    gate = spectral_radius_bound(o_pp) if n else None
     if n == 0:
         return ConditioningReport(0.0, 1.0, regularization_used=regularization)
     m = np.eye(n) - o_pp
@@ -212,7 +211,7 @@ def condition_diagnostics(o_pp, regularization: float | None = None) -> Conditio
         else:
             kappa2 = induced_norm(m, 2.0) / (1.0 - norm)
     return ConditioningReport(
-        rho_estimate=gate.power_iteration_estimate,
+        rho_estimate=power_iteration_estimate(o_pp),
         kappa2=kappa2,
         regularization_used=regularization,
     )

@@ -117,15 +117,16 @@ def random_regime_stats(rng, n_p: int, n_o: int, observed: bool = False):
     return stats
 
 
-def two_cycle_chain_stats(n: int = 300) -> cbv.CutStatistics:
-    """A fully owned 2-cycle plus a 0.999 chain, and one unlinked outside node.
+def two_cycle_chain_stats(n: int = 300, cycle: float = 1.0) -> cbv.CutStatistics:
+    """A 2-cycle owned at `cycle` plus a 0.999 chain, and one unlinked outside node.
 
-    The norm bounds on rho(O_PP) read exactly 1 and the 100-step power
-    estimate about 0.994, so the stability gate lets it through with a
-    warning, yet I - O_PP is singular.
+    rho(O_PP) is `cycle`, which both norm bounds read too, yet the 100-step
+    power estimate reads about 0.994.  The stability gate refuses the block,
+    since no certified bound falls below 1; at the default cycle = 1,
+    I - O_PP is singular.
     """
     o_pp = np.zeros((n, n))
-    o_pp[0, 1] = o_pp[1, 0] = 1.0
+    o_pp[0, 1] = o_pp[1, 0] = cycle
     for k in range(2, n - 1):
         o_pp[k, k + 1] = 0.999
     return cbv.CutStatistics(

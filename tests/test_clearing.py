@@ -242,6 +242,24 @@ class TestNetBoundaryFlows:
         np.testing.assert_allclose(flows[0].x_op, flows[1].x_op, atol=1e-12)
         assert values[0] == values[1]
 
+    def test_matches_tuple_index_lookup_on_shuffled_ids(self, rng):
+        for n in (1, 5, 30):
+            ids = tuple(f"n{k}" for k in rng.permutation(n))
+            liabilities = rng.uniform(0.0, 10.0, size=(n, n)) * (rng.random((n, n)) < 0.4)
+            problem = cbv.ClearingProblem.single_class(
+                ids, liabilities, rng.uniform(0.0, 20.0, size=n))
+            outcome = cbv.clear(problem)
+            members = set(rng.choice(ids, size=rng.integers(1, n + 1), replace=False))
+            flows = cbv.net_boundary_flows(problem, outcome, cbv.Perimeter(members))
+            p_ids = tuple(sorted(members))
+            o_ids = tuple(sorted(set(ids) - members))
+            p_idx = [ids.index(k) for k in p_ids]
+            o_idx = [ids.index(k) for k in o_ids]
+            paid = outcome.payout_ratios[0][:, np.newaxis] * problem.liabilities[0]
+            assert (flows.p_ids, flows.o_ids) == (p_ids, o_ids)
+            np.testing.assert_array_equal(flows.x_po, paid[np.ix_(p_idx, o_idx)])
+            np.testing.assert_array_equal(flows.x_op, paid[np.ix_(o_idx, p_idx)])
+
     def test_dimension_guard(self):
         problem = cbv.ClearingProblem.single_class(
             ("a", "b"), np.zeros((2, 2)), [0.0, 0.0]

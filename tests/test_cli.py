@@ -9,6 +9,9 @@ from cbv.report import sha256_of_file, write_matrix_csv
 
 from conftest import example_stats, two_cycle_chain_stats
 
+# a PoV cut off mid-document, and one whose units fail the observer's check
+BAD_POVS = [b'{"observer": ', b'{"observer": {"units": "euro"}}']
+
 
 def build_package(tmp_path, name="pkg", kappa=None, b_scale=1.0, regime="B",
                   tolerances=None):
@@ -62,6 +65,14 @@ class TestValidateCommand:
         (pkg / "manifest.yaml").write_bytes(manifest.to_yaml_bytes())
         assert main(["validate", str(pkg)]) == EXIT_FINDINGS
         assert "D2" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("pov", BAD_POVS)
+    def test_malformed_pov_is_a_schema_finding(self, tmp_path, capsys, pov):
+        pkg = build_package(tmp_path)
+        (pkg / "pov.json").write_bytes(pov)
+        assert main(["validate", str(pkg)]) == EXIT_FINDINGS
+        out = capsys.readouterr().out
+        assert "schema" in out and "PoV" in out and "Traceback" not in out
 
     def test_json_format(self, tmp_path, capsys):
         pkg = build_package(tmp_path)
@@ -171,6 +182,29 @@ class TestComputeCommand:
         cbv.write_package(tmp_path / "cycle", two_cycle_chain_stats(), observer)
         assert main(["compute", "--package", str(tmp_path / "cycle")]) == EXIT_COMPUTE
         assert "StabilityError" in capsys.readouterr().err
+
+    def test_block_only_the_power_estimate_puts_below_1_is_compute_error(self, tmp_path, capsys):
+        # rho(O_PP) = 1.001: I - O_PP is invertible, but v_P = (I - O_PP)^-1 b_P
+        # is no valuation; the gate refused it before the solve
+        observer = cbv.Observer(perimeter_ref="P-CYCLE", regime="B",
+                                control_rule=cbv.ControlRuleSpec())
+        cbv.write_package(tmp_path / "cycle", two_cycle_chain_stats(cycle=1.001), observer)
+        assert main(["compute", "--package", str(tmp_path / "cycle")]) == EXIT_COMPUTE
+        err = capsys.readouterr().err
+        assert "StabilityError" in err and "no certified bound" in err
+        assert not (tmp_path / "cycle" / "cut_summary.json").exists()
+
+    @pytest.mark.parametrize("pov", BAD_POVS)
+    def test_malformed_pov_is_compute_error(self, tmp_path, capsys, pov):
+        pkg = build_package(tmp_path)
+        (tmp_path / "bad_pov.json").write_bytes(pov)
+        assert main(["compute", "--package", str(pkg),
+                     "--pov", str(tmp_path / "bad_pov.json")]) == EXIT_COMPUTE
+        (pkg / "pov.json").write_bytes(pov)
+        assert main(["compute", "--package", str(pkg)]) == EXIT_COMPUTE
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 2
+        assert all(line.startswith("error [PackageError]: PoV") for line in err)
 
     def test_missing_package_is_compute_error(self, tmp_path, capsys):
         assert main(["compute", "--package", str(tmp_path / "ghost")]) == EXIT_COMPUTE

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import cbv
 from cbv.errors import (
@@ -192,8 +193,21 @@ class TestEstimation:
             cbv.estimate_internal_values(stats)
 
     def test_singular_block_past_the_gate_is_stability_error(self):
+        # regularization lets the 2-cycle at 1.1 past the gate, and shifts
+        # it onto I - O_PP + 0.1 I = 1.1 * [[1, -1], [-1, 1]], which is singular
+        stats = cbv.CutStatistics(
+            p_ids=("a", "b"), o_ids=(), b_p=[1.0, 1.0],
+            o_pp=[[0.0, 1.1], [1.1, 0.0]],
+        )
         with pytest.raises(StabilityError, match="singular"):
-            cbv.evaluate_regime_b(two_cycle_chain_stats())
+            cbv.evaluate_regime_b(stats, cbv.SolverConfig(regularization=0.1))
+
+    @pytest.mark.parametrize("cycle", [1.0, 1.001])
+    def test_block_only_the_power_estimate_puts_below_1_is_refused(self, cycle):
+        stats = two_cycle_chain_stats(cycle=cycle)
+        assert cbv.power_iteration_estimate(stats.o_pp) < 1.0
+        with pytest.raises(StabilityError, match="no certified bound"):
+            cbv.evaluate_regime_b(stats)
 
     def test_damping_gates_unstable_block(self):
         stats = cbv.CutStatistics(
@@ -218,14 +232,16 @@ class TestEstimation:
         assert log.regularization == 1e-3
         assert v_p[0] == pytest.approx(1.0 / (1.0 - 0.999999 + 1e-3), rel=1e-9)
 
-    def test_warn_and_proceed_when_only_power_estimate_is_safe(self):
+    def test_collatz_wielandt_certifies_where_norms_do_not(self):
         # norm bounds sit at 1.2 but the true spectral radius is ~0.775
         stats = cbv.CutStatistics(
             p_ids=("a", "b"), o_ids=(), b_p=[1.0, 1.0],
             o_pp=[[0.0, 1.2], [0.5, 0.0]],
         )
         v_p, log = cbv.estimate_internal_values(stats)
-        assert log.warnings
+        assert not log.warnings
+        assert log.rho_bound.rho_upper < 1.0 <= log.rho_bound.norm_1
+        assert log.rho_bound.passes >= 1
         expected = np.linalg.solve(np.eye(2) - np.array(stats.o_pp), [1.0, 1.0])
         np.testing.assert_allclose(v_p, expected, atol=1e-10)
 
@@ -241,6 +257,28 @@ class TestEstimation:
             stats, cbv.SolverConfig(method="neumann", damping=0.7, eps=eps)
         )
         assert np.abs(direct - neumann).max() <= 10 * eps
+
+    def test_neumann_matches_the_loop_that_formed_i_minus_o_pp(self, rng):
+        # reference: a second matvec per iteration, with I - O_PP, only for
+        # the residual.  Same iterates and count; the residual agrees up to
+        # rounding of its two formulas
+        eps = 1e-10
+        for n_p in (1, 8, 40):
+            stats = random_regime_stats(rng, n_p=n_p, n_o=4)
+            v_p, log = cbv.estimate_internal_values(
+                stats, cbv.SolverConfig(method="neumann", eps=eps))
+            rhs = stats.b_p + stats.o_po @ stats.v_o
+            system = np.eye(n_p) - stats.o_pp
+            ref = rhs.copy()
+            for iteration in range(1, 1001):
+                ref = rhs + stats.o_pp @ ref
+                residual = float(np.abs(system @ ref - rhs).max())
+                if residual < eps:
+                    break
+            np.testing.assert_array_equal(v_p, ref)
+            assert log.iterations == iteration
+            assert log.residual == pytest.approx(
+                residual, abs=4 * n_p * np.finfo(float).eps * np.abs(ref).max())
 
     def test_kmax_exceeded(self):
         stats = cbv.CutStatistics(
@@ -380,12 +418,50 @@ class TestSpectralBound:
     def test_zero_matrix(self):
         bound = cbv.spectral_radius_bound(np.zeros((3, 3)))
         assert bound.rho_upper == 0.0
-        assert bound.power_iteration_estimate == 0.0
+        assert cbv.power_iteration_estimate(np.zeros((3, 3))) == 0.0
 
     def test_symmetric_estimate_is_exact(self):
         for t in (0.3, 0.8, 0.99):
-            bound = cbv.spectral_radius_bound([[0.0, t], [t, 0.0]])
-            assert bound.power_iteration_estimate == pytest.approx(t, abs=1e-6)
+            estimate = cbv.power_iteration_estimate([[0.0, t], [t, 0.0]])
+            assert estimate == pytest.approx(t, abs=1e-6)
+
+    def test_norm_below_1_needs_no_pass(self, stats_b):
+        assert cbv.spectral_radius_bound(stats_b.o_pp).passes == 0
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_bound_is_at_least_the_spectral_radius(self, data):
+        n = data.draw(st.integers(1, 12), label="n")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        kind = data.draw(st.sampled_from(
+            ["dense", "reducible", "zero_rows", "cycle", "block_cycle", "chain", "signed"]),
+            label="kind")
+        scale = data.draw(st.floats(0.05, 3.0), label="scale")
+        a = rng.uniform(0.0, 1.0, size=(n, n))
+        if kind == "reducible":  # upper block triangular, with random zeros
+            a = np.triu(a * (rng.random((n, n)) < 0.6), k=-(n // 3))
+            a[n // 2:, :n // 2] = 0.0
+        elif kind == "zero_rows":
+            a[rng.random(n) < 0.5] = 0.0
+        elif kind == "cycle":  # a pure cycle through every node: periodic
+            a = np.zeros((n, n))
+            order = rng.permutation(n)
+            a[order, np.roll(order, 1)] = rng.uniform(0.5, 1.0, size=n)
+        elif kind == "block_cycle":  # a bipartite, period-2 block
+            a = np.zeros((n, n))
+            half = max(n // 2, 1)
+            a[:half, half:] = rng.uniform(0.0, 1.0, size=(half, n - half))
+            a[half:, :half] = rng.uniform(0.0, 1.0, size=(n - half, half))
+        elif kind == "chain":  # a 2-cycle plus a nilpotent chain
+            a = np.diag(rng.uniform(0.5, 1.0, size=n - 1), k=1)
+            a[min(1, n - 1), 0] = rng.uniform(0.5, 1.0)
+        elif kind == "signed":
+            a = rng.uniform(-1.0, 1.0, size=(n, n))
+        a = scale * a / max(np.abs(a).sum(axis=0).max(), 1e-300)
+        bound = cbv.spectral_radius_bound(a)
+        rho = float(np.abs(np.linalg.eigvals(a)).max())
+        assert bound.rho_upper >= rho * (1.0 - 1e-9)
+        assert bound.rho_upper <= min(bound.norm_1, bound.norm_inf)
 
 
 class TestSchur:

@@ -104,6 +104,19 @@ class TestPartition:
         assert ids == net.nodes
         np.testing.assert_array_equal(full, net.shares)
 
+    def test_o_oo_sliced_on_first_read(self, rng):
+        n = 9
+        net = cbv.OwnershipNetwork([f"n{k}" for k in range(n)],
+                                   rng.uniform(0, 0.2, size=(n, n)))
+        blocks = cbv.partition(net, cbv.Perimeter({"n1", "n4", "n8"}))
+        assert "o_oo" not in vars(blocks)
+        o_idx = [net.index_of(node) for node in blocks.o_ids]
+        np.testing.assert_array_equal(blocks.o_oo, net.shares[np.ix_(o_idx, o_idx)])
+        assert blocks.o_oo is blocks.o_oo
+        ids, full = cbv.partition(net, cbv.Perimeter({"n0", "n2"})).assemble()
+        assert ids == net.nodes
+        np.testing.assert_array_equal(full, net.shares)
+
 
 class TestValidateNetwork:
     def test_worked_example_clean(self):

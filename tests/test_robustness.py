@@ -245,8 +245,8 @@ class TestMonteCarloBand:
             assert band.excluded > 0
 
     def test_singular_probe_is_excluded(self):
-        # the nominal probe is singular yet passes the gate; the +0.5 corner
-        # fails the gate and the -0.5 corner is the one probe evaluated
+        # the nominal probe (singular) and the +0.5 corner are refused by the
+        # gate; the -0.5 corner is the one probe evaluated
         band = cbv.monte_carlo_band(two_cycle_chain_stats(), noise=0.5, draws=0,
                                     entries=[(0, 1)])
         assert (band.evaluated, band.excluded) == (1, 2)
