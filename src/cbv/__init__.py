@@ -64,7 +64,6 @@ from .fisher import (
 from .network import (
     BlockPartition,
     HaircutSpec,
-    NodePrimitives,
     OwnershipNetwork,
     Perimeter,
     apply_haircut,
@@ -89,7 +88,6 @@ from .report import (
     Manifest,
     build_cut_summary,
     build_pov,
-    emit_cut_summary,
     emit_pov,
     load_package,
     parse_pov,

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, DimensionError, DomainError
+from .errors import ConvergenceError, DimensionError, DomainError, MembershipError
 from .network import NodeId, Perimeter
 
 DEFAULT_EPS = 1e-12
@@ -40,6 +40,8 @@ class ClearingProblem:
 
     def __post_init__(self):
         n = len(self.node_ids)
+        if len(set(self.node_ids)) != n:
+            raise MembershipError("node ids must be unique")
         if not self.liabilities:
             raise DomainError("at least one liability class is required")
         mats = []
@@ -47,24 +49,20 @@ class ClearingProblem:
             mat = np.asarray(mat, dtype=float)
             if mat.shape != (n, n):
                 raise DimensionError(f"class {k + 1} liabilities must be {n}x{n}")
-            if (mat < 0).any():
-                raise DomainError("liabilities must be nonnegative")
+            if not ((mat >= 0) & (mat < np.inf)).all():  # NaN fails both
+                raise DomainError("liabilities must be finite and nonnegative")
             mats.append(mat)
         object.__setattr__(self, "liabilities", tuple(mats))
         resources = np.asarray(self.resources, dtype=float).reshape(-1)
         if resources.shape != (n,):
             raise DimensionError("resources must have one entry per node")
-        if (resources < 0).any():
-            raise DomainError("resources must be nonnegative")
+        if not ((resources >= 0) & (resources < np.inf)).all():
+            raise DomainError("resources must be finite and nonnegative")
         object.__setattr__(self, "resources", resources)
         costs = np.asarray(self.default_costs, dtype=float)
-        if costs.ndim == 1:
-            costs = np.tile(costs.reshape(-1, 1), (1, n)) if costs.shape == (
-                len(mats),
-            ) else np.tile(costs.reshape(1, -1), (len(mats), 1))
         if costs.shape != (len(mats), n):
-            raise DimensionError("default_costs must broadcast to (classes, nodes)")
-        if ((costs < 0) | (costs > 1)).any():
+            raise DimensionError("default_costs must be (classes, nodes)")
+        if not ((costs >= 0) & (costs <= 1)).all():
             raise DomainError("default costs must lie in [0, 1]")
         object.__setattr__(self, "default_costs", costs)
 
@@ -159,11 +157,6 @@ def clear(
     )
 
 
-def iterate_once(problem: ClearingProblem, payments: np.ndarray) -> np.ndarray:
-    """One synchronous sweep of the payment map (exposed for diagnostics)."""
-    return _payment_map(problem, np.asarray(payments, dtype=float), problem.gross_dues())
-
-
 @dataclass(frozen=True)
 class NetBoundaryFlows:
     """Post-clearing net flows across a perimeter, as priced edge matrices."""
@@ -185,8 +178,7 @@ def net_boundary_flows(
     if outcome.node_ids != problem.node_ids:
         raise DimensionError("outcome and problem refer to different node sets")
     members = {str(m) for m in perimeter.members}
-    # each id's first position, as tuple.index finds it
-    index = {n: k for k, n in reversed(list(enumerate(problem.node_ids)))}
+    index = {n: k for k, n in enumerate(problem.node_ids)}
     unknown = members - index.keys()
     if unknown:
         raise DimensionError(f"perimeter ids not cleared here: {sorted(unknown)}")

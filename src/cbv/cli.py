@@ -19,7 +19,7 @@ from . import __version__
 from .clearing import ClearingProblem, clear, net_boundary_flows
 from .control import ControlRuleSpec, build_control
 from .engine import SolverConfig, evaluate_for_observer, scale_units
-from .errors import CbvError
+from .errors import CbvError, DomainError, MembershipError
 from .fisher import cross_priced_quad, fisher_indices
 from .network import Perimeter
 from .payoffs import delta_max
@@ -237,13 +237,24 @@ def _cmd_fisher(args) -> int:
 
 def _problem_from_spec(spec: dict) -> tuple[ClearingProblem, dict]:
     nodes = tuple(spec["nodes"])
+    index = {node: k for k, node in enumerate(nodes)}
+
+    def at(node) -> int:
+        try:
+            return index[node]
+        except KeyError:
+            raise MembershipError(f"clearing spec names unknown node {node!r}") from None
+
     classes = []
     for block in spec["classes"]:
         mat = np.zeros((len(nodes), len(nodes)))
         for payer, row in block.get("liabilities", {}).items():
             for payee, amount in row.items():
-                mat[nodes.index(payer), nodes.index(payee)] = float(amount)
+                mat[at(payer), at(payee)] = float(amount)
         classes.append(mat)
+    missing = [n for n in nodes if n not in spec["resources"]]
+    if missing:
+        raise MembershipError(f"clearing spec gives no resources for nodes {missing}")
     gamma = np.array([
         [float(block.get("default_costs", {}).get(n, block.get("default_cost", 0.0)))
          for n in nodes]
@@ -260,15 +271,16 @@ def _problem_from_spec(spec: dict) -> tuple[ClearingProblem, dict]:
 
 
 def _cmd_clearing(args) -> int:
-    spec = json.loads(Path(args.spec).read_text("utf-8"))
-    problem, params = _problem_from_spec(spec)
+    try:
+        spec = json.loads(Path(args.spec).read_text("utf-8"))
+        problem, params = _problem_from_spec(spec)
+        eps = float(params.get("eps", 1e-12))
+        max_iters = int(params.get("max_iters", 100000))
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        # bytes that are not JSON, absent keys, values of the wrong type
+        raise DomainError(f"malformed clearing spec: {exc!r}") from None
     selection = args.selection or spec.get("selection", "greatest")
-    outcome = clear(
-        problem,
-        selection=selection,
-        eps=float(params.get("eps", 1e-12)),
-        max_iters=int(params.get("max_iters", 100000)),
-    )
+    outcome = clear(problem, selection=selection, eps=eps, max_iters=max_iters)
     payload = {
         "engine": spec.get("engine", "seniority-clearing"),
         "selection": outcome.selection,

@@ -179,13 +179,6 @@ def herfindahl_control(
     return ControlMatrix(tuple(ids), omega, normalized=(variant == "B_prime"))
 
 
-def herfindahl_index(column) -> float:
-    """H_j for one ownership column, residual completed as a pseudo-holder."""
-    col = np.asarray(column, dtype=float)
-    residual = max(0.0, 1.0 - col.sum())
-    return float(col @ col + residual * residual)
-
-
 def attenuated_control(
     shares,
     alpha: float,
@@ -209,17 +202,6 @@ def attenuated_control(
         omega = _normalize_columns(omega)
     ids = ids or tuple(f"n{k}" for k in range(n))
     return ControlMatrix(tuple(ids), np.maximum(omega, 0.0), normalized=normalize)
-
-
-def truncated_attenuated_series(shares, alpha: float, terms: int) -> np.ndarray:
-    """Partial sum sum_{k<=terms} alpha^(k-1) S^k, the oracle for Option C."""
-    shares = _as_matrix(shares)
-    total = np.zeros_like(shares)
-    power = np.eye(shares.shape[0])
-    for k in range(1, terms + 1):
-        power = power @ shares
-        total += alpha ** (k - 1) * power
-    return total
 
 
 def build_control(shares, spec: ControlRuleSpec, ids=None) -> ControlMatrix:

@@ -43,10 +43,11 @@ from .errors import (
     ConvergenceError,
     DimensionError,
     DomainError,
+    MembershipError,
     RegimeError,
     StabilityError,
 )
-from .network import NodeId, NodePrimitives, OwnershipNetwork, Perimeter, partition
+from .network import NodeId, OwnershipNetwork, Perimeter, partition
 from .observer import Observer, Tolerances
 
 DIRECT_SOLVER_MAX_SIZE = 2048
@@ -134,28 +135,23 @@ class CutStatistics:
 
     @classmethod
     def from_network(
-        cls,
-        network: OwnershipNetwork,
-        perimeter: Perimeter,
-        b,
-        v=None,
-        include_o_pp: bool = True,
+        cls, network: OwnershipNetwork, perimeter: Perimeter, b, v=None
     ) -> "CutStatistics":
         """Assemble share-form statistics from a full network and value maps.
 
         `b` must cover every perimeter member; `v` must cover the complement
-        and may cover perimeter members (then v_P is observed).  A
-        NodePrimitives instance can be passed in place of the two mappings.
+        and may cover perimeter members (then v_P is observed).
         """
-        if isinstance(b, NodePrimitives):
-            primitives = b
-        else:
-            primitives = NodePrimitives(dict(b), dict(v or {}))
+        b, v = dict(b), dict(v or {})
         blocks = partition(network, perimeter)
         for block in (blocks.o_pp, blocks.o_po, blocks.o_op):
             block.setflags(write=False)  # fresh copies: stored as they are, not copied again
-        primitives.check_coverage(blocks.p_ids, blocks.o_ids)
-        b, v = primitives.b, primitives.v
+        missing_b = [n for n in blocks.p_ids if n not in b]
+        if missing_b:
+            raise MembershipError(f"bases missing for perimeter nodes: {missing_b}")
+        missing_v = [n for n in blocks.o_ids if n not in v]
+        if missing_v:
+            raise MembershipError(f"values missing for complement nodes: {missing_v}")
         b_p = np.array([float(b[n]) for n in blocks.p_ids])
         v_o = np.array([float(v[n]) for n in blocks.o_ids])
         v_p = None
@@ -169,7 +165,7 @@ class CutStatistics:
             v_p=v_p,
             o_po=blocks.o_po,
             o_op=blocks.o_op,
-            o_pp=blocks.o_pp if include_o_pp else None,
+            o_pp=blocks.o_pp,
         )
 
     @classmethod
@@ -247,7 +243,6 @@ class SpectralBound:
     rho_upper: float
     norm_1: float
     norm_inf: float
-    gershgorin_ok: bool
     passes: int
 
 
@@ -266,7 +261,7 @@ def spectral_radius_bound(o_pp) -> SpectralBound:
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DimensionError("o_pp must be square")
     if m.size == 0:
-        return SpectralBound(0.0, 0.0, 0.0, True, 0)
+        return SpectralBound(0.0, 0.0, 0.0, 0)
     a = np.abs(m) if m.min() < 0.0 else m
     row_sums = a.sum(axis=1)
     norm_1 = float(a.sum(axis=0).max())
@@ -279,18 +274,10 @@ def spectral_radius_bound(o_pp) -> SpectralBound:
         rho = min(rho, float((w / v).max()))
         v += w
         v /= v.max()
-    # each Gershgorin disk is centered at a_ii with radius sum_{j != i} |a_ij|,
-    # so the bound on |lambda| from row i is the full absolute row sum
-    return SpectralBound(
-        rho_upper=rho,
-        norm_1=norm_1,
-        norm_inf=norm_inf,
-        gershgorin_ok=norm_inf < 1.0,
-        passes=passes,
-    )
+    return SpectralBound(rho_upper=rho, norm_1=norm_1, norm_inf=norm_inf, passes=passes)
 
 
-def power_iteration_estimate(o_pp, power_iters: int = POWER_ITERATIONS) -> float:
+def power_iteration_estimate(o_pp) -> float:
     """Fixed-iteration power estimate of rho(|O_PP|), for disclosure only.
 
     An estimate, not a bound: it can read below 1 on an unstable block, so
@@ -304,7 +291,7 @@ def power_iteration_estimate(o_pp, power_iters: int = POWER_ITERATIONS) -> float
     a = np.abs(m)
     vec = np.ones(m.shape[0]) / m.shape[0]
     estimate = 0.0
-    for _ in range(power_iters):
+    for _ in range(POWER_ITERATIONS):
         nxt = a @ vec
         total = nxt.sum()
         if total == 0.0:

@@ -168,25 +168,6 @@ def validate_network(network: OwnershipNetwork) -> ValidationReport:
 
 
 @dataclass(frozen=True)
-class NodePrimitives:
-    """Base values b and equity values v, keyed by node id.
-
-    v may be partial: estimated regimes leave perimeter entries absent.
-    """
-
-    b: dict[NodeId, float]
-    v: dict[NodeId, float]
-
-    def check_coverage(self, perimeter_ids, complement_ids):
-        missing_b = [n for n in perimeter_ids if n not in self.b]
-        if missing_b:
-            raise MembershipError(f"bases missing for perimeter nodes: {missing_b}")
-        missing_v = [n for n in complement_ids if n not in self.v]
-        if missing_v:
-            raise MembershipError(f"values missing for complement nodes: {missing_v}")
-
-
-@dataclass(frozen=True)
 class HaircutSpec:
     """Multiplicative liquidity and currency haircuts, both in [0, 1]."""
 

@@ -3,8 +3,9 @@
 A package directory holds `manifest.yaml` plus CSV data files (node lists,
 base and value vectors, share blocks), optionally `O_PP.csv`,
 `clearing.json`, `proof_stability.txt` and `pov.json`.  The manifest names
-every data file and pins its SHA-256, so a package is tamper-evident byte by
-byte.
+the CSV data files and `clearing.json` and pins their SHA-256, so those are
+tamper-evident byte by byte; `proof_stability.txt` and `pov.json` are
+neither named nor hashed.
 
 Two JSON documents accompany a valuation: the perimeter-of-validity (the full
 observer configuration) and the cut summary (edge lists, totals and the
@@ -215,12 +216,11 @@ def read_vector_csv(path) -> dict[str, float]:
     return dict(zip(ids, data[:, 0].tolist()))
 
 
-def write_nodes_csv(path: Path, ids, types=None, labels=None):
-    types, labels = types or {}, labels or {}
+def write_nodes_csv(path: Path, ids):
     with open(path, "w", newline="", encoding="utf-8") as handle:
         handle.write("id,type,label\n")
         for node in ids:
-            handle.write(_csv_row([node, types.get(node, "entity"), labels.get(node, "")]))
+            handle.write(_csv_row([node, "entity", ""]))
 
 
 def read_nodes_csv(path) -> list[str]:
@@ -379,10 +379,9 @@ def write_package(
     observer: Observer,
     clearing_spec: dict | None = None,
     notes=(),
-    node_types: dict | None = None,
     o_ref: str | None = None,
 ) -> Manifest:
-    """Write a complete package for share-form statistics, hashing every file."""
+    """Write a complete package for share-form statistics, hashing each data file."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     if stats.o_po is None or stats.o_op is None or stats.v_o is None:
@@ -396,8 +395,8 @@ def write_package(
         "O_PO": "O_PO.csv",
         "O_OP": "O_OP.csv",
     }
-    write_nodes_csv(directory / files["nodes_P"], stats.p_ids, node_types)
-    write_nodes_csv(directory / files["nodes_O"], stats.o_ids, node_types)
+    write_nodes_csv(directory / files["nodes_P"], stats.p_ids)
+    write_nodes_csv(directory / files["nodes_O"], stats.o_ids)
     write_vector_csv(directory / files["b_P"], stats.p_ids, stats.b_p, "b")
     write_vector_csv(directory / files["v_O"], stats.o_ids, stats.v_o, "v")
     if stats.v_p is not None:
@@ -764,12 +763,6 @@ class CutSummaryDoc:
             extra={k: v for k, v in data.items() if k not in known},
         )
 
-    def recomputed_totals(self) -> tuple[float, float]:
-        return (
-            sum(e.amount for e in self.edges_po),
-            sum(e.amount for e in self.edges_op),
-        )
-
 
 def _edges(share_block, values, amounts, from_ids, to_ids, tau, edge_type):
     rows, cols, priced, _ = cut_edges(share_block, values, amounts, tau)
@@ -813,26 +806,11 @@ def build_cut_summary(
     )
 
 
-def emit_cut_summary(
-    result: ValuationResult,
-    stats: CutStatistics,
-    observer: Observer,
-    missing_data=(),
-) -> bytes:
-    return build_cut_summary(result, stats, observer, missing_data).to_json_bytes()
-
-
 # ---------------------------------------------------------------------------
 # Perimeter of validity
 # ---------------------------------------------------------------------------
 
-def build_pov(
-    observer: Observer,
-    notes: str | None = None,
-    data_sources=None,
-    assumptions=None,
-    versioning=None,
-) -> dict:
+def build_pov(observer: Observer) -> dict:
     """Observer configuration as the PoV mapping, checking required fields."""
     missing = [name for name, value in (
         ("perimeter_ref", observer.perimeter_ref),
@@ -875,26 +853,19 @@ def build_pov(
     obs_block["control_rule"] = {"option": rule.option, "params": rule.params()}
     if rule.label:
         obs_block["control_rule"]["label"] = rule.label
-    payload: dict = {
+    return {
         "observer": obs_block,
         "tolerances": {
             "rounding_threshold": observer.tolerances.rounding_threshold,
             "solver_eps": observer.tolerances.solver_eps,
             "max_iters": observer.tolerances.max_iters,
         },
+        "notes": "",
     }
-    if data_sources is not None:
-        payload["data_sources"] = data_sources
-    if assumptions is not None:
-        payload["assumptions"] = assumptions
-    if versioning is not None:
-        payload["versioning"] = versioning
-    payload["notes"] = notes or ""
-    return payload
 
 
-def emit_pov(observer: Observer, **kwargs) -> bytes:
-    return _json_bytes(build_pov(observer, **kwargs))
+def emit_pov(observer: Observer) -> bytes:
+    return _json_bytes(build_pov(observer))
 
 
 def parse_pov(blob: bytes) -> tuple[Observer, dict]:

@@ -6,7 +6,8 @@ eps (both in p-norm), the consolidated value moves by at most
     |dW| <= ||1_P||_q * eta + ||1_P' O_PO||_q * eps        (q dual to p)
 
 when internal values are held fixed; in Regime B the response of the
-estimated v_P adds a term proportional to ||(I - O_PP)^-1||.
+estimated v_P adds a term proportional to ||(I - O_PP)^-1||.  The condition
+number kappa_2(I - O_PP) is exact at every size, from one SVD.
 """
 
 from __future__ import annotations
@@ -184,16 +185,19 @@ def regime_b_bound(spec: PerturbationSpec, stats: CutStatistics) -> BoundReport:
 
 @dataclass(frozen=True)
 class ConditioningReport:
-    """Spectral-radius estimate and condition number of I - O_PP."""
+    """Power estimate of rho(|O_PP|) and the exact kappa_2 of I - O_PP."""
 
     rho_estimate: float
     kappa2: float
     regularization_used: float | None = None
-    band: tuple[float, float] | None = None
 
 
 def condition_diagnostics(o_pp, regularization: float | None = None) -> ConditioningReport:
-    """kappa_2(I - O_PP), exact via SVD for small blocks."""
+    """kappa_2(I - O_PP) (plus rI when regularized), exact at every size.
+
+    One SVD gives sigma_max / sigma_min; the value is inf only when
+    sigma_min is 0.
+    """
     o_pp = np.asarray(o_pp, dtype=float)
     n = o_pp.shape[0] if o_pp.ndim == 2 else 0
     if n == 0:
@@ -201,15 +205,8 @@ def condition_diagnostics(o_pp, regularization: float | None = None) -> Conditio
     m = np.eye(n) - o_pp
     if regularization:
         m = m + regularization * np.eye(n)
-    if n <= DENSE_CONDITION_LIMIT:
-        singular = np.linalg.svd(m, compute_uv=False)
-        kappa2 = float(singular.max() / singular.min()) if singular.min() > 0 else float("inf")
-    else:
-        norm = induced_norm(o_pp, 2.0)
-        if norm >= 1.0:
-            kappa2 = float("inf")
-        else:
-            kappa2 = induced_norm(m, 2.0) / (1.0 - norm)
+    singular = np.linalg.svd(m, compute_uv=False)
+    kappa2 = float(singular.max() / singular.min()) if singular.min() > 0 else float("inf")
     return ConditioningReport(
         rho_estimate=power_iteration_estimate(o_pp),
         kappa2=kappa2,
@@ -300,30 +297,3 @@ def monte_carlo_band(
     return MonteCarloBand(
         low=min(values), high=max(values), evaluated=len(values), excluded=excluded
     )
-
-
-def sample_perturbations(rng, size: int, p: float, radius: float, count: int) -> np.ndarray:
-    """Matrix of `count` vectors with p-norm at most `radius` (rows)."""
-    raw = rng.uniform(-1.0, 1.0, size=(count, size))
-    norms = np.linalg.norm(raw, ord=p, axis=1)
-    norms[norms == 0.0] = 1.0
-    radii = radius * rng.uniform(0.0, 1.0, size=count) ** (1.0 / max(size, 1))
-    # half the draws sit exactly on the constraint surface
-    radii[: count // 2] = radius
-    return raw * (radii / norms)[:, np.newaxis]
-
-
-def observed_regime_a_deltas(stats: CutStatistics, db: np.ndarray, dv: np.ndarray) -> np.ndarray:
-    """Exact dW for perturbation batches with internal values held fixed."""
-    ones_o_po = stats.o_po.sum(axis=0)
-    return db.sum(axis=1) + dv @ ones_o_po
-
-
-def observed_regime_b_deltas(stats: CutStatistics, db: np.ndarray, dv: np.ndarray) -> np.ndarray:
-    """Exact dW when the estimated internal values respond to the shock."""
-    n = stats.o_pp.shape[0]
-    inv = np.linalg.inv(np.eye(n) - stats.o_pp)
-    delta = stats.o_op.sum(axis=0)
-    direct = observed_regime_a_deltas(stats, db, dv)
-    dv_p = (db + dv @ stats.o_po.T) @ inv.T
-    return direct - dv_p @ delta

@@ -40,9 +40,6 @@ class ValidationReport:
     def add(self, rule: str, severity: str, message: str, location: str | None = None):
         self.findings.append(Finding(rule, severity, message, location))
 
-    def extend(self, other: "ValidationReport"):
-        self.findings.extend(other.findings)
-
     @property
     def ok(self) -> bool:
         return not self.findings

@@ -1,4 +1,5 @@
-"""Shared fixtures: the five-node example, Renault data, random generators."""
+"""Shared fixtures: the five-node example, Renault data, random generators,
+and the oracles the tests check the library against."""
 
 from __future__ import annotations
 
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 
 import cbv
+import cbv.clearing
 
 # Five-node network: P = {A, B, C}, O = {X, Y}.  Internal cross-holdings,
 # four outgoing and four incoming boundary edges.
@@ -181,3 +183,60 @@ def gauge_rewiring_family(rng, n_draws: int = 10):
             o_pp=variant,
         ))
     return base, rewired
+
+
+# ---------------------------------------------------------------------------
+# Oracles
+# ---------------------------------------------------------------------------
+
+def iterate_once(problem: cbv.ClearingProblem, payments) -> np.ndarray:
+    """One synchronous sweep of the clearing payment map."""
+    return cbv.clearing._payment_map(
+        problem, np.asarray(payments, dtype=float), problem.gross_dues())
+
+
+def herfindahl_index(column) -> float:
+    """H_j for one ownership column, residual completed as a pseudo-holder."""
+    col = np.asarray(column, dtype=float)
+    residual = max(0.0, 1.0 - col.sum())
+    return float(col @ col + residual * residual)
+
+
+def truncated_attenuated_series(shares, alpha: float, terms: int) -> np.ndarray:
+    """Partial sum sum_{k<=terms} alpha^(k-1) S^k, the oracle for Option C."""
+    shares = np.asarray(shares, dtype=float)
+    total = np.zeros_like(shares)
+    power = np.eye(shares.shape[0])
+    for k in range(1, terms + 1):
+        power = power @ shares
+        total += alpha ** (k - 1) * power
+    return total
+
+
+def sample_perturbations(rng, size: int, p: float, radius: float, count: int) -> np.ndarray:
+    """Matrix of `count` vectors with p-norm at most `radius` (rows)."""
+    raw = rng.uniform(-1.0, 1.0, size=(count, size))
+    norms = np.linalg.norm(raw, ord=p, axis=1)
+    norms[norms == 0.0] = 1.0
+    radii = radius * rng.uniform(0.0, 1.0, size=count) ** (1.0 / max(size, 1))
+    # half the draws sit exactly on the constraint surface
+    radii[: count // 2] = radius
+    return raw * (radii / norms)[:, np.newaxis]
+
+
+def observed_regime_a_deltas(stats: cbv.CutStatistics, db: np.ndarray,
+                             dv: np.ndarray) -> np.ndarray:
+    """Exact dW for perturbation batches with internal values held fixed."""
+    ones_o_po = stats.o_po.sum(axis=0)
+    return db.sum(axis=1) + dv @ ones_o_po
+
+
+def observed_regime_b_deltas(stats: cbv.CutStatistics, db: np.ndarray,
+                             dv: np.ndarray) -> np.ndarray:
+    """Exact dW when the estimated internal values respond to the shock."""
+    n = stats.o_pp.shape[0]
+    inv = np.linalg.inv(np.eye(n) - stats.o_pp)
+    delta = stats.o_op.sum(axis=0)
+    direct = observed_regime_a_deltas(stats, db, dv)
+    dv_p = (db + dv @ stats.o_po.T) @ inv.T
+    return direct - dv_p @ delta

@@ -10,22 +10,22 @@ import numpy as np
 import pytest
 
 import cbv
-from cbv.clearing import iterate_once
 from cbv.errors import PackageError
 from cbv.payoffs import cvar_gains
 from cbv.report import Edge, Manifest
-from cbv.robustness import (
-    observed_regime_a_deltas,
-    observed_regime_b_deltas,
-    sample_perturbations,
-)
 
 from conftest import (
     example_stats,
     gauge_rewiring_family,
+    herfindahl_index,
+    iterate_once,
+    observed_regime_a_deltas,
+    observed_regime_b_deltas,
     random_regime_stats,
     random_share_matrix,
     renault_stats,
+    sample_perturbations,
+    truncated_attenuated_series,
 )
 
 SEED = 20250808
@@ -229,8 +229,6 @@ def test_criterion_11_control_rules():
     ids = ("a", "b", "c", "x")
     option_a = cbv.threshold_control(shares, 0.5, ids=ids)
     np.testing.assert_array_equal(option_a.column("x"), [1.0, 0.0, 0.0, 0.0])
-    from cbv.control import herfindahl_index, truncated_attenuated_series
-
     assert herfindahl_index([0.6, 0.3, 0.1]) == pytest.approx(0.46, abs=1e-3)
     option_b = cbv.herfindahl_control(shares, "B", ids=ids)
     np.testing.assert_allclose(

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 import cbv
-from cbv.clearing import iterate_once
-from cbv.errors import ConvergenceError, DimensionError, DomainError
+from cbv.errors import ConvergenceError, DimensionError, DomainError, MembershipError
+
+from conftest import iterate_once
 
 
 def chain_problem() -> cbv.ClearingProblem:
@@ -172,12 +173,25 @@ class TestClear:
         assert err.value.last_iterate is not None
 
     def test_invalid_inputs(self):
-        with pytest.raises(DomainError):
-            cbv.ClearingProblem.single_class(("a",), [[-1.0]], [0.0])
-        with pytest.raises(DomainError):
-            cbv.ClearingProblem.single_class(("a",), [[0.0]], [-1.0])
-        with pytest.raises(DomainError):
-            cbv.ClearingProblem.single_class(("a",), [[0.0]], [0.0], gamma=2.0)
+        nan, inf = float("nan"), float("inf")
+        for liabilities, resources, gamma in (
+            ([[-1.0]], [0.0], 0.0),
+            ([[0.0]], [-1.0], 0.0),
+            ([[0.0]], [0.0], 2.0),
+            ([[nan]], [0.0], 0.0),
+            ([[inf]], [0.0], 0.0),
+            ([[0.0]], [nan], 0.0),
+            ([[0.0]], [inf], 0.0),
+            ([[0.0]], [0.0], nan),
+            ([[0.0]], [0.0], inf),
+        ):
+            with pytest.raises(DomainError):
+                cbv.ClearingProblem.single_class(("a",), liabilities, resources, gamma)
+
+    def test_repeated_ids_are_refused(self):
+        with pytest.raises(MembershipError, match="unique"):
+            cbv.ClearingProblem.single_class(
+                ("a", "a", "b"), np.ones((3, 3)) - np.eye(3), [1.0, 1.0, 1.0])
 
 
 class TestNetBoundaryFlows:

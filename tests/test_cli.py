@@ -122,7 +122,8 @@ class TestComputeCommand:
                      "--band-seed", "7"]) == EXIT_OK
         payload = json.loads(capsys.readouterr().out)
         doc = cbv.CutSummaryDoc.from_json_bytes((pkg / "cut_summary.json").read_bytes())
-        edges_out, edges_in = doc.recomputed_totals()
+        edges_out = sum(e.amount for e in doc.edges_po)
+        edges_in = sum(e.amount for e in doc.edges_op)
         assert edges_out == pytest.approx(payload["T_out"], rel=1e-9)
         assert edges_in == pytest.approx(payload["T_in"], rel=1e-9)
         assert doc.v_o["X"] == pytest.approx(1.07 * 60.0, rel=1e-12)
@@ -264,22 +265,41 @@ class TestFisherCommand:
         assert main(argv + ["--max-iters", "10000"]) == EXIT_OK
 
 
+CLEARING_SPEC = {
+    "nodes": ["n1", "n2"],
+    "engine": "seniority-clearing",
+    "selection": "greatest",
+    "classes": [{"liabilities": {"n1": {"n2": 100}}, "default_cost": 0.0}],
+    "resources": {"n1": 60, "n2": 0},
+    "perimeter": ["n1"],
+}
+
+
 class TestClearingCommand:
     def test_spec_file_run(self, tmp_path, capsys):
-        spec = {
-            "nodes": ["n1", "n2"],
-            "engine": "seniority-clearing",
-            "selection": "greatest",
-            "classes": [{"liabilities": {"n1": {"n2": 100}}, "default_cost": 0.0}],
-            "resources": {"n1": 60, "n2": 0},
-            "perimeter": ["n1"],
-        }
         path = tmp_path / "clearing.json"
-        path.write_text(json.dumps(spec))
+        path.write_text(json.dumps(CLEARING_SPEC))
         assert main(["clearing", "--spec", str(path)]) == EXIT_OK
         payload = json.loads(capsys.readouterr().out)
         assert payload["payout_ratios"]["class_1"]["n1"] == 0.6
         assert payload["net_flows"]["X_PO"]["n1"]["n2"] == 60.0
+
+    @pytest.mark.parametrize("spec, error", [
+        (json.dumps(CLEARING_SPEC)[:40], "DomainError"),
+        (json.dumps({**CLEARING_SPEC, "classes": [{"liabilities": {"n1": {"n3": 1}}}]}),
+         "MembershipError"),
+        (json.dumps({**CLEARING_SPEC, "resources": {"n1": 60}}), "MembershipError"),
+        (json.dumps({**CLEARING_SPEC, "nodes": ["n1", "n2", "n1"]}), "MembershipError"),
+        (json.dumps({k: v for k, v in CLEARING_SPEC.items() if k != "classes"}), "DomainError"),
+        (json.dumps({**CLEARING_SPEC, "resources": {"n1": "much", "n2": 0}}), "DomainError"),
+    ], ids=["truncated", "unknown-payee", "no-resource", "repeated-id", "no-classes",
+            "non-number"])
+    def test_malformed_spec_is_compute_error(self, tmp_path, capsys, spec, error):
+        path = tmp_path / "clearing.json"
+        path.write_text(spec)
+        assert main(["clearing", "--spec", str(path)]) == EXIT_COMPUTE
+        err = capsys.readouterr().err
+        assert err.startswith(f"error [{error}]") and err.count("\n") == 1
 
 
 class TestControlCommand:

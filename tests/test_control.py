@@ -8,10 +8,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import cbv
-from cbv.control import herfindahl_index, truncated_attenuated_series
 from cbv.errors import DomainError, StabilityError
 
-from conftest import random_share_matrix, two_cycle_chain_stats
+from conftest import (
+    herfindahl_index,
+    random_share_matrix,
+    truncated_attenuated_series,
+    two_cycle_chain_stats,
+)
 
 IDS = ("a", "b", "c", "x")
 NON_FINITE = (np.nan, np.inf, -np.inf)

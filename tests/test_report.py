@@ -313,12 +313,13 @@ class TestCutSummary:
     def test_worked_example_totals(self, stats_a):
         result = cbv.evaluate_regime_a(stats_a)
         doc = cbv.CutSummaryDoc.from_json_bytes(
-            cbv.emit_cut_summary(result, stats_a, demo_observer(regime="A"))
+            cbv.build_cut_summary(result, stats_a, demo_observer(regime="A")).to_json_bytes()
         )
         assert doc.t_out == pytest.approx(9.6, abs=1e-12)
         assert doc.t_in == pytest.approx(15.04, abs=1e-12)
         assert doc.consolidated_value == pytest.approx(84.56, abs=1e-12)
-        t_out, t_in = doc.recomputed_totals()
+        t_out = sum(e.amount for e in doc.edges_po)
+        t_in = sum(e.amount for e in doc.edges_op)
         assert t_out == pytest.approx(doc.t_out, abs=1e-9)
         assert t_in == pytest.approx(doc.t_in, abs=1e-9)
         assert doc.hedge_vector_o == {"X": pytest.approx(0.08), "Y": pytest.approx(0.06)}
@@ -355,7 +356,7 @@ class TestCutSummary:
         result = cbv.evaluate_regime_a(stats)
         assert result.w == pytest.approx(55.56, abs=1e-9)
         doc = cbv.CutSummaryDoc.from_json_bytes(
-            cbv.emit_cut_summary(result, stats, demo_observer(regime="A"))
+            cbv.build_cut_summary(result, stats, demo_observer(regime="A")).to_json_bytes()
         )
         assert doc.edges_po[0].type == "debt"
         assert doc.consolidated_value == pytest.approx(55.56, abs=1e-9)
@@ -364,7 +365,7 @@ class TestCutSummary:
         stats = cbv.CutStatistics(p_ids=("a", "b"), o_ids=(), b_p=[3.0, 4.0])
         result = cbv.evaluate_regime_a(stats)
         doc = cbv.CutSummaryDoc.from_json_bytes(
-            cbv.emit_cut_summary(result, stats, demo_observer(regime="A"))
+            cbv.build_cut_summary(result, stats, demo_observer(regime="A")).to_json_bytes()
         )
         assert doc.t_out == 0.0
         assert doc.t_in == 0.0

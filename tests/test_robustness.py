@@ -3,15 +3,18 @@ import pytest
 
 import cbv
 from cbv.errors import DomainError
-from cbv.robustness import (
-    inverse_norm,
-    mixed_norm,
+from cbv.robustness import inverse_norm, mixed_norm
+
+from conftest import (
+    O_PO,
+    example_stats,
     observed_regime_a_deltas,
     observed_regime_b_deltas,
+    random_regime_stats,
+    random_share_matrix,
     sample_perturbations,
+    two_cycle_chain_stats,
 )
-
-from conftest import O_PO, example_stats, random_regime_stats, two_cycle_chain_stats
 
 NORMS = (1.0, 2.0, float("inf"))
 
@@ -181,6 +184,21 @@ class TestConditioning:
 
     def test_zero_block(self):
         assert cbv.condition_diagnostics(np.zeros((2, 2))).kappa2 == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("regularization", [None, 0.05])
+    @pytest.mark.parametrize("block", ["random-2", "random-65", "random-200", "holding-101"])
+    def test_exact_at_every_size(self, block, regularization):
+        kind, n = block.split("-")
+        n = int(n)
+        if kind == "holding":
+            # the holding company owns half of each of n - 1 subsidiaries
+            o_pp = np.zeros((n, n))
+            o_pp[0, 1:] = 0.5
+        else:
+            o_pp = random_share_matrix(np.random.default_rng(n), n)
+        m = np.eye(n) - o_pp + (regularization or 0.0) * np.eye(n)
+        kappa2 = cbv.condition_diagnostics(o_pp, regularization).kappa2
+        assert kappa2 == pytest.approx(np.linalg.cond(m, 2), rel=1e-12)
 
 
 class TestMonteCarloBand:
