@@ -103,7 +103,6 @@ def build_parser() -> _Parser:
                          help="JSON problem file (classes, resources, costs)")
     p_clear.add_argument("--selection", choices=["greatest", "least"], default=None)
     p_clear.add_argument("-o", "--output", default=None)
-    p_clear.add_argument("--format", choices=["json", "table"], default="json")
 
     p_control = sub.add_parser("control", help="control matrix from a share matrix")
     p_control.add_argument("--shares", required=True, help="CSV share matrix (id header)")

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionError, DomainError, StabilityError
+from .errors import DimensionError, DomainError
 from .network import NodeId, Perimeter
 
 OPTION_ALIASES = {
@@ -189,18 +189,14 @@ def attenuated_control(
     shares = _as_matrix(shares)
     if not 0.0 < alpha < 1.0:
         raise DomainError(f"alpha={alpha!r} outside (0, 1)")
-    from .engine import _stability_gate  # local import avoids a cycle
+    from .engine import _solve_shifted, _stability_gate  # local import avoids a cycle
 
     _stability_gate(alpha * shares)
-    n = shares.shape[0]
     # Omega (I - alpha S) = S, solved for Omega through the transpose
-    try:
-        omega = np.linalg.solve((np.eye(n) - alpha * shares).T, shares.T).T
-    except np.linalg.LinAlgError as exc:
-        raise StabilityError(f"I - alpha*S is singular: {exc}") from exc
+    omega = _solve_shifted(alpha * shares.T, shares.T).T
     if normalize:
         omega = _normalize_columns(omega)
-    ids = ids or tuple(f"n{k}" for k in range(n))
+    ids = ids or tuple(f"n{k}" for k in range(shares.shape[0]))
     return ControlMatrix(tuple(ids), np.maximum(omega, 0.0), normalized=normalize)
 
 

@@ -29,8 +29,10 @@ cut summary) so that each can be tested against it.
 The stability gate of regime B is one pass of row and column sums when a
 norm of O_PP certifies rho < 1, and otherwise at most POWER_ITERATIONS
 Collatz-Wielandt passes, one matvec each, stopping at the first certified
-bound below 1.  The Neumann solver does one matvec per iteration: the update
-it computes anyway is the residual of the previous iterate.
+bound below 1 or once a certified lower bound reaches 1.  The Neumann solver
+does one matvec per iteration: the update it computes anyway is the residual
+of the previous iterate.  Every dense solve against I - A goes through
+`_solve_shifted`, the one place that decides what a singular I - A means.
 """
 
 from __future__ import annotations
@@ -233,17 +235,18 @@ def scale_units(kappa: float, stats: CutStatistics) -> CutStatistics:
 
 @dataclass(frozen=True)
 class SpectralBound:
-    """Certified upper bounds on rho(O_PP).
+    """Certified bounds on rho(|O_PP|), whose upper ones also bound rho(O_PP).
 
-    `rho_upper` is the least of the two norms and the Collatz-Wielandt bounds
-    of the `passes` passes run; each is an upper bound on rho(|O_PP|), hence
-    on rho(O_PP).
+    `rho_upper` is the least of the two norms and the Collatz-Wielandt upper
+    bounds of the `passes` passes run; `rho_lower` is the greatest of their
+    lower bounds, min_i (|O_PP| v)_i / v_i.
     """
 
     rho_upper: float
     norm_1: float
     norm_inf: float
     passes: int
+    rho_lower: float = 0.0
 
 
 def spectral_radius_bound(o_pp) -> SpectralBound:
@@ -251,11 +254,12 @@ def spectral_radius_bound(o_pp) -> SpectralBound:
 
     For any positive v, rho(|A|) <= max_i (|A| v)_i / v_i (Meyer, Matrix
     Analysis and Applied Linear Algebra, 8.3): a weighted row-sum norm, which
-    v = 1 makes the infinity norm.  When neither norm is below 1, the passes
-    iterate v <- v + |A| v, power iteration on I + |A|: the shift keeps v
-    positive on reducible blocks and makes periodic ones such as a 2-cycle
-    converge.  They stop at the first bound below 1, or after
-    POWER_ITERATIONS passes.
+    v = 1 makes the infinity norm; likewise rho(|A|) >= min_i (|A| v)_i / v_i.
+    When neither norm is below 1, the passes iterate v <- v + |A| v, power
+    iteration on I + |A|: the shift keeps v positive on reducible blocks and
+    makes periodic ones such as a 2-cycle converge.  They stop at the first
+    upper bound below 1, once the lower bound reaches 1 (no later pass can
+    certify rho < 1), or after POWER_ITERATIONS passes.
     """
     m = np.asarray(o_pp, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -267,14 +271,17 @@ def spectral_radius_bound(o_pp) -> SpectralBound:
     norm_1 = float(a.sum(axis=0).max())
     norm_inf = float(row_sums.max())
     rho, passes = min(norm_1, norm_inf), 0
-    v = 1.0 + row_sums  # the pass from v = 1 gave norm_inf
-    while 1.0 <= rho < np.inf and passes < POWER_ITERATIONS:
+    lower = float(row_sums.min())
+    v = 1.0 + row_sums  # the pass from v = 1 gave norm_inf and `lower`
+    while 1.0 <= rho < np.inf and lower < 1.0 and passes < POWER_ITERATIONS:
         w = a @ v
         passes += 1
-        rho = min(rho, float((w / v).max()))
+        ratios = w / v
+        rho = min(rho, float(ratios.max()))
+        lower = max(lower, float(ratios.min()))
         v += w
         v /= v.max()
-    return SpectralBound(rho_upper=rho, norm_1=norm_1, norm_inf=norm_inf, passes=passes)
+    return SpectralBound(rho, norm_1, norm_inf, passes, rho_lower=lower)
 
 
 def power_iteration_estimate(o_pp) -> float:
@@ -456,12 +463,28 @@ def _stability_gate(
     if bound.rho_upper < 1.0:
         return
     if cfg is None or (cfg.damping is None and cfg.regularization is None):
+        if bound.rho_lower >= 1.0:  # rho(O_PP) = rho(|O_PP|) when nothing is negative
+            verdict = "is unstable" if matrix.min() >= 0.0 else "cannot be certified stable"
+            reason = f"the block {verdict}: rho(|O_PP|) >= {bound.rho_lower!r}"
+        else:
+            reason = (f"no certified bound puts the spectral radius below 1 (least bound "
+                      f"{bound.rho_upper!r} after {bound.passes} Collatz-Wielandt passes)")
         raise StabilityError(
-            f"no certified bound puts the spectral radius below 1 (least bound "
-            f"{bound.rho_upper!r} after {bound.passes} Collatz-Wielandt passes)"
-            + ("; configure damping or regularization explicitly" if cfg else "")
+            reason + ("; configure damping or regularization explicitly" if cfg else "")
         )
     log.warnings.append("stability bounds >= 1; relying on configured adjustment")
+
+
+def _solve_shifted(a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """x with (I - a) x = rhs, from one dense solve; a singular I - a is a
+    StabilityError.  The stability gate, where a caller needs one, runs first.
+    """
+    # I - a in a's memory order: a transposed system reaches LAPACK untransposed
+    order = "F" if a.flags.f_contiguous else "C"
+    try:
+        return np.linalg.solve(np.eye(a.shape[0], order=order) - a, rhs)
+    except np.linalg.LinAlgError as exc:
+        raise StabilityError(f"I - A is singular: {exc}") from exc
 
 
 def estimate_internal_values(
@@ -520,34 +543,25 @@ def estimate_internal_values(
         log.residual = residual
         return v_p, log
 
-    system = np.eye(n) - m
     if method == "direct":
-        try:
-            v_p = np.linalg.solve(system, rhs)
-        except np.linalg.LinAlgError as exc:
-            raise StabilityError(f"I - O_PP is singular: {exc}") from exc
-        log.iterations = 0
+        v_p, info = _solve_shifted(m, rhs), 0
     else:
         from scipy.sparse.linalg import gmres
 
-        counter = {"n": 0}
-
-        def count(_):
-            counter["n"] += 1
-
+        norms = []  # one residual norm per iteration
         v_p, info = gmres(
-            system, rhs, rtol=0.0, atol=cfg.eps, maxiter=cfg.max_iters,
-            callback=count, callback_type="pr_norm",
+            np.eye(n) - m, rhs, rtol=0.0, atol=cfg.eps, maxiter=cfg.max_iters,
+            callback=norms.append, callback_type="pr_norm",
         )
-        log.iterations = counter["n"]
-        if info != 0:
-            residual = float(np.abs(system @ v_p - rhs).max())
-            raise ConvergenceError(
-                f"GMRES stopped with info={info} (residual {residual!r})",
-                last_iterate=v_p,
-                residual=residual,
-            )
-    log.residual = float(np.abs(system @ v_p - rhs).max()) if n else 0.0
+        log.iterations = len(norms)
+    # the residual the Neumann loop reports: v_p - (rhs + O_PP v_p)
+    log.residual = float(np.abs(v_p - (rhs + m @ v_p)).max()) if n else 0.0
+    if info != 0:
+        raise ConvergenceError(
+            f"GMRES stopped with info={info} (residual {log.residual!r})",
+            last_iterate=v_p,
+            residual=log.residual,
+        )
     return v_p, log
 
 
@@ -603,13 +617,9 @@ def schur_operators(blocks) -> SchurOperators:
     perimeter looks from the frontier; purely internal rewirings that keep
     them fixed cannot move the consolidated value.
     """
-    m = np.eye(blocks.o_pp.shape[0]) - blocks.o_pp
     _stability_gate(blocks.o_pp)
-    try:
-        t_po = np.linalg.solve(m, blocks.o_po)
-        u_op = np.linalg.solve(m.T, blocks.o_op.T).T
-    except np.linalg.LinAlgError as exc:
-        raise StabilityError(f"I - O_PP is singular: {exc}") from exc
+    t_po = _solve_shifted(blocks.o_pp, blocks.o_po)
+    u_op = _solve_shifted(blocks.o_pp.T, blocks.o_op.T).T
     s_oo = np.eye(blocks.o_oo.shape[0]) - blocks.o_oo - blocks.o_op @ t_po
     return SchurOperators(s_oo=s_oo, t_po=t_po, u_op=u_op)
 

@@ -6,8 +6,9 @@ eps (both in p-norm), the consolidated value moves by at most
     |dW| <= ||1_P||_q * eta + ||1_P' O_PO||_q * eps        (q dual to p)
 
 when internal values are held fixed; in Regime B the response of the
-estimated v_P adds a term proportional to ||(I - O_PP)^-1||.  The condition
-number kappa_2(I - O_PP) is exact at every size, from one SVD.
+estimated v_P adds a term proportional to ||(I - O_PP)^-1||_p, which is exact
+at every size, from one solve of I - O_PP against the identity.  The
+condition number kappa_2(I - O_PP) is exact at every size too, from one SVD.
 """
 
 from __future__ import annotations
@@ -19,13 +20,12 @@ import numpy as np
 from .engine import (
     CutStatistics,
     SolverConfig,
+    _solve_shifted,
     estimate_internal_values,
     evaluate_regime_b,
     power_iteration_estimate,
 )
 from .errors import DomainError, StabilityError
-
-DENSE_CONDITION_LIMIT = 64
 
 _P_NORMS = (1.0, 2.0, float("inf"))
 
@@ -140,23 +140,12 @@ def boundary_bound(spec: PerturbationSpec, o_po, n_p: int) -> BoundReport:
 
 
 def inverse_norm(o_pp, p: float) -> float:
-    """||(I - O_PP)^-1||_{p->p}, exact when small, geometric bound otherwise."""
+    """||(I - O_PP)^-1||_{p->p}, exact at every size from one solve.
+
+    Not gated: a singular I - O_PP is a StabilityError.
+    """
     o_pp = np.asarray(o_pp, dtype=float)
-    n = o_pp.shape[0]
-    if n == 0:
-        return 0.0
-    if n <= DENSE_CONDITION_LIMIT:
-        try:
-            inv = np.linalg.inv(np.eye(n) - o_pp)
-        except np.linalg.LinAlgError as exc:
-            raise StabilityError(f"I - O_PP is singular: {exc}") from exc
-        return induced_norm(inv, p)
-    norm = induced_norm(o_pp, p)
-    if norm >= 1.0:
-        raise StabilityError(
-            f"no inverse-norm bound available: ||O_PP||_{p} = {norm!r} >= 1"
-        )
-    return 1.0 / (1.0 - norm)
+    return induced_norm(_solve_shifted(o_pp, np.eye(o_pp.shape[0])), p)
 
 
 def regime_b_bound(spec: PerturbationSpec, stats: CutStatistics) -> BoundReport:
@@ -196,9 +185,11 @@ def condition_diagnostics(o_pp, regularization: float | None = None) -> Conditio
     """kappa_2(I - O_PP) (plus rI when regularized), exact at every size.
 
     One SVD gives sigma_max / sigma_min; the value is inf only when
-    sigma_min is 0.
+    sigma_min is 0.  A non-finite entry or regularization is a DomainError.
     """
     o_pp = np.asarray(o_pp, dtype=float)
+    if not (np.isfinite(o_pp).all() and np.isfinite(regularization or 0.0)):
+        raise DomainError("O_PP or the regularization is not finite")
     n = o_pp.shape[0] if o_pp.ndim == 2 else 0
     if n == 0:
         return ConditioningReport(0.0, 1.0, regularization_used=regularization)

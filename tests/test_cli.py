@@ -284,6 +284,12 @@ class TestClearingCommand:
         assert payload["payout_ratios"]["class_1"]["n1"] == 0.6
         assert payload["net_flows"]["X_PO"]["n1"]["n2"] == 60.0
 
+    def test_format_flag_is_a_usage_error(self, tmp_path):
+        # the clearing command prints JSON only; it takes no --format
+        path = tmp_path / "clearing.json"
+        path.write_text(json.dumps(CLEARING_SPEC))
+        assert main(["clearing", "--spec", str(path), "--format", "table"]) == EXIT_USAGE
+
     @pytest.mark.parametrize("spec, error", [
         (json.dumps(CLEARING_SPEC)[:40], "DomainError"),
         (json.dumps({**CLEARING_SPEC, "classes": [{"liabilities": {"n1": {"n3": 1}}}]}),

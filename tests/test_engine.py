@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import cbv
 from cbv.errors import (
@@ -462,6 +462,32 @@ class TestSpectralBound:
         rho = float(np.abs(np.linalg.eigvals(a)).max())
         assert bound.rho_upper >= rho * (1.0 - 1e-9)
         assert bound.rho_upper <= min(bound.norm_1, bound.norm_inf)
+        rho_abs = float(np.abs(np.linalg.eigvals(np.abs(a))).max())
+        assert bound.rho_lower <= rho_abs * (1.0 + 1e-9) + 1e-12
+
+    @pytest.mark.parametrize("cycle", [1.0, 1.05])
+    def test_passes_stop_once_the_lower_bound_reaches_1(self, cycle):
+        o_pp = [[0.0, cycle], [cycle, 0.0]]
+        bound = cbv.spectral_radius_bound(o_pp)
+        assert bound.rho_lower == bound.rho_upper == cycle
+        assert bound.passes < cbv.engine.POWER_ITERATIONS
+        stats = cbv.CutStatistics(p_ids=("a", "b"), o_ids=(), b_p=[1.0, 1.0], o_pp=o_pp)
+        with pytest.raises(StabilityError, match=rf"unstable: rho\(\|O_PP\|\) >= {cycle}"):
+            cbv.evaluate_regime_b(stats)
+
+    def test_signed_block_is_not_called_unstable(self):
+        # rho(|A|) = 1.2 stops the passes, but rho(A) = 0.6 * sqrt(2) < 1
+        o_pp = [[0.6, 0.6], [-0.6, 0.6]]
+        assert cbv.spectral_radius_bound(o_pp).rho_lower == pytest.approx(1.2)
+        stats = cbv.CutStatistics(p_ids=("a", "b"), o_ids=(), b_p=[1.0, 1.0], o_pp=o_pp)
+        with pytest.raises(StabilityError, match="cannot be certified stable"):
+            cbv.evaluate_regime_b(stats)
+
+    def test_a_chain_row_keeps_the_passes_running(self):
+        # the zero last row of the chain keeps min_i (|A| v)_i / v_i at 0
+        bound = cbv.spectral_radius_bound(two_cycle_chain_stats(cycle=1.001).o_pp)
+        assert bound.rho_lower == 0.0
+        assert bound.passes == cbv.engine.POWER_ITERATIONS
 
 
 class TestSchur:
@@ -512,6 +538,33 @@ class TestSchur:
             v_base, _ = cbv.estimate_internal_values(base)
             v_new, _ = cbv.estimate_internal_values(variant)
             assert not np.allclose(v_base, v_new)
+
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_regime_b_equals_the_schur_form(self, data):
+        # 1'b_P + 1'O_PO v_O - 1'U_OP (b_P + O_PO v_O): the transposed solve
+        # behind U_OP against the plain solve behind v_P
+        n_p = data.draw(st.integers(1, 12), label="n_p")
+        n_o = data.draw(st.integers(0, 6), label="n_o")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        rho = data.draw(st.floats(0.0, 0.95), label="rho")
+        o_pp = rng.uniform(0.0, 1.0, size=(n_p, n_p)) * (rng.random((n_p, n_p)) < 0.6)
+        radius = float(np.abs(np.linalg.eigvals(o_pp)).max())
+        o_pp *= rho / radius if radius > 0.0 else 0.0
+        assume(cbv.spectral_radius_bound(o_pp).rho_upper < 1.0)
+        stats = cbv.CutStatistics(
+            p_ids=tuple(f"p{k}" for k in range(n_p)), o_ids=tuple(f"o{k}" for k in range(n_o)),
+            b_p=rng.uniform(0.0, 100.0, n_p), v_o=rng.uniform(0.0, 100.0, n_o),
+            o_po=rng.uniform(0.0, 0.3, (n_p, n_o)), o_op=rng.uniform(0.0, 0.3, (n_o, n_p)),
+            o_pp=o_pp,
+        )
+        ops = cbv.schur_operators(cbv.BlockPartition(
+            stats.p_ids, stats.o_ids, stats.o_pp, stats.o_po, stats.o_op, np.zeros((n_o, n_o))))
+        rhs = stats.b_p + stats.o_po @ stats.v_o
+        schur_w = rhs.sum() - ops.u_op.sum(axis=0) @ rhs
+        w = cbv.evaluate_regime_b(stats, cbv.SolverConfig(method="direct")).w
+        assert w == pytest.approx(schur_w, rel=1e-9, abs=1e-9)
 
 
 class TestMetaNode:

@@ -19,6 +19,21 @@ from conftest import (
 NORMS = (1.0, 2.0, float("inf"))
 
 
+def holding_stats(n: int = 101) -> cbv.CutStatistics:
+    """The holding company p000 owns half of each of its n - 1 subsidiaries.
+
+    rho(O_PP) = 0 and (I - O_PP)^-1 = I + O_PP, yet ||O_PP||_2 = 5 and
+    ||O_PP||_inf = 50.  Two outside holders own part of every node.
+    """
+    o_pp = np.zeros((n, n))
+    o_pp[0, 1:] = 0.5
+    return cbv.CutStatistics(
+        p_ids=tuple(f"p{k:03d}" for k in range(n)), o_ids=("x", "y"),
+        b_p=np.linspace(1.0, 2.0, n), v_o=[40.0, 25.0],
+        o_po=np.full((n, 2), 0.01), o_op=np.full((2, n), 0.2), o_pp=o_pp,
+    )
+
+
 def symmetric_stats(t: float) -> cbv.CutStatistics:
     return cbv.CutStatistics(
         p_ids=("p1", "p2"), o_ids=(), b_p=[100.0, 50.0],
@@ -124,7 +139,7 @@ class TestRegimeBBound:
         assert full.bound == base.bound
 
     def test_symmetric_inverse_norm(self):
-        # geometric and exact inverse norms coincide at 1/(1 - t)
+        # (I - [[0, t], [t, 0]])^-1 = [[1, t], [t, 1]] / (1 - t^2): row sums 1/(1 - t)
         assert inverse_norm(np.array([[0.0, 0.8], [0.8, 0.0]]), float("inf")) == (
             pytest.approx(5.0, rel=1e-12)
         )
@@ -167,6 +182,25 @@ class TestSoundness:
         observed_b = np.abs(observed_regime_b_deltas(stats, db, dv))
         assert observed_b.max() <= bound_b + 1e-12
 
+    @pytest.mark.parametrize("p, exact", [(1.0, 1.5), (2.0, 5.19), (float("inf"), 51.0)])
+    def test_holding_block_bound_is_exact_and_sound(self, p, exact, rng):
+        # every norm of O_PP but the 1-norm is >= 1, and the gate certifies rho = 0
+        stats = holding_stats()
+        assert cbv.spectral_radius_bound(stats.o_pp).rho_upper < 1.0
+        inv = inverse_norm(stats.o_pp, p)
+        assert inv == pytest.approx(exact, abs=5e-3)
+        assert inv == pytest.approx(
+            np.linalg.norm(np.eye(101) + stats.o_pp, ord=p), rel=1e-12)
+        spec = cbv.PerturbationSpec(p=p, eta=0.8, eps=1.3)
+        report = cbv.regime_b_bound(spec, stats)
+        assert report.extension_term == pytest.approx(
+            np.linalg.norm(stats.o_op.sum(axis=0), ord=spec.q) * inv
+            * (spec.eta + mixed_norm(stats.o_po, spec.q, p) * spec.eps), rel=1e-12)
+        db = sample_perturbations(rng, 101, p, spec.eta, 1000)
+        dv = sample_perturbations(rng, 2, p, spec.eps, 1000)
+        observed = np.abs(observed_regime_b_deltas(stats, db, dv))
+        assert observed.max() <= report.bound + 1e-12
+
 
 class TestConditioning:
     def test_symmetric_family(self):
@@ -184,6 +218,13 @@ class TestConditioning:
 
     def test_zero_block(self):
         assert cbv.condition_diagnostics(np.zeros((2, 2))).kappa2 == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_input_refused(self, value):
+        with pytest.raises(DomainError, match="not finite"):
+            cbv.condition_diagnostics([[value, 0.0], [0.0, 0.0]])
+        with pytest.raises(DomainError, match="not finite"):
+            cbv.condition_diagnostics(np.zeros((2, 2)), regularization=value)
 
     @pytest.mark.parametrize("regularization", [None, 0.05])
     @pytest.mark.parametrize("block", ["random-2", "random-65", "random-200", "holding-101"])
