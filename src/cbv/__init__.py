@@ -32,7 +32,6 @@ from .engine import (
     evaluate_regime_b,
     hedge_vector,
     implied_bases,
-    power_iteration_estimate,
     scale_units,
     schur_operators,
     spectral_radius_bound,

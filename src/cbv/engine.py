@@ -284,35 +284,6 @@ def spectral_radius_bound(o_pp) -> SpectralBound:
     return SpectralBound(rho, norm_1, norm_inf, passes, rho_lower=lower)
 
 
-def power_iteration_estimate(o_pp) -> float:
-    """Fixed-iteration power estimate of rho(|O_PP|), for disclosure only.
-
-    An estimate, not a bound: it can read below 1 on an unstable block, so
-    the stability gate never relies on it.
-    """
-    m = np.asarray(o_pp, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise DimensionError("o_pp must be square")
-    if m.size == 0:
-        return 0.0
-    a = np.abs(m)
-    vec = np.ones(m.shape[0]) / m.shape[0]
-    estimate = 0.0
-    for _ in range(POWER_ITERATIONS):
-        nxt = a @ vec
-        total = nxt.sum()
-        if total == 0.0:
-            estimate = 0.0
-            break
-        new_estimate = float(total / vec.sum())
-        vec = nxt / total
-        if abs(new_estimate - estimate) < 1e-14:
-            estimate = new_estimate
-            break
-        estimate = new_estimate
-    return estimate
-
-
 @dataclass(frozen=True)
 class SolverConfig:
     """How internal values are estimated in Regime B.

@@ -129,6 +129,10 @@ class Observer:
             raise DomainError(f"date {self.date!r} is not ISO-8601") from None
         if isinstance(self.control_rule, str):
             object.__setattr__(self, "control_rule", parse_control_label(self.control_rule))
+        elif self.control_rule is not None and not isinstance(self.control_rule, ControlRuleSpec):
+            raise DomainError(
+                f"control_rule {self.control_rule!r} is neither a label nor a ControlRuleSpec"
+            )
 
     @property
     def pricing_scale(self) -> float:

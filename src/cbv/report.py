@@ -44,9 +44,9 @@ from .control import ControlRuleSpec
 from .engine import (
     CutStatistics,
     ValuationResult,
+    _stability_gate,
     cut_edges,
     hedge_vector,
-    power_iteration_estimate,
     spectral_radius_bound,
 )
 from .errors import (
@@ -55,6 +55,7 @@ from .errors import (
     EmissionError,
     IntegrityError,
     PackageError,
+    StabilityError,
 )
 from .network import COLUMN_SUM_SLACK
 from .observer import FxPppSpec, Observer, SdfSpec, Tolerances
@@ -292,9 +293,17 @@ class Manifest:
 
     @classmethod
     def from_yaml_bytes(cls, blob: bytes) -> "Manifest":
-        data = yaml.safe_load(blob)
+        try:
+            data = yaml.safe_load(blob)
+        except yaml.YAMLError as exc:
+            raise PackageError(f"manifest is not YAML: {exc}") from None
         if not isinstance(data, dict):
             raise PackageError("manifest must be a mapping")
+        for key, kind in (("observer", dict), ("perimeter", dict), ("clearing", dict),
+                          ("data_files", dict), ("hashes", dict), ("notes", list)):
+            if data.get(key) is not None and not isinstance(data[key], kind):
+                raise PackageError(f"manifest {key} must be a "
+                                   f"{'list' if kind is list else 'mapping'}")
         return cls(data)
 
 
@@ -413,7 +422,8 @@ def write_package(
             f"norm_1 bound: {bound.norm_1!r}\n"
             f"norm_inf bound: {bound.norm_inf!r}\n"
             f"rho upper bound: {bound.rho_upper!r}\n"
-            f"power iteration estimate: {power_iteration_estimate(stats.o_pp)!r}\n"
+            f"rho lower bound: {bound.rho_lower!r}\n"
+            f"Collatz-Wielandt passes: {bound.passes}\n"
         )
         (directory / STABILITY_NAME).write_text(evidence, encoding="utf-8")
     if clearing_spec is not None:
@@ -549,7 +559,7 @@ def load_package(directory) -> CutReportPackage:
     if pov_path.exists():
         observer, pov = parse_pov(pov_path.read_bytes())
     else:
-        observer, pov = _build_observer(manifest), None
+        observer, pov = _checked_observer(_build_observer, manifest, "manifest"), None
     stability = None
     stab_path = directory / STABILITY_NAME
     if stab_path.exists():
@@ -574,7 +584,7 @@ def load_package(directory) -> CutReportPackage:
 
 
 # ---------------------------------------------------------------------------
-# Package validation (rules D.1 - D.5 plus schema/hash findings)
+# Package validation (rules D.2 - D.5 plus schema/hash findings)
 # ---------------------------------------------------------------------------
 
 def validate_package(pkg: CutReportPackage) -> ValidationReport:
@@ -591,7 +601,7 @@ def validate_package(pkg: CutReportPackage) -> ValidationReport:
         report.add("schema", "note", f"unknown manifest field {key!r} preserved",
                    location=MANIFEST_NAME)
 
-    # D1: dimensional consistency of every loaded object
+    # D2: finite data, nonnegative share blocks; negative bases need a note
     loaded = (
         ("b_P", pkg.b_p, (pkg.p_ids,)),
         ("v_O", pkg.v_o, (pkg.o_ids,)),
@@ -600,18 +610,9 @@ def validate_package(pkg: CutReportPackage) -> ValidationReport:
         ("O_PP", pkg.o_pp, (pkg.p_ids, pkg.p_ids)),
         ("v_P", pkg.v_p, (pkg.p_ids,)),
     )
-    shaped = []
     for name, values, axes in loaded:
         if values is None:
             continue
-        want = tuple(len(ids) for ids in axes)
-        if values.shape != want:
-            report.add("D1", "error", f"{name} has shape {values.shape}, expected {want}")
-        else:
-            shaped.append((name, values, axes))
-
-    # D2: finite data, nonnegative share blocks; negative bases need a note
-    for name, values, axes in shaped:
         for flat in np.flatnonzero(~np.isfinite(values)):
             index = np.unravel_index(flat, values.shape)
             report.add("D2", "error", f"{name} entry is not finite: {float(values[index])!r}",
@@ -642,12 +643,17 @@ def validate_package(pkg: CutReportPackage) -> ValidationReport:
                 report.add("D3", "error",
                            f"pov {name} {pov_value!r} disagrees with manifest {man_value!r}")
 
-    # D4: regime B needs stability evidence alongside the internal block
+    # D4: regime B needs stability evidence alongside the internal block, and
+    # the hashed block must pass the gate that regime B runs before its solve
     if pkg.o_pp is not None:
         if not pkg.stability_evidence:
             report.add("D4", "error",
                        "O_PP provided without stability evidence "
                        f"({STABILITY_NAME} missing)")
+        try:
+            _stability_gate(pkg.o_pp)
+        except StabilityError as exc:
+            report.add("D4", "error", f"O_PP fails the stability gate: {exc}")
     elif pkg.manifest.regime == "B":
         report.add("D4", "error", "regime B without O_PP or an explanation")
 
@@ -882,10 +888,16 @@ def parse_pov(blob: bytes) -> tuple[Observer, dict]:
         raise PackageError(f"PoV is not a JSON document: {exc}") from None
     if not isinstance(data, dict):
         raise PackageError("PoV must be a JSON object")
+    return _checked_observer(_observer_from_pov, data, "PoV"), data
+
+
+def _checked_observer(build, source, name: str) -> Observer:
+    """`build(source)`, where a field that fails the observer's checks or
+    has the wrong type is a PackageError naming `name`, the document read."""
     try:
-        return _observer_from_pov(data), data
+        return build(source)
     except (DomainError, TypeError, ValueError, AttributeError) as exc:
-        raise PackageError(f"PoV field fails the observer's checks: {exc}") from None
+        raise PackageError(f"{name} field fails the observer's checks: {exc}") from None
 
 
 def _observer_from_pov(data: dict) -> Observer:

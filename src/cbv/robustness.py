@@ -20,10 +20,11 @@ import numpy as np
 from .engine import (
     CutStatistics,
     SolverConfig,
+    SpectralBound,
     _solve_shifted,
     estimate_internal_values,
     evaluate_regime_b,
-    power_iteration_estimate,
+    spectral_radius_bound,
 )
 from .errors import DomainError, StabilityError
 
@@ -142,9 +143,12 @@ def boundary_bound(spec: PerturbationSpec, o_po, n_p: int) -> BoundReport:
 def inverse_norm(o_pp, p: float) -> float:
     """||(I - O_PP)^-1||_{p->p}, exact at every size from one solve.
 
-    Not gated: a singular I - O_PP is a StabilityError.
+    Not gated: a singular I - O_PP is a StabilityError, a non-finite entry
+    a DomainError.
     """
     o_pp = np.asarray(o_pp, dtype=float)
+    if not np.isfinite(o_pp).all():
+        raise DomainError("O_PP is not finite")
     return induced_norm(_solve_shifted(o_pp, np.eye(o_pp.shape[0])), p)
 
 
@@ -156,6 +160,8 @@ def regime_b_bound(spec: PerturbationSpec, stats: CutStatistics) -> BoundReport:
     """
     if stats.o_pp is None or stats.o_po is None or stats.o_op is None:
         raise DomainError("regime_b_bound needs share-form blocks")
+    if not all(np.isfinite(block).all() for block in (stats.o_pp, stats.o_po, stats.o_op)):
+        raise DomainError("O_PP, O_PO or O_OP is not finite")
     base = boundary_bound(spec, stats.o_po, len(stats.p_ids))
     q = spec.q
     delta = stats.o_op.sum(axis=0)
@@ -174,9 +180,9 @@ def regime_b_bound(spec: PerturbationSpec, stats: CutStatistics) -> BoundReport:
 
 @dataclass(frozen=True)
 class ConditioningReport:
-    """Power estimate of rho(|O_PP|) and the exact kappa_2 of I - O_PP."""
+    """The stability gate's bounds on rho(O_PP) and the exact kappa_2 of I - O_PP."""
 
-    rho_estimate: float
+    rho_bound: SpectralBound
     kappa2: float
     regularization_used: float | None = None
 
@@ -190,16 +196,17 @@ def condition_diagnostics(o_pp, regularization: float | None = None) -> Conditio
     o_pp = np.asarray(o_pp, dtype=float)
     if not (np.isfinite(o_pp).all() and np.isfinite(regularization or 0.0)):
         raise DomainError("O_PP or the regularization is not finite")
-    n = o_pp.shape[0] if o_pp.ndim == 2 else 0
+    bound = spectral_radius_bound(o_pp)
+    n = o_pp.shape[0]
     if n == 0:
-        return ConditioningReport(0.0, 1.0, regularization_used=regularization)
+        return ConditioningReport(bound, 1.0, regularization_used=regularization)
     m = np.eye(n) - o_pp
     if regularization:
         m = m + regularization * np.eye(n)
     singular = np.linalg.svd(m, compute_uv=False)
     kappa2 = float(singular.max() / singular.min()) if singular.min() > 0 else float("inf")
     return ConditioningReport(
-        rho_estimate=power_iteration_estimate(o_pp),
+        rho_bound=bound,
         kappa2=kappa2,
         regularization_used=regularization,
     )

@@ -122,10 +122,10 @@ def random_regime_stats(rng, n_p: int, n_o: int, observed: bool = False):
 def two_cycle_chain_stats(n: int = 300, cycle: float = 1.0) -> cbv.CutStatistics:
     """A 2-cycle owned at `cycle` plus a 0.999 chain, and one unlinked outside node.
 
-    rho(O_PP) is `cycle`, which both norm bounds read too, yet the 100-step
-    power estimate reads about 0.994.  The stability gate refuses the block,
-    since no certified bound falls below 1; at the default cycle = 1,
-    I - O_PP is singular.
+    rho(O_PP) is `cycle`, which both norm bounds read too.  The zero last row
+    of the chain holds the Collatz-Wielandt lower bound at 0, so the passes
+    run to their cap and the stability gate refuses the block with
+    "no certified bound"; at the default cycle = 1, I - O_PP is singular.
     """
     o_pp = np.zeros((n, n))
     o_pp[0, 1] = o_pp[1, 0] = cycle

@@ -12,6 +12,21 @@ from conftest import example_stats, two_cycle_chain_stats
 # a PoV cut off mid-document, and one whose units fail the observer's check
 BAD_POVS = [b'{"observer": ', b'{"observer": {"units": "euro"}}']
 
+# manifest fields of the wrong type, or that fail the observer's checks
+BAD_MANIFESTS = [
+    ("observer.fx.scale", "abc"),
+    ("observer.fx", [1, 2]),
+    ("observer.fx.scale", -1),
+    ("observer.currency", "eur"),
+    ("observer", [1, 2]),
+    ("perimeter.control_rule", 7),
+    ("clearing", [1]),
+    ("data_files", ["a"]),
+    ("hashes", 5),
+    ("notes", "a note"),
+    ("regime", "C"),
+]
+
 
 def build_package(tmp_path, name="pkg", kappa=None, b_scale=1.0, regime="B",
                   tolerances=None):
@@ -78,6 +93,44 @@ class TestValidateCommand:
         pkg = build_package(tmp_path)
         assert main(["validate", str(pkg), "--format", "json"]) == EXIT_OK
         assert json.loads(capsys.readouterr().out) == []
+
+    def test_block_the_gate_refuses_is_a_d4_finding(self, tmp_path, capsys):
+        # rho(O_PP) = 1: validate runs the gate that compute runs
+        observer = cbv.Observer(perimeter_ref="P-CYCLE", regime="B",
+                                control_rule=cbv.ControlRuleSpec())
+        cbv.write_package(tmp_path / "cycle", two_cycle_chain_stats(), observer)
+        assert main(["validate", str(tmp_path / "cycle")]) == EXIT_FINDINGS
+        out = capsys.readouterr().out
+        assert out.startswith("ERROR D4: O_PP fails the stability gate: no certified bound")
+        assert main(["compute", "--package", str(tmp_path / "cycle")]) == EXIT_COMPUTE
+
+
+class TestMalformedManifest:
+    @pytest.mark.parametrize("field,value", BAD_MANIFESTS,
+                             ids=[f"{field}={value}" for field, value in BAD_MANIFESTS])
+    def test_schema_finding_and_compute_error(self, tmp_path, capsys, field, value):
+        pkg = build_package(tmp_path)
+        manifest = cbv.Manifest.from_yaml_bytes((pkg / "manifest.yaml").read_bytes())
+        *parents, key = field.split(".")
+        block = manifest.data
+        for name in parents:
+            block = block[name]
+        block[key] = value
+        (pkg / "manifest.yaml").write_bytes(manifest.to_yaml_bytes())
+        assert main(["validate", str(pkg)]) == EXIT_FINDINGS
+        assert capsys.readouterr().out.startswith("ERROR schema: manifest")
+        assert main(["compute", "--package", str(pkg)]) == EXIT_COMPUTE
+        assert main(["report", "--package", str(pkg)]) == EXIT_COMPUTE
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 2
+        assert all(line.startswith("error [PackageError]: manifest") for line in err)
+
+    def test_manifest_that_is_not_yaml(self, tmp_path, capsys):
+        pkg = build_package(tmp_path)
+        (pkg / "manifest.yaml").write_text("version: [\n", encoding="utf-8")
+        assert main(["validate", str(pkg)]) == EXIT_FINDINGS
+        assert capsys.readouterr().out.startswith("ERROR schema: manifest is not YAML")
+        assert main(["compute", "--package", str(pkg)]) == EXIT_COMPUTE
 
 
 class TestComputeCommand:
@@ -184,7 +237,7 @@ class TestComputeCommand:
         assert main(["compute", "--package", str(tmp_path / "cycle")]) == EXIT_COMPUTE
         assert "StabilityError" in capsys.readouterr().err
 
-    def test_block_only_the_power_estimate_puts_below_1_is_compute_error(self, tmp_path, capsys):
+    def test_uncertified_block_is_compute_error(self, tmp_path, capsys):
         # rho(O_PP) = 1.001: I - O_PP is invertible, but v_P = (I - O_PP)^-1 b_P
         # is no valuation; the gate refused it before the solve
         observer = cbv.Observer(perimeter_ref="P-CYCLE", regime="B",

@@ -211,8 +211,8 @@ class TestOptionC:
             )
 
     def test_singular_system_past_the_gate_is_stability_error(self):
-        # alpha*S is the 2-cycle + 0.999 chain whose power estimate reads
-        # below 1 although I - alpha*S is singular; no certified bound does
+        # alpha*S is the 2-cycle + 0.999 chain: I - alpha*S is singular, and
+        # no certified bound puts its spectral radius below 1
         alpha = 0.5
         shares = np.asarray(two_cycle_chain_stats().o_pp) / alpha
         with pytest.raises(StabilityError):

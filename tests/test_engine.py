@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -203,9 +205,8 @@ class TestEstimation:
             cbv.evaluate_regime_b(stats, cbv.SolverConfig(regularization=0.1))
 
     @pytest.mark.parametrize("cycle", [1.0, 1.001])
-    def test_block_only_the_power_estimate_puts_below_1_is_refused(self, cycle):
+    def test_uncertified_block_is_refused(self, cycle):
         stats = two_cycle_chain_stats(cycle=cycle)
-        assert cbv.power_iteration_estimate(stats.o_pp) < 1.0
         with pytest.raises(StabilityError, match="no certified bound"):
             cbv.evaluate_regime_b(stats)
 
@@ -418,12 +419,6 @@ class TestSpectralBound:
     def test_zero_matrix(self):
         bound = cbv.spectral_radius_bound(np.zeros((3, 3)))
         assert bound.rho_upper == 0.0
-        assert cbv.power_iteration_estimate(np.zeros((3, 3))) == 0.0
-
-    def test_symmetric_estimate_is_exact(self):
-        for t in (0.3, 0.8, 0.99):
-            estimate = cbv.power_iteration_estimate([[0.0, t], [t, 0.0]])
-            assert estimate == pytest.approx(t, abs=1e-6)
 
     def test_norm_below_1_needs_no_pass(self, stats_b):
         assert cbv.spectral_radius_bound(stats_b.o_pp).passes == 0
@@ -565,6 +560,42 @@ class TestSchur:
         schur_w = rhs.sum() - ops.u_op.sum(axis=0) @ rhs
         w = cbv.evaluate_regime_b(stats, cbv.SolverConfig(method="direct")).w
         assert w == pytest.approx(schur_w, rel=1e-9, abs=1e-9)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_rewiring_an_unowned_nodes_holdings_keeps_w(self, data):
+        # Cut Theorem: node t is owned by nobody (its O_PP and O_OP columns are
+        # zero), so its holdings move v_t alone and v_t is priced by no edge
+        n_p = data.draw(st.integers(2, 12), label="n_p")
+        n_o = data.draw(st.integers(0, 6), label="n_o")
+        t = data.draw(st.integers(0, n_p - 1), label="t")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        held = rng.uniform(0.0, 1.0, (n_p + n_o, n_p)) * (rng.random((n_p + n_o, n_p)) < 0.6)
+        held[:, t] = 0.0
+        sums = held.sum(axis=0)
+        owned = sums > 0.0
+        held[:, owned] *= rng.uniform(0.0, 0.9, n_p)[owned] / sums[owned]
+        base = cbv.CutStatistics(
+            p_ids=tuple(f"p{k}" for k in range(n_p)), o_ids=tuple(f"o{k}" for k in range(n_o)),
+            b_p=rng.uniform(0.0, 100.0, n_p), v_o=rng.uniform(0.0, 100.0, n_o),
+            o_po=rng.uniform(0.0, 0.3, (n_p, n_o)), o_op=held[n_p:], o_pp=held[:n_p],
+        )
+        # every column sum of O_PP and O_OP stays below 1 after the redraw
+        headroom = 1.0 - held.sum(axis=0) + held[t]
+        variants = []
+        for _ in range(3):
+            o_pp = held[:n_p].copy()
+            o_pp[t] = rng.uniform(0.0, 0.99, n_p) * headroom
+            o_pp[t, t] = 0.0
+            variants.append(replace(base, o_pp=o_pp))
+        for method in ("direct", "neumann", "iterative_krylov"):
+            cfg = cbv.SolverConfig(method=method)
+            w = cbv.evaluate_regime_b(base, cfg).w
+            v_p, _ = cbv.estimate_internal_values(base, cfg)
+            for variant in variants:
+                assert cbv.evaluate_regime_b(variant, cfg).w == pytest.approx(w, rel=1e-12)
+                moved, _ = cbv.estimate_internal_values(variant, cfg)
+                assert not np.allclose(moved, v_p, rtol=1e-9, atol=0.0)
 
 
 class TestMetaNode:

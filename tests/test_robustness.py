@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -143,6 +145,20 @@ class TestRegimeBBound:
         assert inverse_norm(np.array([[0.0, 0.8], [0.8, 0.0]]), float("inf")) == (
             pytest.approx(5.0, rel=1e-12)
         )
+
+    @pytest.mark.parametrize("block", ["o_pp", "o_po", "o_op"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_block_refused(self, block, value):
+        stats = example_stats()
+        corrupted = np.array(getattr(stats, block))
+        corrupted[0, 0] = value
+        stats = replace(stats, **{block: corrupted})
+        for p in NORMS:
+            with pytest.raises(DomainError, match="not finite"):
+                cbv.regime_b_bound(cbv.PerturbationSpec(p=p, eta=1.0, eps=1.0), stats)
+            if block == "o_pp":
+                with pytest.raises(DomainError, match="not finite"):
+                    inverse_norm(corrupted, p)
 
     def test_mixed_norm_cases(self):
         a = np.array([[0.5, 0.2], [0.1, 0.0]])
