@@ -14,10 +14,14 @@ profiles, so iterating from full payment descends to the greatest fixed point
 and iterating from zero ascends to the least.  Within a class all nodes update
 synchronously; a node short of a class pays its creditors pro rata to the
 liability row.
+
+`clear` stacks the classes into one sparse inflow operator per call, so a
+sweep costs O(nnz) in the liabilities rather than O(classes * n^2).
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -97,24 +101,26 @@ class ClearingOutcome:
     selection: str
 
 
-def _payout_ratios(payments: np.ndarray, dues: np.ndarray) -> np.ndarray:
-    ratios = np.ones_like(payments)
-    positive = dues > 0.0
-    ratios[positive] = payments[positive] / dues[positive]
-    return ratios
+def _payout_ratios(payments: np.ndarray, dues: np.ndarray, owes: np.ndarray) -> np.ndarray:
+    return np.divide(payments, dues, out=np.ones_like(payments), where=owes)
 
 
-def _payment_map(problem: ClearingProblem, payments: np.ndarray, dues: np.ndarray) -> np.ndarray:
-    theta = _payout_ratios(payments, dues)
-    inflows = problem.resources.copy()
-    for k, mat in enumerate(problem.liabilities):
-        # payments are pro rata: node j sends theta_j * L[j, i] to creditor i
-        inflows += theta[k] @ mat
-    shortfall_costs = problem.default_costs * (dues - payments)
-    cumulative_costs = np.cumsum(shortfall_costs, axis=0)
-    senior_dues = np.cumsum(dues, axis=0) - dues
-    capacity = inflows[np.newaxis, :] - cumulative_costs - senior_dues
-    return np.clip(capacity, 0.0, dues)
+def _payment_map(
+    problem: ClearingProblem,
+    inflow,
+    payments: np.ndarray,
+    dues: np.ndarray,
+    owes: np.ndarray,
+    senior_dues: np.ndarray,
+) -> np.ndarray:
+    """One synchronous sweep.  `inflow` is the (n, classes * n) operator whose
+    entry (i, k * n + j) is L^k[j, i]; `owes` is dues > 0 and `senior_dues` the
+    dues of the classes senior to each class."""
+    theta = _payout_ratios(payments, dues, owes)
+    # payments are pro rata: node j sends theta_j * L[j, i] to creditor i
+    inflows = problem.resources + inflow @ theta.ravel()
+    cumulative_costs = np.cumsum(problem.default_costs * (dues - payments), axis=0)
+    return np.clip(inflows - cumulative_costs - senior_dues, 0.0, dues)
 
 
 def clear(
@@ -127,24 +133,47 @@ def clear(
 
     `greatest` starts from full payment and descends; `least` starts from zero
     and ascends.  Convergence is declared when successive payment profiles
-    differ by less than eps in the max norm.
+    differ by less than eps in the max norm; eps must be finite and positive
+    and max_iters a positive integer.
     """
     if selection not in ("greatest", "least"):
         raise DomainError(f"selection must be greatest or least, got {selection!r}")
-    if eps <= 0 or max_iters < 1:
-        raise DomainError("eps must be > 0 and max_iters >= 1")
+    if not 0 < eps < np.inf:  # NaN fails both
+        raise DomainError(f"eps must be finite and > 0, got {eps!r}")
+    try:
+        max_iters = operator.index(max_iters)
+    except TypeError:
+        raise DomainError(f"max_iters must be an integer, got {max_iters!r}") from None
+    if max_iters < 1:
+        raise DomainError("max_iters must be >= 1")
+    from scipy.sparse import csr_array
+
+    n = len(problem.node_ids)
+    payees, columns, amounts = [], [], []
+    for k, mat in enumerate(problem.liabilities):
+        # a flat index is cheaper to find than a 2-D one, and divmod splits it
+        payer, payee = np.divmod(np.flatnonzero(mat != 0), n)
+        payees.append(payee)
+        columns.append(payer + k * n)
+        amounts.append(mat[payer, payee])
+    inflow = csr_array(
+        (np.concatenate(amounts), (np.concatenate(payees), np.concatenate(columns))),
+        shape=(n, problem.n_classes * n),
+    )
     dues = problem.gross_dues()
+    owes = dues > 0.0
+    senior_dues = np.cumsum(dues, axis=0) - dues
     payments = dues.copy() if selection == "greatest" else np.zeros_like(dues)
     residual = float("inf")
     for sweep in range(1, max_iters + 1):
-        updated = _payment_map(problem, payments, dues)
+        updated = _payment_map(problem, inflow, payments, dues, owes, senior_dues)
         residual = float(np.abs(updated - payments).max()) if dues.size else 0.0
         payments = updated
         if residual < eps:
             return ClearingOutcome(
                 node_ids=problem.node_ids,
                 payments=payments,
-                payout_ratios=_payout_ratios(payments, dues),
+                payout_ratios=_payout_ratios(payments, dues, owes),
                 iterations=sweep,
                 residual=residual,
                 selection=selection,
@@ -188,8 +217,7 @@ def net_boundary_flows(
     o_idx = [index[n] for n in o_ids]
     x_po = np.zeros((len(p_ids), len(o_ids)))
     x_op = np.zeros((len(o_ids), len(p_ids)))
-    for k, mat in enumerate(problem.liabilities):
-        paid = outcome.payout_ratios[k][:, np.newaxis] * mat
-        x_po += paid[np.ix_(p_idx, o_idx)]
-        x_op += paid[np.ix_(o_idx, p_idx)]
+    for ratios, mat in zip(outcome.payout_ratios, problem.liabilities):
+        x_po += ratios[p_idx, np.newaxis] * mat[np.ix_(p_idx, o_idx)]
+        x_op += ratios[o_idx, np.newaxis] * mat[np.ix_(o_idx, p_idx)]
     return NetBoundaryFlows(p_ids=p_ids, o_ids=o_ids, x_po=x_po, x_op=x_op)

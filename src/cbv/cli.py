@@ -274,7 +274,7 @@ def _cmd_clearing(args) -> int:
         spec = json.loads(Path(args.spec).read_text("utf-8"))
         problem, params = _problem_from_spec(spec)
         eps = float(params.get("eps", 1e-12))
-        max_iters = int(params.get("max_iters", 100000))
+        max_iters = params.get("max_iters", 100000)
     except (ValueError, KeyError, TypeError, AttributeError) as exc:
         # bytes that are not JSON, absent keys, values of the wrong type
         raise DomainError(f"malformed clearing spec: {exc!r}") from None

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 import cbv
-import cbv.clearing
 
 # Five-node network: P = {A, B, C}, O = {X, Y}.  Internal cross-holdings,
 # four outgoing and four incoming boundary edges.
@@ -190,9 +189,32 @@ def gauge_rewiring_family(rng, n_draws: int = 10):
 # ---------------------------------------------------------------------------
 
 def iterate_once(problem: cbv.ClearingProblem, payments) -> np.ndarray:
-    """One synchronous sweep of the clearing payment map."""
-    return cbv.clearing._payment_map(
-        problem, np.asarray(payments, dtype=float), problem.gross_dues())
+    """One synchronous sweep of the seniority clearing map, written densely
+    from its definition in cbv.clearing and sharing no code with it."""
+    payments = np.asarray(payments, dtype=float)
+    classes = problem.liabilities
+    dues = np.stack([mat.sum(axis=1) for mat in classes])
+    theta = np.ones_like(payments)
+    owes = dues > 0
+    theta[owes] = payments[owes] / dues[owes]
+    inflows = problem.resources + sum(theta[k] @ mat for k, mat in enumerate(classes))
+    costs = np.cumsum(problem.default_costs * (dues - payments), axis=0)
+    senior = np.cumsum(dues, axis=0) - dues
+    return np.clip(inflows - costs - senior, 0.0, dues)
+
+
+def picard_clear(problem: cbv.ClearingProblem, selection: str, eps: float = 1e-12,
+                 max_sweeps: int = 100000) -> np.ndarray:
+    """Dense Picard iteration of iterate_once from full (greatest) or zero
+    (least) payment until successive sweeps differ by less than eps."""
+    dues = np.stack([mat.sum(axis=1) for mat in problem.liabilities])
+    payments = dues.copy() if selection == "greatest" else np.zeros_like(dues)
+    for _ in range(max_sweeps):
+        updated = iterate_once(problem, payments)
+        if np.abs(updated - payments).max() < eps:
+            return updated
+        payments = updated
+    raise AssertionError(f"dense Picard oracle did not converge in {max_sweeps} sweeps")
 
 
 def herfindahl_index(column) -> float:

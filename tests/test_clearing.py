@@ -6,7 +6,7 @@ import pytest
 import cbv
 from cbv.errors import ConvergenceError, DimensionError, DomainError, MembershipError
 
-from conftest import iterate_once
+from conftest import iterate_once, picard_clear
 
 
 def chain_problem() -> cbv.ClearingProblem:
@@ -32,6 +32,25 @@ def ring_problem() -> cbv.ClearingProblem:
         liabilities=(liabilities,),
         resources=np.array([40.0, 0.0, 0.0]),
         default_costs=np.full((1, 3), 0.5),
+    )
+
+
+def two_class_problem(n: int, gamma: float, zero_class, seed: int) -> cbv.ClearingProblem:
+    """Seeded sparse two-class network in default: node n0 owes nothing and,
+    when zero_class is 0 or 1, that class holds no liabilities at all."""
+    rng = np.random.default_rng(seed)
+    classes = []
+    for k in range(2):
+        mat = rng.lognormal(2.0, 0.5, size=(n, n)) * (rng.random((n, n)) < 0.08)
+        np.fill_diagonal(mat, 0.0)
+        mat[0] = 0.0
+        classes.append(np.zeros((n, n)) if k == zero_class else mat)
+    dues = sum(mat.sum(axis=1) for mat in classes)
+    return cbv.ClearingProblem(
+        node_ids=tuple(f"n{k}" for k in range(n)),
+        liabilities=tuple(classes),
+        resources=0.3 * dues * rng.uniform(0.5, 1.5, size=n),
+        default_costs=np.full((2, n), gamma),
     )
 
 
@@ -166,6 +185,39 @@ class TestClear:
         assert outcome.payments[0, 0] == 50.0
         assert outcome.payments[1, 0] == 0.0
 
+    @pytest.mark.parametrize("n", [60, 200])
+    @pytest.mark.parametrize("gamma", [0.0, 0.1])
+    @pytest.mark.parametrize("zero_class", [None, 0, 1])
+    def test_sparse_sweeps_match_dense_picard(self, n, gamma, zero_class):
+        problem = two_class_problem(n, gamma, zero_class, seed=n + 7)
+        dues = problem.gross_dues()
+        owes = dues > 0
+        scale = float(dues.max())
+        assert not owes[:, 0].any()
+        outcomes = {}
+        for selection in ("greatest", "least"):
+            outcome = cbv.clear(problem, selection=selection)
+            np.testing.assert_allclose(outcome.payments, picard_clear(problem, selection),
+                                       rtol=1e-9, atol=1e-9 * scale)
+            gap = np.abs(iterate_once(problem, outcome.payments) - outcome.payments).max()
+            assert gap <= 1e-9 * scale
+            # payout ratios are exactly p / dues, and 1 where nothing is owed
+            np.testing.assert_array_equal(outcome.payout_ratios[owes],
+                                          outcome.payments[owes] / dues[owes])
+            assert (outcome.payout_ratios[~owes] == 1.0).all()
+            outcomes[selection] = outcome
+        assert (outcomes["least"].payments <= outcomes["greatest"].payments + 1e-9 * scale).all()
+        assert (outcomes["greatest"].payout_ratios < 1.0).any(), "no node defaulted"
+
+    @pytest.mark.parametrize("kwargs", [
+        {"eps": float("inf")}, {"eps": float("nan")}, {"eps": 0.0}, {"eps": -1e-12},
+        {"max_iters": 0}, {"max_iters": 2.5}, {"max_iters": "10"}, {"selection": "middle"},
+    ], ids=["eps-inf", "eps-nan", "eps-zero", "eps-negative", "iters-zero", "iters-float",
+            "iters-str", "selection"])
+    def test_refuses_bad_iteration_settings(self, kwargs):
+        with pytest.raises(DomainError):
+            cbv.clear(chain_problem(), **kwargs)
+
     def test_convergence_error_carries_iterate(self):
         problem = chain_problem()
         with pytest.raises(ConvergenceError) as err:
@@ -259,9 +311,12 @@ class TestNetBoundaryFlows:
     def test_matches_tuple_index_lookup_on_shuffled_ids(self, rng):
         for n in (1, 5, 30):
             ids = tuple(f"n{k}" for k in rng.permutation(n))
-            liabilities = rng.uniform(0.0, 10.0, size=(n, n)) * (rng.random((n, n)) < 0.4)
-            problem = cbv.ClearingProblem.single_class(
-                ids, liabilities, rng.uniform(0.0, 20.0, size=n))
+            classes = tuple(
+                rng.uniform(0.0, 10.0, size=(n, n)) * (rng.random((n, n)) < 0.4)
+                for _ in range(2))
+            problem = cbv.ClearingProblem(
+                node_ids=ids, liabilities=classes,
+                resources=rng.uniform(0.0, 20.0, size=n), default_costs=np.zeros((2, n)))
             outcome = cbv.clear(problem)
             members = set(rng.choice(ids, size=rng.integers(1, n + 1), replace=False))
             flows = cbv.net_boundary_flows(problem, outcome, cbv.Perimeter(members))
@@ -269,10 +324,14 @@ class TestNetBoundaryFlows:
             o_ids = tuple(sorted(set(ids) - members))
             p_idx = [ids.index(k) for k in p_ids]
             o_idx = [ids.index(k) for k in o_ids]
-            paid = outcome.payout_ratios[0][:, np.newaxis] * problem.liabilities[0]
+            # scale each full class by its payer's ratios, then slice: bit for bit
+            paid = [ratios[:, np.newaxis] * mat
+                    for ratios, mat in zip(outcome.payout_ratios, classes)]
             assert (flows.p_ids, flows.o_ids) == (p_ids, o_ids)
-            np.testing.assert_array_equal(flows.x_po, paid[np.ix_(p_idx, o_idx)])
-            np.testing.assert_array_equal(flows.x_op, paid[np.ix_(o_idx, p_idx)])
+            np.testing.assert_array_equal(
+                flows.x_po, sum(m[np.ix_(p_idx, o_idx)] for m in paid))
+            np.testing.assert_array_equal(
+                flows.x_op, sum(m[np.ix_(o_idx, p_idx)] for m in paid))
 
     def test_dimension_guard(self):
         problem = cbv.ClearingProblem.single_class(

@@ -351,8 +351,12 @@ class TestClearingCommand:
         (json.dumps({**CLEARING_SPEC, "nodes": ["n1", "n2", "n1"]}), "MembershipError"),
         (json.dumps({k: v for k, v in CLEARING_SPEC.items() if k != "classes"}), "DomainError"),
         (json.dumps({**CLEARING_SPEC, "resources": {"n1": "much", "n2": 0}}), "DomainError"),
+        (json.dumps({**CLEARING_SPEC, "params": {"eps": float("inf")}}), "DomainError"),
+        (json.dumps({**CLEARING_SPEC, "params": {"eps": float("nan")}}), "DomainError"),
+        (json.dumps({**CLEARING_SPEC, "params": {"eps": 0}}), "DomainError"),
+        (json.dumps({**CLEARING_SPEC, "params": {"max_iters": 2.5}}), "DomainError"),
     ], ids=["truncated", "unknown-payee", "no-resource", "repeated-id", "no-classes",
-            "non-number"])
+            "non-number", "eps-inf", "eps-nan", "eps-zero", "iters-float"])
     def test_malformed_spec_is_compute_error(self, tmp_path, capsys, spec, error):
         path = tmp_path / "clearing.json"
         path.write_text(spec)
