@@ -21,13 +21,13 @@ sweep costs O(nnz) in the liabilities rather than O(classes * n^2).
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConvergenceError, DimensionError, DomainError, MembershipError
 from .network import NodeId, Perimeter
+from .observer import _check_solver_limits
 
 DEFAULT_EPS = 1e-12
 DEFAULT_MAX_SWEEPS = 100000
@@ -138,14 +138,7 @@ def clear(
     """
     if selection not in ("greatest", "least"):
         raise DomainError(f"selection must be greatest or least, got {selection!r}")
-    if not 0 < eps < np.inf:  # NaN fails both
-        raise DomainError(f"eps must be finite and > 0, got {eps!r}")
-    try:
-        max_iters = operator.index(max_iters)
-    except TypeError:
-        raise DomainError(f"max_iters must be an integer, got {max_iters!r}") from None
-    if max_iters < 1:
-        raise DomainError("max_iters must be >= 1")
+    _check_solver_limits(eps, max_iters)
     from scipy.sparse import csr_array
 
     n = len(problem.node_ids)

@@ -378,8 +378,8 @@ def main(argv=None) -> int:
     except CbvError as exc:
         print(f"error [{type(exc).__name__}]: {exc}", file=sys.stderr)
         return EXIT_COMPUTE
-    except FileNotFoundError as exc:
-        print(f"error [missing file]: {exc}", file=sys.stderr)
+    except OSError as exc:  # a file that is missing, a directory, unreadable
+        print(f"error [{type(exc).__name__}]: {exc}", file=sys.stderr)
         return EXIT_COMPUTE
 
 

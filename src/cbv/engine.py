@@ -50,7 +50,7 @@ from .errors import (
     StabilityError,
 )
 from .network import NodeId, OwnershipNetwork, Perimeter, partition
-from .observer import Observer, Tolerances
+from .observer import Observer, Tolerances, _check_solver_limits
 
 DIRECT_SOLVER_MAX_SIZE = 2048
 POWER_ITERATIONS = 100
@@ -301,10 +301,7 @@ class SolverConfig:
     def __post_init__(self):
         if self.method not in ("auto", "direct", "neumann", "iterative_krylov"):
             raise DomainError(f"unknown solver method {self.method!r}")
-        if self.eps is not None and self.eps <= 0:
-            raise DomainError("eps must be > 0")
-        if self.max_iters is not None and self.max_iters < 1:
-            raise DomainError("max_iters must be >= 1")
+        _check_solver_limits(self.eps, self.max_iters)
         if self.damping is not None and not 0.0 < self.damping < 1.0:
             raise DomainError("damping must be in (0, 1)")
         if self.regularization is not None and self.regularization < 0:

@@ -10,6 +10,8 @@ onto the other.
 from __future__ import annotations
 
 import datetime as _dt
+import math
+import operator
 import re
 from dataclasses import dataclass, field, replace
 
@@ -28,6 +30,20 @@ DEFAULT_SOLVER_EPS = 1e-10
 DEFAULT_MAX_ITERS = 10000
 
 
+def _check_solver_limits(eps=None, max_iters=None, eps_name: str = "eps") -> None:
+    """The one check of an iterative solver's limits (`Tolerances`, `SolverConfig`,
+    `clear`): eps finite and > 0, max_iters an integer >= 1; None is unchecked."""
+    if eps is not None and not 0 < eps < math.inf:  # NaN fails both
+        raise DomainError(f"{eps_name} must be finite and > 0, got {eps!r}")
+    if max_iters is not None:
+        try:
+            operator.index(max_iters)
+        except TypeError:
+            raise DomainError(f"max_iters must be an integer, got {max_iters!r}") from None
+        if max_iters < 1:
+            raise DomainError("max_iters must be >= 1")
+
+
 @dataclass(frozen=True)
 class Tolerances:
     """Rounding threshold, solver tolerance and iteration cap."""
@@ -37,12 +53,10 @@ class Tolerances:
     max_iters: int = DEFAULT_MAX_ITERS
 
     def __post_init__(self):
-        if self.rounding_threshold < 0:
-            raise DomainError("rounding_threshold must be >= 0")
-        if self.solver_eps <= 0:
-            raise DomainError("solver_eps must be > 0")
-        if self.max_iters < 1:
-            raise DomainError("max_iters must be >= 1")
+        if not 0 <= self.rounding_threshold < math.inf:
+            raise DomainError(
+                f"rounding_threshold must be finite and >= 0, got {self.rounding_threshold!r}")
+        _check_solver_limits(self.solver_eps, self.max_iters, eps_name="solver_eps")
 
 
 @dataclass(frozen=True)

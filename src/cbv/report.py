@@ -1,21 +1,23 @@
 """Cut-report data packages: serialization, hashing and validation.
 
-A package directory holds `manifest.yaml` plus CSV data files (node lists,
-base and value vectors, share blocks), optionally `O_PP.csv`,
-`clearing.json`, `proof_stability.txt` and `pov.json`.  The manifest names
-the CSV data files and `clearing.json` and pins their SHA-256, so those are
-tamper-evident byte by byte; `proof_stability.txt` and `pov.json` are
-neither named nor hashed.
+A package directory holds `manifest.yaml`, the observer's perimeter of
+validity `pov.json`, and CSV data files (node lists, base and value vectors,
+share blocks), optionally `O_PP.csv` with its `proof_stability.txt` and
+`clearing.json`.  Under schema `cbv-cut-report@1.1` the manifest names every
+other file and pins its SHA-256, so each is tamper-evident byte by byte.
 
 Two JSON documents accompany a valuation: the perimeter-of-validity (the full
 observer configuration) and the cut summary (edge lists, totals and the
 consolidated value).  Serialization is deterministic: fixed key order, UTF-8,
 shortest round-trip decimal rendering for numbers.
 
-A package's `pov.json`, read by `parse_pov` as `cbv compute --pov` reads
-its file, alone defines the observer; rule D3 reports where it disagrees
-with the manifest.  Without one the observer comes from the manifest, which
-records no tolerances, basis, discount weights or perimeter nodes.
+The package's `pov.json`, read by `parse_pov` as `cbv compute --pov` reads
+its file, is the only statement of the observer; the manifest repeats none
+of it and keeps only `O_ref`, which the observer lacks.  A v1.0 package
+listed and hashed neither `pov.json` nor `proof_stability.txt`: its observer
+comes from an unlisted `pov.json` when one is present (rule D3 reports where
+it disagrees with the manifest), else from the manifest's observer block,
+which records no tolerances, basis, discount weights or perimeter nodes.
 
 Cost.  Writing a matrix renders only its held entries with `repr` (every
 other cell is the constant "0.0") and joins each row once.  Loading reads
@@ -61,15 +63,14 @@ from .network import COLUMN_SUM_SLACK
 from .observer import FxPppSpec, Observer, SdfSpec, Tolerances
 from .validation import ValidationReport
 
-MANIFEST_VERSION = "cbv-cut-report@1.0"
+MANIFEST_VERSION = "cbv-cut-report@1.1"
+_V1_0 = "cbv-cut-report@1.0"
 MANIFEST_NAME = "manifest.yaml"
+POV_NAME = "pov.json"
 STABILITY_NAME = "proof_stability.txt"
 EDGE_TYPES = ("equity", "debt", "derivative", "cashflow")
 
-_KNOWN_MANIFEST_KEYS = (
-    "version", "observer", "perimeter", "regime", "clearing",
-    "data_files", "hashes", "notes",
-)
+_KNOWN_MANIFEST_KEYS = ("version", "perimeter", "clearing", "data_files", "hashes", "notes")
 _ALWAYS_REQUIRED_FILES = ("nodes_P", "nodes_O", "b_P", "v_O", "O_PO", "O_OP")
 
 
@@ -257,10 +258,6 @@ class Manifest:
         return self.data.get("version")
 
     @property
-    def regime(self) -> str:
-        return str(self.data.get("regime", "A"))
-
-    @property
     def observer_block(self) -> dict:
         return dict(self.data.get("observer") or {})
 
@@ -286,7 +283,8 @@ class Manifest:
 
     @property
     def extra_keys(self) -> list[str]:
-        return [k for k in self.data if k not in _KNOWN_MANIFEST_KEYS]
+        v1_0 = ("observer", "regime") if self.version != MANIFEST_VERSION else ()
+        return [k for k in self.data if k not in _KNOWN_MANIFEST_KEYS + v1_0]
 
     def to_yaml_bytes(self) -> bytes:
         return yaml.safe_dump(self.data, sort_keys=False).encode("utf-8")
@@ -357,31 +355,6 @@ class CutReportPackage:
         )
 
 
-def _observer_to_manifest_block(observer: Observer) -> dict:
-    fx = observer.fx_ppp
-    sdf = observer.sdf
-    block = {
-        "currency": observer.units,
-        "fx": {
-            "provider": fx.fx_source if fx else None,
-            "date": observer.date,
-            "scale": fx.scale if fx else 1.0,
-            "method": "close",
-        },
-        "ppp": {
-            "used": bool(fx and fx.ppp_source),
-            "source": fx.ppp_source if fx else None,
-            "deflator": fx.deflator if fx else None,
-        },
-        "sdf": {
-            "used": sdf is not None,
-            "measure": sdf.measure if sdf else None,
-            "spec": sdf.curve_source if sdf else None,
-        },
-    }
-    return block
-
-
 def write_package(
     directory,
     stats: CutStatistics,
@@ -390,11 +363,16 @@ def write_package(
     notes=(),
     o_ref: str | None = None,
 ) -> Manifest:
-    """Write a complete package for share-form statistics, hashing each data file."""
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
+    """Write a complete package for share-form statistics, hashing each file.
+
+    The observer is written as `pov.json` (`emit_pov`), so an observer the
+    PoV cannot state is an EmissionError, and nothing is written.
+    """
     if stats.o_po is None or stats.o_op is None or stats.v_o is None:
         raise PackageError("write_package needs share-form statistics")
+    pov = emit_pov(observer)
+    directory = Path(directory)
+    directory.mkdir(parents=True, exist_ok=True)
 
     files: dict[str, str] = {
         "nodes_P": "nodes_P.csv",
@@ -415,6 +393,7 @@ def write_package(
     write_matrix_csv(directory / files["O_OP"], stats.o_ids, stats.p_ids, stats.o_op, "id_O")
     if stats.o_pp is not None:
         files["O_PP"] = "O_PP.csv"
+        files["stability"] = STABILITY_NAME
         write_matrix_csv(directory / files["O_PP"], stats.p_ids, stats.p_ids, stats.o_pp, "id_P")
         bound = spectral_radius_bound(stats.o_pp)
         evidence = (
@@ -429,8 +408,9 @@ def write_package(
     if clearing_spec is not None:
         files["clearing_spec"] = "clearing.json"
         (directory / "clearing.json").write_bytes(_json_bytes(clearing_spec))
+    files["pov"] = POV_NAME
+    (directory / POV_NAME).write_bytes(pov)
 
-    rule = observer.control_rule
     clearing_block = {
         "used": bool(stats.clearing_tag or (clearing_spec or {}).get("used")),
         "engine": stats.clearing_tag or (clearing_spec or {}).get("engine"),
@@ -438,15 +418,7 @@ def write_package(
     }
     manifest_data = {
         "version": MANIFEST_VERSION,
-        "observer": _observer_to_manifest_block(observer),
-        "perimeter": {
-            "P_ref": observer.perimeter_ref,
-            "O_ref": o_ref or f"complement-of-{observer.perimeter_ref}",
-            "control_rule": (rule.label if rule and rule.label else
-                             (f"option-{rule.option}@{rule.tau}" if rule else None)),
-            "lookthrough": bool(rule.reachability_depth) if rule else False,
-        },
-        "regime": observer.regime,
+        "perimeter": {"O_ref": o_ref or f"complement-of-{observer.perimeter_ref}"},
         "clearing": clearing_block,
         "data_files": dict(files),
         "hashes": {key: sha256_of_file(directory / name) for key, name in files.items()},
@@ -457,45 +429,46 @@ def write_package(
     return manifest
 
 
-def _build_observer(manifest: Manifest) -> Observer:
-    """The observer of a package without a pov.json, from its manifest."""
-    obs_block = manifest.observer_block
-    per_block = manifest.perimeter_block
-    fx_block = obs_block.get("fx") or {}
-    ppp_block = obs_block.get("ppp") or {}
-    sdf_block = obs_block.get("sdf") or {}
+def _v1_0_pov(directory: Path, manifest: Manifest) -> tuple[dict, str]:
+    """The observer of a v1.0 package as a PoV mapping, and the document it came from.
 
-    fx_ppp = None
-    if fx_block or ppp_block.get("used"):
-        fx_ppp = FxPppSpec(
-            scale=float(fx_block.get("scale", 1.0) or 1.0),
-            fx_source=fx_block.get("provider"),
-            ppp_source=ppp_block.get("source") if ppp_block.get("used") else None,
-            deflator=ppp_block.get("deflator"),
-        )
-    sdf = None
-    if sdf_block.get("used"):
-        sdf = SdfSpec(
-            measure=str(sdf_block.get("measure") or "risk_neutral"),
-            curve_source=sdf_block.get("spec"),
-        )
-    return Observer(
-        perimeter_ref=str(per_block.get("P_ref") or "P"),
-        units=str(obs_block.get("currency") or "EUR"),
-        date=str(fx_block.get("date") or "1970-01-01"),
-        regime=manifest.regime,
-        control_rule=per_block.get("control_rule"),
-        fx_ppp=fx_ppp,
-        sdf=sdf,
-    )
+    v1.0 lists no observer: an unlisted pov.json states it when present, else
+    the manifest's observer block, whose fields map onto the PoV's.
+    """
+    path = directory / POV_NAME
+    if path.exists():
+        return _json_object(path.read_bytes(), "PoV"), "PoV"
+    declared, perimeter = manifest.observer_block, manifest.perimeter_block
+    fx, ppp, sdf = (declared.get(key) or {} for key in ("fx", "ppp", "sdf"))
+    if not all(isinstance(block, dict) for block in (fx, ppp, sdf)):
+        raise PackageError("manifest observer fx, ppp and sdf must be mappings")
+    observer = {
+        "P_ref": perimeter.get("P_ref") or "P",
+        "units": declared.get("currency") or "EUR",
+        "date": fx.get("date") or "1970-01-01",
+        "information_regime": manifest.data.get("regime", "A"),
+        "control_rule": perimeter.get("control_rule"),
+    }
+    if fx or ppp.get("used"):
+        observer["fx_ppp"] = {
+            "scale": fx.get("scale", 1.0) or 1.0,
+            "fx_source": fx.get("provider"),
+            "ppp_source": ppp.get("source") if ppp.get("used") else None,
+            "deflator": ppp.get("deflator"),
+        }
+    if sdf.get("used"):
+        observer["sdf"] = {"measure": sdf.get("measure") or "risk_neutral",
+                           "curve_source": sdf.get("spec")}
+    return {"observer": observer}, "manifest"
 
 
 def load_package(directory) -> CutReportPackage:
     """Load and hash-verify a package directory.
 
-    Every listed data file must exist, carry a manifest hash, and match it
-    byte for byte; `O_PP.csv` is required when the declared regime is B.
-    Each file is read once: the bytes hashed are the bytes parsed.
+    Every listed file must exist, carry a manifest hash, and match it byte
+    for byte; `pov.json` is required, and `O_PP.csv` when the observer's
+    regime is B.  Each file is read once: the bytes hashed are the bytes
+    parsed.  A v1.0 package is read as the module docstring describes.
     """
     directory = Path(directory)
     manifest_path = directory / MANIFEST_NAME
@@ -504,13 +477,11 @@ def load_package(directory) -> CutReportPackage:
     manifest = Manifest.from_yaml_bytes(manifest_path.read_bytes())
 
     files = manifest.data_files
-    missing = [key for key in _ALWAYS_REQUIRED_FILES if key not in files]
-    if manifest.regime == "B" and "O_PP" not in files:
-        missing.append("O_PP")
+    current = manifest.version == MANIFEST_VERSION
+    required = _ALWAYS_REQUIRED_FILES + (("pov",) if current else ())
+    missing = [key for key in required if key not in files]
     if missing:
-        raise PackageError(
-            f"package lacks required data files for regime {manifest.regime}: {missing}"
-        )
+        raise PackageError(f"package lacks required data files: {missing}")
     hashes = manifest.hashes
     loaded: dict[str, PackageFile] = {}
     for key, name in files.items():
@@ -528,6 +499,17 @@ def load_package(directory) -> CutReportPackage:
                 f"hash mismatch for {name}: manifest {recorded}, actual {actual}",
                 filename=str(name),
             )
+
+    if current:
+        pov, source = _json_object(loaded["pov"].data, "PoV"), "PoV"
+        evidence = loaded.get("stability")
+    else:  # v1.0 lists neither the observer nor the stability evidence
+        pov, source = _v1_0_pov(directory, manifest)
+        evidence = directory / STABILITY_NAME
+        evidence = evidence if evidence.exists() else None
+    observer = _checked_observer(pov, source)
+    if observer.regime == "B" and "O_PP" not in files:
+        raise PackageError("package lacks the data file O_PP that regime B requires")
 
     p_ids = sorted(read_nodes_csv(loaded["nodes_P"]))
     o_ids = sorted(read_nodes_csv(loaded["nodes_O"]))
@@ -554,16 +536,7 @@ def load_package(directory) -> CutReportPackage:
 
     clearing_spec = None
     if "clearing_spec" in files:
-        clearing_spec = json.loads(_text(loaded["clearing_spec"]))
-    pov_path = directory / "pov.json"
-    if pov_path.exists():
-        observer, pov = parse_pov(pov_path.read_bytes())
-    else:
-        observer, pov = _checked_observer(_build_observer, manifest, "manifest"), None
-    stability = None
-    stab_path = directory / STABILITY_NAME
-    if stab_path.exists():
-        stability = stab_path.read_text("utf-8")
+        clearing_spec = _json_object(loaded["clearing_spec"].data, "clearing.json")
 
     return CutReportPackage(
         directory=directory,
@@ -578,8 +551,8 @@ def load_package(directory) -> CutReportPackage:
         observer=observer,
         v_p=v_p,
         clearing_spec=clearing_spec,
-        pov=pov,
-        stability_evidence=stability,
+        pov=pov if source == "PoV" else None,
+        stability_evidence=_text(evidence) if evidence is not None else None,
     )
 
 
@@ -591,12 +564,18 @@ def validate_package(pkg: CutReportPackage) -> ValidationReport:
     """Run the automatic validation rules over a loaded package."""
     report = ValidationReport()
 
-    if pkg.manifest.version != MANIFEST_VERSION:
-        report.add(
-            "schema", "error",
-            f"manifest version {pkg.manifest.version!r}, expected {MANIFEST_VERSION!r}",
-            location=MANIFEST_NAME,
-        )
+    version = pkg.manifest.version
+    if version == _V1_0:
+        source = (f"an unlisted {POV_NAME}" if pkg.pov is not None else
+                  "the manifest, which records no tolerances, basis, discount weights "
+                  "or perimeter nodes")
+        report.add("schema", "warning",
+                   f"{_V1_0} package: no hash covers its observer, read from {source}",
+                   location=MANIFEST_NAME)
+    elif version != MANIFEST_VERSION:
+        report.add("schema", "error",
+                   f"manifest version {version!r}, expected {MANIFEST_VERSION!r}",
+                   location=MANIFEST_NAME)
     for key in pkg.manifest.extra_keys:
         report.add("schema", "note", f"unknown manifest field {key!r} preserved",
                    location=MANIFEST_NAME)
@@ -628,12 +607,13 @@ def validate_package(pkg: CutReportPackage) -> ValidationReport:
         report.add("D2", "error",
                    f"ownership of {pkg.p_ids[j]!r} sums to {float(col_sums[j])!r} > 1")
 
-    # D3: a single observer per period; the PoV defining it must agree with the manifest
-    if pkg.pov is not None:
+    # D3: a single observer per period.  A v1.0 manifest repeats the observer
+    # that an unlisted pov.json defines, and the two must agree
+    if pkg.pov is not None and version != MANIFEST_VERSION:
         observer, declared = pkg.observer, pkg.manifest.observer_block
         pairs = (
             ("units", observer.units, declared.get("currency")),
-            ("regime", observer.regime, pkg.manifest.regime),
+            ("regime", observer.regime, pkg.manifest.data.get("regime", "A")),
             ("P_ref", observer.perimeter_ref, pkg.manifest.perimeter_block.get("P_ref")),
             ("fx scale", observer.fx_ppp.scale if observer.fx_ppp else 1.0,
              (declared.get("fx") or {}).get("scale")),
@@ -654,7 +634,7 @@ def validate_package(pkg: CutReportPackage) -> ValidationReport:
             _stability_gate(pkg.o_pp)
         except StabilityError as exc:
             report.add("D4", "error", f"O_PP fails the stability gate: {exc}")
-    elif pkg.manifest.regime == "B":
+    elif pkg.observer.regime == "B":
         report.add("D4", "error", "regime B without O_PP or an explanation")
 
     # D5: clearing declaration must match the files and flows
@@ -877,41 +857,48 @@ def emit_pov(observer: Observer) -> bytes:
 def parse_pov(blob: bytes) -> tuple[Observer, dict]:
     """Rebuild an Observer from a PoV document; returns (observer, raw dict).
 
-    The one reader of a PoV: a package's `pov.json` and `cbv compute --pov`
-    both come through here.  Absent tolerances take the `Tolerances` defaults.
-    Bytes that are not a JSON object, and fields that fail the observer's
-    checks, are PackageErrors.
+    A package's `pov.json` is read the same way.  Absent tolerances take the
+    `Tolerances` defaults.  Bytes that are not a JSON object, and fields that
+    fail the observer's checks, are PackageErrors.
     """
+    data = _json_object(blob, "PoV")
+    return _checked_observer(data, "PoV"), data
+
+
+def _json_object(blob: bytes, name: str) -> dict:
+    """The JSON object `blob` holds; anything else is a PackageError naming `name`."""
     try:
         data = json.loads(blob.decode("utf-8"))
     except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
-        raise PackageError(f"PoV is not a JSON document: {exc}") from None
+        raise PackageError(f"{name} is not a JSON document: {exc}") from None
     if not isinstance(data, dict):
-        raise PackageError("PoV must be a JSON object")
-    return _checked_observer(_observer_from_pov, data, "PoV"), data
+        raise PackageError(f"{name} must be a JSON object")
+    return data
 
 
-def _checked_observer(build, source, name: str) -> Observer:
-    """`build(source)`, where a field that fails the observer's checks or
-    has the wrong type is a PackageError naming `name`, the document read."""
+def _checked_observer(data: dict, name: str) -> Observer:
+    """The observer a PoV mapping states; a field that fails the observer's
+    checks or has the wrong type is a PackageError naming `name`."""
     try:
-        return build(source)
+        return _observer_from_pov(data)
     except (DomainError, TypeError, ValueError, AttributeError) as exc:
         raise PackageError(f"{name} field fails the observer's checks: {exc}") from None
 
 
 def _observer_from_pov(data: dict) -> Observer:
     obs = data.get("observer") or {}
-    rule_block = obs.get("control_rule") or {}
-    params = rule_block.get("params") or {}
-    rule = ControlRuleSpec(
-        option=str(rule_block.get("option", "A")),
-        tau=float(params.get("tau", 0.5)),
-        alpha=float(params.get("alpha", 0.6)),
-        normalize=bool(params.get("normalize", False)),
-        reachability_depth=params.get("reachability_depth"),
-        label=rule_block.get("label"),
-    )
+    # a rule block, or what `Observer` takes itself: a label, or none declared
+    rule = obs.get("control_rule")
+    if isinstance(rule, dict):
+        params = rule.get("params") or {}
+        rule = ControlRuleSpec(
+            option=str(rule.get("option", "A")),
+            tau=float(params.get("tau", 0.5)),
+            alpha=float(params.get("alpha", 0.6)),
+            normalize=bool(params.get("normalize", False)),
+            reachability_depth=params.get("reachability_depth"),
+            label=rule.get("label"),
+        )
     tol, default = data.get("tolerances") or {}, Tolerances()
     fx_block = obs.get("fx_ppp")
     sdf_block = obs.get("sdf")
@@ -929,7 +916,7 @@ def _observer_from_pov(data: dict) -> Observer:
         tolerances=Tolerances(
             rounding_threshold=float(tol.get("rounding_threshold", default.rounding_threshold)),
             solver_eps=float(tol.get("solver_eps", default.solver_eps)),
-            max_iters=int(tol.get("max_iters", default.max_iters)),
+            max_iters=tol.get("max_iters", default.max_iters),
         ),
         fx_ppp=(FxPppSpec(
             scale=float(fx_block.get("scale", 1.0)),
@@ -1001,10 +988,9 @@ def render_disclosure_sheet(
     if rule is not None:
         rule_text = rule.label or f"option {rule.option}, params {rule.params()}"
     lines = [
-        "Cut-Report (v1.0) - Disclosure sheet",
+        f"Cut-Report (v{str(manifest.version).rpartition('@')[2]}) - Disclosure sheet",
         "-" * 72,
-        row("Perimeter", f"{manifest.perimeter_block.get('P_ref')} "
-                         f"({', '.join(pkg.p_ids)})"),
+        row("Perimeter", f"{observer.perimeter_ref} ({', '.join(pkg.p_ids)})"),
         row("Complement", f"{manifest.perimeter_block.get('O_ref')} "
                           f"({', '.join(pkg.o_ids)})"),
         row("Control rule", rule_text),

@@ -3,10 +3,14 @@ and the oracles the tests check the library against."""
 
 from __future__ import annotations
 
+import shutil
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import cbv
+from cbv.report import sha256_of_file
 
 # Five-node network: P = {A, B, C}, O = {X, Y}.  Internal cross-holdings,
 # four outgoing and four incoming boundary edges.
@@ -68,6 +72,28 @@ def renault_stats() -> cbv.CutStatistics:
         o_op=[[SHARE_N_IN_R]],
         o_pp=[[0.0]],
     )
+
+
+# A package written by the cbv-cut-report@1.0 writer: example_stats(with_v_p=False)
+# under the observer P-DEMO, fair_value, EUR, 2025-06-30, regime B, control
+# option A at tau 0.5, with the note "demo data".  That writer listed no
+# pov.json and no proof_stability.txt, and repeated the observer in the
+# manifest; reloaded, that observer priced W at V1_0_W.
+V1_0_PACKAGE = Path(__file__).with_name("data") / "package_v1_0"
+V1_0_W = 86.5210505050505
+
+
+def v1_0_package(tmp_path) -> Path:
+    """A copy of the committed v1.0 package that a test may edit."""
+    return Path(shutil.copytree(V1_0_PACKAGE, tmp_path / "v1_0"))
+
+
+def rehash(package: Path, name: str) -> None:
+    """Record the hash of the package's file `name`, as edited, in its manifest."""
+    manifest = cbv.Manifest.from_yaml_bytes((package / "manifest.yaml").read_bytes())
+    key = next(k for k, v in manifest.data["data_files"].items() if v == name)
+    manifest.data["hashes"][key] = sha256_of_file(package / name)
+    (package / "manifest.yaml").write_bytes(manifest.to_yaml_bytes())
 
 
 @pytest.fixture

@@ -5,14 +5,16 @@ import pytest
 
 import cbv
 from cbv.cli import EXIT_COMPUTE, EXIT_FINDINGS, EXIT_OK, EXIT_USAGE, main
-from cbv.report import sha256_of_file, write_matrix_csv
+from cbv.report import write_matrix_csv
 
-from conftest import example_stats, two_cycle_chain_stats
+from conftest import V1_0_W, example_stats, rehash, two_cycle_chain_stats, v1_0_package
 
 # a PoV cut off mid-document, and one whose units fail the observer's check
 BAD_POVS = [b'{"observer": ', b'{"observer": {"units": "euro"}}']
 
-# manifest fields of the wrong type, or that fail the observer's checks
+# manifest fields of the wrong type, or that fail the observer's checks; a
+# v1.0 manifest held the observer, so those fields are set on the v1.0 package
+V1_0_OBSERVER_FIELDS = ("observer", "perimeter.control_rule", "regime")
 BAD_MANIFESTS = [
     ("observer.fx.scale", "abc"),
     ("observer.fx", [1, 2]),
@@ -46,9 +48,6 @@ def build_package(tmp_path, name="pkg", kappa=None, b_scale=1.0, regime="B",
     )
     target = tmp_path / name
     cbv.write_package(target, stats, observer)
-    if tolerances:
-        # a package declares its tolerances in its PoV file
-        (target / "pov.json").write_bytes(cbv.emit_pov(observer))
     return target
 
 
@@ -75,9 +74,7 @@ class TestValidateCommand:
         lines = target.read_text(encoding="utf-8").splitlines()
         lines[1] = ",".join([lines[1].split(",")[0], "nan", *lines[1].split(",")[2:]])
         target.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        manifest = cbv.Manifest.from_yaml_bytes((pkg / "manifest.yaml").read_bytes())
-        manifest.data["hashes"][name[:-4]] = sha256_of_file(target)
-        (pkg / "manifest.yaml").write_bytes(manifest.to_yaml_bytes())
+        rehash(pkg, name)
         assert main(["validate", str(pkg)]) == EXIT_FINDINGS
         assert "D2" in capsys.readouterr().out
 
@@ -85,9 +82,55 @@ class TestValidateCommand:
     def test_malformed_pov_is_a_schema_finding(self, tmp_path, capsys, pov):
         pkg = build_package(tmp_path)
         (pkg / "pov.json").write_bytes(pov)
+        rehash(pkg, "pov.json")
         assert main(["validate", str(pkg)]) == EXIT_FINDINGS
         out = capsys.readouterr().out
         assert "schema" in out and "PoV" in out and "Traceback" not in out
+
+    @pytest.mark.parametrize("blob", [b'{"nodes": ', b"[1, 2]", b"\xff"])
+    def test_malformed_clearing_json_is_a_schema_finding(self, tmp_path, capsys, blob):
+        pkg = build_package(tmp_path)
+        (pkg / "clearing.json").write_bytes(blob)
+        manifest = cbv.Manifest.from_yaml_bytes((pkg / "manifest.yaml").read_bytes())
+        manifest.data["data_files"]["clearing_spec"] = "clearing.json"
+        (pkg / "manifest.yaml").write_bytes(manifest.to_yaml_bytes())
+        rehash(pkg, "clearing.json")
+        assert main(["validate", str(pkg)]) == EXIT_FINDINGS
+        assert capsys.readouterr().out.startswith("ERROR schema: clearing.json")
+        assert main(["compute", "--package", str(pkg)]) == EXIT_COMPUTE
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error [PackageError]: clearing.json")
+
+    def test_edited_pov_is_a_hash_finding(self, tmp_path, capsys):
+        # a listed pov.json whose discount weight is changed from 0.95 to 0.5:
+        # the package no longer prices at the W it was written for
+        stats = example_stats(with_v_p=False)
+        observer = cbv.Observer(perimeter_ref="P-DEMO", regime="B",
+                                control_rule=cbv.ControlRuleSpec(),
+                                sdf=cbv.SdfSpec(discount_weights={"s": 0.95}))
+        pkg = tmp_path / "pkg"
+        cbv.write_package(pkg, stats, observer)
+        assert main(["compute", "--package", str(pkg), "--format", "json"]) == EXIT_OK
+        w = json.loads(capsys.readouterr().out)["consolidated_value"]
+        assert w == cbv.evaluate_for_observer(stats, observer).w
+        assert round(w, 3) == 82.195
+        pov = pkg / "pov.json"
+        pov.write_bytes(pov.read_bytes().replace(b'"s": 0.95', b'"s": 0.5'))
+        assert main(["validate", str(pkg)]) == EXIT_FINDINGS
+        assert capsys.readouterr().out.startswith("ERROR hash: hash mismatch for pov.json")
+        assert main(["compute", "--package", str(pkg)]) == EXIT_COMPUTE
+        assert capsys.readouterr().err.startswith("error [IntegrityError]: hash mismatch")
+
+    def test_v1_0_package_adds_one_warning(self, tmp_path, capsys):
+        # the v1.0 writer's package had no findings; read today it carries one
+        # warning, that no hash covers its observer, and prices as it did
+        pkg = v1_0_package(tmp_path)
+        assert main(["validate", str(pkg), "--format", "json"]) == EXIT_OK
+        findings = json.loads(capsys.readouterr().out)
+        assert [(f["rule"], f["severity"]) for f in findings] == [("schema", "warning")]
+        assert "no hash covers" in findings[0]["message"]
+        assert main(["compute", "--package", str(pkg), "--format", "json"]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["consolidated_value"] == V1_0_W
 
     def test_json_format(self, tmp_path, capsys):
         pkg = build_package(tmp_path)
@@ -109,7 +152,8 @@ class TestMalformedManifest:
     @pytest.mark.parametrize("field,value", BAD_MANIFESTS,
                              ids=[f"{field}={value}" for field, value in BAD_MANIFESTS])
     def test_schema_finding_and_compute_error(self, tmp_path, capsys, field, value):
-        pkg = build_package(tmp_path)
+        pkg = (v1_0_package(tmp_path) if field.startswith(V1_0_OBSERVER_FIELDS)
+               else build_package(tmp_path))
         manifest = cbv.Manifest.from_yaml_bytes((pkg / "manifest.yaml").read_bytes())
         *parents, key = field.split(".")
         block = manifest.data
@@ -201,8 +245,8 @@ class TestComputeCommand:
         assert main(argv + ["--max-iters", "10000"]) == EXIT_OK
 
     def test_package_pov_and_pov_flag_build_one_observer(self, tmp_path, capsys):
-        # a pov.json declaring every part of the observer: the package and
-        # --pov both read it with parse_pov, so they run the same valuation
+        # the package's pov.json declares every part of the observer: the
+        # package and --pov read it alike, so they run the same valuation
         stats = example_stats(with_v_p=False)
         observer = cbv.Observer(
             perimeter_ref="P-DEMO", basis="historical_cost", units="EUR",
@@ -216,7 +260,6 @@ class TestComputeCommand:
         )
         pkg = tmp_path / "pkg"
         cbv.write_package(pkg, stats, observer)
-        (pkg / "pov.json").write_bytes(cbv.emit_pov(observer))
         parsed, _ = cbv.parse_pov((pkg / "pov.json").read_bytes())
         assert cbv.load_package(pkg).observer == parsed == observer
 
@@ -255,6 +298,7 @@ class TestComputeCommand:
         assert main(["compute", "--package", str(pkg),
                      "--pov", str(tmp_path / "bad_pov.json")]) == EXIT_COMPUTE
         (pkg / "pov.json").write_bytes(pov)
+        rehash(pkg, "pov.json")
         assert main(["compute", "--package", str(pkg)]) == EXIT_COMPUTE
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 2
@@ -262,6 +306,22 @@ class TestComputeCommand:
 
     def test_missing_package_is_compute_error(self, tmp_path, capsys):
         assert main(["compute", "--package", str(tmp_path / "ghost")]) == EXIT_COMPUTE
+
+    def test_directory_given_as_pov_is_compute_error(self, tmp_path, capsys):
+        pkg = build_package(tmp_path)
+        assert main(["compute", "--package", str(pkg), "--pov", str(tmp_path)]) == EXIT_COMPUTE
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error [IsADirectoryError]")
+
+    @pytest.mark.parametrize("eps", ["inf", "nan"])
+    def test_non_finite_eps_is_compute_error(self, tmp_path, capsys, eps):
+        # with eps = inf the Neumann loop stopped after one sweep, off by 0.14
+        pkg = build_package(tmp_path)
+        assert main(["compute", "--package", str(pkg), "--eps", eps,
+                     "--method", "neumann"]) == EXIT_COMPUTE
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error [DomainError]: eps must be finite and > 0, got {float(eps)!r}"]
+        assert not (pkg / "cut_summary.json").exists()
 
     def test_regime_a_package_with_observed_values(self, tmp_path, capsys):
         # the worked example with observed internal values carried in the

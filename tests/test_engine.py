@@ -294,11 +294,22 @@ class TestEstimation:
 
     @pytest.mark.parametrize("field", [
         {"method": "lu"}, {"eps": 0.0}, {"max_iters": 0}, {"damping": 1.0},
-        {"regularization": -1e-3},
+        {"regularization": -1e-3}, {"eps": float("inf")}, {"eps": float("nan")},
+        {"max_iters": 2.5},
     ])
     def test_solver_config_domains(self, field):
         with pytest.raises(DomainError):
             cbv.SolverConfig(**field)
+
+    @pytest.mark.parametrize("field", [
+        {"solver_eps": float("nan")}, {"solver_eps": float("inf")}, {"solver_eps": 0.0},
+        {"rounding_threshold": float("inf")}, {"rounding_threshold": float("nan")},
+        {"rounding_threshold": -1e-9}, {"max_iters": 2.5}, {"max_iters": "10"},
+        {"max_iters": 0},
+    ])
+    def test_tolerances_domains(self, field):
+        with pytest.raises(DomainError):
+            cbv.Tolerances(**field)
 
     def test_unset_solver_fields_follow_the_observer(self, stats_b):
         observer = cbv.Observer(perimeter_ref="P", regime="B",
