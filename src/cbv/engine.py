@@ -18,9 +18,13 @@ Boundary statistics may also be given directly as priced flow matrices (one
 amount per edge) instead of share blocks times values; post-clearing net flows
 and the macro case studies use that form.
 
-Cost.  `CutStatistics.from_network` copies each block out of the network
-once; statistics derived from others (`with_v_p`, `scale_units`, the probes of
-a Monte Carlo band) share the blocks they do not change.  Pricing the cut is
+Cost.  `CutStatistics.from_network` takes each block from `partition`, which
+scatters the network's held edges into it, so a block costs its allocation
+plus the edges it holds; statistics derived from others (`with_v_p`,
+`scale_units`) share the blocks they do not change.  Regime B is two pieces:
+the right-hand side b_P + O_PO v_O (`_boundary_rhs`) and the gated solve on
+O_PP (`_solve_internal`); a Monte Carlo band, whose probes move only O_PP,
+computes the first once and runs only the second per probe.  Pricing the cut is
 a reduction over the two boundary blocks: with no rounding threshold, one pass
 of column sums per block and no n_P x n_O temporary; with a threshold, one
 priced amount per nonzero edge (`cut_edges`, which also lists the edges of a
@@ -364,19 +368,21 @@ def cut_edges(share_block, values, amounts, tau):
     return rows[keep], cols[keep], priced[keep], int(keep.size - np.count_nonzero(keep))
 
 
-def _priced_edges(share_block, values, amounts, tau):
+def _priced_edges(share_block, values, amounts, tau, col_sums=None):
     """Edge totals with sub-threshold amounts dropped, in canonical order.
 
     With no threshold nothing is dropped, and the total is a reduction over
     the block: an amount block is summed, a share block contributes its column
-    sums times the values.  With a threshold the total is over `cut_edges`.
+    sums (`col_sums` when the caller has them already) times the values.  With
+    a threshold the total is over `cut_edges`.
     """
     if amounts is None and share_block is None:
         return 0.0, 0
     if not tau > 0.0:
         if amounts is not None:
             return float(amounts.sum()), 0
-        col_sums = share_block.sum(axis=0)
+        if col_sums is None:
+            col_sums = share_block.sum(axis=0)
         if not np.isfinite(values).all():
             # as on the per-edge path, a value counts only where its column
             # holds a share: a non-finite value behind zeros stays out of W
@@ -455,26 +461,20 @@ def _solve_shifted(a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         raise StabilityError(f"I - A is singular: {exc}") from exc
 
 
-def estimate_internal_values(
-    stats: CutStatistics, cfg: SolverConfig | None = None
-) -> tuple[np.ndarray, SolverLog]:
-    """Solve (I - O_PP) v_P = b_P + O_PO v_O for the internal values.
-
-    The stability gate requires a certified bound on rho(O_PP) to sit below 1
-    unless damping or regularization is configured; damping rescales
-    the internal block and both adjustments are recorded in the log.
-    """
-    cfg = (cfg or SolverConfig()).resolved()
-    if stats.o_pp is None:
-        raise RegimeError("regime B needs the internal block O_PP")
+def _boundary_rhs(stats: CutStatistics) -> np.ndarray:
+    """b_P + O_PO v_O, the right-hand side of the regime-B system."""
     if stats.o_po is None or stats.v_o is None:
         if len(stats.o_ids):
             raise RegimeError("regime B needs share-form o_po and v_o")
-        rhs = stats.b_p.copy()
-    else:
-        rhs = stats.b_p + stats.o_po @ stats.v_o
+        return stats.b_p.copy()
+    return stats.b_p + stats.o_po @ stats.v_o
 
-    m = stats.o_pp
+
+def _solve_internal(
+    o_pp: np.ndarray, rhs: np.ndarray, cfg: SolverConfig
+) -> tuple[np.ndarray, SolverLog]:
+    """Solve (I - O_PP) v_P = rhs under a resolved config, behind the gate."""
+    m = o_pp
     log = SolverLog(
         method=cfg.method, damping=cfg.damping, regularization=cfg.regularization
     )
@@ -531,6 +531,21 @@ def estimate_internal_values(
             residual=log.residual,
         )
     return v_p, log
+
+
+def estimate_internal_values(
+    stats: CutStatistics, cfg: SolverConfig | None = None
+) -> tuple[np.ndarray, SolverLog]:
+    """Solve (I - O_PP) v_P = b_P + O_PO v_O for the internal values.
+
+    The stability gate requires a certified bound on rho(O_PP) to sit below 1
+    unless damping or regularization is configured; damping rescales
+    the internal block and both adjustments are recorded in the log.
+    """
+    cfg = (cfg or SolverConfig()).resolved()
+    if stats.o_pp is None:
+        raise RegimeError("regime B needs the internal block O_PP")
+    return _solve_internal(stats.o_pp, _boundary_rhs(stats), cfg)
 
 
 def evaluate_regime_b(

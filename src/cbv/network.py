@@ -6,9 +6,14 @@ residual belongs to dispersed holders that are not modelled as nodes.  Node
 ordering is canonical (lexicographic by id) so that block matrices and any
 serialized artifact derived from them are deterministic.
 
-Cost.  `partition` copies the three blocks that touch the perimeter; the
-O/O block, which valuation never reads, is sliced on demand, the first time
-`BlockPartition.o_oo` is read (by `schur_operators` or `assemble`).
+Cost.  The network keeps the row-major positions of its held entries (every
+entry whose bit pattern is not +0.0, so -0.0 and NaN are held), found in one
+scan when it is built.  `partition` scatters those edges into zeroed blocks,
+so a perimeter costs the blocks' allocation plus O(nnz), not a pass over the
+n x n cells; the O/O block, which valuation never reads, is built on demand,
+the first time `BlockPartition.o_oo` is read (by `schur_operators` or
+`assemble`).  On a fully dense matrix the edge lists are n^2 positions (8
+bytes each) and the scatter is slower than slicing would be.
 """
 
 from __future__ import annotations
@@ -51,18 +56,30 @@ class OwnershipNetwork:
         # fancy indexing returns a fresh array, so the caller's matrix is not shared
         self.shares: np.ndarray = shares[np.ix_(order, order)]
         self.shares.setflags(write=False)
+        # row-major positions of the held entries, whose bits are not +0.0
+        # (nonzero on a bool mask is about three times faster than on uint64)
+        self._held = np.flatnonzero(self.shares.view(np.uint64) != 0)
+        self._held.setflags(write=False)
 
     @classmethod
     def from_edges(cls, nodes, edges) -> "OwnershipNetwork":
-        """Build from (owner, owned, share) triples; absent edges are zero."""
+        """Build from (owner, owned, share) triples; absent edges are zero.
+
+        A pair given twice is a DomainError, not a silent overwrite.
+        """
         ids = sorted(str(n) for n in nodes)
         index = {n: k for k, n in enumerate(ids)}
         shares = np.zeros((len(ids), len(ids)))
+        seen = set()
         for owner, owned, share in edges:
             try:
-                shares[index[str(owner)], index[str(owned)]] = float(share)
+                cell = index[str(owner)], index[str(owned)]
             except KeyError as exc:
                 raise MembershipError(f"unknown node id {exc.args[0]!r}") from exc
+            if cell in seen:
+                raise DomainError(f"edge ({str(owner)!r}, {str(owned)!r}) is given twice")
+            seen.add(cell)
+            shares[cell] = float(share)
         return cls(ids, shares)
 
     def index_of(self, node: NodeId) -> int:
@@ -95,7 +112,7 @@ class Perimeter:
 class BlockPartition:
     """The four share blocks induced by a perimeter, with their id maps.
 
-    The O/O block is given either as an array or as a function that slices
+    The O/O block is given either as an array or as a function that builds
     it; it is taken the first time `o_oo` is read.
     """
 
@@ -122,25 +139,41 @@ class BlockPartition:
 def partition(network: OwnershipNetwork, perimeter: Perimeter) -> BlockPartition:
     """Split the share matrix into the P/O blocks for a perimeter.
 
-    One membership mask over the canonical node order yields both index sets
-    and both id tuples, already in canonical order.  O_PP, O_PO and O_OP are
-    sliced here; O_OO, which valuation never reads, is sliced on first read.
+    One membership mask over the canonical node order yields both id tuples,
+    already in canonical order, and each node's index within its side.  Each
+    block is its held edges scattered into zeros: O_PP, O_PO and O_OP here,
+    O_OO, which valuation never reads, on first read.  Every entry keeps its
+    bits, -0.0 and NaN included.
     """
     unknown = perimeter.members - network._index.keys()
     if unknown:
         raise MembershipError(f"perimeter ids not in network: {sorted(unknown)}")
-    in_p = np.zeros(len(network.nodes), dtype=bool)
-    in_p[np.fromiter((network._index[n] for n in perimeter.members), dtype=np.intp,
+    n = len(network.nodes)
+    in_p = np.zeros(n, dtype=bool)
+    in_p[np.fromiter((network._index[m] for m in perimeter.members), dtype=np.intp,
                      count=len(perimeter.members))] = True
-    p_idx, o_idx = np.flatnonzero(in_p), np.flatnonzero(~in_p)
-    shares = network.shares
+    n_p = len(perimeter.members)
+    sizes = {True: n_p, False: n - n_p}
+    local = np.empty(n, dtype=np.intp)  # each node's index within P or within O
+    local[in_p] = np.arange(n_p)
+    local[~in_p] = np.arange(n - n_p)
+    rows, cols = np.divmod(network._held, n)
+    values = network.shares.ravel()[network._held]
+    owner_in_p, owned_in_p = in_p[rows], in_p[cols]
+
+    def block(owner_side: bool, owned_side: bool) -> np.ndarray:
+        keep = (owner_in_p == owner_side) & (owned_in_p == owned_side)
+        out = np.zeros((sizes[owner_side], sizes[owned_side]))
+        out[local[rows[keep]], local[cols[keep]]] = values[keep]
+        return out
+
     return BlockPartition(
         p_ids=tuple(compress(network.nodes, in_p.tolist())),
         o_ids=tuple(compress(network.nodes, (~in_p).tolist())),
-        o_pp=shares[np.ix_(p_idx, p_idx)],
-        o_po=shares[np.ix_(p_idx, o_idx)],
-        o_op=shares[np.ix_(o_idx, p_idx)],
-        o_oo_source=lambda: shares[np.ix_(o_idx, o_idx)],
+        o_pp=block(True, True),
+        o_po=block(True, False),
+        o_op=block(False, True),
+        o_oo_source=lambda: block(False, False),
     )
 
 

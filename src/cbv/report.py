@@ -812,7 +812,8 @@ def build_pov(observer: Observer) -> dict:
         )
     rule = observer.control_rule
     obs_block: dict = {
-        "P": list(observer.perimeter_nodes or [observer.perimeter_ref]),
+        # the named nodes, empty included, or null when the observer names none
+        "P": None if observer.perimeter_nodes is None else list(observer.perimeter_nodes),
         "P_ref": observer.perimeter_ref,
         "basis": observer.basis,
         "units": observer.units,
@@ -858,8 +859,11 @@ def parse_pov(blob: bytes) -> tuple[Observer, dict]:
     """Rebuild an Observer from a PoV document; returns (observer, raw dict).
 
     A package's `pov.json` is read the same way.  Absent tolerances take the
-    `Tolerances` defaults.  Bytes that are not a JSON object, and fields that
-    fail the observer's checks, are PackageErrors.
+    `Tolerances` defaults.  `P` lists the perimeter nodes, an empty list
+    included; null or absent means the observer names none.  (Writers before
+    this encoding wrote `[P_ref]` for none, which now reads as that one node;
+    no valuation reads the nodes, so W does not move.)  Bytes that are not a
+    JSON object, and fields that fail the observer's checks, are PackageErrors.
     """
     data = _json_object(blob, "PoV")
     return _checked_observer(data, "PoV"), data
@@ -902,10 +906,12 @@ def _observer_from_pov(data: dict) -> Observer:
     tol, default = data.get("tolerances") or {}, Tolerances()
     fx_block = obs.get("fx_ppp")
     sdf_block = obs.get("sdf")
-    nodes = [str(n) for n in (obs.get("P") or [])]
-    ref = str(obs.get("P_ref") or (nodes[0] if len(nodes) == 1 else "P"))
-    if nodes == [ref]:
-        nodes = []
+    nodes = obs.get("P")
+    if nodes is not None:
+        if not isinstance(nodes, list):
+            raise TypeError(f"P must be a list of node ids or null, not {nodes!r}")
+        nodes = tuple(str(n) for n in nodes)
+    ref = str(obs.get("P_ref") or (nodes[0] if nodes and len(nodes) == 1 else "P"))
     return Observer(
         perimeter_ref=ref,
         basis=str(obs.get("basis", "fair_value")),
@@ -931,7 +937,7 @@ def _observer_from_pov(data: dict) -> Observer:
             curve_source=sdf_block.get("curve_source"),
             horizon=sdf_block.get("horizon"),
         ) if sdf_block else None),
-        perimeter_nodes=tuple(nodes) or None,
+        perimeter_nodes=nodes,
     )
 
 
@@ -940,7 +946,8 @@ def _observer_from_pov(data: dict) -> Observer:
 # ---------------------------------------------------------------------------
 
 def _format_amount(value: float) -> str:
-    if value == int(value) and abs(value) < 1e15:
+    # the size test first: int() of a NaN or an infinity raises
+    if abs(value) < 1e15 and value == int(value):
         return f"{int(value):,}"
     return f"{value:,.4f}"
 

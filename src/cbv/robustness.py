@@ -9,10 +9,17 @@ when internal values are held fixed; in Regime B the response of the
 estimated v_P adds a term proportional to ||(I - O_PP)^-1||_p, which is exact
 at every size, from one solve of I - O_PP against the identity.  The
 condition number kappa_2(I - O_PP) is exact at every size too, from one SVD.
+
+A Monte Carlo band perturbs only O_PP, so it prices what the probes share
+once (the right-hand side b_P + O_PO v_O, the base plus the outgoing term,
+the column sums of O_OP) and pays per probe for a copy of O_PP, the
+stability gate, the solve and one dot product; each probe's value is the
+one `evaluate_regime_b` gives, bit for bit.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,9 +28,10 @@ from .engine import (
     CutStatistics,
     SolverConfig,
     SpectralBound,
+    _boundary_rhs,
+    _priced_edges,
+    _solve_internal,
     _solve_shifted,
-    estimate_internal_values,
-    evaluate_regime_b,
     spectral_radius_bound,
 )
 from .errors import DomainError, StabilityError
@@ -222,6 +230,20 @@ class MonteCarloBand:
     excluded: int
 
 
+def _entry_indices(entries, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Rows and columns of the designated entries of an n x n block; anything
+    that is not a pair of indices inside the block is a DomainError."""
+    try:
+        pairs = [(operator.index(i), operator.index(j)) for i, j in entries]
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"entries must be (row, column) index pairs: {exc}") from None
+    outside = [pair for pair in pairs if not (0 <= pair[0] < n and 0 <= pair[1] < n)]
+    if outside:
+        raise DomainError(f"entries {outside[:3]} lie outside the {n}x{n} block O_PP")
+    rows_cols = np.array(pairs, dtype=np.intp).reshape(-1, 2)
+    return rows_cols[:, 0], rows_cols[:, 1]
+
+
 def monte_carlo_band(
     stats: CutStatistics,
     cfg: SolverConfig | None = None,
@@ -238,58 +260,52 @@ def monte_carlo_band(
     -noise together); `draws` additional instances perturb each entry
     independently and uniformly.  Probes that lose stability are excluded and
     counted, never silently dropped.  `metric` selects the consolidated value
-    or the total of the estimated internal values.
+    or the total of the estimated internal values, each exactly as
+    `evaluate_regime_b` and `estimate_internal_values` give it on the probe.
     """
     if stats.o_pp is None:
         raise DomainError("monte_carlo_band needs the internal block O_PP")
-    if draws < 0:
-        raise DomainError("draws must be >= 0")
-    if noise < 0:
-        raise DomainError("noise must be >= 0")
+    if not isinstance(draws, (int, np.integer)) or draws < 0:
+        raise DomainError(f"draws={draws!r} must be an integer >= 0")
+    if not 0.0 <= noise < np.inf:
+        raise DomainError(f"noise={noise!r} must be finite and >= 0")
     if metric not in ("consolidated", "internal_total"):
         raise DomainError(f"unknown metric {metric!r}")
-    cfg = cfg or SolverConfig()
+    cfg = (cfg or SolverConfig()).resolved()
     if entries is None:
         rows, cols = np.nonzero(stats.o_pp)
-        entries = list(zip(rows.tolist(), cols.tolist()))
+    else:
+        rows, cols = _entry_indices(entries, stats.o_pp.shape[0])
 
-    def measure(o_pp: np.ndarray) -> float:
-        perturbed = CutStatistics(
-            p_ids=stats.p_ids,
-            o_ids=stats.o_ids,
-            b_p=stats.b_p,
-            v_o=stats.v_o,
-            o_po=stats.o_po,
-            o_op=stats.o_op,
-            o_pp=o_pp,
-            clearing_tag=stats.clearing_tag,
-        )
-        if metric == "internal_total":
-            v_p, _ = estimate_internal_values(perturbed, cfg)
-            return float(v_p.sum())
-        return evaluate_regime_b(perturbed, cfg).w
+    rhs = _boundary_rhs(stats)
+    base_out = float(stats.b_p.sum()) + _priced_edges(
+        stats.o_po, stats.v_o, stats.x_po, 0.0)[0]
+    col_sums = None if stats.o_op is None else stats.o_op.sum(axis=0)
 
-    def shifted(offsets) -> np.ndarray:
-        o_pp = stats.o_pp.copy()
-        for (i, j), off in zip(entries, offsets):
-            o_pp[i, j] += off
-        return o_pp
-
-    probes = [shifted([0.0] * len(entries))]
-    if noise > 0.0 and entries:
-        probes.append(shifted([noise] * len(entries)))
-        probes.append(shifted([-noise] * len(entries)))
-    rng = np.random.default_rng(seed)
-    for _ in range(draws):
-        probes.append(shifted(rng.uniform(-noise, noise, size=len(entries))))
+    def offsets():
+        yield np.zeros(rows.size)
+        if noise > 0.0 and rows.size:
+            yield np.full(rows.size, noise)
+            yield np.full(rows.size, -noise)
+        rng = np.random.default_rng(seed)
+        for _ in range(draws):
+            yield rng.uniform(-noise, noise, size=rows.size)
 
     values = []
     excluded = 0
-    for o_pp in probes:
+    for shift in offsets():
+        o_pp = stats.o_pp.copy()
+        np.add.at(o_pp, (rows, cols), shift)  # in order, so a repeated entry adds twice
         try:
-            values.append(measure(o_pp))
+            v_p, _ = _solve_internal(o_pp, rhs, cfg)
         except StabilityError:
             excluded += 1
+            continue
+        if metric == "internal_total":
+            values.append(float(v_p.sum()))
+        else:
+            values.append(base_out - _priced_edges(
+                stats.o_op, v_p, stats.x_op, 0.0, col_sums)[0])
     if not values:
         raise StabilityError("every Monte Carlo probe lost stability")
     return MonteCarloBand(

@@ -243,6 +243,16 @@ def picard_clear(problem: cbv.ClearingProblem, selection: str, eps: float = 1e-1
     raise AssertionError(f"dense Picard oracle did not converge in {max_sweeps} sweeps")
 
 
+def ix_blocks(network: cbv.OwnershipNetwork, members) -> dict[str, np.ndarray]:
+    """O_PP, O_PO, O_OP and O_OO sliced out of the dense share matrix with
+    np.ix_, the oracle for `partition`, which scatters held edges instead."""
+    in_p = np.array([node in members for node in network.nodes], dtype=bool)
+    p, o = np.flatnonzero(in_p), np.flatnonzero(~in_p)
+    shares = network.shares
+    return {"o_pp": shares[np.ix_(p, p)], "o_po": shares[np.ix_(p, o)],
+            "o_op": shares[np.ix_(o, p)], "o_oo": shares[np.ix_(o, o)]}
+
+
 def herfindahl_index(column) -> float:
     """H_j for one ownership column, residual completed as a pseudo-holder."""
     col = np.asarray(column, dtype=float)

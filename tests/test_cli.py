@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -488,6 +489,49 @@ class TestReportCommand:
         out = capsys.readouterr().out
         assert "Disclosure sheet" in out
         assert "W(P)" in out
+
+
+# every file a regime-B package holds, and the ways a file is corrupted: each
+# corruption maps the file's bytes to what is written in their place
+PACKAGE_FILES = ("manifest.yaml", "pov.json", "proof_stability.txt", "nodes_P.csv",
+                 "nodes_O.csv", "b_P.csv", "v_O.csv", "O_PO.csv", "O_OP.csv", "O_PP.csv")
+CORRUPTIONS = {
+    "emptied": lambda blob: b"",
+    "truncated": lambda blob: blob[: len(blob) // 2],
+    "binary": lambda blob: bytes(range(256)),
+    "wrong-type-json": lambda blob: b'[1, "two", null]',
+    "nan-cells": lambda blob: re.sub(rb"\d+\.\d+(e[-+]?\d+)?|\d+e[-+]?\d+", b"NaN", blob),
+}
+SWEEP = [(name, corruption, rehashed) for name in PACKAGE_FILES for corruption in CORRUPTIONS
+         for rehashed in (False, True) if not (rehashed and name == "manifest.yaml")]
+
+
+class TestCorruptionSweep:
+    @pytest.mark.parametrize("name,corruption,rehashed", SWEEP)
+    def test_no_command_raises_and_only_validate_exits_1(self, tmp_path, capsys, name,
+                                                         corruption, rehashed):
+        # the manifest is either left as it was, so the corruption is a hash
+        # mismatch, or re-hashed, so the corrupted bytes reach the parsers
+        good = build_package(tmp_path, "good")
+        pkg = build_package(tmp_path, "bad")
+        target = pkg / name
+        blob = target.read_bytes()
+        corrupted = CORRUPTIONS[corruption](blob)
+        target.write_bytes(corrupted)
+        if rehashed:
+            rehash(pkg, name)
+        summary = str(tmp_path / "summary.json")
+        validate = main(["validate", str(pkg)])
+        others = [
+            main(["compute", "--package", str(pkg), "-o", summary]),
+            main(["report", "--package", str(pkg)]),
+            main(["fisher", "--prev", str(good), "--curr", str(pkg)]),
+            main(["fisher", "--prev", str(pkg), "--curr", str(good)]),
+        ]
+        assert validate in (EXIT_OK, EXIT_FINDINGS)
+        if corrupted != blob and not rehashed:
+            assert validate == EXIT_FINDINGS
+        assert set(others) <= {EXIT_OK, EXIT_COMPUTE}
 
 
 class TestUsageErrors:

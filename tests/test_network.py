@@ -5,7 +5,15 @@ from hypothesis import given, strategies as st
 import cbv
 from cbv.errors import DimensionError, DomainError, MembershipError
 
-from conftest import O_OP, O_PO, O_PP, P_IDS, example_network
+from conftest import O_OP, O_PO, O_PP, P_IDS, example_network, ix_blocks
+
+# entries a held-edge scan must keep bit for bit: signed zeros, NaN, infinities
+SPECIAL_SHARES = (-0.0, float("nan"), float("inf"), float("-inf"))
+
+
+def identical_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    """Same shape and the same bit pattern in every entry."""
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
 class TestOwnershipNetwork:
@@ -41,6 +49,15 @@ class TestOwnershipNetwork:
         with pytest.raises(MembershipError):
             cbv.OwnershipNetwork.from_edges(["a"], [("a", "ghost", 0.1)])
 
+    def test_repeated_edge_rejected(self):
+        with pytest.raises(DomainError, match="'a', 'b'"):
+            cbv.OwnershipNetwork.from_edges(["a", "b"], [("a", "b", 0.3), ("a", "b", 0.2)])
+
+    def test_from_edges_keeps_signed_zero(self):
+        net = cbv.OwnershipNetwork.from_edges(["a", "b"], [("b", "a", -0.0), ("a", "b", 0.0)])
+        blocks = cbv.partition(net, cbv.Perimeter({"a"}))
+        assert np.signbit(blocks.o_op[0, 0]) and not np.signbit(blocks.o_po[0, 0])
+
 
 class TestPartition:
     def test_worked_example_blocks(self):
@@ -65,35 +82,28 @@ class TestPartition:
 
     @given(st.data())
     def test_blocks_match_entry_classification(self, data):
-        # brute-force oracle: classify every (i, j) by perimeter membership.
-        # Ids are not zero-padded, so canonical order puts n10 before n2; the
-        # perimeter ranges over every subset, empty and full included.
+        # every block against its np.ix_ slice of the dense matrix, bit for
+        # bit.  Ids come in a drawn order and are not zero-padded, so canonical
+        # order puts n10 before n2; a fifth of the entries are -0.0, NaN or
+        # infinite; the perimeter ranges over every subset, empty and full
+        # included, and O_OO is compared too.
         n = data.draw(st.integers(0, 13), label="n")
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
         shares = rng.uniform(0, 0.3, size=(n, n)) * (rng.random((n, n)) < 0.5)
+        special = rng.random((n, n)) < 0.2
+        shares[special] = rng.choice(SPECIAL_SHARES, size=int(special.sum()))
         ids = [f"n{k}" for k in range(n)]
         order = rng.permutation(n)
         net = cbv.OwnershipNetwork([ids[k] for k in order], shares[np.ix_(order, order)])
+        canonical = [int(node[1:]) for node in net.nodes]
+        assert identical_bits(net.shares, shares[np.ix_(canonical, canonical)])
         members = data.draw(st.sets(st.sampled_from(ids)) if ids else st.just(set()),
                             label="members")
         blocks = cbv.partition(net, cbv.Perimeter(members))
         assert blocks.p_ids == tuple(sorted(members))
         assert blocks.o_ids == tuple(sorted(set(ids) - members))
-        assert blocks.o_pp.shape == (len(members),) * 2
-        assert blocks.o_oo.shape == (n - len(members),) * 2
-        for i, owner in enumerate(net.nodes):
-            for j, owned in enumerate(net.nodes):
-                value = net.shares[i, j]
-                assert value == shares[int(owner[1:]), int(owned[1:])]
-                if owner in members and owned in members:
-                    block, r, c = blocks.o_pp, blocks.p_ids, blocks.p_ids
-                elif owner in members:
-                    block, r, c = blocks.o_po, blocks.p_ids, blocks.o_ids
-                elif owned in members:
-                    block, r, c = blocks.o_op, blocks.o_ids, blocks.p_ids
-                else:
-                    block, r, c = blocks.o_oo, blocks.o_ids, blocks.o_ids
-                assert block[r.index(owner), c.index(owned)] == value
+        for name, expected in ix_blocks(net, members).items():
+            assert identical_bits(getattr(blocks, name), expected), name
 
     def test_reassembly_roundtrip(self, rng):
         n = 7

@@ -629,8 +629,9 @@ def observers(draw):
         reachability_depth=draw(st.one_of(st.none(), st.integers(1, 5))),
         label=draw(st.one_of(st.none(), st.sampled_from(["IFRS10-control@50", "look-through"]))),
     )
+    ref = draw(st.sampled_from(["P-DEMO", "P-X", *P_IDS]))
     return cbv.Observer(
-        perimeter_ref=draw(st.sampled_from(["P-DEMO", "P-X"])),
+        perimeter_ref=ref,
         basis=draw(st.sampled_from(["fair_value", "historical_cost", "realizable"])),
         units=draw(st.sampled_from(["EUR", "USD", "JPY"])),
         date=draw(st.dates()).isoformat(),
@@ -649,8 +650,10 @@ def observers(draw):
             discount_weights=st.one_of(st.none(), weights),
             change_of_measure=st.one_of(st.none(), weights),
             curve_source=sources, horizon=st.one_of(st.none(), st.just("1Y"))))),
+        # none, the empty tuple, the ref alone, or any other list of ids
         perimeter_nodes=draw(st.one_of(
-            st.none(), st.lists(st.sampled_from(P_IDS), min_size=1, unique=True).map(tuple))),
+            st.none(), st.just(()), st.just((ref,)),
+            st.lists(st.sampled_from(sorted({ref, *P_IDS})), unique=True).map(tuple))),
     )
 
 
@@ -736,6 +739,35 @@ class TestPackageFiles:
         assert pkg.observer == observer
         w = cbv.evaluate_for_observer(pkg.cut_statistics(), pkg.observer).w
         assert w == cbv.evaluate_for_observer(stats, observer).w
+
+    @pytest.mark.parametrize("nodes", [None, (), ("P-DEMO",), ("A", "P-DEMO")])
+    def test_perimeter_nodes_survive_the_pov(self, nodes):
+        observer = replace(demo_observer(), perimeter_nodes=nodes)
+        assert cbv.parse_pov(cbv.emit_pov(observer))[0] == observer
+
+    def test_earlier_pov_perimeter_encoding_loads_at_the_same_w(self, package_dir):
+        # writers before the null encoding stated "no nodes named" as [P_ref]
+        pov = json.loads((package_dir / "pov.json").read_bytes())
+        assert pov["observer"]["P"] is None
+        w = cbv.evaluate_for_observer(*self._valued(package_dir)).w
+        pov["observer"]["P"] = [pov["observer"]["P_ref"]]
+        (package_dir / "pov.json").write_text(json.dumps(pov))
+        rehash(package_dir, "pov.json")
+        stats, observer = self._valued(package_dir)
+        assert observer.perimeter_nodes == (pov["observer"]["P_ref"],)
+        assert cbv.evaluate_for_observer(stats, observer).w == w
+        assert cbv.validate_directory(package_dir).ok
+
+    @staticmethod
+    def _valued(package_dir):
+        pkg = cbv.load_package(package_dir)
+        return pkg.cut_statistics(), pkg.observer
+
+    def test_perimeter_nodes_that_are_not_a_list_are_a_package_error(self):
+        pov = cbv.build_pov(demo_observer())
+        pov["observer"]["P"] = "AB"
+        with pytest.raises(PackageError, match="P must be a list"):
+            cbv.parse_pov(json.dumps(pov).encode())
 
     @settings(max_examples=60, deadline=None)
     @given(fields=v1_0_manifest_observers())

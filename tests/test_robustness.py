@@ -1,4 +1,4 @@
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -36,6 +36,13 @@ def holding_stats(n: int = 101) -> cbv.CutStatistics:
     )
 
 
+def near_unit_loop(stats: cbv.CutStatistics) -> cbv.CutStatistics:
+    """`stats` with a 2-cycle owned at 0.995 between its first two nodes."""
+    o_pp = stats.o_pp.copy()
+    o_pp[0, 1] = o_pp[1, 0] = 0.995
+    return replace(stats, o_pp=o_pp)
+
+
 def symmetric_stats(t: float) -> cbv.CutStatistics:
     return cbv.CutStatistics(
         p_ids=("p1", "p2"), o_ids=(), b_p=[100.0, 50.0],
@@ -43,25 +50,24 @@ def symmetric_stats(t: float) -> cbv.CutStatistics:
     )
 
 
-def reference_band(stats, noise, draws, seed, metric="consolidated"):
+def reference_band(stats, noise, draws, seed, metric="consolidated", cfg=None,
+                   entries=None):
     """Per-probe reference loop for `monte_carlo_band`.
 
-    Each probe is a fresh CutStatistics holding full copies of every block,
-    passes the engine's stability gate through `estimate_internal_values`,
-    and prices the cut edge by edge: (min, max, evaluated, excluded).
+    Each probe shifts its entries one at a time, is a fresh CutStatistics
+    holding full copies of every block, and is valued by the public
+    `evaluate_regime_b` (or `estimate_internal_values` for the internal
+    total): (min, max, evaluated, excluded).
     """
-    rows, cols = np.nonzero(stats.o_pp)
-    entries = list(zip(rows.tolist(), cols.tolist()))
+    if entries is None:
+        rows, cols = np.nonzero(stats.o_pp)
+        entries = list(zip(rows.tolist(), cols.tolist()))
 
     def shifted(offsets):
         o_pp = stats.o_pp.copy()
         for (i, j), off in zip(entries, offsets):
             o_pp[i, j] += off
         return o_pp
-
-    def edge_total(share_block, values):
-        amounts = share_block * values[np.newaxis, :]
-        return amounts[share_block != 0.0].sum()
 
     probes = [shifted([0.0] * len(entries))]
     if noise > 0.0 and entries:
@@ -79,15 +85,12 @@ def reference_band(stats, noise, draws, seed, metric="consolidated"):
             o_pp=o_pp,
         )
         try:
-            v_p, _ = cbv.estimate_internal_values(probe)
+            if metric == "internal_total":
+                values.append(float(cbv.estimate_internal_values(probe, cfg)[0].sum()))
+            else:
+                values.append(cbv.evaluate_regime_b(probe, cfg).w)
         except cbv.StabilityError:
             excluded += 1
-            continue
-        if metric == "internal_total":
-            values.append(float(v_p.sum()))
-        else:
-            values.append(probe.b_p.sum() + edge_total(probe.o_po, probe.v_o)
-                          - edge_total(probe.o_op, v_p))
     return min(values), max(values), len(values), excluded
 
 
@@ -300,24 +303,65 @@ class TestMonteCarloBand:
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_matches_per_probe_reference(self, seed):
         # seed 3 adds a near-unit internal loop, so some probes lose stability
-        rng = np.random.default_rng(seed)
-        stats = random_regime_stats(rng, n_p=12, n_o=9)
+        stats = random_regime_stats(np.random.default_rng(seed), n_p=12, n_o=9)
         if seed == 3:
-            o_pp = stats.o_pp.copy()
-            o_pp[0, 1] = o_pp[1, 0] = 0.995
-            stats = cbv.CutStatistics(
-                p_ids=stats.p_ids, o_ids=stats.o_ids, b_p=stats.b_p, v_o=stats.v_o,
-                o_po=stats.o_po, o_op=stats.o_op, o_pp=o_pp,
-            )
+            stats = near_unit_loop(stats)
         for metric in ("consolidated", "internal_total"):
             band = cbv.monte_carlo_band(stats, noise=0.03, draws=40, seed=seed,
                                         metric=metric)
-            low, high, evaluated, excluded = reference_band(stats, 0.03, 40, seed, metric)
-            assert (band.evaluated, band.excluded) == (evaluated, excluded)
-            assert band.low == pytest.approx(low, rel=1e-12)
-            assert band.high == pytest.approx(high, rel=1e-12)
+            assert astuple(band) == reference_band(stats, 0.03, 40, seed, metric)
         if seed == 3:
             assert band.excluded > 0
+
+    @pytest.mark.parametrize("cfg", [
+        cbv.SolverConfig(method="neumann"),
+        cbv.SolverConfig(method="iterative_krylov", eps=1e-10),
+        cbv.SolverConfig(method="direct", damping=0.5),
+        cbv.SolverConfig(method="neumann", damping=0.9),
+        cbv.SolverConfig(method="direct", regularization=0.05),
+        cbv.SolverConfig(method="iterative_krylov", eps=1e-10, regularization=0.05),
+    ])
+    @pytest.mark.parametrize("unstable", [False, True])
+    def test_every_solver_branch_matches_reference(self, cfg, unstable):
+        # with the near-unit loop, damping and regularization keep the probes
+        # the gate would refuse; the other configs exclude them
+        stats = random_regime_stats(np.random.default_rng(7), n_p=10, n_o=6)
+        if unstable:
+            stats = near_unit_loop(stats)
+        for metric in ("consolidated", "internal_total"):
+            band = cbv.monte_carlo_band(stats, cfg, noise=0.03, draws=15, seed=4,
+                                        metric=metric)
+            assert astuple(band) == reference_band(stats, 0.03, 15, 4, metric, cfg)
+
+    def test_repeated_entries_shift_twice(self):
+        stats = random_regime_stats(np.random.default_rng(8), n_p=6, n_o=4)
+        entries = [(0, 1), (2, 3), (0, 1), (5, 5), (0, 1)]
+        band = cbv.monte_carlo_band(stats, noise=0.02, draws=20, seed=9, entries=entries)
+        assert astuple(band) == reference_band(stats, 0.02, 20, 9, entries=entries)
+        once = cbv.monte_carlo_band(stats, noise=0.02, draws=0, entries=[(0, 1)])
+        thrice = cbv.monte_carlo_band(stats, noise=0.02, draws=0, entries=[(0, 1)] * 3)
+        assert (thrice.low, thrice.high) != (once.low, once.high)
+
+    @pytest.mark.parametrize("noise", [float("nan"), float("inf")])
+    def test_non_finite_noise_refused(self, noise):
+        with pytest.raises(DomainError, match="noise"):
+            cbv.monte_carlo_band(symmetric_stats(0.5), noise=noise, draws=3)
+
+    @pytest.mark.parametrize("draws", [-1, 2.5, "3"])
+    def test_draws_not_a_count_refused(self, draws):
+        with pytest.raises(DomainError, match="draws"):
+            cbv.monte_carlo_band(symmetric_stats(0.5), noise=0.01, draws=draws)
+
+    def test_entry_outside_the_block_refused(self):
+        stats = random_regime_stats(np.random.default_rng(1), n_p=3, n_o=2)
+        with pytest.raises(DomainError, match="outside"):
+            cbv.monte_carlo_band(stats, noise=0.01, entries=[(7, 0)])
+
+    def test_negative_entry_refused(self):
+        # a negative index would wrap round to the last row
+        stats = random_regime_stats(np.random.default_rng(1), n_p=3, n_o=2)
+        with pytest.raises(DomainError, match="outside"):
+            cbv.monte_carlo_band(stats, noise=0.01, entries=[(-1, 0)])
 
     def test_singular_probe_is_excluded(self):
         # the nominal probe (singular) and the +0.5 corner are refused by the
