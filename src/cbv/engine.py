@@ -24,7 +24,9 @@ plus the edges it holds; statistics derived from others (`with_v_p`,
 `scale_units`) share the blocks they do not change.  Regime B is two pieces:
 the right-hand side b_P + O_PO v_O (`_boundary_rhs`) and the gated solve on
 O_PP (`_solve_internal`); a Monte Carlo band, whose probes move only O_PP,
-computes the first once and runs only the second per probe.  Pricing the cut is
+computes the first once and runs only the second per probe.  The solve is one
+dense LU of I - O_PP with the direct method, and one O(n_P^2) mask scan plus
+O(nnz) per matvec with Neumann or GMRES.  Pricing the cut is
 a reduction over the two boundary blocks: with no rounding threshold, one pass
 of column sums per block and no n_P x n_O temporary; with a threshold, one
 priced amount per nonzero edge (`cut_edges`, which also lists the edges of a
@@ -33,10 +35,16 @@ cut summary) so that each can be tested against it.
 The stability gate of regime B is one pass of row and column sums when a
 norm of O_PP certifies rho < 1, and otherwise at most POWER_ITERATIONS
 Collatz-Wielandt passes, one matvec each, stopping at the first certified
-bound below 1 or once a certified lower bound reaches 1.  The Neumann solver
-does one matvec per iteration: the update it computes anyway is the residual
-of the previous iterate.  Every dense solve against I - A goes through
+bound below 1 or once a certified lower bound reaches 1.  The direct method
+(the `auto` choice up to DIRECT_SOLVER_MAX_SIZE) gates the dense block and
+solves it densely; every dense solve against I - A goes through
 `_solve_shifted`, the one place that decides what a singular I - A means.
+Neumann and GMRES need only matvecs: they build one CSR operator of the
+block's nonzeros (`_held_operator`, one O(n^2) mask scan), and the gate,
+each sweep or Krylov step and the final residual cost O(nnz) on it.  On a
+fully dense block a CSR matvec is slower than a dense one; no switch picks
+the dense form there.  The Neumann solver does one matvec per iteration: the
+update it computes anyway is the residual of the previous iterate.
 """
 
 from __future__ import annotations
@@ -264,13 +272,16 @@ def spectral_radius_bound(o_pp) -> SpectralBound:
     makes periodic ones such as a 2-cycle converge.  They stop at the first
     upper bound below 1, once the lower bound reaches 1 (no later pass can
     certify rho < 1), or after POWER_ITERATIONS passes.
+
+    `o_pp` may be a scipy sparse array: the same sums and matvecs then cost
+    its nonzeros.
     """
-    m = np.asarray(o_pp, dtype=float)
+    m = o_pp if hasattr(o_pp, "tocsr") else np.asarray(o_pp, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DimensionError("o_pp must be square")
-    if m.size == 0:
+    if m.shape[0] == 0:
         return SpectralBound(0.0, 0.0, 0.0, 0)
-    a = np.abs(m) if m.min() < 0.0 else m
+    a = abs(m) if m.min() < 0.0 else m
     row_sums = a.sum(axis=1)
     norm_1 = float(a.sum(axis=0).max())
     norm_inf = float(row_sums.max())
@@ -470,26 +481,47 @@ def _boundary_rhs(stats: CutStatistics) -> np.ndarray:
     return stats.b_p + stats.o_po @ stats.v_o
 
 
+def _held_operator(m: np.ndarray):
+    """m as a CSR array of its nonzero entries, from one scan of the block.
+
+    The flat positions of the mask come in row-major order, which is CSR
+    order already, and each row starts where a binary search puts it.
+    """
+    from scipy.sparse import csr_array
+
+    n = m.shape[0]
+    flat = np.flatnonzero(m != 0)
+    indptr = np.searchsorted(flat, np.arange(n + 1) * n)
+    return csr_array((np.take(m, flat), flat % n, indptr), shape=(n, n))
+
+
 def _solve_internal(
     o_pp: np.ndarray, rhs: np.ndarray, cfg: SolverConfig
 ) -> tuple[np.ndarray, SolverLog]:
-    """Solve (I - O_PP) v_P = rhs under a resolved config, behind the gate."""
-    m = o_pp
-    log = SolverLog(
-        method=cfg.method, damping=cfg.damping, regularization=cfg.regularization
-    )
-    if cfg.damping is not None:
-        m = cfg.damping * m
-    _stability_gate(m, cfg, log)
+    """Solve (I - O_PP) v_P = rhs under a resolved config, behind the gate.
 
-    n = m.shape[0]
-    if cfg.regularization:
-        m = m - cfg.regularization * np.eye(n)
-
+    The direct method works on the dense block.  The iterative ones need only
+    matvecs, so the gate, every sweep or Krylov step and the residual run on
+    one CSR operator of the block's nonzeros.
+    """
+    n = o_pp.shape[0]
     method = cfg.method
     if method == "auto":
         method = "direct" if n <= DIRECT_SOLVER_MAX_SIZE else "neumann"
-        log.method = method
+    log = SolverLog(
+        method=method, damping=cfg.damping, regularization=cfg.regularization
+    )
+    if method == "direct":
+        m, eye = o_pp, np.eye
+    else:
+        from scipy.sparse import eye_array as eye
+
+        m = _held_operator(o_pp)
+    if cfg.damping is not None:
+        m = cfg.damping * m
+    _stability_gate(m, cfg, log)
+    if cfg.regularization:
+        m = m - cfg.regularization * eye(n)
 
     if method == "neumann":
         nxt = rhs + m @ rhs
@@ -518,7 +550,7 @@ def _solve_internal(
 
         norms = []  # one residual norm per iteration
         v_p, info = gmres(
-            np.eye(n) - m, rhs, rtol=0.0, atol=cfg.eps, maxiter=cfg.max_iters,
+            eye(n) - m, rhs, rtol=0.0, atol=cfg.eps, maxiter=cfg.max_iters,
             callback=norms.append, callback_type="pr_norm",
         )
         log.iterations = len(norms)

@@ -53,8 +53,10 @@ class OwnershipNetwork:
         order = np.argsort(np.asarray(ids, dtype=object))
         self.nodes: tuple[NodeId, ...] = tuple(ids[k] for k in order)
         self._index = {node: k for k, node in enumerate(self.nodes)}
-        # fancy indexing returns a fresh array, so the caller's matrix is not shared
-        self.shares: np.ndarray = shares[np.ix_(order, order)]
+        # a fresh array either way, so the caller's matrix is not shared; ids
+        # that come in canonical order need only a copy, not a gather
+        in_order = np.array_equal(order, np.arange(n))
+        self.shares: np.ndarray = shares.copy() if in_order else shares[np.ix_(order, order)]
         self.shares.setflags(write=False)
         # row-major positions of the held entries, whose bits are not +0.0
         # (nonzero on a bool mask is about three times faster than on uint64)

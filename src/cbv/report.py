@@ -326,12 +326,38 @@ class CutReportPackage:
     pov: dict | None = None
     stability_evidence: str | None = None
 
+    def _non_finite_cells(self):
+        """(file, message, location) for each non-finite cell loaded, in the
+        wording of rule D2."""
+        loaded = (
+            ("b_P", self.b_p, (self.p_ids,)),
+            ("v_O", self.v_o, (self.o_ids,)),
+            ("O_PO", self.o_po, (self.p_ids, self.o_ids)),
+            ("O_OP", self.o_op, (self.o_ids, self.p_ids)),
+            ("O_PP", self.o_pp, (self.p_ids, self.p_ids)),
+            ("v_P", self.v_p, (self.p_ids,)),
+        )
+        for name, values, axes in loaded:
+            if values is None:
+                continue
+            for flat in np.flatnonzero(~np.isfinite(values)):
+                index = np.unravel_index(flat, values.shape)
+                yield (self.manifest.data_files.get(name, name),
+                       f"{name} entry is not finite: {float(values[index])!r}",
+                       "->".join(str(ids[k]) for ids, k in zip(axes, index)))
+
     def cut_statistics(self) -> CutStatistics:
         """Boundary statistics for valuation.
 
         When the manifest declares clearing, the matrix files carry net
-        post-clearing flows and are treated as priced amounts.
+        post-clearing flows and are treated as priced amounts.  A non-finite
+        cell, which rule D2 reports, is a PackageError here: no valuation is
+        priced from it.
         """
+        non_finite = next(self._non_finite_cells(), None)
+        if non_finite is not None:
+            file, message, location = non_finite
+            raise PackageError(f"{file}: {message} at {location}")
         clearing = self.manifest.clearing_block
         if clearing.get("used"):
             return CutStatistics(
@@ -581,21 +607,8 @@ def validate_package(pkg: CutReportPackage) -> ValidationReport:
                    location=MANIFEST_NAME)
 
     # D2: finite data, nonnegative share blocks; negative bases need a note
-    loaded = (
-        ("b_P", pkg.b_p, (pkg.p_ids,)),
-        ("v_O", pkg.v_o, (pkg.o_ids,)),
-        ("O_PO", pkg.o_po, (pkg.p_ids, pkg.o_ids)),
-        ("O_OP", pkg.o_op, (pkg.o_ids, pkg.p_ids)),
-        ("O_PP", pkg.o_pp, (pkg.p_ids, pkg.p_ids)),
-        ("v_P", pkg.v_p, (pkg.p_ids,)),
-    )
-    for name, values, axes in loaded:
-        if values is None:
-            continue
-        for flat in np.flatnonzero(~np.isfinite(values)):
-            index = np.unravel_index(flat, values.shape)
-            report.add("D2", "error", f"{name} entry is not finite: {float(values[index])!r}",
-                       location="->".join(str(ids[k]) for ids, k in zip(axes, index)))
+    for _, message, location in pkg._non_finite_cells():
+        report.add("D2", "error", message, location=location)
     for name, block in (("O_PO", pkg.o_po), ("O_OP", pkg.o_op), ("O_PP", pkg.o_pp)):
         if block is not None and (block < 0).any():
             report.add("D2", "error", f"{name} has negative entries")

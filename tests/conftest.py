@@ -253,6 +253,64 @@ def ix_blocks(network: cbv.OwnershipNetwork, members) -> dict[str, np.ndarray]:
             "o_op": shares[np.ix_(o, p)], "o_oo": shares[np.ix_(o, o)]}
 
 
+def dense_iterative_solve(o_pp, rhs, cfg):
+    """The Neumann and GMRES solves on dense matvecs, as regime B ran them
+    before it built a CSR operator: the oracle for its iterative branch.
+    `cfg` is resolved and its method is neumann or iterative_krylov."""
+    from cbv.engine import SolverLog, _stability_gate
+    from cbv.errors import ConvergenceError
+
+    m = o_pp
+    log = SolverLog(
+        method=cfg.method, damping=cfg.damping, regularization=cfg.regularization
+    )
+    if cfg.damping is not None:
+        m = cfg.damping * m
+    _stability_gate(m, cfg, log)
+
+    n = m.shape[0]
+    if cfg.regularization:
+        m = m - cfg.regularization * np.eye(n)
+
+    if cfg.method == "neumann":
+        nxt = rhs + m @ rhs
+        for iteration in range(1, cfg.max_iters + 1):
+            v_p = nxt
+            nxt = rhs + m @ v_p
+            # the residual of v_p, v_p - (rhs + O_PP v_p), is the next update
+            residual = float(np.abs(v_p - nxt).max()) if n else 0.0
+            log.iterations = iteration
+            if residual < cfg.eps:
+                break
+        else:
+            raise ConvergenceError(
+                f"Neumann iteration did not reach eps={cfg.eps!r} within "
+                f"{cfg.max_iters} iterations (residual {residual!r})",
+                last_iterate=v_p,
+                residual=residual,
+            )
+        log.residual = residual
+        return v_p, log
+
+    from scipy.sparse.linalg import gmres
+
+    norms = []  # one residual norm per iteration
+    v_p, info = gmres(
+        np.eye(n) - m, rhs, rtol=0.0, atol=cfg.eps, maxiter=cfg.max_iters,
+        callback=norms.append, callback_type="pr_norm",
+    )
+    log.iterations = len(norms)
+    # the residual the Neumann loop reports: v_p - (rhs + O_PP v_p)
+    log.residual = float(np.abs(v_p - (rhs + m @ v_p)).max()) if n else 0.0
+    if info != 0:
+        raise ConvergenceError(
+            f"GMRES stopped with info={info} (residual {log.residual!r})",
+            last_iterate=v_p,
+            residual=log.residual,
+        )
+    return v_p, log
+
+
 def herfindahl_index(column) -> float:
     """H_j for one ownership column, residual completed as a pseudo-holder."""
     col = np.asarray(column, dtype=float)

@@ -52,6 +52,15 @@ def build_package(tmp_path, name="pkg", kappa=None, b_scale=1.0, regime="B",
     return target
 
 
+def write_nan_cell(pkg, name):
+    """Put NaN in the first data cell of a package file and re-hash it."""
+    target = pkg / name
+    lines = target.read_text(encoding="utf-8").splitlines()
+    lines[1] = ",".join([lines[1].split(",")[0], "nan", *lines[1].split(",")[2:]])
+    target.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    rehash(pkg, name)
+
+
 class TestValidateCommand:
     def test_clean_package(self, tmp_path, capsys):
         pkg = build_package(tmp_path)
@@ -71,11 +80,7 @@ class TestValidateCommand:
     @pytest.mark.parametrize("name", ["O_PO.csv", "b_P.csv"])
     def test_non_finite_entry_is_a_finding(self, tmp_path, capsys, name):
         pkg = build_package(tmp_path)
-        target = pkg / name
-        lines = target.read_text(encoding="utf-8").splitlines()
-        lines[1] = ",".join([lines[1].split(",")[0], "nan", *lines[1].split(",")[2:]])
-        target.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        rehash(pkg, name)
+        write_nan_cell(pkg, name)
         assert main(["validate", str(pkg)]) == EXIT_FINDINGS
         assert "D2" in capsys.readouterr().out
 
@@ -179,6 +184,24 @@ class TestMalformedManifest:
 
 
 class TestComputeCommand:
+    @pytest.mark.parametrize("name,cell", [
+        ("b_P.csv", "b_P entry is not finite: nan at A"),
+        ("v_O.csv", "v_O entry is not finite: nan at X"),
+        ("O_PO.csv", "O_PO entry is not finite: nan at A->X"),
+        ("O_OP.csv", "O_OP entry is not finite: nan at X->A"),
+    ])
+    def test_non_finite_cell_is_compute_error(self, tmp_path, capsys, name, cell):
+        # the cell D2 reports is refused, not priced into W = nan
+        good = build_package(tmp_path, "good")
+        pkg = build_package(tmp_path, "bad")
+        write_nan_cell(pkg, name)
+        for argv in (["compute", "--package", str(pkg)], ["report", "--package", str(pkg)],
+                     ["fisher", "--prev", str(good), "--curr", str(pkg)]):
+            assert main(argv) == EXIT_COMPUTE
+            assert f"error [PackageError]: {name}: {cell}" in capsys.readouterr().err
+        assert not (pkg / "cut_summary.json").exists()
+        assert main(["report", "--package", str(pkg), "--no-compute"]) == EXIT_OK
+
     def test_writes_cut_summary_with_library_numbers(self, tmp_path, capsys):
         pkg = build_package(tmp_path)
         assert main(["compute", "--package", str(pkg), "--format", "json"]) == EXIT_OK

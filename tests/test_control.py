@@ -11,6 +11,7 @@ import cbv
 from cbv.errors import DomainError, StabilityError
 
 from conftest import (
+    example_stats,
     herfindahl_index,
     random_share_matrix,
     truncated_attenuated_series,
@@ -316,10 +317,28 @@ class TestSpecs:
             cbv.ControlMatrix(("a", "b"), np.array([[0.0, value], [0.0, 0.0]]))
 
 
-def test_import_loads_no_scipy():
-    # every CLI call pays for what `import cbv` loads
+def test_import_loads_no_scipy(tmp_path):
+    # every CLI call pays for what `import cbv` loads, and a regime-B solve of
+    # direct size, in the library or through `cbv compute`, stays on the
+    # dense path, which needs no scipy
+    n = cbv.engine.DIRECT_SOLVER_MAX_SIZE
+    package = tmp_path / "pkg"
+    cbv.write_package(package, example_stats(with_v_p=False), cbv.Observer(
+        perimeter_ref="P", basis="fair_value", units="EUR", date="2025-06-30",
+        regime="B", control_rule=cbv.ControlRuleSpec(option="A", tau=0.5)))
     src = Path(cbv.__file__).resolve().parents[1]
-    code = "import sys, cbv; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         env={**os.environ, "PYTHONPATH": str(src)}, check=True).stdout
-    assert out.strip() == "[]"
+    cases = (
+        "import cbv",
+        "import cbv, numpy as np\n"
+        f"o_pp = np.diag(np.full({n} - 1, 0.5), k=1)\n"
+        f"ids = tuple(str(k) for k in range({n}))\n"
+        f"stats = cbv.CutStatistics(p_ids=ids, o_ids=(), b_p=np.ones({n}), o_pp=o_pp)\n"
+        "assert cbv.evaluate_regime_b(stats).solver_log.method == 'direct'",
+        f"import cbv.cli\nassert cbv.cli.main(['compute', '--package', {str(package)!r}]) == 0",
+    )
+    for case in cases:
+        code = (f"import sys\n{case}\n"
+                "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": str(src)}, check=True).stdout
+        assert out.strip().splitlines()[-1] == "[]", case

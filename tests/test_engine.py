@@ -26,6 +26,7 @@ from conftest import (
     P_IDS,
     V_O,
     V_P_OBSERVED,
+    dense_iterative_solve,
     example_stats,
     gauge_rewiring_family,
     random_regime_stats,
@@ -261,18 +262,22 @@ class TestEstimation:
 
     def test_neumann_matches_the_loop_that_formed_i_minus_o_pp(self, rng):
         # reference: a second matvec per iteration, with I - O_PP, only for
-        # the residual.  Same iterates and count; the residual agrees up to
-        # rounding of its two formulas
+        # the residual.  The sweeps multiply with the CSR operator the solver
+        # builds, so the iterates and the count are the same; the residual
+        # agrees up to rounding of its two formulas
+        from scipy.sparse import csr_array
+
         eps = 1e-10
         for n_p in (1, 8, 40):
             stats = random_regime_stats(rng, n_p=n_p, n_o=4)
             v_p, log = cbv.estimate_internal_values(
                 stats, cbv.SolverConfig(method="neumann", eps=eps))
             rhs = stats.b_p + stats.o_po @ stats.v_o
+            operator = csr_array(stats.o_pp)
             system = np.eye(n_p) - stats.o_pp
             ref = rhs.copy()
             for iteration in range(1, 1001):
-                ref = rhs + stats.o_pp @ ref
+                ref = rhs + operator @ ref
                 residual = float(np.abs(system @ ref - rhs).max())
                 if residual < eps:
                     break
@@ -280,6 +285,72 @@ class TestEstimation:
             assert log.iterations == iteration
             assert log.residual == pytest.approx(
                 residual, abs=4 * n_p * np.finfo(float).eps * np.abs(ref).max())
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_iterative_solves_match_the_dense_oracle(self, data):
+        # the CSR operator against the dense matvecs it replaced: the same
+        # gate verdict and bound, the same Neumann count and iterates up to
+        # summation order, and GMRES solutions that agree to its atol
+        from scipy.sparse import csr_array
+
+        n = data.draw(st.integers(0, 12), label="n")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        kind = data.draw(st.sampled_from(["nonnegative", "signed", "reducible"]), label="kind")
+        rho = data.draw(st.floats(0.0, 0.99), label="rho")
+        damping = data.draw(st.none() | st.floats(0.05, 0.95), label="damping")
+        regularization = data.draw(st.none() | st.floats(0.0, 0.5), label="regularization")
+        o_pp = rng.uniform(0.0, 1.0, (n, n)) * (rng.random((n, n)) < 0.5)
+        if kind == "signed":
+            o_pp *= rng.choice([-1.0, 1.0], (n, n))
+        elif kind == "reducible":  # block upper triangular
+            o_pp = np.triu(o_pp, k=-(n // 3))
+            o_pp[n // 2:, :n // 2] = 0.0
+        radius = float(np.abs(np.linalg.eigvals(o_pp)).max()) if n else 0.0
+        if radius > 0.0:  # a nilpotent block keeps its entries
+            o_pp *= rho / radius
+        rhs = rng.uniform(0.0, 100.0, n)
+        system = (1.0 + (regularization or 0.0)) * np.eye(n) - (damping or 1.0) * o_pp
+        # eps far above the rounding floor of v_P, where the two summation
+        # orders could stop the sweeps one apart
+        eps = 1e-9 * max(1.0, float(np.abs(np.linalg.solve(system, rhs)).max()) if n else 1.0)
+
+        def outcome(solve, *args):
+            with np.errstate(over="ignore", invalid="ignore"):  # a diverging sweep
+                try:
+                    return solve(*args)
+                except (StabilityError, ConvergenceError) as exc:
+                    return type(exc)
+
+        def fields(bound):
+            return np.array([bound.rho_upper, bound.norm_1, bound.norm_inf, bound.rho_lower])
+
+        dense, sparse = (cbv.spectral_radius_bound(a) for a in (o_pp, csr_array(o_pp)))
+        assert sparse.passes == dense.passes
+        np.testing.assert_allclose(fields(sparse), fields(dense), rtol=1e-14, atol=0.0)
+        assert (outcome(cbv.engine._stability_gate, csr_array(o_pp))
+                is outcome(cbv.engine._stability_gate, o_pp))
+
+        for method in ("neumann", "iterative_krylov"):
+            cfg = cbv.SolverConfig(method=method, eps=eps, max_iters=5000, damping=damping,
+                                   regularization=regularization).resolved()
+            got = outcome(cbv.engine._solve_internal, o_pp, rhs, cfg)
+            want = outcome(dense_iterative_solve, o_pp, rhs, cfg)
+            if isinstance(want, type):
+                assert got is want
+                continue
+            assert not isinstance(got, type), got
+            (v_p, log), (ref, ref_log) = got, want
+            assert (log.method, log.warnings) == (ref_log.method, ref_log.warnings)
+            np.testing.assert_allclose(fields(log.rho_bound), fields(ref_log.rho_bound),
+                                       rtol=1e-14, atol=0.0)
+            if method == "neumann":
+                assert log.iterations == ref_log.iterations
+                scale = np.abs(ref).max() if n else 0.0
+                np.testing.assert_allclose(v_p, ref, rtol=0.0, atol=1e-13 * scale)
+            else:
+                gap = float(np.linalg.norm(system @ (v_p - ref))) if n else 0.0
+                assert gap <= 2 * eps * (1.0 + 1e-6)
 
     def test_kmax_exceeded(self):
         stats = cbv.CutStatistics(

@@ -33,6 +33,18 @@ class TestOwnershipNetwork:
         assert net.shares[1, 0] == 0.3
         assert net.shares[0, 1] == 0.1
 
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_canonical_ids_do_not_share_the_callers_matrix(self, order):
+        # ids already in canonical order skip the gather, and still copy
+        shares = np.array([[0.0, 0.3, 0.0], [0.1, 0.0, -0.0], [0.0, 0.2, 0.0]], order=order)
+        net = cbv.OwnershipNetwork(["a", "b", "c"], shares)
+        kept, held = net.shares.copy(), net._held.copy()
+        assert identical_bits(net.shares, shares)
+        shares[:] = 0.5
+        assert identical_bits(net.shares, kept)
+        np.testing.assert_array_equal(net._held, held)
+        np.testing.assert_array_equal(held, [1, 3, 5, 7])
+
     def test_duplicate_ids_rejected(self):
         with pytest.raises(MembershipError):
             cbv.OwnershipNetwork(["a", "a"], np.zeros((2, 2)))
