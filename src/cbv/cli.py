@@ -62,7 +62,10 @@ def _solver_config(args) -> SolverConfig:
 
 def _add_solver_flags(parser):
     parser.add_argument("--method", default=None,
-                        choices=["auto", "direct", "neumann", "iterative_krylov"])
+                        choices=["auto", "direct", "neumann", "iterative_krylov"],
+                        help="regime-B solver; auto (the default) runs Neumann sweeps "
+                             "where the stability certificate predicts them cheaper "
+                             "than one LU of I - O_PP, and the LU otherwise")
     parser.add_argument("--eps", type=float, default=None)
     parser.add_argument("--max-iters", dest="max_iters", type=int, default=None)
     parser.add_argument("--damping", type=float, default=None)

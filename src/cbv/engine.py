@@ -24,27 +24,32 @@ plus the edges it holds; statistics derived from others (`with_v_p`,
 `scale_units`) share the blocks they do not change.  Regime B is two pieces:
 the right-hand side b_P + O_PO v_O (`_boundary_rhs`) and the gated solve on
 O_PP (`_solve_internal`); a Monte Carlo band, whose probes move only O_PP,
-computes the first once and runs only the second per probe.  The solve is one
-dense LU of I - O_PP with the direct method, and one O(n_P^2) mask scan plus
-O(nnz) per matvec with Neumann or GMRES.  Pricing the cut is
-a reduction over the two boundary blocks: with no rounding threshold, one pass
-of column sums per block and no n_P x n_O temporary; with a threshold, one
-priced amount per nonzero edge (`cut_edges`, which also lists the edges of a
-cut summary) so that each can be tested against it.
+computes the first once and runs only the second per probe.  The direct
+method is one dense LU of I - O_PP.  Every other method first scans the block
+once for its held edges (`_HeldEdges`, O(n_P^2) until blocks are stored
+sparse), and then costs O(nnz + n_P) per gate pass, sweep, Krylov step or
+residual.  Pricing the cut is a reduction over the two boundary blocks: with
+no rounding threshold, one pass of column sums per block and no n_P x n_O
+temporary; with a threshold, one priced amount per nonzero edge (`cut_edges`,
+which also lists the edges of a cut summary) so that each can be tested
+against it.
 
 The stability gate of regime B is one pass of row and column sums when a
 norm of O_PP certifies rho < 1, and otherwise at most POWER_ITERATIONS
 Collatz-Wielandt passes, one matvec each, stopping at the first certified
 bound below 1 or once a certified lower bound reaches 1.  The direct method
-(the `auto` choice up to DIRECT_SOLVER_MAX_SIZE) gates the dense block and
-solves it densely; every dense solve against I - A goes through
-`_solve_shifted`, the one place that decides what a singular I - A means.
-Neumann and GMRES need only matvecs: they build one CSR operator of the
-block's nonzeros (`_held_operator`, one O(n^2) mask scan), and the gate,
-each sweep or Krylov step and the final residual cost O(nnz) on it.  On a
-fully dense block a CSR matvec is slower than a dense one; no switch picks
-the dense form there.  The Neumann solver does one matvec per iteration: the
-update it computes anyway is the residual of the previous iterate.
+gates the dense block and solves it densely; every dense solve against I - A
+goes through `_solve_shifted`, the one place that decides what a singular
+I - A means.  `auto` gates the held edges, and the gate's certificate picks
+the method: when the 1- or infinity-norm bounds rho by rho_c < 1, the
+Neumann residual after k sweeps is at most rho_c^k times the first update,
+which predicts k, and `auto` sweeps when k (nnz + n_P) <= n_P^3 /
+LU_SWEEP_RATIO, a measured price of a sweep against an LU.  A certificate
+only the Collatz-Wielandt passes give, an adjustment that leaves no
+certificate, a count past max_iters, or sweeps that rounding stalls short of
+eps go to one LU.  The Neumann solver does one matvec per iteration: the
+update it computes anyway is the residual of the previous iterate.  Only
+GMRES loads scipy.
 """
 
 from __future__ import annotations
@@ -64,8 +69,15 @@ from .errors import (
 from .network import NodeId, OwnershipNetwork, Perimeter, partition
 from .observer import Observer, Tolerances, _check_solver_limits
 
-DIRECT_SOLVER_MAX_SIZE = 2048
 POWER_ITERATIONS = 100
+# `auto` sweeps when the k sweeps a norm certificate predicts satisfy
+# k (nnz + n) <= n^3 / LU_SWEEP_RATIO.  Measured with one BLAS thread on 75
+# blocks (benchmark perimeters and band probes, rings and random sparse
+# blocks, n = 50..2400), the total solve time is least for ratios of 45 to 60;
+# the predicted k overstates the sweeps most ownership blocks need, which is
+# why this sits below the raw price of a sweep per (nnz + n) against an LU per
+# n^3 (140 to 450 on the same host).
+LU_SWEEP_RATIO = 60
 
 
 def _frozen(x) -> np.ndarray:
@@ -273,10 +285,10 @@ def spectral_radius_bound(o_pp) -> SpectralBound:
     upper bound below 1, once the lower bound reaches 1 (no later pass can
     certify rho < 1), or after POWER_ITERATIONS passes.
 
-    `o_pp` may be a scipy sparse array: the same sums and matvecs then cost
-    its nonzeros.
+    `o_pp` may be a scipy sparse array or the engine's held-edge form: the same
+    sums and matvecs then cost its nonzeros.
     """
-    m = o_pp if hasattr(o_pp, "tocsr") else np.asarray(o_pp, dtype=float)
+    m = o_pp if hasattr(o_pp, "nnz") else np.asarray(o_pp, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DimensionError("o_pp must be square")
     if m.shape[0] == 0:
@@ -357,6 +369,14 @@ class ValuationResult:
     solver_log: SolverLog
 
 
+def _held_entries(block: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rows, columns and values of a block's nonzero entries, in row-major
+    order, from one scan of its != 0 mask (np.nonzero on a float block costs
+    several times more)."""
+    flat = np.flatnonzero(block != 0)
+    return (*np.divmod(flat, block.shape[1]), np.take(block, flat))
+
+
 def cut_edges(share_block, values, amounts, tau):
     """The priced edges of one side of the cut: (rows, cols, amounts, dropped).
 
@@ -369,12 +389,9 @@ def cut_edges(share_block, values, amounts, tau):
     if amounts is None and share_block is None:
         empty = np.zeros(0, dtype=np.intp)
         return empty, empty, np.zeros(0), 0
+    rows, cols, priced = _held_entries(share_block if amounts is None else amounts)
     if amounts is None:
-        rows, cols = np.nonzero(share_block)
-        priced = share_block[rows, cols] * values[cols]
-    else:
-        rows, cols = np.nonzero(amounts)
-        priced = amounts[rows, cols]
+        priced = priced * values[cols]
     keep = ~(np.abs(priced) < tau)
     return rows[keep], cols[keep], priced[keep], int(keep.size - np.count_nonzero(keep))
 
@@ -481,81 +498,127 @@ def _boundary_rhs(stats: CutStatistics) -> np.ndarray:
     return stats.b_p + stats.o_po @ stats.v_o
 
 
-def _held_operator(m: np.ndarray):
-    """m as a CSR array of its nonzero entries, from one scan of the block.
+class _HeldEdges:
+    """A square block as its held entries (`_held_entries`).
 
-    The flat positions of the mask come in row-major order, which is CSR
-    order already, and each row starts where a binary search puts it.
+    It offers what the stability gate and the sweeps use of an array (shape,
+    nnz, min, abs, row and column sums, scaling and the matvec), each at
+    O(nnz + n) and with no scipy.  The matvec accumulates each row's products
+    in column order, as a CSR product does, so the two agree bit for bit.
     """
-    from scipy.sparse import csr_array
 
-    n = m.shape[0]
-    flat = np.flatnonzero(m != 0)
-    indptr = np.searchsorted(flat, np.arange(n + 1) * n)
-    return csr_array((np.take(m, flat), flat % n, indptr), shape=(n, n))
+    ndim = 2
+
+    def __init__(self, n: int, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray):
+        self.n, self.rows, self.cols, self.vals = n, rows, cols, vals
+        self.shape = (n, n)
+        self.nnz = vals.size
+
+    @classmethod
+    def of(cls, m: np.ndarray) -> "_HeldEdges":
+        return cls(m.shape[0], *_held_entries(m))
+
+    def min(self) -> float:
+        """The least held entry, or 0 if that is less: the sign the gate reads."""
+        return float(self.vals.min(initial=0.0))
+
+    def __abs__(self) -> "_HeldEdges":
+        return _HeldEdges(self.n, self.rows, self.cols, np.abs(self.vals))
+
+    def __rmul__(self, scale: float) -> "_HeldEdges":
+        return _HeldEdges(self.n, self.rows, self.cols, scale * self.vals)
+
+    def sum(self, axis: int) -> np.ndarray:
+        return np.bincount(self.cols if axis == 0 else self.rows, self.vals,
+                           minlength=self.n)
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        return np.bincount(self.rows, self.vals * x[self.cols], minlength=self.n)
+
+    def plus_diagonal(self, d: float) -> "_HeldEdges":
+        """This block + d I, the diagonal merged into the held entries."""
+        n = self.n
+        flat, diag = self.rows * n + self.cols, np.arange(n) * (n + 1)
+        merged = np.union1d(flat, diag)
+        vals = np.zeros(merged.size)
+        vals[np.searchsorted(merged, flat)] = self.vals
+        vals[np.searchsorted(merged, diag)] += d
+        return _HeldEdges(n, *np.divmod(merged, n), vals)
 
 
-def _solve_internal(
-    o_pp: np.ndarray, rhs: np.ndarray, cfg: SolverConfig
-) -> tuple[np.ndarray, SolverLog]:
-    """Solve (I - O_PP) v_P = rhs under a resolved config, behind the gate.
+def _predicted_sweeps(bound: SpectralBound, first: np.ndarray, eps: float) -> float:
+    """Sweeps after which the Neumann residual is below eps, from a norm
+    certificate; inf when neither norm certifies rho < 1.
 
-    The direct method works on the dense block.  The iterative ones need only
-    matvecs, so the gate, every sweep or Krylov step and the residual run on
-    one CSR operator of the block's nonzeros.
+    The residual of sweep k is A^k y with y = A rhs, the first update, so
+    max|r_k| <= rho_c^k ||y||_c for c the infinity norm or the 1-norm, and
+    k = floor(log(eps / ||y||_c) / log rho_c) + 1 sweeps put it below eps in
+    exact arithmetic; the fewer of the two counts is returned.
     """
-    n = o_pp.shape[0]
-    method = cfg.method
-    if method == "auto":
-        method = "direct" if n <= DIRECT_SOLVER_MAX_SIZE else "neumann"
-    log = SolverLog(
-        method=method, damping=cfg.damping, regularization=cfg.regularization
-    )
-    if method == "direct":
-        m, eye = o_pp, np.eye
-    else:
-        from scipy.sparse import eye_array as eye
+    best = np.inf
+    for rho, size in ((bound.norm_inf, np.abs(first).max(initial=0.0)),
+                      (bound.norm_1, np.abs(first).sum())):
+        if not rho < 1.0:
+            continue
+        if size < eps or rho == 0.0:
+            return 1
+        best = min(best, np.floor(np.log(eps / size) / np.log(rho)) + 1.0)
+    return best
 
-        m = _held_operator(o_pp)
-    if cfg.damping is not None:
-        m = cfg.damping * m
-    _stability_gate(m, cfg, log)
+
+def _residual(m, rhs: np.ndarray, v_p: np.ndarray) -> float:
+    """max|v_p - (rhs + m v_p)|, the residual every method reports."""
+    return float(np.abs(v_p - (rhs + m @ v_p)).max()) if v_p.size else 0.0
+
+
+def _solve_dense(m: np.ndarray, rhs: np.ndarray, cfg: SolverConfig,
+                 log: SolverLog) -> tuple[np.ndarray, SolverLog]:
+    """One LU of I - m (+ rI when regularized) through `_solve_shifted`."""
     if cfg.regularization:
-        m = m - cfg.regularization * eye(n)
+        m = m - cfg.regularization * np.eye(m.shape[0])
+    v_p = _solve_shifted(m, rhs)
+    log.residual = _residual(m, rhs, v_p)
+    return v_p, log
 
-    if method == "neumann":
-        nxt = rhs + m @ rhs
-        for iteration in range(1, cfg.max_iters + 1):
-            v_p = nxt
-            nxt = rhs + m @ v_p
-            # the residual of v_p, v_p - (rhs + O_PP v_p), is the next update
-            residual = float(np.abs(v_p - nxt).max()) if n else 0.0
-            log.iterations = iteration
-            if residual < cfg.eps:
-                break
-        else:
-            raise ConvergenceError(
-                f"Neumann iteration did not reach eps={cfg.eps!r} within "
-                f"{cfg.max_iters} iterations (residual {residual!r})",
-                last_iterate=v_p,
-                residual=residual,
-            )
-        log.residual = residual
-        return v_p, log
 
-    if method == "direct":
-        v_p, info = _solve_shifted(m, rhs), 0
+def _neumann(held: _HeldEdges, rhs: np.ndarray, first: np.ndarray, sweeps: int,
+             eps: float, log: SolverLog) -> tuple[np.ndarray, SolverLog]:
+    """v <- rhs + A v from v = rhs until max|r| < eps, at most `sweeps` times;
+    `first` is A rhs."""
+    nxt = rhs + first
+    for iteration in range(1, sweeps + 1):
+        v_p = nxt
+        nxt = rhs + held @ v_p
+        # the residual of v_p, v_p - (rhs + O_PP v_p), is the next update
+        residual = float(np.abs(v_p - nxt).max()) if held.n else 0.0
+        log.iterations = iteration
+        if residual < eps:
+            break
     else:
-        from scipy.sparse.linalg import gmres
-
-        norms = []  # one residual norm per iteration
-        v_p, info = gmres(
-            eye(n) - m, rhs, rtol=0.0, atol=cfg.eps, maxiter=cfg.max_iters,
-            callback=norms.append, callback_type="pr_norm",
+        raise ConvergenceError(
+            f"Neumann iteration did not reach eps={eps!r} within "
+            f"{sweeps} iterations (residual {residual!r})",
+            last_iterate=v_p,
+            residual=residual,
         )
-        log.iterations = len(norms)
-    # the residual the Neumann loop reports: v_p - (rhs + O_PP v_p)
-    log.residual = float(np.abs(v_p - (rhs + m @ v_p)).max()) if n else 0.0
+    log.residual = residual
+    return v_p, log
+
+
+def _gmres(held: _HeldEdges, rhs: np.ndarray, cfg: SolverConfig,
+           log: SolverLog) -> tuple[np.ndarray, SolverLog]:
+    """GMRES on I - A, the one branch that loads scipy."""
+    from scipy.sparse.linalg import LinearOperator, gmres
+
+    system = (-1.0 * held).plus_diagonal(1.0)  # I - A, its diagonal merged
+    norms = []  # one residual norm per iteration
+    v_p, info = gmres(
+        LinearOperator(held.shape, matvec=lambda x: system @ np.ravel(x), dtype=float),
+        rhs, rtol=0.0, atol=cfg.eps, maxiter=cfg.max_iters,
+        callback=norms.append, callback_type="pr_norm",
+    )
+    log.iterations = len(norms)
+    log.residual = _residual(held, rhs, v_p)
     if info != 0:
         raise ConvergenceError(
             f"GMRES stopped with info={info} (residual {log.residual!r})",
@@ -563,6 +626,63 @@ def _solve_internal(
             residual=log.residual,
         )
     return v_p, log
+
+
+def _solve_internal(
+    o_pp: np.ndarray, rhs: np.ndarray, cfg: SolverConfig
+) -> tuple[np.ndarray, SolverLog]:
+    """Solve (I - O_PP) v_P = rhs under a resolved config, behind the gate.
+
+    The direct method gates and solves the dense block.  The others gate the
+    block's held edges (`_HeldEdges`), on which Neumann and GMRES run every
+    sweep or Krylov step and the residual.  `auto` sweeps when a norm
+    certifies the operator it would iterate and the sweeps that certificate
+    predicts cost at most 1 / LU_SWEEP_RATIO of an LU, k (nnz + n) <=
+    n^3 / LU_SWEEP_RATIO; otherwise, or should rounding stall the sweeps
+    short of eps, it solves by one LU.  The log names the method that ran.
+    """
+    n = o_pp.shape[0]
+    log = SolverLog(
+        method=cfg.method, damping=cfg.damping, regularization=cfg.regularization
+    )
+    if cfg.method == "direct":
+        m = o_pp if cfg.damping is None else cfg.damping * o_pp
+        _stability_gate(m, cfg, log)
+        return _solve_dense(m, rhs, cfg, log)
+    held = _HeldEdges.of(o_pp)
+    if cfg.damping is not None:
+        held = cfg.damping * held
+    _stability_gate(held, cfg, log)
+    bound = log.rho_bound
+    if cfg.regularization:
+        held = held.plus_diagonal(-cfg.regularization)
+        if cfg.method != "iterative_krylov":  # the sweeps iterate O_PP - rI
+            bound = spectral_radius_bound(held)
+            if cfg.method == "neumann" and not bound.rho_upper < 1.0:
+                raise StabilityError(
+                    f"Neumann sweeps iterate O_PP - {cfg.regularization!r} I, and no "
+                    f"certified bound puts its spectral radius below 1 (least bound "
+                    f"{bound.rho_upper!r}); use method 'direct' or 'iterative_krylov'"
+                )
+    if cfg.method == "iterative_krylov":
+        return _gmres(held, rhs, cfg, log)
+    first = held @ rhs
+    if cfg.method == "neumann":
+        return _neumann(held, rhs, first, cfg.max_iters, cfg.eps, log)
+    sweeps = _predicted_sweeps(bound, first, cfg.eps)
+    if sweeps <= cfg.max_iters and sweeps * (held.nnz + n) <= n**3 / LU_SWEEP_RATIO:
+        log.method = "neumann"
+        try:
+            return _neumann(held, rhs, first, min(cfg.max_iters, 2 * int(sweeps)),
+                            cfg.eps, log)
+        except ConvergenceError as exc:
+            log.warnings.append(
+                f"Neumann sweeps stalled at residual {exc.residual!r} after "
+                f"{log.iterations} sweeps; solved by LU")
+            log.iterations = 0
+    log.method = "direct"
+    m = o_pp if cfg.damping is None else cfg.damping * o_pp
+    return _solve_dense(m, rhs, cfg, log)
 
 
 def estimate_internal_values(

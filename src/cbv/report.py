@@ -37,6 +37,7 @@ import json
 import re
 from collections import Counter
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -95,7 +96,45 @@ class PackageFile:
 
 
 def _json_bytes(payload: dict) -> bytes:
-    return (json.dumps(payload, indent=2) + "\n").encode("utf-8")
+    """json.dumps(payload, indent=2) plus a newline, as UTF-8 bytes."""
+    return (_json_indented(payload, 0) + "\n").encode("utf-8")
+
+
+def _json_lines(values) -> list[str]:
+    """Each of a list of scalars as json.dumps renders it, from one call of
+    its C encoder: a newline, which no rendered scalar holds, separates them."""
+    return json.dumps(values, separators=("\n", ": "))[1:-1].split("\n")
+
+
+def _json_indented(value, depth: int) -> str:
+    """value as json.dumps(indent=2) renders it `depth` levels deep.
+
+    `indent` selects json's pure-Python encoder, so the bulky parts go round
+    it: an object with string keys is laid out here, one of scalars through
+    the C encoder with the newline and indent as its item separator, and a
+    list of cut edges with one string format per edge, whose fields come
+    from `_json_lines`.  Anything else is the pure-Python encoder's output,
+    indented to `depth`.
+    """
+    pad = "\n" + "  " * (depth + 1)
+    if isinstance(value, dict) and value and all(type(k) is str for k in value):
+        if any(isinstance(x, (dict, list, tuple)) for x in value.values()):
+            body = ("," + pad).join(f"{encode_basestring_ascii(k)}: {_json_indented(x, depth + 1)}"
+                                    for k, x in value.items())
+        else:
+            body = json.dumps(value, separators=("," + pad, ": "))[1:-1]
+        return "{" + pad + body + pad[:-2] + "}"
+    if isinstance(value, list) and value and all(type(e) is Edge for e in value):
+        fields = [[getattr(e, name) for e in value] for name in ("from_id", "to_id", "type", "amount")]
+        if not all(set(map(type, column)) <= {str, int, float} for column in fields):
+            return _json_indented([{"from": e.from_id, "to": e.to_id, "type": e.type,
+                                    "amount": e.amount} for e in value], depth)
+        inner = pad + "  "
+        body = ("," + pad).join(
+            f'{{{inner}"from": {f},{inner}"to": {t},{inner}"type": {k},{inner}"amount": {a}{pad}}}'
+            for f, t, k, a in zip(*map(_json_lines, fields)))
+        return "[" + pad + body + pad[:-2] + "]"
+    return json.dumps(value, indent=2).replace("\n", pad[:-2])
 
 
 # ---------------------------------------------------------------------------
@@ -681,16 +720,20 @@ def validate_directory(directory) -> ValidationReport:
 # Cut summary document
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Edge:
     from_id: str
     to_id: str
     type: str
     amount: float
 
-    def __post_init__(self):
-        if self.type not in EDGE_TYPES:
-            raise EmissionError(f"edge type {self.type!r} not in {EDGE_TYPES}")
+    def __init__(self, from_id: str, to_id: str, type: str, amount: float):
+        if type not in EDGE_TYPES:
+            raise EmissionError(f"edge type {type!r} not in {EDGE_TYPES}")
+        # one write of the instance dict: a cut summary builds thousands of
+        # edges, and the frozen __init__ pays a guarded write per field
+        object.__setattr__(self, "__dict__", {"from_id": from_id, "to_id": to_id,
+                                              "type": type, "amount": amount})
 
 
 @dataclass
@@ -712,18 +755,14 @@ class CutSummaryDoc:
     extra: dict = field(default_factory=dict)
 
     def to_json_bytes(self) -> bytes:
+        """The document as JSON; the edge lists stay `Edge` objects, which
+        `_json_indented` formats without a dict per edge."""
         payload = {
             "perimeter": self.perimeter,
             "date": self.date,
             "currency": self.currency,
-            "edges_PO": [
-                {"from": e.from_id, "to": e.to_id, "type": e.type, "amount": e.amount}
-                for e in self.edges_po
-            ],
-            "edges_OP": [
-                {"from": e.from_id, "to": e.to_id, "type": e.type, "amount": e.amount}
-                for e in self.edges_op
-            ],
+            "edges_PO": self.edges_po,
+            "edges_OP": self.edges_op,
             "node_primitives": {"v_P": self.v_p, "v_O": self.v_o},
             "totals": {"T_out": self.t_out, "T_in": self.t_in},
             "consolidated_value": self.consolidated_value,

@@ -255,10 +255,10 @@ def ix_blocks(network: cbv.OwnershipNetwork, members) -> dict[str, np.ndarray]:
 
 def dense_iterative_solve(o_pp, rhs, cfg):
     """The Neumann and GMRES solves on dense matvecs, as regime B ran them
-    before it built a CSR operator: the oracle for its iterative branch.
-    `cfg` is resolved and its method is neumann or iterative_krylov."""
-    from cbv.engine import SolverLog, _stability_gate
-    from cbv.errors import ConvergenceError
+    before it built a held-edge operator: the oracle for its iterative
+    branch.  `cfg` is resolved and its method is neumann or iterative_krylov."""
+    from cbv.engine import SolverLog, _stability_gate, spectral_radius_bound
+    from cbv.errors import ConvergenceError, StabilityError
 
     m = o_pp
     log = SolverLog(
@@ -271,6 +271,9 @@ def dense_iterative_solve(o_pp, rhs, cfg):
     n = m.shape[0]
     if cfg.regularization:
         m = m - cfg.regularization * np.eye(n)
+        # the sweeps iterate O_PP - rI, so that is the block they need certified
+        if cfg.method == "neumann" and not spectral_radius_bound(m).rho_upper < 1.0:
+            raise StabilityError("O_PP - rI is not certified stable")
 
     if cfg.method == "neumann":
         nxt = rhs + m @ rhs

@@ -318,10 +318,9 @@ class TestSpecs:
 
 
 def test_import_loads_no_scipy(tmp_path):
-    # every CLI call pays for what `import cbv` loads, and a regime-B solve of
-    # direct size, in the library or through `cbv compute`, stays on the
-    # dense path, which needs no scipy
-    n = cbv.engine.DIRECT_SOLVER_MAX_SIZE
+    # every CLI call pays for what `import cbv` loads; regime-B solves by LU or
+    # by Neumann sweeps, in the library or through `cbv compute`, need no scipy
+    n = 3000
     package = tmp_path / "pkg"
     cbv.write_package(package, example_stats(with_v_p=False), cbv.Observer(
         perimeter_ref="P", basis="fair_value", units="EUR", date="2025-06-30",
@@ -329,12 +328,20 @@ def test_import_loads_no_scipy(tmp_path):
     src = Path(cbv.__file__).resolve().parents[1]
     cases = (
         "import cbv",
+        # a sparse block far larger than any LU the sweeps would lose to
         "import cbv, numpy as np\n"
         f"o_pp = np.diag(np.full({n} - 1, 0.5), k=1)\n"
         f"ids = tuple(str(k) for k in range({n}))\n"
         f"stats = cbv.CutStatistics(p_ids=ids, o_ids=(), b_p=np.ones({n}), o_pp=o_pp)\n"
-        "assert cbv.evaluate_regime_b(stats).solver_log.method == 'direct'",
+        "assert cbv.evaluate_regime_b(stats).solver_log.method == 'neumann'",
+        "import cbv\n"
+        "stats = cbv.CutStatistics(p_ids=('a', 'b'), o_ids=(), b_p=[1.0, 1.0],\n"
+        "                          o_pp=[[0.0, 0.5], [0.5, 0.0]])\n"
+        "log = cbv.evaluate_regime_b(stats, cbv.SolverConfig(method='neumann')).solver_log\n"
+        "assert log.method == 'neumann' and log.iterations > 0",
         f"import cbv.cli\nassert cbv.cli.main(['compute', '--package', {str(package)!r}]) == 0",
+        f"import cbv.cli\nassert cbv.cli.main(['compute', '--package', {str(package)!r},\n"
+        "                            '--method', 'neumann']) == 0",
     )
     for case in cases:
         code = (f"import sys\n{case}\n"

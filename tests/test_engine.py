@@ -1,4 +1,5 @@
 from dataclasses import replace
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -260,11 +261,24 @@ class TestEstimation:
         )
         assert np.abs(direct - neumann).max() <= 10 * eps
 
+    @pytest.mark.parametrize("n", [200, 1800, 2400])
+    def test_held_edges_multiply_as_csr_does(self, rng, n):
+        from scipy.sparse import csr_array
+
+        o_pp = rng.uniform(-1.0, 1.0, (n, n)) * (rng.random((n, n)) < 3.0 / n)
+        x = rng.uniform(-1e3, 1e3, n)
+        held, csr = cbv.engine._HeldEdges.of(o_pp), csr_array(o_pp)
+        assert held.nnz == csr.nnz
+        np.testing.assert_array_equal(held @ x, csr @ x)
+        for axis in (0, 1):  # the gate's sums, up to summation order
+            np.testing.assert_allclose(abs(held).sum(axis), abs(csr).sum(axis=axis),
+                                       rtol=1e-14, atol=0.0)
+
     def test_neumann_matches_the_loop_that_formed_i_minus_o_pp(self, rng):
         # reference: a second matvec per iteration, with I - O_PP, only for
-        # the residual.  The sweeps multiply with the CSR operator the solver
-        # builds, so the iterates and the count are the same; the residual
-        # agrees up to rounding of its two formulas
+        # the residual.  The sweeps multiply with the held edges, which sum
+        # each row as a CSR product does, so the iterates and the count are
+        # the same; the residual agrees up to rounding of its two formulas
         from scipy.sparse import csr_array
 
         eps = 1e-10
@@ -289,9 +303,9 @@ class TestEstimation:
     @settings(max_examples=300, deadline=None)
     @given(st.data())
     def test_iterative_solves_match_the_dense_oracle(self, data):
-        # the CSR operator against the dense matvecs it replaced: the same
-        # gate verdict and bound, the same Neumann count and iterates up to
-        # summation order, and GMRES solutions that agree to its atol
+        # the held-edge operator against the dense matvecs it replaced: the
+        # same gate verdict and bound, the same Neumann count and iterates up
+        # to summation order, and GMRES solutions that agree to its atol
         from scipy.sparse import csr_array
 
         n = data.draw(st.integers(0, 12), label="n")
@@ -395,6 +409,122 @@ class TestEstimation:
         assert cbv.evaluate_for_observer(stats_b, observer, given).w == pytest.approx(
             EXAMPLE_W_B, abs=1e-4
         )
+
+
+def ring_stats(n: int, share: float, b_scale: float = 1.0) -> cbv.CutStatistics:
+    """A ring owned at `share`, one outside node holding 10% of each member."""
+    idx = np.arange(n)
+    o_pp = np.zeros((n, n))
+    o_pp[idx, (idx + 1) % n] = share
+    return cbv.CutStatistics(
+        p_ids=tuple(f"p{k:04d}" for k in idx), o_ids=("x",), b_p=np.full(n, b_scale),
+        v_o=[0.0], o_po=np.zeros((n, 1)), o_op=np.full((1, n), 0.1), o_pp=o_pp,
+    )
+
+
+class TestAutoMethod:
+    """`auto` sweeps only where the gate's norm certificate predicts sweeps
+    cheaper than one LU, and otherwise, or when the sweeps stall, factors."""
+
+    def test_regularized_neumann_certifies_the_shifted_block(self):
+        # the gate certifies O_PP (rho = 0.9), but the sweeps iterate
+        # O_PP - 0.5 I, whose eigenvalue -1.4 lies outside the unit disk
+        stats = cbv.CutStatistics(p_ids=("a", "b"), o_ids=(), b_p=[1.0, 0.0],
+                                  o_pp=[[0.0, 0.9], [0.9, 0.0]])
+        with pytest.raises(StabilityError, match=r"O_PP - 0\.5 I"):
+            cbv.evaluate_regime_b(stats, cbv.SolverConfig(method="neumann", regularization=0.5))
+        direct = cbv.evaluate_regime_b(stats, cbv.SolverConfig(method="direct",
+                                                               regularization=0.5))
+        auto = cbv.evaluate_regime_b(stats, cbv.SolverConfig(regularization=0.5))
+        assert direct.w == auto.w == 1.0
+        assert auto.solver_log.method == "direct"
+
+    @pytest.mark.parametrize("stats", [
+        cbv.CutStatistics(p_ids=("p1", "p2"), o_ids=(), b_p=[100.0, 50.0],
+                          o_pp=[[0.0, t], [t, 0.0]])
+        for t in (0.80, 0.99)
+    ] + [ring_stats(400, 0.998)], ids=["2-cycle-0.80", "2-cycle-0.99", "ring-0.998"])
+    def test_small_and_near_unit_blocks_take_lu(self, stats):
+        auto = cbv.evaluate_regime_b(stats)
+        direct = cbv.evaluate_regime_b(stats, cbv.SolverConfig(method="direct"))
+        assert (auto.solver_log.method, auto.solver_log.iterations) == ("direct", 0)
+        assert auto.w == direct.w
+        assert auto.solver_log.rho_bound.rho_upper < 1.0
+
+    def test_sparse_block_sweeps_as_predicted(self):
+        stats = ring_stats(600, 0.5)
+        auto = cbv.evaluate_regime_b(stats)
+        direct = cbv.evaluate_regime_b(stats, cbv.SolverConfig(method="direct"))
+        log = auto.solver_log
+        assert log.method == "neumann" and not log.warnings
+        # |r_k| <= 0.5^k * 0.5 below 1e-10 first at k = 33
+        assert log.iterations <= 33 and log.residual < 1e-10
+        # |dW| <= sum_j |c_j| eps / (1 - rho_inf) = 60 * 1e-10 / 0.5
+        assert abs(auto.w - direct.w) <= 1.2e-8
+
+    def test_stalled_sweeps_fall_back_to_lu(self):
+        stats = ring_stats(600, 0.5)
+        with patch.object(cbv.engine, "_predicted_sweeps", return_value=1):
+            auto = cbv.evaluate_regime_b(stats)  # two sweeps allowed, 33 needed
+        direct = cbv.evaluate_regime_b(stats, cbv.SolverConfig(method="direct"))
+        assert (auto.solver_log.method, auto.solver_log.iterations) == ("direct", 0)
+        assert auto.solver_log.warnings == [
+            f"Neumann sweeps stalled at residual {0.5 ** 3!r} after 2 sweeps; solved by LU"]
+        assert auto.w == direct.w
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_auto_returns_wherever_direct_does(self, data):
+        # on drawn blocks, sweeps forced where certified (ratio ~0) or left
+        # to the measured rule, auto answers wherever direct does, within
+        # what its residual certifies: |dW| <= sum_j |c_j| eps / (1 - rho_inf)
+        # (n max_j |c_j| eps / (1 - rho_1) from the 1-norm), plus rounding
+        n = data.draw(st.integers(1, 120), label="n")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        kind = data.draw(st.sampled_from(["nonnegative", "signed", "reducible"]), label="kind")
+        rho = data.draw(st.floats(0.0, 0.999) | st.sampled_from([0.99, 0.999]), label="rho")
+        density = data.draw(st.sampled_from([1.0, 0.3, 2.0 / n]), label="density")
+        scale = 10.0 ** data.draw(st.integers(0, 12), label="log10 value scale")
+        damping = data.draw(st.none() | st.floats(0.05, 0.95), label="damping")
+        regularization = data.draw(st.none() | st.floats(0.0, 0.5), label="regularization")
+        eps = data.draw(st.sampled_from([1e-12, 1e-10, 1e-6]), label="eps")
+        ratio = data.draw(st.sampled_from([1e-9, cbv.engine.LU_SWEEP_RATIO]), label="ratio")
+        o_pp = rng.uniform(0.0, 1.0, (n, n)) * (rng.random((n, n)) < density)
+        if kind == "signed":
+            o_pp *= rng.choice([-1.0, 1.0], (n, n))
+        elif kind == "reducible":  # block upper triangular
+            o_pp = np.triu(o_pp, k=-(n // 3))
+            o_pp[n // 2:, :n // 2] = 0.0
+        radius = float(np.abs(np.linalg.eigvals(o_pp)).max())
+        if radius > 0.0:
+            o_pp *= rho / radius
+        n_o = 2
+        stats = cbv.CutStatistics(
+            p_ids=tuple(f"p{k}" for k in range(n)), o_ids=("x", "y"),
+            b_p=scale * rng.uniform(0.0, 1.0, n), v_o=scale * rng.uniform(0.0, 1.0, n_o),
+            o_po=rng.uniform(0.0, 0.1, (n, n_o)), o_op=rng.uniform(0.0, 0.1, (n_o, n)),
+            o_pp=o_pp)
+        cfg = cbv.SolverConfig(eps=eps, damping=damping, regularization=regularization)
+        try:
+            direct = cbv.evaluate_regime_b(stats, replace(cfg, method="direct"))
+        except StabilityError:
+            return
+        with patch.object(cbv.engine, "LU_SWEEP_RATIO", ratio):
+            auto = cbv.evaluate_regime_b(stats, cfg)
+        if auto.solver_log.method == "direct":
+            assert auto.w == direct.w
+            return
+        assert auto.solver_log.method == "neumann"
+        swept = (damping or 1.0) * o_pp - (regularization or 0.0) * np.eye(n)
+        bound = cbv.spectral_radius_bound(swept)
+        c = np.abs(stats.o_op.sum(axis=0))
+        weights = [c.sum() / (1.0 - bound.norm_inf) if bound.norm_inf < 1.0 else np.inf,
+                   n * c.max() / (1.0 - bound.norm_1) if bound.norm_1 < 1.0 else np.inf]
+        rhs = stats.b_p + stats.o_po @ stats.v_o
+        unit = np.finfo(float).eps
+        rounding = 16 * (n + 2) * unit * (np.abs(rhs).max() + np.abs(direct.v_p_used).max())
+        assert auto.solver_log.residual < eps
+        assert abs(auto.w - direct.w) <= min(weights) * (eps + rounding)
 
 
 class TestRegimeB:

@@ -416,6 +416,59 @@ class TestCutSummary:
         again = cbv.CutSummaryDoc.from_json_bytes(blob)
         assert again.to_json_bytes() == blob
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_bytes_are_jsons_indent_2_output(self, data):
+        # the per-edge formatting against json.dumps(indent=2) of the payload
+        ids = st.text(max_size=6) | st.sampled_from(['"', "\\", "a\rb", "\u00e9\u6f22", "\ud83d\ude00"])
+        amounts = st.floats(allow_nan=True, allow_infinity=True) | st.integers(-3, 3)
+
+        def edges():
+            return st.lists(st.builds(Edge, ids, ids, st.sampled_from(cbv.report.EDGE_TYPES), amounts),
+                            max_size=4)
+
+        values = st.dictionaries(ids, st.floats(allow_nan=True, allow_infinity=True), max_size=3)
+        doc = cbv.CutSummaryDoc(
+            perimeter=data.draw(ids), date="2025-06-30", currency=data.draw(ids),
+            edges_po=data.draw(edges()), edges_op=data.draw(edges()),
+            v_p=data.draw(values), v_o=data.draw(values), t_out=data.draw(amounts),
+            t_in=1.5, consolidated_value=float("nan"),
+            hedge_vector_o=data.draw(st.none() | values),
+            missing_data=[{"field": data.draw(ids)}],
+            extra=data.draw(st.just({}) | st.fixed_dictionaries({"note": ids})),
+        )
+
+        def as_dicts(edges):
+            return [{"from": e.from_id, "to": e.to_id, "type": e.type, "amount": e.amount}
+                    for e in edges]
+
+        payload = {
+            "perimeter": doc.perimeter, "date": doc.date, "currency": doc.currency,
+            "edges_PO": as_dicts(doc.edges_po), "edges_OP": as_dicts(doc.edges_op),
+            "node_primitives": {"v_P": doc.v_p, "v_O": doc.v_o},
+            "totals": {"T_out": doc.t_out, "T_in": doc.t_in},
+            "consolidated_value": doc.consolidated_value,
+        }
+        if doc.hedge_vector_o is not None:
+            payload["hedge_vector_O"] = doc.hedge_vector_o
+        payload["missing_data"] = doc.missing_data
+        payload.update(doc.extra)
+        assert doc.to_json_bytes() == (json.dumps(payload, indent=2) + "\n").encode("utf-8")
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.recursive(
+        st.none() | st.booleans() | st.integers() | st.text(max_size=4)
+        | st.floats(allow_nan=True, allow_infinity=True),
+        lambda children: st.lists(children, max_size=3) | st.tuples(children)
+        | st.dictionaries(st.text(max_size=4) | st.integers(-2, 2), children, max_size=3),
+        max_leaves=12))
+    def test_every_json_file_is_jsons_indent_2_output(self, payload):
+        # pov.json, clearing.json and the cut summary share one writer
+        document = {"payload": payload, "edges": [Edge("a", "b", "equity", 1.0)]}
+        want = json.dumps({"payload": payload, "edges": [
+            {"from": "a", "to": "b", "type": "equity", "amount": 1.0}]}, indent=2)
+        assert cbv.report._json_bytes(document) == (want + "\n").encode("utf-8")
+
     def test_amount_form_summary_types(self):
         stats = cbv.CutStatistics.from_amounts(
             ("p",), ("o",), b_p=[0.0], x_po=[[123.45]], x_op=[[67.89]],
