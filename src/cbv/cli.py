@@ -378,10 +378,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except CbvError as exc:
-        print(f"error [{type(exc).__name__}]: {exc}", file=sys.stderr)
-        return EXIT_COMPUTE
-    except OSError as exc:  # a file that is missing, a directory, unreadable
+    except Exception as exc:  # a CbvError, an unreadable file, or a fault: never exit 1
         print(f"error [{type(exc).__name__}]: {exc}", file=sys.stderr)
         return EXIT_COMPUTE
 

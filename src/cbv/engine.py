@@ -24,32 +24,31 @@ plus the edges it holds; statistics derived from others (`with_v_p`,
 `scale_units`) share the blocks they do not change.  Regime B is two pieces:
 the right-hand side b_P + O_PO v_O (`_boundary_rhs`) and the gated solve on
 O_PP (`_solve_internal`); a Monte Carlo band, whose probes move only O_PP,
-computes the first once and runs only the second per probe.  The direct
-method is one dense LU of I - O_PP.  Every other method first scans the block
-once for its held edges (`_HeldEdges`, O(n_P^2) until blocks are stored
-sparse), and then costs O(nnz + n_P) per gate pass, sweep, Krylov step or
-residual.  Pricing the cut is a reduction over the two boundary blocks: with
-no rounding threshold, one pass of column sums per block and no n_P x n_O
-temporary; with a threshold, one priced amount per nonzero edge (`cut_edges`,
-which also lists the edges of a cut summary) so that each can be tested
-against it.
+computes the first once and runs only the second per probe.  Every method
+reads O_PP in one form, its held edges (`_HeldEdges`, from one scan of the
+block, O(n_P^2) until blocks are stored sparse): each gate pass, sweep,
+Krylov step or residual then costs O(nnz + n_P), and the direct method's
+one dense LU builds I - O_PP from them.  Pricing the cut is a reduction over
+the two boundary blocks: with no rounding threshold, one pass of column sums
+per block and no n_P x n_O temporary; with a threshold, one priced amount per
+nonzero edge (`cut_edges`, which also lists the edges of a cut summary) so
+that each can be tested against it.
 
-The stability gate of regime B is one pass of row and column sums when a
-norm of O_PP certifies rho < 1, and otherwise at most POWER_ITERATIONS
-Collatz-Wielandt passes, one matvec each, stopping at the first certified
-bound below 1 or once a certified lower bound reaches 1.  The direct method
-gates the dense block and solves it densely; every dense solve against I - A
-goes through `_solve_shifted`, the one place that decides what a singular
-I - A means.  `auto` gates the held edges, and the gate's certificate picks
-the method: when the 1- or infinity-norm bounds rho by rho_c < 1, the
-Neumann residual after k sweeps is at most rho_c^k times the first update,
-which predicts k, and `auto` sweeps when k (nnz + n_P) <= n_P^3 /
-LU_SWEEP_RATIO, a measured price of a sweep against an LU.  A certificate
-only the Collatz-Wielandt passes give, an adjustment that leaves no
-certificate, a count past max_iters, or sweeps that rounding stalls short of
-eps go to one LU.  The Neumann solver does one matvec per iteration: the
-update it computes anyway is the residual of the previous iterate.  Only
-GMRES loads scipy.
+The stability gate reads the held edges of whatever block it is given: one
+pass of row and column sums when a norm of O_PP certifies rho < 1, and
+otherwise at most POWER_ITERATIONS Collatz-Wielandt passes, one matvec each,
+stopping at the first certified bound below 1 or once a certified lower bound
+reaches 1.  Every dense solve against I - A goes through `_solve_shifted`,
+the one place that decides what a singular I - A means.  In regime B the
+gate's certificate picks `auto`'s method: when the 1- or infinity-norm
+bounds rho by rho_c < 1, the Neumann residual after k sweeps is at most
+rho_c^k times the first update, which predicts k, and `auto` sweeps when
+k (nnz + n_P) <= n_P^3 / LU_SWEEP_RATIO, a measured price of a sweep against
+an LU.  A certificate only the Collatz-Wielandt passes give, an adjustment
+that leaves no certificate, a count past max_iters, or sweeps that rounding
+stalls short of eps go to one LU.  The Neumann solver does one matvec per
+iteration: the update it computes anyway is the residual of the previous
+iterate.  Only GMRES loads scipy.
 """
 
 from __future__ import annotations
@@ -285,17 +284,16 @@ def spectral_radius_bound(o_pp) -> SpectralBound:
     upper bound below 1, once the lower bound reaches 1 (no later pass can
     certify rho < 1), or after POWER_ITERATIONS passes.
 
-    `o_pp` may be a scipy sparse array or the engine's held-edge form: the same
-    sums and matvecs then cost its nonzeros.
+    `o_pp` is a square array or the engine's held-edge form; the sums and the
+    passes run on its held edges, so each costs O(nnz + n).
     """
-    m = o_pp if hasattr(o_pp, "nnz") else np.asarray(o_pp, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise DimensionError("o_pp must be square")
-    if m.shape[0] == 0:
+    held = _HeldEdges.of(o_pp)
+    n = held.n
+    if n == 0:
         return SpectralBound(0.0, 0.0, 0.0, 0)
-    a = abs(m) if m.min() < 0.0 else m
-    row_sums = a.sum(axis=1)
-    norm_1 = float(a.sum(axis=0).max())
+    a = _HeldEdges(n, held.rows, held.cols, np.abs(held.vals))
+    row_sums = np.bincount(a.rows, a.vals, minlength=n)
+    norm_1 = float(np.bincount(a.cols, a.vals, minlength=n).max())
     norm_inf = float(row_sums.max())
     rho, passes = min(norm_1, norm_inf), 0
     lower = float(row_sums.min())
@@ -331,8 +329,9 @@ class SolverConfig:
         _check_solver_limits(self.eps, self.max_iters)
         if self.damping is not None and not 0.0 < self.damping < 1.0:
             raise DomainError("damping must be in (0, 1)")
-        if self.regularization is not None and self.regularization < 0:
-            raise DomainError("regularization must be >= 0")
+        if self.regularization is not None and not 0.0 <= self.regularization < np.inf:
+            raise DomainError(
+                f"regularization must be finite and >= 0, got {self.regularization!r}")
 
     def resolved(self, tolerances: Tolerances = Tolerances()) -> SolverConfig:
         """This config with unset eps/max_iters taken from `tolerances`."""
@@ -451,22 +450,24 @@ def evaluate_regime_a(
 
 
 def _stability_gate(
-    matrix: np.ndarray, cfg: SolverConfig | None = None, log: SolverLog | None = None
+    matrix, cfg: SolverConfig | None = None, log: SolverLog | None = None
 ) -> None:
-    """Refuse a matrix whose spectral radius no certified bound puts below 1.
+    """Refuse a block whose spectral radius no certified bound puts below 1.
 
+    `matrix` is a square array or held edges, read as held edges once.
     Passes when `spectral_radius_bound` certifies rho < 1.  Otherwise raises
     StabilityError, unless `cfg` configures damping or regularization: then
     the warning goes to `log` and the caller proceeds on its adjustment.
     """
-    bound = spectral_radius_bound(matrix)
+    held = _HeldEdges.of(matrix)
+    bound = spectral_radius_bound(held)
     if log is not None:
         log.rho_bound = bound
     if bound.rho_upper < 1.0:
         return
     if cfg is None or (cfg.damping is None and cfg.regularization is None):
         if bound.rho_lower >= 1.0:  # rho(O_PP) = rho(|O_PP|) when nothing is negative
-            verdict = "is unstable" if matrix.min() >= 0.0 else "cannot be certified stable"
+            verdict = "is unstable" if (held.vals >= 0).all() else "cannot be certified stable"
             reason = f"the block {verdict}: rho(|O_PP|) >= {bound.rho_lower!r}"
         else:
             reason = (f"no certified bound puts the spectral radius below 1 (least bound "
@@ -477,14 +478,19 @@ def _stability_gate(
     log.warnings.append("stability bounds >= 1; relying on configured adjustment")
 
 
-def _solve_shifted(a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+def _solve_shifted(a, rhs: np.ndarray) -> np.ndarray:
     """x with (I - a) x = rhs, from one dense solve; a singular I - a is a
     StabilityError.  The stability gate, where a caller needs one, runs first.
+    Held edges are scattered into one identity, bit for bit the dense I - a.
     """
-    # I - a in a's memory order: a transposed system reaches LAPACK untransposed
-    order = "F" if a.flags.f_contiguous else "C"
+    if isinstance(a, _HeldEdges):
+        system = np.eye(a.n)
+        system[a.rows, a.cols] -= a.vals
+    else:
+        # I - a in a's memory order: a transposed system reaches LAPACK untransposed
+        system = np.eye(a.shape[0], order="F" if a.flags.f_contiguous else "C") - a
     try:
-        return np.linalg.solve(np.eye(a.shape[0], order=order) - a, rhs)
+        return np.linalg.solve(system, rhs)
     except np.linalg.LinAlgError as exc:
         raise StabilityError(f"I - A is singular: {exc}") from exc
 
@@ -499,51 +505,49 @@ def _boundary_rhs(stats: CutStatistics) -> np.ndarray:
 
 
 class _HeldEdges:
-    """A square block as its held entries (`_held_entries`).
+    """A square block as its held entries (`_held_entries`): the one form in
+    which the stability gate and every regime-B method read O_PP.
 
-    It offers what the stability gate and the sweeps use of an array (shape,
-    nnz, min, abs, row and column sums, scaling and the matvec), each at
-    O(nnz + n) and with no scipy.  The matvec accumulates each row's products
-    in column order, as a CSR product does, so the two agree bit for bit.
+    The matvec accumulates each row's products in column order, as a CSR
+    product does, so the two agree bit for bit; it costs O(nnz + n) and no
+    scipy.
     """
-
-    ndim = 2
 
     def __init__(self, n: int, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray):
         self.n, self.rows, self.cols, self.vals = n, rows, cols, vals
-        self.shape = (n, n)
-        self.nnz = vals.size
 
     @classmethod
-    def of(cls, m: np.ndarray) -> "_HeldEdges":
+    def of(cls, m) -> "_HeldEdges":
+        """The held edges of a square array; held edges come back unchanged."""
+        if isinstance(m, cls):
+            return m
+        m = np.asarray(m, dtype=float)
+        if m.ndim != 2 or m.shape[0] != m.shape[1]:
+            raise DimensionError("o_pp must be square")
         return cls(m.shape[0], *_held_entries(m))
 
-    def min(self) -> float:
-        """The least held entry, or 0 if that is less: the sign the gate reads."""
-        return float(self.vals.min(initial=0.0))
-
-    def __abs__(self) -> "_HeldEdges":
-        return _HeldEdges(self.n, self.rows, self.cols, np.abs(self.vals))
-
-    def __rmul__(self, scale: float) -> "_HeldEdges":
+    def scaled(self, scale: float) -> "_HeldEdges":
         return _HeldEdges(self.n, self.rows, self.cols, scale * self.vals)
-
-    def sum(self, axis: int) -> np.ndarray:
-        return np.bincount(self.cols if axis == 0 else self.rows, self.vals,
-                           minlength=self.n)
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
         return np.bincount(self.rows, self.vals * x[self.cols], minlength=self.n)
 
+    def merged(self, rows: np.ndarray, cols: np.ndarray) -> tuple["_HeldEdges", np.ndarray]:
+        """This block with the positions (rows, cols) held too, a new one
+        holding 0.0, and where in its values each of those positions sits."""
+        n = self.n
+        flat, extra = self.rows * n + self.cols, rows * n + cols
+        union = np.union1d(flat, extra)
+        vals = np.zeros(union.size)
+        vals[np.searchsorted(union, flat)] = self.vals
+        return _HeldEdges(n, *np.divmod(union, n), vals), np.searchsorted(union, extra)
+
     def plus_diagonal(self, d: float) -> "_HeldEdges":
         """This block + d I, the diagonal merged into the held entries."""
-        n = self.n
-        flat, diag = self.rows * n + self.cols, np.arange(n) * (n + 1)
-        merged = np.union1d(flat, diag)
-        vals = np.zeros(merged.size)
-        vals[np.searchsorted(merged, flat)] = self.vals
-        vals[np.searchsorted(merged, diag)] += d
-        return _HeldEdges(n, *np.divmod(merged, n), vals)
+        diagonal = np.arange(self.n)
+        held, at = self.merged(diagonal, diagonal)
+        held.vals[at] += d
+        return held
 
 
 def _predicted_sweeps(bound: SpectralBound, first: np.ndarray, eps: float) -> float:
@@ -566,19 +570,9 @@ def _predicted_sweeps(bound: SpectralBound, first: np.ndarray, eps: float) -> fl
     return best
 
 
-def _residual(m, rhs: np.ndarray, v_p: np.ndarray) -> float:
-    """max|v_p - (rhs + m v_p)|, the residual every method reports."""
-    return float(np.abs(v_p - (rhs + m @ v_p)).max()) if v_p.size else 0.0
-
-
-def _solve_dense(m: np.ndarray, rhs: np.ndarray, cfg: SolverConfig,
-                 log: SolverLog) -> tuple[np.ndarray, SolverLog]:
-    """One LU of I - m (+ rI when regularized) through `_solve_shifted`."""
-    if cfg.regularization:
-        m = m - cfg.regularization * np.eye(m.shape[0])
-    v_p = _solve_shifted(m, rhs)
-    log.residual = _residual(m, rhs, v_p)
-    return v_p, log
+def _residual(held: _HeldEdges, rhs: np.ndarray, v_p: np.ndarray) -> float:
+    """max|v_p - (rhs + A v_p)|, the residual every method reports."""
+    return float(np.abs(v_p - (rhs + held @ v_p)).max()) if v_p.size else 0.0
 
 
 def _neumann(held: _HeldEdges, rhs: np.ndarray, first: np.ndarray, sweeps: int,
@@ -610,10 +604,10 @@ def _gmres(held: _HeldEdges, rhs: np.ndarray, cfg: SolverConfig,
     """GMRES on I - A, the one branch that loads scipy."""
     from scipy.sparse.linalg import LinearOperator, gmres
 
-    system = (-1.0 * held).plus_diagonal(1.0)  # I - A, its diagonal merged
+    system = held.scaled(-1.0).plus_diagonal(1.0)  # I - A, its diagonal merged
     norms = []  # one residual norm per iteration
     v_p, info = gmres(
-        LinearOperator(held.shape, matvec=lambda x: system @ np.ravel(x), dtype=float),
+        LinearOperator((held.n,) * 2, matvec=lambda x: system @ np.ravel(x), dtype=float),
         rhs, rtol=0.0, atol=cfg.eps, maxiter=cfg.max_iters,
         callback=norms.append, callback_type="pr_norm",
     )
@@ -629,34 +623,32 @@ def _gmres(held: _HeldEdges, rhs: np.ndarray, cfg: SolverConfig,
 
 
 def _solve_internal(
-    o_pp: np.ndarray, rhs: np.ndarray, cfg: SolverConfig
+    o_pp, rhs: np.ndarray, cfg: SolverConfig
 ) -> tuple[np.ndarray, SolverLog]:
     """Solve (I - O_PP) v_P = rhs under a resolved config, behind the gate.
 
-    The direct method gates and solves the dense block.  The others gate the
-    block's held edges (`_HeldEdges`), on which Neumann and GMRES run every
-    sweep or Krylov step and the residual.  `auto` sweeps when a norm
-    certifies the operator it would iterate and the sweeps that certificate
+    `o_pp` is a square array or its held edges (`_HeldEdges`), the one form
+    every method reads: it is damped and gated, then regularized, and
+    `neumann` and `auto` certify the O_PP - rI their sweeps would iterate.
+    GMRES and Neumann run every step and the residual on it.  `auto` sweeps
+    when a norm certifies that operator and the sweeps the certificate
     predicts cost at most 1 / LU_SWEEP_RATIO of an LU, k (nnz + n) <=
-    n^3 / LU_SWEEP_RATIO; otherwise, or should rounding stall the sweeps
-    short of eps, it solves by one LU.  The log names the method that ran.
+    n^3 / LU_SWEEP_RATIO.  `direct`, and `auto` otherwise or should rounding
+    stall the sweeps short of eps, takes one LU of I - O_PP built from the
+    held edges.  The log names the method that ran.
     """
-    n = o_pp.shape[0]
+    held = _HeldEdges.of(o_pp)
+    n = held.n
     log = SolverLog(
         method=cfg.method, damping=cfg.damping, regularization=cfg.regularization
     )
-    if cfg.method == "direct":
-        m = o_pp if cfg.damping is None else cfg.damping * o_pp
-        _stability_gate(m, cfg, log)
-        return _solve_dense(m, rhs, cfg, log)
-    held = _HeldEdges.of(o_pp)
     if cfg.damping is not None:
-        held = cfg.damping * held
+        held = held.scaled(cfg.damping)
     _stability_gate(held, cfg, log)
     bound = log.rho_bound
     if cfg.regularization:
         held = held.plus_diagonal(-cfg.regularization)
-        if cfg.method != "iterative_krylov":  # the sweeps iterate O_PP - rI
+        if cfg.method in ("neumann", "auto"):  # the sweeps iterate O_PP - rI
             bound = spectral_radius_bound(held)
             if cfg.method == "neumann" and not bound.rho_upper < 1.0:
                 raise StabilityError(
@@ -666,23 +658,27 @@ def _solve_internal(
                 )
     if cfg.method == "iterative_krylov":
         return _gmres(held, rhs, cfg, log)
-    first = held @ rhs
-    if cfg.method == "neumann":
-        return _neumann(held, rhs, first, cfg.max_iters, cfg.eps, log)
-    sweeps = _predicted_sweeps(bound, first, cfg.eps)
-    if sweeps <= cfg.max_iters and sweeps * (held.nnz + n) <= n**3 / LU_SWEEP_RATIO:
-        log.method = "neumann"
-        try:
-            return _neumann(held, rhs, first, min(cfg.max_iters, 2 * int(sweeps)),
-                            cfg.eps, log)
-        except ConvergenceError as exc:
-            log.warnings.append(
-                f"Neumann sweeps stalled at residual {exc.residual!r} after "
-                f"{log.iterations} sweeps; solved by LU")
-            log.iterations = 0
-    log.method = "direct"
-    m = o_pp if cfg.damping is None else cfg.damping * o_pp
-    return _solve_dense(m, rhs, cfg, log)
+    if cfg.method != "direct":
+        first = held @ rhs
+        if cfg.method == "neumann":
+            return _neumann(held, rhs, first, cfg.max_iters, cfg.eps, log)
+        # explicit zeros (a band's designated entries) are not edges
+        nnz = np.count_nonzero(held.vals)
+        sweeps = _predicted_sweeps(bound, first, cfg.eps)
+        if sweeps <= cfg.max_iters and sweeps * (nnz + n) <= n**3 / LU_SWEEP_RATIO:
+            log.method = "neumann"
+            try:
+                return _neumann(held, rhs, first, min(cfg.max_iters, 2 * int(sweeps)),
+                                cfg.eps, log)
+            except ConvergenceError as exc:
+                log.warnings.append(
+                    f"Neumann sweeps stalled at residual {exc.residual!r} after "
+                    f"{log.iterations} sweeps; solved by LU")
+                log.iterations = 0
+        log.method = "direct"
+    v_p = _solve_shifted(held, rhs)
+    log.residual = _residual(held, rhs, v_p)
+    return v_p, log
 
 
 def estimate_internal_values(

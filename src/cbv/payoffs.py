@@ -77,10 +77,10 @@ def pwa_build(samples) -> PwaFunction:
 
 def pwa_error_bound(gamma_max: float, delta: float) -> float:
     """Certified sup-norm error Gamma * Delta^2 / 8 of the interpolant."""
-    if gamma_max < 0:
-        raise DomainError("gamma_max must be >= 0")
-    if delta <= 0:
-        raise DomainError("delta must be > 0")
+    if not 0.0 <= gamma_max < math.inf:
+        raise DomainError(f"gamma_max={gamma_max!r} must be finite and >= 0")
+    if not 0.0 < delta < math.inf:
+        raise DomainError(f"delta={delta!r} must be finite and > 0")
     return gamma_max * delta * delta / 8.0
 
 
@@ -94,8 +94,10 @@ class Granularity:
 
 def delta_max(eps: float, gamma_max: float) -> Granularity:
     """Largest step achieving a target uniform error for curvature Gamma."""
-    if eps <= 0 or gamma_max <= 0:
-        raise DomainError("eps and gamma_max must be > 0")
+    if not (0.0 < eps < math.inf and 0.0 < gamma_max < math.inf
+            and 0.0 < 8.0 * eps / gamma_max < math.inf):
+        raise DomainError(f"eps={eps!r} and gamma_max={gamma_max!r} must be finite and > 0 "
+                          "and give a finite step above 0")
     step = math.sqrt(8.0 * eps / gamma_max)
     return Granularity(delta_max=step, segments=math.ceil(1.0 / step - 1e-9))
 

@@ -12,9 +12,10 @@ condition number kappa_2(I - O_PP) is exact at every size too, from one SVD.
 
 A Monte Carlo band perturbs only O_PP, so it prices what the probes share
 once (the right-hand side b_P + O_PO v_O, the base plus the outgoing term,
-the column sums of O_OP) and pays per probe for a copy of O_PP, the
-stability gate, the solve and one dot product; each probe's value is the
-one `evaluate_regime_b` gives, bit for bit.
+the column sums of O_OP, the held edges of O_PP with the designated entries
+merged in) and pays per probe for a copy of the held values, the stability
+gate, the solve and one dot product; each probe's value is the one
+`evaluate_regime_b` gives, bit for bit.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from .engine import (
     SolverConfig,
     SpectralBound,
     _boundary_rhs,
+    _HeldEdges,
     _priced_edges,
     _solve_internal,
     _solve_shifted,
@@ -272,10 +274,13 @@ def monte_carlo_band(
     if metric not in ("consolidated", "internal_total"):
         raise DomainError(f"unknown metric {metric!r}")
     cfg = (cfg or SolverConfig()).resolved()
-    if entries is None:
-        rows, cols = np.nonzero(stats.o_pp)
-    else:
-        rows, cols = _entry_indices(entries, stats.o_pp.shape[0])
+    try:
+        rng = np.random.default_rng(seed)
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"seed={seed!r} cannot seed the draws: {exc}") from None
+    held = _HeldEdges.of(stats.o_pp)
+    rows, cols = (held.rows, held.cols) if entries is None else _entry_indices(entries, held.n)
+    held, at = held.merged(rows, cols)
 
     rhs = _boundary_rhs(stats)
     base_out = float(stats.b_p.sum()) + _priced_edges(
@@ -283,21 +288,20 @@ def monte_carlo_band(
     col_sums = None if stats.o_op is None else stats.o_op.sum(axis=0)
 
     def offsets():
-        yield np.zeros(rows.size)
-        if noise > 0.0 and rows.size:
-            yield np.full(rows.size, noise)
-            yield np.full(rows.size, -noise)
-        rng = np.random.default_rng(seed)
+        yield np.zeros(at.size)
+        if noise > 0.0 and at.size:
+            yield np.full(at.size, noise)
+            yield np.full(at.size, -noise)
         for _ in range(draws):
-            yield rng.uniform(-noise, noise, size=rows.size)
+            yield rng.uniform(-noise, noise, size=at.size)
 
     values = []
     excluded = 0
     for shift in offsets():
-        o_pp = stats.o_pp.copy()
-        np.add.at(o_pp, (rows, cols), shift)  # in order, so a repeated entry adds twice
+        vals = held.vals.copy()
+        np.add.at(vals, at, shift)  # in order, so a repeated entry adds twice
         try:
-            v_p, _ = _solve_internal(o_pp, rhs, cfg)
+            v_p, _ = _solve_internal(_HeldEdges(held.n, held.rows, held.cols, vals), rhs, cfg)
         except StabilityError:
             excluded += 1
             continue

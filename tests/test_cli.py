@@ -347,6 +347,18 @@ class TestComputeCommand:
         assert err == [f"error [DomainError]: eps must be finite and > 0, got {float(eps)!r}"]
         assert not (pkg / "cut_summary.json").exists()
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+    @pytest.mark.parametrize("method", ["auto", "direct"])
+    def test_bad_regularization_is_compute_error(self, tmp_path, capsys, value, method):
+        # a NaN or infinite regularization printed W(P) = nan and exited 0
+        pkg = build_package(tmp_path)
+        assert main(["compute", "--package", str(pkg), "--regularization", value,
+                     "--method", method]) == EXIT_COMPUTE
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error [DomainError]: regularization must be finite and >= 0, "
+                       f"got {float(value)!r}"]
+        assert not (pkg / "cut_summary.json").exists()
+
     def test_regime_a_package_with_observed_values(self, tmp_path, capsys):
         # the worked example with observed internal values carried in the
         # package: the cut summary lands on 84.56
@@ -377,6 +389,15 @@ class TestBandFlags:
         assert main(argv) == EXIT_OK
         second = json.loads(capsys.readouterr().out)["band"]
         assert first == second
+
+
+    def test_seed_that_cannot_seed_is_compute_error(self, tmp_path, capsys):
+        # numpy's ValueError left a traceback and exit status 1
+        pkg = build_package(tmp_path)
+        assert main(["compute", "--package", str(pkg), "--band-noise", "0.01",
+                     "--band-draws", "3", "--band-seed", "-1"]) == EXIT_COMPUTE
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error [DomainError]: seed=-1")
 
 
 class TestFisherCommand:
@@ -505,6 +526,17 @@ class TestPwaCommand:
         assert payload["segments"] == result.segments
 
 
+    @pytest.mark.parametrize("eps,gamma", [
+        ("nan", "1"), ("1", "nan"), ("inf", "1"), ("1", "inf"), ("1e-300", "1e300"),
+    ])
+    def test_non_finite_or_degenerate_input_is_compute_error(self, capsys, eps, gamma):
+        # these exited 1 with a ValueError or ZeroDivisionError traceback, or
+        # (an infinite eps) exited 0 with N=0
+        assert main(["pwa", "--eps", eps, "--gamma", gamma]) == EXIT_COMPUTE
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error [DomainError]: ")
+
+
 class TestReportCommand:
     def test_sheet_rendered(self, tmp_path, capsys):
         pkg = build_package(tmp_path)
@@ -566,3 +598,17 @@ class TestUsageErrors:
 
     def test_bad_flag_value(self, capsys):
         assert main(["pwa", "--eps", "abc", "--gamma", "1"]) == EXIT_USAGE
+
+
+class TestUnexpectedErrors:
+    def test_any_exception_is_one_line_and_exit_2(self, monkeypatch, capsys):
+        # exit 1 means findings, so a fault in a command never leaves as a
+        # traceback
+        def fault(args):
+            raise RuntimeError("no such luck")
+
+        monkeypatch.setitem(cbv.cli._COMMANDS, "pwa", fault)
+        assert main(["pwa", "--eps", "0.01", "--gamma", "1"]) == EXIT_COMPUTE
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == ["error [RuntimeError]: no such luck"]
+        assert captured.out == ""

@@ -268,11 +268,12 @@ class TestEstimation:
         o_pp = rng.uniform(-1.0, 1.0, (n, n)) * (rng.random((n, n)) < 3.0 / n)
         x = rng.uniform(-1e3, 1e3, n)
         held, csr = cbv.engine._HeldEdges.of(o_pp), csr_array(o_pp)
-        assert held.nnz == csr.nnz
+        assert held.vals.size == csr.nnz
+        # row-major, as CSR stores them: the same columns and values, row by row
+        np.testing.assert_array_equal(held.cols, csr.indices)
+        np.testing.assert_array_equal(held.vals, csr.data)
+        np.testing.assert_array_equal(np.bincount(held.rows, minlength=n), np.diff(csr.indptr))
         np.testing.assert_array_equal(held @ x, csr @ x)
-        for axis in (0, 1):  # the gate's sums, up to summation order
-            np.testing.assert_allclose(abs(held).sum(axis), abs(csr).sum(axis=axis),
-                                       rtol=1e-14, atol=0.0)
 
     def test_neumann_matches_the_loop_that_formed_i_minus_o_pp(self, rng):
         # reference: a second matvec per iteration, with I - O_PP, only for
@@ -304,10 +305,9 @@ class TestEstimation:
     @given(st.data())
     def test_iterative_solves_match_the_dense_oracle(self, data):
         # the held-edge operator against the dense matvecs it replaced: the
-        # same gate verdict and bound, the same Neumann count and iterates up
-        # to summation order, and GMRES solutions that agree to its atol
-        from scipy.sparse import csr_array
-
+        # gate's norms as the dense block gives them, the same Neumann count
+        # and iterates up to summation order, and GMRES solutions that agree
+        # to its atol
         n = data.draw(st.integers(0, 12), label="n")
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
         kind = data.draw(st.sampled_from(["nonnegative", "signed", "reducible"]), label="kind")
@@ -339,11 +339,11 @@ class TestEstimation:
         def fields(bound):
             return np.array([bound.rho_upper, bound.norm_1, bound.norm_inf, bound.rho_lower])
 
-        dense, sparse = (cbv.spectral_radius_bound(a) for a in (o_pp, csr_array(o_pp)))
-        assert sparse.passes == dense.passes
-        np.testing.assert_allclose(fields(sparse), fields(dense), rtol=1e-14, atol=0.0)
-        assert (outcome(cbv.engine._stability_gate, csr_array(o_pp))
-                is outcome(cbv.engine._stability_gate, o_pp))
+        bound = cbv.spectral_radius_bound(o_pp)
+        sums = (np.abs(o_pp).sum(axis=0), np.abs(o_pp).sum(axis=1))
+        norms = [s.max() if n else 0.0 for s in sums]  # norm_1, norm_inf
+        np.testing.assert_allclose([bound.norm_1, bound.norm_inf], norms, rtol=1e-14, atol=0.0)
+        assert bound.rho_upper <= min(bound.norm_1, bound.norm_inf)
 
         for method in ("neumann", "iterative_krylov"):
             cfg = cbv.SolverConfig(method=method, eps=eps, max_iters=5000, damping=damping,
@@ -366,6 +366,37 @@ class TestEstimation:
                 gap = float(np.linalg.norm(system @ (v_p - ref))) if n else 0.0
                 assert gap <= 2 * eps * (1.0 + 1e-6)
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_direct_solves_the_dense_system_bit_for_bit(self, data):
+        # `direct` builds I - A from the held edges of the damped and
+        # regularized block: the same system, so the same LU and the same bits
+        n = data.draw(st.integers(0, 12), label="n")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        kind = data.draw(st.sampled_from(["nonnegative", "signed", "reducible"]), label="kind")
+        rho = data.draw(st.floats(0.0, 1.5), label="rho")
+        damping = data.draw(st.none() | st.floats(0.05, 0.95), label="damping")
+        regularization = data.draw(st.none() | st.floats(0.0, 0.5), label="regularization")
+        o_pp = rng.uniform(0.0, 1.0, (n, n)) * (rng.random((n, n)) < 0.5)
+        if kind == "signed":
+            o_pp *= rng.choice([-1.0, 1.0], (n, n))
+        elif kind == "reducible":  # block upper triangular
+            o_pp = np.triu(o_pp, k=-(n // 3))
+            o_pp[n // 2:, :n // 2] = 0.0
+        radius = float(np.abs(np.linalg.eigvals(o_pp)).max()) if n else 0.0
+        if radius > 0.0:
+            o_pp *= rho / radius
+        rhs = rng.uniform(0.0, 100.0, n)
+        cfg = cbv.SolverConfig(method="direct", damping=damping,
+                               regularization=regularization).resolved()
+        try:
+            v_p, log = cbv.engine._solve_internal(o_pp, rhs, cfg)
+        except StabilityError:  # refused by the gate, or I - A singular
+            return
+        a = (damping or 1.0) * o_pp - (regularization or 0.0) * np.eye(n)
+        np.testing.assert_array_equal(v_p, np.linalg.solve(np.eye(n) - a, rhs))
+        assert log.method == "direct"
+
     def test_kmax_exceeded(self):
         stats = cbv.CutStatistics(
             p_ids=("a", "b"), o_ids=(), b_p=[1.0, 1.0],
@@ -379,7 +410,9 @@ class TestEstimation:
 
     @pytest.mark.parametrize("field", [
         {"method": "lu"}, {"eps": 0.0}, {"max_iters": 0}, {"damping": 1.0},
-        {"regularization": -1e-3}, {"eps": float("inf")}, {"eps": float("nan")},
+        {"regularization": -1e-3}, {"regularization": -1.0},
+        {"regularization": float("nan")}, {"regularization": float("inf")},
+        {"eps": float("inf")}, {"eps": float("nan")},
         {"max_iters": 2.5},
     ])
     def test_solver_config_domains(self, field):

@@ -88,6 +88,15 @@ class TestErrorBound:
             measured = np.abs(f(grid) - fn(grid)).max()
             assert measured <= cbv.pwa_error_bound(gamma, f.max_step) + 1e-12
 
+    @pytest.mark.parametrize("gamma,delta", [
+        (float("nan"), 0.1), (float("inf"), 0.1), (-1.0, 0.1),
+        (1.0, float("nan")), (1.0, float("inf")), (1.0, 0.0), (1.0, -0.1),
+    ])
+    def test_invalid_inputs(self, gamma, delta):
+        # a NaN curvature gave a NaN bound
+        with pytest.raises(DomainError):
+            cbv.pwa_error_bound(gamma, delta)
+
     def test_convex_interpolant_overestimates(self):
         knots = np.linspace(0.0, 1.0, 6)
         f = cbv.pwa_build([(x, x * x) for x in knots])
@@ -108,11 +117,17 @@ class TestGranularity:
         result = cbv.delta_max(0.01, 1.0)
         assert result.delta_max == pytest.approx(math.sqrt(0.08), rel=1e-12)
 
-    def test_invalid_inputs(self):
+    @pytest.mark.parametrize("eps,gamma", [
+        (0.0, 1.0), (0.01, 0.0), (-0.01, 1.0), (0.01, -1.0),
+        (float("nan"), 1.0), (0.01, float("nan")), (float("inf"), 1.0), (0.01, float("inf")),
+        (1e-300, 1e300),  # the step underflows to 0
+        (1e300, 1e-300),  # the step overflows to inf
+    ])
+    def test_invalid_inputs(self, eps, gamma):
+        # an infinite eps gave zero segments, a NaN or a step of 0 a raw
+        # ValueError or ZeroDivisionError
         with pytest.raises(DomainError):
-            cbv.delta_max(0.0, 1.0)
-        with pytest.raises(DomainError):
-            cbv.delta_max(0.01, 0.0)
+            cbv.delta_max(eps, gamma)
 
 
 class TestWaterfall:

@@ -342,6 +342,40 @@ class TestMonteCarloBand:
         thrice = cbv.monte_carlo_band(stats, noise=0.02, draws=0, entries=[(0, 1)] * 3)
         assert (thrice.low, thrice.high) != (once.low, once.high)
 
+    @pytest.mark.parametrize("cfg", [
+        cbv.SolverConfig(),
+        cbv.SolverConfig(method="direct", regularization=0.05),
+        cbv.SolverConfig(method="neumann", damping=0.9),
+    ])
+    @pytest.mark.parametrize("designated", ["held", "listed"])
+    def test_corner_on_zero_matches_reference(self, cfg, designated):
+        # shares equal to the noise land on 0.0 at the -noise corner, and the
+        # listed entries add zero positions (diagonal ones included) and
+        # repeats: the probes keep every designated position as held edges,
+        # while the reference drops each 0.0 from a dense copy
+        noise = 0.02
+        stats = random_regime_stats(np.random.default_rng(5), n_p=8, n_o=4)
+        o_pp = stats.o_pp.copy()
+        o_pp[o_pp > 0.1] = noise
+        stats = replace(stats, o_pp=o_pp)
+        entries = None
+        if designated == "listed":
+            at_noise = list(zip(*np.nonzero(o_pp == noise)))
+            zeros = list(zip(*np.nonzero(o_pp == 0.0)))
+            assert at_noise and zeros
+            listed = at_noise + zeros[:4] + zeros[:2] + [(3, 3)]
+            entries = [(int(i), int(j)) for i, j in listed]
+        for metric in ("consolidated", "internal_total"):
+            band = cbv.monte_carlo_band(stats, cfg, noise=noise, draws=10, seed=2,
+                                        entries=entries, metric=metric)
+            assert astuple(band) == reference_band(stats, noise, 10, 2, metric, cfg, entries)
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, "seed"])
+    def test_seed_that_cannot_seed_refused(self, seed):
+        # numpy's own ValueError or TypeError came through, after the corners
+        with pytest.raises(DomainError, match="seed"):
+            cbv.monte_carlo_band(symmetric_stats(0.5), noise=0.01, draws=3, seed=seed)
+
     @pytest.mark.parametrize("noise", [float("nan"), float("inf")])
     def test_non_finite_noise_refused(self, noise):
         with pytest.raises(DomainError, match="noise"):
