@@ -16,7 +16,9 @@ informational regimes are supported:
 
 Boundary statistics may also be given directly as priced flow matrices (one
 amount per edge) instead of share blocks times values; post-clearing net flows
-and the macro case studies use that form.
+and the macro case studies use that form.  One table, `_FIELDS`, declares
+each array `CutStatistics` may hold: the ids on its axes and whether it holds
+money.  Its shape checks, `restrict` and `scale_units` read that table.
 
 Cost.  `CutStatistics.from_network` takes each block from `partition`, which
 scatters the network's held edges into it, so a block costs its allocation
@@ -79,36 +81,38 @@ POWER_ITERATIONS = 100
 LU_SWEEP_RATIO = 60
 
 
-def _frozen(x) -> np.ndarray:
-    """x as a read-only float array.
+def _frozen(x, shape, name) -> np.ndarray:
+    """x as a read-only float array of `shape`; a vector may come in any
+    shape of its size.
 
-    A read-only float array that owns its data (every array CutStatistics
-    stores) is shared, so derived statistics reuse their parent's blocks;
-    anything else is copied, so a caller who later writes to their array
-    cannot move W.
+    A read-only float array of that rank that owns its data (every array
+    CutStatistics stores) is shared, so derived statistics reuse their
+    parent's blocks; anything else is copied, so a caller who later writes to
+    their array cannot move W.
     """
-    if (type(x) is np.ndarray and x.dtype == np.float64 and x.flags.owndata
-            and not x.flags.writeable):
-        return x
-    arr = np.array(x, dtype=float)
-    arr.setflags(write=False)
-    return arr
-
-
-def _vector(x, size, name) -> np.ndarray:
-    arr = _frozen(x)
-    if arr.ndim != 1:
-        arr = _frozen(arr.reshape(-1))
-    if arr.shape != (size,):
-        raise DimensionError(f"{name} has length {arr.shape[0]}, expected {size}")
-    return arr
-
-
-def _matrix(x, shape, name) -> np.ndarray:
-    arr = _frozen(x)
+    arr = x
+    if not (type(x) is np.ndarray and x.dtype == np.float64 and x.flags.owndata
+            and not x.flags.writeable and x.ndim == len(shape)):
+        arr = np.array(np.ravel(x) if len(shape) == 1 else x, dtype=float)
+        arr.setflags(write=False)
     if arr.shape != shape:
         raise DimensionError(f"{name} has shape {arr.shape}, expected {shape}")
     return arr
+
+
+# Every array a CutStatistics holds: the ids that index its rows, those that
+# index its columns (None for a vector), and whether it holds money, which
+# `scale_units` scales; the others hold shares.
+_FIELDS = {
+    "b_p": ("p_ids", None, True),
+    "v_o": ("o_ids", None, True),
+    "v_p": ("p_ids", None, True),
+    "o_po": ("p_ids", "o_ids", False),
+    "o_op": ("o_ids", "p_ids", False),
+    "o_pp": ("p_ids", "p_ids", False),
+    "x_po": ("p_ids", "o_ids", True),
+    "x_op": ("o_ids", "p_ids", True),
+}
 
 
 @dataclass(frozen=True)
@@ -134,23 +138,12 @@ class CutStatistics:
     clearing_tag: str | None = None
 
     def __post_init__(self):
-        n_p, n_o = len(self.p_ids), len(self.o_ids)
-        object.__setattr__(self, "b_p", _vector(self.b_p, n_p, "b_P"))
-        for name, value, shape in (
-            ("v_o", self.v_o, (n_o,)),
-            ("v_p", self.v_p, (n_p,)),
-            ("o_po", self.o_po, (n_p, n_o)),
-            ("o_op", self.o_op, (n_o, n_p)),
-            ("o_pp", self.o_pp, (n_p, n_p)),
-            ("x_po", self.x_po, (n_p, n_o)),
-            ("x_op", self.x_op, (n_o, n_p)),
-        ):
-            if value is None:
-                continue
-            if len(shape) == 1:
-                object.__setattr__(self, name, _vector(value, shape[0], name))
-            else:
-                object.__setattr__(self, name, _matrix(value, shape, name))
+        for name, (rows, cols, _) in _FIELDS.items():
+            value = getattr(self, name)
+            if value is not None or name == "b_p":
+                shape = tuple(len(getattr(self, ids)) for ids in (rows, cols) if ids)
+                object.__setattr__(self, name, _frozen(value, shape, name))
+        n_o = len(self.o_ids)
         if self.x_po is None and self.o_po is None and n_o:
             raise DimensionError("outgoing side needs o_po/v_o or x_po")
         if self.x_op is None and self.o_op is None and n_o:
@@ -208,52 +201,29 @@ class CutStatistics:
         )
 
     def with_v_p(self, v_p) -> "CutStatistics":
-        return replace(self, v_p=_vector(v_p, len(self.p_ids), "v_P"))
+        return replace(self, v_p=v_p)
 
     def restrict(self, p_keep, o_keep) -> "CutStatistics":
         """Sub-statistics over a subset of node ids (canonical order kept)."""
         p_keep, o_keep = set(p_keep), set(o_keep)
-        pi = [k for k, n in enumerate(self.p_ids) if n in p_keep]
-        oi = [k for k, n in enumerate(self.o_ids) if n in o_keep]
-
-        def cut(value, rows, cols=None):
-            if value is None:
-                return None
-            if cols is None:
-                return value[rows]
-            return value[np.ix_(rows, cols)]
-
-        return CutStatistics(
-            p_ids=tuple(self.p_ids[k] for k in pi),
-            o_ids=tuple(self.o_ids[k] for k in oi),
-            b_p=self.b_p[pi],
-            v_o=cut(self.v_o, oi),
-            v_p=cut(self.v_p, pi),
-            o_po=cut(self.o_po, pi, oi),
-            o_op=cut(self.o_op, oi, pi),
-            o_pp=cut(self.o_pp, pi, pi),
-            x_po=cut(self.x_po, pi, oi),
-            x_op=cut(self.x_op, oi, pi),
-            clearing_tag=self.clearing_tag,
-        )
+        at = {"p_ids": [k for k, n in enumerate(self.p_ids) if n in p_keep],
+              "o_ids": [k for k, n in enumerate(self.o_ids) if n in o_keep]}
+        cut = {}
+        for name, (rows, cols, _) in _FIELDS.items():
+            value = getattr(self, name)
+            if value is not None:
+                cut[name] = value[at[rows]] if cols is None else value[np.ix_(at[rows], at[cols])]
+        return replace(self, p_ids=tuple(self.p_ids[k] for k in at["p_ids"]),
+                       o_ids=tuple(self.o_ids[k] for k in at["o_ids"]), **cut)
 
 
 def scale_units(kappa: float, stats: CutStatistics) -> CutStatistics:
     """Multiply every monetary quantity by kappa; shares are untouched."""
     if not kappa > 0:
         raise DomainError(f"kappa={kappa!r} must be > 0")
-
-    def scaled(value):
-        return None if value is None else kappa * value
-
-    return replace(
-        stats,
-        b_p=kappa * stats.b_p,
-        v_o=scaled(stats.v_o),
-        v_p=scaled(stats.v_p),
-        x_po=scaled(stats.x_po),
-        x_op=scaled(stats.x_op),
-    )
+    return replace(stats, **{
+        name: kappa * getattr(stats, name) for name, (_, _, money) in _FIELDS.items()
+        if money and getattr(stats, name) is not None})
 
 
 @dataclass(frozen=True)

@@ -114,8 +114,8 @@ class Perimeter:
 class BlockPartition:
     """The four share blocks induced by a perimeter, with their id maps.
 
-    The O/O block is given either as an array or as a function that builds
-    it; it is taken the first time `o_oo` is read.
+    The O/O block is given as a function that builds it, called the first
+    time `o_oo` is read.
     """
 
     p_ids: tuple[NodeId, ...]
@@ -123,12 +123,11 @@ class BlockPartition:
     o_pp: np.ndarray
     o_po: np.ndarray
     o_op: np.ndarray
-    o_oo_source: np.ndarray | Callable[[], np.ndarray] = field(repr=False)
+    o_oo_source: Callable[[], np.ndarray] = field(repr=False)
 
     @cached_property
     def o_oo(self) -> np.ndarray:
-        source = self.o_oo_source
-        return source() if callable(source) else source
+        return self.o_oo_source()
 
     def assemble(self) -> tuple[tuple[NodeId, ...], np.ndarray]:
         """Reassemble the original matrix (in canonical node order)."""

@@ -13,7 +13,7 @@ import datetime as _dt
 import math
 import operator
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .control import ControlRuleSpec
 from .errors import DomainError
@@ -155,10 +155,3 @@ class Observer:
         if self.sdf is not None:
             scale *= self.sdf.factor()
         return scale
-
-    def rescaled(self, kappa: float) -> "Observer":
-        """Same observer with the units/FX scale multiplied by kappa."""
-        if not kappa > 0:
-            raise DomainError(f"kappa={kappa!r} must be > 0")
-        base = self.fx_ppp or FxPppSpec()
-        return replace(self, fx_ppp=replace(base, scale=base.scale * kappa))

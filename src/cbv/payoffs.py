@@ -45,10 +45,6 @@ class PwaFunction:
         object.__setattr__(self, "values", y)
 
     @property
-    def slopes(self) -> np.ndarray:
-        return np.diff(self.values) / np.diff(self.breakpoints)
-
-    @property
     def max_step(self) -> float:
         return float(np.diff(self.breakpoints).max())
 

@@ -5,6 +5,10 @@ validity `pov.json`, and CSV data files (node lists, base and value vectors,
 share blocks), optionally `O_PP.csv` with its `proof_stability.txt` and
 `clearing.json`.  Under schema `cbv-cut-report@1.1` the manifest names every
 other file and pins its SHA-256, so each is tamper-evident byte by byte.
+One table, `_DATA_FILES`, lists the statistics' arrays a package holds, each
+with its manifest key and header, in the manifest's order; writing, loading,
+rule D2 and `CutReportPackage.cut_statistics` read it, and the axes of each
+come from `engine._FIELDS`.
 
 Two JSON documents accompany a valuation: the perimeter-of-validity (the full
 observer configuration) and the cut summary (edge lists, totals and the
@@ -45,6 +49,7 @@ import yaml
 
 from .control import ControlRuleSpec
 from .engine import (
+    _FIELDS,
     CutStatistics,
     ValuationResult,
     _stability_gate,
@@ -61,7 +66,7 @@ from .errors import (
     StabilityError,
 )
 from .network import COLUMN_SUM_SLACK
-from .observer import FxPppSpec, Observer, SdfSpec, Tolerances
+from .observer import _RULE_LABEL_RE, FxPppSpec, Observer, SdfSpec, Tolerances
 from .validation import ValidationReport
 
 MANIFEST_VERSION = "cbv-cut-report@1.1"
@@ -73,6 +78,18 @@ EDGE_TYPES = ("equity", "debt", "derivative", "cashflow")
 
 _KNOWN_MANIFEST_KEYS = ("version", "perimeter", "clearing", "data_files", "hashes", "notes")
 _ALWAYS_REQUIRED_FILES = ("nodes_P", "nodes_O", "b_P", "v_O", "O_PO", "O_OP")
+# The CutStatistics arrays a package holds, in the order the manifest lists
+# them: (manifest key, field, first header cell).  The file is `<key>.csv`;
+# its axes come from the field's entry in `engine._FIELDS`, and a vector's
+# one value column is named by the field's first letter.
+_DATA_FILES = (
+    ("b_P", "b_p", "id"),
+    ("v_O", "v_o", "id"),
+    ("O_PO", "o_po", "id_P"),
+    ("O_OP", "o_op", "id_O"),
+    ("v_P", "v_p", "id"),
+    ("O_PP", "o_pp", "id_P"),
+)
 
 
 def sha256_of_file(path) -> str:
@@ -250,13 +267,6 @@ def read_matrix_csv(path) -> tuple[list[str], list[str], np.ndarray]:
     return row_ids, col_ids, data[:, 1:]
 
 
-def read_vector_csv(path) -> dict[str, float]:
-    ids, columns, data = read_matrix_csv(path)
-    if len(columns) != 1:
-        raise PackageError(f"{path.name}: expected a two-column id/value file")
-    return dict(zip(ids, data[:, 0].tolist()))
-
-
 def write_nodes_csv(path: Path, ids):
     with open(path, "w", newline="", encoding="utf-8") as handle:
         handle.write("id,type,label\n")
@@ -368,21 +378,15 @@ class CutReportPackage:
     def _non_finite_cells(self):
         """(file, message, location) for each non-finite cell loaded, in the
         wording of rule D2."""
-        loaded = (
-            ("b_P", self.b_p, (self.p_ids,)),
-            ("v_O", self.v_o, (self.o_ids,)),
-            ("O_PO", self.o_po, (self.p_ids, self.o_ids)),
-            ("O_OP", self.o_op, (self.o_ids, self.p_ids)),
-            ("O_PP", self.o_pp, (self.p_ids, self.p_ids)),
-            ("v_P", self.v_p, (self.p_ids,)),
-        )
-        for name, values, axes in loaded:
+        for key, name, _ in _DATA_FILES:
+            values = getattr(self, name)
             if values is None:
                 continue
+            axes = [getattr(self, ids) for ids in _FIELDS[name][:2] if ids]
             for flat in np.flatnonzero(~np.isfinite(values)):
                 index = np.unravel_index(flat, values.shape)
-                yield (self.manifest.data_files.get(name, name),
-                       f"{name} entry is not finite: {float(values[index])!r}",
+                yield (self.manifest.data_files.get(key, key),
+                       f"{key} entry is not finite: {float(values[index])!r}",
                        "->".join(str(ids[k]) for ids, k in zip(axes, index)))
 
     def cut_statistics(self) -> CutStatistics:
@@ -399,25 +403,11 @@ class CutReportPackage:
             raise PackageError(f"{file}: {message} at {location}")
         clearing = self.manifest.clearing_block
         if clearing.get("used"):
-            return CutStatistics(
-                p_ids=self.p_ids,
-                o_ids=self.o_ids,
-                b_p=self.b_p,
-                v_o=self.v_o,
-                x_po=self.o_po,
-                x_op=self.o_op,
-                clearing_tag=str(clearing.get("engine") or "clearing"),
-            )
-        return CutStatistics(
-            p_ids=self.p_ids,
-            o_ids=self.o_ids,
-            b_p=self.b_p,
-            v_o=self.v_o,
-            v_p=self.v_p,
-            o_po=self.o_po,
-            o_op=self.o_op,
-            o_pp=self.o_pp,
-        )
+            return CutStatistics(self.p_ids, self.o_ids, self.b_p, self.v_o,
+                                 x_po=self.o_po, x_op=self.o_op,
+                                 clearing_tag=str(clearing.get("engine") or "clearing"))
+        return CutStatistics(self.p_ids, self.o_ids,
+                             **{name: getattr(self, name) for _, name, _ in _DATA_FILES})
 
 
 def write_package(
@@ -439,27 +429,20 @@ def write_package(
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
 
-    files: dict[str, str] = {
-        "nodes_P": "nodes_P.csv",
-        "nodes_O": "nodes_O.csv",
-        "b_P": "b_P.csv",
-        "v_O": "v_O.csv",
-        "O_PO": "O_PO.csv",
-        "O_OP": "O_OP.csv",
-    }
+    files = {"nodes_P": "nodes_P.csv", "nodes_O": "nodes_O.csv"}
     write_nodes_csv(directory / files["nodes_P"], stats.p_ids)
     write_nodes_csv(directory / files["nodes_O"], stats.o_ids)
-    write_vector_csv(directory / files["b_P"], stats.p_ids, stats.b_p, "b")
-    write_vector_csv(directory / files["v_O"], stats.o_ids, stats.v_o, "v")
-    if stats.v_p is not None:
-        files["v_P"] = "v_P.csv"
-        write_vector_csv(directory / files["v_P"], stats.p_ids, stats.v_p, "v")
-    write_matrix_csv(directory / files["O_PO"], stats.p_ids, stats.o_ids, stats.o_po, "id_P")
-    write_matrix_csv(directory / files["O_OP"], stats.o_ids, stats.p_ids, stats.o_op, "id_O")
+    for key, name, header in _DATA_FILES:
+        values = getattr(stats, name)
+        if values is None:
+            continue
+        rows, cols, _ = _FIELDS[name]
+        files[key] = f"{key}.csv"
+        write_matrix_csv(directory / files[key], getattr(stats, rows),
+                         getattr(stats, cols) if cols else [name[0]],
+                         values if cols else values[:, None], header)
     if stats.o_pp is not None:
-        files["O_PP"] = "O_PP.csv"
         files["stability"] = STABILITY_NAME
-        write_matrix_csv(directory / files["O_PP"], stats.p_ids, stats.p_ids, stats.o_pp, "id_P")
         bound = spectral_radius_bound(stats.o_pp)
         evidence = (
             "stability evidence for I - O_PP\n"
@@ -576,28 +559,19 @@ def load_package(directory) -> CutReportPackage:
     if observer.regime == "B" and "O_PP" not in files:
         raise PackageError("package lacks the data file O_PP that regime B requires")
 
-    p_ids = sorted(read_nodes_csv(loaded["nodes_P"]))
-    o_ids = sorted(read_nodes_csv(loaded["nodes_O"]))
-    b_map = read_vector_csv(loaded["b_P"])
-    v_map = read_vector_csv(loaded["v_O"])
-    if set(b_map) != set(p_ids):
-        raise PackageError("b_P.csv ids do not match nodes_P.csv")
-    if set(v_map) != set(o_ids):
-        raise PackageError("v_O.csv ids do not match nodes_O.csv")
-    rows, cols, data = read_matrix_csv(loaded["O_PO"])
-    o_po = _reorder_matrix(rows, cols, data, p_ids, o_ids, "O_PO.csv")
-    rows, cols, data = read_matrix_csv(loaded["O_OP"])
-    o_op = _reorder_matrix(rows, cols, data, o_ids, p_ids, "O_OP.csv")
-    o_pp = None
-    if "O_PP" in files:
-        rows, cols, data = read_matrix_csv(loaded["O_PP"])
-        o_pp = _reorder_matrix(rows, cols, data, p_ids, p_ids, "O_PP.csv")
-    v_p = None
-    if "v_P" in files:
-        v_p_map = read_vector_csv(loaded["v_P"])
-        if set(v_p_map) != set(p_ids):
-            raise PackageError("v_P.csv ids do not match nodes_P.csv")
-        v_p = np.array([v_p_map[n] for n in p_ids])
+    ids = {"p_ids": sorted(read_nodes_csv(loaded["nodes_P"])),
+           "o_ids": sorted(read_nodes_csv(loaded["nodes_O"]))}
+    arrays = dict.fromkeys(name for _, name, _ in _DATA_FILES)
+    for key, name, _ in _DATA_FILES:
+        if key not in files:
+            continue
+        rows, cols, _ = _FIELDS[name]
+        row_ids, col_ids, data = read_matrix_csv(loaded[key])
+        if cols is None and len(col_ids) != 1:
+            raise PackageError(f"{loaded[key].name}: expected a two-column id/value file")
+        values = _reorder_matrix(row_ids, col_ids, data, ids[rows],
+                                 ids[cols] if cols else col_ids, loaded[key].name)
+        arrays[name] = values if cols else values.reshape(-1)
 
     clearing_spec = None
     if "clearing_spec" in files:
@@ -606,18 +580,13 @@ def load_package(directory) -> CutReportPackage:
     return CutReportPackage(
         directory=directory,
         manifest=manifest,
-        p_ids=tuple(p_ids),
-        o_ids=tuple(o_ids),
-        b_p=np.array([b_map[n] for n in p_ids]),
-        v_o=np.array([v_map[n] for n in o_ids]),
-        o_po=o_po,
-        o_op=o_op,
-        o_pp=o_pp,
+        p_ids=tuple(ids["p_ids"]),
+        o_ids=tuple(ids["o_ids"]),
         observer=observer,
-        v_p=v_p,
         clearing_spec=clearing_spec,
         pov=pov if source == "PoV" else None,
         stability_evidence=_text(evidence) if evidence is not None else None,
+        **arrays,
     )
 
 
@@ -637,6 +606,15 @@ def validate_package(pkg: CutReportPackage) -> ValidationReport:
         report.add("schema", "warning",
                    f"{_V1_0} package: no hash covers its observer, read from {source}",
                    location=MANIFEST_NAME)
+        # a v1.0 label's number is a percent, so "option-A@0.5" is tau = 0.005
+        label = getattr(pkg.observer.control_rule, "label", None) or ""
+        match = _RULE_LABEL_RE.search(label)
+        if match and "%" not in match.group(0) and float(match.group(1)) <= 1.0:
+            report.add("schema", "warning",
+                       f"control rule label {label!r} reads its number as a percent "
+                       f"(tau = {pkg.observer.control_rule.tau!r}); a share of at most 1 "
+                       "may have been meant",
+                       location=POV_NAME if pkg.pov is not None else MANIFEST_NAME)
     elif version != MANIFEST_VERSION:
         report.add("schema", "error",
                    f"manifest version {version!r}, expected {MANIFEST_VERSION!r}",
@@ -648,9 +626,10 @@ def validate_package(pkg: CutReportPackage) -> ValidationReport:
     # D2: finite data, nonnegative share blocks; negative bases need a note
     for _, message, location in pkg._non_finite_cells():
         report.add("D2", "error", message, location=location)
-    for name, block in (("O_PO", pkg.o_po), ("O_OP", pkg.o_op), ("O_PP", pkg.o_pp)):
-        if block is not None and (block < 0).any():
-            report.add("D2", "error", f"{name} has negative entries")
+    for key, name, _ in _DATA_FILES:
+        block = getattr(pkg, name)
+        if not _FIELDS[name][2] and block is not None and (block < 0).any():
+            report.add("D2", "error", f"{key} has negative entries")
     if (pkg.b_p < 0).any() and not pkg.manifest.notes:
         report.add("D2", "warning", "negative bases present without a justifying note")
     col_sums = pkg.o_pp.sum(axis=0) + pkg.o_op.sum(axis=0) if pkg.o_pp is not None \

@@ -1,11 +1,13 @@
+import argparse
 import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import cbv
-from cbv.cli import EXIT_COMPUTE, EXIT_FINDINGS, EXIT_OK, EXIT_USAGE, main
+from cbv.cli import EXIT_COMPUTE, EXIT_FINDINGS, EXIT_OK, EXIT_USAGE, build_parser, main
 from cbv.report import write_matrix_csv
 
 from conftest import V1_0_W, example_stats, rehash, two_cycle_chain_stats, v1_0_package
@@ -127,14 +129,16 @@ class TestValidateCommand:
         assert main(["compute", "--package", str(pkg)]) == EXIT_COMPUTE
         assert capsys.readouterr().err.startswith("error [IntegrityError]: hash mismatch")
 
-    def test_v1_0_package_adds_one_warning(self, tmp_path, capsys):
-        # the v1.0 writer's package had no findings; read today it carries one
-        # warning, that no hash covers its observer, and prices as it did
+    def test_v1_0_package_adds_two_warnings(self, tmp_path, capsys):
+        # the v1.0 writer's package had no findings; read today it carries two
+        # warnings, that no hash covers its observer and that its label's
+        # number reads as a percent, and prices as it did
         pkg = v1_0_package(tmp_path)
         assert main(["validate", str(pkg), "--format", "json"]) == EXIT_OK
         findings = json.loads(capsys.readouterr().out)
-        assert [(f["rule"], f["severity"]) for f in findings] == [("schema", "warning")]
+        assert [(f["rule"], f["severity"]) for f in findings] == [("schema", "warning")] * 2
         assert "no hash covers" in findings[0]["message"]
+        assert "'option-A@0.5' reads its number as a percent" in findings[1]["message"]
         assert main(["compute", "--package", str(pkg), "--format", "json"]) == EXIT_OK
         assert json.loads(capsys.readouterr().out)["consolidated_value"] == V1_0_W
 
@@ -598,6 +602,29 @@ class TestUsageErrors:
 
     def test_bad_flag_value(self, capsys):
         assert main(["pwa", "--eps", "abc", "--gamma", "1"]) == EXIT_USAGE
+
+
+class TestReadmeSynopsis:
+    def test_every_flag_of_every_command_is_in_the_synopsis(self):
+        # each command's lines of the README's "Command line" block name every
+        # option string its parser takes (argparse's own --help aside)
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        block = readme.split("## Command line", 1)[1].split("```")[1]
+        listed: dict[str, set[str]] = {}
+        command = None
+        for line in block.splitlines():
+            if line.startswith("cbv "):
+                command = line.split()[1]
+            if command:
+                listed.setdefault(command, set()).update(
+                    re.findall(r"(?<![\w-])--?[A-Za-z][\w-]*", line))
+        commands = next(action.choices for action in build_parser()._actions
+                        if isinstance(action, argparse._SubParsersAction))
+        for name, parser in commands.items():
+            flags = {flag for action in parser._actions
+                     if not isinstance(action, argparse._HelpAction)
+                     for flag in action.option_strings}
+            assert flags <= listed.get(name, set()), (name, sorted(flags - listed.get(name, set())))
 
 
 class TestUnexpectedErrors:

@@ -345,6 +345,17 @@ class TestEstimation:
         np.testing.assert_allclose([bound.norm_1, bound.norm_inf], norms, rtol=1e-14, atol=0.0)
         assert bound.rho_upper <= min(bound.norm_1, bound.norm_inf)
 
+        # the gate's certificate against rho(|A|) from LAPACK's eigenvalues, for
+        # the damped block and for the O_PP - rI that regularized sweeps
+        # iterate.  A defective block's eigenvalues are accurate only to about
+        # sqrt(u) ||A||, so that is the slack on either side.
+        damped = (damping or 1.0) * o_pp
+        for a in (damped, damped - regularization * np.eye(n)) if regularization else (damped,):
+            certificate = cbv.spectral_radius_bound(a)
+            radius = float(np.abs(np.linalg.eigvals(np.abs(a))).max()) if n else 0.0
+            slack = np.sqrt(np.finfo(float).eps) * (np.abs(a).sum(axis=0).max() if n else 0.0)
+            assert certificate.rho_lower - slack <= radius <= certificate.rho_upper + slack
+
         for method in ("neumann", "iterative_krylov"):
             cfg = cbv.SolverConfig(method=method, eps=eps, max_iters=5000, damping=damping,
                                    regularization=regularization).resolved()
@@ -761,14 +772,14 @@ class TestSchur:
     def test_gauge_rewirings_preserve_operators_and_w(self, rng):
         base, rewired = gauge_rewiring_family(rng, n_draws=10)
         blocks_base = cbv.BlockPartition(
-            base.p_ids, base.o_ids, base.o_pp, base.o_po, base.o_op, np.zeros((2, 2))
+            base.p_ids, base.o_ids, base.o_pp, base.o_po, base.o_op, lambda: np.zeros((2, 2))
         )
         ops_base = cbv.schur_operators(blocks_base)
         w_base = cbv.evaluate_regime_b(base).w
         for variant in rewired:
             blocks = cbv.BlockPartition(
                 variant.p_ids, variant.o_ids, variant.o_pp,
-                variant.o_po, variant.o_op, np.zeros((2, 2)),
+                variant.o_po, variant.o_op, lambda: np.zeros((2, 2)),
             )
             ops = cbv.schur_operators(blocks)
             np.testing.assert_allclose(ops.t_po, ops_base.t_po, atol=1e-12)
@@ -800,7 +811,7 @@ class TestSchur:
             o_pp=o_pp,
         )
         ops = cbv.schur_operators(cbv.BlockPartition(
-            stats.p_ids, stats.o_ids, stats.o_pp, stats.o_po, stats.o_op, np.zeros((n_o, n_o))))
+            stats.p_ids, stats.o_ids, stats.o_pp, stats.o_po, stats.o_op, lambda: np.zeros((n_o, n_o))))
         rhs = stats.b_p + stats.o_po @ stats.v_o
         schur_w = rhs.sum() - ops.u_op.sum(axis=0) @ rhs
         w = cbv.evaluate_regime_b(stats, cbv.SolverConfig(method="direct")).w

@@ -245,3 +245,62 @@ class TestScaling:
         )
         scaled = cbv.scale_units(1.2, stats)
         np.testing.assert_allclose(scaled.b_p, [12.0, 6.0], rtol=0, atol=1e-15)
+
+
+ARRAY_FIELDS = ("b_p", "v_o", "v_p", "o_po", "o_op", "o_pp", "x_po", "x_op")
+
+
+@pytest.mark.parametrize("with_o_pp", [True, False])
+@pytest.mark.parametrize("with_v_p", [True, False])
+@pytest.mark.parametrize("form", ["share", "amount", "mixed"])
+def test_restrict_and_scale_units_array_by_array(form, with_v_p, with_o_pp):
+    # mixed: shares priced at v_O on the outgoing side, amounts on the incoming
+    rng = np.random.default_rng(11)
+    arrays = {"b_p": rng.uniform(-5.0, 5.0, 4)}
+    if form != "amount":
+        arrays["v_o"] = rng.uniform(1.0, 9.0, 3)
+        arrays["o_po"] = rng.uniform(0.0, 0.2, (4, 3))
+    else:
+        arrays["x_po"] = rng.uniform(0.0, 9.0, (4, 3))
+    if form == "share":
+        arrays["o_op"] = rng.uniform(0.0, 0.2, (3, 4))
+    else:
+        arrays["x_op"] = rng.uniform(0.0, 9.0, (3, 4))
+    if with_v_p:
+        arrays["v_p"] = rng.uniform(1.0, 9.0, 4)
+    if with_o_pp:
+        arrays["o_pp"] = rng.uniform(0.0, 0.2, (4, 4))
+    stats = cbv.CutStatistics(("a", "b", "c", "d"), ("w", "x", "y"),
+                              clearing_tag="seniority", **arrays)
+
+    # kept ids in any order, and an unknown one, give canonical b, d and w, y
+    cut = stats.restrict(["d", "zz", "b"], ["y", "w"])
+    pi, oi = [1, 3], [0, 2]
+    reference = {
+        "b_p": lambda a: a[pi],
+        "v_o": lambda a: a[oi],
+        "v_p": lambda a: a[pi],
+        "o_po": lambda a: a[np.ix_(pi, oi)],
+        "o_op": lambda a: a[np.ix_(oi, pi)],
+        "o_pp": lambda a: a[np.ix_(pi, pi)],
+        "x_po": lambda a: a[np.ix_(pi, oi)],
+        "x_op": lambda a: a[np.ix_(oi, pi)],
+    }
+    assert (cut.p_ids, cut.o_ids, cut.clearing_tag) == (("b", "d"), ("w", "y"), "seniority")
+    for name in ARRAY_FIELDS:
+        if name not in arrays:
+            assert getattr(cut, name) is None, name
+        else:
+            assert identical_bits(getattr(cut, name), reference[name](arrays[name])), name
+
+    kappa = 1.7
+    scaled = cbv.scale_units(kappa, stats)
+    assert (scaled.p_ids, scaled.o_ids, scaled.clearing_tag) == (
+        stats.p_ids, stats.o_ids, "seniority")
+    for name in ARRAY_FIELDS:
+        if name not in arrays:
+            assert getattr(scaled, name) is None, name
+        elif name in ("o_po", "o_op", "o_pp"):  # shares: the same block, unscaled
+            assert getattr(scaled, name) is getattr(stats, name), name
+        else:
+            assert identical_bits(getattr(scaled, name), kappa * arrays[name]), name

@@ -18,7 +18,6 @@ from cbv.report import (
     Edge,
     Manifest,
     read_matrix_csv,
-    read_vector_csv,
     write_matrix_csv,
     write_vector_csv,
 )
@@ -177,6 +176,17 @@ def demo_observer(regime="B", **kwargs) -> cbv.Observer:
     )
 
 
+# A package written by the cbv-cut-report@1.1 writer from example_stats() under
+# GOLDEN_OBSERVER, with GOLDEN_CLEARING as clearing.json and the note
+# "demo data"; it prices W at GOLDEN_W.  Any change to a written byte, the
+# manifest's key order included, shows against it.
+GOLDEN_PACKAGE = V1_0_PACKAGE.with_name("package_v1_1")
+GOLDEN_OBSERVER = replace(demo_observer("A"), fx_ppp=cbv.FxPppSpec(
+    scale=1.07, fx_source="ECB", deflator="HICP"))
+GOLDEN_CLEARING = {"engine": "eisenberg-noe", "params": {"selection": "greatest"}}
+GOLDEN_W = 90.47920000000002
+
+
 @pytest.fixture
 def package_dir(tmp_path):
     stats = example_stats(with_v_p=False)
@@ -218,6 +228,23 @@ class TestPackageRoundTrip:
         cbv.write_package(two, stats, demo_observer())
         for name in sorted(p.name for p in one.iterdir()):
             assert (one / name).read_bytes() == (two / name).read_bytes()
+
+    def test_golden_package_is_written_byte_for_byte(self, tmp_path):
+        cbv.write_package(tmp_path / "pkg", example_stats(), GOLDEN_OBSERVER,
+                          clearing_spec=GOLDEN_CLEARING, notes=["demo data"])
+        names = sorted(p.name for p in GOLDEN_PACKAGE.iterdir())
+        assert sorted(p.name for p in (tmp_path / "pkg").iterdir()) == names
+        for name in names:
+            assert (tmp_path / "pkg" / name).read_bytes() == (GOLDEN_PACKAGE / name).read_bytes(), name
+
+    def test_golden_package_loads_bit_exact(self):
+        pkg = cbv.load_package(GOLDEN_PACKAGE)
+        stats = example_stats()
+        assert (pkg.p_ids, pkg.o_ids) == (stats.p_ids, stats.o_ids)
+        for name in ("b_p", "v_o", "v_p", "o_po", "o_op", "o_pp"):
+            assert same_bits(getattr(pkg, name), getattr(stats, name)), name
+        assert pkg.observer == GOLDEN_OBSERVER and pkg.clearing_spec == GOLDEN_CLEARING
+        assert cbv.evaluate_for_observer(pkg.cut_statistics(), pkg.observer).w == GOLDEN_W
 
     def test_single_byte_corruption_detected(self, package_dir):
         target = package_dir / "O_PO.csv"
@@ -331,6 +358,30 @@ class TestValidatePackage:
         findings = cbv.validate_directory(tmp_path / "v1_0").findings
         assert [(f.rule, f.severity) for f in findings] == [("schema", "warning")]
         assert "unlisted pov.json" in findings[0].message
+
+    @pytest.mark.parametrize("label, warned", [
+        ("option-A@0.5", True),
+        ("option-A@1", True),
+        ("option-A@0.5%", False),
+        ("IFRS10-control@50", False),
+        ("option-A", False),
+    ])
+    def test_v1_0_label_read_as_a_percent_is_a_schema_warning(self, tmp_path, label, warned):
+        package = v1_0_package(tmp_path)
+        manifest = Manifest.from_yaml_bytes((package / "manifest.yaml").read_bytes())
+        manifest.data["perimeter"]["control_rule"] = label
+        (package / "manifest.yaml").write_bytes(manifest.to_yaml_bytes())
+        pkg = cbv.load_package(package)
+        findings = [f for f in cbv.validate_package(pkg).findings if "as a percent" in f.message]
+        assert [(f.rule, f.severity) for f in findings] == [("schema", "warning")] * warned
+        # the warning changes nothing that is read or priced
+        assert pkg.observer.control_rule == cbv.observer.parse_control_label(label)
+        assert cbv.evaluate_for_observer(pkg.cut_statistics(), pkg.observer).w == V1_0_W
+
+    def test_current_package_label_is_not_warned(self, tmp_path):
+        observer = replace(demo_observer(), control_rule="option-A@0.5")
+        cbv.write_package(tmp_path / "pkg", example_stats(with_v_p=False), observer)
+        assert cbv.validate_directory(tmp_path / "pkg").ok
 
     def test_current_package_has_no_d3(self, package_dir):
         # a 1.1 manifest repeats no observer; an observer block added to it is
@@ -634,9 +685,9 @@ class TestCsvFiles:
     def test_vector_round_trip(self, scratch):
         values = [0.1, -0.0, 5e-324, float("nan")]
         write_vector_csv(scratch / "v.csv", ["a,b", 'q"x', "c", ""], values, "v")
-        got = read_vector_csv(scratch / "v.csv")
-        assert list(got) == ["a,b", 'q"x', "c", ""]
-        assert same_bits(list(got.values()), values)
+        ids, columns, got = read_matrix_csv(scratch / "v.csv")
+        assert (ids, columns) == (["a,b", 'q"x', "c", ""], ["v"])
+        assert same_bits(got, np.reshape(values, (-1, 1)))
 
     def test_blank_id_of_a_zero_column_row_reads_back(self, scratch):
         write_matrix_csv(scratch / "z.csv", [" "], [], np.zeros((1, 0)), "id")
@@ -899,6 +950,21 @@ class TestPackageFiles:
             cbv.load_package(package_dir)
         report = cbv.validate_directory(package_dir)
         assert report.has_errors and report.findings[0].rule == "schema"
+
+    @pytest.mark.parametrize("name, edit, message", [
+        # a vector file holds one value column, so the id sets alone cannot judge it
+        ("b_P.csv", lambda text: text.replace("\n", ",1.0\n"), "two-column"),
+        ("v_O.csv", lambda text: "".join(line.split(",")[0] + "\n"
+                                         for line in text.splitlines()), "two-column"),
+        ("b_P.csv", lambda text: text.replace("A,", "Q,"), "id headers do not match"),
+    ])
+    def test_vector_file_of_another_shape_is_package_error(self, package_dir, name, edit,
+                                                           message):
+        target = package_dir / name
+        target.write_text(edit(target.read_text(encoding="utf-8")), encoding="utf-8")
+        rehash(package_dir, name)
+        with pytest.raises(PackageError, match=f"{name}: .*{message}"):
+            cbv.load_package(package_dir)
 
     @pytest.mark.parametrize("name, edit", [
         ("nodes_P.csv", lambda text: text + "Z\rZ,entity,\n"),
