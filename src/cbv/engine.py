@@ -138,9 +138,11 @@ class CutStatistics:
     clearing_tag: str | None = None
 
     def __post_init__(self):
+        if self.b_p is None:
+            raise DimensionError("b_p is required: one base per perimeter node")
         for name, (rows, cols, _) in _FIELDS.items():
             value = getattr(self, name)
-            if value is not None or name == "b_p":
+            if value is not None:
                 shape = tuple(len(getattr(self, ids)) for ids in (rows, cols) if ids)
                 object.__setattr__(self, name, _frozen(value, shape, name))
         n_o = len(self.o_ids)

@@ -27,6 +27,8 @@ class FisherQuad:
     Field names read W_<period>_<observer>: w_curr_prev_obs is the current
     period priced under the previous observer.  Nodes present in only one
     period are excluded from both sides and recorded, never imputed.
+    `cross_priced_quad` keeps the four `ValuationResult`s in `results`, in
+    field order.
     """
 
     w_prev_prev_obs: float
@@ -66,7 +68,6 @@ def cross_priced_quad(
     obs_prev: Observer,
     obs_curr: Observer,
     cfg: SolverConfig | None = None,
-    keep_results: bool = False,
 ) -> FisherQuad:
     """Evaluate both periods under both observers.
 
@@ -105,7 +106,7 @@ def cross_priced_quad(
         w_prev_curr_obs=cells[2].w,
         w_curr_curr_obs=cells[3].w,
         excluded_nodes=tuple(sorted(excluded)),
-        results=tuple(cells) if keep_results else None,
+        results=tuple(cells),
     )
 
 
@@ -164,10 +165,7 @@ class ComponentSignIndices:
 
 
 def component_sign_indices(quad: FisherQuad) -> ComponentSignIndices:
-    if quad.results is None or len(quad.results) != 4:
-        raise DomainError(
-            "component fallback needs the quad built with keep_results=True"
-        )
+    """Component multipliers from the four results `cross_priced_quad` keeps."""
     prev, _, _, curr = quad.results
 
     def ratio(curr_value: float, prev_value: float) -> float:

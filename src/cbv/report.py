@@ -17,7 +17,10 @@ shortest round-trip decimal rendering for numbers.
 
 The package's `pov.json`, read by `parse_pov` as `cbv compute --pov` reads
 its file, is the only statement of the observer; the manifest repeats none
-of it and keeps only `O_ref`, which the observer lacks.  A v1.0 package
+of it and keeps only `O_ref`, which the observer lacks.  The observer's
+dataclasses (`Observer`, `Tolerances`, `FxPppSpec`, `SdfSpec`,
+`ControlRuleSpec`) declare its fields once: the PoV writes them, and a field
+a PoV leaves out takes the dataclass default.  A v1.0 package
 listed and hashed neither `pov.json` nor `proof_stability.txt`: its observer
 comes from an unlisted `pov.json` when one is present (rule D3 reports where
 it disagrees with the manifest), else from the manifest's observer block,
@@ -40,7 +43,7 @@ import io
 import json
 import re
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
@@ -421,10 +424,16 @@ def write_package(
     """Write a complete package for share-form statistics, hashing each file.
 
     The observer is written as `pov.json` (`emit_pov`), so an observer the
-    PoV cannot state is an EmissionError, and nothing is written.
+    PoV cannot state is an EmissionError, and nothing is written.  The
+    package holds share blocks, so a clearing declaration, under which
+    `cut_statistics` reads them as priced amounts, is a PackageError, and
+    nothing is written either.
     """
     if stats.o_po is None or stats.o_op is None or stats.v_o is None:
         raise PackageError("write_package needs share-form statistics")
+    if stats.clearing_tag or (clearing_spec or {}).get("used"):
+        raise PackageError("write_package writes share blocks, which a clearing "
+                           "declaration would have read as priced amounts")
     pov = emit_pov(observer)
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
@@ -459,15 +468,11 @@ def write_package(
     files["pov"] = POV_NAME
     (directory / POV_NAME).write_bytes(pov)
 
-    clearing_block = {
-        "used": bool(stats.clearing_tag or (clearing_spec or {}).get("used")),
-        "engine": stats.clearing_tag or (clearing_spec or {}).get("engine"),
-        "params": (clearing_spec or {}).get("params", {}),
-    }
     manifest_data = {
         "version": MANIFEST_VERSION,
         "perimeter": {"O_ref": o_ref or f"complement-of-{observer.perimeter_ref}"},
-        "clearing": clearing_block,
+        "clearing": {"used": False, "engine": (clearing_spec or {}).get("engine"),
+                     "params": (clearing_spec or {}).get("params", {})},
         "data_files": dict(files),
         "hashes": {key: sha256_of_file(directory / name) for key, name in files.items()},
         "notes": list(notes),
@@ -490,24 +495,27 @@ def _v1_0_pov(directory: Path, manifest: Manifest) -> tuple[dict, str]:
     fx, ppp, sdf = (declared.get(key) or {} for key in ("fx", "ppp", "sdf"))
     if not all(isinstance(block, dict) for block in (fx, ppp, sdf)):
         raise PackageError("manifest observer fx, ppp and sdf must be mappings")
-    observer = {
-        "P_ref": perimeter.get("P_ref") or "P",
-        "units": declared.get("currency") or "EUR",
-        "date": fx.get("date") or "1970-01-01",
-        "information_regime": manifest.data.get("regime", "A"),
-        "control_rule": perimeter.get("control_rule"),
-    }
+    # a v1.0 field left empty, like one left out, takes the observer's default
+    observer = _given(P_ref=perimeter.get("P_ref"), units=declared.get("currency"),
+                      date=fx.get("date"))
+    observer["control_rule"] = perimeter.get("control_rule")
+    if "regime" in manifest.data:
+        observer["information_regime"] = manifest.data["regime"]
     if fx or ppp.get("used"):
         observer["fx_ppp"] = {
-            "scale": fx.get("scale", 1.0) or 1.0,
             "fx_source": fx.get("provider"),
             "ppp_source": ppp.get("source") if ppp.get("used") else None,
             "deflator": ppp.get("deflator"),
+            **_given(scale=fx.get("scale")),
         }
     if sdf.get("used"):
-        observer["sdf"] = {"measure": sdf.get("measure") or "risk_neutral",
-                           "curve_source": sdf.get("spec")}
+        observer["sdf"] = {"curve_source": sdf.get("spec"), **_given(measure=sdf.get("measure"))}
     return {"observer": observer}, "manifest"
+
+
+def _given(**values) -> dict:
+    """The `values` that are set: not null, "", 0 or false."""
+    return {key: value for key, value in values.items() if value}
 
 
 def load_package(directory) -> CutReportPackage:
@@ -827,16 +835,28 @@ def build_cut_summary(
 # Perimeter of validity
 # ---------------------------------------------------------------------------
 
+# The observer's scalar fields as a PoV states them: (PoV key, `Observer`
+# field, cast of a stated value).  The writer puts information_regime after
+# the fx_ppp and sdf blocks.
+_POV_SCALARS = (("basis", "basis", str), ("units", "units", str), ("date", "date", str),
+                ("information_regime", "regime", str))
+# The sdf block's keys in written order; the two weight maps, last, are
+# written only when set
+_SDF_KEYS = ("curve_source", "measure", "horizon", "discount_weights", "change_of_measure")
+# The cast of a stated value in a spec block, by key; other keys are taken as written
+_SPEC_CASTS = {**dict.fromkeys(("tau", "alpha", "scale", "rounding_threshold", "solver_eps"),
+                               float),
+               "option": str, "measure": str, "normalize": bool}
+_RULE_KEYS = ("option", "label")  # a control rule's other fields sit under "params"
+
+
 def build_pov(observer: Observer) -> dict:
-    """Observer configuration as the PoV mapping, checking required fields."""
-    missing = [name for name, value in (
-        ("perimeter_ref", observer.perimeter_ref),
-        ("basis", observer.basis),
-        ("units", observer.units),
-        ("date", observer.date),
-        ("information_regime", observer.regime),
-        ("control_rule", observer.control_rule),
-    ) if not value]
+    """Observer configuration as the PoV mapping, checking required fields.
+
+    `Observer` itself requires a basis, units, date and regime; a perimeter
+    reference and a control rule are required here.
+    """
+    missing = [name for name in ("perimeter_ref", "control_rule") if not getattr(observer, name)]
     if missing:
         raise EmissionError(
             f"perimeter-of-validity lacks required fields: {missing}", fields=missing
@@ -846,40 +866,19 @@ def build_pov(observer: Observer) -> dict:
         # the named nodes, empty included, or null when the observer names none
         "P": None if observer.perimeter_nodes is None else list(observer.perimeter_nodes),
         "P_ref": observer.perimeter_ref,
-        "basis": observer.basis,
-        "units": observer.units,
-        "date": observer.date,
+        **{key: getattr(observer, name) for key, name, _ in _POV_SCALARS},
     }
     if observer.fx_ppp is not None:
-        obs_block["fx_ppp"] = {
-            "scale": observer.fx_ppp.scale,
-            "fx_source": observer.fx_ppp.fx_source,
-            "ppp_source": observer.fx_ppp.ppp_source,
-            "deflator": observer.fx_ppp.deflator,
-        }
+        obs_block["fx_ppp"] = asdict(observer.fx_ppp)
     if observer.sdf is not None:
-        obs_block["sdf"] = {
-            "curve_source": observer.sdf.curve_source,
-            "measure": observer.sdf.measure,
-            "horizon": observer.sdf.horizon,
-        }
-        if observer.sdf.discount_weights is not None:
-            obs_block["sdf"]["discount_weights"] = dict(observer.sdf.discount_weights)
-        if observer.sdf.change_of_measure is not None:
-            obs_block["sdf"]["change_of_measure"] = dict(observer.sdf.change_of_measure)
-    obs_block["information_regime"] = observer.regime
+        sdf = asdict(observer.sdf)
+        obs_block["sdf"] = {key: sdf[key] for k, key in enumerate(_SDF_KEYS)
+                            if k < 3 or sdf[key] is not None}
+    obs_block["information_regime"] = obs_block.pop("information_regime")  # after the blocks
     obs_block["control_rule"] = {"option": rule.option, "params": rule.params()}
     if rule.label:
         obs_block["control_rule"]["label"] = rule.label
-    return {
-        "observer": obs_block,
-        "tolerances": {
-            "rounding_threshold": observer.tolerances.rounding_threshold,
-            "solver_eps": observer.tolerances.solver_eps,
-            "max_iters": observer.tolerances.max_iters,
-        },
-        "notes": "",
-    }
+    return {"observer": obs_block, "tolerances": asdict(observer.tolerances), "notes": ""}
 
 
 def emit_pov(observer: Observer) -> bytes:
@@ -889,12 +888,13 @@ def emit_pov(observer: Observer) -> bytes:
 def parse_pov(blob: bytes) -> tuple[Observer, dict]:
     """Rebuild an Observer from a PoV document; returns (observer, raw dict).
 
-    A package's `pov.json` is read the same way.  Absent tolerances take the
-    `Tolerances` defaults.  `P` lists the perimeter nodes, an empty list
-    included; null or absent means the observer names none.  (Writers before
-    this encoding wrote `[P_ref]` for none, which now reads as that one node;
-    no valuation reads the nodes, so W does not move.)  Bytes that are not a
-    JSON object, and fields that fail the observer's checks, are PackageErrors.
+    A package's `pov.json` is read the same way.  A field the document
+    leaves out takes its dataclass default.  `P` lists the perimeter nodes,
+    an empty list included; null or absent means the observer names none.
+    (Writers before this encoding wrote `[P_ref]` for none, which now reads
+    as that one node; no valuation reads the nodes, so W does not move.)
+    Bytes that are not a JSON object, and fields that fail the observer's
+    checks, are PackageErrors.
     """
     data = _json_object(blob, "PoV")
     return _checked_observer(data, "PoV"), data
@@ -920,23 +920,28 @@ def _checked_observer(data: dict, name: str) -> Observer:
         raise PackageError(f"{name} field fails the observer's checks: {exc}") from None
 
 
+def _stated(block: dict, names) -> dict:
+    """The keys of `block` among `names`, each value cast as `_SPEC_CASTS` says."""
+    return {key: _SPEC_CASTS[key](value) if key in _SPEC_CASTS else value
+            for key, value in block.items() if key in names}
+
+
+def _spec(cls, block: dict):
+    """`cls` from the fields `block` states; the dataclass defaults fill in the rest."""
+    return cls(**_stated(block, [f.name for f in fields(cls)]))
+
+
 def _observer_from_pov(data: dict) -> Observer:
+    """The observer `data` states; each field it leaves out takes the default
+    its dataclass declares."""
     obs = data.get("observer") or {}
     # a rule block, or what `Observer` takes itself: a label, or none declared
     rule = obs.get("control_rule")
     if isinstance(rule, dict):
-        params = rule.get("params") or {}
-        rule = ControlRuleSpec(
-            option=str(rule.get("option", "A")),
-            tau=float(params.get("tau", 0.5)),
-            alpha=float(params.get("alpha", 0.6)),
-            normalize=bool(params.get("normalize", False)),
-            reachability_depth=params.get("reachability_depth"),
-            label=rule.get("label"),
-        )
-    tol, default = data.get("tolerances") or {}, Tolerances()
-    fx_block = obs.get("fx_ppp")
-    sdf_block = obs.get("sdf")
+        params = [f.name for f in fields(ControlRuleSpec) if f.name not in _RULE_KEYS]
+        rule = ControlRuleSpec(**_stated(rule, _RULE_KEYS),
+                               **_stated(rule.get("params") or {}, params))
+    fx_block, sdf_block = obs.get("fx_ppp"), obs.get("sdf")
     nodes = obs.get("P")
     if nodes is not None:
         if not isinstance(nodes, list):
@@ -945,30 +950,12 @@ def _observer_from_pov(data: dict) -> Observer:
     ref = str(obs.get("P_ref") or (nodes[0] if nodes and len(nodes) == 1 else "P"))
     return Observer(
         perimeter_ref=ref,
-        basis=str(obs.get("basis", "fair_value")),
-        units=str(obs.get("units", "EUR")),
-        date=str(obs.get("date", "1970-01-01")),
-        regime=str(obs.get("information_regime", "A")),
         control_rule=rule,
-        tolerances=Tolerances(
-            rounding_threshold=float(tol.get("rounding_threshold", default.rounding_threshold)),
-            solver_eps=float(tol.get("solver_eps", default.solver_eps)),
-            max_iters=tol.get("max_iters", default.max_iters),
-        ),
-        fx_ppp=(FxPppSpec(
-            scale=float(fx_block.get("scale", 1.0)),
-            fx_source=fx_block.get("fx_source"),
-            ppp_source=fx_block.get("ppp_source"),
-            deflator=fx_block.get("deflator"),
-        ) if fx_block else None),
-        sdf=(SdfSpec(
-            measure=str(sdf_block.get("measure", "risk_neutral")),
-            discount_weights=sdf_block.get("discount_weights"),
-            change_of_measure=sdf_block.get("change_of_measure"),
-            curve_source=sdf_block.get("curve_source"),
-            horizon=sdf_block.get("horizon"),
-        ) if sdf_block else None),
+        tolerances=_spec(Tolerances, data.get("tolerances") or {}),
+        fx_ppp=_spec(FxPppSpec, fx_block) if fx_block else None,
+        sdf=_spec(SdfSpec, sdf_block) if sdf_block else None,
         perimeter_nodes=nodes,
+        **{name: cast(obs[key]) for key, name, cast in _POV_SCALARS if key in obs},
     )
 
 

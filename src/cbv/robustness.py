@@ -68,9 +68,18 @@ def ones_norm(n: int, q: float) -> float:
     return 1.0 if n else 0.0
 
 
-def induced_norm(a, p: float) -> float:
-    """Operator p -> p norm: exact for p in {1, inf}, spectral for p = 2."""
+def _finite(a, name: str) -> np.ndarray:
+    """`a` as a float array; a NaN or infinite entry is a DomainError."""
     a = np.asarray(a, dtype=float)
+    if not np.isfinite(a).all():
+        raise DomainError(f"{name} is not finite")
+    return a
+
+
+def induced_norm(a, p: float) -> float:
+    """Operator p -> p norm: exact for p in {1, inf}, spectral for p = 2.
+    A non-finite entry is a DomainError."""
+    a = _finite(a, "matrix")
     if a.size == 0:
         return 0.0
     if p == 1.0:
@@ -85,9 +94,9 @@ def mixed_norm(a, q: float, p: float) -> float:
 
     (inf, 1): max absolute entry.  (1, inf): total absolute mass, which is the
     exact value for nonnegative matrices and an upper bound otherwise.
-    (2, 2): spectral norm.
+    (2, 2): spectral norm.  A non-finite entry is a DomainError.
     """
-    a = np.asarray(a, dtype=float)
+    a = _finite(a, "matrix")
     if a.size == 0:
         return 0.0
     if (q, p) == (float("inf"), 1.0):
@@ -132,9 +141,9 @@ def boundary_bound(spec: PerturbationSpec, o_po, n_p: int) -> BoundReport:
     """Regime-A bound: internal values fixed, only b_P and v_O move.
 
     For p = 2 the looser sqrt(|P|) (eta + ||O_PO||_2 eps) form is reported
-    alongside the tight one.
+    alongside the tight one.  A non-finite entry of O_PO is a DomainError.
     """
-    o_po = np.asarray(o_po, dtype=float)
+    o_po = _finite(o_po, "O_PO")
     q = spec.q
     eta_term = ones_norm(n_p, q) * spec.eta
     col_weights = o_po.sum(axis=0) if o_po.size else np.zeros(0)
@@ -156,9 +165,7 @@ def inverse_norm(o_pp, p: float) -> float:
     Not gated: a singular I - O_PP is a StabilityError, a non-finite entry
     a DomainError.
     """
-    o_pp = np.asarray(o_pp, dtype=float)
-    if not np.isfinite(o_pp).all():
-        raise DomainError("O_PP is not finite")
+    o_pp = _finite(o_pp, "O_PP")
     return induced_norm(_solve_shifted(o_pp, np.eye(o_pp.shape[0])), p)
 
 

@@ -359,3 +359,117 @@ def observed_regime_b_deltas(stats: cbv.CutStatistics, db: np.ndarray,
     direct = observed_regime_a_deltas(stats, db, dv)
     dv_p = (db + dv @ stats.o_po.T) @ inv.T
     return direct - dv_p @ delta
+
+
+# The PoV writer and reader as they stated every field and default by hand,
+# before both read the observer's dataclasses: the oracles a rewrite of
+# `report.build_pov` and `report._observer_from_pov` must match.
+
+def reference_build_pov(observer: cbv.Observer) -> dict:
+    """The PoV mapping of `observer`, field by field, in written order."""
+    missing = [name for name, value in (
+        ("perimeter_ref", observer.perimeter_ref),
+        ("basis", observer.basis),
+        ("units", observer.units),
+        ("date", observer.date),
+        ("information_regime", observer.regime),
+        ("control_rule", observer.control_rule),
+    ) if not value]
+    if missing:
+        raise cbv.EmissionError(
+            f"perimeter-of-validity lacks required fields: {missing}", fields=missing
+        )
+    rule = observer.control_rule
+    obs_block: dict = {
+        "P": None if observer.perimeter_nodes is None else list(observer.perimeter_nodes),
+        "P_ref": observer.perimeter_ref,
+        "basis": observer.basis,
+        "units": observer.units,
+        "date": observer.date,
+    }
+    if observer.fx_ppp is not None:
+        obs_block["fx_ppp"] = {
+            "scale": observer.fx_ppp.scale,
+            "fx_source": observer.fx_ppp.fx_source,
+            "ppp_source": observer.fx_ppp.ppp_source,
+            "deflator": observer.fx_ppp.deflator,
+        }
+    if observer.sdf is not None:
+        obs_block["sdf"] = {
+            "curve_source": observer.sdf.curve_source,
+            "measure": observer.sdf.measure,
+            "horizon": observer.sdf.horizon,
+        }
+        if observer.sdf.discount_weights is not None:
+            obs_block["sdf"]["discount_weights"] = dict(observer.sdf.discount_weights)
+        if observer.sdf.change_of_measure is not None:
+            obs_block["sdf"]["change_of_measure"] = dict(observer.sdf.change_of_measure)
+    obs_block["information_regime"] = observer.regime
+    obs_block["control_rule"] = {"option": rule.option, "params": rule.params()}
+    if rule.label:
+        obs_block["control_rule"]["label"] = rule.label
+    return {
+        "observer": obs_block,
+        "tolerances": {
+            "rounding_threshold": observer.tolerances.rounding_threshold,
+            "solver_eps": observer.tolerances.solver_eps,
+            "max_iters": observer.tolerances.max_iters,
+        },
+        "notes": "",
+    }
+
+
+def reference_observer_from_pov(data: dict) -> cbv.Observer:
+    """The observer a PoV mapping states, each field and default read by hand.
+
+    Raises what the observer's checks raise (DomainError, TypeError,
+    ValueError or AttributeError), which `parse_pov` reports as a PackageError.
+    """
+    obs = data.get("observer") or {}
+    rule = obs.get("control_rule")
+    if isinstance(rule, dict):
+        params = rule.get("params") or {}
+        rule = cbv.ControlRuleSpec(
+            option=str(rule.get("option", "A")),
+            tau=float(params.get("tau", 0.5)),
+            alpha=float(params.get("alpha", 0.6)),
+            normalize=bool(params.get("normalize", False)),
+            reachability_depth=params.get("reachability_depth"),
+            label=rule.get("label"),
+        )
+    tol, default = data.get("tolerances") or {}, cbv.Tolerances()
+    fx_block = obs.get("fx_ppp")
+    sdf_block = obs.get("sdf")
+    nodes = obs.get("P")
+    if nodes is not None:
+        if not isinstance(nodes, list):
+            raise TypeError(f"P must be a list of node ids or null, not {nodes!r}")
+        nodes = tuple(str(n) for n in nodes)
+    ref = str(obs.get("P_ref") or (nodes[0] if nodes and len(nodes) == 1 else "P"))
+    return cbv.Observer(
+        perimeter_ref=ref,
+        basis=str(obs.get("basis", "fair_value")),
+        units=str(obs.get("units", "EUR")),
+        date=str(obs.get("date", "1970-01-01")),
+        regime=str(obs.get("information_regime", "A")),
+        control_rule=rule,
+        tolerances=cbv.Tolerances(
+            rounding_threshold=float(tol.get("rounding_threshold", default.rounding_threshold)),
+            solver_eps=float(tol.get("solver_eps", default.solver_eps)),
+            max_iters=tol.get("max_iters", default.max_iters),
+        ),
+        fx_ppp=(cbv.FxPppSpec(
+            scale=float(fx_block.get("scale", 1.0)),
+            fx_source=fx_block.get("fx_source"),
+            ppp_source=fx_block.get("ppp_source"),
+            deflator=fx_block.get("deflator"),
+        ) if fx_block else None),
+        sdf=(cbv.SdfSpec(
+            measure=str(sdf_block.get("measure", "risk_neutral")),
+            discount_weights=sdf_block.get("discount_weights"),
+            change_of_measure=sdf_block.get("change_of_measure"),
+            curve_source=sdf_block.get("curve_source"),
+            horizon=sdf_block.get("horizon"),
+        ) if sdf_block else None),
+        perimeter_nodes=nodes,
+    )

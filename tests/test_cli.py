@@ -1,6 +1,7 @@
 import argparse
 import json
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -377,7 +378,31 @@ class TestComputeCommand:
         assert payload["T_in"] == pytest.approx(15.04, abs=1e-12)
 
 
+    def test_regime_flag_prices_as_an_observer_of_that_regime(self, tmp_path, capsys):
+        # a regime-A package holds v_P and O_PP, so it prices in either regime
+        pkg = build_package(tmp_path, regime="A")
+        loaded = cbv.load_package(pkg)
+        for regime in ("A", "B"):
+            assert main(["compute", "--package", str(pkg), "--regime", regime,
+                         "--format", "json"]) == EXIT_OK
+            w = json.loads(capsys.readouterr().out)["consolidated_value"]
+            observer = replace(loaded.observer, regime=regime)
+            assert w == cbv.evaluate_for_observer(loaded.cut_statistics(), observer).w
+        assert w != pytest.approx(84.56, abs=1e-6)
+
+
 class TestBandFlags:
+    def test_table_format_prints_the_band_line(self, tmp_path, capsys):
+        pkg = build_package(tmp_path)
+        argv = ["compute", "--package", str(pkg), "--band-noise", "0.01",
+                "--band-draws", "5", "--band-seed", "7"]
+        assert main([*argv, "--format", "json"]) == EXIT_OK
+        band = json.loads(capsys.readouterr().out)["band"]
+        assert main(argv) == EXIT_OK
+        assert (f"band = [{band['low']!r}, {band['high']!r}] "
+                f"({band['evaluated']} evaluated, {band['excluded']} excluded)"
+                in capsys.readouterr().out.splitlines())
+
     def test_band_requires_seed(self, tmp_path, capsys):
         pkg = build_package(tmp_path)
         assert main(["compute", "--package", str(pkg),
@@ -415,6 +440,19 @@ class TestFisherCommand:
             payload["W"]["curr_curr_obs"] / payload["W"]["prev_prev_obs"], rel=1e-12
         )
 
+    def test_output_file_in_table_format(self, tmp_path, capsys):
+        prev = build_package(tmp_path, "prev")
+        curr = build_package(tmp_path, "curr", b_scale=1.1)
+        argv = ["fisher", "--prev", str(prev), "--curr", str(curr)]
+        assert main(argv) == EXIT_OK
+        printed = capsys.readouterr().out
+        out = tmp_path / "indices.json"
+        assert main([*argv, "-o", str(out)]) == EXIT_OK
+        g_f = json.loads(printed)["indices"]["G_F"]
+        assert capsys.readouterr().out.splitlines() == [
+            f"G_F = {g_f!r}", f"index block written to {out}"]
+        assert out.read_text(encoding="utf-8") == printed
+
     def test_each_cell_uses_its_observers_tolerances(self, tmp_path, capsys):
         # only the previous period declares a 2-iteration cap, which the
         # Neumann solve cannot meet in the two cells priced under it
@@ -445,6 +483,15 @@ class TestClearingCommand:
         payload = json.loads(capsys.readouterr().out)
         assert payload["payout_ratios"]["class_1"]["n1"] == 0.6
         assert payload["net_flows"]["X_PO"]["n1"]["n2"] == 60.0
+
+    def test_output_file_holds_what_stdout_prints(self, tmp_path, capsys):
+        path, out = tmp_path / "clearing.json", tmp_path / "outcome.json"
+        path.write_text(json.dumps(CLEARING_SPEC))
+        assert main(["clearing", "--spec", str(path)]) == EXIT_OK
+        printed = capsys.readouterr().out
+        assert main(["clearing", "--spec", str(path), "-o", str(out)]) == EXIT_OK
+        assert capsys.readouterr().out == f"clearing outcome written to {out}\n"
+        assert out.read_text(encoding="utf-8") == printed
 
     def test_format_flag_is_a_usage_error(self, tmp_path):
         # the clearing command prints JSON only; it takes no --format
@@ -505,6 +552,13 @@ class TestControlCommand:
                 [",".join(["id", *ids])]
                 + [",".join([node, *map(repr, omega[k].tolist())]) for k, node in enumerate(ids)]
             ) + "\n"
+
+    def test_mismatched_row_and_column_ids_are_compute_error(self, tmp_path, capsys):
+        shares_path = tmp_path / "shares.csv"
+        write_matrix_csv(shares_path, ["a", "b"], ["b", "a"], np.zeros((2, 2)), "id")
+        assert main(["control", "--shares", str(shares_path)]) == EXIT_COMPUTE
+        assert capsys.readouterr().err.splitlines() == [
+            "error [CbvError]: share matrix must carry identical row and column ids"]
 
     @pytest.mark.parametrize("option", ["A", "B", "C"])
     def test_non_finite_share_is_compute_error(self, tmp_path, capsys, option):

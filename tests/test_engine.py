@@ -8,6 +8,7 @@ from hypothesis import assume, given, settings, strategies as st
 import cbv
 from cbv.errors import (
     ConvergenceError,
+    DimensionError,
     DomainError,
     RegimeError,
     StabilityError,
@@ -64,6 +65,12 @@ class TestRegimeA:
             p_ids=("a", "b"), o_ids=(), b_p=[7.0, 5.0]
         )
         assert cbv.evaluate_regime_a(stats).w == 12.0
+
+    @pytest.mark.parametrize("p_ids", [(), ("a",), ("a", "b")])
+    def test_missing_bases_are_refused(self, p_ids):
+        # with one node, b_p = None was stored as [nan] and priced W = nan
+        with pytest.raises(DimensionError, match="b_p is required"):
+            cbv.CutStatistics(p_ids, (), None)
 
     def test_missing_v_p_is_regime_error(self, stats_b):
         with pytest.raises(RegimeError):

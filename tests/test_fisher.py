@@ -139,9 +139,7 @@ class TestIndices:
             b_p=stats_a.b_p * 0.5, v_o=stats_a.v_o, v_p=stats_a.v_p,
             o_po=stats_a.o_po, o_op=stats_a.o_op,
         )
-        quad = cbv.cross_priced_quad(
-            stats_a, shrunk, observer(), observer(), keep_results=True
-        )
+        quad = cbv.cross_priced_quad(stats_a, shrunk, observer(), observer())
         fallback = component_sign_indices(quad)
         assert fallback.base_multiplier == pytest.approx(0.5, rel=1e-12)
         assert fallback.t_out_multiplier == 1.0

@@ -7,11 +7,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import yaml
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import cbv
 import cbv.report
-from cbv.errors import EmissionError, IntegrityError, PackageError
+from cbv.errors import DomainError, EmissionError, IntegrityError, PackageError
 from cbv.report import (
     MANIFEST_VERSION,
     STABILITY_NAME,
@@ -27,6 +27,8 @@ from conftest import (
     V1_0_PACKAGE,
     V1_0_W,
     example_stats,
+    reference_build_pov,
+    reference_observer_from_pov,
     rehash,
     renault_stats,
     v1_0_package,
@@ -186,6 +188,20 @@ GOLDEN_OBSERVER = replace(demo_observer("A"), fx_ppp=cbv.FxPppSpec(
 GOLDEN_CLEARING = {"engine": "eisenberg-noe", "params": {"selection": "greatest"}}
 GOLDEN_W = 90.47920000000002
 
+# A pov.json written by the PoV writer that stated each field by hand, for
+# SDF_OBSERVER: every part of the observer set, the SDF block in full.
+SDF_POV = V1_0_PACKAGE.with_name("pov_sdf.json")
+SDF_OBSERVER = cbv.Observer(
+    perimeter_ref="P-SDF", basis="realizable", units="USD", date="2025-12-31", regime="B",
+    control_rule=cbv.ControlRuleSpec(option="C", alpha=0.6, label="look-through"),
+    tolerances=cbv.Tolerances(rounding_threshold=1e-6, solver_eps=1e-12, max_iters=500),
+    fx_ppp=cbv.FxPppSpec(scale=1.07, fx_source="ECB", ppp_source="OECD", deflator="HICP"),
+    sdf=cbv.SdfSpec(measure="physical", discount_weights={"up": 0.48, "down": 0.47},
+                    change_of_measure={"up": 1.1, "down": 0.9}, curve_source="ECB-AAA",
+                    horizon="1Y"),
+    perimeter_nodes=("A", "B", "C"),
+)
+
 
 @pytest.fixture
 def package_dir(tmp_path):
@@ -245,6 +261,36 @@ class TestPackageRoundTrip:
             assert same_bits(getattr(pkg, name), getattr(stats, name)), name
         assert pkg.observer == GOLDEN_OBSERVER and pkg.clearing_spec == GOLDEN_CLEARING
         assert cbv.evaluate_for_observer(pkg.cut_statistics(), pkg.observer).w == GOLDEN_W
+
+    @pytest.mark.parametrize("tag, spec", [
+        (None, {"used": True, "engine": "seniority"}),
+        ("seniority", None),
+    ])
+    def test_clearing_declared_over_share_blocks_writes_nothing(self, tmp_path, tag, spec):
+        # the declaration made cut_statistics read the share files as priced
+        # amounts: W moved and validate reported no findings
+        stats = replace(example_stats(with_v_p=False), clearing_tag=tag)
+        with pytest.raises(PackageError, match="priced amounts"):
+            cbv.write_package(tmp_path / "pkg", stats, demo_observer(), clearing_spec=spec)
+        assert not (tmp_path / "pkg").exists()
+
+    def test_post_clearing_package_prices_its_files_as_amounts(self, package_dir):
+        # a package whose manifest declares clearing, written by hand: its
+        # O_PO and O_OP files hold net flows, priced as they stand
+        stats = example_stats(with_v_p=False)
+        x_po, x_op = [[3.0, 1.6], [1.8, 0.0], [0.0, 3.2]], [[6.0, 3.0, 0.0], [0.0, 6.4, 9.6]]
+        write_matrix_csv(package_dir / "O_PO.csv", stats.p_ids, stats.o_ids, x_po, "id_P")
+        write_matrix_csv(package_dir / "O_OP.csv", stats.o_ids, stats.p_ids, x_op, "id_O")
+        manifest = Manifest.from_yaml_bytes((package_dir / "manifest.yaml").read_bytes())
+        manifest.data["clearing"] = {"used": True, "engine": "seniority", "params": {}}
+        (package_dir / "manifest.yaml").write_bytes(manifest.to_yaml_bytes())
+        for name in ("O_PO.csv", "O_OP.csv"):
+            rehash(package_dir, name)
+        cleared = cbv.load_package(package_dir).cut_statistics()
+        assert cleared.clearing_tag == "seniority"
+        assert cleared.o_po is None and cleared.o_op is None
+        assert same_bits(cleared.x_po, np.array(x_po)) and same_bits(cleared.x_op, np.array(x_op))
+        assert cbv.evaluate_regime_a(cleared).w == pytest.approx(90.0 + 9.6 - 25.0, rel=1e-12)
 
     def test_single_byte_corruption_detected(self, package_dir):
         target = package_dir / "O_PO.csv"
@@ -607,6 +653,22 @@ class TestPov:
     def test_deterministic_bytes(self):
         assert cbv.emit_pov(demo_observer()) == cbv.emit_pov(demo_observer())
 
+    def test_sdf_pov_is_written_byte_for_byte(self):
+        # the golden package states no SDF block; this file pins one, with
+        # weights, a change of measure, a horizon and a curve source
+        blob = SDF_POV.read_bytes()
+        assert cbv.emit_pov(SDF_OBSERVER) == blob
+        assert cbv.parse_pov(blob)[0] == SDF_OBSERVER
+
+    @pytest.mark.parametrize("ref, rule", [("", cbv.ControlRuleSpec()), ("P", None), ("", None)])
+    def test_required_fields_are_those_the_reference_names(self, ref, rule):
+        observer = cbv.Observer(perimeter_ref=ref, control_rule=rule)
+        with pytest.raises(EmissionError) as want:
+            reference_build_pov(observer)
+        with pytest.raises(EmissionError) as got:
+            cbv.build_pov(observer)
+        assert (str(got.value), got.value.fields) == (str(want.value), want.value.fields)
+
 
 class TestDisclosureSheet:
     def test_renault_sheet(self, tmp_path):
@@ -761,6 +823,43 @@ def observers(draw):
     )
 
 
+# what a PoV key may hold in place of a valid value: null, "", a numeric
+# string or a value of the wrong type
+NOT_VALID = [None, "", "0.5", "1e-9", "3", [1], {"k": 1}, True, 7, -2.5, "text"]
+
+
+@st.composite
+def pov_documents(draw):
+    """The PoV of a drawn observer, each key of each block, nested ones too,
+    kept, left out or replaced by one of NOT_VALID."""
+    def edit(block: dict) -> dict:
+        out = {}
+        for key, value in block.items():
+            choice = draw(st.sampled_from(["keep"] * 6 + ["drop", "replace"]))
+            if choice == "replace":
+                out[key] = draw(st.sampled_from(NOT_VALID))
+            elif choice == "keep":
+                out[key] = edit(value) if isinstance(value, dict) else value
+        return out
+
+    return edit(reference_build_pov(draw(observers())))
+
+
+def reference_parse(blob: bytes):
+    """The reference reader's observer, or PackageError where parse_pov raises one."""
+    try:
+        return reference_observer_from_pov(json.loads(blob))
+    except (DomainError, TypeError, ValueError, AttributeError):
+        return PackageError
+
+
+def library_parse(blob: bytes):
+    try:
+        return cbv.parse_pov(blob)[0]
+    except PackageError:
+        return PackageError
+
+
 optional_text = st.one_of(st.none(), st.sampled_from(["", "ECB", "OECD", "curve-A"]))
 
 
@@ -843,6 +942,24 @@ class TestPackageFiles:
         assert pkg.observer == observer
         w = cbv.evaluate_for_observer(pkg.cut_statistics(), pkg.observer).w
         assert w == cbv.evaluate_for_observer(stats, observer).w
+
+    @settings(max_examples=100, deadline=None)
+    @given(observer=observers())
+    def test_pov_bytes_are_the_reference_writers(self, observer):
+        want = json.dumps(reference_build_pov(observer), indent=2) + "\n"
+        assert cbv.emit_pov(observer) == want.encode("utf-8")
+
+    @settings(max_examples=300, deadline=None)
+    @given(document=pov_documents())
+    @example(document={"observer": {"P_ref": None, "P": ["X"]}})
+    @example(document={"observer": {"P_ref": "", "P": ["X"], "fx_ppp": ["scale"]}})
+    @example(document={  # each key whose value the reader casts, stated so that the cast counts
+        "observer": {"fx_ppp": {"scale": "2"}, "sdf": {"measure": 7}, "control_rule": {
+            "option": "C", "params": {"tau": "0.5", "alpha": "0.6", "normalize": "false"}}},
+        "tolerances": {"rounding_threshold": "1e-9", "solver_eps": "1e-9"}})
+    def test_pov_reads_as_the_reference_reader(self, document):
+        blob = json.dumps(document).encode("utf-8")
+        assert library_parse(blob) == reference_parse(blob)
 
     @pytest.mark.parametrize("nodes", [None, (), ("P-DEMO",), ("A", "P-DEMO")])
     def test_perimeter_nodes_survive_the_pov(self, nodes):

@@ -5,7 +5,7 @@ import pytest
 
 import cbv
 from cbv.errors import DomainError
-from cbv.robustness import inverse_norm, mixed_norm
+from cbv.robustness import induced_norm, inverse_norm, mixed_norm
 
 from conftest import (
     O_PO,
@@ -120,6 +120,18 @@ class TestBoundaryBound:
     def test_bad_norm_selector(self):
         with pytest.raises(DomainError):
             cbv.PerturbationSpec(p=3)
+
+    @pytest.mark.parametrize("p", NORMS)
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_input_refused(self, p, value):
+        # a NaN gave bound = nan at p = 1 and numpy's LinAlgError at p = 2
+        o_po = np.array(O_PO)
+        o_po[1, 0] = value
+        q = cbv.PerturbationSpec(p=p).q
+        for call in (lambda: cbv.boundary_bound(cbv.PerturbationSpec(p, 1.0, 1.0), o_po, 3),
+                     lambda: induced_norm(o_po, p), lambda: mixed_norm(o_po, q, p)):
+            with pytest.raises(DomainError, match="not finite"):
+                call()
 
     def test_corollary_ordering_on_instances(self, rng):
         # with equal eta/eps the p=1 corollary is the tightest of the three
