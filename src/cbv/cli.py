@@ -17,8 +17,8 @@ import numpy as np
 
 from . import __version__
 from .clearing import ClearingProblem, clear, net_boundary_flows
-from .control import ControlRuleSpec, build_control
-from .engine import SolverConfig, evaluate_for_observer, scale_units
+from .control import OPTION_ALIASES, ControlRuleSpec, build_control
+from .engine import SOLVER_METHODS, SolverConfig, evaluate_for_observer, scale_units
 from .errors import CbvError, DomainError, MembershipError
 from .fisher import cross_priced_quad, fisher_indices
 from .network import Perimeter
@@ -49,23 +49,23 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _given(**values) -> dict:
+    """The values a user gave: those not None.  The library fills in the rest."""
+    return {key: value for key, value in values.items() if value is not None}
+
+
 def _solver_config(args) -> SolverConfig:
     """The solver flags given; unset eps/max-iters follow each observer's declaration."""
-    return SolverConfig(
-        method=args.method or "auto",
-        eps=args.eps,
-        max_iters=args.max_iters,
-        damping=args.damping,
-        regularization=args.regularization,
-    )
+    return SolverConfig(**_given(method=args.method, eps=args.eps, max_iters=args.max_iters,
+                                 damping=args.damping, regularization=args.regularization))
 
 
 def _add_solver_flags(parser):
-    parser.add_argument("--method", default=None,
-                        choices=["auto", "direct", "neumann", "iterative_krylov"],
+    parser.add_argument("--method", default=None, choices=SOLVER_METHODS,
                         help="regime-B solver; auto (the default) runs Neumann sweeps "
-                             "where the stability certificate predicts them cheaper "
-                             "than one LU of I - O_PP, and the LU otherwise")
+                             "where the stability certificate allows them, up to the "
+                             "price of one LU of I - O_PP, and the LU if they have "
+                             "not converged")
     parser.add_argument("--eps", type=float, default=None)
     parser.add_argument("--max-iters", dest="max_iters", type=int, default=None)
     parser.add_argument("--damping", type=float, default=None)
@@ -109,11 +109,11 @@ def build_parser() -> _Parser:
 
     p_control = sub.add_parser("control", help="control matrix from a share matrix")
     p_control.add_argument("--shares", required=True, help="CSV share matrix (id header)")
-    p_control.add_argument("--option", default="A",
-                           choices=["A", "B", "B_prime", "C"])
-    p_control.add_argument("--tau", type=float, default=0.5)
-    p_control.add_argument("--alpha", type=float, default=0.6)
-    p_control.add_argument("--normalize", action="store_true")
+    p_control.add_argument("--option", default=None,
+                           choices=sorted(set(OPTION_ALIASES.values())))
+    p_control.add_argument("--tau", type=float, default=None)
+    p_control.add_argument("--alpha", type=float, default=None)
+    p_control.add_argument("--normalize", action="store_true", default=None)
     p_control.add_argument("--depth", type=int, default=None)
     p_control.add_argument("-o", "--output", default=None)
 
@@ -276,13 +276,17 @@ def _cmd_clearing(args) -> int:
     try:
         spec = json.loads(Path(args.spec).read_text("utf-8"))
         problem, params = _problem_from_spec(spec)
-        eps = float(params.get("eps", 1e-12))
-        max_iters = params.get("max_iters", 100000)
+        # what the spec and the flags give; `clear` fills in the rest
+        given = {key: params[key] for key in ("eps", "max_iters") if key in params}
+        if "eps" in given:
+            given["eps"] = float(given["eps"])
+        if "selection" in spec:
+            given["selection"] = spec["selection"]
     except (ValueError, KeyError, TypeError, AttributeError) as exc:
         # bytes that are not JSON, absent keys, values of the wrong type
         raise DomainError(f"malformed clearing spec: {exc!r}") from None
-    selection = args.selection or spec.get("selection", "greatest")
-    outcome = clear(problem, selection=selection, eps=eps, max_iters=max_iters)
+    given.update(_given(selection=args.selection))
+    outcome = clear(problem, **given)
     payload = {
         "engine": spec.get("engine", "seniority-clearing"),
         "selection": outcome.selection,
@@ -320,10 +324,8 @@ def _cmd_control(args) -> int:
     row_ids, col_ids, shares = read_matrix_csv(Path(args.shares))
     if row_ids != col_ids:
         raise CbvError("share matrix must carry identical row and column ids")
-    spec = ControlRuleSpec(
-        option=args.option, tau=args.tau, alpha=args.alpha,
-        normalize=args.normalize, reachability_depth=args.depth,
-    )
+    spec = ControlRuleSpec(**_given(option=args.option, tau=args.tau, alpha=args.alpha,
+                                    normalize=args.normalize, reachability_depth=args.depth))
     control = build_control(shares, spec, ids=tuple(row_ids))
     if args.output:
         write_matrix_csv(Path(args.output), control.ids, control.ids,

@@ -41,16 +41,14 @@ pass of row and column sums when a norm of O_PP certifies rho < 1, and
 otherwise at most POWER_ITERATIONS Collatz-Wielandt passes, one matvec each,
 stopping at the first certified bound below 1 or once a certified lower bound
 reaches 1.  Every dense solve against I - A goes through `_solve_shifted`,
-the one place that decides what a singular I - A means.  In regime B the
-gate's certificate picks `auto`'s method: when the 1- or infinity-norm
-bounds rho by rho_c < 1, the Neumann residual after k sweeps is at most
-rho_c^k times the first update, which predicts k, and `auto` sweeps when
-k (nnz + n_P) <= n_P^3 / LU_SWEEP_RATIO, a measured price of a sweep against
-an LU.  A certificate only the Collatz-Wielandt passes give, an adjustment
-that leaves no certificate, a count past max_iters, or sweeps that rounding
-stalls short of eps go to one LU.  The Neumann solver does one matvec per
-iteration: the update it computes anyway is the residual of the previous
-iterate.  Only GMRES loads scipy.
+the one place that decides what a singular I - A means.  In regime B,
+`auto` sweeps whenever the gate certifies the operator it would sweep, up to
+as many sweeps as one LU costs, n_P^3 // (LU_SWEEP_RATIO (nnz + n_P)) with
+LU_SWEEP_RATIO the measured price of a sweep against an LU; an uncertified
+operator, or sweeps that have not reached eps within that budget, take one
+LU, so a wasted budget costs at most one LU more.  The Neumann solver does
+one matvec per iteration: the update it computes anyway is the residual of
+the previous iterate.  Only GMRES loads scipy.
 """
 
 from __future__ import annotations
@@ -71,14 +69,18 @@ from .network import NodeId, OwnershipNetwork, Perimeter, partition
 from .observer import Observer, Tolerances, _check_solver_limits
 
 POWER_ITERATIONS = 100
-# `auto` sweeps when the k sweeps a norm certificate predicts satisfy
-# k (nnz + n) <= n^3 / LU_SWEEP_RATIO.  Measured with one BLAS thread on 75
-# blocks (benchmark perimeters and band probes, rings and random sparse
-# blocks, n = 50..2400), the total solve time is least for ratios of 45 to 60;
-# the predicted k overstates the sweeps most ownership blocks need, which is
-# why this sits below the raw price of a sweep per (nnz + n) against an LU per
-# n^3 (140 to 450 on the same host).
-LU_SWEEP_RATIO = 60
+SOLVER_METHODS = ("auto", "direct", "neumann", "iterative_krylov")
+# The price of one Neumann sweep per (nnz + n) against one LU per n^3, so that
+# n^3 // (LU_SWEEP_RATIO (nnz + n)) sweeps cost one LU: `auto`'s budget.
+# Measured with one BLAS thread (OpenBLAS 0.3.31, x86-64, 2 vCPUs), best of
+# 3-7 runs, on benchmark perimeter blocks, 0.999 rings and random blocks of
+# about 5 entries a column, two runs each:
+#     n          100      200      300      600      900     1200     1800     2400
+#     benchmark  367-415  378-447  308-333  262-309  214-240  189-213  150-182  154-188
+#     ring       225-263  257-314  243-266  222-251  235-244  194-206  164-258  172-221
+#     random     82-107   128-129  139-163  162-163  178-187  173-178  149-184  157-186
+# The top of the range is taken, so a budget that runs out costs at most one LU.
+LU_SWEEP_RATIO = 450
 
 
 def _frozen(x, shape, name) -> np.ndarray:
@@ -296,7 +298,7 @@ class SolverConfig:
     regularization: float | None = None
 
     def __post_init__(self):
-        if self.method not in ("auto", "direct", "neumann", "iterative_krylov"):
+        if self.method not in SOLVER_METHODS:
             raise DomainError(f"unknown solver method {self.method!r}")
         _check_solver_limits(self.eps, self.max_iters)
         if self.damping is not None and not 0.0 < self.damping < 1.0:
@@ -522,26 +524,6 @@ class _HeldEdges:
         return held
 
 
-def _predicted_sweeps(bound: SpectralBound, first: np.ndarray, eps: float) -> float:
-    """Sweeps after which the Neumann residual is below eps, from a norm
-    certificate; inf when neither norm certifies rho < 1.
-
-    The residual of sweep k is A^k y with y = A rhs, the first update, so
-    max|r_k| <= rho_c^k ||y||_c for c the infinity norm or the 1-norm, and
-    k = floor(log(eps / ||y||_c) / log rho_c) + 1 sweeps put it below eps in
-    exact arithmetic; the fewer of the two counts is returned.
-    """
-    best = np.inf
-    for rho, size in ((bound.norm_inf, np.abs(first).max(initial=0.0)),
-                      (bound.norm_1, np.abs(first).sum())):
-        if not rho < 1.0:
-            continue
-        if size < eps or rho == 0.0:
-            return 1
-        best = min(best, np.floor(np.log(eps / size) / np.log(rho)) + 1.0)
-    return best
-
-
 def _residual(held: _HeldEdges, rhs: np.ndarray, v_p: np.ndarray) -> float:
     """max|v_p - (rhs + A v_p)|, the residual every method reports."""
     return float(np.abs(v_p - (rhs + held @ v_p)).max()) if v_p.size else 0.0
@@ -603,11 +585,10 @@ def _solve_internal(
     every method reads: it is damped and gated, then regularized, and
     `neumann` and `auto` certify the O_PP - rI their sweeps would iterate.
     GMRES and Neumann run every step and the residual on it.  `auto` sweeps
-    when a norm certifies that operator and the sweeps the certificate
-    predicts cost at most 1 / LU_SWEEP_RATIO of an LU, k (nnz + n) <=
-    n^3 / LU_SWEEP_RATIO.  `direct`, and `auto` otherwise or should rounding
-    stall the sweeps short of eps, takes one LU of I - O_PP built from the
-    held edges.  The log names the method that ran.
+    when that operator is certified, at most as many sweeps as one LU costs.
+    `direct`, and `auto` otherwise or when the sweeps have not reached eps
+    within that budget, takes one LU of I - O_PP built from the held edges.
+    The log names the method that ran.
     """
     held = _HeldEdges.of(o_pp)
     n = held.n
@@ -634,14 +615,14 @@ def _solve_internal(
         first = held @ rhs
         if cfg.method == "neumann":
             return _neumann(held, rhs, first, cfg.max_iters, cfg.eps, log)
-        # explicit zeros (a band's designated entries) are not edges
-        nnz = np.count_nonzero(held.vals)
-        sweeps = _predicted_sweeps(bound, first, cfg.eps)
-        if sweeps <= cfg.max_iters and sweeps * (nnz + n) <= n**3 / LU_SWEEP_RATIO:
+        # as many sweeps as one LU costs; explicit zeros (a band's designated
+        # entries) are not edges
+        price = LU_SWEEP_RATIO * (np.count_nonzero(held.vals) + n)
+        budget = int(min(cfg.max_iters, n**3 // max(price, 1)))
+        if bound.rho_upper < 1.0 and budget:
             log.method = "neumann"
             try:
-                return _neumann(held, rhs, first, min(cfg.max_iters, 2 * int(sweeps)),
-                                cfg.eps, log)
+                return _neumann(held, rhs, first, budget, cfg.eps, log)
             except ConvergenceError as exc:
                 log.warnings.append(
                     f"Neumann sweeps stalled at residual {exc.residual!r} after "

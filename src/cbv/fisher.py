@@ -166,6 +166,9 @@ class ComponentSignIndices:
 
 def component_sign_indices(quad: FisherQuad) -> ComponentSignIndices:
     """Component multipliers from the four results `cross_priced_quad` keeps."""
+    if quad.results is None:
+        raise DomainError("the component fallback needs the four results that "
+                          "cross_priced_quad keeps; this quad has none")
     prev, _, _, curr = quad.results
 
     def ratio(curr_value: float, prev_value: float) -> float:

@@ -335,7 +335,7 @@ class Manifest:
 
     @property
     def extra_keys(self) -> list[str]:
-        v1_0 = ("observer", "regime") if self.version != MANIFEST_VERSION else ()
+        v1_0 = ("observer", "regime") if self.version == _V1_0 else ()
         return [k for k in self.data if k not in _KNOWN_MANIFEST_KEYS + v1_0]
 
     def to_yaml_bytes(self) -> bytes:
@@ -524,13 +524,17 @@ def load_package(directory) -> CutReportPackage:
     Every listed file must exist, carry a manifest hash, and match it byte
     for byte; `pov.json` is required, and `O_PP.csv` when the observer's
     regime is B.  Each file is read once: the bytes hashed are the bytes
-    parsed.  A v1.0 package is read as the module docstring describes.
+    parsed.  A v1.0 package is read as the module docstring describes; any
+    other manifest version, or none, is a PackageError.
     """
     directory = Path(directory)
     manifest_path = directory / MANIFEST_NAME
     if not manifest_path.exists():
         raise PackageError(f"{MANIFEST_NAME} not found in {directory}")
     manifest = Manifest.from_yaml_bytes(manifest_path.read_bytes())
+    if manifest.version not in (MANIFEST_VERSION, _V1_0):
+        raise PackageError(f"manifest version {manifest.version!r}, expected "
+                           f"{MANIFEST_VERSION!r} or {_V1_0!r}")
 
     files = manifest.data_files
     current = manifest.version == MANIFEST_VERSION
@@ -623,10 +627,6 @@ def validate_package(pkg: CutReportPackage) -> ValidationReport:
                        f"(tau = {pkg.observer.control_rule.tau!r}); a share of at most 1 "
                        "may have been meant",
                        location=POV_NAME if pkg.pov is not None else MANIFEST_NAME)
-    elif version != MANIFEST_VERSION:
-        report.add("schema", "error",
-                   f"manifest version {version!r}, expected {MANIFEST_VERSION!r}",
-                   location=MANIFEST_NAME)
     for key in pkg.manifest.extra_keys:
         report.add("schema", "note", f"unknown manifest field {key!r} preserved",
                    location=MANIFEST_NAME)
@@ -648,13 +648,13 @@ def validate_package(pkg: CutReportPackage) -> ValidationReport:
 
     # D3: a single observer per period.  A v1.0 manifest repeats the observer
     # that an unlisted pov.json defines, and the two must agree
-    if pkg.pov is not None and version != MANIFEST_VERSION:
+    if pkg.pov is not None and version == _V1_0:
         observer, declared = pkg.observer, pkg.manifest.observer_block
         pairs = (
             ("units", observer.units, declared.get("currency")),
-            ("regime", observer.regime, pkg.manifest.data.get("regime", "A")),
+            ("regime", observer.regime, pkg.manifest.data.get("regime", Observer.regime)),
             ("P_ref", observer.perimeter_ref, pkg.manifest.perimeter_block.get("P_ref")),
-            ("fx scale", observer.fx_ppp.scale if observer.fx_ppp else 1.0,
+            ("fx scale", observer.fx_ppp.scale if observer.fx_ppp else FxPppSpec.scale,
              (declared.get("fx") or {}).get("scale")),
         )
         for name, pov_value, man_value in pairs:

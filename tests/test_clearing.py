@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -217,6 +218,17 @@ class TestClear:
     def test_refuses_bad_iteration_settings(self, kwargs):
         with pytest.raises(DomainError):
             cbv.clear(chain_problem(), **kwargs)
+
+    @pytest.mark.parametrize("fields, error, message", [
+        ({"node_ids": ("n1", "n1", "n3")}, MembershipError, "unique"),
+        ({"liabilities": ()}, DomainError, "at least one liability class"),
+        ({"liabilities": (np.zeros((3, 2)),)}, DimensionError, "class 1 liabilities must be 3x3"),
+        ({"resources": [30.0, 0.0]}, DimensionError, "one entry per node"),
+        ({"default_costs": [0.0, 0.5, 0.0]}, DimensionError, r"\(classes, nodes\)"),
+    ], ids=["repeated-id", "no-class", "liability-shape", "resources-shape", "costs-shape"])
+    def test_refuses_malformed_problems(self, fields, error, message):
+        with pytest.raises(error, match=message):
+            replace(chain_problem(), **fields)
 
     def test_convergence_error_carries_iterate(self):
         problem = chain_problem()

@@ -31,6 +31,7 @@ BAD_MANIFESTS = [
     ("hashes", 5),
     ("notes", "a note"),
     ("regime", "C"),
+    ("version", "cbv-cut-report@2.0"),
 ]
 
 

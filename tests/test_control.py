@@ -188,6 +188,16 @@ class TestOptionC:
         control = cbv.attenuated_control(np.zeros((3, 3)), 0.5)
         np.testing.assert_array_equal(control.omega, np.zeros((3, 3)))
 
+    def test_normalized_columns(self):
+        # each held column divided by its sum; the empty columns stay zero
+        shares = three_owner_shares()
+        raw = cbv.attenuated_control(shares, 0.5).omega
+        sums = raw.sum(axis=0)
+        control = cbv.attenuated_control(shares, 0.5, normalize=True)
+        assert control.normalized
+        np.testing.assert_array_equal(
+            control.omega, np.divide(raw, sums, out=np.zeros_like(raw), where=sums > 0))
+
     def test_two_level_pyramid_reassigns_weight(self):
         shares = np.zeros((3, 3))
         shares[0, 1], shares[1, 2] = 1.0, 1.0

@@ -72,6 +72,17 @@ class TestRegimeA:
         with pytest.raises(DimensionError, match="b_p is required"):
             cbv.CutStatistics(p_ids, (), None)
 
+    @pytest.mark.parametrize("fields, message", [
+        ({"b_p": [1.0, 2.0]}, r"b_p has shape \(2,\), expected \(3,\)"),
+        ({"o_pp": [[0.0]]}, r"o_pp has shape \(1, 1\), expected \(3, 3\)"),
+        ({"o_po": None}, "outgoing side needs o_po/v_o or x_po"),
+        ({"o_op": None}, "incoming side needs o_op or x_op"),
+        ({"v_o": None}, "o_po given without v_o"),
+    ], ids=["b_p-shape", "o_pp-shape", "no-outgoing", "no-incoming", "no-v_o"])
+    def test_shape_and_side_refusals(self, stats_a, fields, message):
+        with pytest.raises(DimensionError, match=message):
+            replace(stats_a, **fields)
+
     def test_missing_v_p_is_regime_error(self, stats_b):
         with pytest.raises(RegimeError):
             cbv.evaluate_regime_a(stats_b)
@@ -447,6 +458,18 @@ class TestEstimation:
         with pytest.raises(DomainError):
             cbv.Tolerances(**field)
 
+    def test_regime_a_without_v_p_or_o_pp(self):
+        # a package with neither file: v = b + O v over an empty internal
+        # block gives v_P = b_P + O_PO v_O, and the cut prices at it
+        stats = example_stats(with_v_p=False, with_o_pp=False)
+        observer = cbv.Observer(perimeter_ref="P", regime="A",
+                                control_rule=cbv.ControlRuleSpec())
+        result = cbv.evaluate_for_observer(stats, observer)
+        v_p = stats.b_p + stats.o_po @ stats.v_o
+        np.testing.assert_array_equal(result.v_p_used, v_p)
+        assert result.w == cbv.evaluate_regime_a(stats.with_v_p(v_p), 1e-8).w
+        assert result.w == pytest.approx(87.872, abs=1e-12)
+
     def test_unset_solver_fields_follow_the_observer(self, stats_b):
         observer = cbv.Observer(perimeter_ref="P", regime="B",
                                 control_rule=cbv.ControlRuleSpec(),
@@ -474,8 +497,9 @@ def ring_stats(n: int, share: float, b_scale: float = 1.0) -> cbv.CutStatistics:
 
 
 class TestAutoMethod:
-    """`auto` sweeps only where the gate's norm certificate predicts sweeps
-    cheaper than one LU, and otherwise, or when the sweeps stall, factors."""
+    """`auto` sweeps wherever the gate certifies the operator it sweeps, up to
+    as many sweeps as one LU costs, and otherwise, or when the sweeps have not
+    reached eps within that budget, factors."""
 
     def test_regularized_neumann_certifies_the_shifted_block(self):
         # the gate certifies O_PP (rho = 0.9), but the sweeps iterate
@@ -515,7 +539,7 @@ class TestAutoMethod:
 
     def test_stalled_sweeps_fall_back_to_lu(self):
         stats = ring_stats(600, 0.5)
-        with patch.object(cbv.engine, "_predicted_sweeps", return_value=1):
+        with patch.object(cbv.engine, "LU_SWEEP_RATIO", 90000):
             auto = cbv.evaluate_regime_b(stats)  # two sweeps allowed, 33 needed
         direct = cbv.evaluate_regime_b(stats, cbv.SolverConfig(method="direct"))
         assert (auto.solver_log.method, auto.solver_log.iterations) == ("direct", 0)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -144,6 +146,21 @@ class TestIndices:
         assert fallback.base_multiplier == pytest.approx(0.5, rel=1e-12)
         assert fallback.t_out_multiplier == 1.0
         assert fallback.sign_prev == fallback.sign_curr == 1
+
+    def test_component_fallback_on_zero_components(self, stats_a):
+        # a component that is zero in both periods has multiplier 1; one that
+        # appears from zero has no ratio
+        no_out = replace(stats_a, o_po=np.zeros_like(stats_a.o_po))
+        quad = cbv.cross_priced_quad(no_out, no_out, observer(), observer())
+        assert component_sign_indices(quad).t_out_multiplier == 1.0
+        quad = cbv.cross_priced_quad(no_out, stats_a, observer(), observer())
+        with pytest.raises(SignError, match="zero previous component") as err:
+            component_sign_indices(quad)
+        assert err.value.diagnostics == {"prev": 0.0, "curr": quad.results[3].t_out}
+
+    def test_component_fallback_needs_the_quads_results(self):
+        with pytest.raises(DomainError, match="four results that cross_priced_quad keeps"):
+            component_sign_indices(cbv.FisherQuad(100.0, 110.0, 102.0, 112.2))
 
 
 class TestChainLink:

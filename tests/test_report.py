@@ -566,6 +566,15 @@ class TestCutSummary:
             {"from": "a", "to": "b", "type": "equity", "amount": 1.0}]}, indent=2)
         assert cbv.report._json_bytes(document) == (want + "\n").encode("utf-8")
 
+    @pytest.mark.parametrize("amount", [np.float64(1.25), True, None, [1.0]])
+    def test_edge_field_that_is_not_a_plain_scalar(self, amount):
+        # such an edge list leaves the per-edge format for the generic writer
+        edges = [Edge("a", "b", "equity", 2.5), Edge("a", "c", "debt", amount)]
+        want = json.dumps({"edges": [
+            {"from": "a", "to": "b", "type": "equity", "amount": 2.5},
+            {"from": "a", "to": "c", "type": "debt", "amount": amount}]}, indent=2)
+        assert cbv.report._json_bytes({"edges": edges}) == (want + "\n").encode("utf-8")
+
     def test_amount_form_summary_types(self):
         stats = cbv.CutStatistics.from_amounts(
             ("p",), ("o",), b_p=[0.0], x_po=[[123.45]], x_op=[[67.89]],
@@ -642,6 +651,7 @@ class TestPov:
     @pytest.mark.parametrize("rule, expected", [
         (None, None),  # undeclared, which emit_pov refuses in turn
         ("IFRS10-control@50", cbv.ControlRuleSpec(tau=0.5, label="IFRS10-control@50")),
+        ("x@250", cbv.ControlRuleSpec(tau=0.5, label="x@250")),  # past 100%: tau 0.5
     ])
     def test_control_rule_as_a_label_or_absent(self, rule, expected):
         # what a v1.0 manifest held: a label, or no rule
@@ -698,6 +708,13 @@ class TestDisclosureSheet:
         indices = cbv.fisher_combine(cbv.FisherIndices(1.1, 1.0, 1.1, 1.0))
         sheet = cbv.render_disclosure_sheet(pkg, result, fisher=indices)
         assert "G_F" in sheet
+
+    def test_post_clearing_row(self, package_dir):
+        manifest = Manifest.from_yaml_bytes((package_dir / "manifest.yaml").read_bytes())
+        manifest.data["clearing"] = {"used": True, "engine": "seniority", "params": {}}
+        (package_dir / "manifest.yaml").write_bytes(manifest.to_yaml_bytes())
+        sheet = cbv.render_disclosure_sheet(cbv.load_package(package_dir))
+        assert "\nClearing              | Applied: seniority (post-clearing flows)\n" in sheet
 
     def test_manifest_yaml_structure(self, package_dir):
         data = yaml.safe_load((package_dir / "manifest.yaml").read_text())
