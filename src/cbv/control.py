@@ -189,11 +189,12 @@ def attenuated_control(
     shares = _as_matrix(shares)
     if not 0.0 < alpha < 1.0:
         raise DomainError(f"alpha={alpha!r} outside (0, 1)")
-    from .engine import _solve_shifted, _stability_gate  # local import avoids a cycle
+    from .engine import _HeldEdges, _solve_shifted, _stability_gate  # avoids a cycle
 
-    _stability_gate(alpha * shares)
+    held = _HeldEdges.of(shares).scaled(alpha)
+    _stability_gate(held)
     # Omega (I - alpha S) = S, solved for Omega through the transpose
-    omega = _solve_shifted(alpha * shares.T, shares.T).T
+    omega = _solve_shifted(held.T, shares.T).T
     if normalize:
         omega = _normalize_columns(omega)
     ids = ids or tuple(f"n{k}" for k in range(shares.shape[0]))

@@ -30,20 +30,23 @@ computes the first once and runs only the second per probe.  Every method
 reads O_PP in one form, its held edges (`_HeldEdges`, from one scan of the
 block, O(n_P^2) until blocks are stored sparse): each gate pass, sweep,
 Krylov step or residual then costs O(nnz + n_P), and the direct method's
-one dense LU builds I - O_PP from them.  Pricing the cut is a reduction over
-the two boundary blocks: with no rounding threshold, one pass of column sums
-per block and no n_P x n_O temporary; with a threshold, one priced amount per
-nonzero edge (`cut_edges`, which also lists the edges of a cut summary) so
-that each can be tested against it.
+one dense LU builds I - A from them, A = d O_PP / (1 + r): damping d and
+regularization r are one scaling, and the gate certifies A, the operator
+every method runs.  Pricing the cut is a reduction over the two boundary
+blocks: with no rounding threshold, one pass of column sums per block and
+no n_P x n_O temporary; with a threshold, one priced amount per nonzero edge
+(`cut_edges`, which also lists the edges of a cut summary) so that each can
+be tested against it.
 
 The stability gate reads the held edges of whatever block it is given: one
 pass of row and column sums when a norm of O_PP certifies rho < 1, and
 otherwise at most POWER_ITERATIONS Collatz-Wielandt passes, one matvec each,
 stopping at the first certified bound below 1 or once a certified lower bound
-reaches 1.  Every dense solve against I - A goes through `_solve_shifted`,
-the one place that decides what a singular I - A means.  In regime B,
-`auto` sweeps whenever the gate certifies the operator it would sweep, up to
-as many sweeps as one LU costs, n_P^3 // (LU_SWEEP_RATIO (nnz + n_P)) with
+reaches 1; a bound certifies with a margin for its rounding.  Every dense
+solve against I - A goes through `_solve_shifted`, which builds I - A from
+held edges and decides what a singular I - A means.  In regime B, `auto`
+sweeps whenever the gate certifies the operator it would sweep, up to as
+many sweeps as one LU costs, n_P^3 // (LU_SWEEP_RATIO (nnz + n_P)) with
 LU_SWEEP_RATIO the measured price of a sweep against an LU; an uncertified
 operator, or sweeps that have not reached eps within that budget, take one
 LU, so a wasted budget costs at most one LU more.  The Neumann solver does
@@ -236,7 +239,8 @@ class SpectralBound:
 
     `rho_upper` is the least of the two norms and the Collatz-Wielandt upper
     bounds of the `passes` passes run; `rho_lower` is the greatest of their
-    lower bounds, min_i (|O_PP| v)_i / v_i.
+    lower bounds, min_i (|O_PP| v)_i / v_i.  `certified` is rho_upper (1 + (n + 2) u)
+    < 1, u the unit roundoff: a margin for the rounding of the sums and ratios.
     """
 
     rho_upper: float
@@ -244,6 +248,7 @@ class SpectralBound:
     norm_inf: float
     passes: int
     rho_lower: float = 0.0
+    certified: bool = False
 
 
 def spectral_radius_bound(o_pp) -> SpectralBound:
@@ -264,7 +269,8 @@ def spectral_radius_bound(o_pp) -> SpectralBound:
     held = _HeldEdges.of(o_pp)
     n = held.n
     if n == 0:
-        return SpectralBound(0.0, 0.0, 0.0, 0)
+        return SpectralBound(0.0, 0.0, 0.0, 0, certified=True)
+    margin = 1.0 + (n + 2) * float(np.finfo(float).eps) / 2  # 1 + (n + 2) u
     a = _HeldEdges(n, held.rows, held.cols, np.abs(held.vals))
     row_sums = np.bincount(a.rows, a.vals, minlength=n)
     norm_1 = float(np.bincount(a.cols, a.vals, minlength=n).max())
@@ -272,7 +278,7 @@ def spectral_radius_bound(o_pp) -> SpectralBound:
     rho, passes = min(norm_1, norm_inf), 0
     lower = float(row_sums.min())
     v = 1.0 + row_sums  # the pass from v = 1 gave norm_inf and `lower`
-    while 1.0 <= rho < np.inf and lower < 1.0 and passes < POWER_ITERATIONS:
+    while not rho * margin < 1.0 and rho < np.inf and lower < 1.0 and passes < POWER_ITERATIONS:
         w = a @ v
         passes += 1
         ratios = w / v
@@ -280,7 +286,8 @@ def spectral_radius_bound(o_pp) -> SpectralBound:
         lower = max(lower, float(ratios.min()))
         v += w
         v /= v.max()
-    return SpectralBound(rho, norm_1, norm_inf, passes, rho_lower=lower)
+    return SpectralBound(rho, norm_1, norm_inf, passes, rho_lower=lower,
+                         certified=rho * margin < 1.0)
 
 
 @dataclass(frozen=True)
@@ -437,34 +444,27 @@ def _stability_gate(
     bound = spectral_radius_bound(held)
     if log is not None:
         log.rho_bound = bound
-    if bound.rho_upper < 1.0:
+    if bound.certified:
         return
     if cfg is None or (cfg.damping is None and cfg.regularization is None):
         if bound.rho_lower >= 1.0:  # rho(O_PP) = rho(|O_PP|) when nothing is negative
             verdict = "is unstable" if (held.vals >= 0).all() else "cannot be certified stable"
             reason = f"the block {verdict}: rho(|O_PP|) >= {bound.rho_lower!r}"
         else:
+            near = ", within rounding of 1" if bound.rho_upper < 1.0 else ""
             reason = (f"no certified bound puts the spectral radius below 1 (least bound "
-                      f"{bound.rho_upper!r} after {bound.passes} Collatz-Wielandt passes)")
+                      f"{bound.rho_upper!r} after {bound.passes} Collatz-Wielandt passes{near})")
         raise StabilityError(
             reason + ("; configure damping or regularization explicitly" if cfg else "")
         )
     log.warnings.append("stability bounds >= 1; relying on configured adjustment")
 
 
-def _solve_shifted(a, rhs: np.ndarray) -> np.ndarray:
-    """x with (I - a) x = rhs, from one dense solve; a singular I - a is a
-    StabilityError.  The stability gate, where a caller needs one, runs first.
-    Held edges are scattered into one identity, bit for bit the dense I - a.
-    """
-    if isinstance(a, _HeldEdges):
-        system = np.eye(a.n)
-        system[a.rows, a.cols] -= a.vals
-    else:
-        # I - a in a's memory order: a transposed system reaches LAPACK untransposed
-        system = np.eye(a.shape[0], order="F" if a.flags.f_contiguous else "C") - a
+def _solve_shifted(held: _HeldEdges, rhs: np.ndarray) -> np.ndarray:
+    """x with (I - A) x = rhs for held edges A, from one dense LU; a singular
+    I - A is a StabilityError.  A gate, where a caller needs one, runs first."""
     try:
-        return np.linalg.solve(system, rhs)
+        return np.linalg.solve(held.identity_minus(), rhs)
     except np.linalg.LinAlgError as exc:
         raise StabilityError(f"I - A is singular: {exc}") from exc
 
@@ -503,6 +503,14 @@ class _HeldEdges:
     def scaled(self, scale: float) -> "_HeldEdges":
         return _HeldEdges(self.n, self.rows, self.cols, scale * self.vals)
 
+    T = property(lambda self: _HeldEdges(self.n, self.cols, self.rows, self.vals))
+
+    def identity_minus(self) -> np.ndarray:
+        """I - A, the held edges scattered into one identity: bit for bit dense I - A."""
+        system = np.eye(self.n)
+        system[self.rows, self.cols] -= self.vals
+        return system
+
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
         return np.bincount(self.rows, self.vals * x[self.cols], minlength=self.n)
 
@@ -516,24 +524,16 @@ class _HeldEdges:
         vals[np.searchsorted(union, flat)] = self.vals
         return _HeldEdges(n, *np.divmod(union, n), vals), np.searchsorted(union, extra)
 
-    def plus_diagonal(self, d: float) -> "_HeldEdges":
-        """This block + d I, the diagonal merged into the held entries."""
-        diagonal = np.arange(self.n)
-        held, at = self.merged(diagonal, diagonal)
-        held.vals[at] += d
-        return held
-
 
 def _residual(held: _HeldEdges, rhs: np.ndarray, v_p: np.ndarray) -> float:
     """max|v_p - (rhs + A v_p)|, the residual every method reports."""
     return float(np.abs(v_p - (rhs + held @ v_p)).max()) if v_p.size else 0.0
 
 
-def _neumann(held: _HeldEdges, rhs: np.ndarray, first: np.ndarray, sweeps: int,
-             eps: float, log: SolverLog) -> tuple[np.ndarray, SolverLog]:
-    """v <- rhs + A v from v = rhs until max|r| < eps, at most `sweeps` times;
-    `first` is A rhs."""
-    nxt = rhs + first
+def _neumann(held: _HeldEdges, rhs: np.ndarray, sweeps: int, eps: float,
+             log: SolverLog) -> np.ndarray:
+    """v <- rhs + A v from v = rhs until max|r| < eps, at most `sweeps` times."""
+    nxt = rhs + held @ rhs
     for iteration in range(1, sweeps + 1):
         v_p = nxt
         nxt = rhs + held @ v_p
@@ -550,18 +550,18 @@ def _neumann(held: _HeldEdges, rhs: np.ndarray, first: np.ndarray, sweeps: int,
             residual=residual,
         )
     log.residual = residual
-    return v_p, log
+    return v_p
 
 
 def _gmres(held: _HeldEdges, rhs: np.ndarray, cfg: SolverConfig,
-           log: SolverLog) -> tuple[np.ndarray, SolverLog]:
+           log: SolverLog) -> np.ndarray:
     """GMRES on I - A, the one branch that loads scipy."""
     from scipy.sparse.linalg import LinearOperator, gmres
 
-    system = held.scaled(-1.0).plus_diagonal(1.0)  # I - A, its diagonal merged
     norms = []  # one residual norm per iteration
     v_p, info = gmres(
-        LinearOperator((held.n,) * 2, matvec=lambda x: system @ np.ravel(x), dtype=float),
+        LinearOperator((held.n,) * 2, matvec=lambda x: np.ravel(x) - held @ np.ravel(x),
+                       dtype=float),
         rhs, rtol=0.0, atol=cfg.eps, maxiter=cfg.max_iters,
         callback=norms.append, callback_type="pr_norm",
     )
@@ -573,65 +573,59 @@ def _gmres(held: _HeldEdges, rhs: np.ndarray, cfg: SolverConfig,
             last_iterate=v_p,
             residual=log.residual,
         )
-    return v_p, log
+    return v_p
 
 
 def _solve_internal(
     o_pp, rhs: np.ndarray, cfg: SolverConfig
 ) -> tuple[np.ndarray, SolverLog]:
-    """Solve (I - O_PP) v_P = rhs under a resolved config, behind the gate.
+    """Solve ((1 + r) I - d O_PP) v_P = rhs under a resolved config, behind
+    the gate (d = 1, r = 0 when unset; `o_pp` a square array or held edges).
 
-    `o_pp` is a square array or its held edges (`_HeldEdges`), the one form
-    every method reads: it is damped and gated, then regularized, and
-    `neumann` and `auto` certify the O_PP - rI their sweeps would iterate.
-    GMRES and Neumann run every step and the residual on it.  `auto` sweeps
-    when that operator is certified, at most as many sweeps as one LU costs.
-    `direct`, and `auto` otherwise or when the sweeps have not reached eps
-    within that budget, takes one LU of I - O_PP built from the held edges.
-    The log names the method that ran.
+    Damping and regularization are one scaling: (I - A) w = rhs is solved
+    with A = d O_PP / (1 + r), and v_P = w / (1 + r); w's residual is v_P's
+    in the original system, so eps and every stopping rule keep their meaning.
+    The gate runs once, on A's held edges, which every method then reads:
+    `SolverLog.rho_bound` certifies the operator that runs.  `auto` sweeps
+    when A is certified, at most as many sweeps as one LU costs; `direct`,
+    and `auto` otherwise or when the sweeps have not reached eps, take one
+    LU of I - A.  The log names the method that ran.
     """
     held = _HeldEdges.of(o_pp)
     n = held.n
     log = SolverLog(
         method=cfg.method, damping=cfg.damping, regularization=cfg.regularization
     )
-    if cfg.damping is not None:
-        held = held.scaled(cfg.damping)
+    shift = 1.0 + (cfg.regularization or 0.0)
+    if cfg.damping is not None or cfg.regularization:
+        held = held.scaled((cfg.damping or 1.0) / shift)
     _stability_gate(held, cfg, log)
-    bound = log.rho_bound
-    if cfg.regularization:
-        held = held.plus_diagonal(-cfg.regularization)
-        if cfg.method in ("neumann", "auto"):  # the sweeps iterate O_PP - rI
-            bound = spectral_radius_bound(held)
-            if cfg.method == "neumann" and not bound.rho_upper < 1.0:
-                raise StabilityError(
-                    f"Neumann sweeps iterate O_PP - {cfg.regularization!r} I, and no "
-                    f"certified bound puts its spectral radius below 1 (least bound "
-                    f"{bound.rho_upper!r}); use method 'direct' or 'iterative_krylov'"
-                )
-    if cfg.method == "iterative_krylov":
-        return _gmres(held, rhs, cfg, log)
-    if cfg.method != "direct":
-        first = held @ rhs
-        if cfg.method == "neumann":
-            return _neumann(held, rhs, first, cfg.max_iters, cfg.eps, log)
+    sweeps = cfg.max_iters
+    if cfg.method == "auto":
         # as many sweeps as one LU costs; explicit zeros (a band's designated
         # entries) are not edges
         price = LU_SWEEP_RATIO * (np.count_nonzero(held.vals) + n)
-        budget = int(min(cfg.max_iters, n**3 // max(price, 1)))
-        if bound.rho_upper < 1.0 and budget:
+        sweeps = int(min(cfg.max_iters, n**3 // max(price, 1))) if log.rho_bound.certified else 0
+    w = None
+    try:
+        if cfg.method == "iterative_krylov":
+            w = _gmres(held, rhs, cfg, log)
+        elif cfg.method == "neumann" or (cfg.method == "auto" and sweeps):
             log.method = "neumann"
-            try:
-                return _neumann(held, rhs, first, budget, cfg.eps, log)
-            except ConvergenceError as exc:
-                log.warnings.append(
-                    f"Neumann sweeps stalled at residual {exc.residual!r} after "
-                    f"{log.iterations} sweeps; solved by LU")
-                log.iterations = 0
+            w = _neumann(held, rhs, sweeps, cfg.eps, log)
+    except ConvergenceError as exc:
+        if cfg.method != "auto":  # its iterate, like the answer, is w / (1 + r)
+            exc.last_iterate = exc.last_iterate / shift
+            raise
+        log.warnings.append(
+            f"Neumann sweeps did not reach eps={cfg.eps!r} within the budget of "
+            f"{sweeps} sweeps, one LU's price (residual {exc.residual!r}); solved by LU")
+        log.iterations = 0
+    if w is None:
         log.method = "direct"
-    v_p = _solve_shifted(held, rhs)
-    log.residual = _residual(held, rhs, v_p)
-    return v_p, log
+        w = _solve_shifted(held, rhs)
+        log.residual = _residual(held, rhs, w)
+    return (w / shift if cfg.regularization else w), log
 
 
 def estimate_internal_values(
@@ -640,8 +634,8 @@ def estimate_internal_values(
     """Solve (I - O_PP) v_P = b_P + O_PO v_O for the internal values.
 
     The stability gate requires a certified bound on rho(O_PP) to sit below 1
-    unless damping or regularization is configured; damping rescales
-    the internal block and both adjustments are recorded in the log.
+    unless damping or regularization is configured; both scale the block the
+    gate certifies (`_solve_internal`) and are recorded in the log.
     """
     cfg = (cfg or SolverConfig()).resolved()
     if stats.o_pp is None:
@@ -668,9 +662,9 @@ def evaluate_for_observer(
 
     Disclosure packages carry no v_P file; under regime A with share-form
     minorities and no observed v_P, the internal values are recovered from
-    the structural identity v = b + O v (with an empty internal block when
-    none is given), which reproduces the observed-value calculation whenever
-    the bases were implied from observed values in the first place.
+    the structural identity v = b + O v (v_P = b_P + O_PO v_O when no
+    internal block is given), which reproduces the observed-value calculation
+    whenever the bases were implied from observed values in the first place.
     """
     scale = observer.pricing_scale
     priced = scale_units(scale, stats) if scale != 1.0 else stats
@@ -678,9 +672,9 @@ def evaluate_for_observer(
     cfg = (cfg or SolverConfig()).resolved(observer.tolerances)
     if observer.regime == "A":
         if priced.v_p is None and priced.x_op is None and priced.o_op is not None:
-            if priced.o_pp is None:
-                priced = replace(priced, o_pp=np.zeros((len(priced.p_ids),) * 2))
-            return evaluate_regime_b(priced, cfg, tau)
+            if priced.o_pp is not None:
+                return evaluate_regime_b(priced, cfg, tau)
+            priced = priced.with_v_p(_boundary_rhs(priced))
         return evaluate_regime_a(priced, tau)
     return evaluate_regime_b(priced, cfg, tau)
 
@@ -701,9 +695,10 @@ def schur_operators(blocks) -> SchurOperators:
     perimeter looks from the frontier; purely internal rewirings that keep
     them fixed cannot move the consolidated value.
     """
-    _stability_gate(blocks.o_pp)
-    t_po = _solve_shifted(blocks.o_pp, blocks.o_po)
-    u_op = _solve_shifted(blocks.o_pp.T, blocks.o_op.T).T
+    held = _HeldEdges.of(blocks.o_pp)
+    _stability_gate(held)
+    t_po = _solve_shifted(held, blocks.o_po)
+    u_op = _solve_shifted(held.T, blocks.o_op.T).T
     s_oo = np.eye(blocks.o_oo.shape[0]) - blocks.o_oo - blocks.o_op @ t_po
     return SchurOperators(s_oo=s_oo, t_po=t_po, u_op=u_op)
 

@@ -151,7 +151,7 @@ class Observer:
     @property
     def pricing_scale(self) -> float:
         """Scalar applied to monetary boundary statistics under this observer."""
-        scale = self.fx_ppp.scale if self.fx_ppp is not None else 1.0
+        scale = self.fx_ppp.scale if self.fx_ppp is not None else FxPppSpec.scale
         if self.sdf is not None:
             scale *= self.sdf.factor()
         return scale

@@ -631,17 +631,20 @@ def validate_package(pkg: CutReportPackage) -> ValidationReport:
         report.add("schema", "note", f"unknown manifest field {key!r} preserved",
                    location=MANIFEST_NAME)
 
-    # D2: finite data, nonnegative share blocks; negative bases need a note
+    # D2: finite data, nonnegative share blocks; negative bases need a note.
+    # Under a clearing declaration O_PO and O_OP hold net flows, not shares
     for _, message, location in pkg._non_finite_cells():
         report.add("D2", "error", message, location=location)
-    for key, name, _ in _DATA_FILES:
-        block = getattr(pkg, name)
-        if not _FIELDS[name][2] and block is not None and (block < 0).any():
+    amounts = ("o_po", "o_op") if pkg.manifest.clearing_block.get("used") else ()
+    shares = {name: (key, getattr(pkg, name)) for key, name, _ in _DATA_FILES
+              if not _FIELDS[name][2] and name not in amounts and getattr(pkg, name) is not None}
+    for key, block in shares.values():
+        if (block < 0).any():
             report.add("D2", "error", f"{key} has negative entries")
     if (pkg.b_p < 0).any() and not pkg.manifest.notes:
         report.add("D2", "warning", "negative bases present without a justifying note")
-    col_sums = pkg.o_pp.sum(axis=0) + pkg.o_op.sum(axis=0) if pkg.o_pp is not None \
-        else pkg.o_op.sum(axis=0)
+    col_sums = sum((shares[name][1].sum(axis=0) for name in ("o_pp", "o_op") if name in shares),
+                   np.zeros(len(pkg.p_ids)))
     for j in np.nonzero(col_sums > 1.0 + COLUMN_SUM_SLACK)[0]:
         report.add("D2", "error",
                    f"ownership of {pkg.p_ids[j]!r} sums to {float(col_sums[j])!r} > 1")

@@ -165,8 +165,8 @@ def inverse_norm(o_pp, p: float) -> float:
     Not gated: a singular I - O_PP is a StabilityError, a non-finite entry
     a DomainError.
     """
-    o_pp = _finite(o_pp, "O_PP")
-    return induced_norm(_solve_shifted(o_pp, np.eye(o_pp.shape[0])), p)
+    held = _HeldEdges.of(_finite(o_pp, "O_PP"))
+    return induced_norm(_solve_shifted(held, np.eye(held.n)), p)
 
 
 def regime_b_bound(spec: PerturbationSpec, stats: CutStatistics) -> BoundReport:
@@ -207,20 +207,20 @@ class ConditioningReport:
 def condition_diagnostics(o_pp, regularization: float | None = None) -> ConditioningReport:
     """kappa_2(I - O_PP) (plus rI when regularized), exact at every size.
 
-    One SVD gives sigma_max / sigma_min; the value is inf only when
-    sigma_min is 0.  A non-finite entry or regularization is a DomainError.
+    One SVD of the system regime B factors, I - O_PP / (1 + r), gives
+    sigma_max / sigma_min; the value is inf only when sigma_min is 0.  A
+    non-finite entry or regularization is a DomainError.
     """
     o_pp = np.asarray(o_pp, dtype=float)
     if not (np.isfinite(o_pp).all() and np.isfinite(regularization or 0.0)):
         raise DomainError("O_PP or the regularization is not finite")
-    bound = spectral_radius_bound(o_pp)
-    n = o_pp.shape[0]
-    if n == 0:
+    held = _HeldEdges.of(o_pp)
+    bound = spectral_radius_bound(held)
+    if held.n == 0:
         return ConditioningReport(bound, 1.0, regularization_used=regularization)
-    m = np.eye(n) - o_pp
     if regularization:
-        m = m + regularization * np.eye(n)
-    singular = np.linalg.svd(m, compute_uv=False)
+        held = held.scaled(1.0 / (1.0 + regularization))
+    singular = np.linalg.svd(held.identity_minus(), compute_uv=False)
     kappa2 = float(singular.max() / singular.min()) if singular.min() > 0 else float("inf")
     return ConditioningReport(
         rho_bound=bound,

@@ -31,6 +31,22 @@ EXAMPLE_W_A = 84.56
 EXAMPLE_V_P_B = (33.8020, 42.0202, 35.3010)
 EXAMPLE_W_B = 86.5211
 
+# One row of a 12x12 nonnegative circulant a[i][j] = row[(j - i) % 12]
+# whose exact sum is 1 + 2^-57, so rho = 1 + 2^-57 > 1; its row and column
+# sums round to 1.0, and Collatz-Wielandt passes in floating point put
+# rho at 0.9999999999999999.
+NEAR_ONE_ROW = (
+    0.04663224599917896, 0.09413412829802667, 0.08081419047640197, 0.1280409439276498,
+    0.0772221951719936, 0.10763197338054907, 0.09887524288811636, 0.07402755430291491,
+    0.08957477171499663, 0.08032190421507777, 0.06828056927140182, 0.05444428035369245,
+)
+
+
+def near_one_circulant() -> np.ndarray:
+    n = len(NEAR_ONE_ROW)
+    return np.array([[NEAR_ONE_ROW[(j - i) % n] for j in range(n)] for i in range(n)])
+
+
 # Renault / Nissan snapshot (EUR).
 V_RENAULT = 9.06e9
 V_NISSAN = 7.044303429e9
@@ -256,31 +272,28 @@ def ix_blocks(network: cbv.OwnershipNetwork, members) -> dict[str, np.ndarray]:
 def dense_iterative_solve(o_pp, rhs, cfg):
     """The Neumann and GMRES solves on dense matvecs, as regime B ran them
     before it built a held-edge operator: the oracle for its iterative
-    branch.  `cfg` is resolved and its method is neumann or iterative_krylov."""
-    from cbv.engine import SolverLog, _stability_gate, spectral_radius_bound
-    from cbv.errors import ConvergenceError, StabilityError
+    branch.  `cfg` is resolved and its method is neumann or iterative_krylov.
+    Damping d and regularization r scale the block to A = d O_PP / (1 + r):
+    the solve runs on (I - A) w = rhs, and v_P = w / (1 + r)."""
+    from cbv.engine import SolverLog, _stability_gate
+    from cbv.errors import ConvergenceError
 
     m = o_pp
     log = SolverLog(
         method=cfg.method, damping=cfg.damping, regularization=cfg.regularization
     )
-    if cfg.damping is not None:
-        m = cfg.damping * m
+    shift = 1.0 + (cfg.regularization or 0.0)
+    if cfg.damping is not None or cfg.regularization:
+        m = ((cfg.damping or 1.0) / shift) * m
     _stability_gate(m, cfg, log)
 
     n = m.shape[0]
-    if cfg.regularization:
-        m = m - cfg.regularization * np.eye(n)
-        # the sweeps iterate O_PP - rI, so that is the block they need certified
-        if cfg.method == "neumann" and not spectral_radius_bound(m).rho_upper < 1.0:
-            raise StabilityError("O_PP - rI is not certified stable")
-
     if cfg.method == "neumann":
         nxt = rhs + m @ rhs
         for iteration in range(1, cfg.max_iters + 1):
             v_p = nxt
             nxt = rhs + m @ v_p
-            # the residual of v_p, v_p - (rhs + O_PP v_p), is the next update
+            # the residual of v_p, v_p - (rhs + A v_p), is the next update
             residual = float(np.abs(v_p - nxt).max()) if n else 0.0
             log.iterations = iteration
             if residual < cfg.eps:
@@ -289,11 +302,11 @@ def dense_iterative_solve(o_pp, rhs, cfg):
             raise ConvergenceError(
                 f"Neumann iteration did not reach eps={cfg.eps!r} within "
                 f"{cfg.max_iters} iterations (residual {residual!r})",
-                last_iterate=v_p,
+                last_iterate=v_p / shift,
                 residual=residual,
             )
         log.residual = residual
-        return v_p, log
+        return v_p / shift, log
 
     from scipy.sparse.linalg import gmres
 
@@ -303,15 +316,15 @@ def dense_iterative_solve(o_pp, rhs, cfg):
         callback=norms.append, callback_type="pr_norm",
     )
     log.iterations = len(norms)
-    # the residual the Neumann loop reports: v_p - (rhs + O_PP v_p)
+    # the residual the Neumann loop reports: v_p - (rhs + A v_p)
     log.residual = float(np.abs(v_p - (rhs + m @ v_p)).max()) if n else 0.0
     if info != 0:
         raise ConvergenceError(
             f"GMRES stopped with info={info} (residual {log.residual!r})",
-            last_iterate=v_p,
+            last_iterate=v_p / shift,
             residual=log.residual,
         )
-    return v_p, log
+    return v_p / shift, log
 
 
 def herfindahl_index(column) -> float:

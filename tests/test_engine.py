@@ -1,4 +1,5 @@
 from dataclasses import replace
+from fractions import Fraction
 from unittest.mock import patch
 
 import numpy as np
@@ -22,6 +23,7 @@ from conftest import (
     EXAMPLE_V_P_B,
     EXAMPLE_W_A,
     EXAMPLE_W_B,
+    NEAR_ONE_ROW,
     O_IDS,
     O_OP,
     O_PO,
@@ -31,6 +33,7 @@ from conftest import (
     dense_iterative_solve,
     example_stats,
     gauge_rewiring_family,
+    near_one_circulant,
     random_regime_stats,
     random_share_matrix,
     renault_stats,
@@ -364,15 +367,14 @@ class TestEstimation:
         assert bound.rho_upper <= min(bound.norm_1, bound.norm_inf)
 
         # the gate's certificate against rho(|A|) from LAPACK's eigenvalues, for
-        # the damped block and for the O_PP - rI that regularized sweeps
-        # iterate.  A defective block's eigenvalues are accurate only to about
-        # sqrt(u) ||A||, so that is the slack on either side.
-        damped = (damping or 1.0) * o_pp
-        for a in (damped, damped - regularization * np.eye(n)) if regularization else (damped,):
-            certificate = cbv.spectral_radius_bound(a)
-            radius = float(np.abs(np.linalg.eigvals(np.abs(a))).max()) if n else 0.0
-            slack = np.sqrt(np.finfo(float).eps) * (np.abs(a).sum(axis=0).max() if n else 0.0)
-            assert certificate.rho_lower - slack <= radius <= certificate.rho_upper + slack
+        # the A = d O_PP / (1 + r) that every method runs.  A defective block's
+        # eigenvalues are accurate only to about sqrt(u) ||A||, so that is the
+        # slack on either side.
+        a = ((damping or 1.0) / (1.0 + (regularization or 0.0))) * o_pp
+        certificate = cbv.spectral_radius_bound(a)
+        radius = float(np.abs(np.linalg.eigvals(np.abs(a))).max()) if n else 0.0
+        slack = np.sqrt(np.finfo(float).eps) * (np.abs(a).sum(axis=0).max() if n else 0.0)
+        assert certificate.rho_lower - slack <= radius <= certificate.rho_upper + slack
 
         for method in ("neumann", "iterative_krylov"):
             cfg = cbv.SolverConfig(method=method, eps=eps, max_iters=5000, damping=damping,
@@ -398,8 +400,8 @@ class TestEstimation:
     @settings(max_examples=200, deadline=None)
     @given(st.data())
     def test_direct_solves_the_dense_system_bit_for_bit(self, data):
-        # `direct` builds I - A from the held edges of the damped and
-        # regularized block: the same system, so the same LU and the same bits
+        # `direct` builds I - A from the held edges of A = d O_PP / (1 + r) and
+        # returns w / (1 + r): the same system, so the same LU and the same bits
         n = data.draw(st.integers(0, 12), label="n")
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
         kind = data.draw(st.sampled_from(["nonnegative", "signed", "reducible"]), label="kind")
@@ -422,8 +424,9 @@ class TestEstimation:
             v_p, log = cbv.engine._solve_internal(o_pp, rhs, cfg)
         except StabilityError:  # refused by the gate, or I - A singular
             return
-        a = (damping or 1.0) * o_pp - (regularization or 0.0) * np.eye(n)
-        np.testing.assert_array_equal(v_p, np.linalg.solve(np.eye(n) - a, rhs))
+        d, r = damping or 1.0, regularization or 0.0
+        np.testing.assert_array_equal(
+            v_p, np.linalg.solve(np.eye(n) - (d / (1 + r)) * o_pp, rhs) / (1 + r))
         assert log.method == "direct"
 
     def test_kmax_exceeded(self):
@@ -436,6 +439,16 @@ class TestEstimation:
                 stats, cbv.SolverConfig(method="neumann", eps=1e-14, max_iters=3)
             )
         assert err.value.residual is not None
+
+    def test_regularized_iterate_is_v_p(self):
+        # the sweeps run on w = 1.5 v, A = 0.6 J; the iterate a ConvergenceError
+        # carries is the third w, 1 + 0.6 + 0.36 + 0.216, over 1.5
+        stats = cbv.CutStatistics(p_ids=("a", "b"), o_ids=(), b_p=[1.0, 1.0],
+                                  o_pp=[[0.0, 0.9], [0.9, 0.0]])
+        with pytest.raises(ConvergenceError) as err:
+            cbv.estimate_internal_values(stats, cbv.SolverConfig(
+                method="neumann", regularization=0.5, eps=1e-14, max_iters=3))
+        np.testing.assert_allclose(err.value.last_iterate, [2.176 / 1.5] * 2, rtol=1e-15)
 
     @pytest.mark.parametrize("field", [
         {"method": "lu"}, {"eps": 0.0}, {"max_iters": 0}, {"damping": 1.0},
@@ -470,6 +483,14 @@ class TestEstimation:
         assert result.w == cbv.evaluate_regime_a(stats.with_v_p(v_p), 1e-8).w
         assert result.w == pytest.approx(87.872, abs=1e-12)
 
+    def test_regime_a_without_v_p_or_o_pp_is_priced_as_a_cut(self):
+        # no internal block to solve: the log names the cut pricing that ran
+        stats = example_stats(with_v_p=False, with_o_pp=False)
+        observer = cbv.Observer(perimeter_ref="P", regime="A",
+                                control_rule=cbv.ControlRuleSpec())
+        log = cbv.evaluate_for_observer(stats, observer).solver_log
+        assert (log.method, log.rho_bound) == ("direct-cut", None)
+
     def test_unset_solver_fields_follow_the_observer(self, stats_b):
         observer = cbv.Observer(perimeter_ref="P", regime="B",
                                 control_rule=cbv.ControlRuleSpec(),
@@ -501,18 +522,41 @@ class TestAutoMethod:
     as many sweeps as one LU costs, and otherwise, or when the sweeps have not
     reached eps within that budget, factors."""
 
-    def test_regularized_neumann_certifies_the_shifted_block(self):
-        # the gate certifies O_PP (rho = 0.9), but the sweeps iterate
-        # O_PP - 0.5 I, whose eigenvalue -1.4 lies outside the unit disk
+    def test_regularized_neumann_sweeps_the_scaled_block(self):
+        # (1.5 I - O_PP) v = b is solved as (I - A) w = b with A = O_PP / 1.5,
+        # whose norms 0.6 the gate certifies: Neumann sweeps A and agrees with
+        # the LU within eps / (1 - ||A||_inf), over 1 + r for v = w / 1.5
         stats = cbv.CutStatistics(p_ids=("a", "b"), o_ids=(), b_p=[1.0, 0.0],
                                   o_pp=[[0.0, 0.9], [0.9, 0.0]])
-        with pytest.raises(StabilityError, match=r"O_PP - 0\.5 I"):
-            cbv.evaluate_regime_b(stats, cbv.SolverConfig(method="neumann", regularization=0.5))
-        direct = cbv.evaluate_regime_b(stats, cbv.SolverConfig(method="direct",
-                                                               regularization=0.5))
-        auto = cbv.evaluate_regime_b(stats, cbv.SolverConfig(regularization=0.5))
-        assert direct.w == auto.w == 1.0
+        cfg = cbv.SolverConfig(regularization=0.5)
+        neumann = cbv.evaluate_regime_b(stats, replace(cfg, method="neumann"))
+        direct = cbv.evaluate_regime_b(stats, replace(cfg, method="direct"))
+        auto = cbv.evaluate_regime_b(stats, cfg)
+        assert neumann.w == direct.w == auto.w == 1.0
         assert auto.solver_log.method == "direct"
+        log = neumann.solver_log
+        assert log.method == "neumann" and not log.warnings
+        assert log.rho_bound.certified and log.rho_bound.norm_inf == pytest.approx(0.6)
+        assert log.residual < 1e-10
+        np.testing.assert_allclose(neumann.v_p_used, direct.v_p_used,
+                                   rtol=0.0, atol=1e-10 / (1.0 - 0.6) / 1.5)
+
+    @pytest.mark.parametrize("n, share, regularization, sweeps",
+                             [(50, 0.95, 0.1, 157), (400, 0.998, 0.01, 1926)])
+    def test_regularized_neumann_converges_on_rings(self, n, share, regularization, sweeps):
+        # ((1 + r) I - O_PP) v = b is swept as A = O_PP / (1 + r), certified by
+        # ||A||_inf = share / (1 + r) < 1, so the error in W is at most
+        # sum_j |c_j| eps / ((1 - ||A||_inf) (1 + r)), plus rounding
+        stats = ring_stats(n, share)
+        cfg = cbv.SolverConfig(method="neumann", regularization=regularization)
+        neumann = cbv.evaluate_regime_b(stats, cfg)
+        direct = cbv.evaluate_regime_b(stats, replace(cfg, method="direct"))
+        log = neumann.solver_log
+        assert (log.method, log.iterations) == ("neumann", sweeps) and log.residual < 1e-10
+        norm = share / (1.0 + regularization)
+        assert log.rho_bound.norm_inf == pytest.approx(norm, rel=1e-15)
+        bound = 0.1 * n * 1e-10 / ((1.0 - norm) * (1.0 + regularization))
+        assert abs(neumann.w - direct.w) <= bound + 1e-12 * abs(direct.w)
 
     @pytest.mark.parametrize("stats", [
         cbv.CutStatistics(p_ids=("p1", "p2"), o_ids=(), b_p=[100.0, 50.0],
@@ -544,7 +588,8 @@ class TestAutoMethod:
         direct = cbv.evaluate_regime_b(stats, cbv.SolverConfig(method="direct"))
         assert (auto.solver_log.method, auto.solver_log.iterations) == ("direct", 0)
         assert auto.solver_log.warnings == [
-            f"Neumann sweeps stalled at residual {0.5 ** 3!r} after 2 sweeps; solved by LU"]
+            f"Neumann sweeps did not reach eps=1e-10 within the budget of 2 sweeps, "
+            f"one LU's price (residual {0.5 ** 3!r}); solved by LU"]
         assert auto.w == direct.w
 
     @settings(max_examples=150, deadline=None)
@@ -590,7 +635,7 @@ class TestAutoMethod:
             assert auto.w == direct.w
             return
         assert auto.solver_log.method == "neumann"
-        swept = (damping or 1.0) * o_pp - (regularization or 0.0) * np.eye(n)
+        swept = ((damping or 1.0) / (1.0 + (regularization or 0.0))) * o_pp
         bound = cbv.spectral_radius_bound(swept)
         c = np.abs(stats.o_op.sum(axis=0))
         weights = [c.sum() / (1.0 - bound.norm_inf) if bound.norm_inf < 1.0 else np.inf,
@@ -770,6 +815,22 @@ class TestSpectralBound:
         bound = cbv.spectral_radius_bound(two_cycle_chain_stats(cycle=1.001).o_pp)
         assert bound.rho_lower == 0.0
         assert bound.passes == cbv.engine.POWER_ITERATIONS
+
+    @pytest.mark.parametrize("method", cbv.engine.SOLVER_METHODS)
+    def test_a_bound_within_rounding_of_1_certifies_nothing(self, method):
+        # the circulant's exact rho is its row sum, above 1, yet its rounded
+        # bound reads below 1; before the margin, auto and direct priced it at
+        # W = -6.5e16 with residual 8.0 and no warning
+        assert sum(map(Fraction, NEAR_ONE_ROW)) > 1
+        o_pp = near_one_circulant()
+        bound = cbv.spectral_radius_bound(o_pp)
+        assert bound.rho_upper < 1.0 and not bound.certified
+        n = o_pp.shape[0]
+        stats = cbv.CutStatistics(
+            p_ids=tuple(f"p{k}" for k in range(n)), o_ids=("x",), b_p=np.ones(n),
+            v_o=[0.0], o_po=np.zeros((n, 1)), o_op=np.full((1, n), 0.1), o_pp=o_pp)
+        with pytest.raises(StabilityError, match="within rounding of 1"):
+            cbv.evaluate_regime_b(stats, cbv.SolverConfig(method=method))
 
 
 class TestSchur:

@@ -352,6 +352,24 @@ class TestValidatePackage:
         report = cbv.validate_package(pkg)
         assert any(f.rule == "D2" and f.severity == "error" for f in report.findings)
 
+    def test_post_clearing_amount_blocks_skip_the_share_rules(self, package_dir):
+        # under a clearing declaration O_PO and O_OP hold net flows, which may
+        # be negative and sum past 1; O_PP keeps the share rules
+        stats = example_stats(with_v_p=False)
+        x_po, x_op = [[3.0, -1.6], [1.8, 0.0], [0.0, 3.2]], [[6.0, 3.0, 0.0], [0.0, 6.4, 9.6]]
+        write_matrix_csv(package_dir / "O_PO.csv", stats.p_ids, stats.o_ids, x_po, "id_P")
+        write_matrix_csv(package_dir / "O_OP.csv", stats.o_ids, stats.p_ids, x_op, "id_O")
+        manifest = Manifest.from_yaml_bytes((package_dir / "manifest.yaml").read_bytes())
+        manifest.data["clearing"] = {"used": True, "engine": "seniority", "params": {}}
+        (package_dir / "manifest.yaml").write_bytes(manifest.to_yaml_bytes())
+        for name in ("O_PO.csv", "O_OP.csv"):
+            rehash(package_dir, name)
+        pkg = cbv.load_package(package_dir)
+        assert not [f for f in cbv.validate_package(pkg).findings if f.rule == "D2"]
+        pkg.o_pp[1, 0] = -0.05
+        assert [f.message for f in cbv.validate_package(pkg).findings if f.rule == "D2"] == [
+            "O_PP has negative entries"]
+
     def test_negative_base_needs_note(self, tmp_path):
         stats = example_stats(with_v_p=False)
         shifted = cbv.CutStatistics(
