@@ -42,16 +42,18 @@ The stability gate reads the held edges of whatever block it is given: one
 pass of row and column sums when a norm of O_PP certifies rho < 1, and
 otherwise at most POWER_ITERATIONS Collatz-Wielandt passes, one matvec each,
 stopping at the first certified bound below 1 or once a certified lower bound
-reaches 1; a bound certifies with a margin for its rounding.  Every dense
-solve against I - A goes through `_solve_shifted`, which builds I - A from
-held edges and decides what a singular I - A means.  In regime B, `auto`
-sweeps whenever the gate certifies the operator it would sweep, up to as
-many sweeps as one LU costs, n_P^3 // (LU_SWEEP_RATIO (nnz + n_P)) with
-LU_SWEEP_RATIO the measured price of a sweep against an LU; an uncertified
-operator, or sweeps that have not reached eps within that budget, take one
-LU, so a wasted budget costs at most one LU more.  The Neumann solver does
-one matvec per iteration: the update it computes anyway is the residual of
-the previous iterate.  Only GMRES loads scipy.
+reaches 1; a bound certifies with a margin for its rounding.  The gate has
+one verdict: an operator it cannot certify is a StabilityError for every
+caller, whatever the solver config; damping and regularization change the
+operator it certifies, never whether it runs.  Every dense solve against
+I - A goes through `_solve_shifted`, which builds I - A from held edges and
+decides what a singular I - A means.  In regime B, `auto` sweeps the
+certified operator up to as many times as one LU costs,
+n_P^3 // (LU_SWEEP_RATIO (nnz + n_P)) with LU_SWEEP_RATIO the measured price
+of a sweep against an LU; sweeps that have not reached eps within that
+budget take one LU, so a wasted budget costs at most one LU more.  The
+Neumann solver does one matvec per iteration: the update it computes anyway
+is the residual of the previous iterate.  Only GMRES loads scipy.
 """
 
 from __future__ import annotations
@@ -296,6 +298,9 @@ class SolverConfig:
 
     `eps` and `max_iters` left unset take declared tolerances (`resolved`):
     the observer's in `evaluate_for_observer`, the library defaults elsewhere.
+    `damping` d and `regularization` r scale the solved operator to
+    A = d O_PP / (1 + r), which the stability gate must certify like any
+    other: they change the operator, never the gate's verdict.
     """
 
     method: str = "auto"
@@ -430,34 +435,23 @@ def evaluate_regime_a(
     )
 
 
-def _stability_gate(
-    matrix, cfg: SolverConfig | None = None, log: SolverLog | None = None
-) -> None:
-    """Refuse a block whose spectral radius no certified bound puts below 1.
+def _stability_gate(matrix) -> SpectralBound:
+    """The certificate of a block whose spectral radius a certified bound puts
+    below 1; any other block is a StabilityError.
 
-    `matrix` is a square array or held edges, read as held edges once.
-    Passes when `spectral_radius_bound` certifies rho < 1.  Otherwise raises
-    StabilityError, unless `cfg` configures damping or regularization: then
-    the warning goes to `log` and the caller proceeds on its adjustment.
+    `matrix` is a square array or held edges, read as held edges once.  Every
+    caller gates the operator it runs, so no config changes the verdict.
     """
     held = _HeldEdges.of(matrix)
     bound = spectral_radius_bound(held)
-    if log is not None:
-        log.rho_bound = bound
     if bound.certified:
-        return
-    if cfg is None or (cfg.damping is None and cfg.regularization is None):
-        if bound.rho_lower >= 1.0:  # rho(O_PP) = rho(|O_PP|) when nothing is negative
-            verdict = "is unstable" if (held.vals >= 0).all() else "cannot be certified stable"
-            reason = f"the block {verdict}: rho(|O_PP|) >= {bound.rho_lower!r}"
-        else:
-            near = ", within rounding of 1" if bound.rho_upper < 1.0 else ""
-            reason = (f"no certified bound puts the spectral radius below 1 (least bound "
-                      f"{bound.rho_upper!r} after {bound.passes} Collatz-Wielandt passes{near})")
-        raise StabilityError(
-            reason + ("; configure damping or regularization explicitly" if cfg else "")
-        )
-    log.warnings.append("stability bounds >= 1; relying on configured adjustment")
+        return bound
+    if bound.rho_lower >= 1.0:  # rho(O_PP) = rho(|O_PP|) when nothing is negative
+        verdict = "is unstable" if (held.vals >= 0).all() else "cannot be certified stable"
+        raise StabilityError(f"the block {verdict}: rho(|O_PP|) >= {bound.rho_lower!r}")
+    near = ", within rounding of 1" if bound.rho_upper < 1.0 else ""
+    raise StabilityError(f"no certified bound puts the spectral radius below 1 (least bound "
+                         f"{bound.rho_upper!r} after {bound.passes} Collatz-Wielandt passes{near})")
 
 
 def _solve_shifted(held: _HeldEdges, rhs: np.ndarray) -> np.ndarray:
@@ -586,26 +580,24 @@ def _solve_internal(
     with A = d O_PP / (1 + r), and v_P = w / (1 + r); w's residual is v_P's
     in the original system, so eps and every stopping rule keep their meaning.
     The gate runs once, on A's held edges, which every method then reads:
-    `SolverLog.rho_bound` certifies the operator that runs.  `auto` sweeps
-    when A is certified, at most as many sweeps as one LU costs; `direct`,
-    and `auto` otherwise or when the sweeps have not reached eps, take one
-    LU of I - A.  The log names the method that ran.
+    an A it cannot certify is a StabilityError, and `SolverLog.rho_bound` is
+    the certificate of the operator that runs.  `auto` sweeps at most as many
+    times as one LU costs; `direct`, and `auto` when the sweeps have not
+    reached eps, take one LU of I - A.  The log names the method that ran.
     """
     held = _HeldEdges.of(o_pp)
     n = held.n
-    log = SolverLog(
-        method=cfg.method, damping=cfg.damping, regularization=cfg.regularization
-    )
     shift = 1.0 + (cfg.regularization or 0.0)
     if cfg.damping is not None or cfg.regularization:
         held = held.scaled((cfg.damping or 1.0) / shift)
-    _stability_gate(held, cfg, log)
+    log = SolverLog(method=cfg.method, rho_bound=_stability_gate(held),
+                    damping=cfg.damping, regularization=cfg.regularization)
     sweeps = cfg.max_iters
     if cfg.method == "auto":
         # as many sweeps as one LU costs; explicit zeros (a band's designated
         # entries) are not edges
         price = LU_SWEEP_RATIO * (np.count_nonzero(held.vals) + n)
-        sweeps = int(min(cfg.max_iters, n**3 // max(price, 1))) if log.rho_bound.certified else 0
+        sweeps = int(min(cfg.max_iters, n**3 // max(price, 1)))
     w = None
     try:
         if cfg.method == "iterative_krylov":
@@ -633,9 +625,10 @@ def estimate_internal_values(
 ) -> tuple[np.ndarray, SolverLog]:
     """Solve (I - O_PP) v_P = b_P + O_PO v_O for the internal values.
 
-    The stability gate requires a certified bound on rho(O_PP) to sit below 1
-    unless damping or regularization is configured; both scale the block the
-    gate certifies (`_solve_internal`) and are recorded in the log.
+    The stability gate requires a certified bound below 1 on the spectral
+    radius of the operator solved; damping and regularization scale that
+    operator (`_solve_internal`), never skip the gate, and are recorded in
+    the log.
     """
     cfg = (cfg or SolverConfig()).resolved()
     if stats.o_pp is None:

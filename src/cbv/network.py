@@ -11,9 +11,9 @@ entry whose bit pattern is not +0.0, so -0.0 and NaN are held), found in one
 scan when it is built.  `partition` scatters those edges into zeroed blocks,
 so a perimeter costs the blocks' allocation plus O(nnz), not a pass over the
 n x n cells; the O/O block, which valuation never reads, is built on demand,
-the first time `BlockPartition.o_oo` is read (by `schur_operators` or
-`assemble`).  On a fully dense matrix the edge lists are n^2 positions (8
-bytes each) and the scatter is slower than slicing would be.
+the first time `BlockPartition.o_oo` is read (by `schur_operators`).  On a
+fully dense matrix the edge lists are n^2 positions (8 bytes each) and the
+scatter is slower than slicing would be.
 """
 
 from __future__ import annotations
@@ -128,13 +128,6 @@ class BlockPartition:
     @cached_property
     def o_oo(self) -> np.ndarray:
         return self.o_oo_source()
-
-    def assemble(self) -> tuple[tuple[NodeId, ...], np.ndarray]:
-        """Reassemble the original matrix (in canonical node order)."""
-        ids = self.p_ids + self.o_ids
-        order = np.argsort(np.asarray(ids, dtype=object))
-        full = np.block([[self.o_pp, self.o_po], [self.o_op, self.o_oo]])
-        return tuple(ids[k] for k in order), full[np.ix_(order, order)]
 
 
 def partition(network: OwnershipNetwork, perimeter: Perimeter) -> BlockPartition:

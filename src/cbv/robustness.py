@@ -197,7 +197,9 @@ def regime_b_bound(spec: PerturbationSpec, stats: CutStatistics) -> BoundReport:
 
 @dataclass(frozen=True)
 class ConditioningReport:
-    """The stability gate's bounds on rho(O_PP) and the exact kappa_2 of I - O_PP."""
+    """The stability gate's bounds on rho(A) and the exact kappa_2 of I - A,
+    for the one A = O_PP / (1 + r) that regime B gates and factors under
+    regularization r (A = O_PP when there is none)."""
 
     rho_bound: SpectralBound
     kappa2: float
@@ -207,19 +209,21 @@ class ConditioningReport:
 def condition_diagnostics(o_pp, regularization: float | None = None) -> ConditioningReport:
     """kappa_2(I - O_PP) (plus rI when regularized), exact at every size.
 
-    One SVD of the system regime B factors, I - O_PP / (1 + r), gives
-    sigma_max / sigma_min; the value is inf only when sigma_min is 0.  A
-    non-finite entry or regularization is a DomainError.
+    The held edges are scaled once, as regime B's gate scales them, to
+    A = O_PP / (1 + r); `rho_bound` is A's certificate, the one a regime-B
+    solve with the same r logs, and one SVD of I - A gives
+    sigma_max / sigma_min, inf only when sigma_min is 0.  A non-finite entry
+    or regularization is a DomainError.
     """
     o_pp = np.asarray(o_pp, dtype=float)
     if not (np.isfinite(o_pp).all() and np.isfinite(regularization or 0.0)):
         raise DomainError("O_PP or the regularization is not finite")
     held = _HeldEdges.of(o_pp)
+    if regularization:
+        held = held.scaled(1.0 / (1.0 + regularization))
     bound = spectral_radius_bound(held)
     if held.n == 0:
         return ConditioningReport(bound, 1.0, regularization_used=regularization)
-    if regularization:
-        held = held.scaled(1.0 / (1.0 + regularization))
     singular = np.linalg.svd(held.identity_minus(), compute_uv=False)
     kappa2 = float(singular.max() / singular.min()) if singular.min() > 0 else float("inf")
     return ConditioningReport(

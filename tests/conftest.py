@@ -269,6 +269,15 @@ def ix_blocks(network: cbv.OwnershipNetwork, members) -> dict[str, np.ndarray]:
             "o_op": shares[np.ix_(o, p)], "o_oo": shares[np.ix_(o, o)]}
 
 
+def assemble(blocks: cbv.BlockPartition) -> tuple[tuple[str, ...], np.ndarray]:
+    """The share matrix reassembled from a partition's four blocks, in
+    canonical node order: the oracle that `partition` loses nothing."""
+    ids = blocks.p_ids + blocks.o_ids
+    order = np.argsort(np.asarray(ids, dtype=object))
+    full = np.block([[blocks.o_pp, blocks.o_po], [blocks.o_op, blocks.o_oo]])
+    return tuple(ids[k] for k in order), full[np.ix_(order, order)]
+
+
 def dense_iterative_solve(o_pp, rhs, cfg):
     """The Neumann and GMRES solves on dense matvecs, as regime B ran them
     before it built a held-edge operator: the oracle for its iterative
@@ -285,7 +294,7 @@ def dense_iterative_solve(o_pp, rhs, cfg):
     shift = 1.0 + (cfg.regularization or 0.0)
     if cfg.damping is not None or cfg.regularization:
         m = ((cfg.damping or 1.0) / shift) * m
-    _stability_gate(m, cfg, log)
+    log.rho_bound = _stability_gate(m)
 
     n = m.shape[0]
     if cfg.method == "neumann":

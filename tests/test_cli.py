@@ -310,13 +310,21 @@ class TestComputeCommand:
         assert main(["compute", "--package", str(tmp_path / "cycle")]) == EXIT_COMPUTE
         assert "StabilityError" in capsys.readouterr().err
 
-    def test_uncertified_block_is_compute_error(self, tmp_path, capsys):
+    @pytest.mark.parametrize("extra", [[], ["--regularization", "0"], ["--damping", "0.999"]],
+                             ids=["no-adjustment", "regularization-0", "damping-0.999"])
+    def test_uncertified_block_is_compute_error(self, tmp_path, capsys, extra):
         # rho(O_PP) = 1.001: I - O_PP is invertible, but v_P = (I - O_PP)^-1 b_P
-        # is no valuation; the gate refused it before the solve
+        # is no valuation; the gate refused it before the solve, whatever the
+        # config, unless damping scales it to an operator the gate certifies
         observer = cbv.Observer(perimeter_ref="P-CYCLE", regime="B",
                                 control_rule=cbv.ControlRuleSpec())
         cbv.write_package(tmp_path / "cycle", two_cycle_chain_stats(cycle=1.001), observer)
-        assert main(["compute", "--package", str(tmp_path / "cycle")]) == EXIT_COMPUTE
+        code = main(["compute", "--package", str(tmp_path / "cycle"), *extra])
+        if "--damping" in extra:  # A = 0.999 O_PP, certified by its norms
+            assert code == EXIT_OK
+            assert (tmp_path / "cycle" / "cut_summary.json").exists()
+            return
+        assert code == EXIT_COMPUTE
         err = capsys.readouterr().err
         assert "StabilityError" in err and "no certified bound" in err
         assert not (tmp_path / "cycle" / "cut_summary.json").exists()

@@ -218,14 +218,18 @@ class TestEstimation:
             cbv.estimate_internal_values(stats)
 
     def test_singular_block_past_the_gate_is_stability_error(self):
-        # regularization lets the 2-cycle at 1.1 past the gate, and shifts
-        # it onto I - O_PP + 0.1 I = 1.1 * [[1, -1], [-1, 1]], which is singular
+        # regularization r = 0.1 scales the 2-cycle at 1.1 to A = O_PP / 1.1,
+        # whose I - A is singular; the gate refuses A before any solve
         stats = cbv.CutStatistics(
             p_ids=("a", "b"), o_ids=(), b_p=[1.0, 1.0],
             o_pp=[[0.0, 1.1], [1.1, 0.0]],
         )
-        with pytest.raises(StabilityError, match="singular"):
+        with pytest.raises(StabilityError, match="is unstable"):
             cbv.evaluate_regime_b(stats, cbv.SolverConfig(regularization=0.1))
+        # only the ungated inverse norm reaches a singular I - A
+        for p in (1.0, 2.0, float("inf")):
+            with pytest.raises(StabilityError, match="singular"):
+                cbv.robustness.inverse_norm([[0.0, 1.0], [1.0, 0.0]], p)
 
     @pytest.mark.parametrize("cycle", [1.0, 1.001])
     def test_uncertified_block_is_refused(self, cycle):
@@ -351,11 +355,10 @@ class TestEstimation:
         eps = 1e-9 * max(1.0, float(np.abs(np.linalg.solve(system, rhs)).max()) if n else 1.0)
 
         def outcome(solve, *args):
-            with np.errstate(over="ignore", invalid="ignore"):  # a diverging sweep
-                try:
-                    return solve(*args)
-                except (StabilityError, ConvergenceError) as exc:
-                    return type(exc)
+            try:
+                return solve(*args)
+            except (StabilityError, ConvergenceError) as exc:
+                return type(exc)
 
         def fields(bound):
             return np.array([bound.rho_upper, bound.norm_1, bound.norm_inf, bound.rho_lower])

@@ -5,7 +5,7 @@ from hypothesis import given, strategies as st
 import cbv
 from cbv.errors import DimensionError, DomainError, MembershipError
 
-from conftest import O_OP, O_PO, O_PP, P_IDS, example_network, ix_blocks
+from conftest import O_OP, O_PO, O_PP, P_IDS, assemble, example_network, ix_blocks
 
 # entries a held-edge scan must keep bit for bit: signed zeros, NaN, infinities
 SPECIAL_SHARES = (-0.0, float("nan"), float("inf"), float("-inf"))
@@ -122,7 +122,7 @@ class TestPartition:
         shares = rng.uniform(0, 0.2, size=(n, n))
         net = cbv.OwnershipNetwork([f"n{k}" for k in range(n)], shares)
         blocks = cbv.partition(net, cbv.Perimeter({"n0", "n3", "n5"}))
-        ids, full = blocks.assemble()
+        ids, full = assemble(blocks)
         assert ids == net.nodes
         np.testing.assert_array_equal(full, net.shares)
 
@@ -135,7 +135,7 @@ class TestPartition:
         o_idx = [net.index_of(node) for node in blocks.o_ids]
         np.testing.assert_array_equal(blocks.o_oo, net.shares[np.ix_(o_idx, o_idx)])
         assert blocks.o_oo is blocks.o_oo
-        ids, full = cbv.partition(net, cbv.Perimeter({"n0", "n2"})).assemble()
+        ids, full = assemble(cbv.partition(net, cbv.Perimeter({"n0", "n2"})))
         assert ids == net.nodes
         np.testing.assert_array_equal(full, net.shares)
 

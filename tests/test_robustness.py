@@ -272,6 +272,16 @@ class TestConditioning:
         kappa2 = cbv.condition_diagnostics(o_pp, regularization).kappa2
         assert kappa2 == pytest.approx(np.linalg.cond(m, 2), rel=1e-12)
 
+    @pytest.mark.parametrize("regularization", [0.05, 0.5])
+    def test_rho_bound_is_the_regularized_solves_certificate(self, regularization):
+        # the report bounds the A = O_PP / (1 + r) whose kappa_2 it gives,
+        # the operator a regime-B solve with the same r gates
+        stats = holding_stats()
+        report = cbv.condition_diagnostics(stats.o_pp, regularization)
+        _, log = cbv.estimate_internal_values(
+            stats, cbv.SolverConfig(regularization=regularization))
+        assert report.rho_bound == log.rho_bound
+
 
 class TestMonteCarloBand:
     def test_zero_noise_degenerate(self):
