@@ -13,7 +13,6 @@ hash-verified files.
 from .clearing import ClearingOutcome, ClearingProblem, clear, net_boundary_flows
 from .control import (
     ControlMatrix,
-    ControlRuleSpec,
     attenuated_control,
     build_control,
     herfindahl_control,
@@ -69,7 +68,7 @@ from .network import (
     partition,
     validate_network,
 )
-from .observer import FxPppSpec, Observer, SdfSpec, Tolerances
+from .observer import ControlRuleSpec, FxPppSpec, Observer, SdfSpec, Tolerances
 from .payoffs import (
     AggregatorPolicy,
     PwaFunction,

@@ -17,11 +17,12 @@ import numpy as np
 
 from . import __version__
 from .clearing import ClearingProblem, clear, net_boundary_flows
-from .control import OPTION_ALIASES, ControlRuleSpec, build_control
+from .control import build_control
 from .engine import SOLVER_METHODS, SolverConfig, evaluate_for_observer, scale_units
 from .errors import CbvError, DomainError, MembershipError
 from .fisher import cross_priced_quad, fisher_indices
 from .network import Perimeter
+from .observer import OPTION_ALIASES, ControlRuleSpec
 from .payoffs import delta_max
 from .report import (
     build_cut_summary,
@@ -33,6 +34,7 @@ from .report import (
     validate_directory,
     write_matrix_csv,
 )
+from .robustness import monte_carlo_band
 
 EXIT_OK = 0
 EXIT_FINDINGS = 1
@@ -167,8 +169,6 @@ def _cmd_compute(args) -> int:
     priced = scale_units(observer.pricing_scale, stats)
     band = None
     if band_requested:
-        from .robustness import monte_carlo_band
-
         band = monte_carlo_band(
             priced, cfg, noise=args.band_noise or 0.0,
             draws=args.band_draws, seed=args.band_seed,

@@ -11,65 +11,27 @@ Three rule families are supported:
   dilutes control when ownership of a node is dispersed.  O(n^2) array
   expressions.
 * Option C: attenuated paths, crediting indirect chains with geometric decay
-  through S(I - alpha*S)^-1, taken as one dense O(n^3) solve.
+  through S(I - alpha*S)^-1: alpha S's held edges pass the engine's stability
+  gate, which names a refused operator "alpha*S", then one dense O(n^3) solve.
 
 Share matrices follow the network convention: S[i, j] is the share of j owned
 by i.  Control weights are dimensionless and column j describes who controls
-node j.  Non-finite shares or weights are refused with DomainError.
+node j.  Non-finite shares or weights are refused with DomainError.  The
+declared rule, `ControlRuleSpec`, belongs to the observer.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
+from .engine import _solve_shifted, _stability_gate
 from .errors import DimensionError, DomainError
-from .network import NodeId, Perimeter
-
-OPTION_ALIASES = {
-    "A": "A",
-    "A_threshold": "A",
-    "B": "B",
-    "B_herfindahl": "B",
-    "B_prime": "B_prime",
-    "B'": "B_prime",
-    "C": "C",
-    "C_attenuated": "C",
-}
+from .network import NodeId, Perimeter, _HeldEdges
+from .observer import OPTION_ALIASES, ControlRuleSpec
 
 NORMALIZATION_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class ControlRuleSpec:
-    """Declared control rule: option plus its disclosed parameters."""
-
-    option: str = "A"
-    tau: float = 0.5
-    alpha: float = 0.6
-    normalize: bool = False
-    reachability_depth: int | None = None
-    label: str | None = None
-
-    def __post_init__(self):
-        try:
-            canonical = OPTION_ALIASES[self.option]
-        except KeyError:
-            raise DomainError(f"unknown control option {self.option!r}") from None
-        object.__setattr__(self, "option", canonical)
-        if not 0.0 < self.tau <= 1.0:
-            raise DomainError(f"tau={self.tau!r} outside (0, 1]")
-        if not 0.0 < self.alpha < 1.0:
-            raise DomainError(f"alpha={self.alpha!r} outside (0, 1)")
-        if self.reachability_depth is not None and self.reachability_depth < 1:
-            raise DomainError("reachability_depth must be >= 1")
-
-    def params(self) -> dict:
-        out: dict = {"tau": self.tau, "alpha": self.alpha, "normalize": self.normalize}
-        if self.reachability_depth is not None:
-            out["reachability_depth"] = self.reachability_depth
-        return out
 
 
 @dataclass(frozen=True)
@@ -189,10 +151,8 @@ def attenuated_control(
     shares = _as_matrix(shares)
     if not 0.0 < alpha < 1.0:
         raise DomainError(f"alpha={alpha!r} outside (0, 1)")
-    from .engine import _HeldEdges, _solve_shifted, _stability_gate  # avoids a cycle
-
     held = _HeldEdges.of(shares).scaled(alpha)
-    _stability_gate(held)
+    _stability_gate(held, f"{float(alpha)!r}*S")
     # Omega (I - alpha S) = S, solved for Omega through the transpose
     omega = _solve_shifted(held.T, shares.T).T
     if normalize:

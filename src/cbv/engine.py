@@ -27,16 +27,16 @@ plus the edges it holds; statistics derived from others (`with_v_p`,
 the right-hand side b_P + O_PO v_O (`_boundary_rhs`) and the gated solve on
 O_PP (`_solve_internal`); a Monte Carlo band, whose probes move only O_PP,
 computes the first once and runs only the second per probe.  Every method
-reads O_PP in one form, its held edges (`_HeldEdges`, from one scan of the
-block, O(n_P^2) until blocks are stored sparse): each gate pass, sweep,
+reads O_PP in one form, its held edges (`network._HeldEdges`, from one scan
+of the block, O(n_P^2) until blocks are stored sparse): each gate pass, sweep,
 Krylov step or residual then costs O(nnz + n_P), and the direct method's
 one dense LU builds I - A from them, A = d O_PP / (1 + r): damping d and
 regularization r are one scaling, and the gate certifies A, the operator
 every method runs.  Pricing the cut is a reduction over the two boundary
 blocks: with no rounding threshold, one pass of column sums per block and
 no n_P x n_O temporary; with a threshold, one priced amount per nonzero edge
-(`cut_edges`, which also lists the edges of a cut summary) so that each can
-be tested against it.
+(`cut_edges`, read from the same held-edge type, which also lists the edges
+of a cut summary) so that each can be tested against it.
 
 The stability gate reads the held edges of whatever block it is given: one
 pass of row and column sums when a norm of O_PP certifies rho < 1, and
@@ -44,8 +44,9 @@ otherwise at most POWER_ITERATIONS Collatz-Wielandt passes, one matvec each,
 stopping at the first certified bound below 1 or once a certified lower bound
 reaches 1; a bound certifies with a margin for its rounding.  The gate has
 one verdict: an operator it cannot certify is a StabilityError for every
-caller, whatever the solver config; damping and regularization change the
-operator it certifies, never whether it runs.  Every dense solve against
+caller, whatever the solver config, and the refusal names that operator;
+damping and regularization change the operator it certifies, never whether
+it runs.  Every dense solve against
 I - A goes through `_solve_shifted`, which builds I - A from held edges and
 decides what a singular I - A means.  In regime B, `auto` sweeps the
 certified operator up to as many times as one LU costs,
@@ -70,7 +71,7 @@ from .errors import (
     RegimeError,
     StabilityError,
 )
-from .network import NodeId, OwnershipNetwork, Perimeter, partition
+from .network import NodeId, OwnershipNetwork, Perimeter, _HeldEdges, partition
 from .observer import Observer, Tolerances, _check_solver_limits
 
 POWER_ITERATIONS = 100
@@ -237,11 +238,12 @@ def scale_units(kappa: float, stats: CutStatistics) -> CutStatistics:
 
 @dataclass(frozen=True)
 class SpectralBound:
-    """Certified bounds on rho(|O_PP|), whose upper ones also bound rho(O_PP).
+    """Certified bounds on rho(|A|), whose upper ones also bound rho(A), for the
+    gated A: O_PP, a damped or regularized solve's d O_PP / (1 + r), or alpha S.
 
     `rho_upper` is the least of the two norms and the Collatz-Wielandt upper
     bounds of the `passes` passes run; `rho_lower` is the greatest of their
-    lower bounds, min_i (|O_PP| v)_i / v_i.  `certified` is rho_upper (1 + (n + 2) u)
+    lower bounds, min_i (|A| v)_i / v_i.  `certified` is rho_upper (1 + (n + 2) u)
     < 1, u the unit roundoff: a margin for the rounding of the sums and ratios.
     """
 
@@ -265,15 +267,15 @@ def spectral_radius_bound(o_pp) -> SpectralBound:
     upper bound below 1, once the lower bound reaches 1 (no later pass can
     certify rho < 1), or after POWER_ITERATIONS passes.
 
-    `o_pp` is a square array or the engine's held-edge form; the sums and the
-    passes run on its held edges, so each costs O(nnz + n).
+    `o_pp` is a square array or held edges; the sums and the passes run on
+    its held edges, so each costs O(nnz + n).
     """
     held = _HeldEdges.of(o_pp)
     n = held.n
     if n == 0:
         return SpectralBound(0.0, 0.0, 0.0, 0, certified=True)
     margin = 1.0 + (n + 2) * float(np.finfo(float).eps) / 2  # 1 + (n + 2) u
-    a = _HeldEdges(n, held.rows, held.cols, np.abs(held.vals))
+    a = _HeldEdges(held.shape, held.rows, held.cols, np.abs(held.vals))
     row_sums = np.bincount(a.rows, a.vals, minlength=n)
     norm_1 = float(np.bincount(a.cols, a.vals, minlength=n).max())
     norm_inf = float(row_sums.max())
@@ -354,14 +356,6 @@ class ValuationResult:
     solver_log: SolverLog
 
 
-def _held_entries(block: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Rows, columns and values of a block's nonzero entries, in row-major
-    order, from one scan of its != 0 mask (np.nonzero on a float block costs
-    several times more)."""
-    flat = np.flatnonzero(block != 0)
-    return (*np.divmod(flat, block.shape[1]), np.take(block, flat))
-
-
 def cut_edges(share_block, values, amounts, tau):
     """The priced edges of one side of the cut: (rows, cols, amounts, dropped).
 
@@ -374,7 +368,8 @@ def cut_edges(share_block, values, amounts, tau):
     if amounts is None and share_block is None:
         empty = np.zeros(0, dtype=np.intp)
         return empty, empty, np.zeros(0), 0
-    rows, cols, priced = _held_entries(share_block if amounts is None else amounts)
+    edges = _HeldEdges.of(share_block if amounts is None else amounts)
+    rows, cols, priced = edges.rows, edges.cols, edges.vals
     if amounts is None:
         priced = priced * values[cols]
     keep = ~(np.abs(priced) < tau)
@@ -435,9 +430,9 @@ def evaluate_regime_a(
     )
 
 
-def _stability_gate(matrix) -> SpectralBound:
+def _stability_gate(matrix, operator: str = "O_PP") -> SpectralBound:
     """The certificate of a block whose spectral radius a certified bound puts
-    below 1; any other block is a StabilityError.
+    below 1; any other block is a StabilityError that names it as `operator`.
 
     `matrix` is a square array or held edges, read as held edges once.  Every
     caller gates the operator it runs, so no config changes the verdict.
@@ -446,11 +441,11 @@ def _stability_gate(matrix) -> SpectralBound:
     bound = spectral_radius_bound(held)
     if bound.certified:
         return bound
-    if bound.rho_lower >= 1.0:  # rho(O_PP) = rho(|O_PP|) when nothing is negative
+    if bound.rho_lower >= 1.0:  # rho(A) = rho(|A|) when nothing is negative
         verdict = "is unstable" if (held.vals >= 0).all() else "cannot be certified stable"
-        raise StabilityError(f"the block {verdict}: rho(|O_PP|) >= {bound.rho_lower!r}")
+        raise StabilityError(f"the block {verdict}: rho(|{operator}|) >= {bound.rho_lower!r}")
     near = ", within rounding of 1" if bound.rho_upper < 1.0 else ""
-    raise StabilityError(f"no certified bound puts the spectral radius below 1 (least bound "
+    raise StabilityError(f"no certified bound puts rho({operator}) below 1 (least bound "
                          f"{bound.rho_upper!r} after {bound.passes} Collatz-Wielandt passes{near})")
 
 
@@ -470,53 +465,6 @@ def _boundary_rhs(stats: CutStatistics) -> np.ndarray:
             raise RegimeError("regime B needs share-form o_po and v_o")
         return stats.b_p.copy()
     return stats.b_p + stats.o_po @ stats.v_o
-
-
-class _HeldEdges:
-    """A square block as its held entries (`_held_entries`): the one form in
-    which the stability gate and every regime-B method read O_PP.
-
-    The matvec accumulates each row's products in column order, as a CSR
-    product does, so the two agree bit for bit; it costs O(nnz + n) and no
-    scipy.
-    """
-
-    def __init__(self, n: int, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray):
-        self.n, self.rows, self.cols, self.vals = n, rows, cols, vals
-
-    @classmethod
-    def of(cls, m) -> "_HeldEdges":
-        """The held edges of a square array; held edges come back unchanged."""
-        if isinstance(m, cls):
-            return m
-        m = np.asarray(m, dtype=float)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise DimensionError("o_pp must be square")
-        return cls(m.shape[0], *_held_entries(m))
-
-    def scaled(self, scale: float) -> "_HeldEdges":
-        return _HeldEdges(self.n, self.rows, self.cols, scale * self.vals)
-
-    T = property(lambda self: _HeldEdges(self.n, self.cols, self.rows, self.vals))
-
-    def identity_minus(self) -> np.ndarray:
-        """I - A, the held edges scattered into one identity: bit for bit dense I - A."""
-        system = np.eye(self.n)
-        system[self.rows, self.cols] -= self.vals
-        return system
-
-    def __matmul__(self, x: np.ndarray) -> np.ndarray:
-        return np.bincount(self.rows, self.vals * x[self.cols], minlength=self.n)
-
-    def merged(self, rows: np.ndarray, cols: np.ndarray) -> tuple["_HeldEdges", np.ndarray]:
-        """This block with the positions (rows, cols) held too, a new one
-        holding 0.0, and where in its values each of those positions sits."""
-        n = self.n
-        flat, extra = self.rows * n + self.cols, rows * n + cols
-        union = np.union1d(flat, extra)
-        vals = np.zeros(union.size)
-        vals[np.searchsorted(union, flat)] = self.vals
-        return _HeldEdges(n, *np.divmod(union, n), vals), np.searchsorted(union, extra)
 
 
 def _residual(held: _HeldEdges, rhs: np.ndarray, v_p: np.ndarray) -> float:
@@ -580,17 +528,20 @@ def _solve_internal(
     with A = d O_PP / (1 + r), and v_P = w / (1 + r); w's residual is v_P's
     in the original system, so eps and every stopping rule keep their meaning.
     The gate runs once, on A's held edges, which every method then reads:
-    an A it cannot certify is a StabilityError, and `SolverLog.rho_bound` is
+    an A it cannot certify is a StabilityError that names A with its d and r
+    (O_PP when neither is set), and `SolverLog.rho_bound` is
     the certificate of the operator that runs.  `auto` sweeps at most as many
     times as one LU costs; `direct`, and `auto` when the sweeps have not
     reached eps, take one LU of I - A.  The log names the method that ran.
     """
     held = _HeldEdges.of(o_pp)
     n = held.n
-    shift = 1.0 + (cfg.regularization or 0.0)
-    if cfg.damping is not None or cfg.regularization:
-        held = held.scaled((cfg.damping or 1.0) / shift)
-    log = SolverLog(method=cfg.method, rho_bound=_stability_gate(held),
+    d, r = cfg.damping or 1.0, cfg.regularization or 0.0
+    shift, operator = 1.0 + r, "O_PP"
+    if cfg.damping is not None or r:
+        held = held.scaled(d / shift)
+        operator = f"{float(d)!r}*O_PP/(1 + {float(r)!r})"
+    log = SolverLog(method=cfg.method, rho_bound=_stability_gate(held, operator),
                     damping=cfg.damping, regularization=cfg.regularization)
     sweeps = cfg.max_iters
     if cfg.method == "auto":

@@ -2,9 +2,9 @@
 
 An observer fixes the perimeter reference, measurement basis, units and date,
 an optional units/FX/PPP scale, an optional deterministic discount
-specification, the informational regime, the control rule and the numerical
-tolerances.  Two valuations are only comparable after mapping one observer
-onto the other.
+specification, the informational regime, the control rule (`ControlRuleSpec`,
+declared here; `control` builds the matrices) and the numerical tolerances.
+Two valuations are only comparable after mapping one observer onto the other.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ import operator
 import re
 from dataclasses import dataclass, field
 
-from .control import ControlRuleSpec
 from .errors import DomainError
 from .network import NodeId
 
@@ -104,6 +103,49 @@ class SdfSpec:
         return float(
             sum(m * lam.get(state, 1.0) for state, m in self.discount_weights.items())
         )
+
+
+OPTION_ALIASES = {
+    "A": "A",
+    "A_threshold": "A",
+    "B": "B",
+    "B_herfindahl": "B",
+    "B_prime": "B_prime",
+    "B'": "B_prime",
+    "C": "C",
+    "C_attenuated": "C",
+}
+
+
+@dataclass(frozen=True)
+class ControlRuleSpec:
+    """Declared control rule: option plus its disclosed parameters."""
+
+    option: str = "A"
+    tau: float = 0.5
+    alpha: float = 0.6
+    normalize: bool = False
+    reachability_depth: int | None = None
+    label: str | None = None
+
+    def __post_init__(self):
+        try:
+            canonical = OPTION_ALIASES[self.option]
+        except KeyError:
+            raise DomainError(f"unknown control option {self.option!r}") from None
+        object.__setattr__(self, "option", canonical)
+        if not 0.0 < self.tau <= 1.0:
+            raise DomainError(f"tau={self.tau!r} outside (0, 1]")
+        if not 0.0 < self.alpha < 1.0:
+            raise DomainError(f"alpha={self.alpha!r} outside (0, 1)")
+        if self.reachability_depth is not None and self.reachability_depth < 1:
+            raise DomainError("reachability_depth must be >= 1")
+
+    def params(self) -> dict:
+        out: dict = {"tau": self.tau, "alpha": self.alpha, "normalize": self.normalize}
+        if self.reachability_depth is not None:
+            out["reachability_depth"] = self.reachability_depth
+        return out
 
 
 def parse_control_label(label: str) -> ControlRuleSpec:

@@ -50,7 +50,6 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from .control import ControlRuleSpec
 from .engine import (
     _FIELDS,
     CutStatistics,
@@ -69,7 +68,7 @@ from .errors import (
     StabilityError,
 )
 from .network import COLUMN_SUM_SLACK
-from .observer import _RULE_LABEL_RE, FxPppSpec, Observer, SdfSpec, Tolerances
+from .observer import _RULE_LABEL_RE, ControlRuleSpec, FxPppSpec, Observer, SdfSpec, Tolerances
 from .validation import ValidationReport
 
 MANIFEST_VERSION = "cbv-cut-report@1.1"

@@ -30,13 +30,13 @@ from .engine import (
     SolverConfig,
     SpectralBound,
     _boundary_rhs,
-    _HeldEdges,
     _priced_edges,
     _solve_internal,
     _solve_shifted,
     spectral_radius_bound,
 )
 from .errors import DomainError, StabilityError
+from .network import _HeldEdges
 
 _P_NORMS = (1.0, 2.0, float("inf"))
 
@@ -312,7 +312,7 @@ def monte_carlo_band(
         vals = held.vals.copy()
         np.add.at(vals, at, shift)  # in order, so a repeated entry adds twice
         try:
-            v_p, _ = _solve_internal(_HeldEdges(held.n, held.rows, held.cols, vals), rhs, cfg)
+            v_p, _ = _solve_internal(_HeldEdges(held.shape, held.rows, held.cols, vals), rhs, cfg)
         except StabilityError:
             excluded += 1
             continue

@@ -208,9 +208,10 @@ class TestOptionC:
         shares = np.zeros((2, 2))
         shares[0, 1] = shares[1, 0] = 1.0
         cbv.attenuated_control(shares, 0.5)  # rho = 0.5, fine
-        with pytest.raises(StabilityError):
-            # alpha*S has rho exactly 1 after scaling shares up
-            cbv.attenuated_control(shares * 2.0, 0.5)
+        for alpha in (0.5, np.float64(0.5)):  # a numpy scalar reads as a float
+            with pytest.raises(StabilityError, match=r"rho\(\|0\.5\*S\|\) >= 1\.0"):
+                # alpha*S has rho exactly 1 after scaling shares up
+                cbv.attenuated_control(shares * 2.0, alpha)
 
     def test_solves_the_attenuation_identity(self, rng):
         alpha = 0.6

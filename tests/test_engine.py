@@ -231,6 +231,22 @@ class TestEstimation:
             with pytest.raises(StabilityError, match="singular"):
                 cbv.robustness.inverse_norm([[0.0, 1.0], [1.0, 0.0]], p)
 
+    @pytest.mark.parametrize("method", ["auto", "direct", "neumann", "iterative_krylov"])
+    def test_damped_refusal_names_the_gated_operator(self, method):
+        # damping 0.95 on the 2-cycle at 1.1 gates A = 0.95 O_PP, rho(A) = 1.045
+        stats = cbv.CutStatistics(
+            p_ids=("a", "b"), o_ids=(), b_p=[1.0, 1.0],
+            o_pp=[[0.0, 1.1], [1.1, 0.0]],
+        )
+        for damping in (0.95, np.float64(0.95)):  # a numpy scalar reads as a float
+            with pytest.raises(StabilityError,
+                               match=r"is unstable: rho\(\|0\.95\*O_PP/\(1 \+ 0\.0\)\|\) >= 1\.04"):
+                cbv.evaluate_regime_b(stats, cbv.SolverConfig(method=method, damping=damping))
+        with pytest.raises(StabilityError, match=r"rho\(\|1\.0\*O_PP/\(1 \+ 0\.05\)\|\)"):
+            cbv.evaluate_regime_b(stats, cbv.SolverConfig(method=method, regularization=0.05))
+        with pytest.raises(StabilityError, match=r"rho\(\|O_PP\|\) >= 1\.1"):
+            cbv.evaluate_regime_b(stats, cbv.SolverConfig(method=method))
+
     @pytest.mark.parametrize("cycle", [1.0, 1.001])
     def test_uncertified_block_is_refused(self, cycle):
         stats = two_cycle_chain_stats(cycle=cycle)
@@ -286,18 +302,40 @@ class TestEstimation:
         )
         assert np.abs(direct - neumann).max() <= 10 * eps
 
-    @pytest.mark.parametrize("n", [200, 1800, 2400])
-    def test_held_edges_multiply_as_csr_does(self, rng, n):
+    @pytest.mark.parametrize("case", [200, 1800, 2400, "rectangular", "two-class-inflow"])
+    def test_held_edges_multiply_as_csr_does(self, rng, case):
         from scipy.sparse import csr_array
 
-        o_pp = rng.uniform(-1.0, 1.0, (n, n)) * (rng.random((n, n)) < 3.0 / n)
-        x = rng.uniform(-1e3, 1e3, n)
-        held, csr = cbv.engine._HeldEdges.of(o_pp), csr_array(o_pp)
-        assert held.vals.size == csr.nnz
-        # row-major, as CSR stores them: the same columns and values, row by row
-        np.testing.assert_array_equal(held.cols, csr.indices)
-        np.testing.assert_array_equal(held.vals, csr.data)
-        np.testing.assert_array_equal(np.bincount(held.rows, minlength=n), np.diff(csr.indptr))
+        def sparse(rows, cols):
+            return rng.uniform(-1.0, 1.0, (rows, cols)) * (rng.random((rows, cols)) < 3.0 / cols)
+
+        if case == "rectangular":  # an O_PO-like block
+            block = sparse(300, 1700)
+            held = cbv.network._HeldEdges.of(block)
+        elif case == "two-class-inflow":  # clearing's stacking: entry (i, k n + j) is L^k[j, i]
+            n = 400
+            classes = [np.abs(sparse(n, n)) for _ in range(2)]
+            problem = cbv.ClearingProblem(
+                node_ids=tuple(f"n{k}" for k in range(n)), liabilities=tuple(classes),
+                resources=np.ones(n), default_costs=np.zeros((2, n)))
+            block = np.hstack([mat.T for mat in classes])
+            held = cbv.clearing._inflow(problem)
+        else:
+            block = sparse(case, case)
+            held = cbv.network._HeldEdges.of(block)
+        csr = csr_array(block)
+        x = rng.uniform(-1e3, 1e3, block.shape[1])
+        assert held.shape == block.shape and held.vals.size == csr.nnz
+        # row-major, as CSR stores them; the stacked inflow lists class by
+        # class, so it is compared row by row, each row in column order
+        if case == "two-class-inflow":
+            order = np.argsort(held.rows, kind="stable")
+        else:
+            order = np.arange(held.rows.size)
+        np.testing.assert_array_equal(held.cols[order], csr.indices)
+        np.testing.assert_array_equal(held.vals[order], csr.data)
+        np.testing.assert_array_equal(np.bincount(held.rows, minlength=block.shape[0]),
+                                      np.diff(csr.indptr))
         np.testing.assert_array_equal(held @ x, csr @ x)
 
     def test_neumann_matches_the_loop_that_formed_i_minus_o_pp(self, rng):
