@@ -15,20 +15,24 @@ and iterating from zero ascends to the least.  Within a class all nodes update
 synchronously; a node short of a class pays its creditors pro rata to the
 liability row.
 
-`clear` lays the classes' held edges (`network._HeldEdges`) side by side in
-one inflow operator per call and sweeps with it as a scipy CSR matrix, whose
-matvec is about three times faster than a `bincount` over the same edges: a
-sweep costs O(nnz) in the liabilities, not O(classes * n^2).
+A problem stores each class of liabilities as a copy of its held edges
+(`network._HeldEdges`), with the gross dues summed once from the matrices
+given, and builds on its first `clear` one inflow operator: the classes'
+held edges laid side by side, as a scipy CSR matrix, whose matvec is about
+three times faster than a `bincount` over the same edges.  Both selections
+sweep with that operator, so a sweep costs O(nnz) in the liabilities, not
+O(classes * n^2), and the net boundary flows are priced from the held edges.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .errors import ConvergenceError, DimensionError, DomainError, MembershipError
-from .network import NodeId, Perimeter, _HeldEdges
+from .network import NodeId, Perimeter, _BlockField, _HeldBlocks, _HeldEdges
 from .observer import _check_solver_limits
 
 DEFAULT_EPS = 1e-12
@@ -36,29 +40,42 @@ DEFAULT_MAX_SWEEPS = 100000
 
 
 @dataclass(frozen=True)
-class ClearingProblem:
-    """Per-class liability matrices, resources, and default-cost fractions."""
+class ClearingProblem(_HeldBlocks):
+    """Per-class liability matrices, resources, and default-cost fractions.
+
+    The liabilities are stored as a copy of each class's held edges (`held`),
+    so a caller's later write reaches neither them nor the dues and inflow
+    operator built from them; `liabilities` reads as read-only dense arrays,
+    built on the first read.  `gross_dues` is the (classes, nodes) read-only
+    array of total obligations per node and class.
+    """
 
     node_ids: tuple[NodeId, ...]
-    liabilities: tuple[np.ndarray, ...]
+    liabilities: tuple[np.ndarray, ...] = _BlockField(optional=False)
     resources: np.ndarray
     default_costs: np.ndarray
+    gross_dues: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         n = len(self.node_ids)
         if len(set(self.node_ids)) != n:
             raise MembershipError("node ids must be unique")
-        if not self.liabilities:
+        if not self.held("liabilities"):
             raise DomainError("at least one liability class is required")
-        mats = []
-        for k, mat in enumerate(self.liabilities):
+        held, dues = [], []
+        for k, mat in enumerate(self.held("liabilities")):
             mat = np.asarray(mat, dtype=float)
             if mat.shape != (n, n):
                 raise DimensionError(f"class {k + 1} liabilities must be {n}x{n}")
-            if not ((mat >= 0) & (mat < np.inf)).all():  # NaN fails both
+            edges = _HeldEdges.of_bits(mat)  # every entry but +0.0, which is valid
+            if not ((edges.vals >= 0) & (edges.vals < np.inf)).all():  # NaN fails both
                 raise DomainError("liabilities must be finite and nonnegative")
-            mats.append(mat)
-        object.__setattr__(self, "liabilities", tuple(mats))
+            held.append(edges)
+            dues.append(mat.sum(axis=1))
+        object.__setattr__(self, "liabilities", tuple(held))
+        dues = np.stack(dues)
+        dues.setflags(write=False)
+        object.__setattr__(self, "gross_dues", dues)
         resources = np.asarray(self.resources, dtype=float).reshape(-1)
         if resources.shape != (n,):
             raise DimensionError("resources must have one entry per node")
@@ -66,7 +83,7 @@ class ClearingProblem:
             raise DomainError("resources must be finite and nonnegative")
         object.__setattr__(self, "resources", resources)
         costs = np.asarray(self.default_costs, dtype=float)
-        if costs.shape != (len(mats), n):
+        if costs.shape != (len(held), n):
             raise DimensionError("default_costs must be (classes, nodes)")
         if not ((costs >= 0) & (costs <= 1)).all():
             raise DomainError("default costs must lie in [0, 1]")
@@ -84,11 +101,15 @@ class ClearingProblem:
 
     @property
     def n_classes(self) -> int:
-        return len(self.liabilities)
+        return len(self.held("liabilities"))
 
-    def gross_dues(self) -> np.ndarray:
-        """(classes, nodes) array of total obligations per node and class."""
-        return np.stack([mat.sum(axis=1) for mat in self.liabilities])
+    @cached_property
+    def _inflow_csr(self):
+        """`_inflow` as the scipy CSR matrix the sweeps multiply by."""
+        from scipy.sparse import csr_array
+
+        edges = _inflow(self)
+        return csr_array((edges.vals, (edges.rows, edges.cols)), shape=edges.shape)
 
 
 @dataclass(frozen=True)
@@ -111,7 +132,7 @@ def _inflow(problem: ClearingProblem) -> _HeldEdges:
     """The (n, classes * n) inflow operator whose entry (i, k * n + j) is
     L^k[j, i]: each class's held edges, transposed, side by side."""
     n = len(problem.node_ids)
-    parts = [_HeldEdges.of(mat).T for mat in problem.liabilities]
+    parts = [held.edges().T for held in problem.held("liabilities")]
     return _HeldEdges((n, len(parts) * n), np.concatenate([p.rows for p in parts]),
                       np.concatenate([p.cols + k * n for k, p in enumerate(parts)]),
                       np.concatenate([p.vals for p in parts]))
@@ -150,11 +171,7 @@ def clear(
     if selection not in ("greatest", "least"):
         raise DomainError(f"selection must be greatest or least, got {selection!r}")
     _check_solver_limits(eps, max_iters)
-    from scipy.sparse import csr_array
-
-    edges = _inflow(problem)
-    inflow = csr_array((edges.vals, (edges.rows, edges.cols)), shape=edges.shape)
-    dues = problem.gross_dues()
+    inflow, dues = problem._inflow_csr, problem.gross_dues
     owes = dues > 0.0
     senior_dues = np.cumsum(dues, axis=0) - dues
     payments = dues.copy() if selection == "greatest" else np.zeros_like(dues)
@@ -207,11 +224,17 @@ def net_boundary_flows(
         raise DimensionError(f"perimeter ids not cleared here: {sorted(unknown)}")
     p_ids = tuple(sorted(members))
     o_ids = tuple(sorted(index.keys() - members))
-    p_idx = [index[n] for n in p_ids]
-    o_idx = [index[n] for n in o_ids]
+    in_p = np.zeros(len(index), dtype=bool)
+    place = np.empty(len(index), dtype=np.intp)  # each node's row in X_PO or in X_OP
+    for side, ids in ((True, p_ids), (False, o_ids)):
+        at = [index[n] for n in ids]
+        in_p[at], place[at] = side, np.arange(len(at))
     x_po = np.zeros((len(p_ids), len(o_ids)))
     x_op = np.zeros((len(o_ids), len(p_ids)))
-    for ratios, mat in zip(outcome.payout_ratios, problem.liabilities):
-        x_po += ratios[p_idx, np.newaxis] * mat[np.ix_(p_idx, o_idx)]
-        x_op += ratios[o_idx, np.newaxis] * mat[np.ix_(o_idx, p_idx)]
+    for ratios, held in zip(outcome.payout_ratios, problem.held("liabilities")):
+        rows, cols = held.rows, held.cols
+        paid = ratios[rows] * held.vals  # payer j sends theta_j * L[j, i]
+        for flows, payer_in_p in ((x_po, True), (x_op, False)):
+            cut = (in_p[rows] == payer_in_p) & (in_p[cols] != payer_in_p)
+            flows[place[rows[cut]], place[cols[cut]]] += paid[cut]
     return NetBoundaryFlows(p_ids=p_ids, o_ids=o_ids, x_po=x_po, x_op=x_op)

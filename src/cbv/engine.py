@@ -20,23 +20,26 @@ and the macro case studies use that form.  One table, `_FIELDS`, declares
 each array `CutStatistics` may hold: the ids on its axes and whether it holds
 money.  Its shape checks, `restrict` and `scale_units` read that table.
 
-Cost.  `CutStatistics.from_network` takes each block from `partition`, which
-scatters the network's held edges into it, so a block costs its allocation
-plus the edges it holds; statistics derived from others (`with_v_p`,
-`scale_units`) share the blocks they do not change.  Regime B is two pieces:
-the right-hand side b_P + O_PO v_O (`_boundary_rhs`) and the gated solve on
-O_PP (`_solve_internal`); a Monte Carlo band, whose probes move only O_PP,
-computes the first once and runs only the second per probe.  Every method
-reads O_PP in one form, its held edges (`network._HeldEdges`, from one scan
-of the block, O(n_P^2) until blocks are stored sparse): each gate pass, sweep,
-Krylov step or residual then costs O(nnz + n_P), and the direct method's
-one dense LU builds I - A from them, A = d O_PP / (1 + r): damping d and
-regularization r are one scaling, and the gate certifies A, the operator
-every method runs.  Pricing the cut is a reduction over the two boundary
-blocks: with no rounding threshold, one pass of column sums per block and
-no n_P x n_O temporary; with a threshold, one priced amount per nonzero edge
-(`cut_edges`, read from the same held-edge type, which also lists the edges
-of a cut summary) so that each can be tested against it.
+Cost.  `CutStatistics` stores every block as held edges
+(`network._HeldEdges`): `from_network` takes them from `partition`, which
+splits the network's held edges by side in O(n + nnz), a dense block given is
+stored by one scan of its bits, and statistics derived from others
+(`with_v_p`, `restrict`, `scale_units`) pass on the held edges they do not
+change.  No valuation reads a block dense: reading `stats.o_pp` or another
+block builds its dense array once, for the dense algebra of the robustness
+norms, `schur_operators` and `condition_diagnostics`.  Regime B is two pieces:
+the right-hand side b_P + O_PO v_O (`_boundary_rhs`, one held-edge matvec) and
+the gated solve on O_PP (`_solve_internal`); a Monte Carlo band, whose probes
+move only O_PP, computes the first once and runs only the second per probe.
+Every method reads O_PP's held edges: each gate pass, sweep, Krylov step or
+residual costs O(nnz + n_P), and the direct method's one dense LU builds
+I - A from them, A = d O_PP / (1 + r): damping d and regularization r are one
+scaling, and the gate certifies A, the operator every method runs.  Pricing
+the cut is a reduction over the two boundary blocks' held edges: with no
+rounding threshold, one `bincount` of column sums per block, which adds each
+column in row order as a dense sum(axis=0) does; with a threshold, one priced
+amount per nonzero edge (`cut_edges`, which also lists the edges of a cut
+summary) so that each can be tested against it.
 
 The stability gate reads the held edges of whatever block it is given: one
 pass of row and column sums when a norm of O_PP certifies rho < 1, and
@@ -71,7 +74,15 @@ from .errors import (
     RegimeError,
     StabilityError,
 )
-from .network import NodeId, OwnershipNetwork, Perimeter, _HeldEdges, partition
+from .network import (
+    NodeId,
+    OwnershipNetwork,
+    Perimeter,
+    _BlockField,
+    _HeldBlocks,
+    _HeldEdges,
+    partition,
+)
 from .observer import Observer, Tolerances, _check_solver_limits
 
 POWER_ITERATIONS = 100
@@ -89,23 +100,28 @@ SOLVER_METHODS = ("auto", "direct", "neumann", "iterative_krylov")
 LU_SWEEP_RATIO = 450
 
 
-def _frozen(x, shape, name) -> np.ndarray:
-    """x as a read-only float array of `shape`; a vector may come in any
-    shape of its size.
+def _stored(x, shape, name):
+    """x as CutStatistics stores it, checked against `shape`.
 
-    A read-only float array of that rank that owns its data (every array
-    CutStatistics stores) is shared, so derived statistics reuse their
-    parent's blocks; anything else is copied, so a caller who later writes to
-    their array cannot move W.
+    A block is held edges: held edges are stored as given, in O(1), and any
+    other block by one scan of its bits (`_HeldEdges.of_bits`), which copies
+    what it keeps.  A vector, which may come in any shape of its size, is a
+    read-only float array: one that is read-only, 1-D and owns its data
+    (every vector CutStatistics stores) is shared, so derived statistics reuse
+    their parent's; anything else is copied.  Either way a caller who later
+    writes to their array cannot move W.
     """
-    arr = x
-    if not (type(x) is np.ndarray and x.dtype == np.float64 and x.flags.owndata
-            and not x.flags.writeable and x.ndim == len(shape)):
-        arr = np.array(np.ravel(x) if len(shape) == 1 else x, dtype=float)
-        arr.setflags(write=False)
-    if arr.shape != shape:
-        raise DimensionError(f"{name} has shape {arr.shape}, expected {shape}")
-    return arr
+    if len(shape) == 2 and not isinstance(x, _HeldEdges):
+        x = np.asarray(x, dtype=float)
+        if x.shape == shape:
+            return _HeldEdges.of_bits(x)
+    elif len(shape) == 1 and not (type(x) is np.ndarray and x.dtype == np.float64
+                                  and x.flags.owndata and not x.flags.writeable and x.ndim == 1):
+        x = np.array(np.ravel(x), dtype=float)
+        x.setflags(write=False)
+    if x.shape != shape:
+        raise DimensionError(f"{name} has shape {x.shape}, expected {shape}")
+    return x
 
 
 # Every array a CutStatistics holds: the ids that index its rows, those that
@@ -124,13 +140,16 @@ _FIELDS = {
 
 
 @dataclass(frozen=True)
-class CutStatistics:
+class CutStatistics(_HeldBlocks):
     """Boundary data for one perimeter under one observer.
 
     Share form prices each cut edge as share * counterparty value; amount form
     (`x_po`, `x_op`) carries already-priced flows.  Either form may be used on
     each side of the cut.  `clearing_tag` marks post-clearing flows so that
-    pre- and post-clearing data are never mixed downstream.
+    pre- and post-clearing data are never mixed downstream.  Each block is
+    stored as held edges (`held`), which every valuation reads; reading
+    `o_pp` and the other blocks gives a read-only dense array, built on the
+    first read and shared with the statistics derived from these.
     """
 
     p_ids: tuple[NodeId, ...]
@@ -138,27 +157,27 @@ class CutStatistics:
     b_p: np.ndarray
     v_o: np.ndarray | None = None
     v_p: np.ndarray | None = None
-    o_po: np.ndarray | None = None
-    o_op: np.ndarray | None = None
-    o_pp: np.ndarray | None = None
-    x_po: np.ndarray | None = None
-    x_op: np.ndarray | None = None
+    o_po: np.ndarray | None = _BlockField()
+    o_op: np.ndarray | None = _BlockField()
+    o_pp: np.ndarray | None = _BlockField()
+    x_po: np.ndarray | None = _BlockField()
+    x_op: np.ndarray | None = _BlockField()
     clearing_tag: str | None = None
 
     def __post_init__(self):
         if self.b_p is None:
             raise DimensionError("b_p is required: one base per perimeter node")
         for name, (rows, cols, _) in _FIELDS.items():
-            value = getattr(self, name)
+            value = self.held(name)
             if value is not None:
                 shape = tuple(len(getattr(self, ids)) for ids in (rows, cols) if ids)
-                object.__setattr__(self, name, _frozen(value, shape, name))
+                object.__setattr__(self, name, _stored(value, shape, name))
         n_o = len(self.o_ids)
-        if self.x_po is None and self.o_po is None and n_o:
+        if self.held("x_po") is None and self.held("o_po") is None and n_o:
             raise DimensionError("outgoing side needs o_po/v_o or x_po")
-        if self.x_op is None and self.o_op is None and n_o:
+        if self.held("x_op") is None and self.held("o_op") is None and n_o:
             raise DimensionError("incoming side needs o_op or x_op")
-        if self.o_po is not None and self.v_o is None:
+        if self.held("o_po") is not None and self.v_o is None:
             raise DimensionError("o_po given without v_o")
 
     @classmethod
@@ -172,8 +191,6 @@ class CutStatistics:
         """
         b, v = dict(b), dict(v or {})
         blocks = partition(network, perimeter)
-        for block in (blocks.o_pp, blocks.o_po, blocks.o_op):
-            block.setflags(write=False)  # fresh copies: stored as they are, not copied again
         missing_b = [n for n in blocks.p_ids if n not in b]
         if missing_b:
             raise MembershipError(f"bases missing for perimeter nodes: {missing_b}")
@@ -191,9 +208,9 @@ class CutStatistics:
             b_p=b_p,
             v_o=v_o,
             v_p=v_p,
-            o_po=blocks.o_po,
-            o_op=blocks.o_op,
-            o_pp=blocks.o_pp,
+            o_po=blocks.held("o_po"),
+            o_op=blocks.held("o_op"),
+            o_pp=blocks.held("o_pp"),
         )
 
     @classmethod
@@ -210,30 +227,40 @@ class CutStatistics:
             clearing_tag=clearing_tag,
         )
 
+    def _replaced(self, **changes) -> "CutStatistics":
+        """dataclasses.replace, with the blocks it does not change passed on as
+        the held edges they are stored as, not read dense and scanned again."""
+        return replace(self, **{**{name: self.held(name) for name in _FIELDS}, **changes})
+
     def with_v_p(self, v_p) -> "CutStatistics":
-        return replace(self, v_p=v_p)
+        return self._replaced(v_p=v_p)
 
     def restrict(self, p_keep, o_keep) -> "CutStatistics":
         """Sub-statistics over a subset of node ids (canonical order kept)."""
-        p_keep, o_keep = set(p_keep), set(o_keep)
-        at = {"p_ids": [k for k, n in enumerate(self.p_ids) if n in p_keep],
-              "o_ids": [k for k, n in enumerate(self.o_ids) if n in o_keep]}
+        keep = {"p_ids": set(p_keep), "o_ids": set(o_keep)}
+        dropped = {ids: np.array([n not in keep[ids] for n in getattr(self, ids)], dtype=np.uint8)
+                   for ids in keep}  # side 1 is cut away
+        at = {ids: np.flatnonzero(side == 0) for ids, side in dropped.items()}
         cut = {}
         for name, (rows, cols, _) in _FIELDS.items():
-            value = getattr(self, name)
+            value = self.held(name)
             if value is not None:
-                cut[name] = value[at[rows]] if cols is None else value[np.ix_(at[rows], at[cols])]
-        return replace(self, p_ids=tuple(self.p_ids[k] for k in at["p_ids"]),
-                       o_ids=tuple(self.o_ids[k] for k in at["o_ids"]), **cut)
+                cut[name] = (value[at[rows]] if cols is None
+                             else value.split(dropped[rows], dropped[cols])[0][0])
+        return self._replaced(p_ids=tuple(self.p_ids[k] for k in at["p_ids"]),
+                              o_ids=tuple(self.o_ids[k] for k in at["o_ids"]), **cut)
 
 
 def scale_units(kappa: float, stats: CutStatistics) -> CutStatistics:
     """Multiply every monetary quantity by kappa; shares are untouched."""
     if not kappa > 0:
         raise DomainError(f"kappa={kappa!r} must be > 0")
-    return replace(stats, **{
-        name: kappa * getattr(stats, name) for name, (_, _, money) in _FIELDS.items()
-        if money and getattr(stats, name) is not None})
+    scaled = {}
+    for name, (_, cols, money) in _FIELDS.items():
+        value = stats.held(name)
+        if money and value is not None:
+            scaled[name] = kappa * value if cols is None else value.scaled(kappa)
+    return stats._replaced(**scaled)
 
 
 @dataclass(frozen=True)
@@ -360,15 +387,16 @@ def cut_edges(share_block, values, amounts, tau):
     """The priced edges of one side of the cut: (rows, cols, amounts, dropped).
 
     An edge is a nonzero share, priced as share * value of its column, or a
-    nonzero entry of an amount block (used when given).  Edges with
+    nonzero entry of an amount block (used when given); a block is a 2-D
+    array or held edges, whose held -0.0 is not an edge.  Edges with
     |amount| < tau are dropped and counted; any other edge, a NaN-priced one
     included, is kept.  Edges come in row-major order, and the cost follows
-    the nonzero entries, not the cells of the block.
+    the held entries, not the cells of the block.
     """
     if amounts is None and share_block is None:
         empty = np.zeros(0, dtype=np.intp)
         return empty, empty, np.zeros(0), 0
-    edges = _HeldEdges.of(share_block if amounts is None else amounts)
+    edges = _HeldEdges.of(share_block if amounts is None else amounts).edges()
     rows, cols, priced = edges.rows, edges.cols, edges.vals
     if amounts is None:
         priced = priced * values[cols]
@@ -379,22 +407,24 @@ def cut_edges(share_block, values, amounts, tau):
 def _priced_edges(share_block, values, amounts, tau, col_sums=None):
     """Edge totals with sub-threshold amounts dropped, in canonical order.
 
-    With no threshold nothing is dropped, and the total is a reduction over
-    the block: an amount block is summed, a share block contributes its column
-    sums (`col_sums` when the caller has them already) times the values.  With
-    a threshold the total is over `cut_edges`.
+    The blocks are held edges.  With no threshold nothing is dropped, and the
+    total is a reduction over the held edges: an amount block's are summed, a
+    share block contributes its column sums (`col_sums` when the caller has
+    them already) times the values.  With a threshold the total is over
+    `cut_edges`.
     """
     if amounts is None and share_block is None:
         return 0.0, 0
     if not tau > 0.0:
         if amounts is not None:
-            return float(amounts.sum()), 0
+            return float(amounts.vals.sum()), 0
         if col_sums is None:
-            col_sums = share_block.sum(axis=0)
+            col_sums = share_block.col_sums()
         if not np.isfinite(values).all():
             # as on the per-edge path, a value counts only where its column
             # holds a share: a non-finite value behind zeros stays out of W
-            held = share_block.any(axis=0)
+            held = np.bincount(share_block.cols, share_block.vals != 0,
+                               minlength=share_block.shape[1]) > 0
             col_sums, values = col_sums[held], values[held]
         return float(col_sums @ values), 0
     _, _, priced, dropped = cut_edges(share_block, values, amounts, tau)
@@ -406,17 +436,18 @@ def evaluate_regime_a(
 ) -> ValuationResult:
     """Direct cut evaluation with observed internal values.
 
-    Cost is one reduction over each boundary block; the internal block is
-    never read.  Edge amounts below the rounding threshold are dropped and
-    counted in the log.
+    Cost is one reduction over each boundary block's held edges; the
+    internal block is never read.  Edge amounts below the rounding threshold
+    are dropped and counted in the log.
     """
-    if stats.x_op is None and stats.o_op is not None and stats.v_p is None:
+    held = stats.held
+    if held("x_op") is None and held("o_op") is not None and stats.v_p is None:
         raise RegimeError("regime A needs observed v_P to price external minorities")
     t_out, dropped_out = _priced_edges(
-        stats.o_po, stats.v_o, stats.x_po, rounding_threshold
+        held("o_po"), stats.v_o, held("x_po"), rounding_threshold
     )
     t_in, dropped_in = _priced_edges(
-        stats.o_op, stats.v_p, stats.x_op, rounding_threshold
+        held("o_op"), stats.v_p, held("x_op"), rounding_threshold
     )
     base_total = float(stats.b_p.sum())
     log = SolverLog(method="direct-cut", dropped_edges=dropped_out + dropped_in)
@@ -459,12 +490,14 @@ def _solve_shifted(held: _HeldEdges, rhs: np.ndarray) -> np.ndarray:
 
 
 def _boundary_rhs(stats: CutStatistics) -> np.ndarray:
-    """b_P + O_PO v_O, the right-hand side of the regime-B system."""
-    if stats.o_po is None or stats.v_o is None:
+    """b_P + O_PO v_O, the right-hand side of the regime-B system: one
+    held-edge matvec."""
+    o_po = stats.held("o_po")
+    if o_po is None or stats.v_o is None:
         if len(stats.o_ids):
             raise RegimeError("regime B needs share-form o_po and v_o")
         return stats.b_p.copy()
-    return stats.b_p + stats.o_po @ stats.v_o
+    return stats.b_p + o_po @ stats.v_o
 
 
 def _residual(held: _HeldEdges, rhs: np.ndarray, v_p: np.ndarray) -> float:
@@ -582,9 +615,9 @@ def estimate_internal_values(
     the log.
     """
     cfg = (cfg or SolverConfig()).resolved()
-    if stats.o_pp is None:
+    if stats.held("o_pp") is None:
         raise RegimeError("regime B needs the internal block O_PP")
-    return _solve_internal(stats.o_pp, _boundary_rhs(stats), cfg)
+    return _solve_internal(stats.held("o_pp"), _boundary_rhs(stats), cfg)
 
 
 def evaluate_regime_b(
@@ -615,8 +648,9 @@ def evaluate_for_observer(
     tau = observer.tolerances.rounding_threshold
     cfg = (cfg or SolverConfig()).resolved(observer.tolerances)
     if observer.regime == "A":
-        if priced.v_p is None and priced.x_op is None and priced.o_op is not None:
-            if priced.o_pp is not None:
+        held = priced.held
+        if priced.v_p is None and held("x_op") is None and held("o_op") is not None:
+            if held("o_pp") is not None:
                 return evaluate_regime_b(priced, cfg, tau)
             priced = priced.with_v_p(_boundary_rhs(priced))
         return evaluate_regime_a(priced, tau)
@@ -665,10 +699,10 @@ def effective_external_share(
     E_ext = delta' (I - O_PP)^-1 (b_P + O_PO v_O) equals the minorities term,
     so W(P) = 1'b_P + 1'O_PO v_O - E_ext reproduces the Regime-B value.
     """
-    if stats.o_op is None:
+    if stats.held("o_op") is None:
         raise RegimeError("effective external share needs the o_op block")
     v_p, _ = estimate_internal_values(stats, cfg)
-    delta = stats.o_op.sum(axis=0)
+    delta = stats.held("o_op").col_sums()
     e_ext = float(delta @ v_p)
     total = float(v_p.sum())
     omega_eff = e_ext / total if total != 0.0 else 0.0
@@ -677,9 +711,9 @@ def effective_external_share(
 
 def hedge_vector(stats: CutStatistics) -> dict[NodeId, float]:
     """Aggregate exposure of the perimeter to each outside node."""
-    if stats.o_po is None:
+    if stats.held("o_po") is None:
         return {node: 0.0 for node in stats.o_ids}
-    sums = stats.o_po.sum(axis=0)
+    sums = stats.held("o_po").col_sums()
     return {node: float(sums[k]) for k, node in enumerate(stats.o_ids)}
 
 

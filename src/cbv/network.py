@@ -6,23 +6,23 @@ residual belongs to dispersed holders that are not modelled as nodes.  Node
 ordering is canonical (lexicographic by id) so that block matrices and any
 serialized artifact derived from them are deterministic.  Every sparse read
 of a block goes through `_HeldEdges`, a (rows, cols) block as its held
-entries: the engine's gate and solves, the priced cut edges, robustness and
-control Option C; clearing builds its scipy CSR inflow from one.
+entries: the engine's gate, solves and pricing, the priced cut edges,
+robustness, control Option C and clearing, which builds its scipy CSR
+inflow from them.  A block field of `BlockPartition`, `engine.CutStatistics`
+or `clearing.ClearingProblem` stores held edges and reads as the dense block
+(`_BlockField`), built on the first read.
 
-Cost.  The network keeps the row-major positions of its held entries (every
-entry whose bit pattern is not +0.0, so -0.0 and NaN are held), found in one
-scan when it is built.  `partition` splits those edges by side and scatters
-each block's into zeros, so a perimeter costs the blocks' allocation plus
-O(nnz), not a pass over the n x n cells; the O/O block, which valuation never reads, is built on demand,
-the first time `BlockPartition.o_oo` is read (by `schur_operators`).  On a
-fully dense matrix the edge lists are n^2 positions (8 bytes each) and the
-scatter is slower than slicing would be.
+Cost.  The network keeps its held entries (every entry whose bit pattern is
+not +0.0, so -0.0 and NaN are held) as one `_HeldEdges`, found in one scan
+when it is built.  `partition` splits those edges by side into the four
+blocks' held edges, so a perimeter costs O(n + nnz), not a pass over the
+n x n cells, and no block is dense until it is read.  On a fully dense matrix
+the edge lists are n^2 entries (24 bytes each).
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress
 
@@ -40,10 +40,13 @@ NodeId = str
 
 class _HeldEdges:
     """A (rows, cols) block as the row, column and value of each held entry,
-    in the order of the flat positions it is built from (`at`): a network's
-    held bit patterns, or the != 0 entries (`of`).  The matvec sums each
-    row's products in edge order, so where a row's edges come in column order
-    it agrees bit for bit with a CSR product; it costs O(nnz + rows), no scipy.
+    in the order of the flat positions it is built from (`at`): every bit
+    pattern but +0.0 (`of_bits`, the stored form), or the edges, the != 0
+    entries (`of`).
+    The matvec and the column sums add each row's or column's values in edge
+    order, so where the edges come in row-major order they agree bit for bit
+    with a CSR product and with a dense block's sum(axis=0); each costs
+    O(nnz + rows), no scipy.
     """
 
     def __init__(self, shape: tuple[int, int], rows: np.ndarray, cols: np.ndarray,
@@ -57,14 +60,19 @@ class _HeldEdges:
 
     @classmethod
     def of(cls, m) -> "_HeldEdges":
-        """The != 0 entries of a 2-D array, from one scan of that mask (np.nonzero
-        on a float block costs several times more); held edges come back unchanged."""
-        if isinstance(m, cls):
-            return m
-        m = np.asarray(m, dtype=float)
+        """The edges (`edges`) of a 2-D array; held edges come back unchanged."""
+        return m if isinstance(m, cls) else cls.of_bits(m).edges()
+
+    @classmethod
+    def of_bits(cls, m) -> "_HeldEdges":
+        """Every entry of a 2-D array whose bit pattern is not +0.0, so -0.0 and
+        NaN are held: the one scan of a dense block (nonzero on the bool mask is
+        about three times faster than on the uint64 view, and several times
+        faster than np.nonzero on the float block)."""
+        m = np.ascontiguousarray(m, dtype=float)
         if m.ndim != 2:
             raise DimensionError(f"a block must be 2-D, got shape {m.shape}")
-        return cls.at(m, np.flatnonzero(m != 0))
+        return cls.at(m, np.flatnonzero(m.view(np.uint64) != 0))
 
     @property
     def n(self) -> int:
@@ -78,11 +86,50 @@ class _HeldEdges:
 
     T = property(lambda self: _HeldEdges(self.shape[::-1], self.cols, self.rows, self.vals))
 
-    def toarray(self) -> np.ndarray:
-        """The block: its held edges scattered into zeros."""
+    def edges(self) -> "_HeldEdges":
+        """The held entries that are edges: those != 0, NaN included; a held
+        -0.0 is not one."""
+        keep = self.vals != 0
+        if keep.all():
+            return self
+        return _HeldEdges(self.shape, self.rows[keep], self.cols[keep], self.vals[keep])
+
+    def split(self, row_side: np.ndarray, col_side: np.ndarray) -> list[list["_HeldEdges"]]:
+        """The blocks [a][b] of the rows on side a and the columns on side b,
+        for a side label (uint8, 0 or 1) of each row and column: bit for bit
+        the held edges of block[np.ix_(rows on a, columns on b)], each in this
+        block's order.  One stable counting sort of the edges, O(nnz + n).
+        """
+        local, sizes = [], []  # each index's place within its side; each side's size
+        for side in (row_side, col_side):
+            at = [np.flatnonzero(side == s) for s in (0, 1)]
+            local.append(np.empty(side.size, dtype=np.intp))
+            for on_side in at:
+                local[-1][on_side] = np.arange(on_side.size)
+            sizes.append((at[0].size, at[1].size))
+        code = (row_side[self.rows] << 1) | col_side[self.cols]  # block a, b is 2a + b
+        order = np.argsort(code, kind="stable")
+        starts = [0, *np.bincount(code, minlength=4).cumsum().tolist()]
+        rows, cols = local[0][self.rows[order]], local[1][self.cols[order]]
+        vals = self.vals[order]
+
+        def piece(a: int, b: int) -> _HeldEdges:
+            cut = slice(starts[2 * a + b], starts[2 * a + b + 1])
+            return _HeldEdges((sizes[0][a], sizes[1][b]), rows[cut], cols[cut], vals[cut])
+
+        return [[piece(a, b) for b in (0, 1)] for a in (0, 1)]
+
+    @cached_property
+    def array(self) -> np.ndarray:
+        """The block, read-only, built once: its held edges scattered into zeros."""
         out = np.zeros(self.shape)
         out[self.rows, self.cols] = self.vals
+        out.setflags(write=False)
         return out
+
+    def col_sums(self) -> np.ndarray:
+        """Each column's values summed in edge order."""
+        return np.bincount(self.cols, self.vals, minlength=self.shape[1])
 
     def identity_minus(self) -> np.ndarray:
         """I - A, the held edges scattered into one identity: bit for bit dense I - A."""
@@ -102,6 +149,43 @@ class _HeldEdges:
         vals = np.zeros(union.size)
         vals[np.searchsorted(union, flat)] = self.vals
         return _HeldEdges((n, n), *np.divmod(union, n), vals), np.searchsorted(union, extra)
+
+
+class _BlockField:
+    """A dataclass field that stores a block, or a tuple of blocks, as held
+    edges and reads as the dense block: a read-only array built on the first
+    read and cached on the held edges, so whatever shares them shares it.
+    `_HeldBlocks.held` gives what is stored; the owner's __post_init__ turns
+    its input into held edges.  An optional field defaults to None.
+    """
+
+    def __init__(self, optional: bool = True):
+        self.optional = optional
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            if self.optional:
+                return None  # the field's default
+            raise AttributeError(self.name)  # no default
+        held = obj.__dict__[self.name]
+        if isinstance(held, tuple):
+            return tuple(block.array for block in held)
+        return held if held is None else held.array
+
+    def __set__(self, obj, value):
+        obj.__dict__[self.name] = value
+
+
+class _HeldBlocks:
+    """Base of the dataclasses whose block fields are `_BlockField`s."""
+
+    def held(self, name: str):
+        """What field `name` stores: a block field's held edges (a tuple of
+        them for a tuple of blocks), or None when it is not given."""
+        return self.__dict__[name]
 
 
 class OwnershipNetwork:
@@ -127,11 +211,8 @@ class OwnershipNetwork:
         in_order = np.array_equal(order, np.arange(n))
         self.shares: np.ndarray = shares.copy() if in_order else shares[np.ix_(order, order)]
         self.shares.setflags(write=False)
-        # row-major positions of the held entries, whose bits are not +0.0, the
-        # stored form of the edges `partition` splits (nonzero on a bool mask
-        # is about three times faster than on uint64)
-        self._held = np.flatnonzero(self.shares.view(np.uint64) != 0)
-        self._held.setflags(write=False)
+        # the held entries, whose bits are not +0.0: the edges `partition` splits
+        self._held = _HeldEdges.of_bits(self.shares)
 
     @classmethod
     def from_edges(cls, nodes, edges) -> "OwnershipNetwork":
@@ -181,34 +262,35 @@ class Perimeter:
 
 
 @dataclass(frozen=True)
-class BlockPartition:
+class BlockPartition(_HeldBlocks):
     """The four share blocks induced by a perimeter, with their id maps.
 
-    The O/O block is given as a function that builds it, called the first
-    time `o_oo` is read.
+    Each block is stored as held edges (`held`) and reads as a read-only
+    dense array, built on the first read; a dense block given is stored by
+    one scan of its bits.
     """
 
     p_ids: tuple[NodeId, ...]
     o_ids: tuple[NodeId, ...]
-    o_pp: np.ndarray
-    o_po: np.ndarray
-    o_op: np.ndarray
-    o_oo_source: Callable[[], np.ndarray] = field(repr=False)
+    o_pp: np.ndarray = _BlockField()
+    o_po: np.ndarray = _BlockField()
+    o_op: np.ndarray = _BlockField()
+    o_oo: np.ndarray = _BlockField()
 
-    @cached_property
-    def o_oo(self) -> np.ndarray:
-        return self.o_oo_source()
+    def __post_init__(self):
+        for name in ("o_pp", "o_po", "o_op", "o_oo"):
+            held = self.held(name)
+            if held is not None and not isinstance(held, _HeldEdges):
+                object.__setattr__(self, name, _HeldEdges.of_bits(held))
 
 
 def partition(network: OwnershipNetwork, perimeter: Perimeter) -> BlockPartition:
     """Split the share matrix into the P/O blocks for a perimeter.
 
     One membership mask over the canonical node order yields both id tuples,
-    already in canonical order, and each node's index within its side.  The
-    network's held edges are split by side, and each block is its edges
-    scattered into zeros: O_PP, O_PO and O_OP here, O_OO, which valuation
-    never reads, on first read.  Every entry keeps its bits, -0.0 and NaN
-    included.
+    already in canonical order, and each side's node indices.  The network's
+    held edges are split by side into each block's held edges, in O(n + nnz):
+    every entry keeps its bits, -0.0 and NaN included.
     """
     unknown = perimeter.members - network._index.keys()
     if unknown:
@@ -217,26 +299,12 @@ def partition(network: OwnershipNetwork, perimeter: Perimeter) -> BlockPartition
     in_p = np.zeros(n, dtype=bool)
     in_p[np.fromiter((network._index[m] for m in perimeter.members), dtype=np.intp,
                      count=len(perimeter.members))] = True
-    n_p = len(perimeter.members)
-    sizes = {True: n_p, False: n - n_p}
-    local = np.empty(n, dtype=np.intp)  # each node's index within P or within O
-    local[in_p] = np.arange(n_p)
-    local[~in_p] = np.arange(n - n_p)
-    edges = _HeldEdges.at(network.shares, network._held)
-    owner_in_p, owned_in_p = in_p[edges.rows], in_p[edges.cols]
-
-    def block(owner_side: bool, owned_side: bool) -> np.ndarray:
-        keep = (owner_in_p == owner_side) & (owned_in_p == owned_side)
-        return _HeldEdges((sizes[owner_side], sizes[owned_side]), local[edges.rows[keep]],
-                          local[edges.cols[keep]], edges.vals[keep]).toarray()
-
+    side = (~in_p).view(np.uint8)  # 0 for P, 1 for O
+    (o_pp, o_po), (o_op, o_oo) = network._held.split(side, side)
     return BlockPartition(
         p_ids=tuple(compress(network.nodes, in_p.tolist())),
         o_ids=tuple(compress(network.nodes, (~in_p).tolist())),
-        o_pp=block(True, True),
-        o_po=block(True, False),
-        o_op=block(False, True),
-        o_oo_source=lambda: block(False, False),
+        o_pp=o_pp, o_po=o_po, o_op=o_op, o_oo=o_oo,
     )
 
 

@@ -215,7 +215,7 @@ def _state_value(state: State, cfg: SolverConfig | None, tau: float) -> float:
     if state.value is not None:
         return float(state.value)
     stats = state.stats
-    if stats.v_p is not None or stats.x_op is not None:
+    if stats.v_p is not None or stats.held("x_op") is not None:
         return evaluate_regime_a(stats, tau).w
     return evaluate_regime_b(stats, cfg, tau).w
 

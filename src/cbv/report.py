@@ -428,7 +428,7 @@ def write_package(
     `cut_statistics` reads them as priced amounts, is a PackageError, and
     nothing is written either.
     """
-    if stats.o_po is None or stats.o_op is None or stats.v_o is None:
+    if stats.held("o_po") is None or stats.held("o_op") is None or stats.v_o is None:
         raise PackageError("write_package needs share-form statistics")
     if stats.clearing_tag or (clearing_spec or {}).get("used"):
         raise PackageError("write_package writes share blocks, which a clearing "
@@ -441,17 +441,17 @@ def write_package(
     write_nodes_csv(directory / files["nodes_P"], stats.p_ids)
     write_nodes_csv(directory / files["nodes_O"], stats.o_ids)
     for key, name, header in _DATA_FILES:
-        values = getattr(stats, name)
-        if values is None:
+        if stats.held(name) is None:
             continue
+        values = getattr(stats, name)  # a block as its dense array: the file holds every cell
         rows, cols, _ = _FIELDS[name]
         files[key] = f"{key}.csv"
         write_matrix_csv(directory / files[key], getattr(stats, rows),
                          getattr(stats, cols) if cols else [name[0]],
                          values if cols else values[:, None], header)
-    if stats.o_pp is not None:
+    if stats.held("o_pp") is not None:
         files["stability"] = STABILITY_NAME
-        bound = spectral_radius_bound(stats.o_pp)
+        bound = spectral_radius_bound(stats.held("o_pp"))
         evidence = (
             "stability evidence for I - O_PP\n"
             f"norm_1 bound: {bound.norm_1!r}\n"
@@ -811,10 +811,11 @@ def build_cut_summary(
     tau = observer.tolerances.rounding_threshold
     flow_type = "debt" if stats.clearing_tag else "cashflow"
     v_p_used = result.v_p_used
-    edges_po = _edges(stats.o_po, stats.v_o, stats.x_po, stats.p_ids, stats.o_ids, tau,
-                      "equity" if stats.x_po is None else flow_type)
-    edges_op = _edges(stats.o_op, v_p_used, stats.x_op, stats.o_ids, stats.p_ids, tau,
-                      "equity" if stats.x_op is None else flow_type)
+    held = stats.held
+    edges_po = _edges(held("o_po"), stats.v_o, held("x_po"), stats.p_ids, stats.o_ids, tau,
+                      "equity" if held("x_po") is None else flow_type)
+    edges_op = _edges(held("o_op"), v_p_used, held("x_op"), stats.o_ids, stats.p_ids, tau,
+                      "equity" if held("x_op") is None else flow_type)
     v_p = dict(zip(stats.p_ids, v_p_used.tolist())) if v_p_used is not None else {}
     v_o = dict(zip(stats.o_ids, stats.v_o.tolist())) if stats.v_o is not None else {}
     return CutSummaryDoc(
@@ -828,7 +829,7 @@ def build_cut_summary(
         t_out=result.t_out,
         t_in=result.t_in,
         consolidated_value=result.w,
-        hedge_vector_o=hedge_vector(stats) if stats.o_po is not None else None,
+        hedge_vector_o=hedge_vector(stats) if held("o_po") is not None else None,
         missing_data=list(missing_data),
     )
 

@@ -175,13 +175,14 @@ def regime_b_bound(spec: PerturbationSpec, stats: CutStatistics) -> BoundReport:
     delta = O_OP' 1_O is the direct minority exposure; the extension term is
     ||delta||_q ||(I - O_PP)^-1||_{p->p} (eta + ||O_PO||_{q<-p} eps).
     """
-    if stats.o_pp is None or stats.o_po is None or stats.o_op is None:
+    held = [stats.held(name) for name in ("o_pp", "o_po", "o_op")]
+    if any(block is None for block in held):
         raise DomainError("regime_b_bound needs share-form blocks")
-    if not all(np.isfinite(block).all() for block in (stats.o_pp, stats.o_po, stats.o_op)):
+    if not all(np.isfinite(block.vals).all() for block in held):
         raise DomainError("O_PP, O_PO or O_OP is not finite")
     base = boundary_bound(spec, stats.o_po, len(stats.p_ids))
     q = spec.q
-    delta = stats.o_op.sum(axis=0)
+    delta = stats.held("o_op").col_sums()
     inv = inverse_norm(stats.o_pp, spec.p)
     extension = vector_norm(delta, q) * inv * (
         spec.eta + mixed_norm(stats.o_po, q, spec.p) * spec.eps
@@ -276,7 +277,7 @@ def monte_carlo_band(
     or the total of the estimated internal values, each exactly as
     `evaluate_regime_b` and `estimate_internal_values` give it on the probe.
     """
-    if stats.o_pp is None:
+    if stats.held("o_pp") is None:
         raise DomainError("monte_carlo_band needs the internal block O_PP")
     if not isinstance(draws, (int, np.integer)) or draws < 0:
         raise DomainError(f"draws={draws!r} must be an integer >= 0")
@@ -289,14 +290,19 @@ def monte_carlo_band(
         rng = np.random.default_rng(seed)
     except (TypeError, ValueError) as exc:
         raise DomainError(f"seed={seed!r} cannot seed the draws: {exc}") from None
-    held = _HeldEdges.of(stats.o_pp)
-    rows, cols = (held.rows, held.cols) if entries is None else _entry_indices(entries, held.n)
+    held = stats.held("o_pp")
+    if entries is None:
+        edges = held.edges()
+        rows, cols = edges.rows, edges.cols
+    else:
+        rows, cols = _entry_indices(entries, held.n)
     held, at = held.merged(rows, cols)
 
     rhs = _boundary_rhs(stats)
     base_out = float(stats.b_p.sum()) + _priced_edges(
-        stats.o_po, stats.v_o, stats.x_po, 0.0)[0]
-    col_sums = None if stats.o_op is None else stats.o_op.sum(axis=0)
+        stats.held("o_po"), stats.v_o, stats.held("x_po"), 0.0)[0]
+    o_op = stats.held("o_op")
+    col_sums = None if o_op is None else o_op.col_sums()
 
     def offsets():
         yield np.zeros(at.size)
@@ -320,7 +326,7 @@ def monte_carlo_band(
             values.append(float(v_p.sum()))
         else:
             values.append(base_out - _priced_edges(
-                stats.o_op, v_p, stats.x_op, 0.0, col_sums)[0])
+                o_op, v_p, stats.held("x_op"), 0.0, col_sums)[0])
     if not values:
         raise StabilityError("every Monte Carlo probe lost stability")
     return MonteCarloBand(

@@ -138,6 +138,47 @@ def random_share_matrix(rng, n: int, density: float = 0.5, col_cap: float = 0.9)
     return mat
 
 
+def sparse_ownership(n: int, seed: int, owners: int = 5, col_cap: float = 0.9):
+    """A seeded n-node ownership network with about `owners` owners per node,
+    the shares of each node summing to at most col_cap, plus bases b and the
+    values v = b + O v they imply, as id -> amount maps."""
+    rng = np.random.default_rng(seed)
+    owned = np.repeat(np.arange(n), owners)
+    owner = (owned + rng.integers(1, n, owned.size)) % n  # never the node itself
+    share = rng.uniform(0.0, 1.0, owned.size)
+    totals = np.bincount(owned, share, minlength=n)
+    share *= rng.uniform(0.3, col_cap, n)[owned] / totals[owned]
+    shares = np.zeros((n, n))
+    np.add.at(shares, (owner, owned), share)  # an owner drawn twice holds the sum
+    ids = [f"n{k:05d}" for k in range(n)]
+    network = cbv.OwnershipNetwork(ids, shares)
+    b = rng.uniform(5.0, 50.0, n)
+    v = b.copy()
+    for _ in range(1000):  # rho(O) <= col_cap, so the sweeps contract
+        v, previous = b + np.bincount(owner, share * v[owned], minlength=n), v
+        if np.abs(v - previous).max() < 1e-13 * np.abs(v).max():
+            break
+    return network, dict(zip(ids, b.tolist())), dict(zip(ids, v.tolist()))
+
+
+def dense_reference_w(b_p, v_o=None, o_po=None, o_op=None, o_pp=None, v_p=None,
+                      x_po=None, x_op=None) -> tuple[float, float]:
+    """W = 1'b_P + T_out - T_in from dense numpy products, the oracle for
+    pricing from held edges, and the sum of its terms' magnitudes, the scale
+    of its rounding.  Without v_P, it is solved from (I - O_PP) v_P =
+    b_P + O_PO v_O by LAPACK."""
+    b_p = np.asarray(b_p, dtype=float)
+    if x_po is None:
+        x_po = np.asarray(o_po) * np.asarray(v_o)
+    if x_op is None:
+        if v_p is None:
+            rhs = b_p + np.asarray(o_po) @ v_o
+            v_p = np.linalg.solve(np.eye(b_p.size) - np.asarray(o_pp), rhs)
+        x_op = np.asarray(o_op) * v_p
+    w = b_p.sum() + np.sum(x_po) - np.sum(x_op)
+    return float(w), float(np.abs(b_p).sum() + np.abs(x_po).sum() + np.abs(x_op).sum())
+
+
 def random_regime_stats(rng, n_p: int, n_o: int, observed: bool = False):
     """Random feasible boundary statistics (column sums over all owners <= 0.9)."""
     n = n_p + n_o

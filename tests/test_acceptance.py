@@ -296,7 +296,7 @@ def test_criterion_13_clearing_oracle_and_invariance():
         default_costs=np.array([[0.0, 0.5, 0.0]]),
     )
     outcome = cbv.clear(problem, eps=1e-12)
-    dues = problem.gross_dues()
+    dues = problem.gross_dues
     hits = []
     for p1 in np.arange(0.0, 101.0, 2.5):
         for p2 in np.arange(0.0, 51.0, 2.5):
@@ -315,7 +315,7 @@ def test_criterion_13_clearing_oracle_and_invariance():
             tuple(f"n{k}" for k in range(n)), mats,
             rng.uniform(0, 30, size=n), gamma=0.4,
         )
-        grid = random_problem.gross_dues().copy()
+        grid = random_problem.gross_dues.copy()
         for _ in range(60):
             nxt = iterate_once(random_problem, grid)
             assert (nxt <= grid + 1e-9).all()

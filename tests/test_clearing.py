@@ -57,7 +57,7 @@ def two_class_problem(n: int, gamma: float, zero_class, seed: int) -> cbv.Cleari
 
 def brute_force_fixed_points(problem, grids, tol):
     """Lattice search: every grid combination close to a fixed point."""
-    dues = problem.gross_dues()
+    dues = problem.gross_dues
     hits = []
     for combo in itertools.product(*grids):
         payments = np.array([combo], dtype=float).reshape(dues.shape)
@@ -128,7 +128,7 @@ class TestClear:
                 tuple(f"n{k}" for k in range(n)), liabilities,
                 rng.uniform(0, 30, size=n), gamma=0.4,
             )
-            dues = problem.gross_dues()
+            dues = problem.gross_dues
             down = dues.copy()
             for _ in range(50):
                 nxt = iterate_once(problem, down)
@@ -191,7 +191,7 @@ class TestClear:
     @pytest.mark.parametrize("zero_class", [None, 0, 1])
     def test_sparse_sweeps_match_dense_picard(self, n, gamma, zero_class):
         problem = two_class_problem(n, gamma, zero_class, seed=n + 7)
-        dues = problem.gross_dues()
+        dues = problem.gross_dues
         owes = dues > 0
         scale = float(dues.max())
         assert not owes[:, 0].any()
@@ -209,6 +209,38 @@ class TestClear:
             outcomes[selection] = outcome
         assert (outcomes["least"].payments <= outcomes["greatest"].payments + 1e-9 * scale).all()
         assert (outcomes["greatest"].payout_ratios < 1.0).any(), "no node defaulted"
+
+    def test_clears_reuse_the_problems_dues_and_operator(self, monkeypatch):
+        # one scan of the liabilities per problem, whichever selections run;
+        # each outcome is the one a fresh problem gives, bit for bit
+        fresh = {selection: cbv.clear(two_class_problem(200, 0.1, None, seed=207), selection)
+                 for selection in ("greatest", "least")}
+        problem = two_class_problem(200, 0.1, None, seed=207)
+        built = []
+        inflow = cbv.clearing._inflow
+        monkeypatch.setattr(cbv.clearing, "_inflow", lambda p: built.append(p) or inflow(p))
+        for selection in ("greatest", "least", "greatest"):
+            outcome = cbv.clear(problem, selection)
+            for name in ("payments", "payout_ratios"):
+                np.testing.assert_array_equal(getattr(outcome, name).view(np.uint64),
+                                              getattr(fresh[selection], name).view(np.uint64))
+            assert outcome.iterations == fresh[selection].iterations
+        assert built == [problem]
+        assert problem.gross_dues is problem.gross_dues
+        assert not problem.gross_dues.flags.writeable
+
+    def test_liabilities_are_read_only_copies(self):
+        liabilities = np.zeros((3, 3))
+        liabilities[0, 1], liabilities[1, 2] = 100.0, 50.0
+        problem = cbv.ClearingProblem(("n1", "n2", "n3"), (liabilities,),
+                                      np.array([30.0, 0.0, 0.0]), np.zeros((1, 3)))
+        before = cbv.clear(problem).payments
+        liabilities[0, 1] = 0.0  # the caller's later write reaches neither the problem nor its cache
+        assert problem.liabilities[0][0, 1] == 100.0
+        np.testing.assert_array_equal(cbv.clear(problem).payments, before)
+        np.testing.assert_array_equal(problem.gross_dues, [[100.0, 50.0, 0.0]])
+        with pytest.raises(ValueError):
+            problem.liabilities[0][0, 1] = 1.0
 
     @pytest.mark.parametrize("kwargs", [
         {"eps": float("inf")}, {"eps": float("nan")}, {"eps": 0.0}, {"eps": -1e-12},

@@ -11,7 +11,14 @@ import cbv
 from cbv.cli import EXIT_COMPUTE, EXIT_FINDINGS, EXIT_OK, EXIT_USAGE, build_parser, main
 from cbv.report import write_matrix_csv
 
-from conftest import V1_0_W, example_stats, rehash, two_cycle_chain_stats, v1_0_package
+from conftest import (
+    V1_0_W,
+    example_stats,
+    rehash,
+    sparse_ownership,
+    two_cycle_chain_stats,
+    v1_0_package,
+)
 
 # a PoV cut off mid-document, and one whose units fail the observer's check
 BAD_POVS = [b'{"observer": ', b'{"observer": {"units": "euro"}}']
@@ -398,6 +405,24 @@ class TestComputeCommand:
             observer = replace(loaded.observer, regime=regime)
             assert w == cbv.evaluate_for_observer(loaded.cut_statistics(), observer).w
         assert w != pytest.approx(84.56, abs=1e-6)
+
+
+    def test_package_from_a_generated_network_prices_the_in_process_w(self, tmp_path, capsys):
+        # the held edges partition takes from the network and those stored
+        # from the package's dense CSV blocks give W to the last bit
+        network, b, v = sparse_ownership(1000, seed=11)
+        perimeter = cbv.Perimeter(network.nodes[::2])
+        stats = cbv.CutStatistics.from_network(network, perimeter, b,
+                                               {node: v[node] for node in network.nodes[1::2]})
+        observer = cbv.Observer(perimeter_ref="P-GENERATED", regime="B",
+                                control_rule=cbv.ControlRuleSpec())
+        cbv.write_package(tmp_path / "generated", stats, observer)
+        assert main(["validate", str(tmp_path / "generated")]) == EXIT_OK
+        capsys.readouterr()
+        assert main(["compute", "--package", str(tmp_path / "generated"),
+                     "--format", "json"]) == EXIT_OK
+        w = json.loads(capsys.readouterr().out)["consolidated_value"]
+        assert repr(w) == repr(cbv.evaluate_for_observer(stats, observer).w)
 
 
 class TestBandFlags:

@@ -342,7 +342,9 @@ class TestEstimation:
         # reference: a second matvec per iteration, with I - O_PP, only for
         # the residual.  The sweeps multiply with the held edges, which sum
         # each row as a CSR product does, so the iterates and the count are
-        # the same; the residual agrees up to rounding of its two formulas
+        # the same; the residual agrees up to rounding of its two formulas.
+        # The right-hand side is a held-edge product, so it is formed here as
+        # a CSR product, which rounds the same way
         from scipy.sparse import csr_array
 
         eps = 1e-10
@@ -350,7 +352,7 @@ class TestEstimation:
             stats = random_regime_stats(rng, n_p=n_p, n_o=4)
             v_p, log = cbv.estimate_internal_values(
                 stats, cbv.SolverConfig(method="neumann", eps=eps))
-            rhs = stats.b_p + stats.o_po @ stats.v_o
+            rhs = stats.b_p + csr_array(stats.o_po) @ stats.v_o
             operator = csr_array(stats.o_pp)
             system = np.eye(n_p) - stats.o_pp
             ref = rhs.copy()
@@ -905,14 +907,14 @@ class TestSchur:
     def test_gauge_rewirings_preserve_operators_and_w(self, rng):
         base, rewired = gauge_rewiring_family(rng, n_draws=10)
         blocks_base = cbv.BlockPartition(
-            base.p_ids, base.o_ids, base.o_pp, base.o_po, base.o_op, lambda: np.zeros((2, 2))
+            base.p_ids, base.o_ids, base.o_pp, base.o_po, base.o_op, np.zeros((2, 2))
         )
         ops_base = cbv.schur_operators(blocks_base)
         w_base = cbv.evaluate_regime_b(base).w
         for variant in rewired:
             blocks = cbv.BlockPartition(
                 variant.p_ids, variant.o_ids, variant.o_pp,
-                variant.o_po, variant.o_op, lambda: np.zeros((2, 2)),
+                variant.o_po, variant.o_op, np.zeros((2, 2)),
             )
             ops = cbv.schur_operators(blocks)
             np.testing.assert_allclose(ops.t_po, ops_base.t_po, atol=1e-12)
@@ -944,7 +946,7 @@ class TestSchur:
             o_pp=o_pp,
         )
         ops = cbv.schur_operators(cbv.BlockPartition(
-            stats.p_ids, stats.o_ids, stats.o_pp, stats.o_po, stats.o_op, lambda: np.zeros((n_o, n_o))))
+            stats.p_ids, stats.o_ids, stats.o_pp, stats.o_po, stats.o_op, np.zeros((n_o, n_o))))
         rhs = stats.b_p + stats.o_po @ stats.v_o
         schur_w = rhs.sum() - ops.u_op.sum(axis=0) @ rhs
         w = cbv.evaluate_regime_b(stats, cbv.SolverConfig(method="direct")).w

@@ -1,0 +1,172 @@
+"""Blocks are stored as held edges: the dense views, the derived statistics,
+the cut edges and W against dense numpy, and the valuation path's memory."""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import cbv
+from cbv.engine import cut_edges
+from cbv.network import _HeldEdges
+
+from conftest import dense_reference_w, sparse_ownership
+
+# entries a stored block must keep bit for bit: signed zeros, subnormals, NaN
+FINITE_SPECIAL = (-0.0, 5e-324, -2.5e-310)
+SPECIAL = FINITE_SPECIAL + (float("nan"),)
+MATRICES = ("o_po", "o_op", "o_pp", "x_po", "x_op")
+
+
+def identical_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    """Same shape and the same bit pattern in every entry."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def draw_block(data, rng, shape, label, specials) -> np.ndarray:
+    """A sparse block of shares up to 0.3, a quarter of its entries drawn
+    from `specials` and some rows and columns all zero."""
+    block = rng.uniform(0.0, 0.3, shape) * (rng.random(shape) < 0.5)
+    if block.size:
+        mask = rng.random(shape) < 0.25
+        block[mask] = rng.choice(specials, size=int(mask.sum()))
+    for axis, size in enumerate(shape):
+        for k in data.draw(st.sets(st.integers(0, size - 1)) if size else st.just(set()),
+                           label=f"{label} zero axis {axis}"):
+            block[(slice(None),) * axis + (k,)] = 0.0
+    return block
+
+
+def draw_stats(data, specials):
+    """Drawn share-form and amount-form statistics with their dense inputs."""
+    n_p = data.draw(st.integers(0, 7), label="n_p")
+    n_o = data.draw(st.integers(0, 7), label="n_o")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    shapes = {"o_po": (n_p, n_o), "o_op": (n_o, n_p), "o_pp": (n_p, n_p),
+              "x_po": (n_p, n_o), "x_op": (n_o, n_p)}
+    dense = {name: draw_block(data, rng, shape, name, specials) for name, shape in shapes.items()}
+    dense["o_pp"] /= max(1.0, 2.0 * float(np.abs(np.nan_to_num(dense["o_pp"])).sum(axis=1).max(
+        initial=0.0)))  # rho(O_PP) <= 1/2 where the block is finite
+    dense["x_po"] *= 1000.0
+    dense["x_op"] *= 1000.0
+    ids = {"p_ids": tuple(f"p{k}" for k in range(n_p)), "o_ids": tuple(f"o{k}" for k in range(n_o))}
+    vectors = {"b_p": rng.uniform(5.0, 50.0, n_p), "v_o": rng.uniform(10.0, 100.0, n_o),
+               "v_p": rng.uniform(10.0, 100.0, n_p)}
+    shares = cbv.CutStatistics(**ids, **vectors, o_po=dense["o_po"], o_op=dense["o_op"],
+                               o_pp=dense["o_pp"])
+    amounts = cbv.CutStatistics.from_amounts(ids["p_ids"], ids["o_ids"], vectors["b_p"],
+                                             dense["x_po"], dense["x_op"])
+    return shares, amounts, dense, vectors
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_stored_blocks_read_back_and_derive_as_dense_blocks(data):
+    shares, amounts, dense, vectors = draw_stats(data, SPECIAL)
+    for stats in (shares, amounts):
+        for name in MATRICES:
+            if stats.held(name) is None:
+                continue
+            assert isinstance(stats.held(name), _HeldEdges)
+            view = getattr(stats, name)
+            assert identical_bits(view, dense[name]), name
+            assert not view.flags.writeable and view is getattr(stats, name)
+        # derived statistics: the parent's dense results, bit for bit
+        p_keep = set(data.draw(st.lists(st.sampled_from(stats.p_ids)) if stats.p_ids
+                               else st.just([]), label="p_keep"))
+        o_keep = set(data.draw(st.lists(st.sampled_from(stats.o_ids)) if stats.o_ids
+                               else st.just([]), label="o_keep"))
+        sub = stats.restrict(p_keep, o_keep)
+        at = {"p": [k for k, n in enumerate(stats.p_ids) if n in p_keep],
+              "o": [k for k, n in enumerate(stats.o_ids) if n in o_keep]}
+        for name in MATRICES:
+            if stats.held(name) is not None:
+                rows, cols = at[name[2]], at[name[3]]
+                assert identical_bits(getattr(sub, name), dense[name][np.ix_(rows, cols)]), name
+        kappa = data.draw(st.floats(1e-3, 1e3), label="kappa")
+        scaled = cbv.scale_units(kappa, stats)
+        for name in MATRICES:
+            if stats.held(name) is not None:
+                expected = kappa * dense[name] if name[0] == "x" else dense[name]
+                assert identical_bits(getattr(scaled, name), expected), name
+        assert identical_bits(scaled.b_p, kappa * vectors["b_p"])
+        observed = stats.with_v_p(vectors["v_p"])
+        for name in MATRICES:
+            assert observed.held(name) is stats.held(name)
+    # the cut edges: every entry != 0 (NaN included, -0.0 not), row-major,
+    # from the stored block as from the dense one
+    tau = data.draw(st.sampled_from([0.0, 1e-3]), label="tau")
+    for name, values, stats in (("o_po", vectors["v_o"], shares), ("o_op", vectors["v_p"], shares),
+                                ("x_po", None, amounts), ("x_op", None, amounts)):
+        rows, cols = np.nonzero(dense[name] != 0)
+        priced = dense[name][rows, cols] * (1.0 if values is None else values[cols])
+        keep = ~(np.abs(priced) < tau)
+        for block in (stats.held(name), dense[name]):
+            got = (cut_edges(block, values, None, tau) if values is not None
+                   else cut_edges(None, None, block, tau))
+            np.testing.assert_array_equal(got[0], rows[keep])
+            np.testing.assert_array_equal(got[1], cols[keep])
+            assert identical_bits(got[2], priced[keep])
+            assert got[3] == int((~keep).sum())
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_w_agrees_with_dense_numpy(data):
+    shares, amounts, dense, vectors = draw_stats(data, FINITE_SPECIAL)
+    observed = shares.with_v_p(vectors["v_p"])
+    cases = (
+        (cbv.evaluate_regime_a(observed).w,
+         dense_reference_w(vectors["b_p"], vectors["v_o"], dense["o_po"], dense["o_op"],
+                           v_p=vectors["v_p"])),
+        (cbv.evaluate_regime_b(shares, cbv.SolverConfig(method="direct")).w,
+         dense_reference_w(vectors["b_p"], vectors["v_o"], dense["o_po"], dense["o_op"],
+                           dense["o_pp"])),
+        (cbv.evaluate_regime_a(amounts).w,
+         dense_reference_w(vectors["b_p"], x_po=dense["x_po"], x_op=dense["x_op"])),
+    )
+    for w, (reference, scale) in cases:
+        assert abs(w - reference) <= 1e-12 * scale
+
+
+def test_valuation_reads_no_dense_block():
+    network, b, v = sparse_ownership(60, seed=3)
+    perimeter = cbv.Perimeter(network.nodes[::3])
+    observed = cbv.CutStatistics.from_network(network, perimeter, b, v)
+    stats = cbv.CutStatistics.from_network(network, perimeter, b,
+                                           {n: v[n] for n in observed.o_ids})
+    observer = cbv.Observer(perimeter_ref="P", regime="B", control_rule=cbv.ControlRuleSpec(),
+                            tolerances=cbv.Tolerances(rounding_threshold=1e-3))
+    result = cbv.evaluate_for_observer(stats, observer)
+    cbv.build_cut_summary(result, stats, observer)
+    cbv.evaluate_regime_a(observed, rounding_threshold=1e-3)
+    cbv.evaluate_regime_b(cbv.scale_units(2.0, stats.restrict(stats.p_ids[1:], stats.o_ids)))
+    cbv.effective_external_share(stats)
+    cbv.hedge_vector(stats)
+    cbv.monte_carlo_band(stats, noise=0.01, draws=3)
+    for name in ("o_po", "o_op", "o_pp"):
+        assert "array" not in vars(stats.held(name)), name
+        assert "array" not in vars(observed.held(name)), name
+    assert stats.o_pp is stats.with_v_p(result.v_p_used).o_pp  # built once, then shared
+
+
+def test_valuation_path_memory_is_o_nnz():
+    # 3000 nodes, about 15,000 edges, half of them in P: one dense n_P x n_O
+    # block is 18 MB.  Valuing from held edges stays below a tenth of it
+    network, b, v = sparse_ownership(3000, seed=7)
+    perimeter = cbv.Perimeter(network.nodes[::2])
+    complement = {n: v[n] for n in network.nodes[1::2]}
+    block_bytes = 1500 * 1500 * 8
+    tracemalloc.start()
+    try:
+        regime_a = cbv.evaluate_regime_a(cbv.CutStatistics.from_network(network, perimeter, b, v))
+        regime_b = cbv.evaluate_regime_b(
+            cbv.CutStatistics.from_network(network, perimeter, b, complement))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < block_bytes / 10, f"peak {peak} bytes"
+    assert regime_b.solver_log.method == "neumann"
+    assert regime_b.w == pytest.approx(regime_a.w, rel=1e-10)
