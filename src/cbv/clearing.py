@@ -64,7 +64,8 @@ class ClearingProblem(_HeldBlocks):
             raise DomainError("at least one liability class is required")
         held, dues = [], []
         for k, mat in enumerate(self.held("liabilities")):
-            mat = np.asarray(mat, dtype=float)
+            # held edges that `replace` passes on are summed dense, as given
+            mat = mat.array if isinstance(mat, _HeldEdges) else np.asarray(mat, dtype=float)
             if mat.shape != (n, n):
                 raise DimensionError(f"class {k + 1} liabilities must be {n}x{n}")
             edges = _HeldEdges.of_bits(mat)  # every entry but +0.0, which is valid

@@ -24,13 +24,14 @@ Cost.  `CutStatistics` stores every block as held edges
 (`network._HeldEdges`): `from_network` takes them from `partition`, which
 splits the network's held edges by side in O(n + nnz), a dense block given is
 stored by one scan of its bits, and statistics derived from others
-(`with_v_p`, `restrict`, `scale_units`) pass on the held edges they do not
-change.  No valuation reads a block dense: reading `stats.o_pp` or another
-block builds its dense array once, for the dense algebra of the robustness
-norms, `schur_operators` and `condition_diagnostics`.  Regime B is two pieces:
-the right-hand side b_P + O_PO v_O (`_boundary_rhs`, one held-edge matvec) and
-the gated solve on O_PP (`_solve_internal`); a Monte Carlo band, whose probes
-move only O_PP, computes the first once and runs only the second per probe.
+(`replace`, `with_v_p`, `restrict`, `scale_units`) pass on the held edges
+they do not change.  No valuation reads a block dense: reading `stats.o_pp`
+or another block builds its dense array once, for the dense algebra of the
+robustness norms, `schur_operators` and `condition_diagnostics`.  Regime B is
+two pieces: the right-hand side b_P + O_PO v_O (`_boundary_rhs`, one
+held-edge matvec) and the gated solve on O_PP (`_solve_internal`); a Monte
+Carlo band, whose probes move only O_PP, computes the first once and runs
+only the second per probe.
 Every method reads O_PP's held edges: each gate pass, sweep, Krylov step or
 residual costs O(nnz + n_P), and the direct method's one dense LU builds
 I - A from them, A = d O_PP / (1 + r): damping d and regularization r are one
@@ -227,13 +228,8 @@ class CutStatistics(_HeldBlocks):
             clearing_tag=clearing_tag,
         )
 
-    def _replaced(self, **changes) -> "CutStatistics":
-        """dataclasses.replace, with the blocks it does not change passed on as
-        the held edges they are stored as, not read dense and scanned again."""
-        return replace(self, **{**{name: self.held(name) for name in _FIELDS}, **changes})
-
     def with_v_p(self, v_p) -> "CutStatistics":
-        return self._replaced(v_p=v_p)
+        return self.replace(v_p=v_p)
 
     def restrict(self, p_keep, o_keep) -> "CutStatistics":
         """Sub-statistics over a subset of node ids (canonical order kept)."""
@@ -247,8 +243,8 @@ class CutStatistics(_HeldBlocks):
             if value is not None:
                 cut[name] = (value[at[rows]] if cols is None
                              else value.split(dropped[rows], dropped[cols])[0][0])
-        return self._replaced(p_ids=tuple(self.p_ids[k] for k in at["p_ids"]),
-                              o_ids=tuple(self.o_ids[k] for k in at["o_ids"]), **cut)
+        return self.replace(p_ids=tuple(self.p_ids[k] for k in at["p_ids"]),
+                            o_ids=tuple(self.o_ids[k] for k in at["o_ids"]), **cut)
 
 
 def scale_units(kappa: float, stats: CutStatistics) -> CutStatistics:
@@ -260,7 +256,7 @@ def scale_units(kappa: float, stats: CutStatistics) -> CutStatistics:
         value = stats.held(name)
         if money and value is not None:
             scaled[name] = kappa * value if cols is None else value.scaled(kappa)
-    return stats._replaced(**scaled)
+    return stats.replace(**scaled)
 
 
 @dataclass(frozen=True)

@@ -8,9 +8,9 @@ serialized artifact derived from them are deterministic.  Every sparse read
 of a block goes through `_HeldEdges`, a (rows, cols) block as its held
 entries: the engine's gate, solves and pricing, the priced cut edges,
 robustness, control Option C and clearing, which builds its scipy CSR
-inflow from them.  A block field of `BlockPartition`, `engine.CutStatistics`
-or `clearing.ClearingProblem` stores held edges and reads as the dense block
-(`_BlockField`), built on the first read.
+inflow from them.  A block field of `BlockPartition`, `engine.CutStatistics`,
+`clearing.ClearingProblem` or `report.CutReportPackage` stores held edges and
+reads as the dense block (`_BlockField`), built on the first read.
 
 Cost.  The network keeps its held entries (every entry whose bit pattern is
 not +0.0, so -0.0 and NaN are held) as one `_HeldEdges`, found in one scan
@@ -22,7 +22,7 @@ the edge lists are n^2 entries (24 bytes each).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from functools import cached_property
 from itertools import compress
 
@@ -184,8 +184,28 @@ class _HeldBlocks:
 
     def held(self, name: str):
         """What field `name` stores: a block field's held edges (a tuple of
-        them for a tuple of blocks), or None when it is not given."""
+        them for a tuple of blocks), or None when it is not given; any other
+        field's value."""
         return self.__dict__[name]
+
+    def replace(self, **changes):
+        """A copy with the fields in `changes` replaced.
+
+        Each block it does not change is passed on as the held edges it is
+        stored as, so the cost follows the changes.  `dataclasses.replace`
+        gives the same object, but reads every block dense, which builds and
+        caches its dense view, and scans it again.
+        """
+        kept = {f.name: self.held(f.name) for f in fields(self) if f.init}
+        return replace(self, **{**kept, **changes})
+
+    def _store_blocks(self, names):
+        """Store each block field in `names` that was given dense as held
+        edges, by one scan of its bits."""
+        for name in names:
+            held = self.held(name)
+            if held is not None and not isinstance(held, _HeldEdges):
+                self.__dict__[name] = _HeldEdges.of_bits(held)
 
 
 class OwnershipNetwork:
@@ -278,10 +298,7 @@ class BlockPartition(_HeldBlocks):
     o_oo: np.ndarray = _BlockField()
 
     def __post_init__(self):
-        for name in ("o_pp", "o_po", "o_op", "o_oo"):
-            held = self.held(name)
-            if held is not None and not isinstance(held, _HeldEdges):
-                object.__setattr__(self, name, _HeldEdges.of_bits(held))
+        self._store_blocks(("o_pp", "o_po", "o_op", "o_oo"))
 
 
 def partition(network: OwnershipNetwork, perimeter: Perimeter) -> BlockPartition:

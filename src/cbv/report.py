@@ -3,12 +3,18 @@
 A package directory holds `manifest.yaml`, the observer's perimeter of
 validity `pov.json`, and CSV data files (node lists, base and value vectors,
 share blocks), optionally `O_PP.csv` with its `proof_stability.txt` and
-`clearing.json`.  Under schema `cbv-cut-report@1.1` the manifest names every
-other file and pins its SHA-256, so each is tamper-evident byte by byte.
-One table, `_DATA_FILES`, lists the statistics' arrays a package holds, each
-with its manifest key and header, in the manifest's order; writing, loading,
-rule D2 and `CutReportPackage.cut_statistics` read it, and the axes of each
-come from `engine._FIELDS`.
+`clearing.json`.  Under schema `cbv-cut-report@1.2` the manifest names every
+other file and pins its SHA-256, so each is tamper-evident byte by byte.  A
+vector file is an `id` column and one value column; a share block's file
+(`O_PO.csv`, `O_OP.csv`, `O_PP.csv`) is an edge file, the header
+`from,to,share` and one line per held entry (every entry whose bits are not
++0.0, so -0.0 and NaN are held) in row-major order, its ids quoted as
+csv.writer quotes them and its value written with `repr`.  A repeated pair,
+an unknown id or a pair outside its block is a PackageError.  One table,
+`_DATA_FILES`, lists the statistics' arrays a package holds, each with its
+manifest key, in the manifest's order; writing, loading, rule D2 and
+`CutReportPackage.cut_statistics` read it, and the axes of each, which also
+tell a vector from a block, come from `engine._FIELDS`.
 
 Two JSON documents accompany a valuation: the perimeter-of-validity (the full
 observer configuration) and the cut summary (edge lists, totals and the
@@ -20,19 +26,25 @@ its file, is the only statement of the observer; the manifest repeats none
 of it and keeps only `O_ref`, which the observer lacks.  The observer's
 dataclasses (`Observer`, `Tolerances`, `FxPppSpec`, `SdfSpec`,
 `ControlRuleSpec`) declare its fields once: the PoV writes them, and a field
-a PoV leaves out takes the dataclass default.  A v1.0 package
+a PoV leaves out takes the dataclass default.  Older packages are read, not
+written.  A 1.1 package is a 1.2 package whose share blocks are dense
+matrix files, every cell written.  A v1.0 package also
 listed and hashed neither `pov.json` nor `proof_stability.txt`: its observer
 comes from an unlisted `pov.json` when one is present (rule D3 reports where
 it disagrees with the manifest), else from the manifest's observer block,
 which records no tolerances, basis, discount weights or perimeter nodes.
 
-Cost.  Writing a matrix renders only its held entries with `repr` (every
-other cell is the constant "0.0") and joins each row once.  Loading reads
-each file once, hashes those bytes and parses the same bytes with numpy's C
-parser, which gives what `float()` gives on every `repr`.  The cut summary
-lists its edges from the nonzero boundary entries (`engine.cut_edges`).  So
-each costs one pass over the text plus Python work per nonzero entry, not
-per cell.
+Cost.  Writing and loading a share block are O(nnz): the writer renders the
+held edges that `CutStatistics` stores, never a dense block, and the loader
+parses each edge file straight into held edges (`CutReportPackage` stores
+them as `CutStatistics` does), ordered by row-major position so that they
+are, bit for bit and in order, what the scan of the dense block gives.  Rule
+D2, rule D4's gate, `cut_statistics` and the disclosure sheet read those held
+edges, so no command builds a dense block.  A 1.1 or v1.0 block is parsed
+dense with numpy's C parser and scanned into held edges once.  Loading reads
+each file once and checks every hash before it parses any file, so the bytes
+hashed are the bytes parsed.  The cut summary lists its edges from the
+nonzero boundary entries (`engine.cut_edges`).
 """
 
 from __future__ import annotations
@@ -67,11 +79,12 @@ from .errors import (
     PackageError,
     StabilityError,
 )
-from .network import COLUMN_SUM_SLACK
+from .network import COLUMN_SUM_SLACK, _BlockField, _HeldBlocks, _HeldEdges
 from .observer import _RULE_LABEL_RE, ControlRuleSpec, FxPppSpec, Observer, SdfSpec, Tolerances
 from .validation import ValidationReport
 
-MANIFEST_VERSION = "cbv-cut-report@1.1"
+MANIFEST_VERSION = "cbv-cut-report@1.2"
+_V1_1 = "cbv-cut-report@1.1"
 _V1_0 = "cbv-cut-report@1.0"
 MANIFEST_NAME = "manifest.yaml"
 POV_NAME = "pov.json"
@@ -81,17 +94,19 @@ EDGE_TYPES = ("equity", "debt", "derivative", "cashflow")
 _KNOWN_MANIFEST_KEYS = ("version", "perimeter", "clearing", "data_files", "hashes", "notes")
 _ALWAYS_REQUIRED_FILES = ("nodes_P", "nodes_O", "b_P", "v_O", "O_PO", "O_OP")
 # The CutStatistics arrays a package holds, in the order the manifest lists
-# them: (manifest key, field, first header cell).  The file is `<key>.csv`;
-# its axes come from the field's entry in `engine._FIELDS`, and a vector's
-# one value column is named by the field's first letter.
+# them: (manifest key, field).  The file is `<key>.csv`; its axes come from
+# the field's entry in `engine._FIELDS`.  A vector's file has an `id` column
+# and one value column named by the field's first letter; a block's is an
+# edge file (`EDGE_HEADER`).
 _DATA_FILES = (
-    ("b_P", "b_p", "id"),
-    ("v_O", "v_o", "id"),
-    ("O_PO", "o_po", "id_P"),
-    ("O_OP", "o_op", "id_O"),
-    ("v_P", "v_p", "id"),
-    ("O_PP", "o_pp", "id_P"),
+    ("b_P", "b_p"),
+    ("v_O", "v_o"),
+    ("O_PO", "o_po"),
+    ("O_OP", "o_op"),
+    ("v_P", "v_p"),
+    ("O_PP", "o_pp"),
 )
+EDGE_HEADER = "from,to,share"
 
 
 def sha256_of_file(path) -> str:
@@ -161,7 +176,9 @@ def _json_indented(value, depth: int) -> str:
 # ---------------------------------------------------------------------------
 #
 # Readers take a `Path` or a `PackageFile`.  A vector file is a matrix file
-# with one value column: an id header row, then one row per id.
+# with one value column: an id header row, then one row per id.  A share
+# block's file is an edge file (`_write_edges`, `_read_edges`); a dense
+# matrix file is a 1.1 or v1.0 block, or the share matrix of `cbv control`.
 
 # a row whose only cell is blank is still a row: numpy parses it as one
 _ROW_TEXT = re.compile(r"[^\r\n]")
@@ -294,6 +311,71 @@ def _reorder_matrix(row_ids, col_ids, data, want_rows, want_cols, name):
     return data[np.ix_([row_at[n] for n in want_rows], [col_at[n] for n in want_cols])]
 
 
+def _write_edges(path: Path, row_ids, col_ids, held: _HeldEdges):
+    """Write a block's edge file from its held edges: the header
+    `from,to,share`, then one line per held entry, in the order held
+    (row-major for every block `CutStatistics` stores).
+
+    Ids are quoted as `_csv_cell` quotes them and each value is its `repr`,
+    so -0.0, NaN and every float read back bit for bit.
+    """
+    from_cells = [_csv_cell(node) for node in row_ids]
+    to_cells = [_csv_cell(node) for node in col_ids]
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        handle.write(EDGE_HEADER + "\n")
+        handle.writelines(f"{from_cells[i]},{to_cells[j]},{value!r}\n" for i, j, value
+                          in zip(held.rows.tolist(), held.cols.tolist(), held.vals.tolist()))
+
+
+def _read_edges(file, axes: tuple[str, str], at: dict) -> _HeldEdges:
+    """The held edges of a block's edge file, in row-major order.
+
+    `axes` names the node lists that index the block's rows and columns, keys
+    of `at`, which maps each list's ids to their places in it.  Entries
+    whose bits are +0.0 are not held, as a dense block's are not, so a block
+    reads as the scan of its dense form would give it.  A row that is not
+    from,to,share, a share that `float` cannot read, an unknown id, a pair
+    outside the block and a repeated pair are PackageErrors.
+    """
+    try:
+        lines = list(csv.reader(io.StringIO(_text(file))))
+    except csv.Error as exc:
+        raise PackageError(f"{file.name}: {exc}") from None
+    if not lines or ",".join(lines[0]) != EDGE_HEADER:
+        raise PackageError(f"{file.name}: the header is not {EDGE_HEADER}")
+    body = lines[1:]
+    for number, line in enumerate(body, start=2):  # the header is row 1
+        if len(line) != 3:
+            raise PackageError(f"{file.name}: row {number} has {len(line)} cells, "
+                               f"expected 3 ({EDGE_HEADER})")
+    columns = tuple(zip(*body)) or ((), (), ())
+    index = []
+    for side, column, cells in zip(axes, ("from", "to"), columns):
+        try:
+            index.append(np.fromiter(map(at[side].__getitem__, cells), dtype=np.intp,
+                                     count=len(cells)))
+        except KeyError as exc:
+            node = exc.args[0]
+            other = "o_ids" if side == "p_ids" else "p_ids"
+            what = (f"names a node of {other[0].upper()}, outside the block" if node in at[other]
+                    else "is an unknown id")
+            raise PackageError(f"{file.name}: {node!r} in the {column} column {what}") from None
+    try:
+        vals = np.fromiter(map(float, columns[2]), dtype=float, count=len(body))
+    except ValueError as exc:
+        raise PackageError(f"{file.name}: a share is not a number ({exc})") from None
+    shape = (len(at[axes[0]]), len(at[axes[1]]))
+    flat = index[0] * shape[1] + index[1]
+    order = np.argsort(flat, kind="stable")
+    flat = flat[order]
+    repeated = np.flatnonzero(flat[1:] == flat[:-1])
+    if repeated.size:
+        k = order[repeated[0] + 1]
+        raise PackageError(f"{file.name}: repeated pair ({columns[0][k]!r}, {columns[1][k]!r})")
+    order = order[vals[order].view(np.uint64) != 0]
+    return _HeldEdges(shape, index[0][order], index[1][order], vals[order])
+
+
 # ---------------------------------------------------------------------------
 # Manifest
 # ---------------------------------------------------------------------------
@@ -360,41 +442,58 @@ class Manifest:
 # Package write / load
 # ---------------------------------------------------------------------------
 
-@dataclass
-class CutReportPackage:
+@dataclass(frozen=True)
+class CutReportPackage(_HeldBlocks):
+    """A loaded package.
+
+    Its share blocks are stored as held edges (`held`), which validation and
+    `cut_statistics` read; reading `o_po` and the other blocks gives a
+    read-only dense array, built on the first read.  A dense block given is
+    stored by one scan of its bits.
+    """
+
     directory: Path
     manifest: Manifest
     p_ids: tuple[str, ...]
     o_ids: tuple[str, ...]
     b_p: np.ndarray
     v_o: np.ndarray
-    o_po: np.ndarray
-    o_op: np.ndarray
-    o_pp: np.ndarray | None
+    o_po: np.ndarray = _BlockField(optional=False)
+    o_op: np.ndarray = _BlockField(optional=False)
+    o_pp: np.ndarray | None = _BlockField(optional=False)
     observer: Observer
     v_p: np.ndarray | None = None
     clearing_spec: dict | None = None
     pov: dict | None = None
     stability_evidence: str | None = None
 
+    def __post_init__(self):
+        self._store_blocks(("o_po", "o_op", "o_pp"))
+
     def _non_finite_cells(self):
-        """(file, message, location) for each non-finite cell loaded, in the
-        wording of rule D2."""
-        for key, name, _ in _DATA_FILES:
-            values = getattr(self, name)
-            if values is None:
+        """(file, message, location) for each non-finite cell loaded, in row-major
+        order and the wording of rule D2."""
+        for key, name in _DATA_FILES:
+            stored = self.held(name)
+            if stored is None:
                 continue
             axes = [getattr(self, ids) for ids in _FIELDS[name][:2] if ids]
-            for flat in np.flatnonzero(~np.isfinite(values)):
-                index = np.unravel_index(flat, values.shape)
+            if isinstance(stored, _HeldEdges):
+                bad = np.flatnonzero(~np.isfinite(stored.vals))
+                values, index = stored.vals[bad], (stored.rows[bad], stored.cols[bad])
+            else:
+                bad = np.flatnonzero(~np.isfinite(stored))
+                values, index = stored[bad], (bad,)
+            for value, *at in zip(values.tolist(), *(k.tolist() for k in index)):
                 yield (self.manifest.data_files.get(key, key),
-                       f"{key} entry is not finite: {float(values[index])!r}",
-                       "->".join(str(ids[k]) for ids, k in zip(axes, index)))
+                       f"{key} entry is not finite: {value!r}",
+                       "->".join(str(ids[k]) for ids, k in zip(axes, at)))
 
     def cut_statistics(self) -> CutStatistics:
-        """Boundary statistics for valuation.
+        """Boundary statistics for valuation, which share the package's held
+        edges.
 
-        When the manifest declares clearing, the matrix files carry net
+        When the manifest declares clearing, the block files carry net
         post-clearing flows and are treated as priced amounts.  A non-finite
         cell, which rule D2 reports, is a PackageError here: no valuation is
         priced from it.
@@ -403,13 +502,14 @@ class CutReportPackage:
         if non_finite is not None:
             file, message, location = non_finite
             raise PackageError(f"{file}: {message} at {location}")
+        held = self.held
         clearing = self.manifest.clearing_block
         if clearing.get("used"):
             return CutStatistics(self.p_ids, self.o_ids, self.b_p, self.v_o,
-                                 x_po=self.o_po, x_op=self.o_op,
+                                 x_po=held("o_po"), x_op=held("o_op"),
                                  clearing_tag=str(clearing.get("engine") or "clearing"))
         return CutStatistics(self.p_ids, self.o_ids,
-                             **{name: getattr(self, name) for _, name, _ in _DATA_FILES})
+                             **{name: held(name) for _, name in _DATA_FILES})
 
 
 def write_package(
@@ -440,15 +540,17 @@ def write_package(
     files = {"nodes_P": "nodes_P.csv", "nodes_O": "nodes_O.csv"}
     write_nodes_csv(directory / files["nodes_P"], stats.p_ids)
     write_nodes_csv(directory / files["nodes_O"], stats.o_ids)
-    for key, name, header in _DATA_FILES:
-        if stats.held(name) is None:
+    for key, name in _DATA_FILES:
+        stored = stats.held(name)
+        if stored is None:
             continue
-        values = getattr(stats, name)  # a block as its dense array: the file holds every cell
         rows, cols, _ = _FIELDS[name]
         files[key] = f"{key}.csv"
-        write_matrix_csv(directory / files[key], getattr(stats, rows),
-                         getattr(stats, cols) if cols else [name[0]],
-                         values if cols else values[:, None], header)
+        if cols:
+            _write_edges(directory / files[key], getattr(stats, rows), getattr(stats, cols),
+                         stored)
+        else:
+            write_vector_csv(directory / files[key], getattr(stats, rows), stored, name[0])
     if stats.held("o_pp") is not None:
         files["stability"] = STABILITY_NAME
         bound = spectral_radius_bound(stats.held("o_pp"))
@@ -522,21 +624,23 @@ def load_package(directory) -> CutReportPackage:
 
     Every listed file must exist, carry a manifest hash, and match it byte
     for byte; `pov.json` is required, and `O_PP.csv` when the observer's
-    regime is B.  Each file is read once: the bytes hashed are the bytes
-    parsed.  A v1.0 package is read as the module docstring describes; any
-    other manifest version, or none, is a PackageError.
+    regime is B.  Each file is read once, and every hash is checked before
+    any file is parsed: the bytes hashed are the bytes parsed.  A 1.2
+    package's blocks are read from their edge files; a 1.1 or v1.0 package's
+    from dense files, as the module docstring describes.  Any other manifest
+    version, or none, is a PackageError.
     """
     directory = Path(directory)
     manifest_path = directory / MANIFEST_NAME
     if not manifest_path.exists():
         raise PackageError(f"{MANIFEST_NAME} not found in {directory}")
     manifest = Manifest.from_yaml_bytes(manifest_path.read_bytes())
-    if manifest.version not in (MANIFEST_VERSION, _V1_0):
+    if manifest.version not in (MANIFEST_VERSION, _V1_1, _V1_0):
         raise PackageError(f"manifest version {manifest.version!r}, expected "
-                           f"{MANIFEST_VERSION!r} or {_V1_0!r}")
+                           f"{MANIFEST_VERSION!r}, {_V1_1!r} or {_V1_0!r}")
 
     files = manifest.data_files
-    current = manifest.version == MANIFEST_VERSION
+    current = manifest.version != _V1_0
     required = _ALWAYS_REQUIRED_FILES + (("pov",) if current else ())
     missing = [key for key in required if key not in files]
     if missing:
@@ -572,11 +676,16 @@ def load_package(directory) -> CutReportPackage:
 
     ids = {"p_ids": sorted(read_nodes_csv(loaded["nodes_P"])),
            "o_ids": sorted(read_nodes_csv(loaded["nodes_O"]))}
-    arrays = dict.fromkeys(name for _, name, _ in _DATA_FILES)
-    for key, name, _ in _DATA_FILES:
+    at = {side: {node: k for k, node in enumerate(nodes)} for side, nodes in ids.items()}
+    edge_files = manifest.version == MANIFEST_VERSION
+    arrays = dict.fromkeys(name for _, name in _DATA_FILES)
+    for key, name in _DATA_FILES:
         if key not in files:
             continue
         rows, cols, _ = _FIELDS[name]
+        if cols and edge_files:
+            arrays[name] = _read_edges(loaded[key], (rows, cols), at)
+            continue
         row_ids, col_ids, data = read_matrix_csv(loaded[key])
         if cols is None and len(col_ids) != 1:
             raise PackageError(f"{loaded[key].name}: expected a two-column id/value file")
@@ -635,14 +744,14 @@ def validate_package(pkg: CutReportPackage) -> ValidationReport:
     for _, message, location in pkg._non_finite_cells():
         report.add("D2", "error", message, location=location)
     amounts = ("o_po", "o_op") if pkg.manifest.clearing_block.get("used") else ()
-    shares = {name: (key, getattr(pkg, name)) for key, name, _ in _DATA_FILES
-              if not _FIELDS[name][2] and name not in amounts and getattr(pkg, name) is not None}
+    shares = {name: (key, pkg.held(name)) for key, name in _DATA_FILES
+              if not _FIELDS[name][2] and name not in amounts and pkg.held(name) is not None}
     for key, block in shares.values():
-        if (block < 0).any():
+        if (block.vals < 0).any():
             report.add("D2", "error", f"{key} has negative entries")
     if (pkg.b_p < 0).any() and not pkg.manifest.notes:
         report.add("D2", "warning", "negative bases present without a justifying note")
-    col_sums = sum((shares[name][1].sum(axis=0) for name in ("o_pp", "o_op") if name in shares),
+    col_sums = sum((shares[name][1].col_sums() for name in ("o_pp", "o_op") if name in shares),
                    np.zeros(len(pkg.p_ids)))
     for j in np.nonzero(col_sums > 1.0 + COLUMN_SUM_SLACK)[0]:
         report.add("D2", "error",
@@ -666,13 +775,13 @@ def validate_package(pkg: CutReportPackage) -> ValidationReport:
 
     # D4: regime B needs stability evidence alongside the internal block, and
     # the hashed block must pass the gate that regime B runs before its solve
-    if pkg.o_pp is not None:
+    if pkg.held("o_pp") is not None:
         if not pkg.stability_evidence:
             report.add("D4", "error",
                        "O_PP provided without stability evidence "
                        f"({STABILITY_NAME} missing)")
         try:
-            _stability_gate(pkg.o_pp)
+            _stability_gate(pkg.held("o_pp").edges())
         except StabilityError as exc:
             report.add("D4", "error", f"O_PP fails the stability gate: {exc}")
     elif pkg.observer.regime == "B":
@@ -990,8 +1099,8 @@ def render_disclosure_sheet(
     border = (
         f"b_P total {_format_amount(float(pkg.b_p.sum()))}; "
         f"v_O total {_format_amount(float(pkg.v_o.sum()))}; "
-        f"edges P->O: {int(np.count_nonzero(pkg.o_po))}; "
-        f"edges O->P: {int(np.count_nonzero(pkg.o_op))}"
+        f"edges P->O: {int(np.count_nonzero(pkg.held('o_po').vals))}; "
+        f"edges O->P: {int(np.count_nonzero(pkg.held('o_op').vals))}"
     )
     if clearing.get("used"):
         clearing_text = (

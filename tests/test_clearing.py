@@ -1,5 +1,4 @@
 import itertools
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -260,7 +259,7 @@ class TestClear:
     ], ids=["repeated-id", "no-class", "liability-shape", "resources-shape", "costs-shape"])
     def test_refuses_malformed_problems(self, fields, error, message):
         with pytest.raises(error, match=message):
-            replace(chain_problem(), **fields)
+            chain_problem().replace(**fields)
 
     def test_convergence_error_carries_iterate(self):
         problem = chain_problem()

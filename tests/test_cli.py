@@ -64,10 +64,11 @@ def build_package(tmp_path, name="pkg", kappa=None, b_scale=1.0, regime="B",
 
 
 def write_nan_cell(pkg, name):
-    """Put NaN in the first data cell of a package file and re-hash it."""
+    """Put NaN in the value cell of the first data line of a package file (a
+    vector's value, an edge file's share) and re-hash it."""
     target = pkg / name
     lines = target.read_text(encoding="utf-8").splitlines()
-    lines[1] = ",".join([lines[1].split(",")[0], "nan", *lines[1].split(",")[2:]])
+    lines[1] = ",".join([*lines[1].split(",")[:-1], "nan"])
     target.write_text("\n".join(lines) + "\n", encoding="utf-8")
     rehash(pkg, name)
 
@@ -651,6 +652,18 @@ CORRUPTIONS = {
 }
 SWEEP = [(name, corruption, rehashed) for name in PACKAGE_FILES for corruption in CORRUPTIONS
          for rehashed in (False, True) if not (rehashed and name == "manifest.yaml")]
+# faults of an edge file that still parses as CSV: (fault, edit of the
+# text, start of the refusal after the file name)
+EDGE_FAULTS = [
+    ("repeated-pair", lambda text: text + "A,X,0.01\n", "repeated pair ('A', 'X')"),
+    ("unknown-id", lambda text: text.replace("A,X,", "A,Z,", 1),
+     "'Z' in the to column is an unknown id"),
+    ("p-id-in-to-column", lambda text: text.replace("A,X,", "A,B,", 1),
+     "'B' in the to column names a node of P, outside the block"),
+    ("missing-share", lambda text: text.replace("A,X,0.05", "A,X", 1), "row 2 has 2 cells"),
+    ("not-a-number", lambda text: text.replace("A,X,0.05", "A,X,abc", 1),
+     "a share is not a number"),
+]
 
 
 class TestCorruptionSweep:
@@ -679,6 +692,23 @@ class TestCorruptionSweep:
         if corrupted != blob and not rehashed:
             assert validate == EXIT_FINDINGS
         assert set(others) <= {EXIT_OK, EXIT_COMPUTE}
+
+    @pytest.mark.parametrize("fault, edit, message", EDGE_FAULTS,
+                             ids=[fault for fault, *_ in EDGE_FAULTS])
+    def test_edge_file_fault_is_a_schema_finding(self, tmp_path, capsys, fault, edit, message):
+        # O_PO.csv holds A,X,0.05 A,Y,0.02 B,X,0.03 C,Y,0.04; each fault is
+        # re-hashed, so it reaches the edge-file reader
+        pkg = build_package(tmp_path)
+        target = pkg / "O_PO.csv"
+        target.write_text(edit(target.read_text(encoding="utf-8")), encoding="utf-8")
+        rehash(pkg, "O_PO.csv")
+        assert main(["validate", str(pkg)]) == EXIT_FINDINGS
+        out = capsys.readouterr().out
+        assert out.startswith(f"ERROR schema: O_PO.csv: {message}"), out
+        assert main(["compute", "--package", str(pkg)]) == EXIT_COMPUTE
+        err = capsys.readouterr().err
+        assert err.startswith(f"error [PackageError]: O_PO.csv: {message}")
+        assert "Traceback" not in err
 
 
 class TestUsageErrors:

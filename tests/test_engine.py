@@ -84,7 +84,7 @@ class TestRegimeA:
     ], ids=["b_p-shape", "o_pp-shape", "no-outgoing", "no-incoming", "no-v_o"])
     def test_shape_and_side_refusals(self, stats_a, fields, message):
         with pytest.raises(DimensionError, match=message):
-            replace(stats_a, **fields)
+            stats_a.replace(**fields)
 
     def test_missing_v_p_is_regime_error(self, stats_b):
         with pytest.raises(RegimeError):
@@ -978,7 +978,7 @@ class TestSchur:
             o_pp = held[:n_p].copy()
             o_pp[t] = rng.uniform(0.0, 0.99, n_p) * headroom
             o_pp[t, t] = 0.0
-            variants.append(replace(base, o_pp=o_pp))
+            variants.append(base.replace(o_pp=o_pp))
         for method in ("direct", "neumann", "iterative_krylov"):
             cfg = cbv.SolverConfig(method=method)
             w = cbv.evaluate_regime_b(base, cfg).w

@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -150,7 +148,7 @@ class TestIndices:
     def test_component_fallback_on_zero_components(self, stats_a):
         # a component that is zero in both periods has multiplier 1; one that
         # appears from zero has no ratio
-        no_out = replace(stats_a, o_po=np.zeros_like(stats_a.o_po))
+        no_out = stats_a.replace(o_po=np.zeros_like(stats_a.o_po))
         quad = cbv.cross_priced_quad(no_out, no_out, observer(), observer())
         assert component_sign_indices(quad).t_out_multiplier == 1.0
         quad = cbv.cross_priced_quad(no_out, stats_a, observer(), observer())

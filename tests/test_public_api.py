@@ -1,4 +1,6 @@
-"""The public surface: every public function and class each `cbv` module defines.
+"""The public surface: every public function and class each `cbv` module
+defines, and every public method those classes define or take from a
+private `cbv` base.
 
 A change that adds or removes a public name shows it in the diff of
 `public_api.txt`.  After such a change, regenerate the file with
@@ -16,7 +18,9 @@ GOLDEN = Path(__file__).with_name("public_api.txt")
 
 
 def public_api() -> list[str]:
-    """`module.name` for each public function and class a `cbv` module defines."""
+    """`module.name` for each public function and class a `cbv` module defines,
+    and `module.Class.name` for each public method, class method or static
+    method such a class defines or takes from a private `cbv` base."""
     names = []
     for info in pkgutil.iter_modules(cbv.__path__):
         module = importlib.import_module(f"cbv.{info.name}")
@@ -25,6 +29,16 @@ def public_api() -> list[str]:
                     and (inspect.isfunction(obj) or inspect.isclass(obj))
                     and obj.__module__ == module.__name__):
                 names.append(f"{module.__name__}.{name}")
+                if inspect.isclass(obj):
+                    owners = [obj] + [base for base in obj.__mro__[1:]
+                                      if base.__name__.startswith("_")
+                                      and base.__module__.startswith("cbv.")]
+                    names.extend({f"{module.__name__}.{name}.{attr}"
+                                  for owner in owners
+                                  for attr, member in vars(owner).items()
+                                  if not attr.startswith("_") and (
+                                      inspect.isfunction(member)
+                                      or isinstance(member, (classmethod, staticmethod)))})
     return sorted(names)
 
 

@@ -12,6 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 import cbv
 import cbv.report
 from cbv.errors import DomainError, EmissionError, IntegrityError, PackageError
+from cbv.network import _HeldEdges
 from cbv.report import (
     MANIFEST_VERSION,
     STABILITY_NAME,
@@ -20,6 +21,7 @@ from cbv.report import (
     read_matrix_csv,
     write_matrix_csv,
     write_vector_csv,
+    _write_edges,
 )
 
 from conftest import (
@@ -178,11 +180,14 @@ def demo_observer(regime="B", **kwargs) -> cbv.Observer:
     )
 
 
-# A package written by the cbv-cut-report@1.1 writer from example_stats() under
-# GOLDEN_OBSERVER, with GOLDEN_CLEARING as clearing.json and the note
-# "demo data"; it prices W at GOLDEN_W.  Any change to a written byte, the
-# manifest's key order included, shows against it.
+# Packages written by the cbv-cut-report@1.1 and @1.2 writers from
+# example_stats() under GOLDEN_OBSERVER, with GOLDEN_CLEARING as clearing.json
+# and the note "demo data"; each prices W at GOLDEN_W.  The 1.1 package holds
+# dense share blocks and pins what old packages load to; the 1.2 package holds
+# edge files and pins the bytes written today, so any change to a written
+# byte, the manifest's key order included, shows against it.
 GOLDEN_PACKAGE = V1_0_PACKAGE.with_name("package_v1_1")
+GOLDEN_PACKAGE_V1_2 = V1_0_PACKAGE.with_name("package_v1_2")
 GOLDEN_OBSERVER = replace(demo_observer("A"), fx_ppp=cbv.FxPppSpec(
     scale=1.07, fx_source="ECB", deflator="HICP"))
 GOLDEN_CLEARING = {"engine": "eisenberg-noe", "params": {"selection": "greatest"}}
@@ -248,10 +253,11 @@ class TestPackageRoundTrip:
     def test_golden_package_is_written_byte_for_byte(self, tmp_path):
         cbv.write_package(tmp_path / "pkg", example_stats(), GOLDEN_OBSERVER,
                           clearing_spec=GOLDEN_CLEARING, notes=["demo data"])
-        names = sorted(p.name for p in GOLDEN_PACKAGE.iterdir())
+        names = sorted(p.name for p in GOLDEN_PACKAGE_V1_2.iterdir())
         assert sorted(p.name for p in (tmp_path / "pkg").iterdir()) == names
         for name in names:
-            assert (tmp_path / "pkg" / name).read_bytes() == (GOLDEN_PACKAGE / name).read_bytes(), name
+            assert ((tmp_path / "pkg" / name).read_bytes()
+                    == (GOLDEN_PACKAGE_V1_2 / name).read_bytes()), name
 
     def test_golden_package_loads_bit_exact(self):
         pkg = cbv.load_package(GOLDEN_PACKAGE)
@@ -262,6 +268,24 @@ class TestPackageRoundTrip:
         assert pkg.observer == GOLDEN_OBSERVER and pkg.clearing_spec == GOLDEN_CLEARING
         assert cbv.evaluate_for_observer(pkg.cut_statistics(), pkg.observer).w == GOLDEN_W
 
+    def test_golden_packages_1_1_and_1_2_load_alike(self):
+        # the dense blocks of 1.1 and the edge files of 1.2 load to the same
+        # held edges, bit for bit and in the same order, and to the same W
+        old, new = cbv.load_package(GOLDEN_PACKAGE), cbv.load_package(GOLDEN_PACKAGE_V1_2)
+        assert (old.manifest.version, new.manifest.version) == ("cbv-cut-report@1.1",
+                                                                MANIFEST_VERSION)
+        for name in ("o_po", "o_op", "o_pp"):
+            a, b = old.held(name), new.held(name)
+            assert a.shape == b.shape, name
+            for part in ("rows", "cols", "vals"):
+                got, want = getattr(b, part), getattr(a, part)
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (name, part)
+            assert same_bits(getattr(old, name), getattr(new, name)), name
+        for name in ("b_p", "v_o", "v_p"):
+            assert same_bits(getattr(old, name), getattr(new, name)), name
+        for pkg in (old, new):
+            assert cbv.evaluate_for_observer(pkg.cut_statistics(), pkg.observer).w == GOLDEN_W
+
     @pytest.mark.parametrize("tag, spec", [
         (None, {"used": True, "engine": "seniority"}),
         ("seniority", None),
@@ -269,7 +293,7 @@ class TestPackageRoundTrip:
     def test_clearing_declared_over_share_blocks_writes_nothing(self, tmp_path, tag, spec):
         # the declaration made cut_statistics read the share files as priced
         # amounts: W moved and validate reported no findings
-        stats = replace(example_stats(with_v_p=False), clearing_tag=tag)
+        stats = example_stats(with_v_p=False).replace(clearing_tag=tag)
         with pytest.raises(PackageError, match="priced amounts"):
             cbv.write_package(tmp_path / "pkg", stats, demo_observer(), clearing_spec=spec)
         assert not (tmp_path / "pkg").exists()
@@ -279,8 +303,10 @@ class TestPackageRoundTrip:
         # O_PO and O_OP files hold net flows, priced as they stand
         stats = example_stats(with_v_p=False)
         x_po, x_op = [[3.0, 1.6], [1.8, 0.0], [0.0, 3.2]], [[6.0, 3.0, 0.0], [0.0, 6.4, 9.6]]
-        write_matrix_csv(package_dir / "O_PO.csv", stats.p_ids, stats.o_ids, x_po, "id_P")
-        write_matrix_csv(package_dir / "O_OP.csv", stats.o_ids, stats.p_ids, x_op, "id_O")
+        _write_edges(package_dir / "O_PO.csv", stats.p_ids, stats.o_ids,
+                     _HeldEdges.of_bits(np.array(x_po)))
+        _write_edges(package_dir / "O_OP.csv", stats.o_ids, stats.p_ids,
+                     _HeldEdges.of_bits(np.array(x_op)))
         manifest = Manifest.from_yaml_bytes((package_dir / "manifest.yaml").read_bytes())
         manifest.data["clearing"] = {"used": True, "engine": "seniority", "params": {}}
         (package_dir / "manifest.yaml").write_bytes(manifest.to_yaml_bytes())
@@ -348,8 +374,9 @@ class TestValidatePackage:
 
     def test_negative_share_flagged(self, package_dir):
         pkg = cbv.load_package(package_dir)
-        pkg.o_op[0, 0] = -0.1
-        report = cbv.validate_package(pkg)
+        o_op = np.array(pkg.o_op)
+        o_op[0, 0] = -0.1
+        report = cbv.validate_package(pkg.replace(o_op=o_op))
         assert any(f.rule == "D2" and f.severity == "error" for f in report.findings)
 
     def test_post_clearing_amount_blocks_skip_the_share_rules(self, package_dir):
@@ -357,8 +384,10 @@ class TestValidatePackage:
         # be negative and sum past 1; O_PP keeps the share rules
         stats = example_stats(with_v_p=False)
         x_po, x_op = [[3.0, -1.6], [1.8, 0.0], [0.0, 3.2]], [[6.0, 3.0, 0.0], [0.0, 6.4, 9.6]]
-        write_matrix_csv(package_dir / "O_PO.csv", stats.p_ids, stats.o_ids, x_po, "id_P")
-        write_matrix_csv(package_dir / "O_OP.csv", stats.o_ids, stats.p_ids, x_op, "id_O")
+        _write_edges(package_dir / "O_PO.csv", stats.p_ids, stats.o_ids,
+                     _HeldEdges.of_bits(np.array(x_po)))
+        _write_edges(package_dir / "O_OP.csv", stats.o_ids, stats.p_ids,
+                     _HeldEdges.of_bits(np.array(x_op)))
         manifest = Manifest.from_yaml_bytes((package_dir / "manifest.yaml").read_bytes())
         manifest.data["clearing"] = {"used": True, "engine": "seniority", "params": {}}
         (package_dir / "manifest.yaml").write_bytes(manifest.to_yaml_bytes())
@@ -366,7 +395,9 @@ class TestValidatePackage:
             rehash(package_dir, name)
         pkg = cbv.load_package(package_dir)
         assert not [f for f in cbv.validate_package(pkg).findings if f.rule == "D2"]
-        pkg.o_pp[1, 0] = -0.05
+        o_pp = np.array(pkg.o_pp)
+        o_pp[1, 0] = -0.05
+        pkg = pkg.replace(o_pp=o_pp)
         assert [f.message for f in cbv.validate_package(pkg).findings if f.rule == "D2"] == [
             "O_PP has negative entries"]
 
@@ -712,7 +743,7 @@ class TestDisclosureSheet:
         sheet = cbv.render_disclosure_sheet(pkg, result)
         assert "7,701,000,000" in sheet
         assert "Not applied (pre-clearing flows)" in sheet
-        assert sheet.startswith("Cut-Report (v1.1) - Disclosure sheet")
+        assert sheet.startswith("Cut-Report (v1.2) - Disclosure sheet")
         assert "Perimeter             | P-REN-2025Q3 (RENAULT)" in sheet
         assert sheet.index("Perimeter") < sheet.index("Complement") \
             < sheet.index("Control rule") < sheet.index("Regime") \
@@ -968,6 +999,55 @@ class TestPackageFiles:
         else:
             assert same_bits(pkg.v_p, stats.v_p[p_order])
 
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_edge_files_load_the_held_edges_written(self, scratch, data):
+        # sparse blocks of -0.0, NaN, +-inf and subnormals with rows and
+        # columns all zero, under ids that need quoting; the ids come in
+        # canonical order, so the loaded statistics are the written ones
+        ids = sorted(data.draw(st.lists(st.one_of(
+            st.sampled_from(SPECIAL_IDS + ("crlf\r\nid", "  two", '""', "a,\"b\"\r")),
+            node_ids), max_size=8, unique=True), label="ids"))
+        split = data.draw(st.integers(0, len(ids)), label="split")
+        p_ids, o_ids = tuple(ids[:split]), tuple(ids[split:])
+        entry = st.one_of(st.just(0.0), st.just(0.0), st.sampled_from(
+            (-0.0, 5e-324, -2.5e-310, float("nan"), float("inf"), float("-inf"), 0.25)))
+
+        def block(label, *shape):
+            size = int(np.prod(shape))
+            values = np.array(data.draw(st.lists(entry, min_size=size, max_size=size),
+                                        label=label), dtype=float).reshape(shape)
+            for axis, length in enumerate(shape):  # rows, then columns, all zero
+                zero = data.draw(st.sets(st.integers(0, max(length - 1, 0)), max_size=length),
+                                 label=f"{label} zero axis {axis}")
+                values[(slice(None),) * axis + (sorted(zero),)] = 0.0
+            return values
+
+        n_p, n_o = len(p_ids), len(o_ids)
+        stats = cbv.CutStatistics(
+            p_ids=p_ids, o_ids=o_ids, b_p=np.arange(n_p, dtype=float), v_o=np.ones(n_o),
+            v_p=np.full(n_p, 2.0), o_po=block("o_po", n_p, n_o), o_op=block("o_op", n_o, n_p),
+            o_pp=block("o_pp", n_p, n_p))
+        target = scratch / "edges"
+        for old in target.glob("*"):
+            old.unlink()
+        with np.errstate(all="ignore"):
+            cbv.write_package(target, stats, demo_observer("A"))
+        pkg = cbv.load_package(target)
+        assert (pkg.p_ids, pkg.o_ids) == (p_ids, o_ids)
+        for name in ("o_po", "o_op", "o_pp"):
+            got, want = pkg.held(name), stats.held(name)
+            assert got.shape == want.shape, name
+            for part in ("rows", "cols", "vals"):
+                assert getattr(got, part).tobytes() == getattr(want, part).tobytes(), (name, part)
+            assert same_bits(getattr(pkg, name), getattr(stats, name)), name
+        if all(np.isfinite(stats.held(name).vals).all() for name in ("o_po", "o_op", "o_pp")):
+            w = cbv.evaluate_for_observer(pkg.cut_statistics(), pkg.observer).w
+            assert same_bits(w, cbv.evaluate_for_observer(stats, demo_observer("A")).w)
+        else:
+            with pytest.raises(PackageError, match="not finite"):
+                pkg.cut_statistics()
+
     @settings(max_examples=60, deadline=None)
     @given(observer=observers())
     def test_observer_round_trip(self, scratch, observer):
@@ -1085,16 +1165,23 @@ class TestPackageFiles:
         np.testing.assert_array_equal(pkg.o_po, stats.o_po)
         assert not cbv.validate_package(pkg).has_errors
 
-    @pytest.mark.parametrize("name, edit", [
-        ("O_PO.csv", lambda text: text + "A,0.9,0.0\n"),
-        ("O_PO.csv", lambda text: "\n".join(
+    @pytest.mark.parametrize("dense, name, edit", [
+        # a 1.1 dense block with a repeated row id, or a repeated column id in its header
+        (True, "O_PO.csv", lambda text: text + "A,0.9,0.0\n"),
+        (True, "O_PO.csv", lambda text: "\n".join(
             line + (",X" if k == 0 else ",0.9") for k, line in enumerate(text.splitlines())
         ) + "\n"),
-        ("nodes_P.csv", lambda text: text + "A,entity,\n"),
-        ("b_P.csv", lambda text: text + "A,5.0\n"),
-        ("v_O.csv", lambda text: text + "X,1.0\n"),
+        # a 1.2 edge file that gives a pair twice, with another share or the same line
+        (False, "O_PO.csv", lambda text: text + "A,X,0.9\n"),
+        (False, "O_PO.csv", lambda text: text + text.splitlines()[-1] + "\n"),
+        (False, "nodes_P.csv", lambda text: text + "A,entity,\n"),
+        (False, "b_P.csv", lambda text: text + "A,5.0\n"),
+        (False, "v_O.csv", lambda text: text + "X,1.0\n"),
     ])
-    def test_repeated_id_is_package_error(self, package_dir, name, edit):
+    def test_repeated_id_is_package_error(self, package_dir, tmp_path, dense, name, edit):
+        if dense:
+            package_dir = tmp_path / "v1_1"
+            shutil.copytree(GOLDEN_PACKAGE, package_dir)
         target = package_dir / name
         target.write_text(edit(target.read_text(encoding="utf-8")), encoding="utf-8")
         rehash(package_dir, name)

@@ -1,4 +1,4 @@
-from dataclasses import astuple, replace
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -40,7 +40,7 @@ def near_unit_loop(stats: cbv.CutStatistics) -> cbv.CutStatistics:
     """`stats` with a 2-cycle owned at 0.995 between its first two nodes."""
     o_pp = stats.o_pp.copy()
     o_pp[0, 1] = o_pp[1, 0] = 0.995
-    return replace(stats, o_pp=o_pp)
+    return stats.replace(o_pp=o_pp)
 
 
 def symmetric_stats(t: float) -> cbv.CutStatistics:
@@ -167,7 +167,7 @@ class TestRegimeBBound:
         stats = example_stats()
         corrupted = np.array(getattr(stats, block))
         corrupted[0, 0] = value
-        stats = replace(stats, **{block: corrupted})
+        stats = stats.replace(**{block: corrupted})
         for p in NORMS:
             with pytest.raises(DomainError, match="not finite"):
                 cbv.regime_b_bound(cbv.PerturbationSpec(p=p, eta=1.0, eps=1.0), stats)
@@ -379,7 +379,7 @@ class TestMonteCarloBand:
         stats = random_regime_stats(np.random.default_rng(5), n_p=8, n_o=4)
         o_pp = stats.o_pp.copy()
         o_pp[o_pp > 0.1] = noise
-        stats = replace(stats, o_pp=o_pp)
+        stats = stats.replace(o_pp=o_pp)
         entries = None
         if designated == "listed":
             at_noise = list(zip(*np.nonzero(o_pp == noise)))

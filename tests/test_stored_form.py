@@ -170,3 +170,64 @@ def test_valuation_path_memory_is_o_nnz():
     assert peak < block_bytes / 10, f"peak {peak} bytes"
     assert regime_b.solver_log.method == "neumann"
     assert regime_b.w == pytest.approx(regime_a.w, rel=1e-10)
+
+
+def regime_b_package(tmp_path):
+    """Statistics of a 60-node network's perimeter, and the package written from them."""
+    network, b, v = sparse_ownership(60, seed=3)
+    perimeter = cbv.Perimeter(network.nodes[::3])
+    stats = cbv.CutStatistics.from_network(network, perimeter, b,
+                                           {n: v[n] for n in network.nodes if n not in perimeter})
+    observer = cbv.Observer(perimeter_ref="P", regime="B", control_rule=cbv.ControlRuleSpec(),
+                            fx_ppp=cbv.FxPppSpec(scale=1.07),
+                            tolerances=cbv.Tolerances(rounding_threshold=1e-3))
+    cbv.write_package(tmp_path / "pkg", stats, observer)
+    return stats, tmp_path / "pkg"
+
+
+def test_package_path_reads_no_dense_block(tmp_path):
+    _, directory = regime_b_package(tmp_path)
+    pkg = cbv.load_package(directory)
+    assert cbv.validate_package(pkg).ok
+    stats = pkg.cut_statistics()
+    result = cbv.evaluate_for_observer(stats, pkg.observer)
+    cbv.build_cut_summary(result, cbv.scale_units(pkg.observer.pricing_scale, stats), pkg.observer)
+    cbv.render_disclosure_sheet(pkg, result)
+    for owner in (pkg, stats):
+        for name in ("o_po", "o_op", "o_pp"):
+            assert isinstance(owner.held(name), _HeldEdges), name
+            assert "array" not in vars(owner.held(name)), name
+
+
+def test_write_package_reads_no_dense_block(tmp_path):
+    stats, _ = regime_b_package(tmp_path)
+    for name in ("o_po", "o_op", "o_pp"):
+        assert "array" not in vars(stats.held(name)), name
+
+
+def test_replace_passes_held_edges_on(tmp_path):
+    # the package, its statistics and a partition share one replace: the
+    # blocks it does not change are the same held edges, and it builds no
+    # dense view of them
+    stats, directory = regime_b_package(tmp_path)
+    pkg = cbv.load_package(directory)
+    network = cbv.OwnershipNetwork(["a", "b", "c"], [[0, 0.5, 0], [0.2, 0, 0], [0, 0.3, 0]])
+    blocks = cbv.partition(network, cbv.Perimeter(["a", "b"]))
+    for owner, change, names in (
+            (stats, {"b_p": 2 * stats.b_p}, ("o_po", "o_op", "o_pp")),
+            (pkg, {"b_p": 2 * pkg.b_p}, ("o_po", "o_op", "o_pp")),
+            (blocks, {"p_ids": ("x", "y")}, ("o_pp", "o_po", "o_op", "o_oo"))):
+        copy = owner.replace(**change)
+        for name in names:
+            assert copy.held(name) is owner.held(name), name
+            assert "array" not in vars(owner.held(name)), name
+
+
+def test_clearing_problem_replace_keeps_its_liabilities():
+    # a clearing problem sums its dues from the dense liabilities, so its
+    # replace reads them dense, to the same bits
+    problem = cbv.ClearingProblem.single_class(("a", "b"), [[-0.0, 2.0], [1.0, 0]], [1.0, 0.5])
+    copy = problem.replace(resources=np.zeros(2))
+    assert identical_bits(copy.liabilities[0], problem.liabilities[0])
+    assert identical_bits(copy.gross_dues, problem.gross_dues)
+    np.testing.assert_array_equal(copy.resources, np.zeros(2))
