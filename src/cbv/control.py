@@ -23,6 +23,7 @@ declared rule, `ControlRuleSpec`, belongs to the observer.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 
 import numpy as np
 
@@ -174,11 +175,14 @@ def build_control(shares, spec: ControlRuleSpec, ids=None) -> ControlMatrix:
 
 
 def select_perimeter(control: ControlMatrix, seed, tau_p: float) -> Perimeter:
-    """Grow a perimeter to the fixed point of the in-perimeter control test.
+    """Grow a perimeter to the least fixed point of the in-perimeter control test.
 
-    A node joins once the control weight held by current members reaches
-    tau_p; candidates are processed in canonical id order until stable, so the
-    result does not depend on evaluation order.
+    A node joins once the control weight its current members hold in it,
+    `omega[members].sum(axis=0)`, reaches tau_p; each pass adds every node
+    that does, until a pass adds none.  Weights are nonnegative, so a join
+    never undoes another and the result does not depend on evaluation order.
+    Tie rule: a weight is summed over the members in the order of
+    `control.ids`, and a sum that reaches tau_p exactly joins.
     """
     if not 0.0 < tau_p <= 1.0:
         raise DomainError(f"tau_p={tau_p!r} outside (0, 1]")
@@ -186,16 +190,9 @@ def select_perimeter(control: ControlMatrix, seed, tau_p: float) -> Perimeter:
     unknown = members - set(control.ids)
     if unknown:
         raise DomainError(f"seed ids not in control matrix: {sorted(unknown)}")
-    index = {n: k for k, n in enumerate(control.ids)}
-    changed = True
-    while changed:
-        changed = False
-        inside = [index[n] for n in members]
-        for node in control.ids:
-            if node in members:
-                continue
-            weight = control.omega[inside, index[node]].sum() if inside else 0.0
-            if weight >= tau_p:
-                members.add(node)
-                changed = True
-    return Perimeter(members)
+    inside = np.array([node in members for node in control.ids], dtype=bool)
+    while True:
+        joins = ~inside & (control.omega[inside].sum(axis=0) >= tau_p)
+        if not joins.any():
+            return Perimeter(compress(control.ids, inside.tolist()))
+        inside |= joins

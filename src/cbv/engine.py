@@ -721,7 +721,11 @@ def cut_gap(gross: float, w: float) -> float:
 
 
 def implied_bases(network: OwnershipNetwork, v) -> dict[NodeId, float]:
-    """Back out b = v - O v from observed values on a full network."""
+    """Back out b = v - O v from observed values on a full network, in
+    O(n + nnz): `v` must cover every node."""
+    missing = [n for n in network.nodes if n not in v]
+    if missing:
+        raise MembershipError(f"values missing for network nodes: {missing}")
     values = np.array([float(v[n]) for n in network.nodes])
-    bases = values - network.shares @ values
+    bases = values - network._held @ values
     return {node: float(bases[k]) for k, node in enumerate(network.nodes)}

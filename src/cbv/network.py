@@ -1,7 +1,8 @@
 """Ownership networks, perimeters, block partitioning and held edges.
 
-The share matrix O is stored dense, with O[i, j] = fraction of node j's
-equity owned by node i (dimensionless, in [0, 1]).  Column sums may stay below 1: the
+The share matrix O, with O[i, j] = fraction of node j's equity owned by
+node i (dimensionless, in [0, 1]), is stored as its held edges, never as a
+dense n x n array.  Column sums may stay below 1: the
 residual belongs to dispersed holders that are not modelled as nodes.  Node
 ordering is canonical (lexicographic by id) so that block matrices and any
 serialized artifact derived from them are deterministic.  Every sparse read
@@ -13,11 +14,13 @@ inflow from them.  A block field of `BlockPartition`, `engine.CutStatistics`,
 reads as the dense block (`_BlockField`), built on the first read.
 
 Cost.  The network keeps its held entries (every entry whose bit pattern is
-not +0.0, so -0.0 and NaN are held) as one `_HeldEdges`, found in one scan
-when it is built.  `partition` splits those edges by side into the four
-blocks' held edges, so a perimeter costs O(n + nnz), not a pass over the
-n x n cells, and no block is dense until it is read.  On a fully dense matrix
-the edge lists are n^2 entries (24 bytes each).
+not +0.0, so -0.0 and NaN are held) as one `_HeldEdges` in row-major order:
+found by one scan of a caller's matrix, which is not copied, or sorted from
+edge triples in O(nnz log nnz) (`from_edges`).  `partition` splits those
+edges by side into the four blocks' held edges, so a perimeter costs
+O(n + nnz), not a pass over the n x n cells, and no block is dense until it
+is read; `validate_network` and `engine.implied_bases` read the edges too.
+On a fully dense matrix the edge lists are n^2 entries (24 bytes each).
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from itertools import compress
 
 import numpy as np
 
-from .errors import DimensionError, DomainError, MembershipError
+from .errors import CbvError, DimensionError, DomainError, MembershipError
 from .validation import ValidationReport
 
 # Column sums above 1 + COLUMN_SUM_SLACK are violations; anything below is a
@@ -209,51 +212,84 @@ class _HeldBlocks:
 
 
 class OwnershipNetwork:
-    """Immutable node set plus share matrix, canonically ordered."""
+    """An immutable node set, canonically ordered, and its share matrix kept
+    as its held edges: every entry whose bit pattern is not +0.0, in
+    row-major order of the canonical matrix.  No dense n x n copy is kept;
+    `shares` builds the dense matrix on its first read.
+    """
 
     def __init__(self, nodes, shares):
-        ids = [str(n) for n in nodes]
-        if any(not n for n in ids):
-            raise MembershipError("node ids must be non-empty strings")
-        if len(set(ids)) != len(ids):
-            raise MembershipError("node ids must be unique")
-        shares = np.asarray(shares, dtype=float)
+        ids = _node_ids(nodes)
+        try:
+            shares = np.asarray(shares, dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise DomainError(f"share matrix is not an array of numbers: {exc}") from None
         n = len(ids)
         if shares.shape != (n, n):
             raise DimensionError(
                 f"share matrix shape {shares.shape} does not match {n} nodes"
             )
         order = np.argsort(np.asarray(ids, dtype=object))
-        self.nodes: tuple[NodeId, ...] = tuple(ids[k] for k in order)
-        self._index = {node: k for k, node in enumerate(self.nodes)}
-        # a fresh array either way, so the caller's matrix is not shared; ids
-        # that come in canonical order need only a copy, not a gather
-        in_order = np.array_equal(order, np.arange(n))
-        self.shares: np.ndarray = shares.copy() if in_order else shares[np.ix_(order, order)]
-        self.shares.setflags(write=False)
-        # the held entries, whose bits are not +0.0: the edges `partition` splits
-        self._held = _HeldEdges.of_bits(self.shares)
+        # one scan of the caller's matrix, not a copy of it (unless it is not
+        # C-contiguous float, which asarray or the scan converts first)
+        held = _HeldEdges.of_bits(shares)
+        if not np.array_equal(order, np.arange(n)):
+            # renumber into canonical positions, then back to row-major order:
+            # the held edges of the gathered matrix shares[np.ix_(order, order)]
+            rank = np.argsort(order)
+            flat = rank[held.rows] * n + rank[held.cols]
+            at = np.argsort(flat)
+            held = _HeldEdges((n, n), *np.divmod(flat[at], n), held.vals[at])
+        self._store(tuple(ids[k] for k in order), held)
 
     @classmethod
     def from_edges(cls, nodes, edges) -> "OwnershipNetwork":
         """Build from (owner, owned, share) triples; absent edges are zero.
 
-        A pair given twice is a DomainError, not a silent overwrite.
+        Costs O(nnz log nnz) and builds no dense matrix.  An explicit -0.0 is
+        held, an explicit +0.0 is not.  A pair given twice is a DomainError
+        that names the first repeat in input order, not a silent overwrite.
         """
-        ids = sorted(str(n) for n in nodes)
-        index = {n: k for k, n in enumerate(ids)}
-        shares = np.zeros((len(ids), len(ids)))
-        seen = set()
-        for owner, owned, share in edges:
+        ids = sorted(_node_ids(nodes))
+        index = {node: k for k, node in enumerate(ids)}
+        n = len(ids)
+        rows, cols, vals = [], [], []
+        refused = None  # a malformed edge, raised once the edges before it are checked
+        for edge in edges:
             try:
-                cell = index[str(owner)], index[str(owned)]
-            except KeyError as exc:
-                raise MembershipError(f"unknown node id {exc.args[0]!r}") from exc
-            if cell in seen:
-                raise DomainError(f"edge ({str(owner)!r}, {str(owned)!r}) is given twice")
-            seen.add(cell)
-            shares[cell] = float(share)
-        return cls(ids, shares)
+                row, col, share = _edge(edge, index)
+            except CbvError as exc:
+                refused = exc
+                break
+            rows.append(row)
+            cols.append(col)
+            vals.append(share)
+        flat = np.array(rows, dtype=np.intp) * n + np.array(cols, dtype=np.intp)
+        at = np.argsort(flat, kind="stable")  # a repeated pair keeps its input order
+        flat = flat[at]
+        repeats = at[1:][flat[1:] == flat[:-1]]
+        if repeats.size:
+            first = repeats.min()
+            raise DomainError(f"edge ({ids[rows[first]]!r}, {ids[cols[first]]!r}) is given twice")
+        if refused is not None:
+            raise refused
+        vals = np.array(vals, dtype=float)[at]
+        keep = vals.view(np.uint64) != 0  # every bit pattern but +0.0
+        network = cls.__new__(cls)
+        network._store(tuple(ids), _HeldEdges((n, n), *np.divmod(flat[keep], n), vals[keep]))
+        return network
+
+    def _store(self, nodes: tuple[NodeId, ...], held: _HeldEdges):
+        self.nodes = nodes
+        self._index = {node: k for k, node in enumerate(nodes)}
+        self._held = held  # the edges `partition` splits
+
+    @property
+    def shares(self) -> np.ndarray:
+        """The dense share matrix in canonical order, read-only: built from the
+        held edges on the first read and cached on them.  No library path
+        reads it."""
+        return self._held.array
 
     def index_of(self, node: NodeId) -> int:
         try:
@@ -266,6 +302,34 @@ class OwnershipNetwork:
 
     def __repr__(self) -> str:
         return f"OwnershipNetwork({len(self.nodes)} nodes)"
+
+
+def _node_ids(nodes) -> list[NodeId]:
+    """The node ids as strings; an empty or repeated id is a MembershipError."""
+    ids = [str(n) for n in nodes]
+    if any(not n for n in ids):
+        raise MembershipError("node ids must be non-empty strings")
+    if len(set(ids)) != len(ids):
+        raise MembershipError("node ids must be unique")
+    return ids
+
+
+def _edge(edge, index: dict[NodeId, int]) -> tuple[int, int, float]:
+    """The row, column and share of one (owner, owned, share) triple."""
+    try:
+        owner, owned, share = edge
+    except (TypeError, ValueError):
+        raise DomainError(f"edge {edge!r} is not an (owner, owned, share) triple") from None
+    try:
+        row, col = index[str(owner)], index[str(owned)]
+    except KeyError as exc:
+        raise MembershipError(f"unknown node id {exc.args[0]!r}") from None
+    try:
+        return row, col, float(share)
+    except (TypeError, ValueError):
+        raise DomainError(
+            f"share {share!r} of edge ({str(owner)!r}, {str(owned)!r}) is not a number"
+        ) from None
 
 
 @dataclass(frozen=True)
@@ -326,18 +390,21 @@ def partition(network: OwnershipNetwork, perimeter: Perimeter) -> BlockPartition
 
 
 def validate_network(network: OwnershipNetwork) -> ValidationReport:
-    """Report share entries outside [0, 1], NaN included, and column sums above 1."""
+    """Report share entries outside [0, 1], NaN included, and column sums above 1.
+
+    Reads the held edges, in O(n + nnz): entries in row-major order, then
+    columns in order, as a scan of the dense matrix finds them.
+    """
     report = ValidationReport()
-    shares = network.shares
-    bad = np.argwhere(~((shares >= 0.0) & (shares <= 1.0)))  # NaN included
-    for i, j in bad:
+    held = network._held
+    for k in np.flatnonzero(~((held.vals >= 0.0) & (held.vals <= 1.0))):  # NaN included
         report.add(
             "entry-range",
             "error",
-            f"share {float(shares[i, j])!r} outside [0, 1]",
-            location=f"{network.nodes[i]}->{network.nodes[j]}",
+            f"share {float(held.vals[k])!r} outside [0, 1]",
+            location=f"{network.nodes[held.rows[k]]}->{network.nodes[held.cols[k]]}",
         )
-    col_sums = shares.sum(axis=0)
+    col_sums = held.col_sums()
     for j in np.nonzero(col_sums > 1.0 + COLUMN_SUM_SLACK)[0]:
         report.add(
             "column-sum",

@@ -138,20 +138,30 @@ def random_share_matrix(rng, n: int, density: float = 0.5, col_cap: float = 0.9)
     return mat
 
 
-def sparse_ownership(n: int, seed: int, owners: int = 5, col_cap: float = 0.9):
-    """A seeded n-node ownership network with about `owners` owners per node,
-    the shares of each node summing to at most col_cap, plus bases b and the
-    values v = b + O v they imply, as id -> amount maps."""
+def sparse_draws(n: int, seed: int, owners: int = 5, col_cap: float = 0.9):
+    """The draws behind `sparse_ownership`: the generator, then each drawn
+    (owner, owned, share), about `owners` owners per node and the shares of
+    each node summing to at most col_cap; an owner may be drawn twice."""
     rng = np.random.default_rng(seed)
     owned = np.repeat(np.arange(n), owners)
     owner = (owned + rng.integers(1, n, owned.size)) % n  # never the node itself
     share = rng.uniform(0.0, 1.0, owned.size)
     totals = np.bincount(owned, share, minlength=n)
     share *= rng.uniform(0.3, col_cap, n)[owned] / totals[owned]
-    shares = np.zeros((n, n))
-    np.add.at(shares, (owner, owned), share)  # an owner drawn twice holds the sum
+    return rng, owner, owned, share
+
+
+def sparse_ownership(n: int, seed: int, owners: int = 5, col_cap: float = 0.9):
+    """A seeded n-node ownership network built from its edges (`sparse_draws`),
+    plus bases b and the values v = b + O v they imply, as id -> amount maps.
+    No dense n x n matrix is built."""
+    rng, owner, owned, share = sparse_draws(n, seed, owners, col_cap)
+    # an owner drawn twice holds the sum, added in draw order
+    pairs, slot = np.unique(owner * n + owned, return_inverse=True)
+    summed = np.bincount(slot, share)
     ids = [f"n{k:05d}" for k in range(n)]
-    network = cbv.OwnershipNetwork(ids, shares)
+    network = cbv.OwnershipNetwork.from_edges(
+        ids, zip([ids[k] for k in pairs // n], [ids[k] for k in pairs % n], summed.tolist()))
     b = rng.uniform(5.0, 50.0, n)
     v = b.copy()
     for _ in range(1000):  # rho(O) <= col_cap, so the sweeps contract
@@ -319,6 +329,35 @@ def assemble(blocks: cbv.BlockPartition) -> tuple[tuple[str, ...], np.ndarray]:
     return tuple(ids[k] for k in order), full[np.ix_(order, order)]
 
 
+def gathered_network_edges(ids, shares):
+    """The held edges a network built from (ids, shares) kept when it stored
+    its dense matrix: the canonical gather shares[np.ix_(order, order)], then
+    one scan of its bits.  The oracle for the network's stored form."""
+    from cbv.network import _HeldEdges
+
+    order = np.argsort(np.asarray([str(n) for n in ids], dtype=object))
+    return _HeldEdges.of_bits(np.asarray(shares, dtype=float)[np.ix_(order, order)])
+
+
+def reference_validate_network(network: cbv.OwnershipNetwork) -> cbv.ValidationReport:
+    """`validate_network` on the dense share matrix, as it ran before it read
+    the held edges: entries outside [0, 1] (NaN included) by np.argwhere, then
+    column sums above 1 by sum(axis=0)."""
+    from cbv.network import COLUMN_SUM_SLACK
+
+    report = cbv.ValidationReport()
+    shares = network.shares
+    for i, j in np.argwhere(~((shares >= 0.0) & (shares <= 1.0))):
+        report.add("entry-range", "error", f"share {float(shares[i, j])!r} outside [0, 1]",
+                   location=f"{network.nodes[i]}->{network.nodes[j]}")
+    col_sums = shares.sum(axis=0)
+    for j in np.nonzero(col_sums > 1.0 + COLUMN_SUM_SLACK)[0]:
+        report.add("column-sum", "error",
+                   f"ownership of {network.nodes[j]!r} sums to {float(col_sums[j])!r} > 1",
+                   location=network.nodes[j])
+    return report
+
+
 def dense_iterative_solve(o_pp, rhs, cfg):
     """The Neumann and GMRES solves on dense matvecs, as regime B ran them
     before it built a held-edge operator: the oracle for its iterative
@@ -375,6 +414,27 @@ def dense_iterative_solve(o_pp, rhs, cfg):
             residual=log.residual,
         )
     return v_p / shift, log
+
+
+def reference_select_perimeter(control: cbv.ControlMatrix, seed, tau_p: float) -> cbv.Perimeter:
+    """Perimeter selection one candidate at a time, as `select_perimeter` ran
+    before it tested every node in one pass: each pass sums, for each node
+    outside in id order, the weight the members at the start of the pass
+    hold in it, until a pass adds none."""
+    members = {str(s) for s in seed}
+    index = {n: k for k, n in enumerate(control.ids)}
+    changed = True
+    while changed:
+        changed = False
+        inside = [index[n] for n in members]
+        for node in control.ids:
+            if node in members:
+                continue
+            weight = control.omega[inside, index[node]].sum() if inside else 0.0
+            if weight >= tau_p:
+                members.add(node)
+                changed = True
+    return cbv.Perimeter(members)
 
 
 def herfindahl_index(column) -> float:

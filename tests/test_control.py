@@ -14,6 +14,7 @@ from conftest import (
     example_stats,
     herfindahl_index,
     random_share_matrix,
+    reference_select_perimeter,
     truncated_attenuated_series,
     two_cycle_chain_stats,
 )
@@ -289,6 +290,24 @@ class TestSelectPerimeter:
             small = cbv.select_perimeter(control, {"n0"}, 0.4)
             large = cbv.select_perimeter(control, {"n0", "n3"}, 0.4)
             assert small.members <= large.members
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_matches_one_candidate_at_a_time(self, data):
+        # 0/1 or dyadic weights sum exactly in any order, so the one-pass
+        # fixed point and the per-node loop must give the same perimeter,
+        # ties at tau_p included
+        n = data.draw(st.integers(0, 12), label="n")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        levels = data.draw(st.sampled_from([1, 8]), label="levels")  # 0/1 or k/8
+        omega = rng.integers(0, levels + 1, (n, n)) / levels
+        omega *= rng.random((n, n)) < data.draw(st.sampled_from([0.1, 0.3, 0.7]), label="density")
+        ids = tuple(f"n{k}" for k in rng.permutation(n))
+        control = cbv.ControlMatrix(ids, omega)
+        seed = data.draw(st.sets(st.sampled_from(ids)) if ids else st.just(set()), label="seed ids")
+        tau_p = data.draw(st.sampled_from([0.125, 0.25, 0.5, 0.75, 1.0]), label="tau_p")
+        assert (cbv.select_perimeter(control, seed, tau_p).members
+                == reference_select_perimeter(control, seed, tau_p).members)
 
     def test_bad_threshold(self):
         control = cbv.threshold_control(np.zeros((2, 2)), 0.5, ids=("a", "b"))

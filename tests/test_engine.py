@@ -11,6 +11,7 @@ from cbv.errors import (
     ConvergenceError,
     DimensionError,
     DomainError,
+    MembershipError,
     RegimeError,
     StabilityError,
 )
@@ -1045,3 +1046,8 @@ class TestDiagnostics:
         bases = cbv.implied_bases(net, {"RENAULT": 9.06e9, "NISSAN": 7.044303429e9})
         assert round(bases["RENAULT"]) == 6_545_183_676
         assert round(bases["NISSAN"]) == 5_685_303_429
+
+    def test_implied_bases_names_the_nodes_without_a_value(self):
+        net = cbv.OwnershipNetwork.from_edges(["a", "b", "c"], [("a", "b", 0.5)])
+        with pytest.raises(MembershipError, match=r"\['b', 'c'\]"):
+            cbv.implied_bases(net, {"a": 1.0})

@@ -35,7 +35,8 @@ class TestOwnershipNetwork:
 
     @pytest.mark.parametrize("order", ["C", "F"])
     def test_canonical_ids_do_not_share_the_callers_matrix(self, order):
-        # ids already in canonical order skip the gather, and still copy
+        # the network keeps copies of the held entries, not the caller's
+        # matrix, so a later write to that matrix moves nothing
         shares = np.array([[0.0, 0.3, 0.0], [0.1, 0.0, -0.0], [0.0, 0.2, 0.0]], order=order)
         net = cbv.OwnershipNetwork(["a", "b", "c"], shares)
         kept = net.shares.copy()
@@ -62,9 +63,36 @@ class TestOwnershipNetwork:
         with pytest.raises(MembershipError):
             cbv.OwnershipNetwork.from_edges(["a"], [("a", "ghost", 0.1)])
 
-    def test_repeated_edge_rejected(self):
-        with pytest.raises(DomainError, match="'a', 'b'"):
-            cbv.OwnershipNetwork.from_edges(["a", "b"], [("a", "b", 0.3), ("a", "b", 0.2)])
+    @pytest.mark.parametrize("edges, error, match", [
+        ([("a", "b", 0.3), ("a", "b", 0.2)], DomainError, "'a', 'b'"),
+        # the first pair repeated in input order is named, not the first in
+        # canonical order
+        ([("b", "a", 0.1), ("a", "b", 0.3), ("a", "b", 0.2), ("b", "a", 0.2)],
+         DomainError, "'a', 'b'"),
+        # whichever refusal comes first in input order is raised
+        ([("a", "b", 0.3), ("a", "b", 0.2), ("a", "ghost", 0.1)], DomainError, "'a', 'b'"),
+        ([("a", "ghost", 0.1), ("a", "b", 0.3), ("a", "b", 0.2)], MembershipError, "'ghost'"),
+        ([("a", "b", 0.3), ("a", "b", 0.2), ("a", "b")], DomainError, "given twice"),
+    ])
+    def test_repeated_edge_rejected(self, edges, error, match):
+        with pytest.raises(error, match=match):
+            cbv.OwnershipNetwork.from_edges(["a", "b"], edges)
+
+    def test_non_numeric_share_rejected(self):
+        with pytest.raises(DomainError, match="not an array of numbers"):
+            cbv.OwnershipNetwork(["a", "b"], [["x", 0], [0, 0]])
+
+    def test_ragged_matrix_rejected(self):
+        with pytest.raises(DomainError, match="not an array of numbers"):
+            cbv.OwnershipNetwork(["a", "b"], [[0.0, 0.5], [0.2]])
+
+    def test_non_numeric_edge_share_rejected(self):
+        with pytest.raises(DomainError, match=r"share 'x' of edge \('a', 'b'\)"):
+            cbv.OwnershipNetwork.from_edges(["a", "b"], [("a", "b", "x")])
+
+    def test_edge_without_a_share_rejected(self):
+        with pytest.raises(DomainError, match=r"not an \(owner, owned, share\) triple"):
+            cbv.OwnershipNetwork.from_edges(["a", "b"], [("a", "b")])
 
     def test_from_edges_keeps_signed_zero(self):
         net = cbv.OwnershipNetwork.from_edges(["a", "b"], [("b", "a", -0.0), ("a", "b", 0.0)])

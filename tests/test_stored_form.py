@@ -1,5 +1,6 @@
-"""Blocks are stored as held edges: the dense views, the derived statistics,
-the cut edges and W against dense numpy, and the valuation path's memory."""
+"""Blocks and networks are stored as held edges: the dense views, the derived
+statistics, the cut edges and W against dense numpy, the network's edges
+against its old dense gather, and the memory of building and valuing."""
 
 import tracemalloc
 
@@ -11,7 +12,13 @@ import cbv
 from cbv.engine import cut_edges
 from cbv.network import _HeldEdges
 
-from conftest import dense_reference_w, sparse_ownership
+from conftest import (
+    dense_reference_w,
+    gathered_network_edges,
+    reference_validate_network,
+    sparse_draws,
+    sparse_ownership,
+)
 
 # entries a stored block must keep bit for bit: signed zeros, subnormals, NaN
 FINITE_SPECIAL = (-0.0, 5e-324, -2.5e-310)
@@ -149,6 +156,7 @@ def test_valuation_reads_no_dense_block():
     for name in ("o_po", "o_op", "o_pp"):
         assert "array" not in vars(stats.held(name)), name
         assert "array" not in vars(observed.held(name)), name
+    assert "array" not in vars(network._held)  # nor the network's dense matrix
     assert stats.o_pp is stats.with_v_p(result.v_p_used).o_pp  # built once, then shared
 
 
@@ -170,6 +178,107 @@ def test_valuation_path_memory_is_o_nnz():
     assert peak < block_bytes / 10, f"peak {peak} bytes"
     assert regime_b.solver_log.method == "neumann"
     assert regime_b.w == pytest.approx(regime_a.w, rel=1e-10)
+
+
+def same_edges(a: _HeldEdges, b: _HeldEdges) -> bool:
+    """The same shape, and the same positions and value bits in the same order."""
+    return (a.shape == b.shape and np.array_equal(a.rows, b.rows)
+            and np.array_equal(a.cols, b.cols) and identical_bits(a.vals, b.vals))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_network_stores_the_held_edges_of_its_canonical_matrix(data):
+    # built from a matrix, with ids in canonical or a drawn order, and from
+    # its edges in a drawn order with explicit +0.0 edges: the held edges are
+    # those of the old canonical gather, bit for bit (-0.0, NaN, subnormals
+    # and out-of-range shares included), `shares` is its dense matrix, and
+    # validate_network finds what the dense scan found, in the same order
+    n = data.draw(st.integers(0, 13), label="n")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    shares = rng.uniform(0.0, 0.4, (n, n)) * (rng.random((n, n)) < 0.5)
+    special = rng.random((n, n)) < 0.25
+    shares[special] = rng.choice(SPECIAL + (1.5, -0.1, float("inf")), size=int(special.sum()))
+    ids = [f"n{k}" for k in range(n)]  # canonical order puts n10 before n2
+    if data.draw(st.booleans(), label="permuted"):
+        order = rng.permutation(n)
+        ids, shares = [ids[k] for k in order], shares[np.ix_(order, order)]
+    expected = gathered_network_edges(ids, shares)
+    triples = [(ids[i], ids[j], shares[i, j]) for i, j in zip(*np.nonzero(shares.view(np.uint64)))]
+    triples += [(ids[i], ids[j], 0.0) for i, j in zip(*np.nonzero(shares == 0.0))
+                if not np.signbit(shares[i, j]) and rng.random() < 0.2]
+    triples = [triples[k] for k in rng.permutation(len(triples))]
+    for net in (cbv.OwnershipNetwork(ids, shares), cbv.OwnershipNetwork.from_edges(ids, triples)):
+        assert net.nodes == tuple(sorted(ids))
+        assert same_edges(net._held, expected)
+        assert "array" not in vars(net._held)
+        assert cbv.validate_network(net).findings == reference_validate_network(net).findings
+        assert identical_bits(net.shares, expected.array)
+
+
+def test_network_shares_is_read_only_and_cached():
+    net = cbv.OwnershipNetwork(["b", "a"], [[0.0, 0.3], [0.1, 0.0]])
+    assert "array" not in vars(net._held)
+    shares = net.shares
+    assert shares is net.shares and shares is net._held.array
+    assert not shares.flags.writeable
+    with pytest.raises(ValueError):
+        shares[0, 1] = 0.5
+    with pytest.raises(AttributeError):
+        net.shares = np.zeros((2, 2))
+    np.testing.assert_array_equal(shares, [[0.0, 0.1], [0.3, 0.0]])
+
+
+@pytest.mark.parametrize("permuted", [False, True])
+def test_network_build_allocates_less_than_a_quarter_of_the_matrix(permuted):
+    # the caller's matrix is scanned, not copied or gathered: the one n x n
+    # temporary is the scan's bool mask, an eighth of the matrix
+    n = 2000
+    rng = np.random.default_rng(3)
+    shares = np.zeros((n, n))
+    shares[rng.integers(0, n, 5 * n), rng.integers(0, n, 5 * n)] = rng.uniform(0.0, 0.2, 5 * n)
+    ids = [f"n{k:04d}" for k in (rng.permutation(n) if permuted else range(n))]
+    tracemalloc.start()
+    try:
+        net = cbv.OwnershipNetwork(ids, shares)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < shares.nbytes / 4, f"peak {peak} bytes"
+    assert same_edges(net._held, gathered_network_edges(ids, shares))
+
+
+def test_sparse_ownership_builds_the_edges_of_its_dense_matrix():
+    # from its summed edges, the test network holds what the dense matrix it
+    # was built from before held, bit for bit
+    n, seed = 1000, 11
+    _, owner, owned, share = sparse_draws(n, seed)
+    shares = np.zeros((n, n))
+    np.add.at(shares, (owner, owned), share)
+    network, _, _ = sparse_ownership(n, seed)
+    assert same_edges(network._held, gathered_network_edges(network.nodes, shares))
+
+
+def test_a_100k_node_network_is_valued_in_o_nnz():
+    # 10^5 nodes and about 5 * 10^5 edges, whose dense matrix is 80 GB: built
+    # from its edges, its bases implied from its values, and a 2 * 10^4-node
+    # perimeter valued in both regimes, which agree
+    tracemalloc.start()
+    try:
+        network, _, v = sparse_ownership(100_000, seed=5)
+        b = cbv.implied_bases(network, v)
+        perimeter = cbv.Perimeter(network.nodes[::5])
+        complement = {n: v[n] for n in network.nodes if n not in perimeter}
+        regime_a = cbv.evaluate_regime_a(cbv.CutStatistics.from_network(network, perimeter, b, v))
+        regime_b = cbv.evaluate_regime_b(
+            cbv.CutStatistics.from_network(network, perimeter, b, complement))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(network) == 100_000 and 490_000 <= network._held.vals.size <= 500_000
+    assert peak < 256 * 2**20, f"peak {peak} bytes"
+    assert regime_b.w == pytest.approx(regime_a.w, rel=1e-10)
+    assert "array" not in vars(network._held)
 
 
 def regime_b_package(tmp_path):
