@@ -11,8 +11,12 @@ Three rule families are supported:
   dilutes control when ownership of a node is dispersed.  O(n^2) array
   expressions.
 * Option C: attenuated paths, crediting indirect chains with geometric decay
-  through S(I - alpha*S)^-1: alpha S's held edges pass the engine's stability
-  gate, which names a refused operator "alpha*S", then one dense O(n^3) solve.
+  through S(I - alpha*S)^-1 = ((I - alpha*S)^-1 - I) / alpha: alpha S's held
+  edges pass the engine's stability gate, which names a refused operator
+  "alpha*S", then (I - alpha*S)^-1 - I comes from 2x2 block elimination,
+  O(n^3) in matrix products.  The elimination pivots across no block, which
+  only the gate makes safe: it certifies rho(|alpha*S|) < 1, so every block
+  and Schur complement the elimination inverts is nonsingular.
 
 Share matrices follow the network convention: S[i, j] is the share of j owned
 by i.  Control weights are dimensionless and column j describes who controls
@@ -27,9 +31,9 @@ from itertools import compress
 
 import numpy as np
 
-from .engine import _solve_shifted, _stability_gate
-from .errors import DimensionError, DomainError
-from .network import NodeId, Perimeter, _HeldEdges
+from .engine import _inverse_minus_identity, _stability_gate
+from .errors import DimensionError, DomainError, MembershipError
+from .network import NodeId, Perimeter, _HeldEdges, _node_ids
 from .observer import OPTION_ALIASES, ControlRuleSpec
 
 NORMALIZATION_TOL = 1e-9
@@ -37,13 +41,15 @@ NORMALIZATION_TOL = 1e-9
 
 @dataclass(frozen=True)
 class ControlMatrix:
-    """Control weights with the node ids the axes refer to."""
+    """Control weights with the node ids the axes refer to: non-empty, unique
+    strings, as a network's are."""
 
     ids: tuple[NodeId, ...]
     omega: np.ndarray
     normalized: bool = False
 
     def __post_init__(self):
+        object.__setattr__(self, "ids", tuple(_node_ids(self.ids)))
         omega = np.asarray(self.omega, dtype=float)
         n = len(self.ids)
         if omega.shape != (n, n):
@@ -60,7 +66,10 @@ class ControlMatrix:
         object.__setattr__(self, "omega", omega)
 
     def column(self, node: NodeId) -> np.ndarray:
-        return self.omega[:, self.ids.index(node)]
+        try:
+            return self.omega[:, self.ids.index(node)]
+        except ValueError:
+            raise MembershipError(f"unknown node id {node!r}") from None
 
 
 def _normalize_columns(omega: np.ndarray) -> np.ndarray:
@@ -113,7 +122,7 @@ def threshold_control(
     if normalize:
         omega = _normalize_columns(omega)
     ids = ids or tuple(f"n{k}" for k in range(n))
-    return ControlMatrix(tuple(ids), omega, normalized=normalize)
+    return ControlMatrix(ids, omega, normalized=normalize)
 
 
 def herfindahl_control(
@@ -139,7 +148,7 @@ def herfindahl_control(
         # s^2 / H_j normalized per column, where H_j cancels
         omega = _normalize_columns(squares)
     ids = ids or tuple(f"n{k}" for k in range(shares.shape[0]))
-    return ControlMatrix(tuple(ids), omega, normalized=(variant == "B_prime"))
+    return ControlMatrix(ids, omega, normalized=(variant == "B_prime"))
 
 
 def attenuated_control(
@@ -154,12 +163,13 @@ def attenuated_control(
         raise DomainError(f"alpha={alpha!r} outside (0, 1)")
     held = _HeldEdges.of(shares).scaled(alpha)
     _stability_gate(held, f"{float(alpha)!r}*S")
-    # Omega (I - alpha S) = S, solved for Omega through the transpose
-    omega = _solve_shifted(held.T, shares.T).T
+    # alpha S (I - alpha S)^-1 = (I - alpha S)^-1 - I, so Omega is that over alpha
+    omega = _inverse_minus_identity(held)
+    omega /= alpha
     if normalize:
         omega = _normalize_columns(omega)
     ids = ids or tuple(f"n{k}" for k in range(shares.shape[0]))
-    return ControlMatrix(tuple(ids), np.maximum(omega, 0.0), normalized=normalize)
+    return ControlMatrix(ids, np.maximum(omega, 0.0, out=omega), normalized=normalize)
 
 
 def build_control(shares, spec: ControlRuleSpec, ids=None) -> ControlMatrix:

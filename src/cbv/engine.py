@@ -52,8 +52,12 @@ caller, whatever the solver config, and the refusal names that operator;
 damping and regularization change the operator it certifies, never whether
 it runs.  Every dense solve against
 I - A goes through `_solve_shifted`, which builds I - A from held edges and
-decides what a singular I - A means.  In regime B, `auto` sweeps the
-certified operator up to as many times as one LU costs,
+decides what a singular I - A means.  Control Option C needs all of
+(I - A)^-1 - I, which `_inverse_minus_identity` computes by 2x2 block
+elimination in matrix products, about twice as fast as the LU solve with n
+right-hand sides; it pivots across no block, so only a gated A may reach it:
+rho(|A|) < 1 keeps every block it inverts nonsingular.  In regime B, `auto`
+sweeps the certified operator up to as many times as one LU costs,
 n_P^3 // (LU_SWEEP_RATIO (nnz + n_P)) with LU_SWEEP_RATIO the measured price
 of a sweep against an LU; sweeps that have not reached eps within that
 budget take one LU, so a wasted budget costs at most one LU more.  The
@@ -99,6 +103,11 @@ SOLVER_METHODS = ("auto", "direct", "neumann", "iterative_krylov")
 #     random     82-107   128-129  139-163  162-163  178-187  173-178  149-184  157-186
 # The top of the range is taken, so a budget that runs out costs at most one LU.
 LU_SWEEP_RATIO = 450
+# The order up to which `_inverse_minus_identity` inverts a block by one LAPACK
+# call rather than by elimination.  Measured with one BLAS thread on gated
+# share blocks of 150-1600 nodes, median of 7: 64 was 1-15% faster than 128,
+# and leaves of 32-160 were within 5% of each other at 800 nodes.
+INVERSE_LEAF = 64
 
 
 def _stored(x, shape, name):
@@ -483,6 +492,46 @@ def _solve_shifted(held: _HeldEdges, rhs: np.ndarray) -> np.ndarray:
         return np.linalg.solve(held.identity_minus(), rhs)
     except np.linalg.LinAlgError as exc:
         raise StabilityError(f"I - A is singular: {exc}") from exc
+
+
+def _inverse_minus_identity(held: _HeldEdges) -> np.ndarray:
+    """(I - A)^-1 - I = A (I - A)^-1 for held edges A that passed the stability
+    gate, by recursive 2x2 block elimination: a block of order INVERSE_LEAF or
+    less is one LAPACK inverse times A, every other step a matrix product.
+
+    Only a gated A may come here, because no block is pivoted across: the gate
+    certifies rho(|A|) < 1, so I - A is a nonsingular H-matrix, and so is each
+    leading block and each Schur complement the recursion inverts
+    (Fiedler-Ptak; Horn & Johnson, Topics in Matrix Analysis, 2.5).  Block LU
+    is stable on such blocks (Demmel, Higham & Schreiber 1995).  A singular
+    block is a StabilityError.
+    """
+    try:
+        return _eliminate(held.array)
+    except np.linalg.LinAlgError as exc:
+        raise StabilityError(f"I - A is singular: {exc}") from exc
+
+
+def _eliminate(a: np.ndarray) -> np.ndarray:
+    """Y = (I - a)^-1 - I, eliminating the leading half of a.
+
+    With (I - a11)^-1 = I + Y11, T = a21 (I + Y11) and U = (I + Y11) a12, the
+    Schur complement is I - (a22 + T a12), its inverse I + Y22, and
+        Y = [[Y11 + X12 T, X12], [(I + Y22) T, Y22]]  with  X12 = U (I + Y22).
+    No step subtracts the identity, so Y is as accurate relative to A's
+    powers as an LU solve, however small A is.
+    """
+    n = a.shape[0]
+    if n <= INVERSE_LEAF:
+        return np.linalg.inv(np.eye(n) - a) @ a
+    k = n // 2
+    a12, a21 = a[:k, k:], a[k:, :k]
+    y11 = _eliminate(a[:k, :k])
+    t = a21 + a21 @ y11
+    u = a12 + y11 @ a12
+    y22 = _eliminate(a[k:, k:] + t @ a12)
+    x12 = u + u @ y22
+    return np.block([[y11 + x12 @ t, x12], [t + y22 @ t, y22]])
 
 
 def _boundary_rhs(stats: CutStatistics) -> np.ndarray:

@@ -8,13 +8,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import cbv
-from cbv.errors import DomainError, StabilityError
+from cbv.errors import DomainError, MembershipError, StabilityError
 
 from conftest import (
     example_stats,
     herfindahl_index,
     random_share_matrix,
     reference_select_perimeter,
+    sparse_ownership,
     truncated_attenuated_series,
     two_cycle_chain_stats,
 )
@@ -185,9 +186,10 @@ class TestOptionC:
         control = cbv.attenuated_control(shares, 0.5, ids=IDS)
         np.testing.assert_allclose(control.omega, shares, atol=1e-12)
 
-    def test_zero_matrix(self):
-        control = cbv.attenuated_control(np.zeros((3, 3)), 0.5)
-        np.testing.assert_array_equal(control.omega, np.zeros((3, 3)))
+    @pytest.mark.parametrize("n", [3, 451])
+    def test_zero_matrix(self, n):
+        control = cbv.attenuated_control(np.zeros((n, n)), 0.5)
+        np.testing.assert_array_equal(control.omega, np.zeros((n, n)))
 
     def test_normalized_columns(self):
         # each held column divided by its sum; the empty columns stay zero
@@ -204,6 +206,28 @@ class TestOptionC:
         shares[0, 1], shares[1, 2] = 1.0, 1.0
         control = cbv.attenuated_control(shares, 0.5)
         assert control.omega[0, 2] == pytest.approx(0.5, abs=1e-12)
+
+    def test_chain_past_the_leaf_keeps_exact_weights(self):
+        # each of 451 nodes wholly owns the next: Omega[i, j] = alpha^(j - i - 1)
+        # above the diagonal, and at alpha = 1/2 every product of the block
+        # elimination is exact
+        n, alpha = 451, 0.5
+        shares = np.diag(np.ones(n - 1), k=1)
+        steps = np.subtract.outer(np.arange(n), np.arange(n))  # i - j
+        want = np.where(steps < 0, alpha ** (-steps - 1.0), 0.0)
+        np.testing.assert_array_equal(cbv.attenuated_control(shares, alpha).omega, want)
+
+    @pytest.mark.parametrize("alpha", [0.6, 1e-6])
+    def test_past_the_leaf_matches_the_lu(self, alpha):
+        # 457 nodes, odd, recurse through block elimination on uneven halves;
+        # at a small alpha, ((I - alpha S)^-1 - I) / alpha formed from the
+        # inverse would lose six digits to cancellation
+        shares = sparse_ownership(457, seed=29)[0].shares
+        omega = cbv.attenuated_control(shares, alpha).omega
+        scale = max(1.0, np.abs(omega).max())
+        assert np.abs(omega - alpha * omega @ shares - shares).max() <= 1e-13 * scale
+        want = np.linalg.solve(np.eye(len(shares)) - alpha * shares.T, shares.T).T
+        assert np.abs(omega - want).max() <= 1e-12 * np.abs(want).max()
 
     def test_unstable_alpha_share_product(self):
         shares = np.zeros((2, 2))
@@ -335,6 +359,14 @@ class TestSpecs:
         assert omega_a.omega[0, 3] == 1.0
         assert omega_b.omega[0, 3] == pytest.approx(0.276)
         assert omega_c.omega[0, 3] == pytest.approx(0.6)
+
+    def test_repeated_or_unknown_ids_are_membership_errors(self):
+        shares = three_owner_shares()[:3, :3]
+        with pytest.raises(MembershipError, match="node ids must be unique"):
+            cbv.threshold_control(shares, 0.5, ids=("a", "a", "c"))
+        control = cbv.threshold_control(shares, 0.5, ids=("a", "b", "c"))
+        with pytest.raises(MembershipError, match="unknown node id 'zzz'"):
+            control.column("zzz")
 
     def test_normalized_flag_validated(self):
         with pytest.raises(DomainError):

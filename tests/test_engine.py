@@ -561,6 +561,48 @@ def ring_stats(n: int, share: float, b_scale: float = 1.0) -> cbv.CutStatistics:
     )
 
 
+class TestInverseMinusIdentity:
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_block_elimination_matches_the_lu(self, data):
+        # on gated blocks of up to three leaves and more, (I - A)^-1 - I by
+        # block elimination stays within c kappa_1(I - A) n u of an LU solve
+        # of (I - A) Y = A.  c = 4 holds one rounding of each side at n = 1;
+        # past the leaf the gap has stayed below 0.1 kappa_1 n u.
+        leaf = cbv.engine.INVERSE_LEAF
+        n = data.draw(st.integers(1, 3 * leaf + 9), label="n")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        kind = data.draw(st.sampled_from(["nonnegative", "signed", "rescaled", "self-holding"]),
+                         label="kind")
+        rho = data.draw(st.floats(0.5, 0.999), label="rho")
+        density = data.draw(st.sampled_from([0.05, 0.3, 1.0]), label="density")
+        a = rng.uniform(0.0, 1.0, (n, n)) * (rng.random((n, n)) < density)
+        if kind == "signed":
+            a *= rng.choice([-1.0, 1.0], (n, n))
+        elif kind == "rescaled":  # D A D^-1: its norms exceed 1, only weights certify it
+            d = np.exp(rng.uniform(-2.0, 2.0, n))
+            a = d[:, None] * a / d[None, :]
+        elif kind == "self-holding":
+            np.fill_diagonal(a, rng.uniform(0.0, 1.0, n))
+        radius = float(np.abs(np.linalg.eigvals(np.abs(a))).max())
+        assume(radius > 0.0)
+        a *= rho / radius
+        held = cbv.network._HeldEdges.of(a)
+        assume(cbv.spectral_radius_bound(held).certified)
+        system = np.eye(n) - a
+        want = np.linalg.solve(system, a)
+        got = cbv.engine._inverse_minus_identity(held)
+        u = np.finfo(float).eps / 2
+        bound = 4 * np.linalg.cond(system, 1) * n * u * np.abs(want).max()
+        assert np.abs(got - want).max() <= bound
+
+    def test_singular_leaf_is_stability_error(self):
+        # no gate runs here: the 2-cycle at 1 makes I - A singular
+        held = cbv.network._HeldEdges.of(np.array([[0.0, 1.0], [1.0, 0.0]]))
+        with pytest.raises(StabilityError, match="singular"):
+            cbv.engine._inverse_minus_identity(held)
+
+
 class TestAutoMethod:
     """`auto` sweeps wherever the gate certifies the operator it sweeps, up to
     as many sweeps as one LU costs, and otherwise, or when the sweeps have not
