@@ -74,7 +74,7 @@ class ControlMatrix:
 
 def _normalize_columns(omega: np.ndarray) -> np.ndarray:
     sums = omega.sum(axis=0)
-    return np.divide(omega, sums, out=omega.copy(), where=sums > 0)
+    return np.divide(omega, sums, out=omega, where=sums > 0)
 
 
 def _as_matrix(shares) -> np.ndarray:
@@ -199,7 +199,7 @@ def select_perimeter(control: ControlMatrix, seed, tau_p: float) -> Perimeter:
     members = {str(s) for s in seed}
     unknown = members - set(control.ids)
     if unknown:
-        raise DomainError(f"seed ids not in control matrix: {sorted(unknown)}")
+        raise MembershipError(f"seed ids not in control matrix: {sorted(unknown)}")
     inside = np.array([node in members for node in control.ids], dtype=bool)
     while True:
         joins = ~inside & (control.omega[inside].sum(axis=0) >= tau_p)

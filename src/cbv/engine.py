@@ -25,9 +25,10 @@ Cost.  `CutStatistics` stores every block as held edges
 splits the network's held edges by side in O(n + nnz), a dense block given is
 stored by one scan of its bits, and statistics derived from others
 (`replace`, `with_v_p`, `restrict`, `scale_units`) pass on the held edges
-they do not change.  No valuation reads a block dense: reading `stats.o_pp`
-or another block builds its dense array once, for the dense algebra of the
-robustness norms, `schur_operators` and `condition_diagnostics`.  Regime B is
+they do not change.  No valuation or bound reads a block dense: reading
+`stats.o_pp` or another block builds its dense array once, for the dense
+algebra of `schur_operators`, `condition_diagnostics` and the p = 2 spectral
+norm of O_PO in the robustness bounds.  Regime B is
 two pieces: the right-hand side b_P + O_PO v_O (`_boundary_rhs`, one
 held-edge matvec) and the gated solve on O_PP (`_solve_internal`); a Monte
 Carlo band, whose probes move only O_PP, computes the first once and runs
@@ -50,9 +51,10 @@ reaches 1; a bound certifies with a margin for its rounding.  The gate has
 one verdict: an operator it cannot certify is a StabilityError for every
 caller, whatever the solver config, and the refusal names that operator;
 damping and regularization change the operator it certifies, never whether
-it runs.  Every dense solve against
-I - A goes through `_solve_shifted`, which builds I - A from held edges and
-decides what a singular I - A means.  Control Option C needs all of
+it runs.  Every dense solve against I - A goes through `_solve_shifted`,
+which builds I - A from held edges, and every caller gates A first: direct
+regime B, `schur_operators` and the robustness bound, one solve of
+I - |O_PP| against the ones vector.  Control Option C needs all of
 (I - A)^-1 - I, which `_inverse_minus_identity` computes by 2x2 block
 elimination in matrix products, about twice as fast as the LU solve with n
 right-hand sides; it pivots across no block, so only a gated A may reach it:
@@ -486,8 +488,9 @@ def _stability_gate(matrix, operator: str = "O_PP") -> SpectralBound:
 
 
 def _solve_shifted(held: _HeldEdges, rhs: np.ndarray) -> np.ndarray:
-    """x with (I - A) x = rhs for held edges A, from one dense LU; a singular
-    I - A is a StabilityError.  A gate, where a caller needs one, runs first."""
+    """x with (I - A) x = rhs for held edges A, from one dense LU.  Every caller
+    gates A first, so I - A is nonsingular; one singular in rounding is a
+    StabilityError."""
     try:
         return np.linalg.solve(held.identity_minus(), rhs)
     except np.linalg.LinAlgError as exc:

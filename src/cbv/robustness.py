@@ -6,9 +6,12 @@ eps (both in p-norm), the consolidated value moves by at most
     |dW| <= ||1_P||_q * eta + ||1_P' O_PO||_q * eps        (q dual to p)
 
 when internal values are held fixed; in Regime B the response of the
-estimated v_P adds a term proportional to ||(I - O_PP)^-1||_p, which is exact
-at every size, from one solve of I - O_PP against the identity.  The
-condition number kappa_2(I - O_PP) is exact at every size too, from one SVD.
+estimated v_P adds a term proportional to ||(I - O_PP)^-1||_p, priced behind
+the stability gate: at p in {1, inf} from one solve of I - |O_PP| (or its
+transpose) against the ones vector, exact for a share block and an upper
+bound for a signed one; at p = 2 exactly, from one SVD.  The other terms are
+reductions over held edges.  The condition number kappa_2(I - O_PP) is exact
+at every size too, from one SVD.
 
 A Monte Carlo band perturbs only O_PP, so it prices what the probes share
 once (the right-hand side b_P + O_PO v_O, the base plus the outgoing term,
@@ -33,6 +36,7 @@ from .engine import (
     _priced_edges,
     _solve_internal,
     _solve_shifted,
+    _stability_gate,
     spectral_radius_bound,
 )
 from .errors import DomainError, StabilityError
@@ -68,44 +72,19 @@ def ones_norm(n: int, q: float) -> float:
     return 1.0 if n else 0.0
 
 
-def _finite(a, name: str) -> np.ndarray:
-    """`a` as a float array; a NaN or infinite entry is a DomainError."""
-    a = np.asarray(a, dtype=float)
-    if not np.isfinite(a).all():
-        raise DomainError(f"{name} is not finite")
-    return a
-
-
-def induced_norm(a, p: float) -> float:
-    """Operator p -> p norm: exact for p in {1, inf}, spectral for p = 2.
-    A non-finite entry is a DomainError."""
-    a = _finite(a, "matrix")
-    if a.size == 0:
+def _coupling_norm(o_po: _HeldEdges, p: float) -> float:
+    """||O_PO||_{q<-p} (q dual to p) from its held values: the largest
+    |entry| at p = 1; the total |mass| at p = inf, exact for a nonnegative
+    block and an upper bound otherwise; the spectral norm of the dense view
+    at p = 2."""
+    mass = np.abs(o_po.vals)
+    if not mass.size:
         return 0.0
     if p == 1.0:
-        return float(np.abs(a).sum(axis=0).max())
+        return float(mass.max())
     if p == float("inf"):
-        return float(np.abs(a).sum(axis=1).max())
-    return float(np.linalg.norm(a, 2))
-
-
-def mixed_norm(a, q: float, p: float) -> float:
-    """||A||_{q<-p} for the dual pairings used by the bounds.
-
-    (inf, 1): max absolute entry.  (1, inf): total absolute mass, which is the
-    exact value for nonnegative matrices and an upper bound otherwise.
-    (2, 2): spectral norm.  A non-finite entry is a DomainError.
-    """
-    a = _finite(a, "matrix")
-    if a.size == 0:
-        return 0.0
-    if (q, p) == (float("inf"), 1.0):
-        return float(np.abs(a).max())
-    if (q, p) == (1.0, float("inf")):
-        return float(np.abs(a).sum())
-    if (q, p) == (2.0, 2.0):
-        return float(np.linalg.norm(a, 2))
-    raise DomainError(f"unsupported norm pairing ({q!r} <- {p!r})")
+        return float(mass.sum())
+    return float(np.linalg.norm(o_po.array, 2))
 
 
 @dataclass(frozen=True)
@@ -140,17 +119,20 @@ class BoundReport:
 def boundary_bound(spec: PerturbationSpec, o_po, n_p: int) -> BoundReport:
     """Regime-A bound: internal values fixed, only b_P and v_O move.
 
-    For p = 2 the looser sqrt(|P|) (eta + ||O_PO||_2 eps) form is reported
-    alongside the tight one.  A non-finite entry of O_PO is a DomainError.
+    `o_po` is an array or held edges, read as held edges.  For p = 2 the
+    looser sqrt(|P|) (eta + ||O_PO||_2 eps) form is reported alongside the
+    tight one.  A non-finite entry of O_PO is a DomainError.
     """
-    o_po = _finite(o_po, "O_PO")
+    o_po = _HeldEdges.of(o_po)
+    if not np.isfinite(o_po.vals).all():
+        raise DomainError("O_PO is not finite")
     q = spec.q
     eta_term = ones_norm(n_p, q) * spec.eta
-    col_weights = o_po.sum(axis=0) if o_po.size else np.zeros(0)
+    col_weights = o_po.col_sums()
     eps_term = vector_norm(col_weights, q) * spec.eps if col_weights.size else 0.0
     loose = None
     if spec.p == 2.0:
-        loose = float(np.sqrt(n_p)) * (spec.eta + induced_norm(o_po, 2.0) * spec.eps)
+        loose = float(np.sqrt(n_p)) * (spec.eta + _coupling_norm(o_po, 2.0) * spec.eps)
     return BoundReport(
         bound=eta_term + eps_term,
         eta_term=eta_term,
@@ -159,33 +141,44 @@ def boundary_bound(spec: PerturbationSpec, o_po, n_p: int) -> BoundReport:
     )
 
 
-def inverse_norm(o_pp, p: float) -> float:
-    """||(I - O_PP)^-1||_{p->p}, exact at every size from one solve.
+def _resolvent_norm(o_pp: _HeldEdges, p: float) -> float:
+    """||(I - O_PP)^-1||_{p->p} behind the stability gate.
 
-    Not gated: a singular I - O_PP is a StabilityError, a non-finite entry
-    a DomainError.
+    The gate reads |A|: it certifies rho(|A|) = rho(|A|^T) < 1, so
+    (I - |A|)^-1 = sum_k |A|^k bounds |(I - A)^-1| entrywise.  At p = inf
+    the norm is at most the largest entry of (I - |A|)^-1 1, at p = 1 of
+    (I - |A|^T)^-1 1: one LU with one right-hand side, exact when A >= 0.
+    At p = 2 it is exactly 1 / sigma_min(I - A), from the SVD
+    `condition_diagnostics` runs.  An A the gate cannot certify is a
+    StabilityError.
     """
-    held = _HeldEdges.of(_finite(o_pp, "O_PP"))
-    return induced_norm(_solve_shifted(held, np.eye(held.n)), p)
+    _stability_gate(o_pp)
+    if p == 2.0:
+        singular = np.linalg.svd(o_pp.identity_minus(), compute_uv=False)
+        return float(1.0 / singular.min(initial=np.inf))
+    magnitude = _HeldEdges(o_pp.shape, o_pp.rows, o_pp.cols, np.abs(o_pp.vals))
+    if p == 1.0:
+        magnitude = magnitude.T
+    return float(_solve_shifted(magnitude, np.ones(o_pp.n)).max(initial=0.0))
 
 
 def regime_b_bound(spec: PerturbationSpec, stats: CutStatistics) -> BoundReport:
     """Regime-B bound: adds the response of the estimated internal values.
 
     delta = O_OP' 1_O is the direct minority exposure; the extension term is
-    ||delta||_q ||(I - O_PP)^-1||_{p->p} (eta + ||O_PO||_{q<-p} eps).
+    ||delta||_q ||(I - O_PP)^-1||_{p->p} (eta + ||O_PO||_{q<-p} eps).  Every
+    term is read from held edges but the spectral norms at p = 2.  An O_PP
+    the stability gate cannot certify is a StabilityError.
     """
     held = [stats.held(name) for name in ("o_pp", "o_po", "o_op")]
     if any(block is None for block in held):
         raise DomainError("regime_b_bound needs share-form blocks")
     if not all(np.isfinite(block.vals).all() for block in held):
         raise DomainError("O_PP, O_PO or O_OP is not finite")
-    base = boundary_bound(spec, stats.o_po, len(stats.p_ids))
-    q = spec.q
-    delta = stats.held("o_op").col_sums()
-    inv = inverse_norm(stats.o_pp, spec.p)
-    extension = vector_norm(delta, q) * inv * (
-        spec.eta + mixed_norm(stats.o_po, q, spec.p) * spec.eps
+    o_pp, o_po, o_op = held
+    base = boundary_bound(spec, o_po, len(stats.p_ids))
+    extension = vector_norm(o_op.col_sums(), spec.q) * _resolvent_norm(o_pp, spec.p) * (
+        spec.eta + _coupling_norm(o_po, spec.p) * spec.eps
     )
     return BoundReport(
         bound=base.bound + extension,

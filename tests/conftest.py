@@ -484,6 +484,69 @@ def observed_regime_b_deltas(stats: cbv.CutStatistics, db: np.ndarray,
     return direct - dv_p @ delta
 
 
+# The dense norms the robustness bounds read before they were priced from held
+# edges: exact (signed) values, the oracles of `regime_b_bound`.
+
+def _finite(a, name: str) -> np.ndarray:
+    """`a` as a float array; a NaN or infinite entry is a DomainError."""
+    a = np.asarray(a, dtype=float)
+    if not np.isfinite(a).all():
+        raise cbv.DomainError(f"{name} is not finite")
+    return a
+
+
+def reference_induced_norm(a, p: float) -> float:
+    """Operator p -> p norm: exact for p in {1, inf}, spectral for p = 2."""
+    a = _finite(a, "matrix")
+    if a.size == 0:
+        return 0.0
+    if p == 1.0:
+        return float(np.abs(a).sum(axis=0).max())
+    if p == float("inf"):
+        return float(np.abs(a).sum(axis=1).max())
+    return float(np.linalg.norm(a, 2))
+
+
+def reference_mixed_norm(a, q: float, p: float) -> float:
+    """||A||_{q<-p} for the dual pairings of the bounds: (inf, 1) the max
+    absolute entry, (1, inf) the total absolute mass, (2, 2) the spectral norm."""
+    a = _finite(a, "matrix")
+    if a.size == 0:
+        return 0.0
+    if (q, p) == (float("inf"), 1.0):
+        return float(np.abs(a).max())
+    if (q, p) == (1.0, float("inf")):
+        return float(np.abs(a).sum())
+    if (q, p) == (2.0, 2.0):
+        return float(np.linalg.norm(a, 2))
+    raise cbv.DomainError(f"unsupported norm pairing ({q!r} <- {p!r})")
+
+
+def reference_inverse_norm(o_pp, p: float) -> float:
+    """||(I - O_PP)^-1||_{p->p}, exact and signed, from the whole inverse: one
+    LU of I - O_PP against the identity, with no stability gate."""
+    o_pp = _finite(o_pp, "O_PP")
+    n = o_pp.shape[0]
+    return reference_induced_norm(np.linalg.solve(np.eye(n) - o_pp, np.eye(n)), p)
+
+
+def reference_regime_b_bound(spec: cbv.PerturbationSpec,
+                             stats: cbv.CutStatistics) -> cbv.robustness.BoundReport:
+    """`regime_b_bound` from the dense blocks and the reference norms."""
+    q, n_p = spec.q, len(stats.p_ids)
+    eta_term = np.linalg.norm(np.ones(n_p), ord=q) * spec.eta
+    eps_term = np.linalg.norm(stats.o_po.sum(axis=0), ord=q) * spec.eps
+    extension = (np.linalg.norm(stats.o_op.sum(axis=0), ord=q)
+                 * reference_inverse_norm(stats.o_pp, spec.p)
+                 * (spec.eta + reference_mixed_norm(stats.o_po, q, spec.p) * spec.eps))
+    loose = None
+    if spec.p == 2.0:
+        loose = np.sqrt(n_p) * (spec.eta + reference_induced_norm(stats.o_po, 2.0) * spec.eps)
+    return cbv.robustness.BoundReport(
+        bound=float(eta_term + eps_term + extension), eta_term=float(eta_term),
+        eps_term=float(eps_term), extension_term=float(extension), loose_bound=loose)
+
+
 # The PoV writer and reader as they stated every field and default by hand,
 # before both read the observer's dataclasses: the oracles a rewrite of
 # `report.build_pov` and `report._observer_from_pov` must match.

@@ -338,6 +338,13 @@ class TestSelectPerimeter:
         with pytest.raises(DomainError):
             cbv.select_perimeter(control, {"a"}, 0.0)
 
+    def test_unknown_seed_is_membership_error(self):
+        # as every other unknown id in cbv, ControlMatrix.column's included
+        control = cbv.threshold_control(np.zeros((2, 2)), 0.5, ids=("a", "b"))
+        with pytest.raises(MembershipError,
+                           match=r"seed ids not in control matrix: \['yyy', 'zzz'\]"):
+            cbv.select_perimeter(control, {"a", "zzz", "yyy"}, 0.5)
+
 
 class TestSpecs:
     def test_option_aliases(self):

@@ -227,10 +227,15 @@ class TestEstimation:
         )
         with pytest.raises(StabilityError, match="is unstable"):
             cbv.evaluate_regime_b(stats, cbv.SolverConfig(regularization=0.1))
-        # only the ungated inverse norm reaches a singular I - A
+        # the regime-B bound gates O_PP too: the 2-cycle at 1, whose I - O_PP
+        # is singular, is refused before any solve
+        cycle = cbv.CutStatistics(
+            p_ids=("a", "b"), o_ids=("x",), b_p=[1.0, 1.0], v_o=[1.0],
+            o_po=np.zeros((2, 1)), o_op=np.zeros((1, 2)), o_pp=[[0.0, 1.0], [1.0, 0.0]],
+        )
         for p in (1.0, 2.0, float("inf")):
-            with pytest.raises(StabilityError, match="singular"):
-                cbv.robustness.inverse_norm([[0.0, 1.0], [1.0, 0.0]], p)
+            with pytest.raises(StabilityError, match="is unstable"):
+                cbv.regime_b_bound(cbv.PerturbationSpec(p=p, eta=1.0, eps=1.0), cycle)
 
     @pytest.mark.parametrize("method", ["auto", "direct", "neumann", "iterative_krylov"])
     def test_damped_refusal_names_the_gated_operator(self, method):

@@ -5,7 +5,6 @@ import pytest
 
 import cbv
 from cbv.errors import DomainError
-from cbv.robustness import induced_norm, inverse_norm, mixed_norm
 
 from conftest import (
     O_PO,
@@ -14,6 +13,10 @@ from conftest import (
     observed_regime_b_deltas,
     random_regime_stats,
     random_share_matrix,
+    reference_induced_norm,
+    reference_inverse_norm,
+    reference_mixed_norm,
+    reference_regime_b_bound,
     sample_perturbations,
     two_cycle_chain_stats,
 )
@@ -129,7 +132,8 @@ class TestBoundaryBound:
         o_po[1, 0] = value
         q = cbv.PerturbationSpec(p=p).q
         for call in (lambda: cbv.boundary_bound(cbv.PerturbationSpec(p, 1.0, 1.0), o_po, 3),
-                     lambda: induced_norm(o_po, p), lambda: mixed_norm(o_po, q, p)):
+                     lambda: reference_induced_norm(o_po, p),
+                     lambda: reference_mixed_norm(o_po, q, p)):
             with pytest.raises(DomainError, match="not finite"):
                 call()
 
@@ -157,7 +161,7 @@ class TestRegimeBBound:
 
     def test_symmetric_inverse_norm(self):
         # (I - [[0, t], [t, 0]])^-1 = [[1, t], [t, 1]] / (1 - t^2): row sums 1/(1 - t)
-        assert inverse_norm(np.array([[0.0, 0.8], [0.8, 0.0]]), float("inf")) == (
+        assert reference_inverse_norm(np.array([[0.0, 0.8], [0.8, 0.0]]), float("inf")) == (
             pytest.approx(5.0, rel=1e-12)
         )
 
@@ -173,13 +177,54 @@ class TestRegimeBBound:
                 cbv.regime_b_bound(cbv.PerturbationSpec(p=p, eta=1.0, eps=1.0), stats)
             if block == "o_pp":
                 with pytest.raises(DomainError, match="not finite"):
-                    inverse_norm(corrupted, p)
+                    reference_inverse_norm(corrupted, p)
 
     def test_mixed_norm_cases(self):
         a = np.array([[0.5, 0.2], [0.1, 0.0]])
-        assert mixed_norm(a, float("inf"), 1.0) == 0.5
-        assert mixed_norm(a, 1.0, float("inf")) == pytest.approx(0.8)
-        assert mixed_norm(a, 2.0, 2.0) == pytest.approx(np.linalg.norm(a, 2))
+        assert reference_mixed_norm(a, float("inf"), 1.0) == 0.5
+        assert reference_mixed_norm(a, 1.0, float("inf")) == pytest.approx(0.8)
+        assert reference_mixed_norm(a, 2.0, 2.0) == pytest.approx(np.linalg.norm(a, 2))
+
+    @pytest.mark.parametrize("p", NORMS)
+    @pytest.mark.parametrize("instance", ["holding-101", "random-2-1", "random-5-4",
+                                          "random-40-7", "random-120-30"])
+    def test_held_edge_bound_matches_dense_reference(self, instance, p):
+        # the bound priced from held edges is the dense one on share blocks:
+        # one solve against the ones vector gives the inverse's exact norm
+        kind, *sizes = instance.split("-")
+        if kind == "holding":
+            stats = holding_stats(int(sizes[0]))
+        else:
+            n_p, n_o = map(int, sizes)
+            stats = random_regime_stats(np.random.default_rng(n_p), n_p=n_p, n_o=n_o)
+        spec = cbv.PerturbationSpec(p=p, eta=0.8, eps=1.3)
+        got, want = cbv.regime_b_bound(spec, stats), reference_regime_b_bound(spec, stats)
+        for term in ("bound", "eta_term", "eps_term", "extension_term", "loose_bound"):
+            if getattr(want, term) is None:
+                assert getattr(got, term) is None, term
+            else:
+                assert getattr(got, term) == pytest.approx(getattr(want, term), rel=1e-12), term
+        n_p = len(stats.p_ids)
+        assert cbv.boundary_bound(spec, stats.held("o_po"), n_p) == cbv.boundary_bound(
+            spec, stats.o_po, n_p)
+
+    @pytest.mark.parametrize("p", NORMS)
+    def test_signed_block_gets_a_sound_upper_bound(self, p, rng):
+        # a signed O_PP is bounded through (I - |O_PP|)^-1: never below the
+        # exact signed norm, and exact at p = 2
+        spec = cbv.PerturbationSpec(p=p, eta=0.8, eps=1.3)
+        for _ in range(10):
+            stats = random_regime_stats(rng, n_p=6, n_o=3)
+            signs = np.where(rng.random((6, 6)) < 0.5, -1.0, 1.0)
+            stats = stats.replace(o_pp=stats.o_pp * signs)
+            bound = cbv.regime_b_bound(spec, stats).bound
+            exact = reference_regime_b_bound(spec, stats).bound
+            assert bound >= exact * (1.0 - 1e-12)
+            if p == 2.0:
+                assert bound == pytest.approx(exact, rel=1e-12)
+            db = sample_perturbations(rng, 6, p, spec.eta, 200)
+            dv = sample_perturbations(rng, 3, p, spec.eps, 200)
+            assert np.abs(observed_regime_b_deltas(stats, db, dv)).max() <= bound + 1e-12
 
 
 class TestSoundness:
@@ -218,7 +263,7 @@ class TestSoundness:
         # every norm of O_PP but the 1-norm is >= 1, and the gate certifies rho = 0
         stats = holding_stats()
         assert cbv.spectral_radius_bound(stats.o_pp).rho_upper < 1.0
-        inv = inverse_norm(stats.o_pp, p)
+        inv = reference_inverse_norm(stats.o_pp, p)
         assert inv == pytest.approx(exact, abs=5e-3)
         assert inv == pytest.approx(
             np.linalg.norm(np.eye(101) + stats.o_pp, ord=p), rel=1e-12)
@@ -226,7 +271,7 @@ class TestSoundness:
         report = cbv.regime_b_bound(spec, stats)
         assert report.extension_term == pytest.approx(
             np.linalg.norm(stats.o_op.sum(axis=0), ord=spec.q) * inv
-            * (spec.eta + mixed_norm(stats.o_po, spec.q, p) * spec.eps), rel=1e-12)
+            * (spec.eta + reference_mixed_norm(stats.o_po, spec.q, p) * spec.eps), rel=1e-12)
         db = sample_perturbations(rng, 101, p, spec.eta, 1000)
         dv = sample_perturbations(rng, 2, p, spec.eps, 1000)
         observed = np.abs(observed_regime_b_deltas(stats, db, dv))

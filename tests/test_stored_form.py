@@ -153,6 +153,10 @@ def test_valuation_reads_no_dense_block():
     cbv.effective_external_share(stats)
     cbv.hedge_vector(stats)
     cbv.monte_carlo_band(stats, noise=0.01, draws=3)
+    for p in (1.0, float("inf")):
+        spec = cbv.PerturbationSpec(p=p, eta=1.0, eps=1.0)
+        cbv.regime_b_bound(spec, stats)
+        cbv.boundary_bound(spec, stats.held("o_po"), len(stats.p_ids))
     for name in ("o_po", "o_op", "o_pp"):
         assert "array" not in vars(stats.held(name)), name
         assert "array" not in vars(observed.held(name)), name
@@ -178,6 +182,24 @@ def test_valuation_path_memory_is_o_nnz():
     assert peak < block_bytes / 10, f"peak {peak} bytes"
     assert regime_b.solver_log.method == "neumann"
     assert regime_b.w == pytest.approx(regime_a.w, rel=1e-10)
+
+
+def test_regime_b_bound_memory_is_one_lu():
+    # 20,000 nodes, 2000 of them in P: the bound at p in {1, inf} is one LU of
+    # order |P| (32 MB), where the dense O_PO view alone would be 288 MB
+    network, b, v = sparse_ownership(20_000, seed=3)
+    perimeter = cbv.Perimeter(network.nodes[::10])
+    stats = cbv.CutStatistics.from_network(
+        network, perimeter, b, {n: v[n] for n in network.nodes if n not in perimeter})
+    tracemalloc.start()
+    try:
+        bounds = [cbv.regime_b_bound(cbv.PerturbationSpec(p=p, eta=1.0, eps=0.01), stats)
+                  for p in (1.0, float("inf"))]
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20, f"peak {peak} bytes"
+    assert all(np.isfinite(report.bound) and report.bound > 0 for report in bounds)
 
 
 def same_edges(a: _HeldEdges, b: _HeldEdges) -> bool:
