@@ -32,7 +32,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConvergenceError, DimensionError, DomainError, MembershipError
-from .network import NodeId, Perimeter, _BlockField, _HeldBlocks, _HeldEdges
+from .network import NodeId, Perimeter, _BlockField, _HeldBlocks, _HeldEdges, _positions
 from .observer import _check_solver_limits
 
 DEFAULT_EPS = 1e-12
@@ -215,20 +215,17 @@ def net_boundary_flows(
 
     The result is suitable as amount-form cut input downstream; internal
     rewirings that preserve these nets cannot move the consolidated value.
+    A perimeter id the problem does not clear is a MembershipError.
     """
     if outcome.node_ids != problem.node_ids:
         raise DimensionError("outcome and problem refer to different node sets")
-    members = {str(m) for m in perimeter.members}
     index = {n: k for k, n in enumerate(problem.node_ids)}
-    unknown = members - index.keys()
-    if unknown:
-        raise DimensionError(f"perimeter ids not cleared here: {sorted(unknown)}")
-    p_ids = tuple(sorted(members))
-    o_ids = tuple(sorted(index.keys() - members))
+    p_ids = tuple(sorted(perimeter.members))
+    o_ids = tuple(sorted(index.keys() - perimeter.members))
     in_p = np.zeros(len(index), dtype=bool)
     place = np.empty(len(index), dtype=np.intp)  # each node's row in X_PO or in X_OP
     for side, ids in ((True, p_ids), (False, o_ids)):
-        at = [index[n] for n in ids]
+        at = _positions(index, ids, "cleared here")
         in_p[at], place[at] = side, np.arange(len(at))
     x_po = np.zeros((len(p_ids), len(o_ids)))
     x_op = np.zeros((len(o_ids), len(p_ids)))

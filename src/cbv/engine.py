@@ -22,7 +22,8 @@ money.  Its shape checks, `restrict` and `scale_units` read that table.
 
 Cost.  `CutStatistics` stores every block as held edges
 (`network._HeldEdges`): `from_network` takes them from `partition`, which
-splits the network's held edges by side in O(n + nnz), a dense block given is
+splits the network's held edges by side in O(n + nnz), and looks up and
+converts the bases and values in C loops (`_floats`), a dense block given is
 stored by one scan of its bits, and statistics derived from others
 (`replace`, `with_v_p`, `restrict`, `scale_units`) pass on the held edges
 they do not change.  No valuation or bound reads a block dense: reading
@@ -203,17 +204,11 @@ class CutStatistics(_HeldBlocks):
         """
         b, v = dict(b), dict(v or {})
         blocks = partition(network, perimeter)
-        missing_b = [n for n in blocks.p_ids if n not in b]
-        if missing_b:
-            raise MembershipError(f"bases missing for perimeter nodes: {missing_b}")
-        missing_v = [n for n in blocks.o_ids if n not in v]
-        if missing_v:
-            raise MembershipError(f"values missing for complement nodes: {missing_v}")
-        b_p = np.array([float(b[n]) for n in blocks.p_ids])
-        v_o = np.array([float(v[n]) for n in blocks.o_ids])
+        b_p, v_o = _floats((b, blocks.p_ids, "base", "perimeter"),
+                           (v, blocks.o_ids, "value", "complement"))
         v_p = None
-        if all(n in v for n in blocks.p_ids):
-            v_p = np.array([float(v[n]) for n in blocks.p_ids])
+        if all(map(v.__contains__, blocks.p_ids)):
+            (v_p,) = _floats((v, blocks.p_ids, "value", "perimeter"))
         return cls(
             p_ids=blocks.p_ids,
             o_ids=blocks.o_ids,
@@ -775,9 +770,31 @@ def cut_gap(gross: float, w: float) -> float:
 def implied_bases(network: OwnershipNetwork, v) -> dict[NodeId, float]:
     """Back out b = v - O v from observed values on a full network, in
     O(n + nnz): `v` must cover every node."""
-    missing = [n for n in network.nodes if n not in v]
-    if missing:
-        raise MembershipError(f"values missing for network nodes: {missing}")
-    values = np.array([float(v[n]) for n in network.nodes])
+    (values,) = _floats((dict(v), network.nodes, "value", "network"))
     bases = values - network._held @ values
-    return {node: float(bases[k]) for k, node in enumerate(network.nodes)}
+    return dict(zip(network.nodes, bases.tolist()))
+
+
+def _floats(*wanted) -> list[np.ndarray]:
+    """For each (values, ids, noun, side) in `wanted`, float(values[id]) for
+    each id, looked up and converted in C loops.  A refusal is built only on
+    failure: the first ids with some missing from their values are a
+    MembershipError that lists those ids; otherwise the first value, in the
+    order wanted, that float() refuses is a DomainError that names its node.
+    """
+    try:
+        return [np.fromiter(map(float, map(values.__getitem__, ids)), float, len(ids))
+                for values, ids, _, _ in wanted]
+    except (KeyError, TypeError, ValueError, OverflowError):
+        for values, ids, noun, side in wanted:
+            missing = [n for n in ids if n not in values]
+            if missing:
+                raise MembershipError(f"{noun}s missing for {side} nodes: {missing}") from None
+        for values, ids, noun, _ in wanted:
+            for node in ids:
+                try:
+                    float(values[node])
+                except (TypeError, ValueError, OverflowError):
+                    raise DomainError(
+                        f"{noun} {values[node]!r} of node {node!r} is not a number") from None
+        raise

@@ -126,13 +126,20 @@ def boundary_bound(spec: PerturbationSpec, o_po, n_p: int) -> BoundReport:
     o_po = _HeldEdges.of(o_po)
     if not np.isfinite(o_po.vals).all():
         raise DomainError("O_PO is not finite")
+    return _boundary_bound(spec, o_po, n_p, _coupling_norm(o_po, spec.p))
+
+
+def _boundary_bound(spec: PerturbationSpec, o_po: _HeldEdges, n_p: int,
+                    coupling: float) -> BoundReport:
+    """`boundary_bound` of finite held edges, given ||O_PO||_{q<-p}, which
+    at p = 2 is the spectral norm the loose form reads."""
     q = spec.q
     eta_term = ones_norm(n_p, q) * spec.eta
     col_weights = o_po.col_sums()
     eps_term = vector_norm(col_weights, q) * spec.eps if col_weights.size else 0.0
     loose = None
     if spec.p == 2.0:
-        loose = float(np.sqrt(n_p)) * (spec.eta + _coupling_norm(o_po, 2.0) * spec.eps)
+        loose = float(np.sqrt(n_p)) * (spec.eta + coupling * spec.eps)
     return BoundReport(
         bound=eta_term + eps_term,
         eta_term=eta_term,
@@ -176,9 +183,10 @@ def regime_b_bound(spec: PerturbationSpec, stats: CutStatistics) -> BoundReport:
     if not all(np.isfinite(block.vals).all() for block in held):
         raise DomainError("O_PP, O_PO or O_OP is not finite")
     o_pp, o_po, o_op = held
-    base = boundary_bound(spec, o_po, len(stats.p_ids))
+    coupling = _coupling_norm(o_po, spec.p)  # at p = 2 one SVD, for both terms
+    base = _boundary_bound(spec, o_po, len(stats.p_ids), coupling)
     extension = vector_norm(o_op.col_sums(), spec.q) * _resolvent_norm(o_pp, spec.p) * (
-        spec.eta + _coupling_norm(o_po, spec.p) * spec.eps
+        spec.eta + coupling * spec.eps
     )
     return BoundReport(
         bound=base.bound + extension,

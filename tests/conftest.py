@@ -4,6 +4,7 @@ and the oracles the tests check the library against."""
 from __future__ import annotations
 
 import shutil
+from itertools import compress
 from pathlib import Path
 
 import numpy as np
@@ -337,6 +338,76 @@ def gathered_network_edges(ids, shares):
 
     order = np.argsort(np.asarray([str(n) for n in ids], dtype=object))
     return _HeldEdges.of_bits(np.asarray(shares, dtype=float)[np.ix_(order, order)])
+
+
+def reference_split(held, row_side: np.ndarray, col_side: np.ndarray):
+    """`_HeldEdges.split` as it ran before it placed each side once and
+    counted the blocks without `bincount`: the blocks [a][b] of the rows on
+    side a and the columns on side b, by one stable argsort of the codes."""
+    from cbv.network import _HeldEdges
+
+    local, sizes = [], []  # each index's place within its side; each side's size
+    for side in (row_side, col_side):
+        at = [np.flatnonzero(side == s) for s in (0, 1)]
+        local.append(np.empty(side.size, dtype=np.intp))
+        for on_side in at:
+            local[-1][on_side] = np.arange(on_side.size)
+        sizes.append((at[0].size, at[1].size))
+    code = (row_side[held.rows] << 1) | col_side[held.cols]  # block a, b is 2a + b
+    order = np.argsort(code, kind="stable")
+    starts = [0, *np.bincount(code, minlength=4).cumsum().tolist()]
+    rows, cols = local[0][held.rows[order]], local[1][held.cols[order]]
+    vals = held.vals[order]
+
+    def piece(a: int, b: int):
+        cut = slice(starts[2 * a + b], starts[2 * a + b + 1])
+        return _HeldEdges((sizes[0][a], sizes[1][b]), rows[cut], cols[cut], vals[cut])
+
+    return [[piece(a, b) for b in (0, 1)] for a in (0, 1)]
+
+
+def reference_partition(network: cbv.OwnershipNetwork, perimeter: cbv.Perimeter):
+    """`partition` as it ran before it looked the members up in C loops: a set
+    difference refuses unknown members, a generator feeds the member
+    positions, and `compress` takes the id tuples from the node tuple."""
+    unknown = perimeter.members - network._index.keys()
+    if unknown:
+        raise cbv.MembershipError(f"perimeter ids not in network: {sorted(unknown)}")
+    in_p = np.zeros(len(network.nodes), dtype=bool)
+    in_p[np.fromiter((network._index[m] for m in perimeter.members), dtype=np.intp,
+                     count=len(perimeter.members))] = True
+    side = (~in_p).view(np.uint8)  # 0 for P, 1 for O
+    (o_pp, o_po), (o_op, o_oo) = reference_split(network._held, side, side)
+    return cbv.BlockPartition(
+        p_ids=tuple(compress(network.nodes, in_p.tolist())),
+        o_ids=tuple(compress(network.nodes, (~in_p).tolist())),
+        o_pp=o_pp, o_po=o_po, o_op=o_op, o_oo=o_oo,
+    )
+
+
+def reference_from_network(network: cbv.OwnershipNetwork, perimeter: cbv.Perimeter, b,
+                           v=None) -> cbv.CutStatistics:
+    """`CutStatistics.from_network` as it ran before it read the bases and
+    values in C loops: missing ids listed by comprehension, then one float()
+    per id in Python.  A value float() refuses escapes as its ValueError or
+    TypeError."""
+    b, v = dict(b), dict(v or {})
+    blocks = reference_partition(network, perimeter)
+    missing_b = [n for n in blocks.p_ids if n not in b]
+    if missing_b:
+        raise cbv.MembershipError(f"bases missing for perimeter nodes: {missing_b}")
+    missing_v = [n for n in blocks.o_ids if n not in v]
+    if missing_v:
+        raise cbv.MembershipError(f"values missing for complement nodes: {missing_v}")
+    b_p = np.array([float(b[n]) for n in blocks.p_ids])
+    v_o = np.array([float(v[n]) for n in blocks.o_ids])
+    v_p = None
+    if all(n in v for n in blocks.p_ids):
+        v_p = np.array([float(v[n]) for n in blocks.p_ids])
+    return cbv.CutStatistics(
+        p_ids=blocks.p_ids, o_ids=blocks.o_ids, b_p=b_p, v_o=v_o, v_p=v_p,
+        o_po=blocks.held("o_po"), o_op=blocks.held("o_op"), o_pp=blocks.held("o_pp"),
+    )
 
 
 def reference_validate_network(network: cbv.OwnershipNetwork) -> cbv.ValidationReport:

@@ -381,5 +381,8 @@ class TestNetBoundaryFlows:
             ("a", "b"), np.zeros((2, 2)), [0.0, 0.0]
         )
         outcome = cbv.clear(problem)
-        with pytest.raises(DimensionError):
-            cbv.net_boundary_flows(problem, outcome, cbv.Perimeter({"ghost"}))
+        with pytest.raises(MembershipError, match=r"perimeter ids not cleared here: \['ghost'\]"):
+            cbv.net_boundary_flows(problem, outcome, cbv.Perimeter({"a", "ghost"}))
+        other = cbv.clear(cbv.ClearingProblem.single_class(("a", "c"), np.zeros((2, 2)), [0.0, 0.0]))
+        with pytest.raises(DimensionError, match="different node sets"):
+            cbv.net_boundary_flows(problem, other, cbv.Perimeter({"a"}))

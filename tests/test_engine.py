@@ -32,6 +32,7 @@ from conftest import (
     V_O,
     V_P_OBSERVED,
     dense_iterative_solve,
+    example_network,
     example_stats,
     gauge_rewiring_family,
     near_one_circulant,
@@ -1098,3 +1099,39 @@ class TestDiagnostics:
         net = cbv.OwnershipNetwork.from_edges(["a", "b", "c"], [("a", "b", 0.5)])
         with pytest.raises(MembershipError, match=r"\['b', 'c'\]"):
             cbv.implied_bases(net, {"a": 1.0})
+
+    @pytest.mark.parametrize("value, shown", [("x", "'x'"), (None, "None"), ([1.0], r"\[1.0\]")])
+    def test_implied_bases_refuses_a_non_number(self, value, shown):
+        net = cbv.OwnershipNetwork.from_edges(["a", "b", "c"], [("a", "b", 0.5)])
+        with pytest.raises(DomainError, match=rf"^value {shown} of node 'b' is not a number$"):
+            cbv.implied_bases(net, {"a": 1.0, "b": value, "c": "y"})
+
+    @pytest.mark.parametrize("value, shown", [("x", "'x'"), (None, "None"), ([1.0], r"\[1.0\]")])
+    def test_from_network_refuses_a_non_number(self, value, shown):
+        # the first non-number in the order bases, complement values, then
+        # perimeter values is named; float() semantics otherwise: "2.5" and
+        # True are numbers, and no non-number becomes a NaN
+        net = example_network()
+        perimeter = cbv.Perimeter(P_IDS)
+        b = dict(zip(P_IDS, B_P))
+        v = dict(zip(O_IDS, V_O))
+        for bases, values, refused in (
+            ({**b, "B": value, "C": "z"}, {**v, "X": "y"}, f"base {shown} of node 'B'"),
+            (b, {**v, "Y": value}, f"value {shown} of node 'Y'"),
+            (b, {**v, "A": 1.0, "B": 1.0, "C": value}, f"value {shown} of node 'C'"),
+        ):
+            with pytest.raises(DomainError, match=rf"^{refused} is not a number$"):
+                cbv.CutStatistics.from_network(net, perimeter, bases, values)
+        # v_P is unobserved when v misses a member, whatever it gives the others
+        stats = cbv.CutStatistics.from_network(
+            net, perimeter, {**b, "A": "2.5", "B": True}, {**v, "A": value})
+        assert stats.v_p is None and stats.b_p.tolist() == [2.5, 1.0, B_P[2]]
+
+    def test_from_network_refuses_missing_ids_before_non_numbers(self):
+        net = example_network()
+        perimeter = cbv.Perimeter(P_IDS)
+        with pytest.raises(MembershipError, match=r"^values missing for complement nodes: \['Y'\]$"):
+            cbv.CutStatistics.from_network(net, perimeter, {"A": "x", "B": 1.0, "C": 1.0},
+                                           {"X": 1.0})
+        with pytest.raises(MembershipError, match=r"^bases missing for perimeter nodes: \['C'\]$"):
+            cbv.CutStatistics.from_network(net, perimeter, {"A": None, "B": 1.0}, {})

@@ -208,6 +208,23 @@ class TestRegimeBBound:
         assert cbv.boundary_bound(spec, stats.held("o_po"), n_p) == cbv.boundary_bound(
             spec, stats.o_po, n_p)
 
+    def test_two_norm_bound_takes_one_svd_of_o_po(self, monkeypatch):
+        # the loose form and the extension term read the same ||O_PO||_2
+        stats = random_regime_stats(np.random.default_rng(30), n_p=30, n_o=50)
+        spec = cbv.PerturbationSpec(p=2.0, eta=0.8, eps=1.3)
+        want = cbv.regime_b_bound(spec, stats)
+        norm, shapes = np.linalg.norm, []
+
+        def counting(x, ord=None, *args, **kwargs):
+            if ord == 2 and np.ndim(x) == 2:
+                shapes.append(np.shape(x))
+            return norm(x, ord, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "norm", counting)
+        got = cbv.regime_b_bound(spec, stats)
+        assert shapes == [(30, 50)]
+        assert astuple(got) == astuple(want) and got.loose_bound is not None
+
     @pytest.mark.parametrize("p", NORMS)
     def test_signed_block_gets_a_sound_upper_bound(self, p, rng):
         # a signed O_PP is bounded through (I - |O_PP|)^-1: never below the

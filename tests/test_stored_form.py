@@ -15,6 +15,8 @@ from cbv.network import _HeldEdges
 from conftest import (
     dense_reference_w,
     gathered_network_edges,
+    reference_from_network,
+    reference_partition,
     reference_validate_network,
     sparse_draws,
     sparse_ownership,
@@ -236,6 +238,127 @@ def test_network_stores_the_held_edges_of_its_canonical_matrix(data):
         assert "array" not in vars(net._held)
         assert cbv.validate_network(net).findings == reference_validate_network(net).findings
         assert identical_bits(net.shares, expected.array)
+
+
+# what a base or value may be given as besides a float: numbers float()
+# accepts, and non-numbers it refuses
+NUMBER_LIKE = ("1.5", "-0", "nan", True, 7, np.float32(0.1))
+NOT_NUMBERS = ("x", "", None, [1.0], {})
+
+
+def not_a_number(x) -> bool:
+    try:
+        float(x)
+    except (TypeError, ValueError):
+        return True
+    return False
+
+
+def draw_values(data, rng, ids, label) -> dict:
+    """A float for each id, -0.0, NaN and infinities among them, a few given
+    as number-like objects; in three draws of ten, one or two ids also given
+    as non-numbers or dropped."""
+    values = rng.uniform(-50.0, 50.0, len(ids))
+    special = rng.random(len(ids)) < 0.2
+    values[special] = rng.choice((-0.0, float("nan"), float("inf")), size=int(special.sum()))
+    values = dict(zip(ids, values.tolist()))
+    if not ids:
+        return values
+    some = st.sets(st.sampled_from(ids), min_size=1, max_size=2)
+    for node in data.draw(some, label=f"{label} number-like"):
+        values[node] = data.draw(st.sampled_from(NUMBER_LIKE), label=f"{label} {node}")
+    flaw = data.draw(st.integers(0, 9), label=f"{label} flaw")
+    for node in data.draw(some, label=f"{label} flawed") if flaw >= 7 else ():
+        if flaw == 9:
+            del values[node]
+        else:
+            values[node] = data.draw(st.sampled_from(NOT_NUMBERS), label=f"{label} {node}")
+    return values
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_partition_and_from_network_match_the_reference(data):
+    # ids in a drawn order and not zero-padded (canonical order puts n10
+    # before n2), held -0.0, NaN and infinite shares, perimeters from empty to
+    # full with an unknown id now and then, observed, unobserved and partly
+    # observed v_P: the blocks, id tuples and vectors are the reference's bit
+    # for bit, and each refusal is the reference's, but that a non-number is
+    # a DomainError naming the first one where the reference let float()'s
+    # error escape
+    n = data.draw(st.integers(0, 12), label="n")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    shares = rng.uniform(0.0, 0.3, (n, n)) * (rng.random((n, n)) < 0.5)
+    special = rng.random((n, n)) < 0.2
+    shares[special] = rng.choice((-0.0, float("nan"), float("inf")), size=int(special.sum()))
+    ids = [f"n{k}" for k in range(n)]
+    order = rng.permutation(n)
+    net = cbv.OwnershipNetwork([ids[k] for k in order], shares[np.ix_(order, order)])
+    members = data.draw(st.sets(st.sampled_from(ids)) if ids else st.just(set()), label="P")
+    if data.draw(st.integers(0, 9), label="unknown") == 9:
+        members.add(data.draw(st.sampled_from(["ghost", "n99"])))
+    perimeter = cbv.Perimeter(members)
+    b = draw_values(data, rng, ids, "b")
+    v = draw_values(data, rng, ids, "v")
+    if data.draw(st.booleans(), label="v_P unobserved"):
+        v = {node: value for node, value in v.items() if node not in members}
+
+    try:
+        want_blocks = reference_partition(net, perimeter)
+    except cbv.MembershipError as refusal:
+        for build in (lambda: cbv.partition(net, perimeter),
+                      lambda: cbv.CutStatistics.from_network(net, perimeter, b, v)):
+            with pytest.raises(cbv.MembershipError) as got:
+                build()
+            assert str(got.value) == str(refusal)
+        return
+    blocks = cbv.partition(net, perimeter)
+    assert (blocks.p_ids, blocks.o_ids) == (want_blocks.p_ids, want_blocks.o_ids)
+    for name in ("o_pp", "o_po", "o_op", "o_oo"):
+        assert same_edges(blocks.held(name), want_blocks.held(name)), name
+
+    try:
+        want = reference_from_network(net, perimeter, b, v)
+    except cbv.MembershipError as refusal:
+        with pytest.raises(cbv.MembershipError) as got:
+            cbv.CutStatistics.from_network(net, perimeter, b, v)
+        assert str(got.value) == str(refusal)
+        return
+    except (TypeError, ValueError):
+        looked_up = [("base", b, blocks.p_ids), ("value", v, blocks.o_ids)]
+        if all(node in v for node in blocks.p_ids):
+            looked_up.append(("value", v, blocks.p_ids))
+        noun, values, node = next((noun, values, node) for noun, values, nodes in looked_up
+                                  for node in nodes if not_a_number(values[node]))
+        with pytest.raises(cbv.DomainError) as got:
+            cbv.CutStatistics.from_network(net, perimeter, b, v)
+        assert str(got.value) == f"{noun} {values[node]!r} of node {node!r} is not a number"
+        return
+    stats = cbv.CutStatistics.from_network(net, perimeter, b, v)
+    assert (stats.p_ids, stats.o_ids) == (want.p_ids, want.o_ids)
+    for name in ("b_p", "v_o", "v_p"):
+        if getattr(want, name) is None:
+            assert getattr(stats, name) is None, name
+        else:
+            assert identical_bits(getattr(stats, name), getattr(want, name)), name
+    for name in ("o_po", "o_op", "o_pp"):
+        assert same_edges(stats.held(name), want.held(name)), name
+
+
+def test_from_network_partitions_through_the_engine_module(monkeypatch):
+    # the traced benchmark times `network.partition` by wrapping the name
+    # `partition` in cbv.engine, so from_network must look it up there
+    calls = []
+
+    def counting(network, perimeter):
+        calls.append(perimeter)
+        return cbv.network.partition(network, perimeter)
+
+    monkeypatch.setattr(cbv.engine, "partition", counting)
+    network, b, v = sparse_ownership(40, seed=2)
+    perimeter = cbv.Perimeter(network.nodes[::4])
+    cbv.CutStatistics.from_network(network, perimeter, b, v)
+    assert calls == [perimeter]
 
 
 def test_network_shares_is_read_only_and_cached():
