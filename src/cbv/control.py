@@ -33,7 +33,7 @@ import numpy as np
 
 from .engine import _inverse_minus_identity, _stability_gate
 from .errors import DimensionError, DomainError, MembershipError
-from .network import NodeId, Perimeter, _HeldEdges, _node_ids
+from .network import NodeId, Perimeter, _HeldEdges, _id_collection, _node_ids
 from .observer import OPTION_ALIASES, ControlRuleSpec
 
 NORMALIZATION_TOL = 1e-9
@@ -196,7 +196,7 @@ def select_perimeter(control: ControlMatrix, seed, tau_p: float) -> Perimeter:
     """
     if not 0.0 < tau_p <= 1.0:
         raise DomainError(f"tau_p={tau_p!r} outside (0, 1]")
-    members = {str(s) for s in seed}
+    members = {str(s) for s in _id_collection(seed, "the seed")}
     unknown = members - set(control.ids)
     if unknown:
         raise MembershipError(f"seed ids not in control matrix: {sorted(unknown)}")

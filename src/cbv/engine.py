@@ -38,11 +38,9 @@ Every method reads O_PP's held edges: each gate pass, sweep, Krylov step or
 residual costs O(nnz + n_P), and the direct method's one dense LU builds
 I - A from them, A = d O_PP / (1 + r): damping d and regularization r are one
 scaling, and the gate certifies A, the operator every method runs.  Pricing
-the cut is a reduction over the two boundary blocks' held edges: with no
-rounding threshold, one `bincount` of column sums per block, which adds each
-column in row order as a dense sum(axis=0) does; with a threshold, one priced
-amount per nonzero edge (`cut_edges`, which also lists the edges of a cut
-summary) so that each can be tested against it.
+the cut has one primitive, `cut_edges`, one amount per nonzero boundary edge
+in row-major order: T_out, T_in, the meta-node leakage and each band probe
+are sums of its amounts, and a cut summary lists them.
 
 The stability gate reads the held edges of whatever block it is given: one
 pass of row and column sums when a norm of O_PP certifies rho < 1, and
@@ -202,7 +200,7 @@ class CutStatistics(_HeldBlocks):
         `b` must cover every perimeter member; `v` must cover the complement
         and may cover perimeter members (then v_P is observed).
         """
-        b, v = dict(b), dict(v or {})
+        b, v = _plain(b), _plain(v or {})
         blocks = partition(network, perimeter)
         b_p, v_o = _floats((b, blocks.p_ids, "base", "perimeter"),
                            (v, blocks.o_ids, "value", "complement"))
@@ -386,7 +384,8 @@ class ValuationResult:
 
 
 def cut_edges(share_block, values, amounts, tau):
-    """The priced edges of one side of the cut: (rows, cols, amounts, dropped).
+    """The priced edges of one side of the cut: (rows, cols, amounts, dropped),
+    the amounts every boundary total sums.
 
     An edge is a nonzero share, priced as share * value of its column, or a
     nonzero entry of an amount block (used when given); a block is a 2-D
@@ -402,33 +401,21 @@ def cut_edges(share_block, values, amounts, tau):
     rows, cols, priced = edges.rows, edges.cols, edges.vals
     if amounts is None:
         priced = priced * values[cols]
+    if not tau > 0.0:  # no amount is below it; the block's own arrays come back read-only
+        return (*map(_read_only, (rows, cols, priced)), 0)
     keep = ~(np.abs(priced) < tau)
     return rows[keep], cols[keep], priced[keep], int(keep.size - np.count_nonzero(keep))
 
 
-def _priced_edges(share_block, values, amounts, tau, col_sums=None):
-    """Edge totals with sub-threshold amounts dropped, in canonical order.
+def _read_only(a: np.ndarray) -> np.ndarray:
+    view = a.view()
+    view.flags.writeable = False
+    return view
 
-    The blocks are held edges.  With no threshold nothing is dropped, and the
-    total is a reduction over the held edges: an amount block's are summed, a
-    share block contributes its column sums (`col_sums` when the caller has
-    them already) times the values.  With a threshold the total is over
-    `cut_edges`.
-    """
-    if amounts is None and share_block is None:
-        return 0.0, 0
-    if not tau > 0.0:
-        if amounts is not None:
-            return float(amounts.vals.sum()), 0
-        if col_sums is None:
-            col_sums = share_block.col_sums()
-        if not np.isfinite(values).all():
-            # as on the per-edge path, a value counts only where its column
-            # holds a share: a non-finite value behind zeros stays out of W
-            held = np.bincount(share_block.cols, share_block.vals != 0,
-                               minlength=share_block.shape[1]) > 0
-            col_sums, values = col_sums[held], values[held]
-        return float(col_sums @ values), 0
+
+def _priced_edges(share_block, values, amounts, tau):
+    """One side's `cut_edges` at threshold tau summed in their order, as a cut
+    summary lists them, and the number dropped."""
     _, _, priced, dropped = cut_edges(share_block, values, amounts, tau)
     return float(priced.sum()), dropped
 
@@ -438,9 +425,9 @@ def evaluate_regime_a(
 ) -> ValuationResult:
     """Direct cut evaluation with observed internal values.
 
-    Cost is one reduction over each boundary block's held edges; the
-    internal block is never read.  Edge amounts below the rounding threshold
-    are dropped and counted in the log.
+    Cost is one priced amount per boundary edge (`cut_edges`); the internal
+    block is never read.  Edge amounts below the rounding threshold are
+    dropped and counted in the log.
     """
     held = stats.held
     if held("x_op") is None and held("o_op") is not None and stats.v_p is None:
@@ -738,18 +725,18 @@ def effective_external_share(
 ) -> EffectiveExternalShare:
     """Compress the perimeter into a meta-node with one external share.
 
-    delta_j is the direct outside ownership of each internal node; the leakage
-    E_ext = delta' (I - O_PP)^-1 (b_P + O_PO v_O) equals the minorities term,
-    so W(P) = 1'b_P + 1'O_PO v_O - E_ext reproduces the Regime-B value.
+    The leakage E_ext = delta' (I - O_PP)^-1 (b_P + O_PO v_O), delta_j the
+    direct outside ownership of each internal node, is the minorities term:
+    it is taken as regime B's T_in, the sum of the priced edges of O_OP, so
+    W(P) = 1'b_P + 1'O_PO v_O - E_ext is the Regime-B value bit for bit.
     """
     if stats.held("o_op") is None:
         raise RegimeError("effective external share needs the o_op block")
-    v_p, _ = estimate_internal_values(stats, cfg)
-    delta = stats.held("o_op").col_sums()
-    e_ext = float(delta @ v_p)
+    result = evaluate_regime_b(stats, cfg)
+    v_p = result.v_p_used
     total = float(v_p.sum())
-    omega_eff = e_ext / total if total != 0.0 else 0.0
-    return EffectiveExternalShare(e_ext=e_ext, omega_eff=omega_eff, v_p=v_p)
+    omega_eff = result.t_in / total if total != 0.0 else 0.0
+    return EffectiveExternalShare(e_ext=result.t_in, omega_eff=omega_eff, v_p=v_p)
 
 
 def hedge_vector(stats: CutStatistics) -> dict[NodeId, float]:
@@ -770,9 +757,14 @@ def cut_gap(gross: float, w: float) -> float:
 def implied_bases(network: OwnershipNetwork, v) -> dict[NodeId, float]:
     """Back out b = v - O v from observed values on a full network, in
     O(n + nnz): `v` must cover every node."""
-    (values,) = _floats((dict(v), network.nodes, "value", "network"))
+    (values,) = _floats((_plain(v), network.nodes, "value", "network"))
     bases = values - network._held @ values
     return dict(zip(network.nodes, bases.tolist()))
+
+
+def _plain(values) -> dict:
+    """`values`, copied unless it is a plain dict: no `__missing__` answers for an id."""
+    return values if type(values) is dict else dict(values)
 
 
 def _floats(*wanted) -> list[np.ndarray]:

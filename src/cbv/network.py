@@ -315,9 +315,17 @@ class OwnershipNetwork:
         return f"OwnershipNetwork({len(self.nodes)} nodes)"
 
 
+def _id_collection(ids, what: str):
+    """`ids`; a str or bytes, which iterates as one-character ids, is a DomainError."""
+    if isinstance(ids, (str, bytes)):
+        raise DomainError(f"{what} must be a collection of ids, not {ids!r}")
+    return ids
+
+
 def _node_ids(nodes) -> list[NodeId]:
-    """The node ids as strings; an empty or repeated id is a MembershipError."""
-    ids = [str(n) for n in nodes]
+    """The node ids as strings; a bare string is a DomainError, an empty or
+    repeated id a MembershipError."""
+    ids = [str(n) for n in _id_collection(nodes, "node ids")]
     if any(not n for n in ids):
         raise MembershipError("node ids must be non-empty strings")
     if len(set(ids)) != len(ids):
@@ -350,6 +358,7 @@ class Perimeter:
     members: frozenset[NodeId]
 
     def __init__(self, members):
+        members = _id_collection(members, "perimeter members")
         object.__setattr__(self, "members", frozenset(str(m) for m in members))
 
     def __contains__(self, node: NodeId) -> bool:

@@ -35,7 +35,8 @@ it disagrees with the manifest), else from the manifest's observer block,
 which records no tolerances, basis, discount weights or perimeter nodes.
 
 Cost.  Writing and loading a share block are O(nnz): the writer renders the
-held edges that `CutStatistics` stores, never a dense block, and the loader
+held edges that `CutStatistics` stores, never a dense block, each id rendered
+once per package (`_write_rows` writes every data file), and the loader
 parses each edge file straight into held edges (`CutReportPackage` stores
 them as `CutStatistics` does), ordered by row-major position so that they
 are, bit for bit and in order, what the scan of the dense block gives.  Rule
@@ -43,8 +44,9 @@ D2, rule D4's gate, `cut_statistics` and the disclosure sheet read those held
 edges, so no command builds a dense block.  A 1.1 or v1.0 block is parsed
 dense with numpy's C parser and scanned into held edges once.  Loading reads
 each file once and checks every hash before it parses any file, so the bytes
-hashed are the bytes parsed.  The cut summary lists its edges from the
-nonzero boundary entries (`engine.cut_edges`).
+hashed are the bytes parsed.  The cut summary lists the priced edges of
+`engine.cut_edges`, whose sums are W's T_out and T_in, so its edges add up,
+in listed order, to the totals it reports.
 """
 
 from __future__ import annotations
@@ -56,6 +58,7 @@ import json
 import re
 from collections import Counter
 from dataclasses import asdict, dataclass, field, fields
+from itertools import repeat
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
@@ -177,27 +180,20 @@ def _json_indented(value, depth: int) -> str:
 #
 # Readers take a `Path` or a `PackageFile`.  A vector file is a matrix file
 # with one value column: an id header row, then one row per id.  A share
-# block's file is an edge file (`_write_edges`, `_read_edges`); a dense
+# block's file is an edge file (`_write_rows`, `_read_edges`); a dense
 # matrix file is a 1.1 or v1.0 block, or the share matrix of `cbv control`.
 
 # a row whose only cell is blank is still a row: numpy parses it as one
 _ROW_TEXT = re.compile(r"[^\r\n]")
 
 
-def _csv_row(cells) -> str:
-    """`cells` as the line csv.writer renders, ending in a bare newline.
-
-    Rendering under a CRLF terminator makes csv.writer quote a carriage
-    return as well as a newline, so that the cell reads back.
-    """
-    buffer = io.StringIO()
-    csv.writer(buffer, lineterminator="\r\n").writerow(cells)
-    return buffer.getvalue()[:-2] + "\n"
-
-
 def _csv_cell(text: str) -> str:
-    """`text` as `_csv_row` renders it in a row of several cells."""
-    return _csv_row([text, ""])[:-2]
+    """`text` as csv.writer renders it in a row of several cells, under a CRLF
+    terminator, which makes it quote a carriage return as well as a newline,
+    so that the cell reads back."""
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator="\r\n").writerow([text, ""])
+    return buffer.getvalue()[:-3]
 
 
 def _csv_line(cells) -> str:
@@ -206,7 +202,7 @@ def _csv_line(cells) -> str:
 
 
 def matrix_csv_lines(row_ids, col_ids, matrix, id_header: str):
-    """The lines of a matrix's CSV file, byte for byte what `_csv_row` writes.
+    """The lines of a matrix's CSV file, its cells as `_csv_cell` renders them.
 
     Only held entries (nonzero, -0.0 or NaN) are rendered with `repr`; every
     other cell is the constant "0.0", which is `repr(0.0)`.
@@ -229,10 +225,6 @@ def matrix_csv_lines(row_ids, col_ids, matrix, id_header: str):
 def write_matrix_csv(path: Path, row_ids, col_ids, matrix, id_header: str):
     with open(path, "w", newline="", encoding="utf-8") as handle:
         handle.writelines(matrix_csv_lines(row_ids, col_ids, matrix, id_header))
-
-
-def write_vector_csv(path: Path, ids, values, column: str):
-    write_matrix_csv(path, ids, [column], np.asarray(values, dtype=float).reshape(-1, 1), "id")
 
 
 def _text(path) -> str:
@@ -286,13 +278,6 @@ def read_matrix_csv(path) -> tuple[list[str], list[str], np.ndarray]:
     return row_ids, col_ids, data[:, 1:]
 
 
-def write_nodes_csv(path: Path, ids):
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        handle.write("id,type,label\n")
-        for node in ids:
-            handle.write(_csv_row([node, "entity", ""]))
-
-
 def read_nodes_csv(path) -> list[str]:
     try:
         rows = list(csv.reader(io.StringIO(_text(path))))
@@ -311,20 +296,13 @@ def _reorder_matrix(row_ids, col_ids, data, want_rows, want_cols, name):
     return data[np.ix_([row_at[n] for n in want_rows], [col_at[n] for n in want_cols])]
 
 
-def _write_edges(path: Path, row_ids, col_ids, held: _HeldEdges):
-    """Write a block's edge file from its held edges: the header
-    `from,to,share`, then one line per held entry, in the order held
-    (row-major for every block `CutStatistics` stores).
-
-    Ids are quoted as `_csv_cell` quotes them and each value is its `repr`,
-    so -0.0, NaN and every float read back bit for bit.
-    """
-    from_cells = [_csv_cell(node) for node in row_ids]
-    to_cells = [_csv_cell(node) for node in col_ids]
+def _write_rows(path: Path, header: str, *columns):
+    """Write a node list, vector or edge file: `header`, then one line per
+    row of `columns`, iterables of cells already rendered (ids by
+    `_csv_cell`, values by `repr`, so every float reads back bit for bit)."""
     with open(path, "w", newline="", encoding="utf-8") as handle:
-        handle.write(EDGE_HEADER + "\n")
-        handle.writelines(f"{from_cells[i]},{to_cells[j]},{value!r}\n" for i, j, value
-                          in zip(held.rows.tolist(), held.cols.tolist(), held.vals.tolist()))
+        handle.write(header + "\n")
+        handle.writelines(",".join(row) + "\n" for row in zip(*columns))
 
 
 def _read_edges(file, axes: tuple[str, str], at: dict) -> _HeldEdges:
@@ -537,9 +515,11 @@ def write_package(
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
 
+    cells = {ids: [_csv_cell(node) for node in getattr(stats, ids)] for ids in ("p_ids", "o_ids")}
     files = {"nodes_P": "nodes_P.csv", "nodes_O": "nodes_O.csv"}
-    write_nodes_csv(directory / files["nodes_P"], stats.p_ids)
-    write_nodes_csv(directory / files["nodes_O"], stats.o_ids)
+    for key, ids in (("nodes_P", "p_ids"), ("nodes_O", "o_ids")):
+        _write_rows(directory / files[key], "id,type,label", cells[ids], repeat("entity"),
+                    repeat(""))
     for key, name in _DATA_FILES:
         stored = stats.held(name)
         if stored is None:
@@ -547,10 +527,13 @@ def write_package(
         rows, cols, _ = _FIELDS[name]
         files[key] = f"{key}.csv"
         if cols:
-            _write_edges(directory / files[key], getattr(stats, rows), getattr(stats, cols),
-                         stored)
+            _write_rows(directory / files[key], EDGE_HEADER,
+                        map(cells[rows].__getitem__, stored.rows.tolist()),
+                        map(cells[cols].__getitem__, stored.cols.tolist()),
+                        map(repr, stored.vals.tolist()))
         else:
-            write_vector_csv(directory / files[key], getattr(stats, rows), stored, name[0])
+            _write_rows(directory / files[key], f"id,{name[0]}", cells[rows],
+                        map(repr, stored.tolist()))
     if stats.held("o_pp") is not None:
         files["stability"] = STABILITY_NAME
         bound = spectral_radius_bound(stats.held("o_pp"))
@@ -915,7 +898,9 @@ def build_cut_summary(
     """Assemble the cut summary for a completed valuation.
 
     The edges are those `cut_edges` keeps at the observer's rounding
-    threshold, so the summary costs what the nonzero boundary entries cost.
+    threshold, the ones the result's totals sum, so the summary costs what
+    the nonzero boundary entries cost and its edges add up, in listed order,
+    to T_out and T_in.
     """
     tau = observer.tolerances.rounding_threshold
     flow_type = "debt" if stats.clearing_tag else "cashflow"

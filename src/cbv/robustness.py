@@ -15,10 +15,10 @@ at every size too, from one SVD.
 
 A Monte Carlo band perturbs only O_PP, so it prices what the probes share
 once (the right-hand side b_P + O_PO v_O, the base plus the outgoing term,
-the column sums of O_OP, the held edges of O_PP with the designated entries
-merged in) and pays per probe for a copy of the held values, the stability
-gate, the solve and one dot product; each probe's value is the one
-`evaluate_regime_b` gives, bit for bit.
+the held edges of O_PP with the designated entries merged in) and pays per
+probe for a copy of the held values, the stability gate, the solve and the
+priced edges of O_OP (`engine.cut_edges`, as regime B prices them); each
+probe's value is the one `evaluate_regime_b` gives, bit for bit.
 """
 
 from __future__ import annotations
@@ -302,8 +302,6 @@ def monte_carlo_band(
     rhs = _boundary_rhs(stats)
     base_out = float(stats.b_p.sum()) + _priced_edges(
         stats.held("o_po"), stats.v_o, stats.held("x_po"), 0.0)[0]
-    o_op = stats.held("o_op")
-    col_sums = None if o_op is None else o_op.col_sums()
 
     def offsets():
         yield np.zeros(at.size)
@@ -327,7 +325,7 @@ def monte_carlo_band(
             values.append(float(v_p.sum()))
         else:
             values.append(base_out - _priced_edges(
-                o_op, v_p, stats.held("x_op"), 0.0, col_sums)[0])
+                stats.held("o_op"), v_p, stats.held("x_op"), 0.0)[0])
     if not values:
         raise StabilityError("every Monte Carlo probe lost stability")
     return MonteCarloBand(

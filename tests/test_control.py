@@ -338,6 +338,18 @@ class TestSelectPerimeter:
         with pytest.raises(DomainError):
             cbv.select_perimeter(control, {"a"}, 0.0)
 
+    def test_bare_string_seed_is_domain_error(self):
+        # "ab" was read as the seed {'a', 'b'}, which grows to {'a', 'b'},
+        # while the seed ["ab"] grows to {'ab', 'a'}
+        omega = np.array([[0.0, 0.6, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+        control = cbv.ControlMatrix(("ab", "a", "b"), omega)
+        assert cbv.select_perimeter(control, ["ab"], 0.5).members == {"ab", "a"}
+        for seed in ("ab", b"ab"):
+            with pytest.raises(DomainError, match="the seed must be a collection of ids"):
+                cbv.select_perimeter(control, seed, 0.5)
+        with pytest.raises(DomainError, match="node ids must be a collection of ids"):
+            cbv.ControlMatrix("ab", np.zeros((2, 2)))
+
     def test_unknown_seed_is_membership_error(self):
         # as every other unknown id in cbv, ControlMatrix.column's included
         control = cbv.threshold_control(np.zeros((2, 2)), 0.5, ids=("a", "b"))

@@ -1,3 +1,4 @@
+from collections import defaultdict
 from dataclasses import replace
 from fractions import Fraction
 from unittest.mock import patch
@@ -1099,6 +1100,23 @@ class TestDiagnostics:
         net = cbv.OwnershipNetwork.from_edges(["a", "b", "c"], [("a", "b", 0.5)])
         with pytest.raises(MembershipError, match=r"\['b', 'c'\]"):
             cbv.implied_bases(net, {"a": 1.0})
+
+    def test_a_defaultdict_lacking_an_id_is_refused_naming_it(self):
+        # its __missing__ would answer 0.0 for the id it lacks
+        net = example_network()
+        perimeter = cbv.Perimeter(P_IDS)
+        b = defaultdict(float, zip(P_IDS, B_P))
+        v = defaultdict(float, zip(O_IDS, V_O))
+        del v["Y"]
+        with pytest.raises(MembershipError, match=r"^values missing for complement nodes: \['Y'\]"):
+            cbv.CutStatistics.from_network(net, perimeter, b, v)
+        v["Y"] = 1.0
+        del b["C"]
+        with pytest.raises(MembershipError, match=r"^bases missing for perimeter nodes: \['C'\]$"):
+            cbv.CutStatistics.from_network(net, perimeter, b, v)
+        with pytest.raises(MembershipError, match=r"\['b', 'c'\]"):
+            cbv.implied_bases(cbv.OwnershipNetwork.from_edges(["a", "b", "c"], [("a", "b", 0.5)]),
+                              defaultdict(float, {"a": 1.0}))
 
     @pytest.mark.parametrize("value, shown", [("x", "'x'"), (None, "None"), ([1.0], r"\[1.0\]")])
     def test_implied_bases_refuses_a_non_number(self, value, shown):

@@ -55,6 +55,20 @@ class TestOwnershipNetwork:
         with pytest.raises(MembershipError):
             cbv.OwnershipNetwork(["a", ""], np.zeros((2, 2)))
 
+    @pytest.mark.parametrize("nodes", ["ab", b"ab"])
+    def test_bare_string_of_ids_is_domain_error(self, nodes):
+        # it would be split into the nodes ('a', 'b')
+        with pytest.raises(DomainError, match="node ids must be a collection of ids"):
+            cbv.OwnershipNetwork(nodes, np.zeros((2, 2)))
+        with pytest.raises(DomainError, match="node ids must be a collection of ids"):
+            cbv.OwnershipNetwork.from_edges(nodes, [])
+
+    @pytest.mark.parametrize("members", ["ab", b"ab"])
+    def test_bare_string_perimeter_is_domain_error(self, members):
+        # it would be the members {'a', 'b'}
+        with pytest.raises(DomainError, match="perimeter members must be a collection of ids"):
+            cbv.Perimeter(members)
+
     def test_shape_mismatch_rejected(self):
         with pytest.raises(DimensionError):
             cbv.OwnershipNetwork(["a", "b"], np.zeros((2, 3)))

@@ -12,7 +12,6 @@ from hypothesis import example, given, settings, strategies as st
 import cbv
 import cbv.report
 from cbv.errors import DomainError, EmissionError, IntegrityError, PackageError
-from cbv.network import _HeldEdges
 from cbv.report import (
     MANIFEST_VERSION,
     STABILITY_NAME,
@@ -20,8 +19,6 @@ from cbv.report import (
     Manifest,
     read_matrix_csv,
     write_matrix_csv,
-    write_vector_csv,
-    _write_edges,
 )
 
 from conftest import (
@@ -61,6 +58,19 @@ def reference_write_matrix_csv(path, row_ids, col_ids, matrix, id_header):
 def reference_write_vector_csv(path, ids, values, column):
     reference_write_rows(path, [["id", column], *(
         [node, repr(float(value))] for node, value in zip(ids, values))])
+
+
+def reference_write_nodes_csv(path, ids):
+    reference_write_rows(path, [["id", "type", "label"], *([node, "entity", ""] for node in ids)])
+
+
+def reference_write_edges(path, row_ids, col_ids, block):
+    """A block's edge file: every entry whose bits are not +0.0, row by row."""
+    block = np.asarray(block, dtype=float)
+    reference_write_rows(path, [["from", "to", "share"], *(
+        [row_ids[i], col_ids[j], repr(float(block[i, j]))]
+        for i in range(block.shape[0]) for j in range(block.shape[1])
+        if np.float64(block[i, j]).view(np.uint64) != 0)])
 
 
 def reference_read_matrix_csv(path):
@@ -303,10 +313,8 @@ class TestPackageRoundTrip:
         # O_PO and O_OP files hold net flows, priced as they stand
         stats = example_stats(with_v_p=False)
         x_po, x_op = [[3.0, 1.6], [1.8, 0.0], [0.0, 3.2]], [[6.0, 3.0, 0.0], [0.0, 6.4, 9.6]]
-        _write_edges(package_dir / "O_PO.csv", stats.p_ids, stats.o_ids,
-                     _HeldEdges.of_bits(np.array(x_po)))
-        _write_edges(package_dir / "O_OP.csv", stats.o_ids, stats.p_ids,
-                     _HeldEdges.of_bits(np.array(x_op)))
+        reference_write_edges(package_dir / "O_PO.csv", stats.p_ids, stats.o_ids, x_po)
+        reference_write_edges(package_dir / "O_OP.csv", stats.o_ids, stats.p_ids, x_op)
         manifest = Manifest.from_yaml_bytes((package_dir / "manifest.yaml").read_bytes())
         manifest.data["clearing"] = {"used": True, "engine": "seniority", "params": {}}
         (package_dir / "manifest.yaml").write_bytes(manifest.to_yaml_bytes())
@@ -384,10 +392,8 @@ class TestValidatePackage:
         # be negative and sum past 1; O_PP keeps the share rules
         stats = example_stats(with_v_p=False)
         x_po, x_op = [[3.0, -1.6], [1.8, 0.0], [0.0, 3.2]], [[6.0, 3.0, 0.0], [0.0, 6.4, 9.6]]
-        _write_edges(package_dir / "O_PO.csv", stats.p_ids, stats.o_ids,
-                     _HeldEdges.of_bits(np.array(x_po)))
-        _write_edges(package_dir / "O_OP.csv", stats.o_ids, stats.p_ids,
-                     _HeldEdges.of_bits(np.array(x_op)))
+        reference_write_edges(package_dir / "O_PO.csv", stats.p_ids, stats.o_ids, x_po)
+        reference_write_edges(package_dir / "O_OP.csv", stats.o_ids, stats.p_ids, x_op)
         manifest = Manifest.from_yaml_bytes((package_dir / "manifest.yaml").read_bytes())
         manifest.data["clearing"] = {"used": True, "engine": "seniority", "params": {}}
         (package_dir / "manifest.yaml").write_bytes(manifest.to_yaml_bytes())
@@ -791,14 +797,6 @@ class TestCsvFiles:
         reference_write_matrix_csv(scratch / "old.csv", row_ids, col_ids, values, header)
         assert (scratch / "new.csv").read_bytes() == (scratch / "old.csv").read_bytes()
 
-    @settings(max_examples=100, deadline=None)
-    @given(ids=st.lists(node_ids, max_size=6), data=st.data())
-    def test_vector_writer_is_byte_identical_to_the_row_loop(self, scratch, ids, data):
-        values = data.draw(st.lists(cells, min_size=len(ids), max_size=len(ids)))
-        write_vector_csv(scratch / "new.csv", ids, values, "v")
-        reference_write_vector_csv(scratch / "old.csv", ids, values, "v")
-        assert (scratch / "new.csv").read_bytes() == (scratch / "old.csv").read_bytes()
-
     @settings(max_examples=200, deadline=None)
     @given(matrix=matrices(st.lists(node_ids, max_size=5, unique=True)))
     def test_read_of_write_is_bit_exact(self, scratch, matrix):
@@ -812,7 +810,8 @@ class TestCsvFiles:
 
     def test_vector_round_trip(self, scratch):
         values = [0.1, -0.0, 5e-324, float("nan")]
-        write_vector_csv(scratch / "v.csv", ["a,b", 'q"x', "c", ""], values, "v")
+        write_matrix_csv(scratch / "v.csv", ["a,b", 'q"x', "c", ""], ["v"],
+                         np.reshape(values, (-1, 1)), "id")
         ids, columns, got = read_matrix_csv(scratch / "v.csv")
         assert (ids, columns) == (["a,b", 'q"x', "c", ""], ["v"])
         assert same_bits(got, np.reshape(values, (-1, 1)))
@@ -998,6 +997,31 @@ class TestPackageFiles:
             assert pkg.v_p is None
         else:
             assert same_bits(pkg.v_p, stats.v_p[p_order])
+
+    @settings(max_examples=100, deadline=None)
+    @given(stats=packages())
+    def test_files_are_byte_identical_to_the_row_loops(self, scratch, stats):
+        # every node list, vector and edge file of a package, under ids that
+        # need quoting, is the file the row-by-row writers give
+        target = scratch / "rows"
+        for old in target.glob("*"):
+            old.unlink()
+        with np.errstate(all="ignore"):
+            cbv.write_package(target, stats, demo_observer())
+        want = scratch / "want.csv"
+        for key, ids in (("nodes_P", stats.p_ids), ("nodes_O", stats.o_ids)):
+            reference_write_nodes_csv(want, ids)
+            assert (target / f"{key}.csv").read_bytes() == want.read_bytes(), key
+        for key, name in cbv.report._DATA_FILES:
+            rows, cols, _ = cbv.engine._FIELDS[name]
+            block = getattr(stats, name)
+            if block is None:
+                continue
+            if cols:
+                reference_write_edges(want, getattr(stats, rows), getattr(stats, cols), block)
+            else:
+                reference_write_vector_csv(want, getattr(stats, rows), block, name[0])
+            assert (target / f"{key}.csv").read_bytes() == want.read_bytes(), key
 
     @settings(max_examples=80, deadline=None)
     @given(data=st.data())

@@ -1,6 +1,7 @@
 """Blocks and networks are stored as held edges: the dense views, the derived
-statistics, the cut edges and W against dense numpy, the network's edges
-against its old dense gather, and the memory of building and valuing."""
+statistics, the cut edges and W against dense numpy, every boundary total as
+the sum of its priced cut edges, the network's edges against its old dense
+gather, and the memory of building and valuing."""
 
 import tracemalloc
 
@@ -138,6 +139,58 @@ def test_w_agrees_with_dense_numpy(data):
     )
     for w, (reference, scale) in cases:
         assert abs(w - reference) <= 1e-12 * scale
+
+
+def same_bits(a, b) -> bool:
+    """The same float bit for bit, any NaN equal to any NaN."""
+    return (np.isnan(a) and np.isnan(b)) or identical_bits(a, b)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_every_boundary_total_is_the_sum_of_its_priced_edges(data):
+    # held -0.0 and NaN shares, and NaN values behind columns of zero shares
+    shares, amounts, dense, vectors = draw_stats(data, SPECIAL)
+    v_o, v_p = vectors["v_o"].copy(), vectors["v_p"].copy()
+    if data.draw(st.booleans(), label="NaN values behind zero shares"):
+        v_o[~(dense["o_po"] != 0).any(axis=0)] = np.nan
+        v_p[~(dense["o_op"] != 0).any(axis=0)] = np.nan
+    unobserved = shares.replace(v_o=v_o)
+    observed = unobserved.with_v_p(v_p)
+    for stats in (observed, amounts):
+        held = stats.held
+        sides = ((held("o_po"), stats.v_o, held("x_po")), (held("o_op"), stats.v_p, held("x_op")))
+        edges = [cut_edges(*side, 0.0) for side in sides]
+        # no caller can write through the edges into the stored blocks
+        stored = [a for block in vars(stats).values() if isinstance(block, _HeldEdges)
+                  for a in (block.rows, block.cols, block.vals)]
+        assert not any(a.flags.writeable and np.shares_memory(a, b)
+                       for side in edges for a in side[:3] for b in stored)
+        priced = np.abs(np.concatenate([side[2] for side in edges]))
+        # a threshold below every nonzero |priced edge| drops nothing
+        tau = priced[priced > 0].min(initial=1.0)
+        exact, below = cbv.evaluate_regime_a(stats, 0.0), cbv.evaluate_regime_a(stats, tau)
+        assert below.solver_log.dropped_edges == 0
+        for name in ("w", "t_out", "t_in"):
+            assert same_bits(getattr(exact, name), getattr(below, name)), name
+        # the cut summary's edges add up, in listed order, to the totals
+        for tau in (0.0, 1e-3):
+            result = cbv.evaluate_regime_a(stats, tau)
+            doc = cbv.build_cut_summary(result, stats, cbv.Observer(
+                "P", tolerances=cbv.Tolerances(rounding_threshold=tau)))
+            assert same_bits(np.sum([e.amount for e in doc.edges_po]), result.t_out), tau
+            assert same_bits(np.sum([e.amount for e in doc.edges_op]), result.t_in), tau
+    # the meta-node leakage is regime B's T_in, the band's nominal probe its W
+    try:
+        result = cbv.evaluate_regime_b(unobserved)
+    except cbv.StabilityError:  # a NaN share in O_PP
+        with pytest.raises(cbv.StabilityError):
+            cbv.effective_external_share(unobserved)
+        return
+    assert same_bits(cbv.effective_external_share(unobserved).e_ext, result.t_in)
+    band = cbv.monte_carlo_band(unobserved)
+    assert band.evaluated == 1
+    assert same_bits(band.low, result.w) and same_bits(band.high, result.w)
 
 
 def test_valuation_reads_no_dense_block():
