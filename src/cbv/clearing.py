@@ -51,7 +51,7 @@ class ClearingProblem(_HeldBlocks):
     """
 
     node_ids: tuple[NodeId, ...]
-    liabilities: tuple[np.ndarray, ...] = _BlockField(optional=False)
+    liabilities: tuple[np.ndarray, ...] = _BlockField(optional=False, many=True)
     resources: np.ndarray
     default_costs: np.ndarray
     gross_dues: np.ndarray = field(init=False, repr=False)

@@ -20,11 +20,11 @@ and the macro case studies use that form.  One table, `_FIELDS`, declares
 each array `CutStatistics` may hold: the ids on its axes and whether it holds
 money.  Its shape checks, `restrict` and `scale_units` read that table.
 
-Cost.  `CutStatistics` stores every block as held edges
-(`network._HeldEdges`): `from_network` takes them from `partition`, which
+Cost.  `CutStatistics` stores every block in the stored form of held edges
+that `network` states: `from_network` takes them from `partition`, which
 splits the network's held edges by side in O(n + nnz), and looks up and
 converts the bases and values in C loops (`_floats`), a dense block given is
-stored by one scan of its bits, and statistics derived from others
+scanned into that form as it is assigned, and statistics derived from others
 (`replace`, `with_v_p`, `restrict`, `scale_units`) pass on the held edges
 they do not change.  No valuation or bound reads a block dense: reading
 `stats.o_pp` or another block builds its dense array once, for the dense
@@ -114,20 +114,14 @@ INVERSE_LEAF = 64
 def _stored(x, shape, name):
     """x as CutStatistics stores it, checked against `shape`.
 
-    A block is held edges: held edges are stored as given, in O(1), and any
-    other block by one scan of its bits (`_HeldEdges.of_bits`), which copies
-    what it keeps.  A vector, which may come in any shape of its size, is a
-    read-only float array: one that is read-only, 1-D and owns its data
-    (every vector CutStatistics stores) is shared, so derived statistics reuse
-    their parent's; anything else is copied.  Either way a caller who later
-    writes to their array cannot move W.
+    A block is held edges already (`_BlockField`).  A vector, which may come
+    in any shape of its size, is a read-only float array: one that is
+    read-only, 1-D and owns its data (every vector CutStatistics stores) is
+    shared, so derived statistics reuse their parent's; anything else is
+    copied.  Either way a caller who later writes to their array cannot move W.
     """
-    if len(shape) == 2 and not isinstance(x, _HeldEdges):
-        x = np.asarray(x, dtype=float)
-        if x.shape == shape:
-            return _HeldEdges.of_bits(x)
-    elif len(shape) == 1 and not (type(x) is np.ndarray and x.dtype == np.float64
-                                  and x.flags.owndata and not x.flags.writeable and x.ndim == 1):
+    if len(shape) == 1 and not (type(x) is np.ndarray and x.dtype == np.float64
+                                and x.flags.owndata and not x.flags.writeable and x.ndim == 1):
         x = np.array(np.ravel(x), dtype=float)
         x.setflags(write=False)
     if x.shape != shape:
@@ -253,8 +247,8 @@ class CutStatistics(_HeldBlocks):
 
 def scale_units(kappa: float, stats: CutStatistics) -> CutStatistics:
     """Multiply every monetary quantity by kappa; shares are untouched."""
-    if not kappa > 0:
-        raise DomainError(f"kappa={kappa!r} must be > 0")
+    if not 0 < kappa < np.inf:  # NaN fails both
+        raise DomainError(f"kappa={kappa!r} must be finite and > 0")
     scaled = {}
     for name, (_, cols, money) in _FIELDS.items():
         value = stats.held(name)
@@ -521,13 +515,14 @@ def _eliminate(a: np.ndarray) -> np.ndarray:
 
 def _boundary_rhs(stats: CutStatistics) -> np.ndarray:
     """b_P + O_PO v_O, the right-hand side of the regime-B system: one
-    held-edge matvec."""
+    matvec over O_PO's edges, the entries `cut_edges` prices, so a value
+    behind a held -0.0 share is not read."""
     o_po = stats.held("o_po")
     if o_po is None or stats.v_o is None:
         if len(stats.o_ids):
             raise RegimeError("regime B needs share-form o_po and v_o")
         return stats.b_p.copy()
-    return stats.b_p + o_po @ stats.v_o
+    return stats.b_p + o_po.edges() @ stats.v_o
 
 
 def _residual(held: _HeldEdges, rhs: np.ndarray, v_p: np.ndarray) -> float:

@@ -5,18 +5,23 @@ node i (dimensionless, in [0, 1]), is stored as its held edges, never as a
 dense n x n array.  Column sums may stay below 1: the
 residual belongs to dispersed holders that are not modelled as nodes.  Node
 ordering is canonical (lexicographic by id) so that block matrices and any
-serialized artifact derived from them are deterministic.  Every sparse read
-of a block goes through `_HeldEdges`, a (rows, cols) block as its held
-entries: the engine's gate, solves and pricing, the priced cut edges,
-robustness, control Option C and clearing, which builds its scipy CSR
-inflow from them.  A block field of `BlockPartition`, `engine.CutStatistics`,
-`clearing.ClearingProblem` or `report.CutReportPackage` stores held edges and
-reads as the dense block (`_BlockField`), built on the first read.
+serialized artifact derived from them are deterministic.
 
-Cost.  The network keeps its held entries (every entry whose bit pattern is
-not +0.0, so -0.0 and NaN are held) as one `_HeldEdges` in row-major order:
-found by one scan of a caller's matrix, which is not copied, or sorted from
-edge triples in O(nnz log nnz) (`from_edges`).  `partition` splits those
+The stored form.  The network and every block are stored as held edges
+(`_HeldEdges`): every entry whose bit pattern is not +0.0, so -0.0 and NaN
+are held, in row-major order, no position twice.  `_HeldEdges.of_bits` scans
+a dense block into it and `_HeldEdges.from_entries` sorts entries given in
+any order into it; no other code does either.  Every sparse read of a block
+goes through `_HeldEdges`: the engine's gate, solves and pricing, the priced
+cut edges, robustness, control Option C and clearing, which builds its scipy
+CSR inflow from them.  A block field of `BlockPartition`,
+`engine.CutStatistics`, `clearing.ClearingProblem` or
+`report.CutReportPackage` (`_BlockField`) is stored in that form and reads
+as the dense block, built on the first read.
+
+Cost.  The network's held edges are found by one scan of a caller's matrix,
+which is not copied, or sorted from edge triples in O(nnz log nnz)
+(`from_edges`).  `partition` splits those
 edges by side into the four blocks' held edges, so a perimeter costs
 O(n + nnz), not a pass over the n x n cells, and no block is dense until it
 is read; `validate_network` and `engine.implied_bases` read the edges too.
@@ -46,9 +51,11 @@ NodeId = str
 
 class _HeldEdges:
     """A (rows, cols) block as the row, column and value of each held entry,
-    in the order of the flat positions it is built from (`at`): every bit
-    pattern but +0.0 (`of_bits`, the stored form), or the edges, the != 0
-    entries (`of`).
+    in the order of the flat positions it is built from (`at`).  The stored
+    form is every entry whose bit pattern is not +0.0, so -0.0 and NaN are
+    held, in row-major order, no position twice: `of_bits` scans a dense
+    block into it and `from_entries` sorts entries into it.  `of` gives the
+    edges, the != 0 entries.
     The matvec and the column sums add each row's or column's values in edge
     order, so where the edges come in row-major order they agree bit for bit
     with a CSR product and with a dense block's sum(axis=0); each costs
@@ -65,16 +72,32 @@ class _HeldEdges:
         return cls(block.shape, *np.divmod(flat, block.shape[1]), np.take(block, flat))
 
     @classmethod
+    def from_entries(cls, shape: tuple[int, int], rows, cols,
+                     vals) -> tuple["_HeldEdges", int | None]:
+        """Entries (rows[k], cols[k], vals[k]), in any order, in the stored
+        form, and the index k of the first entry that repeats an earlier
+        position (None when none does): O(nnz log nnz), by one stable sort
+        of their row-major positions."""
+        rows, cols = np.asarray(rows, dtype=np.intp), np.asarray(cols, dtype=np.intp)
+        vals = np.asarray(vals, dtype=float)
+        flat = rows * shape[1] + cols
+        at = np.argsort(flat, kind="stable")  # a repeated position keeps its input order
+        repeats = at[1:][flat[at[1:]] == flat[at[:-1]]]
+        at = at[vals[at].view(np.uint64) != 0]  # every bit pattern but +0.0
+        first = int(repeats.min()) if repeats.size else None
+        return cls(shape, rows[at], cols[at], vals[at]), first
+
+    @classmethod
     def of(cls, m) -> "_HeldEdges":
         """The edges (`edges`) of a 2-D array; held edges come back unchanged."""
         return m if isinstance(m, cls) else cls.of_bits(m).edges()
 
     @classmethod
     def of_bits(cls, m) -> "_HeldEdges":
-        """Every entry of a 2-D array whose bit pattern is not +0.0, so -0.0 and
-        NaN are held: the one scan of a dense block (nonzero on the bool mask is
-        about three times faster than on the uint64 view, and several times
-        faster than np.nonzero on the float block)."""
+        """A 2-D array in the stored form: the one scan of a dense block
+        (nonzero on the bool mask is about three times faster than on the
+        uint64 view, and several times faster than np.nonzero on the float
+        block)."""
         m = np.ascontiguousarray(m, dtype=float)
         if m.ndim != 2:
             raise DimensionError(f"a block must be 2-D, got shape {m.shape}")
@@ -165,15 +188,16 @@ def _places(side: np.ndarray) -> tuple[np.ndarray, tuple[int, int]]:
 
 
 class _BlockField:
-    """A dataclass field that stores a block, or a tuple of blocks, as held
-    edges and reads as the dense block: a read-only array built on the first
-    read and cached on the held edges, so whatever shares them shares it.
-    `_HeldBlocks.held` gives what is stored; the owner's __post_init__ turns
-    its input into held edges.  An optional field defaults to None.
+    """A dataclass field that stores a block as held edges, a dense one
+    scanned (`_HeldEdges.of_bits`) as it is assigned, and reads as the dense
+    block: a read-only array built on the first read and cached on the held
+    edges, so whatever shares them shares it.  `_HeldBlocks.held` gives what
+    is stored.  A tuple of blocks (`many`) is stored as given, and its
+    owner's __post_init__ converts it.  An optional field defaults to None.
     """
 
-    def __init__(self, optional: bool = True):
-        self.optional = optional
+    def __init__(self, optional: bool = True, many: bool = False):
+        self.optional, self.many = optional, many
 
     def __set_name__(self, owner, name):
         self.name = name
@@ -184,11 +208,16 @@ class _BlockField:
                 return None  # the field's default
             raise AttributeError(self.name)  # no default
         held = obj.__dict__[self.name]
-        if isinstance(held, tuple):
+        if self.many:
             return tuple(block.array for block in held)
         return held if held is None else held.array
 
     def __set__(self, obj, value):
+        if not (self.many or value is None or isinstance(value, _HeldEdges)):
+            try:
+                value = _HeldEdges.of_bits(value)
+            except DimensionError as exc:
+                raise DimensionError(f"{self.name}: {exc}") from None
         obj.__dict__[self.name] = value
 
 
@@ -212,20 +241,11 @@ class _HeldBlocks:
         kept = {f.name: self.held(f.name) for f in fields(self) if f.init}
         return replace(self, **{**kept, **changes})
 
-    def _store_blocks(self, names):
-        """Store each block field in `names` that was given dense as held
-        edges, by one scan of its bits."""
-        for name in names:
-            held = self.held(name)
-            if held is not None and not isinstance(held, _HeldEdges):
-                self.__dict__[name] = _HeldEdges.of_bits(held)
-
 
 class OwnershipNetwork:
     """An immutable node set, canonically ordered, and its share matrix kept
-    as its held edges: every entry whose bit pattern is not +0.0, in
-    row-major order of the canonical matrix.  No dense n x n copy is kept;
-    `shares` builds the dense matrix on its first read.
+    in the stored form (`_HeldEdges`) of the canonical matrix.  No dense
+    n x n copy is kept; `shares` builds the dense matrix on its first read.
     """
 
     def __init__(self, nodes, shares):
@@ -244,21 +264,20 @@ class OwnershipNetwork:
         # C-contiguous float, which asarray or the scan converts first)
         held = _HeldEdges.of_bits(shares)
         if not np.array_equal(order, np.arange(n)):
-            # renumber into canonical positions, then back to row-major order:
-            # the held edges of the gathered matrix shares[np.ix_(order, order)]
+            # renumbered into canonical positions: the held edges of the
+            # gathered matrix shares[np.ix_(order, order)]
             rank = np.argsort(order)
-            flat = rank[held.rows] * n + rank[held.cols]
-            at = np.argsort(flat)
-            held = _HeldEdges((n, n), *np.divmod(flat[at], n), held.vals[at])
+            held, _ = _HeldEdges.from_entries((n, n), rank[held.rows], rank[held.cols], held.vals)
         self._store(tuple(ids[k] for k in order), held)
 
     @classmethod
     def from_edges(cls, nodes, edges) -> "OwnershipNetwork":
         """Build from (owner, owned, share) triples; absent edges are zero.
 
-        Costs O(nnz log nnz) and builds no dense matrix.  An explicit -0.0 is
-        held, an explicit +0.0 is not.  A pair given twice is a DomainError
-        that names the first repeat in input order, not a silent overwrite.
+        Costs O(nnz log nnz) (`_HeldEdges.from_entries`) and builds no dense
+        matrix.  An explicit -0.0 is held, an explicit +0.0 is not.  A pair
+        given twice is a DomainError that names the first repeat in input
+        order, not a silent overwrite.
         """
         ids = sorted(_node_ids(nodes))
         index = {node: k for k, node in enumerate(ids)}
@@ -274,19 +293,13 @@ class OwnershipNetwork:
             rows.append(row)
             cols.append(col)
             vals.append(share)
-        flat = np.array(rows, dtype=np.intp) * n + np.array(cols, dtype=np.intp)
-        at = np.argsort(flat, kind="stable")  # a repeated pair keeps its input order
-        flat = flat[at]
-        repeats = at[1:][flat[1:] == flat[:-1]]
-        if repeats.size:
-            first = repeats.min()
-            raise DomainError(f"edge ({ids[rows[first]]!r}, {ids[cols[first]]!r}) is given twice")
+        held, repeat = _HeldEdges.from_entries((n, n), rows, cols, vals)
+        if repeat is not None:
+            raise DomainError(f"edge ({ids[rows[repeat]]!r}, {ids[cols[repeat]]!r}) is given twice")
         if refused is not None:
             raise refused
-        vals = np.array(vals, dtype=float)[at]
-        keep = vals.view(np.uint64) != 0  # every bit pattern but +0.0
         network = cls.__new__(cls)
-        network._store(tuple(ids), _HeldEdges((n, n), *np.divmod(flat[keep], n), vals[keep]))
+        network._store(tuple(ids), held)
         return network
 
     def _store(self, nodes: tuple[NodeId, ...], held: _HeldEdges):
@@ -370,8 +383,7 @@ class BlockPartition(_HeldBlocks):
     """The four share blocks induced by a perimeter, with their id maps.
 
     Each block is stored as held edges (`held`) and reads as a read-only
-    dense array, built on the first read; a dense block given is stored by
-    one scan of its bits.
+    dense array, built on the first read.
     """
 
     p_ids: tuple[NodeId, ...]
@@ -380,9 +392,6 @@ class BlockPartition(_HeldBlocks):
     o_po: np.ndarray = _BlockField()
     o_op: np.ndarray = _BlockField()
     o_oo: np.ndarray = _BlockField()
-
-    def __post_init__(self):
-        self._store_blocks(("o_pp", "o_po", "o_op", "o_oo"))
 
 
 def partition(network: OwnershipNetwork, perimeter: Perimeter) -> BlockPartition:

@@ -60,7 +60,7 @@ class Tolerances:
 
 @dataclass(frozen=True)
 class FxPppSpec:
-    """Positive units/FX/PPP scale plus its source metadata."""
+    """Finite positive units/FX/PPP scale plus its source metadata."""
 
     scale: float = 1.0
     fx_source: str | None = None
@@ -68,8 +68,8 @@ class FxPppSpec:
     deflator: str | None = None
 
     def __post_init__(self):
-        if not self.scale > 0:
-            raise DomainError(f"fx/ppp scale {self.scale!r} must be > 0")
+        if not 0 < self.scale < math.inf:  # NaN fails both
+            raise DomainError(f"fx/ppp scale {self.scale!r} must be finite and > 0")
 
 
 @dataclass(frozen=True)
@@ -93,8 +93,8 @@ class SdfSpec:
             ("discount_weights", self.discount_weights),
             ("change_of_measure", self.change_of_measure),
         ):
-            if weights is not None and any(w < 0 for w in weights.values()):
-                raise DomainError(f"{name} must be nonnegative")
+            if weights is not None and not all(0 <= w < math.inf for w in weights.values()):
+                raise DomainError(f"{name} must be finite and nonnegative")
 
     def factor(self) -> float:
         if self.discount_weights is None:

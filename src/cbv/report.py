@@ -7,8 +7,8 @@ share blocks), optionally `O_PP.csv` with its `proof_stability.txt` and
 other file and pins its SHA-256, so each is tamper-evident byte by byte.  A
 vector file is an `id` column and one value column; a share block's file
 (`O_PO.csv`, `O_OP.csv`, `O_PP.csv`) is an edge file, the header
-`from,to,share` and one line per held entry (every entry whose bits are not
-+0.0, so -0.0 and NaN are held) in row-major order, its ids quoted as
+`from,to,share` and one line per held entry of the stored form that
+`network` states, in row-major order, its ids quoted as
 csv.writer quotes them and its value written with `repr`.  A repeated pair,
 an unknown id or a pair outside its block is a PackageError.  One table,
 `_DATA_FILES`, lists the statistics' arrays a package holds, each with its
@@ -204,7 +204,7 @@ def _csv_line(cells) -> str:
 def matrix_csv_lines(row_ids, col_ids, matrix, id_header: str):
     """The lines of a matrix's CSV file, its cells as `_csv_cell` renders them.
 
-    Only held entries (nonzero, -0.0 or NaN) are rendered with `repr`; every
+    Only held entries (`_HeldEdges.of_bits`) are rendered with `repr`; every
     other cell is the constant "0.0", which is `repr(0.0)`.
     """
     matrix = np.asarray(matrix, dtype=float)
@@ -214,10 +214,11 @@ def matrix_csv_lines(row_ids, col_ids, matrix, id_header: str):
         )
     yield _csv_line(map(_csv_cell, [id_header, *col_ids]))
     zeros = ["0.0"] * len(col_ids)
-    for node, values in zip(row_ids, matrix):
+    held = _HeldEdges.of_bits(matrix)
+    ends = np.searchsorted(held.rows, np.arange(1, len(row_ids) + 1)).tolist()
+    for node, start, end in zip(row_ids, [0, *ends], ends):
         cells = [_csv_cell(node), *zeros]
-        held = np.flatnonzero((values != 0.0) | np.signbit(values))
-        for j, value in zip(held.tolist(), values[held].tolist()):
+        for j, value in zip(held.cols[start:end].tolist(), held.vals[start:end].tolist()):
             cells[j + 1] = repr(value)
         yield _csv_line(cells)
 
@@ -309,11 +310,12 @@ def _read_edges(file, axes: tuple[str, str], at: dict) -> _HeldEdges:
     """The held edges of a block's edge file, in row-major order.
 
     `axes` names the node lists that index the block's rows and columns, keys
-    of `at`, which maps each list's ids to their places in it.  Entries
-    whose bits are +0.0 are not held, as a dense block's are not, so a block
+    of `at`, which maps each list's ids to their places in it.  The edges
+    are sorted into the stored form (`_HeldEdges.from_entries`), so a block
     reads as the scan of its dense form would give it.  A row that is not
     from,to,share, a share that `float` cannot read, an unknown id, a pair
-    outside the block and a repeated pair are PackageErrors.
+    outside the block and a repeated pair, the first to repeat in file
+    order, are PackageErrors.
     """
     try:
         lines = list(csv.reader(io.StringIO(_text(file))))
@@ -342,16 +344,10 @@ def _read_edges(file, axes: tuple[str, str], at: dict) -> _HeldEdges:
         vals = np.fromiter(map(float, columns[2]), dtype=float, count=len(body))
     except ValueError as exc:
         raise PackageError(f"{file.name}: a share is not a number ({exc})") from None
-    shape = (len(at[axes[0]]), len(at[axes[1]]))
-    flat = index[0] * shape[1] + index[1]
-    order = np.argsort(flat, kind="stable")
-    flat = flat[order]
-    repeated = np.flatnonzero(flat[1:] == flat[:-1])
-    if repeated.size:
-        k = order[repeated[0] + 1]
+    held, k = _HeldEdges.from_entries((len(at[axes[0]]), len(at[axes[1]])), *index, vals)
+    if k is not None:
         raise PackageError(f"{file.name}: repeated pair ({columns[0][k]!r}, {columns[1][k]!r})")
-    order = order[vals[order].view(np.uint64) != 0]
-    return _HeldEdges(shape, index[0][order], index[1][order], vals[order])
+    return held
 
 
 # ---------------------------------------------------------------------------
@@ -426,8 +422,7 @@ class CutReportPackage(_HeldBlocks):
 
     Its share blocks are stored as held edges (`held`), which validation and
     `cut_statistics` read; reading `o_po` and the other blocks gives a
-    read-only dense array, built on the first read.  A dense block given is
-    stored by one scan of its bits.
+    read-only dense array, built on the first read.
     """
 
     directory: Path
@@ -444,9 +439,6 @@ class CutReportPackage(_HeldBlocks):
     clearing_spec: dict | None = None
     pov: dict | None = None
     stability_evidence: str | None = None
-
-    def __post_init__(self):
-        self._store_blocks(("o_po", "o_op", "o_pp"))
 
     def _non_finite_cells(self):
         """(file, message, location) for each non-finite cell loaded, in row-major

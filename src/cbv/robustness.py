@@ -97,8 +97,8 @@ class PerturbationSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "p", _canonical_p(self.p))
-        if self.eta < 0 or self.eps < 0:
-            raise DomainError("eta and eps must be >= 0")
+        if not (0 <= self.eta < np.inf and 0 <= self.eps < np.inf):  # NaN fails both
+            raise DomainError("eta and eps must be finite and >= 0")
 
     @property
     def q(self) -> float:

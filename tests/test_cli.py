@@ -369,6 +369,25 @@ class TestComputeCommand:
         assert err == [f"error [DomainError]: eps must be finite and > 0, got {float(eps)!r}"]
         assert not (pkg / "cut_summary.json").exists()
 
+    @pytest.mark.parametrize("block, field", [("fx_ppp", "scale"), ("sdf", "discount_weights"),
+                                              ("sdf", "change_of_measure")])
+    @pytest.mark.parametrize("value", [float("inf"), float("nan")])
+    def test_non_finite_pricing_scale_in_pov_is_compute_error(self, tmp_path, capsys, block,
+                                                              field, value):
+        # an fx_ppp scale of Infinity exited 0, printed W(P) = nan and wrote a
+        # cut summary holding NaN and Infinity, which is not JSON
+        pkg = build_package(tmp_path)
+        pov = cbv.build_pov(cbv.load_package(pkg).observer)
+        pov["observer"][block] = {field: value if field == "scale" else {"s": value}}
+        pov_path = tmp_path / "pov.json"
+        pov_path.write_text(json.dumps(pov), encoding="utf-8")
+        assert main(["compute", "--package", str(pkg), "--pov", str(pov_path)]) == EXIT_COMPUTE
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(
+            "error [PackageError]: PoV field fails the observer's checks"), err
+        assert "must be finite" in err[0]
+        assert not (pkg / "cut_summary.json").exists()
+
     @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
     @pytest.mark.parametrize("method", ["auto", "direct"])
     def test_bad_regularization_is_compute_error(self, tmp_path, capsys, value, method):
@@ -709,6 +728,23 @@ class TestCorruptionSweep:
         err = capsys.readouterr().err
         assert err.startswith(f"error [PackageError]: O_PO.csv: {message}")
         assert "Traceback" not in err
+
+    def test_edge_file_names_its_first_repeat_as_from_edges_does(self, tmp_path):
+        # two pairs given twice, (C, Y) repeating first in file order: the
+        # refusal names it, not (A, X), the later copy of the lowest repeated
+        # position, and from_edges names the same pair for the same triples
+        pkg = build_package(tmp_path)
+        target = pkg / "O_PO.csv"
+        text = target.read_text(encoding="utf-8") + "C,Y,0.01\nA,X,0.01\n"
+        target.write_text(text, encoding="utf-8")
+        rehash(pkg, "O_PO.csv")
+        triples = [line.split(",") for line in text.splitlines()[1:]]
+        assert [pair for *pair, _ in triples] == [["A", "X"], ["A", "Y"], ["B", "X"],
+                                                  ["C", "Y"], ["C", "Y"], ["A", "X"]]
+        with pytest.raises(cbv.DomainError, match=r"^edge \('C', 'Y'\) is given twice$"):
+            cbv.OwnershipNetwork.from_edges(["A", "B", "C", "X", "Y"], triples)
+        with pytest.raises(cbv.PackageError, match=r"^O_PO.csv: repeated pair \('C', 'Y'\)$"):
+            cbv.load_package(pkg)
 
 
 class TestUsageErrors:

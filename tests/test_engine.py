@@ -776,6 +776,21 @@ class TestRegimeB:
         assert float(v_p.sum()) == pytest.approx(750.0, abs=1e-9)
         np.testing.assert_allclose(v_p, [388.8889, 361.1111], atol=1e-4)
 
+    @pytest.mark.parametrize("method", ["direct", "neumann", "iterative_krylov"])
+    def test_value_behind_a_held_negative_zero_share_is_not_read(self, method):
+        # O_PO holds -0.0 at (a, x), which is no edge, so x's NaN value is
+        # read by neither regime: the right-hand side prices O_PO's edges
+        # as regime A's T_out does, and v_P = 1 + 0.5 * 2 = 2
+        stats = cbv.CutStatistics(
+            p_ids=("a",), o_ids=("x", "y"), b_p=[1.0], v_o=[float("nan"), 2.0],
+            o_po=[[-0.0, 0.5]], o_op=[[0.1], [0.0]], o_pp=[[0.0]],
+        )
+        assert np.signbit(stats.o_po[0, 0])
+        result = cbv.evaluate_regime_b(stats, cbv.SolverConfig(method=method))
+        observed = cbv.evaluate_regime_a(stats.with_v_p(np.array([2.0])))
+        assert result.v_p_used.tolist() == [2.0]
+        assert (result.w, result.t_out, result.t_in) == (observed.w, 1.0, 0.2)
+
 
 class TestAxioms:
     def test_closed_system(self, rng):

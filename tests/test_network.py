@@ -281,6 +281,11 @@ class TestScaling:
         with pytest.raises(DomainError):
             cbv.scale_units(0.0, stats_a)
 
+    @pytest.mark.parametrize("kappa", [np.inf, np.nan])
+    def test_non_finite_kappa(self, stats_a, kappa):
+        with pytest.raises(DomainError, match="must be finite and > 0"):
+            cbv.scale_units(kappa, stats_a)
+
     def test_currency_conversion_example(self):
         # converting (10, 5) at 1.2 EUR->USD gives (12, 6)
         stats = cbv.CutStatistics(

@@ -718,6 +718,17 @@ class TestPov:
     def test_deterministic_bytes(self):
         assert cbv.emit_pov(demo_observer()) == cbv.emit_pov(demo_observer())
 
+    @pytest.mark.parametrize("spec", [
+        lambda x: cbv.FxPppSpec(scale=x),
+        lambda x: cbv.SdfSpec(discount_weights={"s": x}),
+        lambda x: cbv.SdfSpec(change_of_measure={"s": x}),
+    ], ids=["fx_ppp scale", "discount_weights", "change_of_measure"])
+    @pytest.mark.parametrize("value", [float("inf"), float("nan"), -float("inf")])
+    def test_non_finite_pricing_scale_is_refused(self, spec, value):
+        # each would reach pricing_scale and price W = nan
+        with pytest.raises(DomainError, match="must be finite"):
+            spec(value)
+
     def test_sdf_pov_is_written_byte_for_byte(self):
         # the golden package states no SDF block; this file pins one, with
         # weights, a change of measure, a horizon and a curve source

@@ -124,6 +124,13 @@ class TestBoundaryBound:
         with pytest.raises(DomainError):
             cbv.PerturbationSpec(p=3)
 
+    @pytest.mark.parametrize("size", ["eta", "eps"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -1.0])
+    def test_non_finite_or_negative_perturbation_size_refused(self, size, value):
+        # eta = nan was accepted, and regime_b_bound then certified bound = nan
+        with pytest.raises(DomainError, match="eta and eps must be finite and >= 0"):
+            cbv.PerturbationSpec(p=1, **{size: value})
+
     @pytest.mark.parametrize("p", NORMS)
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_input_refused(self, p, value):

@@ -293,6 +293,34 @@ def test_network_stores_the_held_edges_of_its_canonical_matrix(data):
         assert identical_bits(net.shares, expected.array)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_from_entries_sorts_entries_into_the_scan_of_their_block(data):
+    # entries in a drawn order, -0.0, +0.0, NaN and repeated positions among
+    # them: without a repeat they are, bit for bit and in order, the scan of
+    # the block they scatter into; with one, the index returned is the first
+    # entry whose position an earlier entry holds
+    shape = (data.draw(st.integers(0, 5), label="rows"), data.draw(st.integers(0, 5), label="cols"))
+    cells = shape[0] * shape[1]
+    flat = data.draw(st.lists(st.integers(0, cells - 1), max_size=2 * cells) if cells
+                     else st.just([]), label="positions")
+    vals = data.draw(st.lists(st.sampled_from((-0.0, 0.0, float("nan"), 0.25)) | st.floats(),
+                              min_size=len(flat), max_size=len(flat)), label="values")
+    rows, cols = np.divmod(np.array(flat, dtype=np.intp), shape[1] or 1)
+    held, first = _HeldEdges.from_entries(shape, rows, cols, vals)
+    earlier, repeat = set(), None
+    for k, at in enumerate(flat):
+        if at in earlier:
+            repeat = k
+            break
+        earlier.add(at)
+    assert first == repeat
+    if repeat is None:
+        block = np.zeros(shape)
+        block[rows, cols] = vals
+        assert same_edges(held, _HeldEdges.of_bits(block))
+
+
 # what a base or value may be given as besides a float: numbers float()
 # accepts, and non-numbers it refuses
 NUMBER_LIKE = ("1.5", "-0", "nan", True, 7, np.float32(0.1))
