@@ -58,8 +58,7 @@ def _given(**values) -> dict:
 
 def _solver_config(args) -> SolverConfig:
     """The solver flags given; unset eps/max-iters follow each observer's declaration."""
-    return SolverConfig(**_given(method=args.method, eps=args.eps, max_iters=args.max_iters,
-                                 damping=args.damping, regularization=args.regularization))
+    return SolverConfig(**_given(method=args.method, eps=args.eps, max_iters=args.max_iters))
 
 
 def _add_solver_flags(parser):
@@ -70,8 +69,6 @@ def _add_solver_flags(parser):
                              "not converged")
     parser.add_argument("--eps", type=float, default=None)
     parser.add_argument("--max-iters", dest="max_iters", type=int, default=None)
-    parser.add_argument("--damping", type=float, default=None)
-    parser.add_argument("--regularization", type=float, default=None)
 
 
 def build_parser() -> _Parser:

@@ -36,11 +36,10 @@ Carlo band, whose probes move only O_PP, computes the first once and runs
 only the second per probe.
 Every method reads O_PP's held edges: each gate pass, sweep, Krylov step or
 residual costs O(nnz + n_P), and the direct method's one dense LU builds
-I - A from them, A = d O_PP / (1 + r): damping d and regularization r are one
-scaling, and the gate certifies A, the operator every method runs.  Pricing
-the cut has one primitive, `cut_edges`, one amount per nonzero boundary edge
-in row-major order: T_out, T_in, the meta-node leakage and each band probe
-are sums of its amounts, and a cut summary lists them.
+I - O_PP from them; the gate certifies O_PP, the operator every method runs.
+Pricing the cut has one primitive, `cut_edges`, one amount per nonzero
+boundary edge in row-major order: T_out, T_in, the meta-node leakage and each
+band probe are sums of its amounts, and a cut summary lists them.
 
 The stability gate reads the held edges of whatever block it is given: one
 pass of row and column sums when a norm of O_PP certifies rho < 1, and
@@ -48,9 +47,8 @@ otherwise at most POWER_ITERATIONS Collatz-Wielandt passes, one matvec each,
 stopping at the first certified bound below 1 or once a certified lower bound
 reaches 1; a bound certifies with a margin for its rounding.  The gate has
 one verdict: an operator it cannot certify is a StabilityError for every
-caller, whatever the solver config, and the refusal names that operator;
-damping and regularization change the operator it certifies, never whether
-it runs.  Every dense solve against I - A goes through `_solve_shifted`,
+caller, whatever the solver config, and the refusal names that operator.
+Every dense solve against I - A goes through `_solve_shifted`,
 which builds I - A from held edges, and every caller gates A first: direct
 regime B, `schur_operators` and the robustness bound, one solve of
 I - |O_PP| against the ones vector.  Control Option C needs all of
@@ -260,7 +258,7 @@ def scale_units(kappa: float, stats: CutStatistics) -> CutStatistics:
 @dataclass(frozen=True)
 class SpectralBound:
     """Certified bounds on rho(|A|), whose upper ones also bound rho(A), for the
-    gated A: O_PP, a damped or regularized solve's d O_PP / (1 + r), or alpha S.
+    gated A: O_PP or alpha S.
 
     `rho_upper` is the least of the two norms and the Collatz-Wielandt upper
     bounds of the `passes` passes run; `rho_lower` is the greatest of their
@@ -321,26 +319,16 @@ class SolverConfig:
 
     `eps` and `max_iters` left unset take declared tolerances (`resolved`):
     the observer's in `evaluate_for_observer`, the library defaults elsewhere.
-    `damping` d and `regularization` r scale the solved operator to
-    A = d O_PP / (1 + r), which the stability gate must certify like any
-    other: they change the operator, never the gate's verdict.
     """
 
     method: str = "auto"
     eps: float | None = None
     max_iters: int | None = None
-    damping: float | None = None
-    regularization: float | None = None
 
     def __post_init__(self):
         if self.method not in SOLVER_METHODS:
             raise DomainError(f"unknown solver method {self.method!r}")
         _check_solver_limits(self.eps, self.max_iters)
-        if self.damping is not None and not 0.0 < self.damping < 1.0:
-            raise DomainError("damping must be in (0, 1)")
-        if self.regularization is not None and not 0.0 <= self.regularization < np.inf:
-            raise DomainError(
-                f"regularization must be finite and >= 0, got {self.regularization!r}")
 
     def resolved(self, tolerances: Tolerances = Tolerances()) -> SolverConfig:
         """This config with unset eps/max_iters taken from `tolerances`."""
@@ -359,8 +347,6 @@ class SolverLog:
     iterations: int = 0
     residual: float = 0.0
     rho_bound: SpectralBound | None = None
-    damping: float | None = None
-    regularization: float | None = None
     warnings: list[str] = field(default_factory=list)
     dropped_edges: int = 0
 
@@ -579,54 +565,43 @@ def _gmres(held: _HeldEdges, rhs: np.ndarray, cfg: SolverConfig,
 def _solve_internal(
     o_pp, rhs: np.ndarray, cfg: SolverConfig
 ) -> tuple[np.ndarray, SolverLog]:
-    """Solve ((1 + r) I - d O_PP) v_P = rhs under a resolved config, behind
-    the gate (d = 1, r = 0 when unset; `o_pp` a square array or held edges).
+    """Solve (I - O_PP) v_P = rhs under a resolved config, behind the gate
+    (`o_pp` a square array or held edges).
 
-    Damping and regularization are one scaling: (I - A) w = rhs is solved
-    with A = d O_PP / (1 + r), and v_P = w / (1 + r); w's residual is v_P's
-    in the original system, so eps and every stopping rule keep their meaning.
-    The gate runs once, on A's held edges, which every method then reads:
-    an A it cannot certify is a StabilityError that names A with its d and r
-    (O_PP when neither is set), and `SolverLog.rho_bound` is
-    the certificate of the operator that runs.  `auto` sweeps at most as many
-    times as one LU costs; `direct`, and `auto` when the sweeps have not
-    reached eps, take one LU of I - A.  The log names the method that ran.
+    The gate runs once, on O_PP's held edges, which every method then reads:
+    an O_PP it cannot certify is a StabilityError, and `SolverLog.rho_bound`
+    is the certificate of the operator that runs.  `auto` sweeps at most as
+    many times as one LU costs; `direct`, and `auto` when the sweeps have not
+    reached eps, take one LU of I - O_PP.  The log names the method that ran.
     """
     held = _HeldEdges.of(o_pp)
     n = held.n
-    d, r = cfg.damping or 1.0, cfg.regularization or 0.0
-    shift, operator = 1.0 + r, "O_PP"
-    if cfg.damping is not None or r:
-        held = held.scaled(d / shift)
-        operator = f"{float(d)!r}*O_PP/(1 + {float(r)!r})"
-    log = SolverLog(method=cfg.method, rho_bound=_stability_gate(held, operator),
-                    damping=cfg.damping, regularization=cfg.regularization)
+    log = SolverLog(method=cfg.method, rho_bound=_stability_gate(held))
     sweeps = cfg.max_iters
     if cfg.method == "auto":
         # as many sweeps as one LU costs; explicit zeros (a band's designated
         # entries) are not edges
         price = LU_SWEEP_RATIO * (np.count_nonzero(held.vals) + n)
         sweeps = int(min(cfg.max_iters, n**3 // max(price, 1)))
-    w = None
+    v_p = None
     try:
         if cfg.method == "iterative_krylov":
-            w = _gmres(held, rhs, cfg, log)
+            v_p = _gmres(held, rhs, cfg, log)
         elif cfg.method == "neumann" or (cfg.method == "auto" and sweeps):
             log.method = "neumann"
-            w = _neumann(held, rhs, sweeps, cfg.eps, log)
+            v_p = _neumann(held, rhs, sweeps, cfg.eps, log)
     except ConvergenceError as exc:
-        if cfg.method != "auto":  # its iterate, like the answer, is w / (1 + r)
-            exc.last_iterate = exc.last_iterate / shift
+        if cfg.method != "auto":
             raise
         log.warnings.append(
             f"Neumann sweeps did not reach eps={cfg.eps!r} within the budget of "
             f"{sweeps} sweeps, one LU's price (residual {exc.residual!r}); solved by LU")
         log.iterations = 0
-    if w is None:
+    if v_p is None:
         log.method = "direct"
-        w = _solve_shifted(held, rhs)
-        log.residual = _residual(held, rhs, w)
-    return (w / shift if cfg.regularization else w), log
+        v_p = _solve_shifted(held, rhs)
+        log.residual = _residual(held, rhs, v_p)
+    return v_p, log
 
 
 def estimate_internal_values(
@@ -635,9 +610,7 @@ def estimate_internal_values(
     """Solve (I - O_PP) v_P = b_P + O_PO v_O for the internal values.
 
     The stability gate requires a certified bound below 1 on the spectral
-    radius of the operator solved; damping and regularization scale that
-    operator (`_solve_internal`), never skip the gate, and are recorded in
-    the log.
+    radius of O_PP before any method runs (`_solve_internal`).
     """
     cfg = (cfg or SolverConfig()).resolved()
     if stats.held("o_pp") is None:

@@ -218,6 +218,8 @@ class _BlockField:
                 value = _HeldEdges.of_bits(value)
             except DimensionError as exc:
                 raise DimensionError(f"{self.name}: {exc}") from None
+            except (TypeError, ValueError, OverflowError) as exc:  # NaN and inf pass
+                raise DomainError(f"{self.name}: not a block of numbers: {exc}") from None
         obj.__dict__[self.name] = value
 
 

@@ -60,11 +60,11 @@ def _dual(p: float) -> float:
     return 2.0
 
 
-def vector_norm(x, p: float) -> float:
+def _vector_norm(x, p: float) -> float:
     return float(np.linalg.norm(np.asarray(x, dtype=float).reshape(-1), ord=p))
 
 
-def ones_norm(n: int, q: float) -> float:
+def _ones_norm(n: int, q: float) -> float:
     if q == 1.0:
         return float(n)
     if q == 2.0:
@@ -134,9 +134,9 @@ def _boundary_bound(spec: PerturbationSpec, o_po: _HeldEdges, n_p: int,
     """`boundary_bound` of finite held edges, given ||O_PO||_{q<-p}, which
     at p = 2 is the spectral norm the loose form reads."""
     q = spec.q
-    eta_term = ones_norm(n_p, q) * spec.eta
+    eta_term = _ones_norm(n_p, q) * spec.eta
     col_weights = o_po.col_sums()
-    eps_term = vector_norm(col_weights, q) * spec.eps if col_weights.size else 0.0
+    eps_term = _vector_norm(col_weights, q) * spec.eps if col_weights.size else 0.0
     loose = None
     if spec.p == 2.0:
         loose = float(np.sqrt(n_p)) * (spec.eta + coupling * spec.eps)
@@ -185,7 +185,7 @@ def regime_b_bound(spec: PerturbationSpec, stats: CutStatistics) -> BoundReport:
     o_pp, o_po, o_op = held
     coupling = _coupling_norm(o_po, spec.p)  # at p = 2 one SVD, for both terms
     base = _boundary_bound(spec, o_po, len(stats.p_ids), coupling)
-    extension = vector_norm(o_op.col_sums(), spec.q) * _resolvent_norm(o_pp, spec.p) * (
+    extension = _vector_norm(o_op.col_sums(), spec.q) * _resolvent_norm(o_pp, spec.p) * (
         spec.eta + coupling * spec.eps
     )
     return BoundReport(
@@ -199,40 +199,30 @@ def regime_b_bound(spec: PerturbationSpec, stats: CutStatistics) -> BoundReport:
 
 @dataclass(frozen=True)
 class ConditioningReport:
-    """The stability gate's bounds on rho(A) and the exact kappa_2 of I - A,
-    for the one A = O_PP / (1 + r) that regime B gates and factors under
-    regularization r (A = O_PP when there is none)."""
+    """The stability gate's bounds on rho(O_PP) and the exact kappa_2 of
+    I - O_PP, the operator regime B gates and factors."""
 
     rho_bound: SpectralBound
     kappa2: float
-    regularization_used: float | None = None
 
 
-def condition_diagnostics(o_pp, regularization: float | None = None) -> ConditioningReport:
-    """kappa_2(I - O_PP) (plus rI when regularized), exact at every size.
+def condition_diagnostics(o_pp) -> ConditioningReport:
+    """kappa_2(I - O_PP), exact at every size.
 
-    The held edges are scaled once, as regime B's gate scales them, to
-    A = O_PP / (1 + r); `rho_bound` is A's certificate, the one a regime-B
-    solve with the same r logs, and one SVD of I - A gives
-    sigma_max / sigma_min, inf only when sigma_min is 0.  A non-finite entry
-    or regularization is a DomainError.
+    `rho_bound` is the certificate a regime-B solve on O_PP logs, and one
+    SVD of I - O_PP gives sigma_max / sigma_min, inf only when sigma_min
+    is 0.  A non-finite entry is a DomainError.
     """
     o_pp = np.asarray(o_pp, dtype=float)
-    if not (np.isfinite(o_pp).all() and np.isfinite(regularization or 0.0)):
-        raise DomainError("O_PP or the regularization is not finite")
+    if not np.isfinite(o_pp).all():
+        raise DomainError("O_PP is not finite")
     held = _HeldEdges.of(o_pp)
-    if regularization:
-        held = held.scaled(1.0 / (1.0 + regularization))
     bound = spectral_radius_bound(held)
     if held.n == 0:
-        return ConditioningReport(bound, 1.0, regularization_used=regularization)
+        return ConditioningReport(bound, 1.0)
     singular = np.linalg.svd(held.identity_minus(), compute_uv=False)
     kappa2 = float(singular.max() / singular.min()) if singular.min() > 0 else float("inf")
-    return ConditioningReport(
-        rho_bound=bound,
-        kappa2=kappa2,
-        regularization_used=regularization,
-    )
+    return ConditioningReport(rho_bound=bound, kappa2=kappa2)
 
 
 @dataclass(frozen=True)

@@ -432,20 +432,12 @@ def reference_validate_network(network: cbv.OwnershipNetwork) -> cbv.ValidationR
 def dense_iterative_solve(o_pp, rhs, cfg):
     """The Neumann and GMRES solves on dense matvecs, as regime B ran them
     before it built a held-edge operator: the oracle for its iterative
-    branch.  `cfg` is resolved and its method is neumann or iterative_krylov.
-    Damping d and regularization r scale the block to A = d O_PP / (1 + r):
-    the solve runs on (I - A) w = rhs, and v_P = w / (1 + r)."""
+    branch.  `cfg` is resolved and its method is neumann or iterative_krylov."""
     from cbv.engine import SolverLog, _stability_gate
     from cbv.errors import ConvergenceError
 
     m = o_pp
-    log = SolverLog(
-        method=cfg.method, damping=cfg.damping, regularization=cfg.regularization
-    )
-    shift = 1.0 + (cfg.regularization or 0.0)
-    if cfg.damping is not None or cfg.regularization:
-        m = ((cfg.damping or 1.0) / shift) * m
-    log.rho_bound = _stability_gate(m)
+    log = SolverLog(method=cfg.method, rho_bound=_stability_gate(m))
 
     n = m.shape[0]
     if cfg.method == "neumann":
@@ -462,11 +454,11 @@ def dense_iterative_solve(o_pp, rhs, cfg):
             raise ConvergenceError(
                 f"Neumann iteration did not reach eps={cfg.eps!r} within "
                 f"{cfg.max_iters} iterations (residual {residual!r})",
-                last_iterate=v_p / shift,
+                last_iterate=v_p,
                 residual=residual,
             )
         log.residual = residual
-        return v_p / shift, log
+        return v_p, log
 
     from scipy.sparse.linalg import gmres
 
@@ -481,10 +473,10 @@ def dense_iterative_solve(o_pp, rhs, cfg):
     if info != 0:
         raise ConvergenceError(
             f"GMRES stopped with info={info} (residual {log.residual!r})",
-            last_iterate=v_p / shift,
+            last_iterate=v_p,
             residual=log.residual,
         )
-    return v_p / shift, log
+    return v_p, log
 
 
 def reference_select_perimeter(control: cbv.ControlMatrix, seed, tau_p: float) -> cbv.Perimeter:

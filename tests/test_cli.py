@@ -9,6 +9,7 @@ import pytest
 
 import cbv
 from cbv.cli import EXIT_COMPUTE, EXIT_FINDINGS, EXIT_OK, EXIT_USAGE, build_parser, main
+from cbv.engine import SOLVER_METHODS
 from cbv.report import write_matrix_csv
 
 from conftest import (
@@ -318,20 +319,15 @@ class TestComputeCommand:
         assert main(["compute", "--package", str(tmp_path / "cycle")]) == EXIT_COMPUTE
         assert "StabilityError" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("extra", [[], ["--regularization", "0"], ["--damping", "0.999"]],
-                             ids=["no-adjustment", "regularization-0", "damping-0.999"])
-    def test_uncertified_block_is_compute_error(self, tmp_path, capsys, extra):
+    @pytest.mark.parametrize("method", SOLVER_METHODS)
+    def test_uncertified_block_is_compute_error(self, tmp_path, capsys, method):
         # rho(O_PP) = 1.001: I - O_PP is invertible, but v_P = (I - O_PP)^-1 b_P
-        # is no valuation; the gate refused it before the solve, whatever the
-        # config, unless damping scales it to an operator the gate certifies
+        # is no valuation; the gate refuses it before the solve, whatever the
+        # method
         observer = cbv.Observer(perimeter_ref="P-CYCLE", regime="B",
                                 control_rule=cbv.ControlRuleSpec())
         cbv.write_package(tmp_path / "cycle", two_cycle_chain_stats(cycle=1.001), observer)
-        code = main(["compute", "--package", str(tmp_path / "cycle"), *extra])
-        if "--damping" in extra:  # A = 0.999 O_PP, certified by its norms
-            assert code == EXIT_OK
-            assert (tmp_path / "cycle" / "cut_summary.json").exists()
-            return
+        code = main(["compute", "--package", str(tmp_path / "cycle"), "--method", method])
         assert code == EXIT_COMPUTE
         err = capsys.readouterr().err
         assert "StabilityError" in err and "no certified bound" in err
@@ -388,17 +384,16 @@ class TestComputeCommand:
         assert "must be finite" in err[0]
         assert not (pkg / "cut_summary.json").exists()
 
-    @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
-    @pytest.mark.parametrize("method", ["auto", "direct"])
-    def test_bad_regularization_is_compute_error(self, tmp_path, capsys, value, method):
-        # a NaN or infinite regularization printed W(P) = nan and exited 0
-        pkg = build_package(tmp_path)
-        assert main(["compute", "--package", str(pkg), "--regularization", value,
-                     "--method", method]) == EXIT_COMPUTE
-        err = capsys.readouterr().err.splitlines()
-        assert err == [f"error [DomainError]: regularization must be finite and >= 0, "
-                       f"got {float(value)!r}"]
-        assert not (pkg / "cut_summary.json").exists()
+    @pytest.mark.parametrize("flag", ["--damping", "--regularization"])
+    @pytest.mark.parametrize("command", ["compute", "fisher", "report"])
+    def test_operator_changing_flags_are_unknown(self, tmp_path, capsys, flag, command):
+        # regime B solves (I - O_PP) v_P = rhs and nothing else: a flag that
+        # scaled O_PP is a usage error, and nothing is written
+        pkg = str(build_package(tmp_path))
+        packages = ["--prev", pkg, "--curr", pkg] if command == "fisher" else ["--package", pkg]
+        assert main([command, *packages, flag, "0.5"]) == EXIT_USAGE
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not (Path(pkg) / "cut_summary.json").exists()
 
     def test_regime_a_package_with_observed_values(self, tmp_path, capsys):
         # the worked example with observed internal values carried in the

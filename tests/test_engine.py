@@ -5,7 +5,7 @@ from unittest.mock import patch
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import cbv
 from cbv.errors import (
@@ -39,6 +39,7 @@ from conftest import (
     near_one_circulant,
     random_regime_stats,
     random_share_matrix,
+    reference_inverse_norm,
     renault_stats,
     two_cycle_chain_stats,
 )
@@ -221,39 +222,28 @@ class TestEstimation:
             cbv.estimate_internal_values(stats)
 
     def test_singular_block_past_the_gate_is_stability_error(self):
-        # regularization r = 0.1 scales the 2-cycle at 1.1 to A = O_PP / 1.1,
-        # whose I - A is singular; the gate refuses A before any solve
-        stats = cbv.CutStatistics(
-            p_ids=("a", "b"), o_ids=(), b_p=[1.0, 1.0],
-            o_pp=[[0.0, 1.1], [1.1, 0.0]],
-        )
-        with pytest.raises(StabilityError, match="is unstable"):
-            cbv.evaluate_regime_b(stats, cbv.SolverConfig(regularization=0.1))
-        # the regime-B bound gates O_PP too: the 2-cycle at 1, whose I - O_PP
-        # is singular, is refused before any solve
+        # the 2-cycle at 1, whose I - O_PP is singular, is refused before any
+        # solve, by regime B and by the regime-B bound alike
         cycle = cbv.CutStatistics(
             p_ids=("a", "b"), o_ids=("x",), b_p=[1.0, 1.0], v_o=[1.0],
             o_po=np.zeros((2, 1)), o_op=np.zeros((1, 2)), o_pp=[[0.0, 1.0], [1.0, 0.0]],
         )
+        with pytest.raises(StabilityError, match="is unstable"):
+            cbv.evaluate_regime_b(cycle)
         for p in (1.0, 2.0, float("inf")):
             with pytest.raises(StabilityError, match="is unstable"):
                 cbv.regime_b_bound(cbv.PerturbationSpec(p=p, eta=1.0, eps=1.0), cycle)
 
     @pytest.mark.parametrize("method", ["auto", "direct", "neumann", "iterative_krylov"])
-    def test_damped_refusal_names_the_gated_operator(self, method):
-        # damping 0.95 on the 2-cycle at 1.1 gates A = 0.95 O_PP, rho(A) = 1.045
-        stats = cbv.CutStatistics(
-            p_ids=("a", "b"), o_ids=(), b_p=[1.0, 1.0],
-            o_pp=[[0.0, 1.1], [1.1, 0.0]],
-        )
-        for damping in (0.95, np.float64(0.95)):  # a numpy scalar reads as a float
-            with pytest.raises(StabilityError,
-                               match=r"is unstable: rho\(\|0\.95\*O_PP/\(1 \+ 0\.0\)\|\) >= 1\.04"):
-                cbv.evaluate_regime_b(stats, cbv.SolverConfig(method=method, damping=damping))
-        with pytest.raises(StabilityError, match=r"rho\(\|1\.0\*O_PP/\(1 \+ 0\.05\)\|\)"):
-            cbv.evaluate_regime_b(stats, cbv.SolverConfig(method=method, regularization=0.05))
-        with pytest.raises(StabilityError, match=r"rho\(\|O_PP\|\) >= 1\.1"):
-            cbv.evaluate_regime_b(stats, cbv.SolverConfig(method=method))
+    def test_refusal_names_o_pp_for_every_method(self, method):
+        # the gate runs on O_PP itself, whatever the method
+        for share in ("1.05", "1.1"):
+            stats = cbv.CutStatistics(
+                p_ids=("a", "b"), o_ids=(), b_p=[1.0, 1.0],
+                o_pp=[[0.0, float(share)], [float(share), 0.0]],
+            )
+            with pytest.raises(StabilityError, match=rf"is unstable: rho\(\|O_PP\|\) >= {share}"):
+                cbv.evaluate_regime_b(stats, cbv.SolverConfig(method=method))
 
     @pytest.mark.parametrize("cycle", [1.0, 1.001])
     def test_uncertified_block_is_refused(self, cycle):
@@ -261,28 +251,24 @@ class TestEstimation:
         with pytest.raises(StabilityError, match="no certified bound"):
             cbv.evaluate_regime_b(stats)
 
-    def test_damping_gates_unstable_block(self):
+    def test_unstable_block_is_refused(self):
+        # rho(O_PP) = 1.05: the gate refuses the block itself, and no config
+        # reaches a solve
         stats = cbv.CutStatistics(
             p_ids=("a", "b"), o_ids=(), b_p=[1.0, 1.0],
             o_pp=[[0.0, 1.05], [1.05, 0.0]],
         )
-        v_p, log = cbv.estimate_internal_values(
-            stats, cbv.SolverConfig(damping=0.5)
-        )
-        assert log.damping == 0.5
-        # damped system solves (I - 0.525*J) v = 1
-        expected = 1.0 / (1.0 - 0.525)
-        np.testing.assert_allclose(v_p, [expected, expected], atol=1e-9)
+        with pytest.raises(StabilityError, match=r"is unstable: rho\(\|O_PP\|\) >= 1\.05"):
+            cbv.estimate_internal_values(stats)
 
-    def test_regularization_recorded(self):
+    def test_near_unit_self_loop_is_solved(self):
+        # rho(O_PP) = 0.999999 < 1 is certified, and v = 1 / (1 - 0.999999)
         stats = cbv.CutStatistics(
             p_ids=("a",), o_ids=(), b_p=[1.0], o_pp=[[0.999999]],
         )
-        v_p, log = cbv.estimate_internal_values(
-            stats, cbv.SolverConfig(regularization=1e-3)
-        )
-        assert log.regularization == 1e-3
-        assert v_p[0] == pytest.approx(1.0 / (1.0 - 0.999999 + 1e-3), rel=1e-9)
+        v_p, log = cbv.estimate_internal_values(stats)
+        assert log.rho_bound.certified and log.rho_bound.rho_upper == 0.999999
+        assert v_p[0] == pytest.approx(1.0 / (1.0 - 0.999999), rel=1e-9)
 
     def test_collatz_wielandt_certifies_where_norms_do_not(self):
         # norm bounds sit at 1.2 but the true spectral radius is ~0.775
@@ -297,16 +283,15 @@ class TestEstimation:
         expected = np.linalg.solve(np.eye(2) - np.array(stats.o_pp), [1.0, 1.0])
         np.testing.assert_allclose(v_p, expected, atol=1e-10)
 
-    def test_damped_system_solved_identically_by_both_methods(self, rng):
-        # damping rescales the block; both solvers must then agree on the
-        # rescaled system within 10x the solver tolerance
+    def test_system_solved_identically_by_both_methods(self, rng):
+        # both solvers agree on the system within 10x the solver tolerance
         stats = random_regime_stats(rng, n_p=6, n_o=2)
         eps = 1e-11
         direct, _ = cbv.estimate_internal_values(
-            stats, cbv.SolverConfig(method="direct", damping=0.7)
+            stats, cbv.SolverConfig(method="direct")
         )
         neumann, _ = cbv.estimate_internal_values(
-            stats, cbv.SolverConfig(method="neumann", damping=0.7, eps=eps)
+            stats, cbv.SolverConfig(method="neumann", eps=eps)
         )
         assert np.abs(direct - neumann).max() <= 10 * eps
 
@@ -385,8 +370,6 @@ class TestEstimation:
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
         kind = data.draw(st.sampled_from(["nonnegative", "signed", "reducible"]), label="kind")
         rho = data.draw(st.floats(0.0, 0.99), label="rho")
-        damping = data.draw(st.none() | st.floats(0.05, 0.95), label="damping")
-        regularization = data.draw(st.none() | st.floats(0.0, 0.5), label="regularization")
         o_pp = rng.uniform(0.0, 1.0, (n, n)) * (rng.random((n, n)) < 0.5)
         if kind == "signed":
             o_pp *= rng.choice([-1.0, 1.0], (n, n))
@@ -397,7 +380,7 @@ class TestEstimation:
         if radius > 0.0:  # a nilpotent block keeps its entries
             o_pp *= rho / radius
         rhs = rng.uniform(0.0, 100.0, n)
-        system = (1.0 + (regularization or 0.0)) * np.eye(n) - (damping or 1.0) * o_pp
+        system = np.eye(n) - o_pp
         # eps far above the rounding floor of v_P, where the two summation
         # orders could stop the sweeps one apart
         eps = 1e-9 * max(1.0, float(np.abs(np.linalg.solve(system, rhs)).max()) if n else 1.0)
@@ -417,19 +400,15 @@ class TestEstimation:
         np.testing.assert_allclose([bound.norm_1, bound.norm_inf], norms, rtol=1e-14, atol=0.0)
         assert bound.rho_upper <= min(bound.norm_1, bound.norm_inf)
 
-        # the gate's certificate against rho(|A|) from LAPACK's eigenvalues, for
-        # the A = d O_PP / (1 + r) that every method runs.  A defective block's
-        # eigenvalues are accurate only to about sqrt(u) ||A||, so that is the
-        # slack on either side.
-        a = ((damping or 1.0) / (1.0 + (regularization or 0.0))) * o_pp
-        certificate = cbv.spectral_radius_bound(a)
-        radius = float(np.abs(np.linalg.eigvals(np.abs(a))).max()) if n else 0.0
-        slack = np.sqrt(np.finfo(float).eps) * (np.abs(a).sum(axis=0).max() if n else 0.0)
-        assert certificate.rho_lower - slack <= radius <= certificate.rho_upper + slack
+        # the gate's certificate against rho(|O_PP|) from LAPACK's eigenvalues.
+        # A defective block's eigenvalues are accurate only to about
+        # sqrt(u) ||O_PP||, so that is the slack on either side.
+        radius = float(np.abs(np.linalg.eigvals(np.abs(o_pp))).max()) if n else 0.0
+        slack = np.sqrt(np.finfo(float).eps) * norms[0]
+        assert bound.rho_lower - slack <= radius <= bound.rho_upper + slack
 
         for method in ("neumann", "iterative_krylov"):
-            cfg = cbv.SolverConfig(method=method, eps=eps, max_iters=5000, damping=damping,
-                                   regularization=regularization).resolved()
+            cfg = cbv.SolverConfig(method=method, eps=eps, max_iters=5000).resolved()
             got = outcome(cbv.engine._solve_internal, o_pp, rhs, cfg)
             want = outcome(dense_iterative_solve, o_pp, rhs, cfg)
             if isinstance(want, type):
@@ -451,14 +430,12 @@ class TestEstimation:
     @settings(max_examples=200, deadline=None)
     @given(st.data())
     def test_direct_solves_the_dense_system_bit_for_bit(self, data):
-        # `direct` builds I - A from the held edges of A = d O_PP / (1 + r) and
-        # returns w / (1 + r): the same system, so the same LU and the same bits
+        # `direct` builds I - O_PP from its held edges: the same system, so the
+        # same LU and the same bits
         n = data.draw(st.integers(0, 12), label="n")
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
         kind = data.draw(st.sampled_from(["nonnegative", "signed", "reducible"]), label="kind")
         rho = data.draw(st.floats(0.0, 1.5), label="rho")
-        damping = data.draw(st.none() | st.floats(0.05, 0.95), label="damping")
-        regularization = data.draw(st.none() | st.floats(0.0, 0.5), label="regularization")
         o_pp = rng.uniform(0.0, 1.0, (n, n)) * (rng.random((n, n)) < 0.5)
         if kind == "signed":
             o_pp *= rng.choice([-1.0, 1.0], (n, n))
@@ -469,15 +446,12 @@ class TestEstimation:
         if radius > 0.0:
             o_pp *= rho / radius
         rhs = rng.uniform(0.0, 100.0, n)
-        cfg = cbv.SolverConfig(method="direct", damping=damping,
-                               regularization=regularization).resolved()
+        cfg = cbv.SolverConfig(method="direct").resolved()
         try:
             v_p, log = cbv.engine._solve_internal(o_pp, rhs, cfg)
-        except StabilityError:  # refused by the gate, or I - A singular
+        except StabilityError:  # refused by the gate, or I - O_PP singular
             return
-        d, r = damping or 1.0, regularization or 0.0
-        np.testing.assert_array_equal(
-            v_p, np.linalg.solve(np.eye(n) - (d / (1 + r)) * o_pp, rhs) / (1 + r))
+        np.testing.assert_array_equal(v_p, np.linalg.solve(np.eye(n) - o_pp, rhs))
         assert log.method == "direct"
 
     def test_kmax_exceeded(self):
@@ -491,22 +465,22 @@ class TestEstimation:
             )
         assert err.value.residual is not None
 
-    def test_regularized_iterate_is_v_p(self):
-        # the sweeps run on w = 1.5 v, A = 0.6 J; the iterate a ConvergenceError
-        # carries is the third w, 1 + 0.6 + 0.36 + 0.216, over 1.5
+    def test_unconverged_iterate_is_v_p(self):
+        # the sweeps run on A = 0.9 J; the iterate a ConvergenceError carries
+        # is the third, 1 + 0.9 + 0.81 + 0.729
         stats = cbv.CutStatistics(p_ids=("a", "b"), o_ids=(), b_p=[1.0, 1.0],
                                   o_pp=[[0.0, 0.9], [0.9, 0.0]])
         with pytest.raises(ConvergenceError) as err:
             cbv.estimate_internal_values(stats, cbv.SolverConfig(
-                method="neumann", regularization=0.5, eps=1e-14, max_iters=3))
-        np.testing.assert_allclose(err.value.last_iterate, [2.176 / 1.5] * 2, rtol=1e-15)
+                method="neumann", eps=1e-14, max_iters=3))
+        np.testing.assert_allclose(err.value.last_iterate, [3.439] * 2, rtol=1e-15)
 
     @pytest.mark.parametrize("field", [
-        {"method": "lu"}, {"eps": 0.0}, {"max_iters": 0}, {"damping": 1.0},
-        {"regularization": -1e-3}, {"regularization": -1.0},
-        {"regularization": float("nan")}, {"regularization": float("inf")},
+        {"method": "lu"}, {"eps": 0.0}, {"max_iters": 0},
         {"eps": float("inf")}, {"eps": float("nan")},
         {"max_iters": 2.5},
+        {"method": ""}, {"eps": -1e-3}, {"eps": float("-inf")},
+        {"max_iters": -1}, {"max_iters": "10"},
     ])
     def test_solver_config_domains(self, field):
         with pytest.raises(DomainError):
@@ -615,13 +589,12 @@ class TestAutoMethod:
     as many sweeps as one LU costs, and otherwise, or when the sweeps have not
     reached eps within that budget, factors."""
 
-    def test_regularized_neumann_sweeps_the_scaled_block(self):
-        # (1.5 I - O_PP) v = b is solved as (I - A) w = b with A = O_PP / 1.5,
-        # whose norms 0.6 the gate certifies: Neumann sweeps A and agrees with
-        # the LU within eps / (1 - ||A||_inf), over 1 + r for v = w / 1.5
+    def test_neumann_sweeps_the_block_that_auto_factors(self):
+        # (I - O_PP) v = b with ||O_PP|| = 0.9, which the gate certifies: Neumann
+        # sweeps O_PP and agrees with the LU within eps / (1 - ||O_PP||_inf)
         stats = cbv.CutStatistics(p_ids=("a", "b"), o_ids=(), b_p=[1.0, 0.0],
                                   o_pp=[[0.0, 0.9], [0.9, 0.0]])
-        cfg = cbv.SolverConfig(regularization=0.5)
+        cfg = cbv.SolverConfig()
         neumann = cbv.evaluate_regime_b(stats, replace(cfg, method="neumann"))
         direct = cbv.evaluate_regime_b(stats, replace(cfg, method="direct"))
         auto = cbv.evaluate_regime_b(stats, cfg)
@@ -629,26 +602,24 @@ class TestAutoMethod:
         assert auto.solver_log.method == "direct"
         log = neumann.solver_log
         assert log.method == "neumann" and not log.warnings
-        assert log.rho_bound.certified and log.rho_bound.norm_inf == pytest.approx(0.6)
+        assert log.rho_bound.certified and log.rho_bound.norm_inf == pytest.approx(0.9)
         assert log.residual < 1e-10
         np.testing.assert_allclose(neumann.v_p_used, direct.v_p_used,
-                                   rtol=0.0, atol=1e-10 / (1.0 - 0.6) / 1.5)
+                                   rtol=0.0, atol=1e-10 / (1.0 - 0.9))
 
-    @pytest.mark.parametrize("n, share, regularization, sweeps",
-                             [(50, 0.95, 0.1, 157), (400, 0.998, 0.01, 1926)])
-    def test_regularized_neumann_converges_on_rings(self, n, share, regularization, sweeps):
-        # ((1 + r) I - O_PP) v = b is swept as A = O_PP / (1 + r), certified by
-        # ||A||_inf = share / (1 + r) < 1, so the error in W is at most
-        # sum_j |c_j| eps / ((1 - ||A||_inf) (1 + r)), plus rounding
+    @pytest.mark.parametrize("n, share, max_iters, sweeps",
+                             [(50, 0.95, None, 448), (400, 0.998, 20000, 11501)])
+    def test_neumann_converges_on_rings(self, n, share, max_iters, sweeps):
+        # the ring is certified by ||O_PP||_inf = share < 1, so the error in W
+        # is at most sum_j |c_j| eps / (1 - ||O_PP||_inf), plus rounding
         stats = ring_stats(n, share)
-        cfg = cbv.SolverConfig(method="neumann", regularization=regularization)
+        cfg = cbv.SolverConfig(method="neumann", max_iters=max_iters)
         neumann = cbv.evaluate_regime_b(stats, cfg)
         direct = cbv.evaluate_regime_b(stats, replace(cfg, method="direct"))
         log = neumann.solver_log
         assert (log.method, log.iterations) == ("neumann", sweeps) and log.residual < 1e-10
-        norm = share / (1.0 + regularization)
-        assert log.rho_bound.norm_inf == pytest.approx(norm, rel=1e-15)
-        bound = 0.1 * n * 1e-10 / ((1.0 - norm) * (1.0 + regularization))
+        assert log.rho_bound.norm_inf == share
+        bound = 0.1 * n * 1e-10 / (1.0 - share)
         assert abs(neumann.w - direct.w) <= bound + 1e-12 * abs(direct.w)
 
     @pytest.mark.parametrize("stats", [
@@ -698,8 +669,6 @@ class TestAutoMethod:
         rho = data.draw(st.floats(0.0, 0.999) | st.sampled_from([0.99, 0.999]), label="rho")
         density = data.draw(st.sampled_from([1.0, 0.3, 2.0 / n]), label="density")
         scale = 10.0 ** data.draw(st.integers(0, 12), label="log10 value scale")
-        damping = data.draw(st.none() | st.floats(0.05, 0.95), label="damping")
-        regularization = data.draw(st.none() | st.floats(0.0, 0.5), label="regularization")
         eps = data.draw(st.sampled_from([1e-12, 1e-10, 1e-6]), label="eps")
         ratio = data.draw(st.sampled_from([1e-9, cbv.engine.LU_SWEEP_RATIO]), label="ratio")
         o_pp = rng.uniform(0.0, 1.0, (n, n)) * (rng.random((n, n)) < density)
@@ -717,7 +686,7 @@ class TestAutoMethod:
             b_p=scale * rng.uniform(0.0, 1.0, n), v_o=scale * rng.uniform(0.0, 1.0, n_o),
             o_po=rng.uniform(0.0, 0.1, (n, n_o)), o_op=rng.uniform(0.0, 0.1, (n_o, n)),
             o_pp=o_pp)
-        cfg = cbv.SolverConfig(eps=eps, damping=damping, regularization=regularization)
+        cfg = cbv.SolverConfig(eps=eps)
         try:
             direct = cbv.evaluate_regime_b(stats, replace(cfg, method="direct"))
         except StabilityError:
@@ -728,8 +697,7 @@ class TestAutoMethod:
             assert auto.w == direct.w
             return
         assert auto.solver_log.method == "neumann"
-        swept = ((damping or 1.0) / (1.0 + (regularization or 0.0))) * o_pp
-        bound = cbv.spectral_radius_bound(swept)
+        bound = cbv.spectral_radius_bound(o_pp)
         c = np.abs(stats.o_op.sum(axis=0))
         weights = [c.sum() / (1.0 - bound.norm_inf) if bound.norm_inf < 1.0 else np.inf,
                    n * c.max() / (1.0 - bound.norm_1) if bound.norm_1 < 1.0 else np.inf]
@@ -1018,14 +986,17 @@ class TestSchur:
         assert w == pytest.approx(schur_w, rel=1e-9, abs=1e-9)
 
     @settings(max_examples=100, deadline=None)
-    @given(st.data())
-    def test_rewiring_an_unowned_nodes_holdings_keeps_w(self, data):
+    @given(n_p=st.integers(2, 12), n_o=st.integers(0, 6), t=st.integers(0, 11),
+           seed=st.integers(0, 2**32 - 1))
+    @example(n_p=2, n_o=2, t=0, seed=378)  # Neumann off by 2.3e-12 relative
+    def test_rewiring_an_unowned_nodes_holdings_keeps_w(self, n_p, n_o, t, seed):
         # Cut Theorem: node t is owned by nobody (its O_PP and O_OP columns are
-        # zero), so its holdings move v_t alone and v_t is priced by no edge
-        n_p = data.draw(st.integers(2, 12), label="n_p")
-        n_o = data.draw(st.integers(0, 6), label="n_o")
-        t = data.draw(st.integers(0, n_p - 1), label="t")
-        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        # zero), so its holdings move v_t alone and v_t is priced by no edge.
+        # Direct agrees to rounding.  An iterative v_P has residual below eps,
+        # so its W is within sum|O_OP| ||(I - O_PP)^-1||_inf eps of the exact
+        # one, and a variant's W within the sum of its and the base's bounds
+        t %= n_p
+        rng = np.random.default_rng(seed)
         held = rng.uniform(0.0, 1.0, (n_p + n_o, n_p)) * (rng.random((n_p + n_o, n_p)) < 0.6)
         held[:, t] = 0.0
         sums = held.sum(axis=0)
@@ -1044,12 +1015,20 @@ class TestSchur:
             o_pp[t] = rng.uniform(0.0, 0.99, n_p) * headroom
             o_pp[t, t] = 0.0
             variants.append(base.replace(o_pp=o_pp))
+        def certified(stats, eps):
+            return np.abs(stats.o_op).sum() * reference_inverse_norm(stats.o_pp, np.inf) * eps
+
         for method in ("direct", "neumann", "iterative_krylov"):
-            cfg = cbv.SolverConfig(method=method)
+            cfg = cbv.SolverConfig(method=method).resolved()
             w = cbv.evaluate_regime_b(base, cfg).w
             v_p, _ = cbv.estimate_internal_values(base, cfg)
             for variant in variants:
-                assert cbv.evaluate_regime_b(variant, cfg).w == pytest.approx(w, rel=1e-12)
+                moved_w = cbv.evaluate_regime_b(variant, cfg).w
+                if method == "direct":
+                    assert moved_w == pytest.approx(w, rel=1e-12)
+                else:
+                    bound = certified(base, cfg.eps) + certified(variant, cfg.eps)
+                    assert abs(moved_w - w) <= bound
                 moved, _ = cbv.estimate_internal_values(variant, cfg)
                 assert not np.allclose(moved, v_p, rtol=1e-9, atol=0.0)
 

@@ -323,12 +323,10 @@ class TestConditioning:
     def test_non_finite_input_refused(self, value):
         with pytest.raises(DomainError, match="not finite"):
             cbv.condition_diagnostics([[value, 0.0], [0.0, 0.0]])
-        with pytest.raises(DomainError, match="not finite"):
-            cbv.condition_diagnostics(np.zeros((2, 2)), regularization=value)
 
-    @pytest.mark.parametrize("regularization", [None, 0.05])
+    @pytest.mark.parametrize("scale", [1.0, 0.5])
     @pytest.mark.parametrize("block", ["random-2", "random-65", "random-200", "holding-101"])
-    def test_exact_at_every_size(self, block, regularization):
+    def test_exact_at_every_size(self, block, scale):
         kind, n = block.split("-")
         n = int(n)
         if kind == "holding":
@@ -337,18 +335,17 @@ class TestConditioning:
             o_pp[0, 1:] = 0.5
         else:
             o_pp = random_share_matrix(np.random.default_rng(n), n)
-        m = np.eye(n) - o_pp + (regularization or 0.0) * np.eye(n)
-        kappa2 = cbv.condition_diagnostics(o_pp, regularization).kappa2
-        assert kappa2 == pytest.approx(np.linalg.cond(m, 2), rel=1e-12)
+        o_pp = scale * o_pp
+        kappa2 = cbv.condition_diagnostics(o_pp).kappa2
+        assert kappa2 == pytest.approx(np.linalg.cond(np.eye(n) - o_pp, 2), rel=1e-12)
 
-    @pytest.mark.parametrize("regularization", [0.05, 0.5])
-    def test_rho_bound_is_the_regularized_solves_certificate(self, regularization):
-        # the report bounds the A = O_PP / (1 + r) whose kappa_2 it gives,
-        # the operator a regime-B solve with the same r gates
+    @pytest.mark.parametrize("method", cbv.engine.SOLVER_METHODS)
+    def test_rho_bound_is_the_solves_certificate(self, method):
+        # the report bounds the O_PP whose kappa_2 it gives, the operator a
+        # regime-B solve gates, whatever its method
         stats = holding_stats()
-        report = cbv.condition_diagnostics(stats.o_pp, regularization)
-        _, log = cbv.estimate_internal_values(
-            stats, cbv.SolverConfig(regularization=regularization))
+        report = cbv.condition_diagnostics(stats.o_pp)
+        _, log = cbv.estimate_internal_values(stats, cbv.SolverConfig(method=method))
         assert report.rho_bound == log.rho_bound
 
 
@@ -407,15 +404,15 @@ class TestMonteCarloBand:
     @pytest.mark.parametrize("cfg", [
         cbv.SolverConfig(method="neumann"),
         cbv.SolverConfig(method="iterative_krylov", eps=1e-10),
-        cbv.SolverConfig(method="direct", damping=0.5),
-        cbv.SolverConfig(method="neumann", damping=0.9),
-        cbv.SolverConfig(method="direct", regularization=0.05),
-        cbv.SolverConfig(method="iterative_krylov", eps=1e-10, regularization=0.05),
+        cbv.SolverConfig(method="direct"),
+        cbv.SolverConfig(),
+        cbv.SolverConfig(method="neumann", eps=1e-12),
+        cbv.SolverConfig(method="iterative_krylov"),
     ])
     @pytest.mark.parametrize("unstable", [False, True])
     def test_every_solver_branch_matches_reference(self, cfg, unstable):
-        # with the near-unit loop, damping and regularization keep the probes
-        # the gate would refuse; the other configs exclude them
+        # with the near-unit loop, every method excludes the probes the gate
+        # refuses
         stats = random_regime_stats(np.random.default_rng(7), n_p=10, n_o=6)
         if unstable:
             stats = near_unit_loop(stats)
@@ -435,8 +432,8 @@ class TestMonteCarloBand:
 
     @pytest.mark.parametrize("cfg", [
         cbv.SolverConfig(),
-        cbv.SolverConfig(method="direct", regularization=0.05),
-        cbv.SolverConfig(method="neumann", damping=0.9),
+        cbv.SolverConfig(method="neumann"),
+        cbv.SolverConfig(method="iterative_krylov", eps=1e-10),
     ])
     @pytest.mark.parametrize("designated", ["held", "listed"])
     def test_corner_on_zero_matches_reference(self, cfg, designated):

@@ -4,6 +4,7 @@ the sum of its priced cut edges, the network's edges against its old dense
 gather, and the memory of building and valuing."""
 
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,7 +15,10 @@ from cbv.engine import cut_edges
 from cbv.network import _HeldEdges
 
 from conftest import (
+    P_IDS,
     dense_reference_w,
+    example_network,
+    example_stats,
     gathered_network_edges,
     reference_from_network,
     reference_partition,
@@ -27,6 +31,7 @@ from conftest import (
 FINITE_SPECIAL = (-0.0, 5e-324, -2.5e-310)
 SPECIAL = FINITE_SPECIAL + (float("nan"),)
 MATRICES = ("o_po", "o_op", "o_pp", "x_po", "x_op")
+PACKAGE_V1_2 = Path(__file__).with_name("data") / "package_v1_2"
 
 
 def identical_bits(a: np.ndarray, b: np.ndarray) -> bool:
@@ -355,6 +360,28 @@ def draw_values(data, rng, ids, label) -> dict:
         else:
             values[node] = data.draw(st.sampled_from(NOT_NUMBERS), label=f"{label} {node}")
     return values
+
+
+@pytest.mark.parametrize("owner", ["CutStatistics", "BlockPartition", "CutReportPackage"])
+def test_non_numeric_block_is_domain_error(owner):
+    # a block numpy cannot read as floats is refused as it is assigned; a
+    # non-finite one is stored, so that a package's non-finite cell stays a
+    # finding of `validate_package`
+    build = {
+        "CutStatistics": example_stats,
+        "BlockPartition": lambda: cbv.partition(example_network(), cbv.Perimeter(P_IDS)),
+        "CutReportPackage": lambda: cbv.load_package(PACKAGE_V1_2),
+    }[owner]
+    base = build()
+    o_po = base.o_po.tolist()
+    o_po[0][0] = "x"
+    with pytest.raises(cbv.DomainError, match="^o_po: not a block of numbers: could not "
+                                              "convert string to float: 'x'$"):
+        base.replace(o_po=o_po)
+    o_po[0][0] = float("nan")
+    o_po[-1][-1] = float("inf")
+    stored = base.replace(o_po=o_po).o_po
+    assert np.isnan(stored[0, 0]) and stored[-1, -1] == float("inf")
 
 
 @settings(max_examples=300, deadline=None)
