@@ -32,7 +32,6 @@ from .engine import (
     hedge_vector,
     implied_bases,
     scale_units,
-    schur_operators,
     spectral_radius_bound,
 )
 from .errors import (

@@ -28,12 +28,11 @@ scanned into that form as it is assigned, and statistics derived from others
 (`replace`, `with_v_p`, `restrict`, `scale_units`) pass on the held edges
 they do not change.  No valuation or bound reads a block dense: reading
 `stats.o_pp` or another block builds its dense array once, for the dense
-algebra of `schur_operators`, `condition_diagnostics` and the p = 2 spectral
-norm of O_PO in the robustness bounds.  Regime B is
-two pieces: the right-hand side b_P + O_PO v_O (`_boundary_rhs`, one
-held-edge matvec) and the gated solve on O_PP (`_solve_internal`); a Monte
-Carlo band, whose probes move only O_PP, computes the first once and runs
-only the second per probe.
+algebra of `condition_diagnostics` and the p = 2 spectral norm of O_PO in
+the robustness bounds.  Regime B is two pieces: the right-hand side
+b_P + O_PO v_O (`_boundary_rhs`, one held-edge matvec) and the gated solve on
+O_PP (`_solve_internal`); a Monte Carlo band, whose probes move only O_PP,
+computes the first once and runs only the second per probe.
 Every method reads O_PP's held edges: each gate pass, sweep, Krylov step or
 residual costs O(nnz + n_P), and the direct method's one dense LU builds
 I - O_PP from them; the gate certifies O_PP, the operator every method runs.
@@ -48,10 +47,10 @@ stopping at the first certified bound below 1 or once a certified lower bound
 reaches 1; a bound certifies with a margin for its rounding.  The gate has
 one verdict: an operator it cannot certify is a StabilityError for every
 caller, whatever the solver config, and the refusal names that operator.
-Every dense solve against I - A goes through `_solve_shifted`,
-which builds I - A from held edges, and every caller gates A first: direct
-regime B, `schur_operators` and the robustness bound, one solve of
-I - |O_PP| against the ones vector.  Control Option C needs all of
+Every dense solve against I - A goes through `_solve_shifted`, which builds
+I - A from held edges, and every caller gates A first: direct regime B and
+the robustness bound, one solve of I - |O_PP| against the ones vector.
+Control Option C needs all of
 (I - A)^-1 - I, which `_inverse_minus_identity` computes by 2x2 block
 elimination in matrix products, about twice as fast as the LU solve with n
 right-hand sides; it pivots across no block, so only a gated A may reach it:
@@ -653,30 +652,6 @@ def evaluate_for_observer(
             priced = priced.with_v_p(_boundary_rhs(priced))
         return evaluate_regime_a(priced, tau)
     return evaluate_regime_b(priced, cfg, tau)
-
-
-@dataclass(frozen=True)
-class SchurOperators:
-    """Effective boundary operators after eliminating the internal block."""
-
-    s_oo: np.ndarray
-    t_po: np.ndarray
-    u_op: np.ndarray
-
-
-def schur_operators(blocks) -> SchurOperators:
-    """S_OO, T_PO and U_OP for a block partition.
-
-    T_PO = (I - O_PP)^-1 O_PO and U_OP = O_OP (I - O_PP)^-1 summarize how the
-    perimeter looks from the frontier; purely internal rewirings that keep
-    them fixed cannot move the consolidated value.
-    """
-    held = _HeldEdges.of(blocks.o_pp)
-    _stability_gate(held)
-    t_po = _solve_shifted(held, blocks.o_po)
-    u_op = _solve_shifted(held.T, blocks.o_op.T).T
-    s_oo = np.eye(blocks.o_oo.shape[0]) - blocks.o_oo - blocks.o_op @ t_po
-    return SchurOperators(s_oo=s_oo, t_po=t_po, u_op=u_op)
 
 
 @dataclass(frozen=True)

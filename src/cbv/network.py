@@ -22,7 +22,7 @@ as the dense block, built on the first read.
 Cost.  The network's held edges are found by one scan of a caller's matrix,
 which is not copied, or sorted from edge triples in O(nnz log nnz)
 (`from_edges`).  `partition` splits those
-edges by side into the four blocks' held edges, so a perimeter costs
+edges by side and keeps the three blocks that touch P, so a perimeter costs
 O(n + nnz), not a pass over the n x n cells, and no block is dense until it
 is read; `validate_network` and `engine.implied_bases` read the edges too.
 A perimeter's per-id work runs in C loops: its members are looked up by one
@@ -382,7 +382,7 @@ class Perimeter:
 
 @dataclass(frozen=True)
 class BlockPartition(_HeldBlocks):
-    """The four share blocks induced by a perimeter, with their id maps.
+    """The three share blocks induced by a perimeter, with their id maps.
 
     Each block is stored as held edges (`held`) and reads as a read-only
     dense array, built on the first read.
@@ -393,7 +393,6 @@ class BlockPartition(_HeldBlocks):
     o_pp: np.ndarray = _BlockField()
     o_po: np.ndarray = _BlockField()
     o_op: np.ndarray = _BlockField()
-    o_oo: np.ndarray = _BlockField()
 
 
 def partition(network: OwnershipNetwork, perimeter: Perimeter) -> BlockPartition:
@@ -408,11 +407,11 @@ def partition(network: OwnershipNetwork, perimeter: Perimeter) -> BlockPartition
     in_p = np.zeros(len(network.nodes), dtype=bool)
     in_p[_positions(network._index, perimeter.members, "in network")] = True
     side = (~in_p).view(np.uint8)  # 0 for P, 1 for O
-    (o_pp, o_po), (o_op, o_oo) = network._held.split(side, side)
+    (o_pp, o_po), (o_op, _) = network._held.split(side, side)
     return BlockPartition(
         p_ids=tuple(network._ids[in_p].tolist()),
         o_ids=tuple(network._ids[~in_p].tolist()),
-        o_pp=o_pp, o_po=o_po, o_op=o_op, o_oo=o_oo,
+        o_pp=o_pp, o_po=o_po, o_op=o_op,
     )
 
 

@@ -3,6 +3,7 @@ and the oracles the tests check the library against."""
 
 from __future__ import annotations
 
+import math
 import shutil
 from itertools import compress
 from pathlib import Path
@@ -190,6 +191,25 @@ def dense_reference_w(b_p, v_o=None, o_po=None, o_op=None, o_pp=None, v_p=None,
     return float(w), float(np.abs(b_p).sum() + np.abs(x_po).sum() + np.abs(x_op).sum())
 
 
+def partition_identity(network: cbv.OwnershipNetwork, blocks, b, v) -> tuple[float, float]:
+    """|sum_k W(P_k) - sum_i b_i| for perimeters P_k that partition the
+    network's nodes, each valued in regime A from `from_network` with the
+    values v of every node, and the bound m u M it must meet.  Each cross
+    holding is priced once as T_out and once as T_in, to the same product,
+    so the two sides differ only by the rounding of the sums: M sums |b_i|
+    and every |priced edge| over the blocks, m counts those terms plus k,
+    and u = 2^-53."""
+    total, magnitude, terms = 0.0, 0.0, len(blocks)
+    for members in blocks:
+        stats = cbv.CutStatistics.from_network(network, cbv.Perimeter(members), b, v)
+        total += cbv.evaluate_regime_a(stats).w
+        parts = [stats.b_p] + [cbv.engine.cut_edges(stats.held(name), values, None, 0.0)[2]
+                               for name, values in (("o_po", stats.v_o), ("o_op", stats.v_p))]
+        magnitude += sum(float(np.abs(part).sum()) for part in parts)
+        terms += sum(part.size for part in parts)
+    return abs(total - math.fsum(b.values())), terms * 2.0**-53 * magnitude
+
+
 def random_regime_stats(rng, n_p: int, n_o: int, observed: bool = False):
     """Random feasible boundary statistics (column sums over all owners <= 0.9)."""
     n = n_p + n_o
@@ -312,22 +332,13 @@ def picard_clear(problem: cbv.ClearingProblem, selection: str, eps: float = 1e-1
 
 
 def ix_blocks(network: cbv.OwnershipNetwork, members) -> dict[str, np.ndarray]:
-    """O_PP, O_PO, O_OP and O_OO sliced out of the dense share matrix with
-    np.ix_, the oracle for `partition`, which scatters held edges instead."""
+    """O_PP, O_PO and O_OP sliced out of the dense share matrix with np.ix_,
+    the oracle for `partition`, which scatters held edges instead."""
     in_p = np.array([node in members for node in network.nodes], dtype=bool)
     p, o = np.flatnonzero(in_p), np.flatnonzero(~in_p)
     shares = network.shares
     return {"o_pp": shares[np.ix_(p, p)], "o_po": shares[np.ix_(p, o)],
-            "o_op": shares[np.ix_(o, p)], "o_oo": shares[np.ix_(o, o)]}
-
-
-def assemble(blocks: cbv.BlockPartition) -> tuple[tuple[str, ...], np.ndarray]:
-    """The share matrix reassembled from a partition's four blocks, in
-    canonical node order: the oracle that `partition` loses nothing."""
-    ids = blocks.p_ids + blocks.o_ids
-    order = np.argsort(np.asarray(ids, dtype=object))
-    full = np.block([[blocks.o_pp, blocks.o_po], [blocks.o_op, blocks.o_oo]])
-    return tuple(ids[k] for k in order), full[np.ix_(order, order)]
+            "o_op": shares[np.ix_(o, p)]}
 
 
 def gathered_network_edges(ids, shares):
@@ -377,11 +388,11 @@ def reference_partition(network: cbv.OwnershipNetwork, perimeter: cbv.Perimeter)
     in_p[np.fromiter((network._index[m] for m in perimeter.members), dtype=np.intp,
                      count=len(perimeter.members))] = True
     side = (~in_p).view(np.uint8)  # 0 for P, 1 for O
-    (o_pp, o_po), (o_op, o_oo) = reference_split(network._held, side, side)
+    (o_pp, o_po), (o_op, _) = reference_split(network._held, side, side)
     return cbv.BlockPartition(
         p_ids=tuple(compress(network.nodes, in_p.tolist())),
         o_ids=tuple(compress(network.nodes, (~in_p).tolist())),
-        o_pp=o_pp, o_po=o_po, o_op=o_op, o_oo=o_oo,
+        o_pp=o_pp, o_po=o_po, o_op=o_op,
     )
 
 
@@ -591,6 +602,14 @@ def reference_inverse_norm(o_pp, p: float) -> float:
     o_pp = _finite(o_pp, "O_PP")
     n = o_pp.shape[0]
     return reference_induced_norm(np.linalg.solve(np.eye(n) - o_pp, np.eye(n)), p)
+
+
+def reference_boundary_operators(stats: cbv.CutStatistics) -> tuple[np.ndarray, np.ndarray]:
+    """T_PO = (I - O_PP)^-1 O_PO and U_OP = O_OP (I - O_PP)^-1, how the
+    perimeter looks from the frontier, by dense solves with no stability
+    gate: purely internal rewirings that keep them fixed cannot move W."""
+    system = np.eye(len(stats.p_ids)) - stats.o_pp
+    return np.linalg.solve(system, stats.o_po), np.linalg.solve(system.T, stats.o_op.T).T
 
 
 def reference_regime_b_bound(spec: cbv.PerturbationSpec,

@@ -37,10 +37,13 @@ from conftest import (
     example_stats,
     gauge_rewiring_family,
     near_one_circulant,
+    partition_identity,
     random_regime_stats,
     random_share_matrix,
+    reference_boundary_operators,
     reference_inverse_norm,
     renault_stats,
+    sparse_ownership,
     two_cycle_chain_stats,
 )
 
@@ -910,48 +913,14 @@ class TestSpectralBound:
 
 
 class TestSchur:
-    def test_zero_internal_block_is_identity(self, rng):
-        blocks = cbv.partition(
-            cbv.OwnershipNetwork(
-                ["a", "b", "x"],
-                np.array([
-                    [0.0, 0.0, 0.2],
-                    [0.0, 0.0, 0.1],
-                    [0.15, 0.25, 0.0],
-                ]),
-            ),
-            cbv.Perimeter({"a", "b"}),
-        )
-        ops = cbv.schur_operators(blocks)
-        np.testing.assert_array_equal(ops.t_po, blocks.o_po)
-        np.testing.assert_array_equal(ops.u_op, blocks.o_op)
-
-    def test_against_dense_inverse(self, rng):
-        from conftest import example_network
-
-        blocks = cbv.partition(example_network(), cbv.Perimeter({"A", "B", "C"}))
-        ops = cbv.schur_operators(blocks)
-        inv = np.linalg.inv(np.eye(3) - blocks.o_pp)
-        np.testing.assert_allclose(ops.t_po, inv @ blocks.o_po, atol=1e-12)
-        np.testing.assert_allclose(ops.u_op, blocks.o_op @ inv, atol=1e-12)
-        expected_s = np.eye(2) - blocks.o_oo - blocks.o_op @ inv @ blocks.o_po
-        np.testing.assert_allclose(ops.s_oo, expected_s, atol=1e-12)
-
     def test_gauge_rewirings_preserve_operators_and_w(self, rng):
         base, rewired = gauge_rewiring_family(rng, n_draws=10)
-        blocks_base = cbv.BlockPartition(
-            base.p_ids, base.o_ids, base.o_pp, base.o_po, base.o_op, np.zeros((2, 2))
-        )
-        ops_base = cbv.schur_operators(blocks_base)
+        t_base, u_base = reference_boundary_operators(base)
         w_base = cbv.evaluate_regime_b(base).w
         for variant in rewired:
-            blocks = cbv.BlockPartition(
-                variant.p_ids, variant.o_ids, variant.o_pp,
-                variant.o_po, variant.o_op, np.zeros((2, 2)),
-            )
-            ops = cbv.schur_operators(blocks)
-            np.testing.assert_allclose(ops.t_po, ops_base.t_po, atol=1e-12)
-            np.testing.assert_allclose(ops.u_op, ops_base.u_op, atol=1e-12)
+            t_po, u_op = reference_boundary_operators(variant)
+            np.testing.assert_allclose(t_po, t_base, atol=1e-12)
+            np.testing.assert_allclose(u_op, u_base, atol=1e-12)
             assert cbv.evaluate_regime_b(variant).w == pytest.approx(w_base, rel=1e-9)
             # the rewiring is not a no-op: internal values do move
             v_base, _ = cbv.estimate_internal_values(base)
@@ -978,10 +947,9 @@ class TestSchur:
             o_po=rng.uniform(0.0, 0.3, (n_p, n_o)), o_op=rng.uniform(0.0, 0.3, (n_o, n_p)),
             o_pp=o_pp,
         )
-        ops = cbv.schur_operators(cbv.BlockPartition(
-            stats.p_ids, stats.o_ids, stats.o_pp, stats.o_po, stats.o_op, np.zeros((n_o, n_o))))
+        _, u_op = reference_boundary_operators(stats)
         rhs = stats.b_p + stats.o_po @ stats.v_o
-        schur_w = rhs.sum() - ops.u_op.sum(axis=0) @ rhs
+        schur_w = rhs.sum() - u_op.sum(axis=0) @ rhs
         w = cbv.evaluate_regime_b(stats, cbv.SolverConfig(method="direct")).w
         assert w == pytest.approx(schur_w, rel=1e-9, abs=1e-9)
 
@@ -1031,6 +999,35 @@ class TestSchur:
                     assert abs(moved_w - w) <= bound
                 moved, _ = cbv.estimate_internal_values(variant, cfg)
                 assert not np.allclose(moved, v_p, rtol=1e-9, atol=0.0)
+
+
+class TestPartitionIdentity:
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_a_partition_prices_its_cross_holdings_out(self, data):
+        # blocks P_1..P_k that label every node: each cross holding is T_out
+        # of its holder's block and T_in of its held node's block, so
+        # sum_k W_A(P_k) = sum_i b_i for any observed values, up to rounding
+        n = data.draw(st.integers(1, 40), label="n")
+        k = data.draw(st.integers(1, 6), label="k")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        shares = rng.uniform(0.0, 0.3, (n, n)) * (rng.random((n, n)) < 0.3)
+        shares[rng.random((n, n)) < 0.05] = -0.0
+        ids = [f"n{j}" for j in range(n)]
+        network = cbv.OwnershipNetwork(ids, shares)
+        labels = rng.integers(0, k, n)
+        blocks = [[ids[j] for j in np.flatnonzero(labels == label)] for label in np.unique(labels)]
+        b = dict(zip(ids, rng.uniform(-50.0, 100.0, n).tolist()))
+        v = dict(zip(ids, rng.uniform(-50.0, 200.0, n).tolist()))
+        gap, bound = partition_identity(network, blocks, b, v)
+        assert gap <= bound, (gap, bound)
+
+    def test_strided_perimeters_of_a_sparse_network(self):
+        # the CI's 10^5-node check at 3000 nodes: 50 perimeters nodes[r::50]
+        # of a network built from its edges, valued with its own v
+        network, b, v = sparse_ownership(3000, seed=5)
+        gap, bound = partition_identity(network, [network.nodes[r::50] for r in range(50)], b, v)
+        assert gap <= bound, (gap, bound)
 
 
 class TestMetaNode:

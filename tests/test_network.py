@@ -5,7 +5,7 @@ from hypothesis import given, strategies as st
 import cbv
 from cbv.errors import DimensionError, DomainError, MembershipError
 
-from conftest import O_OP, O_PO, O_PP, P_IDS, assemble, example_network, ix_blocks
+from conftest import O_OP, O_PO, O_PP, P_IDS, example_network, ix_blocks
 
 # entries a held-edge scan must keep bit for bit: signed zeros, NaN, infinities
 SPECIAL_SHARES = (-0.0, float("nan"), float("inf"), float("-inf"))
@@ -122,14 +122,12 @@ class TestPartition:
         np.testing.assert_array_equal(blocks.o_pp, np.array(O_PP))
         np.testing.assert_array_equal(blocks.o_po, np.array(O_PO))
         np.testing.assert_array_equal(blocks.o_op, np.array(O_OP))
-        np.testing.assert_array_equal(blocks.o_oo, np.zeros((2, 2)))
 
     def test_full_perimeter_empty_blocks(self):
         net = example_network()
         blocks = cbv.partition(net, cbv.Perimeter(net.nodes))
         assert blocks.o_po.shape == (5, 0)
         assert blocks.o_op.shape == (0, 5)
-        assert blocks.o_oo.shape == (0, 0)
 
     def test_unknown_member(self):
         with pytest.raises(MembershipError):
@@ -141,7 +139,7 @@ class TestPartition:
         # bit.  Ids come in a drawn order and are not zero-padded, so canonical
         # order puts n10 before n2; a fifth of the entries are -0.0, NaN or
         # infinite; the perimeter ranges over every subset, empty and full
-        # included, and O_OO is compared too.
+        # included.
         n = data.draw(st.integers(0, 13), label="n")
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
         shares = rng.uniform(0, 0.3, size=(n, n)) * (rng.random((n, n)) < 0.5)
@@ -161,26 +159,30 @@ class TestPartition:
             assert identical_bits(getattr(blocks, name), expected), name
 
     def test_reassembly_roundtrip(self, rng):
+        # the three blocks, with O_OO sliced from the dense matrix, reassemble
+        # the share matrix in canonical node order: partition loses nothing
+        # across the cut and keeps p_ids and o_ids aligned with its blocks
         n = 7
-        shares = rng.uniform(0, 0.2, size=(n, n))
-        net = cbv.OwnershipNetwork([f"n{k}" for k in range(n)], shares)
+        net = cbv.OwnershipNetwork([f"n{k}" for k in range(n)], rng.uniform(0, 0.2, size=(n, n)))
         blocks = cbv.partition(net, cbv.Perimeter({"n0", "n3", "n5"}))
-        ids, full = assemble(blocks)
-        assert ids == net.nodes
-        np.testing.assert_array_equal(full, net.shares)
+        o_idx = [net.index_of(node) for node in blocks.o_ids]
+        ids = blocks.p_ids + blocks.o_ids
+        full = np.block([[blocks.o_pp, blocks.o_po],
+                         [blocks.o_op, net.shares[np.ix_(o_idx, o_idx)]]])
+        order = np.argsort(np.asarray(ids, dtype=object))
+        assert tuple(ids[k] for k in order) == net.nodes
+        np.testing.assert_array_equal(full[np.ix_(order, order)], net.shares)
 
-    def test_o_oo_sliced_on_first_read(self, rng):
+    def test_o_op_sliced_on_first_read(self, rng):
         n = 9
         net = cbv.OwnershipNetwork([f"n{k}" for k in range(n)],
                                    rng.uniform(0, 0.2, size=(n, n)))
         blocks = cbv.partition(net, cbv.Perimeter({"n1", "n4", "n8"}))
-        assert "array" not in vars(blocks.held("o_oo"))
+        assert "array" not in vars(blocks.held("o_op"))
         o_idx = [net.index_of(node) for node in blocks.o_ids]
-        np.testing.assert_array_equal(blocks.o_oo, net.shares[np.ix_(o_idx, o_idx)])
-        assert blocks.o_oo is blocks.o_oo
-        ids, full = assemble(cbv.partition(net, cbv.Perimeter({"n0", "n2"})))
-        assert ids == net.nodes
-        np.testing.assert_array_equal(full, net.shares)
+        p_idx = [net.index_of(node) for node in blocks.p_ids]
+        np.testing.assert_array_equal(blocks.o_op, net.shares[np.ix_(o_idx, p_idx)])
+        assert blocks.o_op is blocks.o_op
 
 
 class TestValidateNetwork:

@@ -422,7 +422,7 @@ def test_partition_and_from_network_match_the_reference(data):
         return
     blocks = cbv.partition(net, perimeter)
     assert (blocks.p_ids, blocks.o_ids) == (want_blocks.p_ids, want_blocks.o_ids)
-    for name in ("o_pp", "o_po", "o_op", "o_oo"):
+    for name in ("o_pp", "o_po", "o_op"):
         assert same_edges(blocks.held(name), want_blocks.held(name)), name
 
     try:
@@ -578,7 +578,7 @@ def test_replace_passes_held_edges_on(tmp_path):
     for owner, change, names in (
             (stats, {"b_p": 2 * stats.b_p}, ("o_po", "o_op", "o_pp")),
             (pkg, {"b_p": 2 * pkg.b_p}, ("o_po", "o_op", "o_pp")),
-            (blocks, {"p_ids": ("x", "y")}, ("o_pp", "o_po", "o_op", "o_oo"))):
+            (blocks, {"p_ids": ("x", "y")}, ("o_pp", "o_po", "o_op"))):
         copy = owner.replace(**change)
         for name in names:
             assert copy.held(name) is owner.held(name), name
