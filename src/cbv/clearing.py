@@ -16,12 +16,22 @@ synchronously; a node short of a class pays its creditors pro rata to the
 liability row.
 
 A problem stores each class of liabilities as a copy of its held edges
-(`network._HeldEdges`), with the gross dues summed once from the matrices
-given, and builds on its first `clear` one inflow operator: the classes'
-held edges laid side by side, as a scipy CSR matrix, whose matvec is about
-three times faster than a `bincount` over the same edges.  Both selections
-sweep with that operator, so a sweep costs O(nnz) in the liabilities, not
-O(classes * n^2), and the net boundary flows are priced from the held edges.
+(`network._HeldEdges`) and sums each class's gross dues from them, one
+`bincount` over their rows, so no dense liability matrix is built.
+
+Cost.  On its first `clear` a problem builds one inflow operator: the
+classes' held edges laid side by side, each column divided by its payer's
+due, as a scipy CSR matrix whose matvec is about three times faster than a
+`bincount` over the same edges.  Its entry (i, k * n + j) is
+L^k[j, i] / D^k_j, so it takes payments, not payout ratios, to inflows.
+`clear` computes resources less senior dues and gamma * D once, so a sweep
+is that one matvec, m - 1 in-place row adds for the classes' running sum of
+default costs, and a clip in place: O(nnz) in the liabilities, not
+O(classes * n^2), with no payout ratio and no array allocated but the
+matvec's result.  On the benchmark's 800-node, two-class problem (51,200
+edges) a sweep, its residual included, measured about 49 us on one x86-64
+core, about 33 us of it the matvec.  Both selections reuse the operator,
+and the net boundary flows are priced from the held edges.
 """
 
 from __future__ import annotations
@@ -64,17 +74,19 @@ class ClearingProblem(_HeldBlocks):
             raise DomainError("at least one liability class is required")
         held, dues = [], []
         for k, mat in enumerate(self.held("liabilities")):
-            # held edges that `replace` passes on are summed dense, as given
-            mat = mat.array if isinstance(mat, _HeldEdges) else np.asarray(mat, dtype=float)
+            # held edges that `replace` passes on are checked and kept as they are
+            if not isinstance(mat, _HeldEdges):
+                mat = np.asarray(mat, dtype=float)
             if mat.shape != (n, n):
                 raise DimensionError(f"class {k + 1} liabilities must be {n}x{n}")
-            edges = _HeldEdges.of_bits(mat)  # every entry but +0.0, which is valid
+            # every entry but +0.0, which is valid
+            edges = mat if isinstance(mat, _HeldEdges) else _HeldEdges.of_bits(mat)
             if not ((edges.vals >= 0) & (edges.vals < np.inf)).all():  # NaN fails both
                 raise DomainError("liabilities must be finite and nonnegative")
             held.append(edges)
-            dues.append(mat.sum(axis=1))
+            dues.append(np.bincount(edges.rows, edges.vals, minlength=n))
         object.__setattr__(self, "liabilities", tuple(held))
-        dues = np.stack(dues)
+        dues = np.stack(dues, dtype=float)  # a class with no edges sums to int zeros
         dues.setflags(write=False)
         object.__setattr__(self, "gross_dues", dues)
         resources = np.asarray(self.resources, dtype=float).reshape(-1)
@@ -106,10 +118,15 @@ class ClearingProblem(_HeldBlocks):
 
     @cached_property
     def _inflow_csr(self):
-        """`_inflow` as the scipy CSR matrix the sweeps multiply by."""
+        """`_inflow` with column k * n + j divided by the due D^k_j, as the
+        scipy CSR matrix the sweeps multiply payments by.  Every held edge's
+        payer owes a positive due, so no column divides by 0, and a column
+        whose payer owes nothing holds no entry."""
         from scipy.sparse import csr_array
 
         edges = _inflow(self)
+        # in place: `_inflow`'s values are its own, so no second copy of them is held
+        np.divide(edges.vals, self.gross_dues.ravel()[edges.cols], out=edges.vals)
         return csr_array((edges.vals, (edges.rows, edges.cols)), shape=edges.shape)
 
 
@@ -125,8 +142,8 @@ class ClearingOutcome:
     selection: str
 
 
-def _payout_ratios(payments: np.ndarray, dues: np.ndarray, owes: np.ndarray) -> np.ndarray:
-    return np.divide(payments, dues, out=np.ones_like(payments), where=owes)
+def _payout_ratios(payments: np.ndarray, dues: np.ndarray) -> np.ndarray:
+    return np.divide(payments, dues, out=np.ones_like(payments), where=dues > 0.0)
 
 
 def _inflow(problem: ClearingProblem) -> _HeldEdges:
@@ -140,20 +157,25 @@ def _inflow(problem: ClearingProblem) -> _HeldEdges:
 
 
 def _payment_map(
-    problem: ClearingProblem,
     inflow,
     payments: np.ndarray,
+    headroom: np.ndarray,
+    gamma: np.ndarray,
+    charged: np.ndarray,
     dues: np.ndarray,
-    owes: np.ndarray,
-    senior_dues: np.ndarray,
+    out: np.ndarray,
 ) -> np.ndarray:
-    """One synchronous sweep.  `inflow` is the `_inflow` operator; `owes` is
-    dues > 0 and `senior_dues` the dues of the classes senior to each class."""
-    theta = _payout_ratios(payments, dues, owes)
-    # payments are pro rata: node j sends theta_j * L[j, i] to creditor i
-    inflows = problem.resources + inflow @ theta.ravel()
-    cumulative_costs = np.cumsum(problem.default_costs * (dues - payments), axis=0)
-    return np.clip(inflows - cumulative_costs - senior_dues, 0.0, dues)
+    """One synchronous sweep, written into `out`.  `inflow` is the problem's
+    `_inflow_csr`, `headroom` the resources less the dues of the classes
+    senior to each class, and `charged` gamma * dues."""
+    np.multiply(gamma, payments, out=out)
+    np.subtract(charged, out, out=out)  # each class's default cost, gamma * (D - p)
+    for k in range(1, len(out)):
+        out[k] += out[k - 1]  # and those of the classes senior to it
+    np.subtract(headroom, out, out=out)
+    # payments are pro rata: node j sends p^k_j * L^k[j, i] / D^k_j to creditor i
+    out += inflow @ payments.ravel()
+    return np.clip(out, 0.0, dues, out=out)
 
 
 def clear(
@@ -172,20 +194,22 @@ def clear(
     if selection not in ("greatest", "least"):
         raise DomainError(f"selection must be greatest or least, got {selection!r}")
     _check_solver_limits(eps, max_iters)
-    inflow, dues = problem._inflow_csr, problem.gross_dues
-    owes = dues > 0.0
-    senior_dues = np.cumsum(dues, axis=0) - dues
+    inflow, dues, gamma = problem._inflow_csr, problem.gross_dues, problem.default_costs
+    headroom = problem.resources - (np.cumsum(dues, axis=0) - dues)
+    charged = gamma * dues
     payments = dues.copy() if selection == "greatest" else np.zeros_like(dues)
+    updated, change = np.empty_like(dues), np.empty_like(dues)
     residual = float("inf")
     for sweep in range(1, max_iters + 1):
-        updated = _payment_map(problem, inflow, payments, dues, owes, senior_dues)
-        residual = float(np.abs(updated - payments).max()) if dues.size else 0.0
-        payments = updated
+        _payment_map(inflow, payments, headroom, gamma, charged, dues, out=updated)
+        np.subtract(updated, payments, out=change)
+        residual = float(np.abs(change, out=change).max()) if dues.size else 0.0
+        payments, updated = updated, payments
         if residual < eps:
             return ClearingOutcome(
                 node_ids=problem.node_ids,
                 payments=payments,
-                payout_ratios=_payout_ratios(payments, dues, owes),
+                payout_ratios=_payout_ratios(payments, dues),
                 iterations=sweep,
                 residual=residual,
                 selection=selection,

@@ -84,7 +84,8 @@ def build_parser() -> _Parser:
     p_compute.add_argument("--package", required=True)
     p_compute.add_argument("--pov", default=None)
     p_compute.add_argument("--regime", choices=["A", "B"], default=None)
-    p_compute.add_argument("-o", "--output", default=None)
+    # the working directory, not the package: the package is what was audited
+    p_compute.add_argument("-o", "--output", default="cut_summary.json")
     p_compute.add_argument("--format", choices=["json", "table"], default="table")
     p_compute.add_argument("--band-noise", type=float, default=None,
                            help="uniform noise amplitude for an uncertainty band")
@@ -171,7 +172,7 @@ def _cmd_compute(args) -> int:
             draws=args.band_draws, seed=args.band_seed,
         )
     doc = build_cut_summary(result, priced, observer)
-    out = Path(args.output) if args.output else Path(args.package) / "cut_summary.json"
+    out = Path(args.output)
     out.write_bytes(doc.to_json_bytes())
     if args.format == "json":
         payload = {

@@ -35,23 +35,34 @@ def ring_problem() -> cbv.ClearingProblem:
     )
 
 
-def two_class_problem(n: int, gamma: float, zero_class, seed: int) -> cbv.ClearingProblem:
-    """Seeded sparse two-class network in default: node n0 owes nothing and,
-    when zero_class is 0 or 1, that class holds no liabilities at all."""
+def seniority_problem(n: int, gamma: float, zero_class, seed: int,
+                      classes: int = 2) -> cbv.ClearingProblem:
+    """Seeded sparse network of `classes` seniority classes in default: node
+    n0 owes nothing and, when zero_class names a class, that class holds no
+    liabilities at all."""
     rng = np.random.default_rng(seed)
-    classes = []
-    for k in range(2):
+    blocks = []
+    for k in range(classes):
         mat = rng.lognormal(2.0, 0.5, size=(n, n)) * (rng.random((n, n)) < 0.08)
         np.fill_diagonal(mat, 0.0)
         mat[0] = 0.0
-        classes.append(np.zeros((n, n)) if k == zero_class else mat)
-    dues = sum(mat.sum(axis=1) for mat in classes)
+        blocks.append(np.zeros((n, n)) if k == zero_class else mat)
+    dues = sum(mat.sum(axis=1) for mat in blocks)
     return cbv.ClearingProblem(
         node_ids=tuple(f"n{k}" for k in range(n)),
-        liabilities=tuple(classes),
+        liabilities=tuple(blocks),
         resources=0.3 * dues * rng.uniform(0.5, 1.5, size=n),
-        default_costs=np.full((2, n), gamma),
+        default_costs=np.full((classes, n), gamma),
     )
+
+
+def swept(problem, selection: str, sweeps: int) -> np.ndarray:
+    """The payments `clear` holds after `sweeps` sweeps, or where it stopped
+    sooner."""
+    try:
+        return cbv.clear(problem, selection, max_iters=sweeps).payments
+    except ConvergenceError as err:
+        return err.last_iterate
 
 
 def brute_force_fixed_points(problem, grids, tol):
@@ -189,32 +200,44 @@ class TestClear:
     @pytest.mark.parametrize("gamma", [0.0, 0.1])
     @pytest.mark.parametrize("zero_class", [None, 0, 1])
     def test_sparse_sweeps_match_dense_picard(self, n, gamma, zero_class):
-        problem = two_class_problem(n, gamma, zero_class, seed=n + 7)
-        dues = problem.gross_dues
-        owes = dues > 0
-        scale = float(dues.max())
-        assert not owes[:, 0].any()
-        outcomes = {}
-        for selection in ("greatest", "least"):
-            outcome = cbv.clear(problem, selection=selection)
-            np.testing.assert_allclose(outcome.payments, picard_clear(problem, selection),
-                                       rtol=1e-9, atol=1e-9 * scale)
-            gap = np.abs(iterate_once(problem, outcome.payments) - outcome.payments).max()
-            assert gap <= 1e-9 * scale
-            # payout ratios are exactly p / dues, and 1 where nothing is owed
-            np.testing.assert_array_equal(outcome.payout_ratios[owes],
-                                          outcome.payments[owes] / dues[owes])
-            assert (outcome.payout_ratios[~owes] == 1.0).all()
-            outcomes[selection] = outcome
-        assert (outcomes["least"].payments <= outcomes["greatest"].payments + 1e-9 * scale).all()
-        assert (outcomes["greatest"].payout_ratios < 1.0).any(), "no node defaulted"
+        # two classes, and three, so the running sum of default costs adds
+        # more than one row
+        for classes in (2, 3):
+            problem = seniority_problem(n, gamma, zero_class, seed=n + 7, classes=classes)
+            dues = problem.gross_dues
+            owes = dues > 0
+            scale = float(dues.max())
+            assert not owes[:, 0].any()
+            outcomes = {}
+            for selection in ("greatest", "least"):
+                outcome = cbv.clear(problem, selection=selection)
+                np.testing.assert_allclose(outcome.payments, picard_clear(problem, selection),
+                                           rtol=1e-9, atol=1e-9 * scale)
+                gap = np.abs(iterate_once(problem, outcome.payments) - outcome.payments).max()
+                assert gap <= 1e-9 * scale
+                # payout ratios are exactly p / dues, and 1 where nothing is owed
+                np.testing.assert_array_equal(outcome.payout_ratios[owes],
+                                              outcome.payments[owes] / dues[owes])
+                assert (outcome.payout_ratios[~owes] == 1.0).all()
+                outcomes[selection] = outcome
+            assert (outcomes["least"].payments
+                    <= outcomes["greatest"].payments + 1e-9 * scale).all()
+            assert (outcomes["greatest"].payout_ratios < 1.0).any(), "no node defaulted"
+            # the map itself, sweep by sweep: a junior class is charged the
+            # default costs of every class senior to it, which the fixed
+            # points seldom show
+            for selection, expected in (("greatest", dues), ("least", np.zeros_like(dues))):
+                for sweeps in range(1, 6):
+                    expected = iterate_once(problem, expected)
+                    np.testing.assert_allclose(swept(problem, selection, sweeps), expected,
+                                               rtol=1e-9, atol=1e-9 * scale)
 
     def test_clears_reuse_the_problems_dues_and_operator(self, monkeypatch):
         # one scan of the liabilities per problem, whichever selections run;
         # each outcome is the one a fresh problem gives, bit for bit
-        fresh = {selection: cbv.clear(two_class_problem(200, 0.1, None, seed=207), selection)
+        fresh = {selection: cbv.clear(seniority_problem(200, 0.1, None, seed=207), selection)
                  for selection in ("greatest", "least")}
-        problem = two_class_problem(200, 0.1, None, seed=207)
+        problem = seniority_problem(200, 0.1, None, seed=207)
         built = []
         inflow = cbv.clearing._inflow
         monkeypatch.setattr(cbv.clearing, "_inflow", lambda p: built.append(p) or inflow(p))
@@ -227,6 +250,21 @@ class TestClear:
         assert built == [problem]
         assert problem.gross_dues is problem.gross_dues
         assert not problem.gross_dues.flags.writeable
+
+    def test_replace_sums_the_held_edges_it_passes_on(self):
+        # a class passed on as held edges is checked and summed as it is
+        # stored: no dense view is built, and the dues keep their bits
+        problem = seniority_problem(60, 0.1, None, seed=67)
+        resources = 2.0 * problem.resources
+        changed = problem.replace(resources=resources)
+        assert not any("array" in vars(held) for held in problem.held("liabilities"))
+        assert changed.held("liabilities") == problem.held("liabilities")
+        np.testing.assert_array_equal(changed.gross_dues.view(np.uint64),
+                                      problem.gross_dues.view(np.uint64))
+        fresh = cbv.ClearingProblem(problem.node_ids, problem.liabilities, resources,
+                                    problem.default_costs)
+        np.testing.assert_array_equal(cbv.clear(changed).payments.view(np.uint64),
+                                      cbv.clear(fresh).payments.view(np.uint64))
 
     def test_liabilities_are_read_only_copies(self):
         liabilities = np.zeros((3, 3))

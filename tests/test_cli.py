@@ -43,6 +43,17 @@ BAD_MANIFESTS = [
 ]
 
 
+@pytest.fixture(autouse=True)
+def in_tmp_path(tmp_path, monkeypatch):
+    """Run each command from the test's own directory, where `cbv compute`
+    without -o writes its cut summary."""
+    monkeypatch.chdir(tmp_path)
+
+
+def package_files(pkg) -> dict:
+    return {path.relative_to(pkg): path.read_bytes() for path in pkg.rglob("*")}
+
+
 def build_package(tmp_path, name="pkg", kappa=None, b_scale=1.0, regime="B",
                   tolerances=None):
     stats = example_stats(with_v_p=(regime == "A"))
@@ -214,26 +225,39 @@ class TestComputeCommand:
                      ["fisher", "--prev", str(good), "--curr", str(pkg)]):
             assert main(argv) == EXIT_COMPUTE
             assert f"error [PackageError]: {name}: {cell}" in capsys.readouterr().err
-        assert not (pkg / "cut_summary.json").exists()
+        assert not Path("cut_summary.json").exists()
         assert main(["report", "--package", str(pkg), "--no-compute"]) == EXIT_OK
 
     def test_writes_cut_summary_with_library_numbers(self, tmp_path, capsys):
         pkg = build_package(tmp_path)
-        assert main(["compute", "--package", str(pkg), "--format", "json"]) == EXIT_OK
+        summary = tmp_path / "summary.json"
+        assert main(["compute", "--package", str(pkg), "--format", "json",
+                     "-o", str(summary)]) == EXIT_OK
         payload = json.loads(capsys.readouterr().out)
         expected = cbv.evaluate_regime_b(example_stats(with_v_p=False)).w
         assert payload["consolidated_value"] == expected
-        doc = cbv.CutSummaryDoc.from_json_bytes(
-            (pkg / "cut_summary.json").read_bytes()
-        )
+        doc = cbv.CutSummaryDoc.from_json_bytes(summary.read_bytes())
         assert doc.consolidated_value == expected
 
     def test_idempotent_output_bytes(self, tmp_path):
         pkg = build_package(tmp_path)
-        assert main(["compute", "--package", str(pkg)]) == EXIT_OK
-        first = (pkg / "cut_summary.json").read_bytes()
-        assert main(["compute", "--package", str(pkg)]) == EXIT_OK
-        assert (pkg / "cut_summary.json").read_bytes() == first
+        summary = tmp_path / "summary.json"
+        assert main(["compute", "--package", str(pkg), "-o", str(summary)]) == EXIT_OK
+        first = summary.read_bytes()
+        assert main(["compute", "--package", str(pkg), "-o", str(summary)]) == EXIT_OK
+        assert summary.read_bytes() == first
+
+    def test_default_output_leaves_the_package_as_audited(self, tmp_path, capsys):
+        # without -o the cut summary goes to the working directory: the
+        # package keeps the files, and the bytes, its manifest hashed
+        pkg = build_package(tmp_path)
+        before = package_files(pkg)
+        assert main(["compute", "--package", str(pkg), "--format", "json"]) == EXIT_OK
+        payload = json.loads(capsys.readouterr().out)
+        assert package_files(pkg) == before
+        assert payload["output"] == "cut_summary.json"
+        doc = cbv.CutSummaryDoc.from_json_bytes((tmp_path / "cut_summary.json").read_bytes())
+        assert doc.consolidated_value == payload["consolidated_value"]
 
     def test_pov_override(self, tmp_path, capsys):
         pkg = build_package(tmp_path)
@@ -253,11 +277,12 @@ class TestComputeCommand:
 
     def test_fx_scaled_cut_summary_and_band_are_priced(self, tmp_path, capsys):
         pkg = build_package(tmp_path, kappa=1.07)
+        summary = tmp_path / "summary.json"
         assert main(["compute", "--package", str(pkg), "--format", "json",
                      "--band-noise", "0.01", "--band-draws", "20",
-                     "--band-seed", "7"]) == EXIT_OK
+                     "--band-seed", "7", "-o", str(summary)]) == EXIT_OK
         payload = json.loads(capsys.readouterr().out)
-        doc = cbv.CutSummaryDoc.from_json_bytes((pkg / "cut_summary.json").read_bytes())
+        doc = cbv.CutSummaryDoc.from_json_bytes(summary.read_bytes())
         edges_out = sum(e.amount for e in doc.edges_po)
         edges_in = sum(e.amount for e in doc.edges_op)
         assert edges_out == pytest.approx(payload["T_out"], rel=1e-9)
@@ -304,11 +329,13 @@ class TestComputeCommand:
 
         expected = cbv.evaluate_for_observer(stats, observer).w
         runs = []
+        summary = tmp_path / "summary.json"
         for extra in ([], ["--pov", str(pkg / "pov.json")]):
-            argv = ["compute", "--package", str(pkg), "--format", "json", *extra]
+            argv = ["compute", "--package", str(pkg), "--format", "json", "-o", str(summary),
+                    *extra]
             assert main(argv) == EXIT_OK
             payload = json.loads(capsys.readouterr().out)
-            runs.append((payload["consolidated_value"], (pkg / "cut_summary.json").read_bytes()))
+            runs.append((payload["consolidated_value"], summary.read_bytes()))
         assert runs[0] == runs[1]
         assert runs[0][0] == expected
 
@@ -331,7 +358,7 @@ class TestComputeCommand:
         assert code == EXIT_COMPUTE
         err = capsys.readouterr().err
         assert "StabilityError" in err and "no certified bound" in err
-        assert not (tmp_path / "cycle" / "cut_summary.json").exists()
+        assert not Path("cut_summary.json").exists()
 
     @pytest.mark.parametrize("pov", BAD_POVS)
     def test_malformed_pov_is_compute_error(self, tmp_path, capsys, pov):
@@ -363,7 +390,7 @@ class TestComputeCommand:
                      "--method", "neumann"]) == EXIT_COMPUTE
         err = capsys.readouterr().err.splitlines()
         assert err == [f"error [DomainError]: eps must be finite and > 0, got {float(eps)!r}"]
-        assert not (pkg / "cut_summary.json").exists()
+        assert not Path("cut_summary.json").exists()
 
     @pytest.mark.parametrize("block, field", [("fx_ppp", "scale"), ("sdf", "discount_weights"),
                                               ("sdf", "change_of_measure")])
@@ -382,7 +409,7 @@ class TestComputeCommand:
         assert len(err) == 1 and err[0].startswith(
             "error [PackageError]: PoV field fails the observer's checks"), err
         assert "must be finite" in err[0]
-        assert not (pkg / "cut_summary.json").exists()
+        assert not Path("cut_summary.json").exists()
 
     @pytest.mark.parametrize("flag", ["--damping", "--regularization"])
     @pytest.mark.parametrize("command", ["compute", "fisher", "report"])
@@ -393,7 +420,7 @@ class TestComputeCommand:
         packages = ["--prev", pkg, "--curr", pkg] if command == "fisher" else ["--package", pkg]
         assert main([command, *packages, flag, "0.5"]) == EXIT_USAGE
         assert "unrecognized arguments" in capsys.readouterr().err
-        assert not (Path(pkg) / "cut_summary.json").exists()
+        assert not Path("cut_summary.json").exists()
 
     def test_regime_a_package_with_observed_values(self, tmp_path, capsys):
         # the worked example with observed internal values carried in the

@@ -427,6 +427,8 @@ def test_import_loads_no_scipy(tmp_path):
     for case in cases:
         code = (f"import sys\n{case}\n"
                 "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+        # from tmp_path, where `cbv compute` writes its cut summary
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                             env={**os.environ, "PYTHONPATH": str(src)}, check=True).stdout
+                             env={**os.environ, "PYTHONPATH": str(src)}, cwd=tmp_path,
+                             check=True).stdout
         assert out.strip().splitlines()[-1] == "[]", case
