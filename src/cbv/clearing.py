@@ -16,8 +16,8 @@ synchronously; a node short of a class pays its creditors pro rata to the
 liability row.
 
 A problem stores each class of liabilities as a copy of its held edges
-(`network._HeldEdges`) and sums each class's gross dues from them, one
-`bincount` over their rows, so no dense liability matrix is built.
+(`network._HeldEdges`) and sums each class's gross dues from them, the
+column sums of their transpose, so no dense liability matrix is built.
 
 Cost.  On its first `clear` a problem builds one inflow operator: the
 classes' held edges laid side by side, each column divided by its payer's
@@ -84,9 +84,9 @@ class ClearingProblem(_HeldBlocks):
             if not ((edges.vals >= 0) & (edges.vals < np.inf)).all():  # NaN fails both
                 raise DomainError("liabilities must be finite and nonnegative")
             held.append(edges)
-            dues.append(np.bincount(edges.rows, edges.vals, minlength=n))
+            dues.append(edges.T.col_sums())
         object.__setattr__(self, "liabilities", tuple(held))
-        dues = np.stack(dues, dtype=float)  # a class with no edges sums to int zeros
+        dues = np.stack(dues)
         dues.setflags(write=False)
         object.__setattr__(self, "gross_dues", dues)
         resources = np.asarray(self.resources, dtype=float).reshape(-1)

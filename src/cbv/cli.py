@@ -18,7 +18,7 @@ import numpy as np
 from . import __version__
 from .clearing import ClearingProblem, clear, net_boundary_flows
 from .control import build_control
-from .engine import SOLVER_METHODS, SolverConfig, evaluate_for_observer, scale_units
+from .engine import SOLVER_METHODS, SolverConfig, evaluate_for_observer
 from .errors import CbvError, DomainError, MembershipError
 from .fisher import cross_priced_quad, fisher_indices
 from .network import Perimeter
@@ -159,19 +159,16 @@ def _cmd_compute(args) -> int:
         raise UsageError("Monte Carlo bands need an explicit --band-seed")
     pkg = load_package(args.package)
     observer = _load_observer(args, pkg)
-    stats = pkg.cut_statistics()
     # resolved here too: the band solves outside evaluate_for_observer
     cfg = _solver_config(args).resolved(observer.tolerances)
-    result = evaluate_for_observer(stats, observer, cfg)
-    # the cut summary and the band report priced amounts, like W
-    priced = scale_units(observer.pricing_scale, stats)
+    result = evaluate_for_observer(pkg.cut_statistics(), observer, cfg)
     band = None
-    if band_requested:
+    if band_requested:  # on the statistics W priced
         band = monte_carlo_band(
-            priced, cfg, noise=args.band_noise or 0.0,
+            result.stats, cfg, noise=args.band_noise or 0.0,
             draws=args.band_draws, seed=args.band_seed,
         )
-    doc = build_cut_summary(result, priced, observer)
+    doc = build_cut_summary(result, observer)
     out = Path(args.output)
     out.write_bytes(doc.to_json_bytes())
     if args.format == "json":

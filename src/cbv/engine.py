@@ -38,7 +38,8 @@ residual costs O(nnz + n_P), and the direct method's one dense LU builds
 I - O_PP from them; the gate certifies O_PP, the operator every method runs.
 Pricing the cut has one primitive, `cut_edges`, one amount per nonzero
 boundary edge in row-major order: T_out, T_in, the meta-node leakage and each
-band probe are sums of its amounts, and a cut summary lists them.
+band probe are sums of its amounts.  A `ValuationResult` keeps the edges its
+totals sum and the statistics it priced, and a cut summary lists its edges.
 
 The stability gate reads the held edges of whatever block it is given: one
 pass of row and column sums when a norm of O_PP certifies rho < 1, and
@@ -352,13 +353,18 @@ class SolverLog:
 
 @dataclass(frozen=True)
 class ValuationResult:
-    """W plus the three boundary terms it decomposes into."""
+    """W, its three boundary terms, and the cut they price: `stats`, the
+    statistics priced (after the observer's scale, with the v_P the cut
+    used), and each side's edges, (rows, cols, amounts) as `cut_edges` kept
+    them at the rounding threshold, which T_out and T_in sum."""
 
     w: float
     base_total: float
     t_out: float
     t_in: float
-    v_p_used: np.ndarray | None
+    stats: CutStatistics
+    edges_out: tuple[np.ndarray, np.ndarray, np.ndarray]
+    edges_in: tuple[np.ndarray, np.ndarray, np.ndarray]
     solver_log: SolverLog
 
 
@@ -370,33 +376,29 @@ def cut_edges(share_block, values, amounts, tau):
     nonzero entry of an amount block (used when given); a block is a 2-D
     array or held edges, whose held -0.0 is not an edge.  Edges with
     |amount| < tau are dropped and counted; any other edge, a NaN-priced one
-    included, is kept.  Edges come in row-major order, and the cost follows
-    the held entries, not the cells of the block.
+    included, is kept.  Edges come in row-major order, in read-only arrays
+    (the block's own where they can be), and the cost follows the held
+    entries, not the cells of the block.
     """
     if amounts is None and share_block is None:
-        empty = np.zeros(0, dtype=np.intp)
-        return empty, empty, np.zeros(0), 0
-    edges = _HeldEdges.of(share_block if amounts is None else amounts).edges()
-    rows, cols, priced = edges.rows, edges.cols, edges.vals
-    if amounts is None:
-        priced = priced * values[cols]
-    if not tau > 0.0:  # no amount is below it; the block's own arrays come back read-only
-        return (*map(_read_only, (rows, cols, priced)), 0)
-    keep = ~(np.abs(priced) < tau)
-    return rows[keep], cols[keep], priced[keep], int(keep.size - np.count_nonzero(keep))
+        rows, cols, priced = np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp), np.zeros(0)
+    else:
+        edges = _HeldEdges.of(share_block if amounts is None else amounts).edges()
+        rows, cols, priced = edges.rows, edges.cols, edges.vals
+        if amounts is None:
+            priced = priced * values[cols]
+    dropped = 0
+    if tau > 0.0:  # otherwise no amount is below it
+        keep = ~(np.abs(priced) < tau)
+        rows, cols, priced = rows[keep], cols[keep], priced[keep]
+        dropped = int(keep.size - np.count_nonzero(keep))
+    return (*map(_read_only, (rows, cols, priced)), dropped)
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
     view = a.view()
     view.flags.writeable = False
     return view
-
-
-def _priced_edges(share_block, values, amounts, tau):
-    """One side's `cut_edges` at threshold tau summed in their order, as a cut
-    summary lists them, and the number dropped."""
-    _, _, priced, dropped = cut_edges(share_block, values, amounts, tau)
-    return float(priced.sum()), dropped
 
 
 def evaluate_regime_a(
@@ -406,17 +408,14 @@ def evaluate_regime_a(
 
     Cost is one priced amount per boundary edge (`cut_edges`); the internal
     block is never read.  Edge amounts below the rounding threshold are
-    dropped and counted in the log.
+    dropped and counted in the log.  The result keeps the edges it summed.
     """
     held = stats.held
     if held("x_op") is None and held("o_op") is not None and stats.v_p is None:
         raise RegimeError("regime A needs observed v_P to price external minorities")
-    t_out, dropped_out = _priced_edges(
-        held("o_po"), stats.v_o, held("x_po"), rounding_threshold
-    )
-    t_in, dropped_in = _priced_edges(
-        held("o_op"), stats.v_p, held("x_op"), rounding_threshold
-    )
+    *edges_out, dropped_out = cut_edges(held("o_po"), stats.v_o, held("x_po"), rounding_threshold)
+    *edges_in, dropped_in = cut_edges(held("o_op"), stats.v_p, held("x_op"), rounding_threshold)
+    t_out, t_in = float(edges_out[2].sum()), float(edges_in[2].sum())
     base_total = float(stats.b_p.sum())
     log = SolverLog(method="direct-cut", dropped_edges=dropped_out + dropped_in)
     return ValuationResult(
@@ -424,7 +423,9 @@ def evaluate_regime_a(
         base_total=base_total,
         t_out=t_out,
         t_in=t_in,
-        v_p_used=stats.v_p,
+        stats=stats,
+        edges_out=tuple(edges_out),
+        edges_in=tuple(edges_in),
         solver_log=log,
     )
 
@@ -676,7 +677,7 @@ def effective_external_share(
     if stats.held("o_op") is None:
         raise RegimeError("effective external share needs the o_op block")
     result = evaluate_regime_b(stats, cfg)
-    v_p = result.v_p_used
+    v_p = result.stats.v_p
     total = float(v_p.sum())
     omega_eff = result.t_in / total if total != 0.0 else 0.0
     return EffectiveExternalShare(e_ext=result.t_in, omega_eff=omega_eff, v_p=v_p)

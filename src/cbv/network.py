@@ -59,7 +59,8 @@ class _HeldEdges:
     The matvec and the column sums add each row's or column's values in edge
     order, so where the edges come in row-major order they agree bit for bit
     with a CSR product and with a dense block's sum(axis=0); each costs
-    O(nnz + rows), no scipy.
+    O(nnz + rows), no scipy.  Both give float64, also for a block with no
+    edges, where bincount gives int64 zeros.
     """
 
     def __init__(self, shape: tuple[int, int], rows: np.ndarray, cols: np.ndarray,
@@ -155,7 +156,7 @@ class _HeldEdges:
 
     def col_sums(self) -> np.ndarray:
         """Each column's values summed in edge order."""
-        return np.bincount(self.cols, self.vals, minlength=self.shape[1])
+        return np.bincount(self.cols, self.vals, minlength=self.shape[1]).astype(float, copy=False)
 
     def identity_minus(self) -> np.ndarray:
         """I - A, the held edges scattered into one identity: bit for bit dense I - A."""
@@ -164,7 +165,8 @@ class _HeldEdges:
         return system
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
-        return np.bincount(self.rows, self.vals * x[self.cols], minlength=self.shape[0])
+        return np.bincount(self.rows, self.vals * x[self.cols],
+                           minlength=self.shape[0]).astype(float, copy=False)
 
     def merged(self, rows: np.ndarray, cols: np.ndarray) -> tuple["_HeldEdges", np.ndarray]:
         """This square block with the positions (rows, cols) held too, a new one

@@ -44,9 +44,10 @@ D2, rule D4's gate, `cut_statistics` and the disclosure sheet read those held
 edges, so no command builds a dense block.  A 1.1 or v1.0 block is parsed
 dense with numpy's C parser and scanned into held edges once.  Loading reads
 each file once and checks every hash before it parses any file, so the bytes
-hashed are the bytes parsed.  The cut summary lists the priced edges of
-`engine.cut_edges`, whose sums are W's T_out and T_in, so its edges add up,
-in listed order, to the totals it reports.
+hashed are the bytes parsed.  A cut summary renders one valuation result:
+it lists the edges the result priced, whose sums are its T_out and T_in, so
+its edges add up, in listed order, to the totals it reports, and it prices
+nothing again.
 """
 
 from __future__ import annotations
@@ -70,7 +71,6 @@ from .engine import (
     CutStatistics,
     ValuationResult,
     _stability_gate,
-    cut_edges,
     hedge_vector,
     spectral_radius_bound,
 )
@@ -848,61 +848,59 @@ class CutSummaryDoc:
 
     @classmethod
     def from_json_bytes(cls, blob: bytes) -> "CutSummaryDoc":
-        data = json.loads(blob.decode("utf-8"))
+        """The document `blob` holds; anything else is a PackageError."""
+        data = _json_object(blob, "cut summary")
         known = {
             "perimeter", "date", "currency", "edges_PO", "edges_OP",
             "node_primitives", "totals", "consolidated_value",
             "hedge_vector_O", "missing_data",
         }
-        primitives = data.get("node_primitives") or {}
-        return cls(
-            perimeter=data["perimeter"],
-            date=data["date"],
-            currency=data["currency"],
-            edges_po=[Edge(e["from"], e["to"], e["type"], float(e["amount"]))
-                      for e in data.get("edges_PO", [])],
-            edges_op=[Edge(e["from"], e["to"], e["type"], float(e["amount"]))
-                      for e in data.get("edges_OP", [])],
-            v_p={k: float(v) for k, v in (primitives.get("v_P") or {}).items()},
-            v_o={k: float(v) for k, v in (primitives.get("v_O") or {}).items()},
-            t_out=float(data["totals"]["T_out"]),
-            t_in=float(data["totals"]["T_in"]),
-            consolidated_value=float(data["consolidated_value"]),
-            hedge_vector_o=({k: float(v) for k, v in data["hedge_vector_O"].items()}
-                            if "hedge_vector_O" in data else None),
-            missing_data=list(data.get("missing_data", [])),
-            extra={k: v for k, v in data.items() if k not in known},
-        )
+        try:  # absent keys, values of the wrong type or an unknown edge type
+            primitives = data.get("node_primitives") or {}
+            return cls(
+                perimeter=data["perimeter"],
+                date=data["date"],
+                currency=data["currency"],
+                edges_po=[Edge(e["from"], e["to"], e["type"], float(e["amount"]))
+                          for e in data.get("edges_PO", [])],
+                edges_op=[Edge(e["from"], e["to"], e["type"], float(e["amount"]))
+                          for e in data.get("edges_OP", [])],
+                v_p={k: float(v) for k, v in (primitives.get("v_P") or {}).items()},
+                v_o={k: float(v) for k, v in (primitives.get("v_O") or {}).items()},
+                t_out=float(data["totals"]["T_out"]),
+                t_in=float(data["totals"]["T_in"]),
+                consolidated_value=float(data["consolidated_value"]),
+                hedge_vector_o=({k: float(v) for k, v in data["hedge_vector_O"].items()}
+                                if "hedge_vector_O" in data else None),
+                missing_data=list(data.get("missing_data", [])),
+                extra={k: v for k, v in data.items() if k not in known},
+            )
+        except (KeyError, TypeError, ValueError, AttributeError, EmissionError) as exc:
+            raise PackageError(f"not a cut summary: {exc!r}") from None
 
 
-def _edges(share_block, values, amounts, from_ids, to_ids, tau, edge_type):
-    rows, cols, priced, _ = cut_edges(share_block, values, amounts, tau)
+def _edges(edges, from_ids, to_ids, edge_type):
+    rows, cols, amounts = edges
     return [Edge(from_ids[i], to_ids[j], edge_type, amount)
-            for i, j, amount in zip(rows.tolist(), cols.tolist(), priced.tolist())]
+            for i, j, amount in zip(rows.tolist(), cols.tolist(), amounts.tolist())]
 
 
-def build_cut_summary(
-    result: ValuationResult,
-    stats: CutStatistics,
-    observer: Observer,
-    missing_data=(),
-) -> CutSummaryDoc:
-    """Assemble the cut summary for a completed valuation.
+def build_cut_summary(result: ValuationResult, observer: Observer,
+                      missing_data=()) -> CutSummaryDoc:
+    """The cut summary of a completed valuation, under `observer`'s labels.
 
-    The edges are those `cut_edges` keeps at the observer's rounding
-    threshold, the ones the result's totals sum, so the summary costs what
-    the nonzero boundary entries cost and its edges add up, in listed order,
-    to T_out and T_in.
+    It lists the edges the result priced and the statistics it priced them
+    from, so its edges add up, in listed order, to T_out and T_in at
+    whatever threshold the result was priced; it prices nothing itself.
     """
-    tau = observer.tolerances.rounding_threshold
+    stats = result.stats
     flow_type = "debt" if stats.clearing_tag else "cashflow"
-    v_p_used = result.v_p_used
     held = stats.held
-    edges_po = _edges(held("o_po"), stats.v_o, held("x_po"), stats.p_ids, stats.o_ids, tau,
+    edges_po = _edges(result.edges_out, stats.p_ids, stats.o_ids,
                       "equity" if held("x_po") is None else flow_type)
-    edges_op = _edges(held("o_op"), v_p_used, held("x_op"), stats.o_ids, stats.p_ids, tau,
+    edges_op = _edges(result.edges_in, stats.o_ids, stats.p_ids,
                       "equity" if held("x_op") is None else flow_type)
-    v_p = dict(zip(stats.p_ids, v_p_used.tolist())) if v_p_used is not None else {}
+    v_p = dict(zip(stats.p_ids, stats.v_p.tolist())) if stats.v_p is not None else {}
     v_o = dict(zip(stats.o_ids, stats.v_o.tolist())) if stats.v_o is not None else {}
     return CutSummaryDoc(
         perimeter=observer.perimeter_ref,

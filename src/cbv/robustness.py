@@ -33,10 +33,10 @@ from .engine import (
     SolverConfig,
     SpectralBound,
     _boundary_rhs,
-    _priced_edges,
     _solve_internal,
     _solve_shifted,
     _stability_gate,
+    cut_edges,
     spectral_radius_bound,
 )
 from .errors import DomainError, StabilityError
@@ -290,8 +290,8 @@ def monte_carlo_band(
     held, at = held.merged(rows, cols)
 
     rhs = _boundary_rhs(stats)
-    base_out = float(stats.b_p.sum()) + _priced_edges(
-        stats.held("o_po"), stats.v_o, stats.held("x_po"), 0.0)[0]
+    base_out = float(stats.b_p.sum()) + float(
+        cut_edges(stats.held("o_po"), stats.v_o, stats.held("x_po"), 0.0)[2].sum())
 
     def offsets():
         yield np.zeros(at.size)
@@ -314,8 +314,8 @@ def monte_carlo_band(
         if metric == "internal_total":
             values.append(float(v_p.sum()))
         else:
-            values.append(base_out - _priced_edges(
-                stats.held("o_op"), v_p, stats.held("x_op"), 0.0)[0])
+            values.append(base_out - float(
+                cut_edges(stats.held("o_op"), v_p, stats.held("x_op"), 0.0)[2].sum()))
     if not values:
         raise StabilityError("every Monte Carlo probe lost stability")
     return MonteCarloBand(

@@ -51,7 +51,7 @@ def test_criterion_02_worked_example_regime_b():
         result = cbv.evaluate_regime_b(
             stats, cbv.SolverConfig(method=method, eps=1e-12)
         )
-        np.testing.assert_allclose(result.v_p_used, expected_v_p, atol=1e-4)
+        np.testing.assert_allclose(result.stats.v_p, expected_v_p, atol=1e-4)
         assert abs(result.w - 86.5211) <= 1e-4
     direct = cbv.evaluate_regime_b(stats, cbv.SolverConfig(method="direct")).w
     neumann = cbv.evaluate_regime_b(

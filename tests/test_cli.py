@@ -21,6 +21,18 @@ from conftest import (
     v1_0_package,
 )
 
+DATA = Path(__file__).with_name("data")
+# `cbv compute --format json` on the golden 1.2 package: the flags, the pinned
+# cut summary, and the payload printed before the output path
+GOLDEN_COMPUTE = [
+    ([], "cut_summary_v1_2.json",
+     {"consolidated_value": 90.47920000000002, "base_total": 96.30000000000001,
+      "T_out": 10.272000000000002, "T_in": 16.0928}),
+    (["--regime", "B"], "cut_summary_v1_2_regime_B.json",
+     {"consolidated_value": 92.57752404040406, "base_total": 96.30000000000001,
+      "T_out": 10.272000000000002, "T_in": 13.994475959595961}),
+]
+
 # a PoV cut off mid-document, and one whose units fail the observer's check
 BAD_POVS = [b'{"observer": ', b'{"observer": {"units": "euro"}}']
 
@@ -238,6 +250,17 @@ class TestComputeCommand:
         assert payload["consolidated_value"] == expected
         doc = cbv.CutSummaryDoc.from_json_bytes(summary.read_bytes())
         assert doc.consolidated_value == expected
+
+    @pytest.mark.parametrize("flags,golden,payload", GOLDEN_COMPUTE)
+    def test_golden_package_summary_and_payload_are_pinned(self, tmp_path, capsys, flags,
+                                                           golden, payload):
+        # the FX-scaled regime-A summary, and the regime-B one, byte for byte
+        summary = tmp_path / "summary.json"
+        assert main(["compute", "--package", str(DATA / "package_v1_2"), "--format", "json",
+                     "-o", str(summary), *flags]) == EXIT_OK
+        assert summary.read_bytes() == (DATA / golden).read_bytes()
+        printed = json.dumps({**payload, "output": str(summary)}, indent=2) + "\n"
+        assert capsys.readouterr().out == printed
 
     def test_idempotent_output_bytes(self, tmp_path):
         pkg = build_package(tmp_path)

@@ -146,7 +146,7 @@ class TestRegimeA:
         observer = cbv.Observer(perimeter_ref="P", regime="A", date="2025-01-01",
                                 control_rule="IFRS10-control@50",
                                 tolerances=cbv.Tolerances(rounding_threshold=tau))
-        doc = cbv.build_cut_summary(result, stats, observer)
+        doc = cbv.build_cut_summary(result, observer)
         assert [(e.from_id, e.to_id) for e in doc.edges_po if np.isnan(e.amount)] == [
             ("A", "X"), ("B", "X")]
 
@@ -507,7 +507,7 @@ class TestEstimation:
                                 control_rule=cbv.ControlRuleSpec())
         result = cbv.evaluate_for_observer(stats, observer)
         v_p = stats.b_p + stats.o_po @ stats.v_o
-        np.testing.assert_array_equal(result.v_p_used, v_p)
+        np.testing.assert_array_equal(result.stats.v_p, v_p)
         assert result.w == cbv.evaluate_regime_a(stats.with_v_p(v_p), 1e-8).w
         assert result.w == pytest.approx(87.872, abs=1e-12)
 
@@ -607,7 +607,7 @@ class TestAutoMethod:
         assert log.method == "neumann" and not log.warnings
         assert log.rho_bound.certified and log.rho_bound.norm_inf == pytest.approx(0.9)
         assert log.residual < 1e-10
-        np.testing.assert_allclose(neumann.v_p_used, direct.v_p_used,
+        np.testing.assert_allclose(neumann.stats.v_p, direct.stats.v_p,
                                    rtol=0.0, atol=1e-10 / (1.0 - 0.9))
 
     @pytest.mark.parametrize("n, share, max_iters, sweeps",
@@ -706,7 +706,7 @@ class TestAutoMethod:
                    n * c.max() / (1.0 - bound.norm_1) if bound.norm_1 < 1.0 else np.inf]
         rhs = stats.b_p + stats.o_po @ stats.v_o
         unit = np.finfo(float).eps
-        rounding = 16 * (n + 2) * unit * (np.abs(rhs).max() + np.abs(direct.v_p_used).max())
+        rounding = 16 * (n + 2) * unit * (np.abs(rhs).max() + np.abs(direct.stats.v_p).max())
         assert auto.solver_log.residual < eps
         assert abs(auto.w - direct.w) <= min(weights) * (eps + rounding)
 
@@ -759,7 +759,7 @@ class TestRegimeB:
         assert np.signbit(stats.o_po[0, 0])
         result = cbv.evaluate_regime_b(stats, cbv.SolverConfig(method=method))
         observed = cbv.evaluate_regime_a(stats.with_v_p(np.array([2.0])))
-        assert result.v_p_used.tolist() == [2.0]
+        assert result.stats.v_p.tolist() == [2.0]
         assert (result.w, result.t_out, result.t_in) == (observed.w, 1.0, 0.2)
 
 

@@ -533,7 +533,7 @@ class TestCutSummary:
     def test_worked_example_totals(self, stats_a):
         result = cbv.evaluate_regime_a(stats_a)
         doc = cbv.CutSummaryDoc.from_json_bytes(
-            cbv.build_cut_summary(result, stats_a, demo_observer(regime="A")).to_json_bytes()
+            cbv.build_cut_summary(result, demo_observer(regime="A")).to_json_bytes()
         )
         assert doc.t_out == pytest.approx(9.6, abs=1e-12)
         assert doc.t_in == pytest.approx(15.04, abs=1e-12)
@@ -567,6 +567,17 @@ class TestCutSummary:
         assert list(payload)[:3] == ["perimeter", "date", "currency"]
         again = cbv.CutSummaryDoc.from_json_bytes(blob)
         assert again.to_json_bytes() == blob
+
+    @pytest.mark.parametrize("blob", [
+        b"{}",
+        b"[1]",
+        b"not json",
+        b'{"perimeter": "P", "date": "d", "currency": "EUR", "consolidated_value": 1.0, '
+        b'"totals": {"T_out": "x", "T_in": 0.0}}',
+    ], ids=["no keys", "not an object", "not JSON", "T_out not a number"])
+    def test_what_is_not_a_cut_summary_is_a_package_error(self, blob):
+        with pytest.raises(PackageError, match="cut summary"):
+            cbv.CutSummaryDoc.from_json_bytes(blob)
 
     @settings(max_examples=200, deadline=None)
     @given(st.data())
@@ -638,7 +649,7 @@ class TestCutSummary:
         result = cbv.evaluate_regime_a(stats)
         assert result.w == pytest.approx(55.56, abs=1e-9)
         doc = cbv.CutSummaryDoc.from_json_bytes(
-            cbv.build_cut_summary(result, stats, demo_observer(regime="A")).to_json_bytes()
+            cbv.build_cut_summary(result, demo_observer(regime="A")).to_json_bytes()
         )
         assert doc.edges_po[0].type == "debt"
         assert doc.consolidated_value == pytest.approx(55.56, abs=1e-9)
@@ -647,7 +658,7 @@ class TestCutSummary:
         stats = cbv.CutStatistics(p_ids=("a", "b"), o_ids=(), b_p=[3.0, 4.0])
         result = cbv.evaluate_regime_a(stats)
         doc = cbv.CutSummaryDoc.from_json_bytes(
-            cbv.build_cut_summary(result, stats, demo_observer(regime="A")).to_json_bytes()
+            cbv.build_cut_summary(result, demo_observer(regime="A")).to_json_bytes()
         )
         assert doc.t_out == 0.0
         assert doc.t_in == 0.0
@@ -1323,7 +1334,7 @@ class TestCutEdges:
         stats, tau = cut
         observer = demo_observer(regime="A", tolerances=cbv.Tolerances(rounding_threshold=tau))
         result = cbv.evaluate_regime_a(stats, rounding_threshold=tau)
-        doc = cbv.build_cut_summary(result, stats, observer)
+        doc = cbv.build_cut_summary(result, observer)
         if stats.x_po is not None:
             kind = "debt" if stats.clearing_tag else "cashflow"
             want_po = reference_amount_edges(stats.x_po, stats.p_ids, stats.o_ids, tau, kind)

@@ -178,13 +178,6 @@ def test_every_boundary_total_is_the_sum_of_its_priced_edges(data):
         assert below.solver_log.dropped_edges == 0
         for name in ("w", "t_out", "t_in"):
             assert same_bits(getattr(exact, name), getattr(below, name)), name
-        # the cut summary's edges add up, in listed order, to the totals
-        for tau in (0.0, 1e-3):
-            result = cbv.evaluate_regime_a(stats, tau)
-            doc = cbv.build_cut_summary(result, stats, cbv.Observer(
-                "P", tolerances=cbv.Tolerances(rounding_threshold=tau)))
-            assert same_bits(np.sum([e.amount for e in doc.edges_po]), result.t_out), tau
-            assert same_bits(np.sum([e.amount for e in doc.edges_op]), result.t_in), tau
     # the meta-node leakage is regime B's T_in, the band's nominal probe its W
     try:
         result = cbv.evaluate_regime_b(unobserved)
@@ -198,6 +191,39 @@ def test_every_boundary_total_is_the_sum_of_its_priced_edges(data):
     assert same_bits(band.low, result.w) and same_bits(band.high, result.w)
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_summary_lists_the_edges_its_result_priced(data):
+    # held -0.0 and NaN shares, and NaN values behind columns of zero shares;
+    # the summary is built under an observer of another threshold than the
+    # result was priced at, and its edges add up, in listed order, to the
+    # result's totals all the same
+    shares, amounts, dense, vectors = draw_stats(data, SPECIAL)
+    v_o, v_p = vectors["v_o"].copy(), vectors["v_p"].copy()
+    if data.draw(st.booleans(), label="NaN values behind zero shares"):
+        v_o[~(dense["o_po"] != 0).any(axis=0)] = np.nan
+        v_p[~(dense["o_op"] != 0).any(axis=0)] = np.nan
+    thresholds = st.sampled_from([0.0, 1.0, 5.0]) | st.floats(0.0, 50.0)
+    tau, tau_observer = data.draw(st.lists(thresholds, min_size=2, max_size=2, unique=True),
+                                  label="tau, tau'")
+    observer = cbv.Observer("P", tolerances=cbv.Tolerances(rounding_threshold=tau_observer))
+    for stats in (shares.replace(v_o=v_o, v_p=v_p), amounts):
+        result = cbv.evaluate_regime_a(stats, tau)
+        assert not any(a.flags.writeable for a in (*result.edges_out, *result.edges_in))
+        doc = cbv.build_cut_summary(result, observer)
+        assert same_bits(np.sum([e.amount for e in doc.edges_po]), result.t_out)
+        assert same_bits(np.sum([e.amount for e in doc.edges_op]), result.t_in)
+
+
+def test_an_empty_block_multiplies_and_sums_to_floats():
+    empty = np.zeros(0, dtype=np.intp)
+    block = _HeldEdges((2, 2), empty, empty, np.zeros(0))
+    for out in (block @ np.ones(2), block.col_sums()):
+        assert out.dtype == np.float64
+        out += 0.5  # a float written in place
+        assert out.tolist() == [0.5, 0.5]
+
+
 def test_valuation_reads_no_dense_block():
     network, b, v = sparse_ownership(60, seed=3)
     perimeter = cbv.Perimeter(network.nodes[::3])
@@ -207,7 +233,7 @@ def test_valuation_reads_no_dense_block():
     observer = cbv.Observer(perimeter_ref="P", regime="B", control_rule=cbv.ControlRuleSpec(),
                             tolerances=cbv.Tolerances(rounding_threshold=1e-3))
     result = cbv.evaluate_for_observer(stats, observer)
-    cbv.build_cut_summary(result, stats, observer)
+    cbv.build_cut_summary(result, observer)
     cbv.evaluate_regime_a(observed, rounding_threshold=1e-3)
     cbv.evaluate_regime_b(cbv.scale_units(2.0, stats.restrict(stats.p_ids[1:], stats.o_ids)))
     cbv.effective_external_share(stats)
@@ -221,7 +247,7 @@ def test_valuation_reads_no_dense_block():
         assert "array" not in vars(stats.held(name)), name
         assert "array" not in vars(observed.held(name)), name
     assert "array" not in vars(network._held)  # nor the network's dense matrix
-    assert stats.o_pp is stats.with_v_p(result.v_p_used).o_pp  # built once, then shared
+    assert stats.o_pp is stats.with_v_p(result.stats.v_p).o_pp  # built once, then shared
 
 
 def test_valuation_path_memory_is_o_nnz():
@@ -553,7 +579,7 @@ def test_package_path_reads_no_dense_block(tmp_path):
     assert cbv.validate_package(pkg).ok
     stats = pkg.cut_statistics()
     result = cbv.evaluate_for_observer(stats, pkg.observer)
-    cbv.build_cut_summary(result, cbv.scale_units(pkg.observer.pricing_scale, stats), pkg.observer)
+    cbv.build_cut_summary(result, pkg.observer)
     cbv.render_disclosure_sheet(pkg, result)
     for owner in (pkg, stats):
         for name in ("o_po", "o_op", "o_pp"):
