@@ -122,12 +122,14 @@ class ClearingProblem(_HeldBlocks):
         scipy CSR matrix the sweeps multiply payments by.  Every held edge's
         payer owes a positive due, so no column divides by 0, and a column
         whose payer owes nothing holds no entry."""
-        from scipy.sparse import csr_array
+        from scipy.sparse import csr_array, get_index_dtype
 
         edges = _inflow(self)
         # in place: `_inflow`'s values are its own, so no second copy of them is held
         np.divide(edges.vals, self.gross_dues.ravel()[edges.cols], out=edges.vals)
-        return csr_array((edges.vals, (edges.rows, edges.cols)), shape=edges.shape)
+        index = get_index_dtype(maxval=max(edges.shape))  # int32 halves a sweep's index bytes
+        return csr_array((edges.vals, (edges.rows.astype(index), edges.cols.astype(index))),
+                         shape=edges.shape)
 
 
 @dataclass(frozen=True)

@@ -164,10 +164,9 @@ def _cmd_compute(args) -> int:
     result = evaluate_for_observer(pkg.cut_statistics(), observer, cfg)
     band = None
     if band_requested:  # on the statistics W priced
-        band = monte_carlo_band(
-            result.stats, cfg, noise=args.band_noise or 0.0,
-            draws=args.band_draws, seed=args.band_seed,
-        )
+        band = monte_carlo_band(result.stats, cfg, noise=args.band_noise or 0.0,
+                                draws=args.band_draws, seed=args.band_seed,
+                                rounding_threshold=observer.tolerances.rounding_threshold)
     doc = build_cut_summary(result, observer)
     out = Path(args.output)
     out.write_bytes(doc.to_json_bytes())

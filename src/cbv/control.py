@@ -1,15 +1,15 @@
 """Control matrices from share matrices, and perimeter selection.
 
-Three rule families are supported:
+Each rule reads the share matrix once, into its held entries; only Omega is dense:
 
 * Option A: threshold/majority indicator, optionally closed over ownership
-  chains up to a reachability depth.  Past the O(n^2) threshold test, each
-  chain step is one float product over the nodes that hold a majority edge:
-  O(|R| |C|^2) for R owners and C owned nodes, so a sparse control graph
-  costs what its edges cost, not O(n^3).
+  chains up to a reachability depth.  The majority edges (held shares >= tau)
+  give R owners and C owned nodes, and each chain step is one float product
+  over them, O(|R| |C|^2), so a sparse control graph costs what its edges
+  cost, not O(n^3).
 * Option B: Herfindahl look-through (and the squared variant B'), which
-  dilutes control when ownership of a node is dispersed.  O(n^2) array
-  expressions.
+  dilutes control when ownership of a node is dispersed.  O(nnz) past the
+  scan: the column sums are bincounts over the held entries.
 * Option C: attenuated paths, crediting indirect chains with geometric decay
   through S(I - alpha*S)^-1 = ((I - alpha*S)^-1 - I) / alpha: alpha S's held
   edges pass the engine's stability gate, which names a refused operator
@@ -77,13 +77,13 @@ def _normalize_columns(omega: np.ndarray) -> np.ndarray:
     return np.divide(omega, sums, out=omega, where=sums > 0)
 
 
-def _as_matrix(shares) -> np.ndarray:
-    shares = np.asarray(shares, dtype=float)
-    if shares.ndim != 2 or shares.shape[0] != shares.shape[1]:
+def _held_shares(shares) -> _HeldEdges:
+    held = _HeldEdges.of_bits(shares)
+    if held.shape[0] != held.shape[1]:
         raise DimensionError("share matrix must be square")
-    if not np.isfinite(shares).all():
+    if not np.isfinite(held.vals).all():
         raise DomainError("share matrix holds a non-finite entry")
-    return shares
+    return held
 
 
 def threshold_control(
@@ -103,25 +103,27 @@ def threshold_control(
     block.  The product runs in float so that it goes to BLAS; its entries
     are sums of 0/1 terms, positive exactly when some path exists.
     """
-    shares = _as_matrix(shares)
+    held = _held_shares(shares)
     if not 0.0 < tau <= 1.0:
         raise DomainError(f"tau={tau!r} outside (0, 1]")
-    n = shares.shape[0]
-    direct = shares >= tau
-    rows = np.flatnonzero(direct.any(axis=1))
-    cols = np.flatnonzero(direct.any(axis=0))
-    step = direct[np.ix_(cols, cols)].astype(np.float32)
-    power = direct[np.ix_(rows, cols)]
+    major = held.vals >= tau
+    rows, row_at = np.unique(held.rows[major], return_inverse=True)
+    cols, col_at = np.unique(held.cols[major], return_inverse=True)
+    power = np.zeros((rows.size, cols.size), dtype=bool)
+    power[row_at, col_at] = True
+    in_c = np.isin(rows, cols)  # the R rows that lie in C are the C x C block's rows
+    step = np.zeros((cols.size, cols.size), dtype=np.float32)
+    step[np.searchsorted(cols, rows[in_c])] = power[in_c]
     reach = power.copy()
     for _ in range(2, (depth or 1) + 1):
         power = (power.astype(np.float32) @ step) > 0
         reach |= power
-    omega = np.zeros((n, n))
+    omega = np.zeros(held.shape)
     omega[np.ix_(rows, cols)] = reach
     np.fill_diagonal(omega, 0.0)
     if normalize:
         omega = _normalize_columns(omega)
-    ids = ids or tuple(f"n{k}" for k in range(n))
+    ids = ids or tuple(f"n{k}" for k in range(held.n))
     return ControlMatrix(ids, omega, normalized=normalize)
 
 
@@ -136,18 +138,20 @@ def herfindahl_control(
     sub-unit residual before computing H_j; the pseudo-holder never appears in
     the output.
     """
-    shares = _as_matrix(shares)
+    held = _held_shares(shares)
     variant = OPTION_ALIASES.get(variant, variant)
     if variant not in ("B", "B_prime"):
         raise DomainError(f"unknown Herfindahl variant {variant!r}")
-    squares = shares * shares
+    squares = held.vals * held.vals
+    square_sums = np.bincount(held.cols, squares, minlength=held.n)  # bit for bit sum(axis=0)
     if variant == "B":
-        residual = np.maximum(0.0, 1.0 - shares.sum(axis=0))
-        omega = shares * (squares.sum(axis=0) + residual * residual)
-    else:
-        # s^2 / H_j normalized per column, where H_j cancels
-        omega = _normalize_columns(squares)
-    ids = ids or tuple(f"n{k}" for k in range(shares.shape[0]))
+        residual = np.maximum(0.0, 1.0 - held.col_sums())
+        weights = held.vals * (square_sums + residual * residual)[held.cols]
+    else:  # s^2 / H_j normalized per column, where H_j cancels; a square of 0 stays 0
+        weights = np.divide(squares, square_sums[held.cols], out=squares, where=squares > 0)
+    omega = np.zeros(held.shape)
+    omega[held.rows, held.cols] = weights
+    ids = ids or tuple(f"n{k}" for k in range(held.n))
     return ControlMatrix(ids, omega, normalized=(variant == "B_prime"))
 
 
@@ -158,17 +162,17 @@ def attenuated_control(
     normalize: bool = False,
 ) -> ControlMatrix:
     """Option C: attenuated-path weights S(I - alpha*S)^-1."""
-    shares = _as_matrix(shares)
+    held = _held_shares(shares)
     if not 0.0 < alpha < 1.0:
         raise DomainError(f"alpha={alpha!r} outside (0, 1)")
-    held = _HeldEdges.of(shares).scaled(alpha)
-    _stability_gate(held, f"{float(alpha)!r}*S")
+    scaled = held.edges().scaled(alpha)
+    _stability_gate(scaled, f"{float(alpha)!r}*S")
     # alpha S (I - alpha S)^-1 = (I - alpha S)^-1 - I, so Omega is that over alpha
-    omega = _inverse_minus_identity(held)
+    omega = _inverse_minus_identity(scaled)
     omega /= alpha
     if normalize:
         omega = _normalize_columns(omega)
-    ids = ids or tuple(f"n{k}" for k in range(shares.shape[0]))
+    ids = ids or tuple(f"n{k}" for k in range(held.n))
     return ControlMatrix(ids, np.maximum(omega, 0.0, out=omega), normalized=normalize)
 
 

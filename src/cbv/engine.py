@@ -51,10 +51,10 @@ caller, whatever the solver config, and the refusal names that operator.
 Every dense solve against I - A goes through `_solve_shifted`, which builds
 I - A from held edges, and every caller gates A first: direct regime B and
 the robustness bound, one solve of I - |O_PP| against the ones vector.
-Control Option C needs all of
-(I - A)^-1 - I, which `_inverse_minus_identity` computes by 2x2 block
-elimination in matrix products, about twice as fast as the LU solve with n
-right-hand sides; it pivots across no block, so only a gated A may reach it:
+Control Option C needs all of (I - A)^-1 - I, which `_inverse_minus_identity`
+computes by 2x2 block elimination in matrix products into one output, 2.0-2.6
+times as fast as the LU solve with n right-hand sides at 800-1600 nodes (one
+BLAS thread); it pivots across no block, so only a gated A may reach it:
 rho(|A|) < 1 keeps every block it inverts nonsingular.  In regime B, `auto`
 sweeps the certified operator up to as many times as one LU costs,
 n_P^3 // (LU_SWEEP_RATIO (nnz + n_P)) with LU_SWEEP_RATIO the measured price
@@ -103,9 +103,9 @@ SOLVER_METHODS = ("auto", "direct", "neumann", "iterative_krylov")
 # The top of the range is taken, so a budget that runs out costs at most one LU.
 LU_SWEEP_RATIO = 450
 # The order up to which `_inverse_minus_identity` inverts a block by one LAPACK
-# call rather than by elimination.  Measured with one BLAS thread on gated
-# share blocks of 150-1600 nodes, median of 7: 64 was 1-15% faster than 128,
-# and leaves of 32-160 were within 5% of each other at 800 nodes.
+# call rather than by elimination.  Measured with one BLAS thread on gated share
+# blocks of 200-1600 nodes, median of 7: 64 was the fastest of 32, 64 and 128 at
+# 200, 400 and 1600 nodes, and within 10% of 32 at 800.
 INVERSE_LEAF = 64
 
 
@@ -472,31 +472,35 @@ def _inverse_minus_identity(held: _HeldEdges) -> np.ndarray:
     block is a StabilityError.
     """
     try:
-        return _eliminate(held.array)
+        return _eliminate(held.array, np.empty(held.shape))
     except np.linalg.LinAlgError as exc:
         raise StabilityError(f"I - A is singular: {exc}") from exc
 
 
-def _eliminate(a: np.ndarray) -> np.ndarray:
-    """Y = (I - a)^-1 - I, eliminating the leading half of a.
+def _eliminate(a: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """`out` holding Y = (I - a)^-1 - I, eliminating the leading half of a.
 
     With (I - a11)^-1 = I + Y11, T = a21 (I + Y11) and U = (I + Y11) a12, the
     Schur complement is I - (a22 + T a12), its inverse I + Y22, and
         Y = [[Y11 + X12 T, X12], [(I + Y22) T, Y22]]  with  X12 = U (I + Y22).
     No step subtracts the identity, so Y is as accurate relative to A's
-    powers as an LU solve, however small A is.
+    powers as an LU solve, however small A is.  About 2 n^3 flops; each block
+    is built in place in `out`, the only n x n array made.
     """
     n = a.shape[0]
     if n <= INVERSE_LEAF:
-        return np.linalg.inv(np.eye(n) - a) @ a
+        return np.matmul(np.linalg.inv(np.eye(n) - a), a, out=out)
     k = n // 2
     a12, a21 = a[:k, k:], a[k:, :k]
-    y11 = _eliminate(a[:k, :k])
-    t = a21 + a21 @ y11
-    u = a12 + y11 @ a12
-    y22 = _eliminate(a[k:, k:] + t @ a12)
-    x12 = u + u @ y22
-    return np.block([[y11 + x12 @ t, x12], [t + y22 @ t, y22]])
+    y11, x12, t, y22 = out[:k, :k], out[:k, k:], out[k:, :k], out[k:, k:]
+    _eliminate(a[:k, :k], y11)
+    np.add(a21, np.matmul(a21, y11, out=t), out=t)
+    np.add(a12, np.matmul(y11, a12, out=x12), out=x12)  # U, until X12 = U + U Y22
+    _eliminate(a[k:, k:] + t @ a12, y22)
+    x12 += x12 @ y22
+    y11 += x12 @ t  # before T takes its final value
+    t += y22 @ t
+    return out
 
 
 def _boundary_rhs(stats: CutStatistics) -> np.ndarray:

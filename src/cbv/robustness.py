@@ -257,6 +257,7 @@ def monte_carlo_band(
     seed: int = 0,
     entries: list[tuple[int, int]] | None = None,
     metric: str = "consolidated",
+    rounding_threshold: float = 0.0,
 ) -> MonteCarloBand:
     """Envelope of a Regime-B quantity under uniform noise on O_PP entries.
 
@@ -265,8 +266,8 @@ def monte_carlo_band(
     -noise together); `draws` additional instances perturb each entry
     independently and uniformly.  Probes that lose stability are excluded and
     counted, never silently dropped.  `metric` selects the consolidated value
-    or the total of the estimated internal values, each exactly as
-    `evaluate_regime_b` and `estimate_internal_values` give it on the probe.
+    at `rounding_threshold` or the total of the estimated internal values,
+    exactly as `evaluate_regime_b` and `estimate_internal_values` give them.
     """
     if stats.held("o_pp") is None:
         raise DomainError("monte_carlo_band needs the internal block O_PP")
@@ -291,7 +292,7 @@ def monte_carlo_band(
 
     rhs = _boundary_rhs(stats)
     base_out = float(stats.b_p.sum()) + float(
-        cut_edges(stats.held("o_po"), stats.v_o, stats.held("x_po"), 0.0)[2].sum())
+        cut_edges(stats.held("o_po"), stats.v_o, stats.held("x_po"), rounding_threshold)[2].sum())
 
     def offsets():
         yield np.zeros(at.size)
@@ -314,8 +315,8 @@ def monte_carlo_band(
         if metric == "internal_total":
             values.append(float(v_p.sum()))
         else:
-            values.append(base_out - float(
-                cut_edges(stats.held("o_op"), v_p, stats.held("x_op"), 0.0)[2].sum()))
+            t_in = cut_edges(stats.held("o_op"), v_p, stats.held("x_op"), rounding_threshold)[2]
+            values.append(base_out - float(t_in.sum()))
     if not values:
         raise StabilityError("every Monte Carlo probe lost stability")
     return MonteCarloBand(

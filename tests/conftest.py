@@ -232,6 +232,14 @@ def random_regime_stats(rng, n_p: int, n_o: int, observed: bool = False):
     return stats
 
 
+def tiny_edge_stats() -> cbv.CutStatistics:
+    """A regime-B cut whose two boundary edges, one each way, price at about
+    1e-6: a rounding threshold of 1e-3 drops both."""
+    return cbv.CutStatistics(p_ids=("a", "b"), o_ids=("x",), b_p=[2.0, 5.0], v_o=[1.0],
+                             o_po=[[1e-6], [0.0]], o_op=[[1e-6, 0.0]],
+                             o_pp=[[0.0, 0.2], [0.0, 0.0]])
+
+
 def two_cycle_chain_stats(n: int = 300, cycle: float = 1.0) -> cbv.CutStatistics:
     """A 2-cycle owned at `cycle` plus a 0.999 chain, and one unlinked outside node.
 
@@ -516,6 +524,37 @@ def herfindahl_index(column) -> float:
     col = np.asarray(column, dtype=float)
     residual = max(0.0, 1.0 - col.sum())
     return float(col @ col + residual * residual)
+
+
+def reference_herfindahl(shares, variant) -> np.ndarray:
+    """Option B / B' as dense array expressions over the whole matrix: B
+    scales each share by its column's H_j, sum of squares plus the squared
+    residual; B' divides each square by its column's sum of squares, where
+    that sum is positive."""
+    shares = np.asarray(shares, dtype=float)
+    squares = shares * shares
+    if variant == "B":
+        residual = np.maximum(0.0, 1.0 - shares.sum(axis=0))
+        return shares * (squares.sum(axis=0) + residual * residual)
+    sums = squares.sum(axis=0)
+    return np.divide(squares, sums, out=squares, where=sums > 0)
+
+
+def reference_eliminate(a: np.ndarray) -> np.ndarray:
+    """(I - a)^-1 - I by the 2x2 block elimination `engine._eliminate` runs,
+    written with fresh blocks and np.block: the same products in the same
+    order, so the in-place form must match it bit for bit."""
+    n = a.shape[0]
+    if n <= cbv.engine.INVERSE_LEAF:
+        return np.linalg.inv(np.eye(n) - a) @ a
+    k = n // 2
+    a12, a21 = a[:k, k:], a[k:, :k]
+    y11 = reference_eliminate(a[:k, :k])
+    t = a21 + a21 @ y11
+    u = a12 + y11 @ a12
+    y22 = reference_eliminate(a[k:, k:] + t @ a12)
+    x12 = u + u @ y22
+    return np.block([[y11 + x12 @ t, x12], [t + y22 @ t, y22]])
 
 
 def truncated_attenuated_series(shares, alpha: float, terms: int) -> np.ndarray:

@@ -251,6 +251,24 @@ class TestClear:
         assert problem.gross_dues is problem.gross_dues
         assert not problem.gross_dues.flags.writeable
 
+    def test_inflow_operator_has_int32_indices(self):
+        # int32 indices halve the index bytes a sweep reads; the matvec adds
+        # in the same order, so payments and sweep counts keep their bits
+        from scipy.sparse import csr_array
+
+        problem = seniority_problem(200, 0.1, None, seed=207)
+        op = problem._inflow_csr
+        assert op.indices.dtype == np.int32 and op.indptr.dtype == np.int32
+        wide = seniority_problem(200, 0.1, None, seed=207)
+        wide.__dict__["_inflow_csr"] = csr_array(
+            (op.data, op.indices.astype(np.int64), op.indptr.astype(np.int64)), shape=op.shape)
+        assert wide._inflow_csr.indices.dtype == np.int64
+        for selection in ("greatest", "least"):
+            narrow, broad = cbv.clear(problem, selection), cbv.clear(wide, selection)
+            np.testing.assert_array_equal(narrow.payments.view(np.uint64),
+                                          broad.payments.view(np.uint64))
+            assert narrow.iterations == broad.iterations
+
     def test_replace_sums_the_held_edges_it_passes_on(self):
         # a class passed on as held edges is checked and summed as it is
         # stored: no dense view is built, and the dues keep their bits

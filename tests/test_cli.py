@@ -17,6 +17,7 @@ from conftest import (
     example_stats,
     rehash,
     sparse_ownership,
+    tiny_edge_stats,
     two_cycle_chain_stats,
     v1_0_package,
 )
@@ -518,6 +519,19 @@ class TestBandFlags:
         second = json.loads(capsys.readouterr().out)["band"]
         assert first == second
 
+
+    def test_band_is_priced_at_the_observers_threshold(self, tmp_path, capsys):
+        # the observer's tau drops both 1e-6 edges from W, and from every probe
+        observer = cbv.Observer(
+            perimeter_ref="P", basis="fair_value", units="EUR", date="2025-06-30",
+            regime="B", control_rule=cbv.ControlRuleSpec(option="A", tau=0.5),
+            tolerances=cbv.Tolerances(rounding_threshold=1e-3))
+        cbv.write_package(tmp_path / "pkg", tiny_edge_stats(), observer)
+        assert main(["compute", "--package", str(tmp_path / "pkg"), "--band-noise", "0",
+                     "--band-seed", "1", "--format", "json",
+                     "-o", str(tmp_path / "summary.json")]) == EXIT_OK
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["band"]["low"] == payload["band"]["high"] == payload["consolidated_value"]
 
     def test_seed_that_cannot_seed_is_compute_error(self, tmp_path, capsys):
         # numpy's ValueError left a traceback and exit status 1

@@ -14,6 +14,7 @@ from conftest import (
     example_stats,
     herfindahl_index,
     random_share_matrix,
+    reference_herfindahl,
     reference_select_perimeter,
     sparse_ownership,
     truncated_attenuated_series,
@@ -52,7 +53,7 @@ def reference_threshold(shares, tau, depth=None, normalize=False) -> np.ndarray:
     return omega
 
 
-def reference_herfindahl(shares, variant) -> np.ndarray:
+def column_loop_herfindahl(shares, variant) -> np.ndarray:
     """Option B / B' one column at a time, H_j with its residual holder."""
     omega = np.zeros_like(shares)
     for j in range(shares.shape[1]):
@@ -66,14 +67,26 @@ def reference_herfindahl(shares, variant) -> np.ndarray:
 
 @st.composite
 def majority_graphs(draw):
-    """Square share matrices with ties, self-loops and cycles, plus a tau."""
-    n = draw(st.integers(1, 30))
+    """Square share matrices past the elimination leaf, with a tau: ties,
+    self-loops and cycles, and, when drawn, held -0.0 entries, negative
+    shares, empty columns and a column that holds -0.0 only."""
+    n = draw(st.integers(1, 3 * cbv.engine.INVERSE_LEAF + 9))
     density = draw(st.sampled_from([0.0, 0.05, 0.2, 0.5, 1.0]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     # two decimals make ties between entries, and with tau, common
     shares = np.round(rng.uniform(0.01, 1.0, size=(n, n)), 2)
     shares *= rng.random((n, n)) < density
     entries = sorted(set(shares[shares > 0].tolist()))
+    if draw(st.booleans()):
+        shares[rng.random((n, n)) < 0.1] = -0.0
+    if draw(st.booleans()):
+        shares[rng.random((n, n)) < 0.1] *= -1.0
+    if draw(st.booleans()):
+        shares[:, rng.random(n) < 0.2] = 0.0
+    if draw(st.booleans()):
+        col = rng.integers(n)
+        shares[:, col] = np.where(rng.random(n) < 0.3, -0.0, 0.0)
+        shares[rng.integers(n), col] = -0.0
     if entries and draw(st.booleans()):
         tau = draw(st.sampled_from(entries))
     else:
@@ -169,9 +182,31 @@ class TestOptionB:
             shares[:, 0] = 0.0
             control = cbv.herfindahl_control(shares, variant)
             np.testing.assert_allclose(
-                control.omega, reference_herfindahl(shares, variant), rtol=0, atol=1e-12
+                control.omega, column_loop_herfindahl(shares, variant), rtol=0, atol=1e-12
             )
             np.testing.assert_array_equal(control.omega[:, 0], 0.0)
+
+    @settings(max_examples=100, deadline=None)
+    @given(graph=majority_graphs())
+    def test_matches_the_dense_formulas_bit_for_bit(self, graph):
+        # the weights are taken from the held entries; each column sum adds
+        # them in row order, as a dense sum(axis=0) does
+        shares, _ = graph
+        for variant in ("B", "B_prime"):
+            want = reference_herfindahl(shares, variant)
+            if (want < 0).any():  # a negative share under B
+                with pytest.raises(DomainError, match="nonnegative"):
+                    cbv.herfindahl_control(shares, variant)
+                continue
+            got = cbv.herfindahl_control(shares, variant).omega
+            np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_column_of_held_negative_zeros_weighs_nothing(self):
+        # its squares sum to 0, so B' keeps them, +0.0, with no 0 / 0
+        shares = np.array([[0.0, -0.0, 0.5], [0.0, 0.0, 0.5], [0.0, -0.0, 0.0]])
+        np.testing.assert_array_equal(cbv.herfindahl_control(shares, "B").omega[:, 1], 0.0)
+        omega = cbv.herfindahl_control(shares, "B_prime").omega
+        np.testing.assert_array_equal(omega[:, 1].view(np.uint64), 0)
 
     @pytest.mark.parametrize("variant", ["B", "B_prime"])
     @pytest.mark.parametrize("value", NON_FINITE)
@@ -400,7 +435,8 @@ class TestSpecs:
 
 def test_import_loads_no_scipy(tmp_path):
     # every CLI call pays for what `import cbv` loads; regime-B solves by LU or
-    # by Neumann sweeps, in the library or through `cbv compute`, need no scipy
+    # by Neumann sweeps, in the library or through `cbv compute`, and the four
+    # control rules need no scipy
     n = 3000
     package = tmp_path / "pkg"
     cbv.write_package(package, example_stats(with_v_p=False), cbv.Observer(
@@ -415,6 +451,12 @@ def test_import_loads_no_scipy(tmp_path):
         f"ids = tuple(str(k) for k in range({n}))\n"
         f"stats = cbv.CutStatistics(p_ids=ids, o_ids=(), b_p=np.ones({n}), o_pp=o_pp)\n"
         "assert cbv.evaluate_regime_b(stats).solver_log.method == 'neumann'",
+        # the four control rules, Option C past the elimination leaf
+        "import cbv, numpy as np\n"
+        "s = 0.6 * np.roll(np.eye(3 * cbv.engine.INVERSE_LEAF + 9), 1, axis=1)\n"
+        "for option in ('A', 'B', 'B_prime', 'C'):\n"
+        "    cbv.build_control(s, cbv.ControlRuleSpec(option=option, tau=0.5, alpha=0.6,\n"
+        "                                             reachability_depth=3))",
         "import cbv\n"
         "stats = cbv.CutStatistics(p_ids=('a', 'b'), o_ids=(), b_p=[1.0, 1.0],\n"
         "                          o_pp=[[0.0, 0.5], [0.5, 0.0]])\n"

@@ -41,6 +41,7 @@ from conftest import (
     random_regime_stats,
     random_share_matrix,
     reference_boundary_operators,
+    reference_eliminate,
     reference_inverse_norm,
     renault_stats,
     sparse_ownership,
@@ -576,6 +577,8 @@ class TestInverseMinusIdentity:
         system = np.eye(n) - a
         want = np.linalg.solve(system, a)
         got = cbv.engine._inverse_minus_identity(held)
+        np.testing.assert_array_equal(got.view(np.uint64),
+                                      reference_eliminate(held.array).view(np.uint64))
         u = np.finfo(float).eps / 2
         bound = 4 * np.linalg.cond(system, 1) * n * u * np.abs(want).max()
         assert np.abs(got - want).max() <= bound

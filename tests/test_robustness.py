@@ -18,6 +18,7 @@ from conftest import (
     reference_mixed_norm,
     reference_regime_b_bound,
     sample_perturbations,
+    tiny_edge_stats,
     two_cycle_chain_stats,
 )
 
@@ -387,6 +388,16 @@ class TestMonteCarloBand:
         # only one off-diagonal entry moves, so the span is tighter
         assert band.low > 714.2857
         assert band.high < 789.4737
+
+    def test_probes_are_priced_at_the_threshold_w_was(self):
+        # tau = 1e-3 drops both boundary edges from W; a band priced at 0
+        # kept them, and its zero-noise band missed W
+        stats = tiny_edge_stats()
+        w = cbv.evaluate_regime_b(stats, rounding_threshold=1e-3).w
+        band = cbv.monte_carlo_band(stats, noise=0.0, rounding_threshold=1e-3)
+        assert band.low == band.high == w == 7.0
+        at_zero = cbv.monte_carlo_band(stats)
+        assert at_zero.low == at_zero.high == cbv.evaluate_regime_b(stats).w != w
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_matches_per_probe_reference(self, seed):
