@@ -122,12 +122,13 @@ class ClearingProblem(_HeldBlocks):
         scipy CSR matrix the sweeps multiply payments by.  Every held edge's
         payer owes a positive due, so no column divides by 0, and a column
         whose payer owes nothing holds no entry."""
-        from scipy.sparse import csr_array, get_index_dtype
+        from scipy.sparse import csr_array
 
         edges = _inflow(self)
         # in place: `_inflow`'s values are its own, so no second copy of them is held
         np.divide(edges.vals, self.gross_dues.ravel()[edges.cols], out=edges.vals)
-        index = get_index_dtype(maxval=max(edges.shape))  # int32 halves a sweep's index bytes
+        # int32 halves a sweep's index bytes wherever the shape and the entry count fit in it
+        index = np.int32 if max(*edges.shape, edges.vals.size) <= np.iinfo(np.int32).max else np.intp
         return csr_array((edges.vals, (edges.rows.astype(index), edges.cols.astype(index))),
                          shape=edges.shape)
 

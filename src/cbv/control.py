@@ -79,8 +79,7 @@ def _normalize_columns(omega: np.ndarray) -> np.ndarray:
 
 def _held_shares(shares) -> _HeldEdges:
     held = _HeldEdges.of_bits(shares)
-    if held.shape[0] != held.shape[1]:
-        raise DimensionError("share matrix must be square")
+    held.n  # a non-square block is a DimensionError
     if not np.isfinite(held.vals).all():
         raise DomainError("share matrix holds a non-finite entry")
     return held

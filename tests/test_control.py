@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import cbv
-from cbv.errors import DomainError, MembershipError, StabilityError
+from cbv.errors import DimensionError, DomainError, MembershipError, StabilityError
 
 from conftest import (
     example_stats,
@@ -421,6 +421,13 @@ class TestSpecs:
         control = cbv.threshold_control(shares, 0.5, ids=("a", "b", "c"))
         with pytest.raises(MembershipError, match="unknown node id 'zzz'"):
             control.column("zzz")
+
+    @pytest.mark.parametrize("option", ["A", "B", "B_prime", "C"])
+    def test_non_square_shares_are_dimension_errors(self, option):
+        # each rule scans the shares once, and refuses a non-square block there
+        shares = three_owner_shares()[:3, :]
+        with pytest.raises(DimensionError, match="not square"):
+            cbv.build_control(shares, cbv.ControlRuleSpec(option=option, tau=0.5, alpha=0.5))
 
     def test_normalized_flag_validated(self):
         with pytest.raises(DomainError):
