@@ -60,10 +60,8 @@ from .fisher import (
 )
 from .network import (
     BlockPartition,
-    HaircutSpec,
     OwnershipNetwork,
     Perimeter,
-    apply_haircut,
     partition,
     validate_network,
 )

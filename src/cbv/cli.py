@@ -19,7 +19,7 @@ from . import __version__
 from .clearing import ClearingProblem, clear, net_boundary_flows
 from .control import build_control
 from .engine import SOLVER_METHODS, SolverConfig, evaluate_for_observer
-from .errors import CbvError, DomainError, MembershipError
+from .errors import CbvError, DomainError, MembershipError, _id_list
 from .fisher import cross_priced_quad, fisher_indices
 from .network import Perimeter
 from .observer import OPTION_ALIASES, ControlRuleSpec
@@ -250,7 +250,7 @@ def _problem_from_spec(spec: dict) -> tuple[ClearingProblem, dict]:
         classes.append(mat)
     missing = [n for n in nodes if n not in spec["resources"]]
     if missing:
-        raise MembershipError(f"clearing spec gives no resources for nodes {missing}")
+        raise MembershipError(f"clearing spec gives no resources for nodes {_id_list(missing)}")
     gamma = np.array([
         [float(block.get("default_costs", {}).get(n, block.get("default_cost", 0.0)))
          for n in nodes]

@@ -32,7 +32,7 @@ from itertools import compress
 import numpy as np
 
 from .engine import _inverse_minus_identity, _stability_gate
-from .errors import DimensionError, DomainError, MembershipError
+from .errors import DimensionError, DomainError, MembershipError, _id_list
 from .network import NodeId, Perimeter, _HeldEdges, _id_collection, _node_ids
 from .observer import OPTION_ALIASES, ControlRuleSpec
 
@@ -202,7 +202,7 @@ def select_perimeter(control: ControlMatrix, seed, tau_p: float) -> Perimeter:
     members = {str(s) for s in _id_collection(seed, "the seed")}
     unknown = members - set(control.ids)
     if unknown:
-        raise MembershipError(f"seed ids not in control matrix: {sorted(unknown)}")
+        raise MembershipError(f"seed ids not in control matrix: {_id_list(sorted(unknown))}")
     inside = np.array([node in members for node in control.ids], dtype=bool)
     while True:
         joins = ~inside & (control.omega[inside].sum(axis=0) >= tau_p)

@@ -77,6 +77,7 @@ from .errors import (
     MembershipError,
     RegimeError,
     StabilityError,
+    _id_list,
 )
 from .network import (
     NodeId,
@@ -729,7 +730,8 @@ def _floats(*wanted) -> list[np.ndarray]:
         for values, ids, noun, side in wanted:
             missing = [n for n in ids if n not in values]
             if missing:
-                raise MembershipError(f"{noun}s missing for {side} nodes: {missing}") from None
+                raise MembershipError(
+                    f"{noun}s missing for {side} nodes: {_id_list(missing)}") from None
         for values, ids, noun, _ in wanted:
             for node in ids:
                 try:

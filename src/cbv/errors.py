@@ -78,3 +78,12 @@ class EmissionError(CbvError):
     def __init__(self, message, fields=()):
         super().__init__(message)
         self.fields = tuple(fields)
+
+
+def _id_list(ids) -> str:
+    """`ids` as a refusal names them: all of them when there are five or
+    fewer, else the first five and how many there are."""
+    ids = list(ids)
+    if len(ids) <= 5:
+        return repr(ids)
+    return f"{repr(ids[:5])[:-1]}, ...] ({len(ids)} ids)"

@@ -39,7 +39,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .errors import CbvError, DimensionError, DomainError, MembershipError
+from .errors import CbvError, DimensionError, DomainError, MembershipError, _id_list
 from .validation import ValidationReport
 
 # Column sums above 1 + COLUMN_SUM_SLACK are violations; anything below is a
@@ -425,7 +425,7 @@ def _positions(index: dict[NodeId, int], ids, where: str) -> np.ndarray:
         return np.fromiter(map(index.__getitem__, ids), np.intp, len(ids))
     except KeyError:
         unknown = sorted(set(ids) - index.keys())
-        raise MembershipError(f"perimeter ids not {where}: {unknown}") from None
+        raise MembershipError(f"perimeter ids not {where}: {_id_list(unknown)}") from None
 
 
 def validate_network(network: OwnershipNetwork) -> ValidationReport:
@@ -452,28 +452,3 @@ def validate_network(network: OwnershipNetwork) -> ValidationReport:
             location=network.nodes[j],
         )
     return report
-
-
-@dataclass(frozen=True)
-class HaircutSpec:
-    """Multiplicative liquidity and currency haircuts, both in [0, 1]."""
-
-    h_liq: float = 1.0
-    h_fx: float = 1.0
-
-    def __post_init__(self):
-        for name, value in (("h_liq", self.h_liq), ("h_fx", self.h_fx)):
-            if not 0.0 <= value <= 1.0:
-                raise DomainError(f"{name}={value!r} outside [0, 1]")
-
-    @property
-    def combined(self) -> float:
-        return self.h_liq * self.h_fx
-
-
-def apply_haircut(spec: HaircutSpec, value: float) -> float:
-    """Effective value after liquidity and currency haircuts."""
-    value = float(value)
-    if not np.isfinite(value):
-        raise DomainError(f"value {value!r} is not finite")
-    return spec.combined * value

@@ -81,6 +81,7 @@ from .errors import (
     IntegrityError,
     PackageError,
     StabilityError,
+    _id_list,
 )
 from .network import COLUMN_SUM_SLACK, _BlockField, _HeldBlocks, _HeldEdges
 from .observer import _RULE_LABEL_RE, ControlRuleSpec, FxPppSpec, Observer, SdfSpec, Tolerances
@@ -238,7 +239,7 @@ def _text(path) -> str:
 def _check_unique(name: str, ids) -> None:
     repeated = [node for node, count in Counter(ids).items() if count > 1]
     if repeated:
-        raise PackageError(f"{name}: repeated ids {repeated}")
+        raise PackageError(f"{name}: repeated ids {_id_list(repeated)}")
 
 
 def read_matrix_csv(path) -> tuple[list[str], list[str], np.ndarray]:

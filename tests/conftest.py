@@ -10,9 +10,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import Phase, settings
 
 import cbv
 from cbv.report import sha256_of_file
+
+# `python tests/mutants.py` runs its tests under this profile: the same draws
+# on every run, no shrinking and no example database
+settings.register_profile("mutants", derandomize=True, database=None,
+                          phases=(Phase.explicit, Phase.generate))
 
 # Five-node network: P = {A, B, C}, O = {X, Y}.  Internal cross-holdings,
 # four outgoing and four incoming boundary edges.

@@ -235,33 +235,6 @@ class TestValidateNetwork:
         assert cbv.validate_network(net).ok
 
 
-class TestHaircut:
-    def test_liquidity_example(self):
-        assert cbv.apply_haircut(cbv.HaircutSpec(h_liq=0.8, h_fx=1.0), 100e6) == 80e6
-
-    def test_identity(self):
-        assert cbv.apply_haircut(cbv.HaircutSpec(), 123.4) == 123.4
-
-    def test_combined_factors(self):
-        assert cbv.apply_haircut(cbv.HaircutSpec(0.9, 0.8), 100.0) == pytest.approx(72.0)
-
-    def test_out_of_range_factor(self):
-        with pytest.raises(DomainError):
-            cbv.HaircutSpec(h_liq=1.2)
-
-    def test_non_finite_value(self):
-        with pytest.raises(DomainError):
-            cbv.apply_haircut(cbv.HaircutSpec(), float("inf"))
-
-    @given(
-        st.floats(min_value=0.0, max_value=1.0),
-        st.floats(min_value=0.0, max_value=1.0),
-        st.floats(min_value=0.0, max_value=1e12),
-    )
-    def test_monotone_for_nonnegative_values(self, h_liq, h_fx, value):
-        assert cbv.apply_haircut(cbv.HaircutSpec(h_liq, h_fx), value) <= value
-
-
 class TestScaling:
     def test_dyadic_composition_is_exact(self, stats_a):
         once = cbv.scale_units(0.5, cbv.scale_units(4.0, stats_a))
@@ -269,11 +242,6 @@ class TestScaling:
         np.testing.assert_array_equal(once.b_p, direct.b_p)
         np.testing.assert_array_equal(once.v_o, direct.v_o)
         np.testing.assert_array_equal(once.v_p, direct.v_p)
-
-    def test_shares_untouched(self, stats_a):
-        scaled = cbv.scale_units(3.0, stats_a)
-        np.testing.assert_array_equal(scaled.o_po, stats_a.o_po)
-        np.testing.assert_array_equal(scaled.o_pp, stats_a.o_pp)
 
     def test_identity(self, stats_a):
         scaled = cbv.scale_units(1.0, stats_a)

@@ -518,16 +518,6 @@ class TestValidatePackage:
         pkg = cbv.load_package(package_dir)
         assert pkg.manifest.data["x_custom"] == {"anything": 1}
 
-    def test_corruption_reported_as_hash_finding(self, package_dir):
-        target = package_dir / "b_P.csv"
-        blob = bytearray(target.read_bytes())
-        blob[-2] ^= 0x01
-        target.write_bytes(bytes(blob))
-        report = cbv.validate_directory(package_dir)
-        assert report.has_errors
-        assert report.findings[0].rule == "hash"
-        assert report.findings[0].location == "b_P.csv"
-
 
 class TestCutSummary:
     def test_worked_example_totals(self, stats_a):
@@ -692,17 +682,6 @@ class TestPov:
             cbv.emit_pov(observer)
         assert "control_rule" in err.value.fields
 
-    def test_option_c_params_serialized(self):
-        observer = cbv.Observer(
-            perimeter_ref="P-PYR", basis="fair_value", units="EUR",
-            date="2025-06-30", regime="B",
-            control_rule=cbv.ControlRuleSpec(option="C", alpha=0.6),
-        )
-        payload = json.loads(cbv.emit_pov(observer))
-        rule = payload["observer"]["control_rule"]
-        assert rule["option"] == "C"
-        assert rule["params"]["alpha"] == 0.6
-
     def test_roundtrip(self):
         observer = demo_observer(
             fx_ppp=cbv.FxPppSpec(scale=1.1, fx_source="ECB"),
@@ -725,9 +704,6 @@ class TestPov:
         pov["observer"]["control_rule"] = rule
         observer, _ = cbv.parse_pov(json.dumps(pov).encode("utf-8"))
         assert observer.control_rule == expected
-
-    def test_deterministic_bytes(self):
-        assert cbv.emit_pov(demo_observer()) == cbv.emit_pov(demo_observer())
 
     @pytest.mark.parametrize("spec", [
         lambda x: cbv.FxPppSpec(scale=x),
@@ -821,6 +797,10 @@ class TestCsvFiles:
 
     @settings(max_examples=200, deadline=None)
     @given(matrix=matrices(st.lists(node_ids, max_size=5, unique=True)))
+    # a vector of ids that need quoting, and a blank id on a row of no columns
+    @example(matrix=(["a,b", 'q"x', "c", ""], ["v"],
+                     np.array([[0.1], [-0.0], [5e-324], [float("nan")]])))
+    @example(matrix=([" "], [], np.zeros((1, 0))))
     def test_read_of_write_is_bit_exact(self, scratch, matrix):
         row_ids, col_ids, values = matrix
         path = scratch / "m.csv"
@@ -829,18 +809,6 @@ class TestCsvFiles:
         assert (got_rows, got_cols) == (row_ids, col_ids)
         assert same_bits(got, values)
         assert same_bits(got, reference_read_matrix_csv(path)[2])
-
-    def test_vector_round_trip(self, scratch):
-        values = [0.1, -0.0, 5e-324, float("nan")]
-        write_matrix_csv(scratch / "v.csv", ["a,b", 'q"x', "c", ""], ["v"],
-                         np.reshape(values, (-1, 1)), "id")
-        ids, columns, got = read_matrix_csv(scratch / "v.csv")
-        assert (ids, columns) == (["a,b", 'q"x', "c", ""], ["v"])
-        assert same_bits(got, np.reshape(values, (-1, 1)))
-
-    def test_blank_id_of_a_zero_column_row_reads_back(self, scratch):
-        write_matrix_csv(scratch / "z.csv", [" "], [], np.zeros((1, 0)), "id")
-        assert read_matrix_csv(scratch / "z.csv")[0] == [" "]
 
     @pytest.mark.parametrize("text", [
         "id,x,y\na,0.1,0.2\nb,0.3\n",   # a short row
@@ -1169,8 +1137,8 @@ class TestPackageFiles:
                               cbv.Observer(perimeter_ref="P-DEMO"))
         assert not (tmp_path / "pkg").exists()
 
-    @pytest.mark.parametrize("name", ["pov.json", STABILITY_NAME])
-    def test_edited_pov_or_evidence_is_a_hash_finding(self, package_dir, name):
+    @pytest.mark.parametrize("name", ["pov.json", STABILITY_NAME, "b_P.csv"])
+    def test_an_edited_file_is_a_hash_finding(self, package_dir, name):
         target = package_dir / name
         target.write_bytes(target.read_bytes().replace(b"0.", b"0.0", 1))
         findings = cbv.validate_directory(package_dir).findings
