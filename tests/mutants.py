@@ -142,8 +142,8 @@ sys.exit(pytest.main(sys.argv[2:]))
 """
 
 
-def occurrences(mutant: Mutant, src: Path = REPO / "src") -> int:
-    return (src / "cbv" / mutant.file).read_text(encoding="utf-8").count(mutant.old)
+def occurrences(mutant: Mutant) -> int:
+    return (REPO / "src" / "cbv" / mutant.file).read_text(encoding="utf-8").count(mutant.old)
 
 
 def run_tests(tests, mutant: Mutant | None = None) -> tuple[int, list[str], str]:
