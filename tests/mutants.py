@@ -113,7 +113,9 @@ MUTANTS = (
             "test_control.py::TestOptionC::test_solves_the_attenuation_identity")),
     Mutant("a non-finite share is accepted", "control.py",
            "if not np.isfinite(held.vals).all():", "if not np.isfinite(held.vals[:0]).all():",
-           ("test_control.py::TestSpecs::test_non_finite_share_refused",
+           ("test_control.py::TestOptionA::test_non_finite_share_refused",
+            "test_control.py::TestOptionB::test_non_finite_share_refused",
+            "test_control.py::TestOptionC::test_non_finite_share_refused",
             "test_cli.py::TestControlCommand::test_non_finite_share_is_compute_error")),
     Mutant("select_perimeter misses a tie at tau_p", "control.py",
            "(control.omega[inside].sum(axis=0) >= tau_p)",
@@ -122,12 +124,21 @@ MUTANTS = (
     Mutant("a hash mismatch is not refused", "report.py",
            "if actual != str(recorded):", "if actual != actual:",
            ("test_acceptance.py::test_criterion_16_package_integrity",
-            "test_report.py::TestPackageFiles::test_an_edited_file_is_a_hash_finding",
+            "test_report.py::TestPackageFiles::test_edited_pov_or_evidence_is_a_hash_finding",
+            "test_report.py::TestValidatePackage::test_corruption_reported_as_hash_finding",
             "test_report.py::TestPackageRoundTrip::test_single_byte_corruption_detected")),
     Mutant("edge files read their from and to columns swapped", "report.py",
            'zip(axes, ("from", "to"), columns):', 'zip(axes, ("from", "to"), columns[1::-1]):',
            ("test_acceptance.py::test_criterion_16_package_integrity",
             "test_report.py::TestPackageFiles::test_edge_files_load_the_held_edges_written")),
+    Mutant("a refusal names every id", "errors.py",
+           "if len(ids) <= 5:", "if len(ids) <= 5000:",
+           ("test_engine.py::TestDiagnostics::test_a_refusal_names_the_first_of_many_missing_ids",
+            "test_clearing.py::TestNetBoundaryFlows::test_a_refusal_names_the_first_of_many_unknown_ids",
+            "test_control.py::TestSelectPerimeter::test_a_refusal_names_five_unknown_seeds_and_counts_six",
+            "test_report.py::TestCsvFiles::test_a_refusal_names_the_first_of_many_repeated_ids",
+            "test_cli.py::TestClearingCommand::"
+            "test_a_refusal_names_the_first_of_many_nodes_without_resources")),
 )
 
 # Imports cbv, refuses any but the copy, then runs pytest on the arguments.

@@ -129,6 +129,27 @@ class TestClear:
             least = cbv.clear(problem, selection="least")
             assert (least.payments <= greatest.payments + 1e-9).all()
 
+    def test_monotone_iterates(self, rng):
+        for _ in range(10):
+            n = 4
+            liabilities = rng.uniform(0, 50, size=(n, n)) * (rng.random((n, n)) < 0.6)
+            np.fill_diagonal(liabilities, 0.0)
+            problem = cbv.ClearingProblem.single_class(
+                tuple(f"n{k}" for k in range(n)), liabilities,
+                rng.uniform(0, 30, size=n), gamma=0.4,
+            )
+            dues = problem.gross_dues
+            down = dues.copy()
+            for _ in range(50):
+                nxt = iterate_once(problem, down)
+                assert (nxt <= down + 1e-9).all()
+                down = nxt
+            up = np.zeros_like(dues)
+            for _ in range(50):
+                nxt = iterate_once(problem, up)
+                assert (nxt >= up - 1e-9).all()
+                up = nxt
+
     def test_conservation_without_default_costs(self, rng):
         for _ in range(10):
             n = 5
@@ -334,6 +355,14 @@ class TestNetBoundaryFlows:
         assert flows.x_po[0, 0] == 40.0
         assert flows.x_op[0, 0] == 10.0
 
+    def test_partial_payment_scales_by_payer_ratio(self):
+        problem = cbv.ClearingProblem.single_class(
+            ("n1", "n2"), [[0.0, 100.0], [0.0, 0.0]], [60.0, 0.0]
+        )
+        outcome = cbv.clear(problem)
+        flows = cbv.net_boundary_flows(problem, outcome, cbv.Perimeter({"n1"}))
+        assert flows.x_po[0, 0] == pytest.approx(60.0, abs=1e-12)
+
     def test_pyramid_frontier_bond(self):
         # bond B -> outside of 5, fully paid: T_out contribution is 5
         liabilities = np.zeros((2, 2))
@@ -349,6 +378,34 @@ class TestNetBoundaryFlows:
         )
         result = cbv.evaluate_regime_a(stats)
         assert result.t_out == 5.0
+
+    def test_internal_rewiring_preserving_nets_preserves_w(self):
+        # p1 owes outside 100 and owes p2 internally; rewiring the internal
+        # leg leaves the cleared boundary nets, and so W, unchanged
+        def build(internal: float) -> cbv.ClearingProblem:
+            liabilities = np.zeros((3, 3))
+            liabilities[0, 2] = 100.0
+            liabilities[0, 1] = internal
+            return cbv.ClearingProblem.single_class(
+                ("p1", "p2", "o"), liabilities, [200.0, 5.0, 0.0]
+            )
+
+        per = cbv.Perimeter({"p1", "p2"})
+        flows = []
+        values = []
+        for internal in (20.0, 80.0):
+            problem = build(internal)
+            outcome = cbv.clear(problem)
+            net = cbv.net_boundary_flows(problem, outcome, per)
+            stats = cbv.CutStatistics.from_amounts(
+                net.p_ids, net.o_ids, b_p=[50.0, 5.0],
+                x_po=net.x_po, x_op=net.x_op, clearing_tag="seniority",
+            )
+            flows.append(net)
+            values.append(cbv.evaluate_regime_a(stats).w)
+        np.testing.assert_allclose(flows[0].x_po, flows[1].x_po, atol=1e-12)
+        np.testing.assert_allclose(flows[0].x_op, flows[1].x_op, atol=1e-12)
+        assert values[0] == values[1]
 
     def test_matches_tuple_index_lookup_on_shuffled_ids(self, rng):
         for n in (1, 5, 30):
@@ -385,3 +442,11 @@ class TestNetBoundaryFlows:
         other = cbv.clear(cbv.ClearingProblem.single_class(("a", "c"), np.zeros((2, 2)), [0.0, 0.0]))
         with pytest.raises(DimensionError, match="different node sets"):
             cbv.net_boundary_flows(problem, other, cbv.Perimeter({"a"}))
+
+    def test_a_refusal_names_the_first_of_many_unknown_ids(self):
+        problem = cbv.ClearingProblem.single_class(("a", "b"), np.zeros((2, 2)), [0.0, 0.0])
+        ghosts = {f"g{k:04d}" for k in range(3000)}
+        with pytest.raises(MembershipError) as err:
+            cbv.net_boundary_flows(problem, cbv.clear(problem), cbv.Perimeter({"a", *ghosts}))
+        assert str(err.value) == ("perimeter ids not cleared here: "
+                                  "['g0000', 'g0001', 'g0002', 'g0003', 'g0004', ...] (3000 ids)")

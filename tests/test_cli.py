@@ -191,7 +191,6 @@ class TestValidateCommand:
         out = capsys.readouterr().out
         assert out.startswith("ERROR D4: O_PP fails the stability gate: no certified bound")
         assert main(["compute", "--package", str(tmp_path / "cycle")]) == EXIT_COMPUTE
-        assert "StabilityError" in capsys.readouterr().err
 
 
 class TestMalformedManifest:
@@ -364,6 +363,13 @@ class TestComputeCommand:
         assert runs[0] == runs[1]
         assert runs[0][0] == expected
 
+    def test_singular_internal_block_is_compute_error(self, tmp_path, capsys):
+        observer = cbv.Observer(perimeter_ref="P-CYCLE", regime="B",
+                                control_rule=cbv.ControlRuleSpec())
+        cbv.write_package(tmp_path / "cycle", two_cycle_chain_stats(), observer)
+        assert main(["compute", "--package", str(tmp_path / "cycle")]) == EXIT_COMPUTE
+        assert "StabilityError" in capsys.readouterr().err
+
     @pytest.mark.parametrize("method", SOLVER_METHODS)
     def test_uncertified_block_is_compute_error(self, tmp_path, capsys, method):
         # rho(O_PP) = 1.001: I - O_PP is invertible, but v_P = (I - O_PP)^-1 b_P
@@ -487,10 +493,9 @@ class TestComputeCommand:
 
 class TestBandFlags:
     def test_table_format_prints_the_band_line(self, tmp_path, capsys):
-        # two runs with one seed, one per format, print the same band
         pkg = build_package(tmp_path)
         argv = ["compute", "--package", str(pkg), "--band-noise", "0.01",
-                "--band-draws", "20", "--band-seed", "7"]
+                "--band-draws", "5", "--band-seed", "7"]
         assert main([*argv, "--format", "json"]) == EXIT_OK
         band = json.loads(capsys.readouterr().out)["band"]
         assert main(argv) == EXIT_OK
@@ -503,6 +508,16 @@ class TestBandFlags:
         assert main(["compute", "--package", str(pkg),
                      "--band-noise", "0.01", "--band-draws", "10"]) == EXIT_USAGE
         assert "--band-seed" in capsys.readouterr().err
+
+    def test_band_with_seed_is_deterministic(self, tmp_path, capsys):
+        pkg = build_package(tmp_path)
+        argv = ["compute", "--package", str(pkg), "--band-noise", "0.01",
+                "--band-draws", "20", "--band-seed", "7", "--format", "json"]
+        assert main(argv) == EXIT_OK
+        first = json.loads(capsys.readouterr().out)["band"]
+        assert main(argv) == EXIT_OK
+        second = json.loads(capsys.readouterr().out)["band"]
+        assert first == second
 
 
     def test_band_is_priced_at_the_observers_threshold(self, tmp_path, capsys):
@@ -617,6 +632,15 @@ class TestClearingCommand:
         assert main(["clearing", "--spec", str(path)]) == EXIT_COMPUTE
         err = capsys.readouterr().err
         assert err.startswith(f"error [{error}]") and err.count("\n") == 1
+
+    def test_a_refusal_names_the_first_of_many_nodes_without_resources(self, tmp_path, capsys):
+        nodes = [f"n{k}" for k in range(1, 41)]
+        path = tmp_path / "clearing.json"
+        path.write_text(json.dumps({**CLEARING_SPEC, "nodes": nodes}))
+        assert main(["clearing", "--spec", str(path)]) == EXIT_COMPUTE
+        assert capsys.readouterr().err == (
+            "error [MembershipError]: clearing spec gives no resources for nodes "
+            "['n3', 'n4', 'n5', 'n6', 'n7', ...] (38 ids)\n")
 
 
 class TestControlCommand:

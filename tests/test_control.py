@@ -5,13 +5,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import cbv
 from cbv.errors import DimensionError, DomainError, MembershipError, StabilityError
 
 from conftest import (
     example_stats,
+    herfindahl_index,
     random_share_matrix,
     reference_herfindahl,
     reference_select_perimeter,
@@ -30,6 +31,12 @@ def three_owner_shares() -> np.ndarray:
     return shares
 
 
+def with_entry(shares: np.ndarray, value: float) -> np.ndarray:
+    out = shares.copy()
+    out[1, 3] = value
+    return out
+
+
 def reference_threshold(shares, tau, depth=None, normalize=False) -> np.ndarray:
     """Option A as dense boolean powers of the whole n x n majority graph."""
     direct = shares >= tau
@@ -43,6 +50,18 @@ def reference_threshold(shares, tau, depth=None, normalize=False) -> np.ndarray:
     if normalize:
         sums = omega.sum(axis=0)
         omega[:, sums > 0] /= sums[sums > 0]
+    return omega
+
+
+def column_loop_herfindahl(shares, variant) -> np.ndarray:
+    """Option B / B' one column at a time, H_j with its residual holder."""
+    omega = np.zeros_like(shares)
+    for j in range(shares.shape[1]):
+        col = shares[:, j]
+        h_j = herfindahl_index(col)
+        omega[:, j] = col * h_j if variant == "B" else col * col / h_j
+        if variant == "B_prime" and omega[:, j].sum() > 0:
+            omega[:, j] /= omega[:, j].sum()
     return omega
 
 
@@ -76,6 +95,27 @@ def majority_graphs(draw):
 
 
 class TestOptionA:
+    def test_majority_column(self):
+        control = cbv.threshold_control(three_owner_shares(), 0.5, ids=IDS)
+        np.testing.assert_array_equal(control.column("x"), [1.0, 0.0, 0.0, 0.0])
+
+    def test_all_below_threshold(self):
+        control = cbv.threshold_control(three_owner_shares(), 0.7, ids=IDS)
+        np.testing.assert_array_equal(control.column("x"), np.zeros(4))
+
+    def test_tie_at_threshold_included(self):
+        control = cbv.threshold_control(three_owner_shares(), 0.6, ids=IDS)
+        assert control.column("x")[0] == 1.0
+
+    def test_chain_reachability(self):
+        ids = ("a", "b", "c")
+        shares = np.zeros((3, 3))
+        shares[0, 1], shares[1, 2] = 0.6, 0.6
+        shallow = cbv.threshold_control(shares, 0.5, ids=ids, depth=1)
+        assert shallow.omega[0, 2] == 0.0
+        deep = cbv.threshold_control(shares, 0.5, ids=ids, depth=2)
+        assert deep.omega[0, 2] == 1.0
+
     def test_normalization_of_multiple_controllers(self):
         shares = np.zeros((3, 3))
         shares[0, 2], shares[1, 2] = 0.5, 0.5
@@ -85,11 +125,6 @@ class TestOptionA:
     @settings(max_examples=200, deadline=None)
     @given(graph=majority_graphs(), depth=st.sampled_from([None, 1, 2, 3, 4, 5, 6]),
            normalize=st.booleans())
-    # every share below tau; a tie at tau; a chain of two majority holdings
-    @example(graph=(three_owner_shares(), 0.7), depth=None, normalize=False)
-    @example(graph=(three_owner_shares(), 0.6), depth=None, normalize=False)
-    @example(graph=(np.diag([0.6, 0.6], k=1), 0.5), depth=1, normalize=False)
-    @example(graph=(np.diag([0.6, 0.6], k=1), 0.5), depth=2, normalize=False)
     def test_matches_dense_boolean_powers(self, graph, depth, normalize):
         shares, tau = graph
         control = cbv.threshold_control(shares, tau, depth=depth, normalize=normalize)
@@ -99,15 +134,60 @@ class TestOptionA:
         else:
             np.testing.assert_array_equal(control.omega, want)
 
+    @pytest.mark.parametrize("value", NON_FINITE)
+    def test_non_finite_share_refused(self, value):
+        with pytest.raises(DomainError):
+            cbv.threshold_control(with_entry(three_owner_shares(), value), 0.5)
+
+    def test_rescaling_values_is_irrelevant(self):
+        # control weights read shares only, so any monetary rescaling outside
+        # the share matrix cannot move them
+        one = cbv.threshold_control(three_owner_shares(), 0.5, ids=IDS)
+        two = cbv.threshold_control(three_owner_shares() * 1.0, 0.5, ids=IDS)
+        np.testing.assert_array_equal(one.omega, two.omega)
+
 
 class TestOptionB:
+    def test_herfindahl_column(self):
+        control = cbv.herfindahl_control(three_owner_shares(), "B", ids=IDS)
+        assert herfindahl_index([0.6, 0.3, 0.1]) == pytest.approx(0.46, abs=1e-12)
+        np.testing.assert_allclose(
+            control.column("x")[:3], [0.276, 0.138, 0.046], atol=1e-12
+        )
+
+    def test_single_full_owner(self):
+        shares = np.zeros((2, 2))
+        shares[0, 1] = 1.0
+        control = cbv.herfindahl_control(shares, "B")
+        assert control.omega[0, 1] == pytest.approx(1.0)
+
+    def test_b_prime_normalized(self):
+        control = cbv.herfindahl_control(three_owner_shares(), "B_prime", ids=IDS)
+        expected = np.array([0.36, 0.09, 0.01]) / 0.46
+        np.testing.assert_allclose(control.column("x")[:3], expected, atol=1e-9)
+        assert control.column("x").sum() == pytest.approx(1.0, abs=1e-9)
+
+    def test_subunit_column_gets_dispersed_holder(self):
+        shares = np.zeros((2, 2))
+        shares[0, 1] = 0.4
+        control = cbv.herfindahl_control(shares, "B")
+        # H includes the 0.6 residual holder: 0.16 + 0.36
+        assert control.omega[0, 1] == pytest.approx(0.4 * 0.52, abs=1e-12)
+
+    @pytest.mark.parametrize("variant", ["B", "B_prime"])
+    def test_matches_column_loop(self, rng, variant):
+        for _ in range(10):
+            shares = random_share_matrix(rng, 12, density=0.4, col_cap=1.3)
+            shares[:, rng.random(12) < 0.3] = 0.0
+            shares[:, 0] = 0.0
+            control = cbv.herfindahl_control(shares, variant)
+            np.testing.assert_allclose(
+                control.omega, column_loop_herfindahl(shares, variant), rtol=0, atol=1e-12
+            )
+            np.testing.assert_array_equal(control.omega[:, 0], 0.0)
+
     @settings(max_examples=100, deadline=None)
     @given(graph=majority_graphs())
-    # H_j = 0.46 for owners of 0.6, 0.3 and 0.1; one full owner; one owner
-    # of 0.4, whose H_j counts the dispersed holder of the other 0.6
-    @example(graph=(three_owner_shares(), 0.5))
-    @example(graph=(np.array([[0.0, 1.0], [0.0, 0.0]]), 0.5))
-    @example(graph=(np.array([[0.0, 0.4], [0.0, 0.0]]), 0.5))
     def test_matches_the_dense_formulas_bit_for_bit(self, graph):
         # the weights are taken from the held entries; each column sum adds
         # them in row order, as a dense sum(axis=0) does
@@ -127,6 +207,12 @@ class TestOptionB:
         np.testing.assert_array_equal(cbv.herfindahl_control(shares, "B").omega[:, 1], 0.0)
         omega = cbv.herfindahl_control(shares, "B_prime").omega
         np.testing.assert_array_equal(omega[:, 1].view(np.uint64), 0)
+
+    @pytest.mark.parametrize("variant", ["B", "B_prime"])
+    @pytest.mark.parametrize("value", NON_FINITE)
+    def test_non_finite_share_refused(self, variant, value):
+        with pytest.raises(DomainError):
+            cbv.herfindahl_control(with_entry(three_owner_shares(), value), variant)
 
 
 class TestOptionC:
@@ -203,6 +289,11 @@ class TestOptionC:
         shares = np.asarray(two_cycle_chain_stats().o_pp) / alpha
         with pytest.raises(StabilityError):
             cbv.attenuated_control(shares, alpha)
+
+    @pytest.mark.parametrize("value", NON_FINITE)
+    def test_non_finite_share_refused(self, value):
+        with pytest.raises(DomainError):
+            cbv.attenuated_control(with_entry(three_owner_shares(), value), 0.5)
 
     def test_truncated_series_within_geometric_tail(self, rng):
         alpha = 0.6
@@ -301,6 +392,14 @@ class TestSelectPerimeter:
                            match=r"seed ids not in control matrix: \['yyy', 'zzz'\]"):
             cbv.select_perimeter(control, {"a", "zzz", "yyy"}, 0.5)
 
+    def test_a_refusal_names_five_unknown_seeds_and_counts_six(self):
+        control = cbv.threshold_control(np.zeros((2, 2)), 0.5, ids=("a", "b"))
+        with pytest.raises(MembershipError, match=r": \['u', 'v', 'w', 'x', 'y'\]$"):
+            cbv.select_perimeter(control, list("uvwxy"), 0.5)
+        with pytest.raises(MembershipError,
+                           match=r": \['u', 'v', 'w', 'x', 'y', \.\.\.\] \(6 ids\)$"):
+            cbv.select_perimeter(control, list("uvwxyz"), 0.5)
+
 
 class TestSpecs:
     def test_option_aliases(self):
@@ -336,15 +435,6 @@ class TestSpecs:
         # each rule scans the shares once, and refuses a non-square block there
         shares = three_owner_shares()[:3, :]
         with pytest.raises(DimensionError, match="not square"):
-            cbv.build_control(shares, cbv.ControlRuleSpec(option=option, tau=0.5, alpha=0.5))
-
-    @pytest.mark.parametrize("option", ["A", "B", "B_prime", "C"])
-    @pytest.mark.parametrize("value", NON_FINITE)
-    def test_non_finite_share_refused(self, option, value):
-        # every rule reads the shares through one scan, which refuses them
-        shares = three_owner_shares()
-        shares[1, 3] = value
-        with pytest.raises(DomainError, match="non-finite"):
             cbv.build_control(shares, cbv.ControlRuleSpec(option=option, tau=0.5, alpha=0.5))
 
     def test_normalized_flag_validated(self):

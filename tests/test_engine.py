@@ -217,6 +217,14 @@ class TestEstimation:
         with pytest.raises(RegimeError):
             cbv.estimate_internal_values(stats)
 
+    def test_unstable_block_rejected(self):
+        stats = cbv.CutStatistics(
+            p_ids=("a", "b"), o_ids=(), b_p=[1.0, 1.0],
+            o_pp=[[0.0, 1.05], [1.05, 0.0]],
+        )
+        with pytest.raises(StabilityError):
+            cbv.estimate_internal_values(stats)
+
     def test_singular_block_past_the_gate_is_stability_error(self):
         # the 2-cycle at 1, whose I - O_PP is singular, is refused before any
         # solve, by regime B and by the regime-B bound alike
@@ -246,6 +254,16 @@ class TestEstimation:
         stats = two_cycle_chain_stats(cycle=cycle)
         with pytest.raises(StabilityError, match="no certified bound"):
             cbv.evaluate_regime_b(stats)
+
+    def test_unstable_block_is_refused(self):
+        # rho(O_PP) = 1.05: the gate refuses the block itself, and no config
+        # reaches a solve
+        stats = cbv.CutStatistics(
+            p_ids=("a", "b"), o_ids=(), b_p=[1.0, 1.0],
+            o_pp=[[0.0, 1.05], [1.05, 0.0]],
+        )
+        with pytest.raises(StabilityError, match=r"is unstable: rho\(\|O_PP\|\) >= 1\.05"):
+            cbv.estimate_internal_values(stats)
 
     def test_near_unit_self_loop_is_solved(self):
         # rho(O_PP) = 0.999999 < 1 is certified, and v = 1 / (1 - 0.999999)
@@ -440,16 +458,26 @@ class TestEstimation:
         np.testing.assert_array_equal(v_p, np.linalg.solve(np.eye(n) - o_pp, rhs))
         assert log.method == "direct"
 
+    def test_kmax_exceeded(self):
+        stats = cbv.CutStatistics(
+            p_ids=("a", "b"), o_ids=(), b_p=[1.0, 1.0],
+            o_pp=[[0.0, 0.95], [0.95, 0.0]],
+        )
+        with pytest.raises(ConvergenceError) as err:
+            cbv.estimate_internal_values(
+                stats, cbv.SolverConfig(method="neumann", eps=1e-14, max_iters=3)
+            )
+        assert err.value.residual is not None
+
     def test_unconverged_iterate_is_v_p(self):
         # the sweeps run on A = 0.9 J; the iterate a ConvergenceError carries
-        # is the third, 1 + 0.9 + 0.81 + 0.729, with its residual
+        # is the third, 1 + 0.9 + 0.81 + 0.729
         stats = cbv.CutStatistics(p_ids=("a", "b"), o_ids=(), b_p=[1.0, 1.0],
                                   o_pp=[[0.0, 0.9], [0.9, 0.0]])
         with pytest.raises(ConvergenceError) as err:
             cbv.estimate_internal_values(stats, cbv.SolverConfig(
                 method="neumann", eps=1e-14, max_iters=3))
         np.testing.assert_allclose(err.value.last_iterate, [3.439] * 2, rtol=1e-15)
-        assert err.value.residual is not None
 
     @pytest.mark.parametrize("field", [
         {"method": "lu"}, {"eps": 0.0}, {"max_iters": 0},
@@ -474,8 +502,7 @@ class TestEstimation:
 
     def test_regime_a_without_v_p_or_o_pp(self):
         # a package with neither file: v = b + O v over an empty internal
-        # block gives v_P = b_P + O_PO v_O, and the cut prices at it; with no
-        # internal block to solve, the log names the cut pricing that ran
+        # block gives v_P = b_P + O_PO v_O, and the cut prices at it
         stats = example_stats(with_v_p=False, with_o_pp=False)
         observer = cbv.Observer(perimeter_ref="P", regime="A",
                                 control_rule=cbv.ControlRuleSpec())
@@ -484,7 +511,14 @@ class TestEstimation:
         np.testing.assert_array_equal(result.stats.v_p, v_p)
         assert result.w == cbv.evaluate_regime_a(stats.with_v_p(v_p), 1e-8).w
         assert result.w == pytest.approx(87.872, abs=1e-12)
-        assert (result.solver_log.method, result.solver_log.rho_bound) == ("direct-cut", None)
+
+    def test_regime_a_without_v_p_or_o_pp_is_priced_as_a_cut(self):
+        # no internal block to solve: the log names the cut pricing that ran
+        stats = example_stats(with_v_p=False, with_o_pp=False)
+        observer = cbv.Observer(perimeter_ref="P", regime="A",
+                                control_rule=cbv.ControlRuleSpec())
+        log = cbv.evaluate_for_observer(stats, observer).solver_log
+        assert (log.method, log.rho_bound) == ("direct-cut", None)
 
     def test_unset_solver_fields_follow_the_observer(self, stats_b):
         observer = cbv.Observer(perimeter_ref="P", regime="B",
@@ -783,18 +817,29 @@ class TestAxioms:
         rhs = w_of(p_members) + w_of(r_members) - net_internal
         assert lhs == pytest.approx(rhs, rel=1e-9)
 
+    def test_scaling_equivariance(self, stats_a, stats_b):
+        for kappa in (0.5, 1.2, 3.0):
+            w = cbv.evaluate_regime_a(stats_a).w
+            w_scaled = cbv.evaluate_regime_a(cbv.scale_units(kappa, stats_a)).w
+            assert w_scaled == pytest.approx(kappa * w, rel=1e-12)
+            wb = cbv.evaluate_regime_b(stats_b).w
+            wb_scaled = cbv.evaluate_regime_b(cbv.scale_units(kappa, stats_b)).w
+            assert wb_scaled == pytest.approx(kappa * wb, rel=1e-12)
+
 
 class TestSpectralBound:
     def test_worked_example_row_sums(self, stats_b):
-        # a norm below 1 certifies the block with no Collatz-Wielandt pass
         bound = cbv.spectral_radius_bound(stats_b.o_pp)
         assert bound.norm_inf == pytest.approx(0.15, abs=1e-12)
         assert bound.rho_upper <= 0.15 + 1e-12
-        assert bound.norm_inf < 1.0 and bound.passes == 0
+        assert bound.norm_inf < 1.0
 
     def test_zero_matrix(self):
         bound = cbv.spectral_radius_bound(np.zeros((3, 3)))
         assert bound.rho_upper == 0.0
+
+    def test_norm_below_1_needs_no_pass(self, stats_b):
+        assert cbv.spectral_radius_bound(stats_b.o_pp).passes == 0
 
     @settings(max_examples=300, deadline=None)
     @given(st.data())
@@ -1049,6 +1094,15 @@ class TestDiagnostics:
         assert cbv.cut_gap(105e9, 70e9) == pytest.approx(0.5, rel=1e-12)
         with pytest.raises(DomainError):
             cbv.cut_gap(10.0, 0.0)
+
+    def test_implied_bases_renault(self):
+        net = cbv.OwnershipNetwork.from_edges(
+            ["RENAULT", "NISSAN"],
+            [("RENAULT", "NISSAN", 0.357), ("NISSAN", "RENAULT", 0.15)],
+        )
+        bases = cbv.implied_bases(net, {"RENAULT": 9.06e9, "NISSAN": 7.044303429e9})
+        assert round(bases["RENAULT"]) == 6_545_183_676
+        assert round(bases["NISSAN"]) == 5_685_303_429
 
     def test_implied_bases_names_the_nodes_without_a_value(self):
         net = cbv.OwnershipNetwork.from_edges(["a", "b", "c"], [("a", "b", 0.5)])

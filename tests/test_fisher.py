@@ -6,6 +6,7 @@ import cbv
 from cbv.errors import DomainError, ProtocolError, SignError
 from cbv.fisher import component_sign_indices
 
+from conftest import example_stats
 
 # Prices/quantities for the two-country, two-good comparison.
 P_HOME = (10.0, 5.0)
@@ -200,6 +201,14 @@ class TestChainLink:
 
 
 class TestBilateralGoods:
+    def test_reference_values(self):
+        result = cbv.bilateral_goods_index(
+            P_HOME, P_FOREIGN_CONVERTED, Q_HOME, Q_FOREIGN
+        )
+        assert result.laspeyres == pytest.approx(0.833, abs=5e-4)
+        assert result.paasche == pytest.approx(0.778, abs=5e-4)
+        assert result.fisher == pytest.approx(0.805, abs=5e-4)
+
     def test_identity_when_prices_unchanged(self):
         result = cbv.bilateral_goods_index(P_HOME, P_HOME, Q_HOME, Q_FOREIGN)
         assert result.laspeyres == result.paasche == result.fisher == 1.0

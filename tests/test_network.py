@@ -243,6 +243,11 @@ class TestScaling:
         np.testing.assert_array_equal(once.v_o, direct.v_o)
         np.testing.assert_array_equal(once.v_p, direct.v_p)
 
+    def test_shares_untouched(self, stats_a):
+        scaled = cbv.scale_units(3.0, stats_a)
+        np.testing.assert_array_equal(scaled.o_po, stats_a.o_po)
+        np.testing.assert_array_equal(scaled.o_pp, stats_a.o_pp)
+
     def test_identity(self, stats_a):
         scaled = cbv.scale_units(1.0, stats_a)
         np.testing.assert_array_equal(scaled.b_p, stats_a.b_p)

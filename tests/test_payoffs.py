@@ -5,8 +5,22 @@ import pytest
 from hypothesis import given, strategies as st
 
 import cbv
-from cbv.errors import DomainError
+from cbv.errors import DimensionError, DomainError
 from cbv.payoffs import cvar_gains
+
+# All twenty cells of the granularity table: (eps, gamma) -> (delta, segments).
+GRANULARITY_TABLE = {
+    (0.05, 0.5): (0.8944, 2), (0.05, 1.0): (0.6325, 2),
+    (0.05, 2.0): (0.4472, 3), (0.05, 5.0): (0.2828, 4),
+    (0.02, 0.5): (0.5657, 2), (0.02, 1.0): (0.4000, 3),
+    (0.02, 2.0): (0.2828, 4), (0.02, 5.0): (0.1789, 6),
+    (0.01, 0.5): (0.4000, 3), (0.01, 1.0): (0.2828, 4),
+    (0.01, 2.0): (0.2000, 5), (0.01, 5.0): (0.1265, 8),
+    (0.005, 0.5): (0.2828, 4), (0.005, 1.0): (0.2000, 5),
+    (0.005, 2.0): (0.1414, 8), (0.005, 5.0): (0.0894, 12),
+    (0.001, 0.5): (0.1265, 8), (0.001, 1.0): (0.0894, 12),
+    (0.001, 2.0): (0.0632, 16), (0.001, 5.0): (0.0400, 25),
+}
 
 CDS_STATES = (
     cbv.State("no_default", 0.95, value=-1.0),
@@ -91,6 +105,14 @@ class TestErrorBound:
 
 
 class TestGranularity:
+    @pytest.mark.parametrize("cell", sorted(GRANULARITY_TABLE))
+    def test_table_cell(self, cell):
+        eps, gamma = cell
+        expected_delta, expected_n = GRANULARITY_TABLE[cell]
+        result = cbv.delta_max(eps, gamma)
+        assert result.delta_max == pytest.approx(expected_delta, abs=1e-4)
+        assert result.segments == expected_n
+
     def test_formula(self):
         result = cbv.delta_max(0.01, 1.0)
         assert result.delta_max == pytest.approx(math.sqrt(0.08), rel=1e-12)
@@ -109,9 +131,14 @@ class TestGranularity:
 
 
 class TestWaterfall:
-    def test_no_inflow_pays_nothing(self):
-        split = cbv.eval_waterfall(0.0, 100.0)
-        assert (split.senior, split.junior) == (0.0, 0.0)
+    @pytest.mark.parametrize(
+        "inflow,senior,junior",
+        [(60.0, 60.0, 0.0), (90.0, 90.0, 0.0), (150.0, 100.0, 50.0), (0.0, 0.0, 0.0)],
+    )
+    def test_reference_rows(self, inflow, senior, junior):
+        split = cbv.eval_waterfall(inflow, 100.0)
+        assert split.senior == senior
+        assert split.junior == junior
 
     def test_negative_inflow(self):
         with pytest.raises(DomainError):
@@ -149,6 +176,11 @@ class TestSclEvaluate:
         result = cbv.scl_evaluate(space, cbv.AggregatorPolicy("expectation_q"))
         assert result.aggregate == pytest.approx(2.30, abs=1e-12)
         assert result.per_state["idiosyncratic_default"] == 59.0
+
+    def test_cds_cvar(self):
+        space = cbv.StateSpace(CDS_STATES)
+        result = cbv.scl_evaluate(space, cbv.AggregatorPolicy("cvar", alpha=0.95))
+        assert result.aggregate == -1.0
 
     def test_single_state_every_policy(self):
         space = cbv.StateSpace((cbv.State("only", 1.0, value=7.5),))

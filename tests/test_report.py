@@ -518,6 +518,16 @@ class TestValidatePackage:
         pkg = cbv.load_package(package_dir)
         assert pkg.manifest.data["x_custom"] == {"anything": 1}
 
+    def test_corruption_reported_as_hash_finding(self, package_dir):
+        target = package_dir / "b_P.csv"
+        blob = bytearray(target.read_bytes())
+        blob[-2] ^= 0x01
+        target.write_bytes(bytes(blob))
+        report = cbv.validate_directory(package_dir)
+        assert report.has_errors
+        assert report.findings[0].rule == "hash"
+        assert report.findings[0].location == "b_P.csv"
+
 
 class TestCutSummary:
     def test_worked_example_totals(self, stats_a):
@@ -682,6 +692,17 @@ class TestPov:
             cbv.emit_pov(observer)
         assert "control_rule" in err.value.fields
 
+    def test_option_c_params_serialized(self):
+        observer = cbv.Observer(
+            perimeter_ref="P-PYR", basis="fair_value", units="EUR",
+            date="2025-06-30", regime="B",
+            control_rule=cbv.ControlRuleSpec(option="C", alpha=0.6),
+        )
+        payload = json.loads(cbv.emit_pov(observer))
+        rule = payload["observer"]["control_rule"]
+        assert rule["option"] == "C"
+        assert rule["params"]["alpha"] == 0.6
+
     def test_roundtrip(self):
         observer = demo_observer(
             fx_ppp=cbv.FxPppSpec(scale=1.1, fx_source="ECB"),
@@ -704,6 +725,9 @@ class TestPov:
         pov["observer"]["control_rule"] = rule
         observer, _ = cbv.parse_pov(json.dumps(pov).encode("utf-8"))
         assert observer.control_rule == expected
+
+    def test_deterministic_bytes(self):
+        assert cbv.emit_pov(demo_observer()) == cbv.emit_pov(demo_observer())
 
     @pytest.mark.parametrize("spec", [
         lambda x: cbv.FxPppSpec(scale=x),
@@ -797,10 +821,6 @@ class TestCsvFiles:
 
     @settings(max_examples=200, deadline=None)
     @given(matrix=matrices(st.lists(node_ids, max_size=5, unique=True)))
-    # a vector of ids that need quoting, and a blank id on a row of no columns
-    @example(matrix=(["a,b", 'q"x', "c", ""], ["v"],
-                     np.array([[0.1], [-0.0], [5e-324], [float("nan")]])))
-    @example(matrix=([" "], [], np.zeros((1, 0))))
     def test_read_of_write_is_bit_exact(self, scratch, matrix):
         row_ids, col_ids, values = matrix
         path = scratch / "m.csv"
@@ -809,6 +829,18 @@ class TestCsvFiles:
         assert (got_rows, got_cols) == (row_ids, col_ids)
         assert same_bits(got, values)
         assert same_bits(got, reference_read_matrix_csv(path)[2])
+
+    def test_vector_round_trip(self, scratch):
+        values = [0.1, -0.0, 5e-324, float("nan")]
+        write_matrix_csv(scratch / "v.csv", ["a,b", 'q"x', "c", ""], ["v"],
+                         np.reshape(values, (-1, 1)), "id")
+        ids, columns, got = read_matrix_csv(scratch / "v.csv")
+        assert (ids, columns) == (["a,b", 'q"x', "c", ""], ["v"])
+        assert same_bits(got, np.reshape(values, (-1, 1)))
+
+    def test_blank_id_of_a_zero_column_row_reads_back(self, scratch):
+        write_matrix_csv(scratch / "z.csv", [" "], [], np.zeros((1, 0)), "id")
+        assert read_matrix_csv(scratch / "z.csv")[0] == [" "]
 
     @pytest.mark.parametrize("text", [
         "id,x,y\na,0.1,0.2\nb,0.3\n",   # a short row
@@ -819,6 +851,13 @@ class TestCsvFiles:
         (scratch / "bad.csv").write_text(text, encoding="utf-8")
         with pytest.raises(PackageError):
             read_matrix_csv(scratch / "bad.csv")
+
+    def test_a_refusal_names_the_first_of_many_repeated_ids(self, scratch):
+        rows = "".join(f"r{k},1.0\n" for k in range(10)) * 2
+        (scratch / "b_P.csv").write_text("id,b\n" + rows, encoding="utf-8")
+        with pytest.raises(PackageError) as err:
+            read_matrix_csv(scratch / "b_P.csv")
+        assert str(err.value) == "b_P.csv: repeated ids ['r0', 'r1', 'r2', 'r3', 'r4', ...] (10 ids)"
 
     def test_empty_blocks_round_trip(self, tmp_path):
         for p_ids, o_ids in (((), ("x", "y")), (("a", "b"), ())):
@@ -1137,8 +1176,8 @@ class TestPackageFiles:
                               cbv.Observer(perimeter_ref="P-DEMO"))
         assert not (tmp_path / "pkg").exists()
 
-    @pytest.mark.parametrize("name", ["pov.json", STABILITY_NAME, "b_P.csv"])
-    def test_an_edited_file_is_a_hash_finding(self, package_dir, name):
+    @pytest.mark.parametrize("name", ["pov.json", STABILITY_NAME])
+    def test_edited_pov_or_evidence_is_a_hash_finding(self, package_dir, name):
         target = package_dir / name
         target.write_bytes(target.read_bytes().replace(b"0.", b"0.0", 1))
         findings = cbv.validate_directory(package_dir).findings

@@ -304,8 +304,16 @@ class TestSoundness:
 
 
 class TestConditioning:
+    def test_symmetric_family(self):
+        assert cbv.condition_diagnostics(
+            [[0.0, 0.8], [0.8, 0.0]]
+        ).kappa2 == pytest.approx(9.0, abs=1e-9)
+        assert cbv.condition_diagnostics(
+            [[0.0, 0.99], [0.99, 0.0]]
+        ).kappa2 == pytest.approx(199.0, abs=1e-6)
+
     def test_kappa_formula_across_t(self):
-        for t in (0.1, 0.35, 0.62, 0.8, 0.9, 0.99):
+        for t in (0.1, 0.35, 0.62, 0.9):
             report = cbv.condition_diagnostics([[0.0, t], [t, 0.0]])
             assert report.kappa2 == pytest.approx((1 + t) / (1 - t), abs=1e-9)
 
@@ -356,6 +364,20 @@ class TestMonteCarloBand:
         assert band.low == pytest.approx(714.2857, abs=1e-3)
         assert band.high == pytest.approx(789.4737, abs=1e-3)
         assert band.excluded == 0
+
+    def test_band_near_unit_boundary_excludes_unstable_corner(self):
+        stats = symmetric_stats(0.99)
+        band = cbv.monte_carlo_band(stats, noise=0.01, draws=0, seed=3,
+                                    metric="internal_total")
+        assert band.low == pytest.approx(7500.0, abs=1e-3)
+        assert band.high == pytest.approx(15000.0, abs=1e-3)
+        assert band.excluded == 1
+
+    def test_deterministic_for_fixed_seed(self, rng):
+        stats = random_regime_stats(rng, n_p=3, n_o=2)
+        one = cbv.monte_carlo_band(stats, noise=0.02, draws=50, seed=11)
+        two = cbv.monte_carlo_band(stats, noise=0.02, draws=50, seed=11)
+        assert one == two
 
     def test_entry_mask_restricts_noise(self):
         stats = symmetric_stats(0.8)

@@ -587,6 +587,12 @@ def test_package_path_reads_no_dense_block(tmp_path):
             assert "array" not in vars(owner.held(name)), name
 
 
+def test_write_package_reads_no_dense_block(tmp_path):
+    stats, _ = regime_b_package(tmp_path)
+    for name in ("o_po", "o_op", "o_pp"):
+        assert "array" not in vars(stats.held(name)), name
+
+
 def test_replace_passes_held_edges_on(tmp_path):
     # the package, its statistics and a partition share one replace: the
     # blocks it does not change are the same held edges, and it builds no
