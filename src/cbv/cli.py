@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -21,10 +21,11 @@ from .control import build_control
 from .engine import SOLVER_METHODS, SolverConfig, evaluate_for_observer
 from .errors import CbvError, DomainError, MembershipError, _id_list
 from .fisher import cross_priced_quad, fisher_indices
-from .network import Perimeter
+from .network import Perimeter, _HeldEdges
 from .observer import OPTION_ALIASES, ControlRuleSpec
 from .payoffs import delta_max
 from .report import (
+    _json_bytes,
     build_cut_summary,
     load_package,
     matrix_csv_lines,
@@ -32,7 +33,6 @@ from .report import (
     read_matrix_csv,
     render_disclosure_sheet,
     validate_directory,
-    write_matrix_csv,
 )
 from .robustness import monte_carlo_band
 
@@ -130,6 +130,21 @@ def build_parser() -> _Parser:
     return parser
 
 
+def _print_json(payload) -> None:
+    sys.stdout.write(_json_bytes(payload).decode("utf-8"))
+
+
+def _write_or_print(output, lines, what: str) -> None:
+    """The text `lines` into the UTF-8 file `output` and a line that says so,
+    or, with no output, onto stdout."""
+    if output:
+        with open(output, "w", newline="", encoding="utf-8") as handle:
+            handle.writelines(lines)
+        print(f"{what} written to {output}")
+    else:
+        sys.stdout.writelines(lines)
+
+
 def _load_observer(args, pkg):
     observer = pkg.observer
     if args.pov:
@@ -142,12 +157,7 @@ def _load_observer(args, pkg):
 def _cmd_validate(args) -> int:
     report = validate_directory(args.package)
     if args.format == "json":
-        payload = [
-            {"rule": f.rule, "severity": f.severity, "message": f.message,
-             "location": f.location}
-            for f in report.findings
-        ]
-        print(json.dumps(payload, indent=2))
+        _print_json([asdict(f) for f in report.findings])
     else:
         print(report.render())
     return EXIT_FINDINGS if report.has_errors else EXIT_OK
@@ -179,11 +189,8 @@ def _cmd_compute(args) -> int:
             "output": str(out),
         }
         if band is not None:
-            payload["band"] = {
-                "low": band.low, "high": band.high,
-                "evaluated": band.evaluated, "excluded": band.excluded,
-            }
-        print(json.dumps(payload, indent=2))
+            payload["band"] = asdict(band)
+        _print_json(payload)
     else:
         print(f"base_total = {result.base_total!r}")
         print(f"T_out = {result.t_out!r}")
@@ -220,7 +227,7 @@ def _cmd_fisher(args) -> int:
         },
         "excluded_nodes": list(quad.excluded_nodes),
     }
-    blob = (json.dumps(payload, indent=2) + "\n").encode("utf-8")
+    blob = _json_bytes(payload)
     if args.output:
         Path(args.output).write_bytes(blob)
     if args.format == "json" or not args.output:
@@ -243,11 +250,15 @@ def _problem_from_spec(spec: dict) -> tuple[ClearingProblem, dict]:
 
     classes = []
     for block in spec["classes"]:
-        mat = np.zeros((len(nodes), len(nodes)))
+        rows, cols, amounts = [], [], []
         for payer, row in block.get("liabilities", {}).items():
             for payee, amount in row.items():
-                mat[at(payer), at(payee)] = float(amount)
-        classes.append(mat)
+                amounts.append(float(amount))
+                rows.append(at(payer))
+                cols.append(at(payee))
+        # a JSON object names each payer, and each payee in a row, once: no entry repeats
+        held, _ = _HeldEdges.from_entries((len(nodes), len(nodes)), rows, cols, amounts)
+        classes.append(held)
     missing = [n for n in nodes if n not in spec["resources"]]
     if missing:
         raise MembershipError(f"clearing spec gives no resources for nodes {_id_list(missing)}")
@@ -281,36 +292,24 @@ def _cmd_clearing(args) -> int:
         raise DomainError(f"malformed clearing spec: {exc!r}") from None
     given.update(_given(selection=args.selection))
     outcome = clear(problem, **given)
+
+    def by_id(row_ids, col_ids, matrix) -> dict:
+        return {r: dict(zip(col_ids, row)) for r, row in zip(row_ids, matrix.tolist())}
+
+    classes = [f"class_{k + 1}" for k in range(problem.n_classes)]
     payload = {
         "engine": spec.get("engine", "seniority-clearing"),
         "selection": outcome.selection,
         "iterations": outcome.iterations,
         "residual": outcome.residual,
-        "payments": {
-            f"class_{k + 1}": {n: float(outcome.payments[k][i])
-                               for i, n in enumerate(problem.node_ids)}
-            for k in range(problem.n_classes)
-        },
-        "payout_ratios": {
-            f"class_{k + 1}": {n: float(outcome.payout_ratios[k][i])
-                               for i, n in enumerate(problem.node_ids)}
-            for k in range(problem.n_classes)
-        },
+        "payments": by_id(classes, problem.node_ids, outcome.payments),
+        "payout_ratios": by_id(classes, problem.node_ids, outcome.payout_ratios),
     }
     if "perimeter" in spec:
         flows = net_boundary_flows(problem, outcome, Perimeter(spec["perimeter"]))
-        payload["net_flows"] = {
-            "X_PO": {p: {o: float(flows.x_po[i, j]) for j, o in enumerate(flows.o_ids)}
-                     for i, p in enumerate(flows.p_ids)},
-            "X_OP": {o: {p: float(flows.x_op[i, j]) for j, p in enumerate(flows.p_ids)}
-                     for i, o in enumerate(flows.o_ids)},
-        }
-    blob = (json.dumps(payload, indent=2) + "\n").encode("utf-8")
-    if args.output:
-        Path(args.output).write_bytes(blob)
-        print(f"clearing outcome written to {args.output}")
-    else:
-        print(blob.decode("utf-8"), end="")
+        payload["net_flows"] = {"X_PO": by_id(flows.p_ids, flows.o_ids, flows.x_po),
+                                "X_OP": by_id(flows.o_ids, flows.p_ids, flows.x_op)}
+    _write_or_print(args.output, [_json_bytes(payload).decode("utf-8")], "clearing outcome")
     return EXIT_OK
 
 
@@ -321,20 +320,15 @@ def _cmd_control(args) -> int:
     spec = ControlRuleSpec(**_given(option=args.option, tau=args.tau, alpha=args.alpha,
                                     normalize=args.normalize, reachability_depth=args.depth))
     control = build_control(shares, spec, ids=tuple(row_ids))
-    if args.output:
-        write_matrix_csv(Path(args.output), control.ids, control.ids,
-                         control.omega, "id")
-        print(f"control matrix written to {args.output}")
-    else:
-        sys.stdout.writelines(matrix_csv_lines(control.ids, control.ids, control.omega, "id"))
+    _write_or_print(args.output, matrix_csv_lines(control.ids, control.ids, control.omega, "id"),
+                    "control matrix")
     return EXIT_OK
 
 
 def _cmd_pwa(args) -> int:
     result = delta_max(args.eps, args.gamma)
     if args.format == "json":
-        print(json.dumps({"delta_max": result.delta_max,
-                          "segments": result.segments}, indent=2))
+        _print_json(asdict(result))
     else:
         print(f"Δ_max={result.delta_max:.4f}, N={result.segments}")
     return EXIT_OK

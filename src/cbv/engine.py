@@ -176,6 +176,11 @@ class CutStatistics(_HeldBlocks):
             if value is not None:
                 shape = tuple(len(getattr(self, ids)) for ids in (rows, cols) if ids)
                 object.__setattr__(self, name, _stored(value, shape, name))
+        # every base enters W, so a non-finite one could only price W = nan or inf
+        finite = np.isfinite(self.b_p)
+        if not finite.all():
+            bad = [p for p, ok in zip(self.p_ids, finite.tolist()) if not ok]
+            raise DomainError(f"non-finite bases for perimeter nodes {_id_list(bad)}")
         n_o = len(self.o_ids)
         if self.held("x_po") is None and self.held("o_po") is None and n_o:
             raise DimensionError("outgoing side needs o_po/v_o or x_po")

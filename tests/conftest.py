@@ -179,6 +179,26 @@ def sparse_ownership(n: int, seed: int, owners: int = 5, col_cap: float = 0.9):
     return network, dict(zip(ids, b.tolist())), dict(zip(ids, v.tolist()))
 
 
+def sparse_clearing_spec(n: int, seed: int, creditors: int = 8) -> dict:
+    """A seeded two-class `cbv clearing` spec with no perimeter: each node
+    owes `creditors` distinct other nodes in each class, and holds 0.15 to
+    0.45 of its dues."""
+    rng = np.random.default_rng(seed)
+    nodes = [f"n{k}" for k in range(n)]
+    stride = (n - 1) // creditors
+    classes, dues = [], np.zeros(n)
+    for gamma in (0.05, 0.1):
+        offsets = 1 + stride * np.arange(creditors) + rng.integers(0, stride, (n, creditors))
+        payees = ((np.arange(n)[:, None] + offsets) % n).tolist()
+        amounts = rng.uniform(1.0, 10.0, (n, creditors))
+        dues += amounts.sum(axis=1)
+        classes.append({"liabilities": {nodes[i]: dict(zip(map(nodes.__getitem__, payees[i]), row))
+                                        for i, row in enumerate(amounts.tolist())},
+                        "default_cost": gamma})
+    resources = 0.3 * dues * rng.uniform(0.5, 1.5, n)
+    return {"nodes": nodes, "classes": classes, "resources": dict(zip(nodes, resources.tolist()))}
+
+
 def dense_reference_w(b_p, v_o=None, o_po=None, o_op=None, o_pp=None, v_p=None,
                       x_po=None, x_op=None) -> tuple[float, float]:
     """W = 1'b_P + T_out - T_in from dense numpy products, the oracle for

@@ -131,6 +131,16 @@ MUTANTS = (
            'zip(axes, ("from", "to"), columns):', 'zip(axes, ("from", "to"), columns[1::-1]):',
            ("test_acceptance.py::test_criterion_16_package_integrity",
             "test_report.py::TestPackageFiles::test_edge_files_load_the_held_edges_written")),
+    Mutant("a re-hashed non-finite cell is priced", "report.py",
+           "non_finite = next(self._non_finite_cells(), None)", "non_finite = None",
+           ("test_cli.py::TestEditedPackages::test_any_edit_keeps_the_exit_code_contract",)),
+    Mutant("a non-finite base is accepted", "engine.py",
+           "finite = np.isfinite(self.b_p)", "finite = np.isfinite(self.b_p) | True",
+           ("test_engine.py::TestRegimeA::test_a_non_finite_base_is_refused_naming_its_nodes",)),
+    Mutant("clearing specs are scattered into dense classes", "cli.py",
+           "held, _ = _HeldEdges.from_entries((len(nodes), len(nodes)), rows, cols, amounts)",
+           "held = np.zeros((len(nodes), len(nodes)))\n        held[rows, cols] = amounts",
+           ("test_cli.py::TestClearingCommand::test_a_sparse_spec_is_cleared_without_a_dense_class",)),
     Mutant("a refusal names every id", "errors.py",
            "if len(ids) <= 5:", "if len(ids) <= 5000:",
            ("test_engine.py::TestDiagnostics::test_a_refusal_names_the_first_of_many_missing_ids",

@@ -4,14 +4,11 @@ Run with `pytest -s tests/test_acceptance.py` to see the per-criterion lines;
 every tolerance is pinned here and nowhere else.
 """
 
-import itertools
-
 import numpy as np
 import pytest
 
 import cbv
 from cbv.errors import PackageError
-from cbv.payoffs import cvar_gains
 from cbv.report import Edge, Manifest
 
 from conftest import (

@@ -1,11 +1,18 @@
 import argparse
+import io
 import json
+import math
 import re
+import shutil
+import tracemalloc
+from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import cbv
 from cbv.cli import EXIT_COMPUTE, EXIT_FINDINGS, EXIT_OK, EXIT_USAGE, build_parser, main
@@ -16,6 +23,7 @@ from conftest import (
     V1_0_W,
     example_stats,
     rehash,
+    sparse_clearing_spec,
     sparse_ownership,
     tiny_edge_stats,
     two_cycle_chain_stats,
@@ -61,6 +69,20 @@ def in_tmp_path(tmp_path, monkeypatch):
     """Run each command from the test's own directory, where `cbv compute`
     without -o writes its cut summary."""
     monkeypatch.chdir(tmp_path)
+
+
+@pytest.fixture(scope="module")
+def scratch(tmp_path_factory):
+    """A directory that each example of a Hypothesis test rewrites."""
+    return tmp_path_factory.mktemp("examples")
+
+
+def run_main(argv) -> tuple[int, str, str]:
+    """`main(argv)`'s exit status, stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        status = main(argv)
+    return status, out.getvalue(), err.getvalue()
 
 
 def package_files(pkg) -> dict:
@@ -588,6 +610,71 @@ CLEARING_SPEC = {
 }
 
 
+@st.composite
+def clearing_specs(draw):
+    """Specs of up to five nodes and three classes: +0.0 and -0.0 amounts,
+    self-liabilities, empty classes, per-node default costs, and a perimeter
+    and selection now and then."""
+    nodes = draw(st.lists(st.sampled_from(["a", "b", "c", "d", "e"]),
+                          min_size=1, max_size=5, unique=True))
+    amounts = st.sampled_from([0.0, -0.0, 1.0, 60.0]) | st.floats(0.0, 100.0)
+    classes = []
+    for _ in range(draw(st.integers(1, 3))):
+        block = {}
+        if draw(st.booleans()):
+            block["liabilities"] = draw(st.dictionaries(
+                st.sampled_from(nodes), st.dictionaries(st.sampled_from(nodes), amounts)))
+        if draw(st.booleans()):
+            block["default_cost"] = draw(st.floats(0.0, 1.0))
+        if draw(st.booleans()):
+            block["default_costs"] = draw(st.dictionaries(st.sampled_from(nodes),
+                                                          st.floats(0.0, 1.0)))
+        classes.append(block)
+    spec = {"nodes": nodes, "classes": classes,
+            "resources": {n: draw(st.floats(0.0, 100.0)) for n in nodes}}
+    if draw(st.booleans()):
+        spec["perimeter"] = draw(st.lists(st.sampled_from(nodes), unique=True))
+    if draw(st.booleans()):
+        spec["selection"] = draw(st.sampled_from(["greatest", "least"]))
+    return spec
+
+
+def reference_clearing_stdout(spec: dict) -> str:
+    """What `cbv clearing` printed for a spec when it scattered each class
+    into a dense matrix and rendered its payload with json.dumps."""
+    nodes = tuple(spec["nodes"])
+    index = {node: k for k, node in enumerate(nodes)}
+    dense = []
+    for block in spec["classes"]:
+        mat = np.zeros((len(nodes), len(nodes)))
+        for payer, row in block.get("liabilities", {}).items():
+            for payee, amount in row.items():
+                mat[index[payer], index[payee]] = amount
+        dense.append(mat)
+    problem = cbv.ClearingProblem(
+        node_ids=nodes, liabilities=tuple(dense),
+        resources=np.array([spec["resources"][n] for n in nodes]),
+        default_costs=np.array([[block.get("default_costs", {}).get(n, block.get("default_cost", 0.0))
+                                 for n in nodes] for block in spec["classes"]]))
+    outcome = cbv.clear(problem, selection=spec.get("selection", "greatest"))
+    payload = {
+        "engine": "seniority-clearing", "selection": outcome.selection,
+        "iterations": outcome.iterations, "residual": outcome.residual,
+        **{key: {f"class_{k + 1}": {n: float(m[k][i]) for i, n in enumerate(nodes)}
+                 for k in range(len(dense))}
+           for key, m in (("payments", outcome.payments), ("payout_ratios", outcome.payout_ratios))},
+    }
+    if "perimeter" in spec:
+        flows = cbv.net_boundary_flows(problem, outcome, cbv.Perimeter(spec["perimeter"]))
+        payload["net_flows"] = {
+            "X_PO": {p: {o: float(flows.x_po[i, j]) for j, o in enumerate(flows.o_ids)}
+                     for i, p in enumerate(flows.p_ids)},
+            "X_OP": {o: {p: float(flows.x_op[i, j]) for j, p in enumerate(flows.p_ids)}
+                     for i, o in enumerate(flows.o_ids)},
+        }
+    return json.dumps(payload, indent=2) + "\n"
+
+
 class TestClearingCommand:
     def test_spec_file_run(self, tmp_path, capsys):
         path = tmp_path / "clearing.json"
@@ -641,6 +728,30 @@ class TestClearingCommand:
         assert capsys.readouterr().err == (
             "error [MembershipError]: clearing spec gives no resources for nodes "
             "['n3', 'n4', 'n5', 'n6', 'n7', ...] (38 ids)\n")
+
+    def test_a_sparse_spec_is_cleared_without_a_dense_class(self, tmp_path):
+        # 6000 nodes and 96,000 entries, 3 MB of JSON: one dense class is 288 MB
+        path = tmp_path / "clearing.json"
+        path.write_text(json.dumps(sparse_clearing_spec(6000, seed=37)), encoding="utf-8")
+        tracemalloc.start()
+        try:
+            status = main(["clearing", "--spec", str(path), "-o", str(tmp_path / "out.json")])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert status == EXIT_OK
+        assert peak < 64 * 2**20, f"peak {peak} bytes"
+        ratios = json.loads((tmp_path / "out.json").read_text(encoding="utf-8"))["payout_ratios"]
+        assert all(0.0 <= r <= 1.0 for row in ratios.values() for r in row.values())
+        assert min(ratios["class_2"].values()) < 1.0  # someone defaults
+
+    @settings(max_examples=60, deadline=None)
+    @given(spec=clearing_specs())
+    def test_stdout_is_the_clearing_of_the_dense_classes(self, scratch, spec):
+        path = scratch / "clearing.json"
+        path.write_text(json.dumps(spec), encoding="utf-8")
+        assert run_main(["clearing", "--spec", str(path)]) == (
+            EXIT_OK, reference_clearing_stdout(spec), "")
 
 
 class TestControlCommand:
@@ -813,6 +924,126 @@ class TestCorruptionSweep:
             cbv.OwnershipNetwork.from_edges(["A", "B", "C", "X", "Y"], triples)
         with pytest.raises(cbv.PackageError, match=r"^O_PO.csv: repeated pair \('C', 'Y'\)$"):
             cbv.load_package(pkg)
+
+
+class Edit(NamedTuple):
+    """One edit of one file of a package: `kind` applied at position `at`
+    (taken modulo what the file offers), `token` the text a cell gets."""
+
+    source: str
+    file: str
+    kind: str
+    at: int
+    token: bytes
+    rehashed: bool
+
+
+GOLDEN = {version: DATA / f"package_v{version.replace('.', '_')}" for version in ("1.0", "1.1", "1.2")}
+# the golden packages and one written here (`build_package`): their files,
+# and those their manifest hashes
+EDIT_SOURCES = {**{version: sorted(path.name for path in package.iterdir())
+                   for version, package in GOLDEN.items()},
+                "fresh": sorted(PACKAGE_FILES)}
+HASHED = {source: set(files) - {"manifest.yaml"} for source, files in EDIT_SOURCES.items()}
+HASHED["1.0"] -= {"proof_stability.txt"}
+EDIT_KINDS = ("truncate", "flip", "delete-line", "repeat-line", "cell", "carriage-return", "key")
+# a JSON or YAML key, and a number outside a CSV file
+KEYS = {".json": rb'"((?:[^"\\]|\\.)*)"\s*:', ".yaml": rb"(?m)^[ -]*([A-Za-z_][\w-]*):"}
+NUMBER = rb"-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?"
+
+
+@st.composite
+def edits(draw):
+    source = draw(st.sampled_from(sorted(EDIT_SOURCES)))
+    file = draw(st.sampled_from(EDIT_SOURCES[source]))
+    return Edit(source, file, draw(st.sampled_from(EDIT_KINDS)), draw(st.integers(0, 2**20)),
+                draw(st.sampled_from([b"NaN", b"inf", b"", b"x", b"1e400"])),
+                file in HASHED[source] and draw(st.booleans()))
+
+
+def edited(blob: bytes, edit: Edit) -> bytes:
+    """`blob`, the bytes of `edit.file`, with `edit` applied: unchanged where
+    the file offers nothing to edit."""
+    at, lines = edit.at, blob.splitlines(keepends=True)
+    if edit.kind == "truncate":
+        return blob[: at % (len(blob) + 1)]
+    if edit.kind == "flip" and blob:
+        k = (at // 8) % len(blob)
+        return blob[:k] + bytes([blob[k] ^ 1 << at % 8]) + blob[k + 1:]
+    if edit.kind in ("delete-line", "repeat-line") and lines:
+        k = at % len(lines)
+        return b"".join(lines[:k] + lines[k + 1:] if edit.kind == "delete-line"
+                        else lines[:k + 1] + lines[k:])
+    if edit.kind == "carriage-return":
+        k = at % (len(blob) + 1)
+        return blob[:k] + b"\r" + blob[k:]
+    suffix = Path(edit.file).suffix
+    if edit.kind == "cell" and suffix == ".csv" and lines:
+        k = at % len(lines)
+        line = lines[k].rstrip(b"\r\n")
+        cells = line.split(b",")
+        cells[(at // len(lines)) % len(cells)] = edit.token
+        lines[k] = b",".join(cells) + lines[k][len(line):]
+        return b"".join(lines)
+    pattern = {"cell": NUMBER, "key": KEYS.get(suffix)}.get(edit.kind)
+    found = list(re.finditer(pattern, blob)) if pattern else []
+    if not found:
+        return blob
+    match = found[at % len(found)]
+    start, end = match.span(match.re.groups)  # a key's group, or the whole number
+    return blob[:start] + (edit.token if edit.kind == "cell" else blob[start:end] + b"_x") + blob[end:]
+
+
+@pytest.fixture(scope="module")
+def edit_sources(tmp_path_factory):
+    return {**GOLDEN, "fresh": build_package(tmp_path_factory.mktemp("sources"), "fresh")}
+
+
+class TestEditedPackages:
+    @settings(max_examples=150, deadline=None)
+    @given(edit=edits())
+    # failures found by hand before: a re-hashed NaN value cell priced with exit
+    # 0, an id holding \r and a cut-off pov.json each a traceback that exited 1
+    @example(edit=Edit("fresh", "v_O.csv", "cell", 4, b"NaN", True))
+    @example(edit=Edit("fresh", "nodes_P.csv", "carriage-return", 15, b"", True))
+    @example(edit=Edit("1.2", "pov.json", "truncate", 40, b"", True))
+    def test_any_edit_keeps_the_exit_code_contract(self, edit_sources, scratch, edit):
+        # exit codes 0, 1, 2 and 64 only; no traceback; 1 only from validate,
+        # with an ERROR line, and always for an edit of a hashed file that is
+        # not re-hashed; compute's 0 only with a finite W and a summary whose
+        # listed edges sum to its totals
+        source, pkg, summary = edit_sources[edit.source], scratch / "pkg", scratch / "summary.json"
+        shutil.rmtree(pkg, ignore_errors=True)
+        shutil.copytree(source, pkg)
+        blob = (pkg / edit.file).read_bytes()
+        (pkg / edit.file).write_bytes(edited(blob, edit))
+        if edit.rehashed:
+            rehash(pkg, edit.file)
+        summary.unlink(missing_ok=True)
+        runs = {
+            "validate": run_main(["validate", str(pkg)]),
+            "compute": run_main(["compute", "--package", str(pkg), "-o", str(summary),
+                                 "--format", "json"]),
+            "report": run_main(["report", "--package", str(pkg)]),
+            "fisher": run_main(["fisher", "--prev", str(source), "--curr", str(pkg)]),
+            "fisher-reversed": run_main(["fisher", "--prev", str(pkg), "--curr", str(source)]),
+        }
+        for command, (status, out, err) in runs.items():
+            assert status in (EXIT_OK, EXIT_FINDINGS, EXIT_COMPUTE, EXIT_USAGE), command
+            assert "Traceback" not in out + err, command
+            if status == EXIT_FINDINGS:
+                assert command == "validate"
+                assert any(line.startswith("ERROR ") for line in out.splitlines()), out
+        if edited(blob, edit) != blob and not edit.rehashed and edit.file in HASHED[edit.source]:
+            assert runs["validate"][0] == EXIT_FINDINGS
+        status, out, _ = runs["compute"]
+        if status == EXIT_OK:
+            w = json.loads(out)["consolidated_value"]
+            assert math.isfinite(w), out
+            doc = cbv.CutSummaryDoc.from_json_bytes(summary.read_bytes())
+            assert doc.consolidated_value == w
+            for total, listed in ((doc.t_out, doc.edges_po), (doc.t_in, doc.edges_op)):
+                assert np.sum([edge.amount for edge in listed]) == total
 
 
 class TestUsageErrors:

@@ -83,6 +83,19 @@ class TestRegimeA:
         with pytest.raises(DimensionError, match="b_p is required"):
             cbv.CutStatistics(p_ids, (), None)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_a_non_finite_base_is_refused_naming_its_nodes(self, value):
+        # every base enters W, so this priced W = nan (or inf) in both regimes
+        with pytest.raises(DomainError) as refusal:
+            cbv.CutStatistics(("a", "b"), (), [1.0, value], v_p=[2.0, 3.0],
+                              o_pp=[[0.0, 0.5], [0.5, 0.0]])
+        assert str(refusal.value) == "non-finite bases for perimeter nodes ['b']"
+        b = dict(zip(P_IDS, B_P)) | {"A": value, "C": value}
+        with pytest.raises(DomainError) as refusal:
+            cbv.CutStatistics.from_network(example_network(), cbv.Perimeter(P_IDS), b,
+                                           dict(zip(O_IDS, V_O)))
+        assert str(refusal.value) == "non-finite bases for perimeter nodes ['A', 'C']"
+
     @pytest.mark.parametrize("fields, message", [
         ({"b_p": [1.0, 2.0]}, r"b_p has shape \(2,\), expected \(3,\)"),
         ({"o_pp": [[0.0]]}, r"o_pp has shape \(1, 1\), expected \(3, 3\)"),

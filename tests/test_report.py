@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import math
 import shutil
 from dataclasses import replace
 
@@ -163,6 +164,9 @@ node_ids = st.one_of(
             max_size=5),
 )
 cells = st.one_of(st.just(0.0), st.sampled_from(SPECIAL_VALUES), st.floats(width=64))
+# a base is finite: CutStatistics refuses any other
+finite_cells = st.one_of(st.just(0.0), st.sampled_from(list(filter(math.isfinite, SPECIAL_VALUES))),
+                         st.floats(width=64, allow_nan=False, allow_infinity=False))
 
 
 @st.composite
@@ -989,13 +993,13 @@ def packages(draw):
     p_ids, o_ids = tuple(ids[:split]), tuple(ids[split:])
     n_p, n_o = len(p_ids), len(o_ids)
 
-    def block(*shape):
+    def block(*shape, of=cells):
         size = int(np.prod(shape))
-        return np.array(draw(st.lists(cells, min_size=size, max_size=size)),
+        return np.array(draw(st.lists(of, min_size=size, max_size=size)),
                         dtype=float).reshape(shape)
 
     return cbv.CutStatistics(
-        p_ids=p_ids, o_ids=o_ids, b_p=block(n_p), v_o=block(n_o),
+        p_ids=p_ids, o_ids=o_ids, b_p=block(n_p, of=finite_cells), v_o=block(n_o),
         v_p=block(n_p) if draw(st.booleans()) else None,
         o_po=block(n_p, n_o), o_op=block(n_o, n_p), o_pp=block(n_p, n_p),
     )
@@ -1284,12 +1288,18 @@ class TestNonFiniteData:
     ])
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     def test_each_non_finite_entry_is_a_d2_error(self, tmp_path, field, index, where, value):
+        # the entry is written as 0.4375 and edited in its file, since
+        # CutStatistics refuses a non-finite base
         stats = example_stats()
         arrays = {name: np.array(getattr(stats, name))
                   for name in ("b_p", "v_o", "v_p", "o_po", "o_op", "o_pp")}
-        arrays[field][index] = value
+        arrays[field][index] = 0.4375
         cbv.write_package(tmp_path / "pkg", cbv.CutStatistics(
             p_ids=stats.p_ids, o_ids=stats.o_ids, **arrays), demo_observer())
+        file = tmp_path / "pkg" / f"{dict(map(reversed, cbv.report._DATA_FILES))[field]}.csv"
+        file.write_text(file.read_text(encoding="utf-8").replace("0.4375", repr(value)),
+                        encoding="utf-8")
+        rehash(tmp_path / "pkg", file.name)
         report = cbv.validate_directory(tmp_path / "pkg")
         finite = [f for f in report.findings if "not finite" in f.message]
         assert [(f.rule, f.severity, f.location) for f in finite] == [("D2", "error", where)]
